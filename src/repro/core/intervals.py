@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.core.errors import DomainError
 
@@ -140,6 +140,37 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
+def sweep_intervals(intervals: Iterable[Interval]) -> Iterator[tuple[Interval, set[int]]]:
+    """Yield the covered elementary sub-ranges of ``intervals`` in one sweep.
+
+    Each endpoint becomes a *cut* ``(value, offset)`` — offset 0 is "just
+    before value", offset 1 "just after" — which keeps the open/closed
+    bookkeeping exact without epsilon arithmetic: an interval spans from
+    the cut before its first accepted value to the cut after its last.
+    Walking the sorted cuts while carrying the set of open input indexes
+    yields every region between consecutive cuts that at least one input
+    covers, together with its owners, in O(p log p + output) — no region
+    is ever probed against an input.  Consecutive regions always differ in
+    their owners (something starts or ends at every cut), so the result is
+    already the minimal decomposition.
+
+    The yielded owner set is the sweep's live state: copy it before
+    advancing the iterator.
+    """
+    starts: dict[tuple[float, int], list[int]] = {}
+    stops: dict[tuple[float, int], list[int]] = {}
+    for index, iv in enumerate(intervals):
+        starts.setdefault((iv.low, 0 if iv.low_closed else 1), []).append(index)
+        stops.setdefault((iv.high, 1 if iv.high_closed else 0), []).append(index)
+    cuts = sorted(starts.keys() | stops.keys())
+    active: set[int] = set()
+    for cut, following in zip(cuts, cuts[1:]):
+        active.difference_update(stops.get(cut, ()))
+        active.update(starts.get(cut, ()))
+        if active:
+            yield Interval(cut[0], following[0], cut[1] == 0, following[1] == 1), active
+
+
 def decompose_intervals(intervals: Iterable[Interval]) -> list[Interval]:
     """Decompose overlapping intervals into disjoint elementary sub-ranges.
 
@@ -154,58 +185,4 @@ def decompose_intervals(intervals: Iterable[Interval]) -> list[Interval]:
     ``a1 >= 30`` produce the sub-ranges ``[30, 35)`` and ``[35, 50]`` seen in
     Fig. 1.
     """
-    inputs = [iv for iv in intervals]
-    if not inputs:
-        return []
-
-    # Collect boundary positions between elementary regions.  Each boundary
-    # is a (value, offset) pair where offset 0 means "just before value" and
-    # offset 1 means "just after value"; this keeps the open/closed endpoint
-    # bookkeeping exact without epsilon arithmetic.
-    points: set[tuple[float, int]] = set()
-    for iv in inputs:
-        points.add((iv.low, 0 if iv.low_closed else 1))
-        points.add((iv.high, 1 if iv.high_closed else 0))
-    boundaries = sorted(points)
-
-    # Build elementary intervals spanning consecutive boundaries and keep
-    # only those covered by at least one input interval.
-    result: list[Interval] = []
-    for (lo_v, lo_off), (hi_v, hi_off) in zip(boundaries, boundaries[1:]):
-        low_closed = lo_off == 0
-        high_closed = hi_off == 1
-        if lo_v == hi_v:
-            if low_closed and high_closed:
-                candidate = Interval.point(lo_v)
-            else:
-                continue
-        else:
-            candidate = Interval(lo_v, hi_v, low_closed, high_closed)
-        if any(iv.contains(candidate.midpoint()) for iv in inputs):
-            result.append(candidate)
-
-    # Handle single-boundary degenerate case (all inputs are the same point).
-    if not result:
-        only = boundaries[0][0]
-        if any(iv.contains(only) for iv in inputs):
-            result.append(Interval.point(only))
-
-    # The elementary decomposition above can split the space more finely than
-    # necessary (e.g. a closed endpoint introduces a point interval even when
-    # no input distinguishes it).  Merge adjacent sub-ranges that are covered
-    # by exactly the same set of inputs, which restores the minimal
-    # ``<= 2p - 1`` decomposition.
-    def cover_signature(iv: Interval) -> tuple[int, ...]:
-        probe = iv.midpoint()
-        return tuple(i for i, src in enumerate(inputs) if src.contains(probe))
-
-    merged: list[Interval] = []
-    for iv in sorted(result, key=Interval.sort_key):
-        if merged:
-            prev = merged[-1]
-            adjacent = prev.high == iv.low and (prev.high_closed != iv.low_closed)
-            if adjacent and cover_signature(prev) == cover_signature(iv):
-                merged[-1] = Interval(prev.low, iv.high, prev.low_closed, iv.high_closed)
-                continue
-        merged.append(iv)
-    return merged
+    return [piece for piece, _ in sweep_intervals(intervals)]

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from repro.core.domains import DiscreteDomain, Domain, IntegerDomain
 from repro.core.errors import PredicateError, ProfileError
-from repro.core.intervals import Interval, decompose_intervals
+from repro.core.intervals import Interval, sweep_intervals
 from repro.core.profiles import Profile, ProfileSet
 from repro.core.schema import Attribute
 
@@ -208,30 +208,27 @@ def _ordered_partition(
     dont_care_ids: frozenset[str],
 ) -> AttributePartition:
     domain = attribute.domain
-    profile_intervals: list[tuple[str, Interval]] = []
+    owner_ids: list[str] = []
+    intervals: list[Interval] = []
     for prof in constraining:
         predicate = prof.predicate(attribute.name)
         for interval in predicate.accepted_intervals(domain):
             clamped = domain.clamp(interval)
             if clamped is not None:
-                profile_intervals.append((prof.profile_id, clamped))
+                owner_ids.append(prof.profile_id)
+                intervals.append(clamped)
 
-    elementary = decompose_intervals([iv for _, iv in profile_intervals])
-    subranges: list[Subrange] = []
-    for i, piece in enumerate(elementary):
-        probe = piece.midpoint()
-        owners = frozenset(
-            pid for pid, iv in profile_intervals if iv.contains(probe)
+    owner_of = owner_ids.__getitem__
+    subranges = [
+        Subrange(
+            index=i,
+            interval=piece,
+            value=None,
+            profile_ids=frozenset(map(owner_of, owners)),
+            measure=domain.measure(piece),
         )
-        subranges.append(
-            Subrange(
-                index=i,
-                interval=piece,
-                value=None,
-                profile_ids=owners,
-                measure=domain.measure(piece),
-            )
-        )
+        for i, (piece, owners) in enumerate(sweep_intervals(intervals))
+    ]
 
     covered = sum(s.measure for s in subranges)
     # See the discrete case above: don't-care profiles make D_0 empty.

@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from repro.core.domains import DiscreteDomain, Domain, IntegerDomain
@@ -55,15 +56,19 @@ class DiscreteDistribution(Distribution):
                 cleaned[value] = float(weight) / total
         self.domain = domain
         self._pmf = cleaned
-        # Pre-compute the sampling tables in the domain's natural order so
-        # sampling is deterministic given a seeded random.Random.
+        # Pre-compute the prefix-sum tables in the domain's natural order:
+        # sampling bisects ``_cumulative`` (deterministic given a seeded
+        # random.Random) and interval queries difference it.
         self._values = self._ordered_values()
-        cumulative: list[float] = []
-        running = 0.0
-        for value in self._values:
-            running += self._pmf.get(value, 0.0)
-            cumulative.append(running)
-        self._cumulative = cumulative
+        #: Sorted positions the interval queries bisect: the values
+        #: themselves on an IntegerDomain, their natural-order indexes on
+        #: a DiscreteDomain (whose intervals range over indexes).
+        self._positions: Sequence = (
+            [domain.index_of(value) for value in self._values]
+            if isinstance(domain, DiscreteDomain)
+            else self._values
+        )
+        self._cumulative = list(accumulate(self._pmf[value] for value in self._values))
 
     # -- helpers ---------------------------------------------------------------
     def _ordered_values(self) -> list:
@@ -84,17 +89,28 @@ class DiscreteDistribution(Distribution):
         return self._pmf.get(value, 0.0)
 
     def probability_of_interval(self, interval: Interval) -> float:
-        if isinstance(self.domain, DiscreteDomain):
-            total = 0.0
-            for index, value in enumerate(self.domain.values()):
-                if interval.contains(index):
-                    total += self._pmf.get(value, 0.0)
-            return total
-        total = 0.0
-        for value, probability in self._pmf.items():
-            if interval.contains(float(value)):  # type: ignore[arg-type]
-                total += probability
-        return total
+        """Return the mass inside ``interval`` in O(log n).
+
+        Two bisects over the sorted support positions pick the half-open
+        run of support entries the interval contains — a closed bound
+        keeps a position equal to it, an open bound drops it — and the
+        run's mass is a prefix-sum difference.
+        """
+        positions = self._positions
+        first = (
+            bisect.bisect_left(positions, interval.low)
+            if interval.low_closed
+            else bisect.bisect_right(positions, interval.low)
+        )
+        stop = (
+            bisect.bisect_right(positions, interval.high)
+            if interval.high_closed
+            else bisect.bisect_left(positions, interval.high)
+        )
+        if stop <= first:
+            return 0.0
+        cumulative = self._cumulative
+        return cumulative[stop - 1] - (cumulative[first - 1] if first else 0.0)
 
     def sample(self, rng: random.Random) -> object:
         u = rng.random()
@@ -169,7 +185,8 @@ def peaked_discrete(
     else:
         start = max(0, (count - peak_count) // 2)
         peak_values = values[start : start + peak_count]
-    rest_values = [v for v in values if v not in set(peak_values)]
+    peak_set = set(peak_values)
+    rest_values = [v for v in values if v not in peak_set]
     weights: dict[object, float] = {}
     for v in peak_values:
         weights[v] = peak_mass / len(peak_values)

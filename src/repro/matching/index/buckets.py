@@ -307,6 +307,11 @@ class IntervalBucket:
     def __len__(self) -> int:
         return len(self._boundaries)
 
+    @property
+    def entry_count(self) -> int:
+        """Number of live range entries: each holds two endpoint references."""
+        return sum(self._endpoint_refs.values()) // 2
+
     def slabs(self) -> Iterator[tuple[Interval | None, tuple[int, ...]]]:
         """Iterate over ``(slab_interval, entry_ids)`` pairs.
 

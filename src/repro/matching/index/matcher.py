@@ -579,19 +579,7 @@ class PredicateIndexMatcher:
         plan = self.plan
         if event_distributions is None:
             return plan.estimated_operations_per_event
-        total = 0.0
-        for attribute, recosted in self.recost_plans(event_distributions).items():
-            current = plan.plan_for(attribute) or recosted
-            total += (
-                recosted.hash_index_cost if current.use_hash else recosted.hash_scan_cost
-            )
-            total += (
-                recosted.interval_index_cost
-                if current.use_interval
-                else recosted.interval_scan_cost
-            )
-            total += recosted.residual_scan_cost
-        return total
+        return plan.cost_under(self.recost_plans(event_distributions))
 
     def recost_plans(
         self, event_distributions: Mapping[str, Distribution]

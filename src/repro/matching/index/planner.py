@@ -145,6 +145,19 @@ class IndexPlan:
     def plan_for(self, attribute: str) -> AttributePlan | None:
         return self.attributes.get(attribute)
 
+    def cost_under(self, recosted: Mapping[str, AttributePlan]) -> float:
+        """Return the cost of *this* plan's strategy choices at the
+        component costs of ``recosted`` (the same buckets costed under
+        other distributions); attributes this plan has no verdict for yet
+        take the recosted verdict."""
+        total = 0.0
+        for attribute, costs in recosted.items():
+            current = self.attributes.get(attribute) or costs
+            total += costs.hash_index_cost if current.use_hash else costs.hash_scan_cost
+            total += costs.interval_index_cost if current.use_interval else costs.interval_scan_cost
+            total += costs.residual_scan_cost
+        return total
+
 
 class IndexPlanner:
     """Chooses per-attribute index structures from selectivity estimates."""
@@ -250,7 +263,7 @@ class IndexPlanner:
         range_entries = 0
         interval_index_cost = 0.0
         if interval_bucket is not None and len(interval_bucket) > 0:
-            range_entries = len({i for _, ids in interval_bucket.slabs() for i in ids})
+            range_entries = interval_bucket.entry_count
             interval_index_cost = interval_bucket.probe_cost + self.expected_interval_hits(
                 attribute, domain, interval_bucket
             )

@@ -128,6 +128,12 @@ class EngineCandidate:
     cost: float
     label: str
     install: Callable[[], "Matcher"]
+    #: Predicted cost of the *running* matcher, when costing this
+    #: candidate already produced it (the candidate is a recost of the
+    #: running matcher's own structures).  The arbitration reads it for a
+    #: family without an :attr:`EngineSpec.current_cost` hook, so one
+    #: costing pass serves both sides of the comparison.
+    predicted_current: float | None = None
 
 
 @dataclass(frozen=True)
@@ -186,6 +192,10 @@ class EngineSpec:
         | None
     ) = None
     #: Predicted comparisons/event of the *currently running* matcher.
+    #: ``None`` defers to the :attr:`EngineCandidate.predicted_current` of
+    #: the family's own candidate (the built-in index and hybrid families:
+    #: their candidate is a recost of the running buckets, and costing
+    #: them a second time for this hook doubled every check).
     current_cost: Callable[["Matcher", Mapping[str, "Distribution"]], float] | None = None
     #: Same-family re-optimisation hook for the fixed engines (``None``:
     #: the engine filters without periodic restructuring).
@@ -412,10 +422,6 @@ def _index_owns(matcher: "Matcher") -> bool:
     return isinstance(matcher, PredicateIndexMatcher) and not matcher.planner.hybrid
 
 
-def _index_current_cost(matcher: "Matcher", distributions) -> float:
-    return matcher.estimated_cost(distributions)
-
-
 def _index_replanned(ctx: EngineContext, distributions, attribute_measure) -> "Matcher":
     from repro.matching.index.matcher import PredicateIndexMatcher
     from repro.matching.index.planner import IndexPlanner
@@ -432,11 +438,15 @@ def _index_candidate(
 ) -> EngineCandidate | None:
     from repro.matching.index.planner import IndexPlanner
 
+    predicted_current = None
     if _index_owns(matcher):
-        # A cheap recost of the live buckets; an applied decision replans
-        # (rebuilds) in place, keeping the matcher object and its stats.
+        # A cheap recost of the live buckets — one pass gives both the
+        # candidate's cost and the current choices' cost; an applied
+        # decision replans (rebuilds) in place, keeping the matcher
+        # object and its stats.
         recosted = matcher.recost_plans(distributions)
         cost = sum(plan.chosen_cost for plan in recosted.values())
+        predicted_current = matcher.plan.cost_under(recosted)
 
         def install() -> "Matcher":
             matcher.replan(distributions)
@@ -452,7 +462,9 @@ def _index_candidate(
         def install() -> "Matcher":
             return _index_replanned(ctx, distributions, ctx.attribute_measure)
 
-    return EngineCandidate("index", cost, "index[P_e estimated]", install)
+    return EngineCandidate(
+        "index", cost, "index[P_e estimated]", install, predicted_current=predicted_current
+    )
 
 
 def _index_reoptimize(
@@ -519,11 +531,13 @@ def _hybrid_owns(matcher: "Matcher") -> bool:
 def _hybrid_candidate(
     ctx: EngineContext, matcher: "Matcher | None", distributions
 ) -> EngineCandidate | None:
+    predicted_current = None
     if _hybrid_owns(matcher):
-        # Same recipe as the index family: recost the live buckets (the
-        # hybrid planner picks per-structure minima), replan in place.
+        # Same recipe as the index family: recost the live buckets once
+        # (the hybrid planner picks per-structure minima), replan in place.
         recosted = matcher.recost_plans(distributions)
         cost = sum(plan.chosen_cost for plan in recosted.values())
+        predicted_current = matcher.plan.cost_under(recosted)
 
         def install() -> "Matcher":
             matcher.replan(distributions)
@@ -542,7 +556,9 @@ def _hybrid_candidate(
                 min_columnar_batch=ctx.min_columnar_batch,
             )
 
-    return EngineCandidate("hybrid", cost, "hybrid[P_e estimated]", install)
+    return EngineCandidate(
+        "hybrid", cost, "hybrid[P_e estimated]", install, predicted_current=predicted_current
+    )
 
 
 def _hybrid_calibrated_candidate(
@@ -570,13 +586,12 @@ def _hybrid_reoptimize(
 ) -> ReoptimisationProposal | None:
     """Replan the hybrid matcher's buckets from the history.
 
-    ``estimated_cost`` already recosts the *current* per-structure
-    choices under the new distributions, so it is the current side of the
-    comparison; the candidate side takes each attribute's component-wise
-    minimum.
+    One recosting pass yields both sides: the current side prices the
+    *current* per-structure choices at the recosted component costs, the
+    candidate side takes each attribute's component-wise minimum.
     """
     recosted = matcher.recost_plans(distributions)
-    predicted_current = matcher.estimated_cost(distributions)
+    predicted_current = matcher.plan.cost_under(recosted)
     predicted_candidate = sum(plan.chosen_cost for plan in recosted.values())
     indexed = sum(1 for plan in recosted.values() if plan.use_hash or plan.use_interval)
     mixed = sum(1 for plan in recosted.values() if plan.is_hybrid)
@@ -705,7 +720,6 @@ def _builtin_specs() -> tuple[EngineSpec, ...]:
         owns=_index_owns,
         supported_measures=tuple(IndexPlanner.SUPPORTED_MEASURES),
         candidate=_index_candidate,
-        current_cost=_index_current_cost,
         reoptimize=_index_reoptimize,
         # ``auto`` starts on the index matcher (the cheaper build) and
         # prefers it on equal predicted cost.
@@ -721,7 +735,6 @@ def _builtin_specs() -> tuple[EngineSpec, ...]:
         supported_measures=tuple(IndexPlanner.SUPPORTED_MEASURES),
         candidate=_hybrid_candidate,
         calibrated_candidate=_hybrid_calibrated_candidate,
-        current_cost=_index_current_cost,
         reoptimize=_hybrid_reoptimize,
         # Arbitrates after index/tree: on workloads where a homogeneous
         # plan is already optimal the hybrid ties, and the tie goes to the

@@ -240,6 +240,10 @@ class AdaptationRecord:
     #: decision was taken (``1.0``: the model was trusted as-is); see
     #: :attr:`AdaptationPolicy.calibration_smoothing`.
     correction_factor: float = 1.0
+    #: Wall-clock seconds the re-optimisation check itself took — history
+    #: estimation, costing, arbitration and any applied rebuild: the time
+    #: the triggering ``publish`` stalled (``None`` on hand-built records).
+    check_seconds: float | None = None
 
     @property
     def predicted_improvement(self) -> float:
@@ -262,6 +266,7 @@ class AdaptationRecord:
             "measured_ops_per_event": self.measured_ops_per_event,
             "measured_wall_seconds": self.measured_wall_seconds,
             "correction_factor": self.correction_factor,
+            "check_seconds": self.check_seconds,
         }
 
 
@@ -501,6 +506,7 @@ class AdaptiveFilterEngine:
                 distributions,
                 measured_ops_per_event=measured_ops,
                 measured_wall_seconds=wall_delta,
+                check_started=now,
             )
             return
         spec = self._registry.spec(self.policy.engine)
@@ -529,6 +535,7 @@ class AdaptiveFilterEngine:
                 engine=spec.name,
                 measured_ops_per_event=measured_ops,
                 measured_wall_seconds=wall_delta,
+                check_seconds=time.perf_counter() - now,
             )
         )
 
@@ -538,6 +545,7 @@ class AdaptiveFilterEngine:
         *,
         measured_ops_per_event: float | None = None,
         measured_wall_seconds: float | None = None,
+        check_started: float,
     ) -> None:
         """Arbitrate between the registered families (``engine="auto"``).
 
@@ -586,6 +594,9 @@ class AdaptiveFilterEngine:
         best = None
         best_spec = None
         best_calibrated = float("inf")
+        # The running family's own candidate is a recost of the running
+        # matcher and may already carry the incumbent's cost.
+        predicted_current = None
         for spec in self._registry.arbitrating_specs():
             if spec.calibrated_candidate is not None:
                 scored = spec.calibrated_candidate(
@@ -599,6 +610,8 @@ class AdaptiveFilterEngine:
                 if candidate is None:
                     continue
                 calibrated = self._calibrator.calibrate(spec.name, candidate.cost)
+            if spec is current_spec:
+                predicted_current = candidate.predicted_current
             if best is None or calibrated < best_calibrated:
                 best, best_spec, best_calibrated = candidate, spec, calibrated
         if best is None:
@@ -606,6 +619,7 @@ class AdaptiveFilterEngine:
 
         if current_spec is not None and current_spec.current_cost is not None:
             predicted_current = current_spec.current_cost(matcher, distributions)
+        if predicted_current is not None:
             calibrated_current = self._calibrator.calibrate(
                 current_spec.name, predicted_current
             )
@@ -647,6 +661,7 @@ class AdaptiveFilterEngine:
                 correction_factor=(
                     best_calibrated / best.cost if best.cost > 0 else 1.0
                 ),
+                check_seconds=time.perf_counter() - check_started,
             )
         )
 

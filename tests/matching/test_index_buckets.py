@@ -158,6 +158,27 @@ class TestIntervalBucketCompaction:
             assert bucket.lookup(value) == fresh.lookup(value), value
         assert len(bucket) == len(fresh)
 
+    def test_entry_count_tracks_the_live_entries_through_churn(self):
+        """The planner's scan cost reads this count instead of walking
+        every slab cover for the distinct entry ids."""
+
+        def distinct_in_covers(bucket):
+            return len({entry for _, cover in bucket.slabs() for entry in cover})
+
+        bucket = IntervalBucket(
+            [(Interval.closed(0, 10), 0), (Interval.point(5), 1), (Interval.open(5, 15), 2)]
+        )
+        assert bucket.entry_count == distinct_in_covers(bucket) == 3
+        for entry_id in range(3, 40):  # enough churn to compact repeatedly
+            interval = Interval.closed_open(entry_id * 0.25, entry_id * 0.25 + 3)
+            bucket.add(interval, entry_id)
+            assert bucket.entry_count == distinct_in_covers(bucket) == 4
+            bucket.remove(interval, entry_id)
+            assert bucket.entry_count == distinct_in_covers(bucket) == 3
+        bucket.remove(Interval.point(5), 1)
+        assert bucket.entry_count == distinct_in_covers(bucket) == 2
+        assert IntervalBucket([]).entry_count == 0
+
     def test_shared_endpoints_stay_until_last_reference(self):
         shared = [(Interval.closed(0, 10), 0), (Interval.closed(10, 20), 1)]
         bucket = IntervalBucket(shared)

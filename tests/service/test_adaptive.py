@@ -90,6 +90,19 @@ class TestAdaptiveFilterEngine:
         adaptive_ops = sum(adaptive.match(e).operations for e in events)
         assert adaptive_ops < static_ops
 
+    @pytest.mark.parametrize("engine_kind", ["tree", "index", "auto"])
+    def test_records_time_the_check_itself(self, engine_kind):
+        """``check_seconds`` is the stall of the triggering publish: it
+        lies inside the wall-clock of the interval that follows it."""
+        engine = self.make_engine(engine=engine_kind, reoptimize_interval=100)
+        for event in peaked_events(400):
+            engine.match(event)
+        records = engine.adaptations()
+        assert len(records) >= 3
+        for record, following in zip(records, records[1:]):
+            assert 0.0 < record.check_seconds <= following.measured_wall_seconds
+            assert record.to_dict()["check_seconds"] == record.check_seconds
+
     def test_no_adaptation_before_warmup(self):
         engine = self.make_engine(warmup_events=10_000, reoptimize_interval=100)
         for event in peaked_events(500):
@@ -183,6 +196,28 @@ class TestAutoEngine:
         assert records, "auto never arbitrated"
         assert all(record.engine == "index" for record in records)
         assert isinstance(engine.matcher, PredicateIndexMatcher)
+
+    def test_auto_costs_the_running_index_once_per_check(self, monkeypatch):
+        """Both sides of the arbitration — the index candidate and the
+        incumbent's current cost — come from one recosting pass."""
+        recosts = []
+        recost_plans = PredicateIndexMatcher.recost_plans
+
+        def counting_recost(matcher, distributions):
+            recosts.append(distributions)
+            return recost_plans(matcher, distributions)
+
+        monkeypatch.setattr(PredicateIndexMatcher, "recost_plans", counting_recost)
+        rng = random.Random(1)
+        engine = AdaptiveFilterEngine(self.sparse_equality_profiles(), policy=self.auto_policy())
+        self.run(engine, [Event({"v": rng.randint(0, 999)}) for _ in range(600)])
+        records = engine.adaptations()
+        assert len(records) == 4 and not any(record.applied for record in records)
+        assert len(recosts) == len(records)
+        # The shared pass prices the incumbent exactly as estimated_cost does.
+        assert records[-1].predicted_current == pytest.approx(
+            engine.matcher.estimated_cost(recosts[-1])
+        )
 
     def test_auto_selects_tree_for_broad_ranges(self):
         rng = random.Random(2)

@@ -123,6 +123,7 @@ API_SURFACE = {
         "measured_ops_per_event",
         "measured_wall_seconds",
         "correction_factor",
+        "check_seconds",
     ),
     "Attribute": ("name", "domain", "unit", "description"),
     "AttributeClause": ("attribute", "base"),
