@@ -1,0 +1,115 @@
+"""Dump every re-optimisation decision of the corpus, for cross-commit diffs.
+
+A control-plane refactor must leave the decisions and the matched profile
+ids as they were.  Run the script from each checkout's root, then diff::
+
+    PYTHONPATH=src python benchmarks/decision_trace.py > /tmp/change.json
+    (cd ../parent && PYTHONPATH=src python benchmarks/decision_trace.py) > /tmp/parent.json
+    python benchmarks/decision_trace.py --diff /tmp/parent.json /tmp/change.json
+
+Covers all 12 corpus profiles x every pinned family they declare, plus
+``engine="auto"`` on six profiles at 100 subscriptions.  ``sharded`` sums
+per-shard costs, so its predicted costs compare within 1e-12 relative;
+everything else compares exactly.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import sys
+from dataclasses import replace
+
+AUTO_PROFILES = (
+    "stock-ticker",
+    "social-fanout",
+    "flash-crowd",
+    "mixed-structure",
+    "single-attribute",
+    "aml-transactions",
+)
+
+
+def trace(profile, engine: str) -> dict:
+    from repro.api import FilterService
+    from repro.workloads.generators import build_workload
+
+    workload = build_workload(profile.spec)
+    events = list(workload.events)
+    size = profile.run.batch_size
+    digest = hashlib.sha256()
+    with FilterService.from_profile(profile, engine=engine, delivery="inline") as service:
+        service.subscribe_all(workload.profiles)
+        for start in range(0, len(events), size):
+            for outcome in service.publish_batch(events[start : start + size]):
+                digest.update(repr(outcome.match_result.matched_profile_ids).encode())
+        records = service.broker.engine.adaptations()
+    return {
+        "matched": digest.hexdigest(),
+        "records": [
+            [
+                r.event_count,
+                r.engine,
+                r.applied,
+                r.suppressed,
+                r.predicted_current,
+                r.predicted_candidate,
+            ]
+            for r in records
+        ],
+    }
+
+
+def collect() -> dict:
+    from repro.workloads.profiles import get_profile, list_profiles
+
+    traces = {}
+    for name in list_profiles():
+        profile = get_profile(name)
+        for family in profile.engine.families:
+            traces[f"{name}/{family}"] = trace(profile, family)
+    for name in AUTO_PROFILES:
+        profile = get_profile(name)
+        small = replace(profile, spec=profile.spec.with_counts(profile_count=100))
+        traces[f"{name}@100/auto"] = trace(small, "auto")
+    return traces
+
+
+def same_run(before: dict, after: dict, tolerance: float) -> bool:
+    return (
+        before["matched"] == after["matched"]
+        and len(before["records"]) == len(after["records"])
+        and all(
+            a[:4] == b[:4]
+            and math.isclose(a[4], b[4], rel_tol=tolerance, abs_tol=0.0)
+            and math.isclose(a[5], b[5], rel_tol=tolerance, abs_tol=0.0)
+            for a, b in zip(before["records"], after["records"])
+        )
+    )
+
+
+def diff(parent_path: str, change_path: str) -> int:
+    with open(parent_path) as handle:
+        parent = json.load(handle)
+    with open(change_path) as handle:
+        change = json.load(handle)
+    differing = 0
+    for key in sorted(set(parent) | set(change)):
+        before, after = parent.get(key), change.get(key)
+        tolerance = 1e-12 if key.endswith("/sharded") else 0.0
+        same = bool(before and after) and same_run(before, after, tolerance)
+        records = (after or before)["records"]
+        applied = sum(1 for record in records if record[2])
+        verdict = "same" if same else "DIFF"
+        print(f"{verdict}  {key:32} {len(records):3} checks, {applied} applied")
+        differing += not same
+    checks = sum(len(run["records"]) for run in change.values())
+    print(f"{len(change)} runs, {checks} checks, {differing} differing")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--diff"]:
+        sys.exit(diff(*sys.argv[2:4]))
+    json.dump(collect(), sys.stdout, indent=1)

@@ -1,7 +1,7 @@
 """Once-per-process deprecation warnings.
 
 The API redesign keeps the pre-facade entry points working behind thin
-shims (:data:`repro.service.adaptive.ENGINES`, ``Broker(engine="...")``).
+shims (``Broker(engine="...")``, the ``*_spec()`` workload callables).
 Each shim warns through :func:`warn_once`, so a process that still uses a
 legacy entry point sees exactly one :class:`DeprecationWarning` per shim
 instead of one per call — heavy-traffic pipelines must not pay a warning
@@ -23,7 +23,7 @@ _WARNED: set[str] = set()
 def warn_once(key: str, message: str, *, stacklevel: int = 3) -> bool:
     """Emit ``message`` as a :class:`DeprecationWarning` once per process.
 
-    ``key`` identifies the shim (e.g. ``"repro.service.adaptive.ENGINES"``);
+    ``key`` identifies the shim (e.g. ``"repro.service.broker.Broker.engine"``);
     later calls with the same key are silent.  Returns ``True`` when the
     warning was actually emitted.
     """

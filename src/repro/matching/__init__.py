@@ -39,7 +39,6 @@ from repro.matching.registry import (
     EngineContext,
     EngineRegistry,
     EngineSpec,
-    ReoptimisationProposal,
     default_registry,
 )
 from repro.matching.sharded import ShardStats, ShardedMatcher
@@ -69,7 +68,6 @@ __all__ = [
     "NaiveMatcher",
     "PredicateIndexMatcher",
     "ProfileTree",
-    "ReoptimisationProposal",
     "RunningMean",
     "SearchStrategy",
     "ShardStats",

@@ -8,24 +8,26 @@ matcher family registers one :class:`EngineSpec` bundling
 
 * a **factory** building a fresh matcher for a profile set,
 * a **cost estimator** (:attr:`EngineSpec.candidate`) producing the
-  family's best candidate — predicted comparisons/event plus an install
-  closure — under given event distributions, which is what the ``auto``
-  arbitration of :class:`~repro.service.adaptive.AdaptiveFilterEngine`
-  compares across families,
-* a same-family **re-optimisation hook** (:attr:`EngineSpec.reoptimize`)
-  for the fixed engines (a tree restructure, an index replan), and
+  family's best candidate — predicted comparisons/event, the running
+  matcher's predicted cost and an install closure — under given event
+  distributions.  It is the only costing hook: every re-optimisation
+  check of :class:`~repro.service.adaptive.AdaptiveFilterEngine`
+  compares the candidates of its roster — every ranked family under
+  ``engine="auto"``, else the one pinned family, whose candidate is its
+  own tree restructure or index replan — and
 * **capability flags** (:class:`EngineCapabilities`) the service layer
   consults instead of hard-coding family names: whether subscription
   churn is incremental, whether a columnar batch kernel exists.
 
 ``"auto"`` is not a family: it is the reserved arbitration mode that
-pits every registered family's candidate against the current matcher.
+pits every ranked family's candidate against the current matcher.
 :func:`default_registry` returns the process-wide registry, pre-populated
 with the built-in ``tree``, ``index`` and ``hybrid`` families, the
 partition-parallel ``sharded`` family, and the ``counting`` and ``naive``
 baselines
-(``sharded`` and the baselines are selectable by name, but — with no cost
-estimator — never part of the ``auto`` arbitration); third-party engines
+(selectable by name, but never part of the ``auto`` arbitration: the
+baselines carry no cost estimator, and ``sharded`` opts out with
+``auto_rank=None``); third-party engines
 become selectable by registering a spec — no change to ``repro.service``
 required::
 
@@ -53,7 +55,6 @@ from repro.core.errors import MatchingError
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.core.profiles import ProfileSet
     from repro.distributions.base import Distribution
-    from repro.matching.index.planner import IndexPlanner
     from repro.matching.interfaces import Matcher
     from repro.matching.tree.config import SearchStrategy, TreeConfiguration
     from repro.selectivity.attribute_measures import AttributeMeasure
@@ -66,7 +67,6 @@ __all__ = [
     "EngineContext",
     "EngineRegistry",
     "EngineSpec",
-    "ReoptimisationProposal",
     "default_registry",
 ]
 
@@ -92,8 +92,8 @@ class EngineContext:
     """Everything a spec callback may need to build or cost a matcher.
 
     Built by the adaptive engine from its profile set and policy; carried
-    into :attr:`EngineSpec.factory` / :attr:`EngineSpec.candidate` /
-    :attr:`EngineSpec.reoptimize` so specs never import the service layer.
+    into :attr:`EngineSpec.factory` / :attr:`EngineSpec.candidate` so
+    specs never import the service layer.
     """
 
     profiles: "ProfileSet"
@@ -123,32 +123,19 @@ class EngineCandidate:
     be side-effect free until ``install`` runs.
     """
 
+    #: Informational only: decisions are recorded and calibrated under
+    #: the name of the :class:`EngineSpec` that produced the candidate.
     family: str
     #: Predicted comparison operations per event (the paper's currency).
     cost: float
     label: str
     install: Callable[[], "Matcher"]
-    #: Predicted cost of the *running* matcher, when costing this
-    #: candidate already produced it (the candidate is a recost of the
-    #: running matcher's own structures).  The arbitration reads it for a
-    #: family without an :attr:`EngineSpec.current_cost` hook, so one
-    #: costing pass serves both sides of the comparison.
+    #: Predicted cost of the *running* matcher under the same
+    #: distributions, set by the family that owns it (its candidate is a
+    #: recost of the running structures, so one pass prices both sides).
+    #: When the running family leaves it ``None`` the incumbent cannot be
+    #: compared and any finite candidate counts as an improvement.
     predicted_current: float | None = None
-
-
-@dataclass(frozen=True)
-class ReoptimisationProposal:
-    """A same-family re-optimisation decision, before thresholding.
-
-    Returned by :attr:`EngineSpec.reoptimize`; the adaptive engine applies
-    its ``improvement_threshold`` economics and calls ``install()`` only
-    when the predicted improvement clears it.
-    """
-
-    predicted_current: float
-    predicted_candidate: float
-    label: str
-    install: Callable[[], "Matcher"]
 
 
 @dataclass(frozen=True)
@@ -165,8 +152,10 @@ class EngineSpec:
     owns: Callable[["Matcher"], bool] | None = None
     #: Attribute measures the family can rank by (``None`` = any).
     supported_measures: tuple["AttributeMeasure", ...] | None = None
-    #: Cost the family's best candidate under distributions (``None``:
-    #: the family does not participate in the ``auto`` arbitration).
+    #: Cost the family's best candidate under distributions, given the
+    #: running matcher (``None``: the family filters without periodic
+    #: restructuring and never arbitrates).  May return ``None`` to
+    #: abstain from one check.
     candidate: (
         Callable[
             [EngineContext, "Matcher | None", Mapping[str, "Distribution"]],
@@ -174,41 +163,15 @@ class EngineSpec:
         ]
         | None
     ) = None
-    #: Optional calibration-aware costing hook.  When set, the ``auto``
-    #: arbitration calls it instead of :attr:`candidate`, passing the
-    #: engine's :class:`~repro.analysis.calibration.CostCalibrator` so the
-    #: family can apply (or refine) its own correction.  It returns
-    #: ``(candidate, calibrated_cost)`` — the candidate carries the *raw*
-    #: model cost (recorded on the adaptation record), while
-    #: ``calibrated_cost`` is the corrected number the arbitration
-    #: compares — or ``None`` to abstain.  When the hook is ``None`` the
-    #: arbitration falls back to ``candidate`` and scales its cost by the
-    #: calibrator's learned per-family factor.
-    calibrated_candidate: (
-        Callable[
-            [EngineContext, "Matcher | None", Mapping[str, "Distribution"], object],
-            "tuple[EngineCandidate, float] | None",
-        ]
-        | None
-    ) = None
-    #: Predicted comparisons/event of the *currently running* matcher.
-    #: ``None`` defers to the :attr:`EngineCandidate.predicted_current` of
-    #: the family's own candidate (the built-in index and hybrid families:
-    #: their candidate is a recost of the running buckets, and costing
-    #: them a second time for this hook doubled every check).
-    current_cost: Callable[["Matcher", Mapping[str, "Distribution"]], float] | None = None
-    #: Same-family re-optimisation hook for the fixed engines (``None``:
-    #: the engine filters without periodic restructuring).
-    reoptimize: (
-        Callable[
-            [EngineContext, "Matcher", Mapping[str, "Distribution"]],
-            ReoptimisationProposal | None,
-        ]
-        | None
-    ) = None
+    #: Family whose learned calibration factor corrects this family's
+    #: costs until it has been measured itself (``None``: the neutral
+    #: 1.0).  For a family sharing another's cost model and executor.
+    calibration_prior: str | None = None
     #: Tie-break and start preference of the ``auto`` arbitration: lower
     #: ranks are preferred on equal cost and chosen as the warmup family.
-    auto_rank: int = 100
+    #: ``None`` keeps the family out of ``auto`` (it still re-optimises
+    #: when pinned by name).
+    auto_rank: int | None = 100
     #: Default columnar-batch cutover of the family's batch kernel, when
     #: it has one (``None`` = the kernel's own module default).  A policy
     #: ``min_columnar_batch`` overrides this per engine instance.
@@ -284,8 +247,12 @@ class EngineRegistry:
 
     # -- arbitration support ----------------------------------------------------
     def arbitrating_specs(self) -> list[EngineSpec]:
-        """Return the families that cost candidates, in ``auto_rank`` order."""
-        specs = [spec for spec in self._specs.values() if spec.candidate is not None]
+        """Return the ``auto`` roster: ranked families that cost candidates."""
+        specs = [
+            spec
+            for spec in self._specs.values()
+            if spec.candidate is not None and spec.auto_rank is not None
+        ]
         specs.sort(key=lambda spec: spec.auto_rank)
         return specs
 
@@ -294,8 +261,8 @@ class EngineRegistry:
         specs = self.arbitrating_specs()
         if not specs:
             raise MatchingError(
-                "the auto engine needs at least one registered family with a "
-                f"cost estimator; registered: {', '.join(self.names()) or '(none)'}"
+                "the auto engine needs at least one registered family with a cost "
+                f"estimator and an auto_rank; registered: {', '.join(self.names()) or '(none)'}"
             )
         return specs[0]
 
@@ -330,281 +297,134 @@ def _tree_owns(matcher: "Matcher") -> bool:
     return isinstance(matcher, TreeMatcher)
 
 
-def _tree_current_cost(matcher: "Matcher", distributions) -> float:
-    from repro.analysis.cost_model import expected_tree_cost
-
-    return expected_tree_cost(matcher.tree, distributions).operations_per_event
-
-
-def _tree_build_candidate(ctx: EngineContext, partitions, distributions):
-    """Cost the optimizer's candidate tree under ``distributions``.
-
-    Shared by the pure-tree re-optimisation and the ``auto`` arbitration
-    so both use one costing recipe.  Returns ``(configuration, tree,
-    operations_per_event)``; the built tree is returned so an applied
-    decision can adopt it instead of rebuilding.
-    """
-    from repro.analysis.cost_model import expected_tree_cost
-    from repro.matching.tree.builder import build_tree
-    from repro.selectivity.optimizer import TreeOptimizer
-
-    partitions = dict(partitions)
-    optimizer = TreeOptimizer(ctx.profiles, distributions, partitions=partitions)
-    configuration = optimizer.configuration(
-        value_measure=ctx.value_measure,
-        attribute_measure=ctx.attribute_measure,
-        search=ctx.search,
-    )
-    tree = build_tree(ctx.profiles, configuration, partitions=partitions)
-    cost = expected_tree_cost(tree, distributions).operations_per_event
-    return configuration, tree, cost
-
-
 def _tree_candidate(
     ctx: EngineContext, matcher: "Matcher | None", distributions
 ) -> EngineCandidate | None:
+    """Cost the optimizer's candidate tree under ``distributions``.
+
+    The built tree travels with the candidate so an applied decision
+    adopts it instead of rebuilding.
+    """
+    from repro.analysis.cost_model import expected_tree_cost
     from repro.core.errors import ReproError
     from repro.core.subranges import build_partitions
+    from repro.matching.tree.builder import build_tree
     from repro.matching.tree.matcher import TreeMatcher
+    from repro.selectivity.optimizer import TreeOptimizer
 
+    running = isinstance(matcher, TreeMatcher)
     # Workloads the tree model cannot express (partition construction
-    # fails) simply leave the family out of the arbitration.
+    # fails) simply leave the family out of the check.
     try:
-        if isinstance(matcher, TreeMatcher):
-            partitions = matcher.partitions()
-        else:
-            partitions = build_partitions(ctx.profiles)
-        configuration, tree, cost = _tree_build_candidate(ctx, partitions, distributions)
+        partitions = dict(matcher.partitions() if running else build_partitions(ctx.profiles))
+        optimizer = TreeOptimizer(ctx.profiles, distributions, partitions=partitions)
+        configuration = optimizer.configuration(
+            value_measure=ctx.value_measure,
+            attribute_measure=ctx.attribute_measure,
+            search=ctx.search,
+        )
+        tree = build_tree(ctx.profiles, configuration, partitions=partitions)
+        cost = expected_tree_cost(tree, distributions).operations_per_event
+        predicted_current = None
+        if running:
+            predicted_current = expected_tree_cost(matcher.tree, distributions).operations_per_event
     except ReproError:
         return None
 
     def install() -> "Matcher":
-        if isinstance(matcher, TreeMatcher):
+        if running:
             # Install the tree already built for costing — no second build.
             matcher.adopt(tree, configuration)
             return matcher
         return TreeMatcher.from_built(ctx.profiles, tree, configuration)
 
-    return EngineCandidate("tree", cost, f"tree[{configuration.label}]", install)
-
-
-def _tree_reoptimize(
-    ctx: EngineContext, matcher: "Matcher", distributions
-) -> ReoptimisationProposal | None:
-    configuration, tree, cost = _tree_build_candidate(
-        ctx, matcher.partitions(), distributions
-    )
-    predicted_current = _tree_current_cost(matcher, distributions)
-
-    def install() -> "Matcher":
-        matcher.adopt(tree, configuration)
-        return matcher
-
-    return ReoptimisationProposal(predicted_current, cost, configuration.label, install)
-
-
-def _index_factory(ctx: EngineContext) -> "Matcher":
-    from repro.matching.index.matcher import PredicateIndexMatcher
-    from repro.matching.index.planner import IndexPlanner
-
-    return PredicateIndexMatcher(
-        ctx.profiles,
-        planner=IndexPlanner(attribute_measure=ctx.attribute_measure),
-        min_columnar_batch=ctx.min_columnar_batch,
-    )
-
-
-def _index_owns(matcher: "Matcher") -> bool:
-    from repro.matching.index.matcher import PredicateIndexMatcher
-
-    # A hybrid-planned matcher is the same class with a different planner
-    # mode; it belongs to the ``hybrid`` family.
-    return isinstance(matcher, PredicateIndexMatcher) and not matcher.planner.hybrid
-
-
-def _index_replanned(ctx: EngineContext, distributions, attribute_measure) -> "Matcher":
-    from repro.matching.index.matcher import PredicateIndexMatcher
-    from repro.matching.index.planner import IndexPlanner
-
-    return PredicateIndexMatcher(
-        ctx.profiles,
-        planner=IndexPlanner(distributions, attribute_measure=attribute_measure),
-        min_columnar_batch=ctx.min_columnar_batch,
-    )
-
-
-def _index_candidate(
-    ctx: EngineContext, matcher: "Matcher | None", distributions
-) -> EngineCandidate | None:
-    from repro.matching.index.planner import IndexPlanner
-
-    predicted_current = None
-    if _index_owns(matcher):
-        # A cheap recost of the live buckets — one pass gives both the
-        # candidate's cost and the current choices' cost; an applied
-        # decision replans (rebuilds) in place, keeping the matcher
-        # object and its stats.
-        recosted = matcher.recost_plans(distributions)
-        cost = sum(plan.chosen_cost for plan in recosted.values())
-        predicted_current = matcher.plan.cost_under(recosted)
-
-        def install() -> "Matcher":
-            matcher.replan(distributions)
-            return matcher
-
-    else:
-        # Bucket-free estimate: cost the family without building it.
-        plans = IndexPlanner(
-            distributions, attribute_measure=ctx.attribute_measure
-        ).plan_profiles(ctx.profiles)
-        cost = sum(plan.chosen_cost for plan in plans.values())
-
-        def install() -> "Matcher":
-            return _index_replanned(ctx, distributions, ctx.attribute_measure)
-
     return EngineCandidate(
-        "index", cost, "index[P_e estimated]", install, predicted_current=predicted_current
+        "tree", cost, f"tree[{configuration.label}]", install, predicted_current
     )
 
 
-def _index_reoptimize(
-    ctx: EngineContext, matcher: "Matcher", distributions
-) -> ReoptimisationProposal | None:
-    """Replan the index buckets from the history.
+def _recost(matcher: "Matcher", distributions) -> tuple[float, float]:
+    """Price a running predicate-index matcher in one recosting pass.
 
-    One cheap recosting pass yields both sides of the comparison —
-    predicted cost of the *current* strategy choices vs a fresh
-    distribution-aware plan over the same buckets; the replanned matcher
-    is only built when the improvement is applied, mirroring the tree
-    path's restructuring economics.
+    Returns ``(cost of the current strategy choices, cost of a fresh
+    plan)`` over the live buckets, both under ``distributions``.
     """
     recosted = matcher.recost_plans(distributions)
-    current_plan = matcher.plan
-    predicted_current = 0.0
-    predicted_candidate = 0.0
-    for attribute, candidate_plan in recosted.items():
-        attribute_plan = current_plan.plan_for(attribute)
-        current_uses_index = (
-            attribute_plan.use_index if attribute_plan is not None else candidate_plan.use_index
-        )
-        predicted_current += (
-            candidate_plan.index_cost if current_uses_index else candidate_plan.scan_cost
-        )
-        predicted_candidate += candidate_plan.chosen_cost
-    indexed = sum(1 for plan in recosted.values() if plan.use_index)
-
-    def install() -> "Matcher":
-        return _index_replanned(ctx, distributions, matcher.planner.attribute_measure)
-
-    return ReoptimisationProposal(
-        predicted_current,
-        predicted_candidate,
-        f"index[{indexed} indexed, P_e estimated]",
-        install,
+    return (
+        matcher.plan.cost_under(recosted),
+        sum(plan.chosen_cost for plan in recosted.values()),
     )
 
 
-def _hybrid_planner(ctx: EngineContext, distributions=None) -> "IndexPlanner":
+def _predicate_index_spec(
+    name: str,
+    *,
+    hybrid: bool,
+    auto_rank: int,
+    calibration_prior: str | None,
+    description: str,
+) -> EngineSpec:
+    """Build the spec of a :class:`PredicateIndexMatcher` family.
+
+    ``index`` and ``hybrid`` are one matcher class and one cost model;
+    they differ in the planner's ``hybrid`` flag (all-or-nothing plans vs
+    hash/interval/scan chosen per structure), which is also what tells
+    their running matchers apart.
+    """
+    from repro.matching.index.matcher import PredicateIndexMatcher
     from repro.matching.index.planner import IndexPlanner
 
-    return IndexPlanner(
-        distributions, attribute_measure=ctx.attribute_measure, hybrid=True
-    )
+    def planner(ctx: EngineContext, distributions=None) -> IndexPlanner:
+        return IndexPlanner(
+            distributions, attribute_measure=ctx.attribute_measure, hybrid=hybrid
+        )
 
+    def build(ctx: EngineContext, distributions=None) -> "Matcher":
+        return PredicateIndexMatcher(
+            ctx.profiles,
+            planner=planner(ctx, distributions),
+            min_columnar_batch=ctx.min_columnar_batch,
+        )
 
-def _hybrid_factory(ctx: EngineContext) -> "Matcher":
-    from repro.matching.index.matcher import PredicateIndexMatcher
+    def owns(matcher: "Matcher") -> bool:
+        return isinstance(matcher, PredicateIndexMatcher) and matcher.planner.hybrid == hybrid
 
-    return PredicateIndexMatcher(
-        ctx.profiles,
-        planner=_hybrid_planner(ctx),
-        min_columnar_batch=ctx.min_columnar_batch,
-    )
+    def candidate(
+        ctx: EngineContext, matcher: "Matcher | None", distributions
+    ) -> EngineCandidate | None:
+        if owns(matcher):
+            # A cheap recost of the live buckets prices both sides; an
+            # applied decision replans (rebuilds) in place, keeping the
+            # matcher object and its stats.
+            predicted_current, cost = _recost(matcher, distributions)
 
+            def install() -> "Matcher":
+                matcher.replan(distributions)
+                return matcher
 
-def _hybrid_owns(matcher: "Matcher") -> bool:
-    from repro.matching.index.matcher import PredicateIndexMatcher
+        else:
+            # Bucket-free estimate: cost the family without building it.
+            predicted_current = None
+            plans = planner(ctx, distributions).plan_profiles(ctx.profiles)
+            cost = sum(plan.chosen_cost for plan in plans.values())
 
-    return isinstance(matcher, PredicateIndexMatcher) and matcher.planner.hybrid
+            def install() -> "Matcher":
+                return build(ctx, distributions)
 
+        return EngineCandidate(
+            name, cost, f"{name}[P_e estimated]", install, predicted_current
+        )
 
-def _hybrid_candidate(
-    ctx: EngineContext, matcher: "Matcher | None", distributions
-) -> EngineCandidate | None:
-    predicted_current = None
-    if _hybrid_owns(matcher):
-        # Same recipe as the index family: recost the live buckets once
-        # (the hybrid planner picks per-structure minima), replan in place.
-        recosted = matcher.recost_plans(distributions)
-        cost = sum(plan.chosen_cost for plan in recosted.values())
-        predicted_current = matcher.plan.cost_under(recosted)
-
-        def install() -> "Matcher":
-            matcher.replan(distributions)
-            return matcher
-
-    else:
-        plans = _hybrid_planner(ctx, distributions).plan_profiles(ctx.profiles)
-        cost = sum(plan.chosen_cost for plan in plans.values())
-
-        def install() -> "Matcher":
-            from repro.matching.index.matcher import PredicateIndexMatcher
-
-            return PredicateIndexMatcher(
-                ctx.profiles,
-                planner=_hybrid_planner(ctx, distributions),
-                min_columnar_batch=ctx.min_columnar_batch,
-            )
-
-    return EngineCandidate(
-        "hybrid", cost, "hybrid[P_e estimated]", install, predicted_current=predicted_current
-    )
-
-
-def _hybrid_calibrated_candidate(
-    ctx: EngineContext, matcher: "Matcher | None", distributions, calibrator
-) -> "tuple[EngineCandidate, float] | None":
-    """Score the hybrid candidate, borrowing the index factor when new.
-
-    The hybrid family shares the index family's cost model and executor,
-    so until the calibrator has measured a hybrid interval directly, the
-    index family's learned correction is the best available estimate.
-    Without the fallback a never-run hybrid would carry the neutral
-    factor 1.0 and win arbitrations against an honestly-calibrated index
-    plan it cannot beat (the two produce identical plans on homogeneous
-    workloads).
-    """
-    candidate = _hybrid_candidate(ctx, matcher, distributions)
-    if candidate is None:
-        return None
-    family = "hybrid" if calibrator.has_observed("hybrid") else "index"
-    return candidate, candidate.cost * calibrator.factor(family)
-
-
-def _hybrid_reoptimize(
-    ctx: EngineContext, matcher: "Matcher", distributions
-) -> ReoptimisationProposal | None:
-    """Replan the hybrid matcher's buckets from the history.
-
-    One recosting pass yields both sides: the current side prices the
-    *current* per-structure choices at the recosted component costs, the
-    candidate side takes each attribute's component-wise minimum.
-    """
-    recosted = matcher.recost_plans(distributions)
-    predicted_current = matcher.plan.cost_under(recosted)
-    predicted_candidate = sum(plan.chosen_cost for plan in recosted.values())
-    indexed = sum(1 for plan in recosted.values() if plan.use_hash or plan.use_interval)
-    mixed = sum(1 for plan in recosted.values() if plan.is_hybrid)
-
-    def install() -> "Matcher":
-        matcher.replan(distributions)
-        return matcher
-
-    return ReoptimisationProposal(
-        predicted_current,
-        predicted_candidate,
-        f"hybrid[{indexed} indexed, {mixed} mixed, P_e estimated]",
-        install,
+    return EngineSpec(
+        name=name,
+        factory=build,
+        capabilities=EngineCapabilities(incremental_maintenance=True, batch_kernel=True),
+        owns=owns,
+        supported_measures=tuple(IndexPlanner.SUPPORTED_MEASURES),
+        candidate=candidate,
+        calibration_prior=calibration_prior,
+        auto_rank=auto_rank,
+        description=description,
     )
 
 
@@ -626,48 +446,33 @@ def _sharded_owns(matcher: "Matcher") -> bool:
     return isinstance(matcher, ShardedMatcher)
 
 
-def _sharded_current_cost(matcher: "Matcher", distributions) -> float:
-    return matcher.estimated_cost(distributions)
-
-
-def _sharded_reoptimize(
-    ctx: EngineContext, matcher: "Matcher", distributions
-) -> ReoptimisationProposal | None:
+def _sharded_candidate(
+    ctx: EngineContext, matcher: "Matcher | None", distributions
+) -> EngineCandidate | None:
     """Recost every shard's buckets and propose one collective replan.
 
-    Folds the per-shard recosting passes (the same recipe as the index
-    family's :func:`_index_reoptimize`, applied per shard) into one
-    proposal: both predicted costs are sums over shards, and installing
-    replans every shard under the shared distributions.
+    Both predicted costs are sums of the per-shard :func:`_recost`;
+    installing replans every shard under the shared distributions.  The
+    family only re-optimises itself: it abstains unless it is running.
     """
-    predicted_current = 0.0
-    predicted_candidate = 0.0
-    indexed = 0
+    if not _sharded_owns(matcher):
+        return None
+    predicted_current = cost = 0.0
     for shard in matcher.shards:
-        recosted = shard.recost_plans(distributions)
-        current_plan = shard.plan
-        for attribute, candidate_plan in recosted.items():
-            attribute_plan = current_plan.plan_for(attribute)
-            current_uses_index = (
-                attribute_plan.use_index
-                if attribute_plan is not None
-                else candidate_plan.use_index
-            )
-            predicted_current += (
-                candidate_plan.index_cost if current_uses_index else candidate_plan.scan_cost
-            )
-            predicted_candidate += candidate_plan.chosen_cost
-        indexed += sum(1 for plan in recosted.values() if plan.use_index)
+        shard_current, shard_cost = _recost(shard, distributions)
+        predicted_current += shard_current
+        cost += shard_cost
 
     def install() -> "Matcher":
         matcher.replan(distributions)
         return matcher
 
-    return ReoptimisationProposal(
-        predicted_current,
-        predicted_candidate,
-        f"sharded[{matcher.shard_count} shards, {indexed} indexed, P_e estimated]",
+    return EngineCandidate(
+        "sharded",
+        cost,
+        f"sharded[{matcher.shard_count} shards, P_e estimated]",
         install,
+        predicted_current,
     )
 
 
@@ -708,39 +513,32 @@ def _builtin_specs() -> tuple[EngineSpec, ...]:
         owns=_tree_owns,
         supported_measures=None,
         candidate=_tree_candidate,
-        current_cost=_tree_current_cost,
-        reoptimize=_tree_reoptimize,
         auto_rank=1,
         description="the paper's profile tree, restructured via the TreeOptimizer",
     )
-    index = EngineSpec(
-        name="index",
-        factory=_index_factory,
-        capabilities=EngineCapabilities(incremental_maintenance=True, batch_kernel=True),
-        owns=_index_owns,
-        supported_measures=tuple(IndexPlanner.SUPPORTED_MEASURES),
-        candidate=_index_candidate,
-        reoptimize=_index_reoptimize,
+    index = _predicate_index_spec(
+        "index",
+        hybrid=False,
         # ``auto`` starts on the index matcher (the cheaper build) and
         # prefers it on equal predicted cost.
         auto_rank=0,
-        min_columnar_batch=None,
+        calibration_prior=None,
         description="predicate-index counting matcher, replanned via the IndexPlanner",
     )
-    hybrid = EngineSpec(
-        name="hybrid",
-        factory=_hybrid_factory,
-        capabilities=EngineCapabilities(incremental_maintenance=True, batch_kernel=True),
-        owns=_hybrid_owns,
-        supported_measures=tuple(IndexPlanner.SUPPORTED_MEASURES),
-        candidate=_hybrid_candidate,
-        calibrated_candidate=_hybrid_calibrated_candidate,
-        reoptimize=_hybrid_reoptimize,
+    hybrid = _predicate_index_spec(
+        "hybrid",
+        hybrid=True,
         # Arbitrates after index/tree: on workloads where a homogeneous
         # plan is already optimal the hybrid ties, and the tie goes to the
         # established family.
         auto_rank=2,
-        min_columnar_batch=None,
+        # Same cost model and executor as the index family, so until a
+        # hybrid interval has been measured the index family's learned
+        # correction is the best estimate.  A never-run hybrid at the
+        # neutral 1.0 would win arbitrations against an honestly
+        # calibrated index plan it cannot beat (the two plan identically
+        # on homogeneous workloads).
+        calibration_prior="index",
         description=(
             "predicate-index matcher with per-attribute hybrid plans "
             "(hash/interval/scan chosen independently)"
@@ -752,21 +550,19 @@ def _builtin_specs() -> tuple[EngineSpec, ...]:
         capabilities=EngineCapabilities(incremental_maintenance=True, batch_kernel=True),
         owns=_sharded_owns,
         supported_measures=tuple(IndexPlanner.SUPPORTED_MEASURES),
-        # No candidate: sharding is a deployment decision (core budget),
-        # not something the per-event cost currency can arbitrate — the
-        # summed probe cost always looks worse than one unsharded probe.
-        candidate=None,
-        current_cost=_sharded_current_cost,
-        reoptimize=_sharded_reoptimize,
-        auto_rank=10,
-        min_columnar_batch=None,
+        candidate=_sharded_candidate,
+        # Out of ``auto``: sharding is a deployment decision (core
+        # budget), not something the per-event cost currency can
+        # arbitrate — the summed probe cost always looks worse than one
+        # unsharded probe.
+        auto_rank=None,
         description="partition-parallel predicate-index shards merged bit-identically",
     )
     # The two baseline families of the paper's related work, registered
     # so the experiment harness and the benchmarks drive *every* matcher
     # through one ``AdaptationPolicy(engine=...)`` switch.  Neither
-    # carries a cost estimator: they never participate in the ``auto``
-    # arbitration and never restructure periodically.
+    # carries a cost estimator: they never arbitrate and never
+    # restructure periodically.
     counting = EngineSpec(
         name="counting",
         factory=_counting_factory,

@@ -8,17 +8,18 @@ tree for certain applications based on the data distributions".
 
 :class:`AdaptiveFilterEngine` drives one matcher from the **engine
 registry** (:mod:`repro.matching.registry`; the built-in families are
-``tree`` and ``index``, ``"auto"`` arbitrates between every registered
-family) and
+``tree``, ``index``, ``hybrid``, ``sharded`` and the ``counting`` /
+``naive`` baselines, ``"auto"`` arbitrates between every ranked family)
+and
 
 * records every filtered event in a bounded
   :class:`~repro.distributions.estimation.EventHistory`,
 * periodically (every ``reoptimize_interval`` events) estimates the current
   per-attribute event distributions from the history,
-* asks the engine's :class:`~repro.matching.registry.EngineSpec` for a
-  candidate — a restructured tree, a replanned index, or (``auto``) the
-  cheapest candidate of *any* registered family under the shared
-  comparison-count cost currency — and
+* asks every :class:`~repro.matching.registry.EngineSpec` on its roster
+  — the one pinned family, or (``auto``) every ranked family — for a
+  candidate under the shared comparison-count cost currency: a
+  restructured tree, a replanned index, another family altogether — and
 * restructures/replans/switches when the analytical model predicts at
   least ``improvement_threshold`` relative improvement over the current
   matcher (restructuring has a cost, so marginal gains are ignored — the
@@ -28,11 +29,6 @@ family) and
 Profile maintenance delegates to the wrapped matcher's incremental
 ``add_profile`` / ``remove_profile``, so subscription churn keeps the
 history and adaptation state alive (the broker relies on this).
-
-The pre-registry roster tuple ``ENGINES`` remains importable as a
-deprecation shim; new code asks
-:func:`repro.matching.registry.default_registry` (or the policy's own
-registry) for :meth:`~repro.matching.registry.EngineRegistry.engine_names`.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.analysis.calibration import CalibrationSnapshot, CostCalibrator
-from repro.core.deprecation import warn_once
 from repro.core.errors import MatchingError, ServiceError
 from repro.core.events import Event
 from repro.core.profiles import Profile, ProfileSet
@@ -68,19 +63,6 @@ __all__ = [
     "AdaptiveFilterEngine",
     "resolve_policy_engine",
 ]
-
-
-def __getattr__(name: str):
-    if name == "ENGINES":
-        # Deprecation shim: the hard-coded roster tuple became the engine
-        # registry.  Computed on access so third-party registrations show.
-        warn_once(
-            "repro.service.adaptive.ENGINES",
-            "repro.service.adaptive.ENGINES is deprecated; use "
-            "repro.matching.registry.default_registry().engine_names()",
-        )
-        return default_registry().engine_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -123,11 +105,11 @@ class AdaptationPolicy:
     switch_cooldown_intervals: int = 2
     #: EWMA weight of the measured-cost calibration
     #: (:class:`~repro.analysis.calibration.CostCalibrator`): after every
-    #: re-optimisation interval the ``auto`` arbitration pairs the cost it
-    #: predicted with the comparison operations per event actually
-    #: measured over that interval, and folds the misprediction ratio
-    #: into a per-family correction factor with this weight.  Candidate
-    #: costs are multiplied by their family's factor before they are
+    #: re-optimisation interval the engine pairs the cost it predicted
+    #: with the comparison operations per event actually measured over
+    #: that interval, and folds the misprediction ratio into a per-family
+    #: correction factor with this weight.  Candidate costs of different
+    #: families are multiplied by their family's factor before they are
     #: compared, so a consistently optimistic model stops winning
     #: arbitrations it should lose.  ``0`` disables calibration (raw
     #: analytical costs, the pre-calibration behaviour); ``1`` trusts
@@ -167,7 +149,7 @@ class AdaptationPolicy:
             roster.validate_engine(self.engine)
         except MatchingError as exc:
             raise ServiceError(str(exc)) from exc
-        for spec in self._selected_specs():
+        for spec in self._roster():
             if (
                 spec.supported_measures is not None
                 and self.attribute_measure not in spec.supported_measures
@@ -201,8 +183,9 @@ class AdaptationPolicy:
         """Return the roster this policy resolves engine names against."""
         return self.registry if self.registry is not None else default_registry()
 
-    def _selected_specs(self) -> list[EngineSpec]:
-        """Return the specs the chosen engine may drive (all, for auto)."""
+    def _roster(self) -> list[EngineSpec]:
+        """Return the families a re-optimisation check arbitrates between:
+        every ranked family for ``auto``, else the one pinned family."""
         roster = self.engine_registry
         if self.engine == AUTO_ENGINE:
             return roster.arbitrating_specs()
@@ -236,8 +219,8 @@ class AdaptationRecord:
     #: Wall-clock seconds the interval took (optional observability;
     #: decisions use the deterministic operation currency above).
     measured_wall_seconds: float | None = None
-    #: Calibration factor applied to ``predicted_candidate`` when the
-    #: decision was taken (``1.0``: the model was trusted as-is); see
+    #: Calibration factor of the selected family when the decision was
+    #: taken (``1.0``: the model was trusted as-is); see
     #: :attr:`AdaptationPolicy.calibration_smoothing`.
     correction_factor: float = 1.0
     #: Wall-clock seconds the re-optimisation check itself took — history
@@ -365,7 +348,9 @@ class AdaptiveFilterEngine:
     @property
     def configuration(self) -> TreeConfiguration:
         if not isinstance(self._matcher, TreeMatcher):
-            raise ServiceError("the index engine has no tree configuration")
+            raise ServiceError(
+                f"the {self.engine_family} engine has no tree configuration"
+            )
         return self._matcher.configuration
 
     @property
@@ -501,79 +486,60 @@ class AdaptiveFilterEngine:
             distributions = self.estimated_event_distributions()
         except ServiceError:
             return
-        if self.policy.engine == AUTO_ENGINE:
-            self._arbitrate(
-                distributions,
-                measured_ops_per_event=measured_ops,
-                measured_wall_seconds=wall_delta,
-                check_started=now,
-            )
-            return
-        spec = self._registry.spec(self.policy.engine)
-        if spec.reoptimize is None:
-            # The family opted out of periodic restructuring (common for
-            # third-party engines); the engine just keeps filtering.
-            return
-        proposal = spec.reoptimize(self._context_for(spec), self._matcher, distributions)
-        if proposal is None:
-            return
-        improvement = (
-            1.0 - proposal.predicted_candidate / proposal.predicted_current
-            if proposal.predicted_current > 0
-            else 0.0
+        self._arbitrate(
+            distributions,
+            measured_ops_per_event=measured_ops,
+            measured_wall_seconds=wall_delta,
+            check_started=now,
         )
-        applied = improvement >= self.policy.improvement_threshold
-        if applied:
-            self._adopt_matcher(proposal.install())
-        self._adaptations.append(
-            AdaptationRecord(
-                event_count=self._events_filtered,
-                predicted_current=proposal.predicted_current,
-                predicted_candidate=proposal.predicted_candidate,
-                applied=applied,
-                configuration_label=proposal.label,
-                engine=spec.name,
-                measured_ops_per_event=measured_ops,
-                measured_wall_seconds=wall_delta,
-                check_seconds=time.perf_counter() - now,
-            )
-        )
+
+    def _correction(self, spec: EngineSpec) -> float:
+        """Return the calibration factor applied to ``spec``'s predictions:
+        its own once measured, until then its ``calibration_prior``'s."""
+        family = spec.name
+        if spec.calibration_prior is not None and not self._calibrator.has_observed(family):
+            family = spec.calibration_prior
+        return self._calibrator.factor(family)
 
     def _arbitrate(
         self,
         distributions: Mapping[str, Distribution],
         *,
-        measured_ops_per_event: float | None = None,
-        measured_wall_seconds: float | None = None,
+        measured_ops_per_event: float | None,
+        measured_wall_seconds: float,
         check_started: float,
     ) -> None:
-        """Arbitrate between the registered families (``engine="auto"``).
+        """Take one re-optimisation decision over the policy's roster.
 
-        The decision rule: ask every registry spec with a cost estimator
-        for its best candidate in the paper's common currency (expected
-        comparison operations per event) under the current history
-        distributions — the built-in index side through the
-        :class:`~repro.matching.index.planner.IndexPlanner` estimate, the
-        tree side through
+        The roster is every ranked family under ``engine="auto"`` and the
+        one pinned family otherwise: a pinned engine is ``auto`` over a
+        roster of one, where the only possible outcome is a same-family
+        restructure/replan.  Every roster spec costs its best candidate in
+        the paper's common currency (expected comparison operations per
+        event) under the current history distributions — the index side
+        through the :class:`~repro.matching.index.planner.IndexPlanner`
+        estimate, the tree side through
         :func:`repro.analysis.cost_model.expected_tree_cost` of the
         :class:`~repro.selectivity.optimizer.TreeOptimizer`'s candidate
-        configuration — and adopt the cheapest family when it improves on
-        the current matcher's predicted cost by at least
+        configuration — and the cheapest is adopted when it improves on
+        the running matcher's predicted cost (the
+        :attr:`~repro.matching.registry.EngineCandidate.predicted_current`
+        of the running family's own candidate) by at least
         ``improvement_threshold``.  Ties fall to the lower
         :attr:`~repro.matching.registry.EngineSpec.auto_rank` (the index
         family, on the built-in roster).  The chosen family is exposed as
         :attr:`AdaptationRecord.engine`.
 
-        **Calibration.**  Raw model costs are corrected before comparison:
-        each family's cost is multiplied by the :class:`CostCalibrator`'s
-        EWMA factor for that family, learned from the measured-vs-predicted
-        ratio of past intervals (a spec may refine this via
-        :attr:`~repro.matching.registry.EngineSpec.calibrated_candidate`).
-        This closes the loop on systematic model bias — e.g. the counting
-        family charging nothing for counter bookkeeping — while the record
+        **Calibration.**  Candidates are ranked by corrected cost — raw
+        model cost times the family's :meth:`_correction` — which closes
+        the loop on systematic model bias (e.g. the counting family
+        charging nothing for counter bookkeeping).  A winner from another
+        family is compared against the corrected incumbent; when the
+        winner is the running family the factor would multiply both
+        sides, so the raw costs are compared (exact cancellation: what a
+        pinned engine decides never depends on calibration).  The record
         keeps the *raw* predictions so the bias stays observable:
-        :attr:`AdaptationRecord.correction_factor` is the ratio the winner's
-        cost was scaled by.
+        :attr:`AdaptationRecord.correction_factor` is the winner's factor.
 
         **Hysteresis.**  An applied family switch arms a cooldown of
         :attr:`AdaptationPolicy.switch_cooldown_intervals` further checks
@@ -594,73 +560,60 @@ class AdaptiveFilterEngine:
         best = None
         best_spec = None
         best_calibrated = float("inf")
-        # The running family's own candidate is a recost of the running
-        # matcher and may already carry the incumbent's cost.
-        predicted_current = None
-        for spec in self._registry.arbitrating_specs():
-            if spec.calibrated_candidate is not None:
-                scored = spec.calibrated_candidate(
-                    self._context_for(spec), matcher, distributions, self._calibrator
-                )
-                if scored is None:
-                    continue
-                candidate, calibrated = scored
-            else:
-                candidate = spec.candidate(self._context_for(spec), matcher, distributions)
-                if candidate is None:
-                    continue
-                calibrated = self._calibrator.calibrate(spec.name, candidate.cost)
-            if spec is current_spec:
+        # An unknown (or cost-less) incumbent cannot be compared, so any
+        # finite candidate is treated as an improvement.
+        predicted_current = float("inf")
+        for spec in self.policy._roster():
+            if spec.candidate is None:
+                # The pinned family opted out of periodic restructuring
+                # (the baselines, most third-party engines).
+                continue
+            candidate = spec.candidate(self._context_for(spec), matcher, distributions)
+            if candidate is None:
+                continue
+            calibrated = candidate.cost * self._correction(spec)
+            if spec is current_spec and candidate.predicted_current is not None:
                 predicted_current = candidate.predicted_current
             if best is None or calibrated < best_calibrated:
                 best, best_spec, best_calibrated = candidate, spec, calibrated
         if best is None:
             return
 
-        if current_spec is not None and current_spec.current_cost is not None:
-            predicted_current = current_spec.current_cost(matcher, distributions)
-        if predicted_current is not None:
-            calibrated_current = self._calibrator.calibrate(
-                current_spec.name, predicted_current
-            )
-        else:
-            # An unknown (or cost-less) family cannot be compared, so any
-            # finite candidate is treated as an improvement.
-            predicted_current = float("inf")
-            calibrated_current = float("inf")
-        improvement = (
-            1.0 - best_calibrated / calibrated_current if calibrated_current > 0 else 0.0
-        )
+        is_switch = best_spec is not current_spec
+        candidate_cost, incumbent_cost = best.cost, predicted_current
+        if is_switch and current_spec is not None:
+            candidate_cost = best_calibrated
+            incumbent_cost *= self._correction(current_spec)
+        improvement = 1.0 - candidate_cost / incumbent_cost if incumbent_cost > 0 else 0.0
         applied = improvement >= self.policy.improvement_threshold
-        is_switch = current_spec is None or best_spec.name != current_spec.name
         suppressed = False
         if applied and is_switch and cooldown_active:
             applied = False
             suppressed = True
+        # Leave the raw prediction for whichever configuration runs the
+        # next interval; the next check scores it against measurement.
         if applied:
             self._adopt_matcher(best.install())
             if is_switch:
                 self._switch_cooldown = self.policy.switch_cooldown_intervals
-        # Leave the raw prediction for whichever configuration runs the
-        # next interval; the next check scores it against measurement.
-        if applied:
-            self._pending_prediction = (best.family, best.cost)
-        elif current_spec is not None and predicted_current < float("inf"):
+            self._pending_prediction = (best_spec.name, best.cost)
+        elif predicted_current < float("inf"):
             self._pending_prediction = (current_spec.name, predicted_current)
+        label = best.label
+        if self.policy.engine == AUTO_ENGINE:
+            label = f"auto:{label}"
         self._adaptations.append(
             AdaptationRecord(
                 event_count=self._events_filtered,
                 predicted_current=predicted_current,
                 predicted_candidate=best.cost,
                 applied=applied,
-                configuration_label=f"auto:{best.label}",
-                engine=best.family,
+                configuration_label=label,
+                engine=best_spec.name,
                 suppressed=suppressed,
                 measured_ops_per_event=measured_ops_per_event,
                 measured_wall_seconds=measured_wall_seconds,
-                correction_factor=(
-                    best_calibrated / best.cost if best.cost > 0 else 1.0
-                ),
+                correction_factor=best_calibrated / best.cost if best.cost > 0 else 1.0,
                 check_seconds=time.perf_counter() - check_started,
             )
         )

@@ -2,8 +2,6 @@
 
 import warnings
 
-import pytest
-
 from repro.core.deprecation import reset_warnings, warn_once, warned_keys
 from repro.service.broker import Broker
 from repro.workloads import environmental_schema
@@ -28,34 +26,6 @@ class TestWarnOnce:
         assert len(caught) == 1
         assert "test.key" in warned_keys()
         reset_warnings("test.key")
-
-
-class TestEnginesTupleShim:
-    def test_engines_still_importable_and_warns_exactly_once(self):
-        reset_warnings("repro.service.adaptive.ENGINES")
-
-        def read():
-            from repro.service import adaptive
-
-            assert adaptive.ENGINES == (
-                "tree",
-                "index",
-                "hybrid",
-                "sharded",
-                "counting",
-                "naive",
-                "auto",
-            )
-
-        emitted = collect_deprecations(read)
-        assert len(emitted) == 1
-        assert "default_registry" in str(emitted[0].message)
-
-    def test_other_missing_attributes_still_raise(self):
-        from repro.service import adaptive
-
-        with pytest.raises(AttributeError):
-            adaptive.NOT_A_THING
 
 
 class TestBrokerEngineKwargShim:

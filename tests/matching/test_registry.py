@@ -117,14 +117,16 @@ class TestBaselineFamilies:
             assert engine.match(Event({"v": 40})).matched_profile_ids == ("P40",)
 
     def test_no_participation_in_auto_arbitration(self):
-        """No cost estimator: the baselines never arbitrate, and auto
-        still starts on the index family."""
+        """No cost estimator: the baselines never arbitrate (nor does
+        ``sharded``, which has one but no ``auto_rank``), and auto still
+        starts on the index family."""
         registry = default_registry()
         assert [spec.name for spec in registry.arbitrating_specs()] == [
             "index",
             "tree",
             "hybrid",
         ]
+        assert registry.spec("sharded").auto_rank is None
         assert registry.auto_start().name == "index"
 
     def test_no_periodic_restructuring(self):
@@ -208,7 +210,7 @@ class TestThirdPartyEngines:
         assert engine.match(Event({"v": 40})).matched_profile_ids == ("P40",)
 
     def test_reoptimisation_is_skipped_without_a_hook(self):
-        """A family without a reoptimize hook filters indefinitely."""
+        """A family without a candidate hook filters indefinitely."""
         policy = AdaptationPolicy(
             engine="scan",
             registry=self.make_registry(),
@@ -258,7 +260,11 @@ class TestAutoArbitrationOverRegistry:
 
             calls.append(type(matcher).__name__)
             return EngineCandidate(
-                "scan", 0.0, "scan[flat]", lambda: _ScanSpy(ctx.profiles)
+                "scan",
+                0.0,
+                "scan[flat]",
+                lambda: _ScanSpy(ctx.profiles),
+                predicted_current=0.0,
             )
 
         registry = EngineRegistry(builtin_specs())
@@ -268,7 +274,6 @@ class TestAutoArbitrationOverRegistry:
                 factory=lambda ctx: _ScanSpy(ctx.profiles),
                 owns=lambda matcher: isinstance(matcher, _ScanSpy),
                 candidate=cheap_candidate,
-                current_cost=lambda matcher, distributions: 0.0,
                 auto_rank=-1,
             )
         )
@@ -292,6 +297,44 @@ class TestAutoArbitrationOverRegistry:
         assert all(
             record.configuration_label == "auto:scan[flat]" for record in records
         )
+
+    def test_decisions_are_recorded_under_the_spec_name(self):
+        """A candidate's free-form ``family`` string is informational: a
+        mistyped one must not send the record, or the calibrator's
+        feedback, to a family that never runs."""
+        from repro.matching.registry import EngineCandidate
+
+        def mislabelled(ctx, matcher, distributions):
+            return EngineCandidate(
+                "scna",
+                1.0,
+                "scan[flat]",
+                lambda: _ScanSpy(ctx.profiles),
+                predicted_current=1.0,
+            )
+
+        registry = EngineRegistry(
+            [
+                EngineSpec(
+                    name="scan",
+                    factory=lambda ctx: _ScanSpy(ctx.profiles),
+                    owns=lambda matcher: isinstance(matcher, _ScanSpy),
+                    candidate=mislabelled,
+                )
+            ]
+        )
+        policy = AdaptationPolicy(
+            engine="scan", registry=registry, reoptimize_interval=20, warmup_events=20
+        )
+        engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
+        rng = random.Random(6)
+        for _ in range(80):
+            engine.match(Event({"v": rng.randint(0, 99)}))
+        records = engine.adaptations()
+        assert records and all(record.engine == "scan" for record in records)
+        calibration = engine.calibration()
+        assert calibration.observations == len(records) - 1 > 0
+        assert set(calibration.factors) == {"scan"}
 
     def test_min_columnar_batch_threads_to_the_index_matcher(self):
         policy = AdaptationPolicy(engine="index", min_columnar_batch=4)

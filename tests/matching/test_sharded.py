@@ -371,8 +371,9 @@ class TestEngineFamily:
         spec = default_registry().spec("sharded")
         assert spec.capabilities.incremental_maintenance
         assert spec.capabilities.batch_kernel
-        # Sharding is a deployment decision, never an auto-arbitration pick.
-        assert spec.candidate is None
+        # Sharding is a deployment decision, never an auto-arbitration pick:
+        # it costs its own replans but carries no auto rank.
+        assert spec.candidate is not None and spec.auto_rank is None
         assert all(s.name != "sharded" for s in default_registry().arbitrating_specs())
 
     def test_factory_respects_the_context_shard_count(self):

@@ -1,8 +1,11 @@
 """Tests for the adaptive filter component."""
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.domains import IntegerDomain
 from repro.core.errors import ServiceError
@@ -11,6 +14,7 @@ from repro.core.predicates import Equals, RangePredicate
 from repro.core.profiles import Profile, ProfileSet, profile
 from repro.core.schema import Attribute, Schema
 from repro.matching import NaiveMatcher, PredicateIndexMatcher, TreeMatcher
+from repro.matching.registry import EngineRegistry, builtin_specs
 from repro.matching.tree.config import SearchStrategy
 from repro.service.adaptive import AdaptationPolicy, AdaptiveFilterEngine
 from repro.selectivity.value_measures import ValueMeasure
@@ -145,6 +149,29 @@ class TestAdaptiveFilterEngine:
         engine.remove_profile("extra")
         assert not engine.match(Event({"v": 33})).is_match
 
+    @pytest.mark.parametrize("engine_kind", ["index", "sharded", "counting", "naive"])
+    def test_configuration_error_names_the_running_family(self, engine_kind):
+        engine = self.make_engine(engine=engine_kind)
+        with pytest.raises(
+            ServiceError, match=f"the {engine_kind} engine has no tree configuration"
+        ):
+            engine.configuration
+
+    @pytest.mark.parametrize("engine_kind", ["tree", "index", "hybrid", "sharded"])
+    def test_pinned_engines_feed_the_calibrator(self, engine_kind):
+        """One decision path means one feedback loop: every check after
+        the first scores the previous prediction against measurement."""
+        engine = self.make_engine(engine=engine_kind, reoptimize_interval=100)
+        for event in peaked_events(500):
+            engine.match(event)
+        records = engine.adaptations()
+        calibration = engine.calibration()
+        assert calibration.observations == len(records) - 1 > 0
+        assert {sample.family for sample in calibration.recent} == {engine_kind}
+        assert records[-1].correction_factor == pytest.approx(
+            calibration.factor(engine_kind)
+        )
+
 
 class TestAutoEngine:
     """The ``engine="auto"`` roster entry: tree-vs-index arbitration."""
@@ -249,6 +276,15 @@ class TestAutoEngine:
         engine.remove_profile("late")
         assert "late" not in engine.match(Event({"v": 500}))
 
+    def test_auto_never_considers_sharded(self):
+        """``sharded`` costs its own replans but has no ``auto_rank``."""
+        rng = random.Random(4)
+        engine = AdaptiveFilterEngine(
+            self.broad_range_profiles(), policy=self.auto_policy(shard_count=2)
+        )
+        self.run(engine, [Event({"v": rng.randint(0, 999)}) for _ in range(600)])
+        assert {record.engine for record in engine.adaptations()} <= {"index", "tree", "hybrid"}
+
     def test_auto_policy_validates_measures_like_index(self):
         from repro.selectivity import AttributeMeasure
 
@@ -320,19 +356,18 @@ class TestAutoSwitchHysteresis:
         :class:`~repro.matching.registry.EngineRegistry`: the built-in
         specs keep their real factories and install paths (so matching
         semantics stay honest) but their cost estimators report whatever
-        family is *running* as expensive (10.0) and the other family's
-        candidate as cheap (1.0), so every check predicts a 10x payoff
+        family is *running* as expensive (10.0, on both the candidate and
+        its ``predicted_current``) and the other family's candidate as
+        cheap (1.0), so every check predicts a 10x payoff
         from switching — the worst case the cooldown exists for.
         """
-        from dataclasses import replace
-
-        from repro.matching.registry import EngineRegistry, builtin_specs
-
         def flipping(spec_name, real_candidate):
             def candidate(ctx, matcher, distributions):
                 built = real_candidate(ctx, matcher, distributions)
                 running = "index" if isinstance(matcher, PredicateIndexMatcher) else "tree"
-                return replace(built, cost=10.0 if spec_name == running else 1.0)
+                if spec_name == running:
+                    return replace(built, cost=10.0, predicted_current=10.0)
+                return replace(built, cost=1.0)
 
             return candidate
 
@@ -340,24 +375,18 @@ class TestAutoSwitchHysteresis:
         for spec in builtin_specs():
             if spec.name == "hybrid":
                 # The hybrid family shares the index executor and would
-                # tie-break these synthetic costs; strip its estimators so
+                # tie-break these synthetic costs; strip its estimator so
                 # the arbitration stays a pure tree<->index flip.
-                registry.register(
-                    replace(spec, candidate=None, calibrated_candidate=None)
-                )
+                registry.register(replace(spec, candidate=None))
                 continue
-            if spec.candidate is None:
-                # The counting/naive baselines carry no cost estimator;
-                # they sit the arbitration out here exactly as they do
-                # on the default roster.
+            if spec.candidate is None or spec.auto_rank is None:
+                # The counting/naive baselines carry no cost estimator and
+                # sharded no auto rank; they sit the arbitration out here
+                # exactly as they do on the default roster.
                 registry.register(spec)
                 continue
             registry.register(
-                replace(
-                    spec,
-                    candidate=flipping(spec.name, spec.candidate),
-                    current_cost=lambda matcher, distributions: 10.0,
-                )
+                replace(spec, candidate=flipping(spec.name, spec.candidate))
             )
         return AdaptiveFilterEngine(
             single_attribute_profiles(),
@@ -414,3 +443,90 @@ class TestAutoSwitchHysteresis:
     def test_cooldown_validation(self):
         with pytest.raises(ServiceError):
             AdaptationPolicy(switch_cooldown_intervals=-1)
+
+
+# -- the design invariant: a pinned engine is auto over a roster of one ---------
+
+ROSTER_DOMAIN = 12
+
+
+@st.composite
+def churned_runs(draw):
+    """A profile pool plus a script of event bursts and membership toggles."""
+    values = st.integers(0, ROSTER_DOMAIN - 1)
+    pool = []
+    for index in range(draw(st.integers(min_value=3, max_value=8))):
+        predicates = {}
+        for name in ("a", "b"):
+            kind = draw(st.sampled_from(["skip", "eq", "range"]))
+            if kind == "eq":
+                predicates[name] = Equals(draw(values))
+            elif kind == "range":
+                low = draw(values)
+                predicates[name] = RangePredicate.between(
+                    low, draw(st.integers(low, ROSTER_DOMAIN - 1))
+                )
+        if not predicates:
+            predicates["a"] = Equals(draw(values))
+        pool.append(Profile(f"P{index}", predicates))
+    event = st.fixed_dictionaries({"a": values, "b": values}).map(Event)
+    step = st.one_of(
+        st.lists(event, min_size=1, max_size=12),
+        st.integers(0, len(pool) - 1),
+    )
+    return pool, draw(st.lists(step, min_size=2, max_size=14))
+
+
+def drive_script(engine: AdaptiveFilterEngine, pool, script):
+    """Run ``script``: lists are event batches, integers toggle a profile."""
+    matched = []
+    for step in script:
+        if isinstance(step, list):
+            matched.extend(r.matched_profile_ids for r in engine.match_batch(step))
+        elif pool[step].profile_id in engine.profiles:
+            engine.remove_profile(pool[step].profile_id)
+        else:
+            engine.add_profile(pool[step])
+    return matched
+
+
+def decision(record):
+    """One adaptation record minus its label and its wall-clock readings."""
+    return replace(
+        record, configuration_label="", measured_wall_seconds=None, check_seconds=None
+    )
+
+
+@pytest.mark.parametrize("family", ["tree", "index", "hybrid", "sharded"])
+@given(run=churned_runs(), threshold=st.sampled_from([0.0, 0.05]))
+@settings(max_examples=25, deadline=None)
+def test_pinned_engine_is_auto_over_a_roster_of_one(family, run, threshold):
+    pool, script = run
+    schema = Schema(
+        [Attribute(name, IntegerDomain(0, ROSTER_DOMAIN - 1)) for name in ("a", "b")]
+    )
+    knobs = dict(
+        reoptimize_interval=8,
+        warmup_events=8,
+        improvement_threshold=threshold,
+        shard_count=2,
+        min_columnar_batch=4,
+    )
+    spec = next(spec for spec in builtin_specs() if spec.name == family)
+    if spec.auto_rank is None:
+        spec = replace(spec, auto_rank=0)  # let auto rank the sharded family
+    pinned = AdaptiveFilterEngine(
+        ProfileSet(schema, pool[::2]), policy=AdaptationPolicy(engine=family, **knobs)
+    )
+    auto = AdaptiveFilterEngine(
+        ProfileSet(schema, pool[::2]),
+        policy=AdaptationPolicy(engine="auto", registry=EngineRegistry([spec]), **knobs),
+    )
+    assert drive_script(pinned, pool, script) == drive_script(auto, pool, script)
+    assert auto.engine_family == family
+    assert [decision(r) for r in auto.adaptations()] == [
+        decision(r) for r in pinned.adaptations()
+    ]
+    assert [r.configuration_label for r in auto.adaptations()] == [
+        f"auto:{r.configuration_label}" for r in pinned.adaptations()
+    ]

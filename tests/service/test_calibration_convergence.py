@@ -56,13 +56,23 @@ class _HonestMatcher(_ConstantOpsMatcher):
 
 
 def constant_spec(
-    name: str, cls, *, true_ops: int, predicted: float, auto_rank: int
+    name: str,
+    cls,
+    *,
+    true_ops: int,
+    predicted: float,
+    auto_rank: int,
+    calibration_prior: str | None = None,
 ) -> EngineSpec:
     """A family whose model claims ``predicted`` but always costs ``true_ops``."""
 
     def candidate(ctx, matcher, distributions):
         return EngineCandidate(
-            name, predicted, f"{name}[constant]", lambda: cls(ctx.profiles, true_ops)
+            name,
+            predicted,
+            f"{name}[constant]",
+            lambda: cls(ctx.profiles, true_ops),
+            predicted_current=predicted if type(matcher) is cls else None,
         )
 
     return EngineSpec(
@@ -70,7 +80,7 @@ def constant_spec(
         factory=lambda ctx: cls(ctx.profiles, true_ops),
         owns=lambda matcher: type(matcher) is cls,
         candidate=candidate,
-        current_cost=lambda matcher, distributions: predicted,
+        calibration_prior=calibration_prior,
         auto_rank=auto_rank,
         description=f"constant-cost stub ({name})",
     )
@@ -173,6 +183,73 @@ class TestCalibratedArbitration:
         switch = records[switched_at]
         assert switch.measured_ops_per_event == pytest.approx(20.0)
         assert engine.calibrator.factor("liar") > 1.0
+
+
+class TestCalibrationPrior:
+    """A never-measured family borrows its ``calibration_prior``'s factor."""
+
+    def make_engine(self, prior: str | None) -> AdaptiveFilterEngine:
+        registry = EngineRegistry()
+        # The incumbent's model is 2x optimistic; the sibling shares that
+        # model and predicts 4 % less — under the 5 % threshold.
+        registry.register(
+            constant_spec("base", _LiarMatcher, true_ops=20, predicted=10.0, auto_rank=0)
+        )
+        registry.register(
+            constant_spec(
+                "sibling",
+                _HonestMatcher,
+                true_ops=19,
+                predicted=9.6,
+                auto_rank=1,
+                calibration_prior=prior,
+            )
+        )
+        return AdaptiveFilterEngine(
+            tiny_profiles(),
+            policy=AdaptationPolicy(
+                engine="auto",
+                reoptimize_interval=100,
+                warmup_events=100,
+                improvement_threshold=0.05,
+                registry=registry,
+            ),
+        )
+
+    def test_without_a_prior_the_unmeasured_sibling_wins_on_neutral_trust(self):
+        engine = self.make_engine(prior=None)
+        drive(engine, 300)
+        # base is corrected to ~15+ ops while the sibling still reads 9.6.
+        assert isinstance(engine.matcher, _HonestMatcher)
+
+    def test_the_prior_holds_until_the_family_is_measured_itself(self):
+        engine = self.make_engine(prior="base")
+        drive(engine, 600)
+        records = engine.adaptations()
+        assert len(records) == 6 and not any(r.applied for r in records)
+        assert all(r.engine == "sibling" for r in records)
+        # The sibling's candidate was scored with base's learned factor.
+        assert records[-1].correction_factor == pytest.approx(
+            engine.calibrator.factor("base")
+        )
+        assert not engine.calibrator.has_observed("sibling")
+        # Once measured, the sibling's own factor takes over.
+        engine.calibrator.observe("sibling", 9.6, 4.8)
+        drive(engine, 100)
+        switch = engine.adaptations()[-1]
+        assert switch.applied and switch.engine == "sibling"
+        assert switch.correction_factor == pytest.approx(0.75)
+        assert isinstance(engine.matcher, _HonestMatcher)
+
+    def test_builtin_hybrid_borrows_from_index(self):
+        engine = AdaptiveFilterEngine(tiny_profiles(), policy=AdaptationPolicy(engine="auto"))
+        hybrid = engine.registry.spec("hybrid")
+        assert hybrid.calibration_prior == "index"
+        assert engine.registry.spec("index").calibration_prior is None
+        engine.calibrator.observe("index", 10.0, 30.0)
+        assert engine._correction(hybrid) == engine.calibrator.factor("index") == 2.0
+        engine.calibrator.observe("hybrid", 10.0, 5.0)
+        assert engine._correction(hybrid) == engine.calibrator.factor("hybrid") == 0.75
 
 
 class TestBoundedWindowUnderDrift:

@@ -153,9 +153,7 @@ API_SURFACE = {
         "owns",
         "supported_measures",
         "candidate",
-        "calibrated_candidate",
-        "current_cost",
-        "reoptimize",
+        "calibration_prior",
         "auto_rank",
         "min_columnar_batch",
         "description",
