@@ -132,7 +132,7 @@ class CostCalibrator:
         self._recent: deque[CalibrationSample] = deque(maxlen=_RECENT_SAMPLES)
 
     def factor(self, family: str) -> float:
-        """The current correction factor for ``family`` (1.0 = trusted)."""
+        """The current correction factor for ``family`` (1.0 = model taken as-is)."""
         return self._factors.get(family, 1.0)
 
     def has_observed(self, family: str) -> bool:

@@ -27,7 +27,7 @@ from repro.core.errors import (
     TreeConstructionError,
     WorkloadError,
 )
-from repro.core.events import Event
+from repro.core.events import Event, column_counts
 from repro.core.intervals import Interval, decompose_intervals
 from repro.core.predicates import (
     DONT_CARE,
@@ -88,6 +88,7 @@ __all__ = [
     "build_partition",
     "build_partitions",
     "build_profiles",
+    "column_counts",
     "decompose_intervals",
     "profile",
     "where",

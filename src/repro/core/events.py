@@ -8,13 +8,14 @@ and source fields support the service and simulation layers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from repro.core.errors import EventError
 from repro.core.schema import Schema
 
-__all__ = ["Event"]
+__all__ = ["Event", "column_counts"]
 
 
 @dataclass(frozen=True)
@@ -98,3 +99,54 @@ class Event:
     def __str__(self) -> str:  # pragma: no cover - display helper
         pairs = ", ".join(f"{k}={v!r}" for k, v in self.values.items())
         return f"event({pairs})"
+
+
+def column_counts(events: Sequence[Event], schema: Schema) -> dict[str, Counter] | None:
+    """Admit a batch column by column: the per-attribute value counts, or ``None``.
+
+    The columnar shortcut of a ``for event in events: event.validate(schema)``
+    loop.  One column is extracted per schema attribute and counted with a
+    :class:`collections.Counter`, and each *distinct* value is checked
+    against its domain once, so a batch costs one membership check per
+    distinct value instead of one per occurrence.  The answer is either
+
+    * a ``{attribute name: Counter}`` mapping in schema order — every event
+      carries exactly the schema's attributes and every value lies in its
+      domain — or
+    * ``None``: not provably so.  The caller then runs the per-event
+      :meth:`Event.validate` loop, which owns the :class:`EventError` (its
+      message, and which event of the batch it names).
+
+    ``None`` covers everything the shortcut cannot vouch for: a partial
+    event or an unknown attribute name (some event lacks a schema column,
+    or the summed event lengths exceed ``len(events) * len(schema)``), a
+    value outside its domain, an unhashable value (or any other exception
+    raised on the way), and a column whose values are not all of one exact
+    ``type`` — a counter keys by equality (``1 == 1.0 == True``) while
+    domain membership does not, so distinct values may only stand in for
+    their occurrences within a single type.  An empty batch also answers
+    ``None``; its per-event loop is free.  Nothing is mutated either way.
+    """
+    counts: dict[str, Counter] = {}
+    try:
+        carried = [event.values for event in events]
+        if sum(map(len, carried)) != len(carried) * len(schema):
+            return None
+        for attribute in schema:
+            name = attribute.name
+            column = [values[name] for values in carried]
+            if len(set(map(type, column))) != 1:
+                return None
+            counted = Counter(column)
+            domain = attribute.domain
+            for value in counted:
+                if value not in domain:
+                    return None
+            counts[name] = counted
+    except Exception:
+        # A missing schema column (KeyError), a value no counter can hash
+        # (TypeError), or whatever a value's own ``__hash__`` / ``__eq__``
+        # or a domain's ``__contains__`` raises: nothing has been mutated,
+        # and the per-event loop re-raises it at the event it belongs to.
+        return None
+    return counts

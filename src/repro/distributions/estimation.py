@@ -26,7 +26,7 @@ from typing import Deque, Iterable, Mapping
 
 from repro.core.domains import DiscreteDomain, Domain, IntegerDomain
 from repro.core.errors import DistributionError
-from repro.core.events import Event
+from repro.core.events import Event, column_counts
 from repro.core.profiles import ProfileSet
 from repro.core.schema import Schema
 from repro.core.subranges import AttributePartition
@@ -67,8 +67,23 @@ class FrequencyCounter:
             raise DistributionError(f"value {value!r} is outside the attribute domain")
         if weight <= 0:
             raise DistributionError("observation weight must be positive")
+        self._add(value, weight)
+
+    def _add(self, value: object, weight: int) -> None:
+        """Count ``weight`` observations of a value the caller already checked.
+
+        The unchecked half of :meth:`record`: :class:`EventHistory` validates
+        an event (or a whole batch, once per distinct value) against the
+        schema first and then counts it through here, so no value is
+        checked against its domain twice.
+        """
         self._counts[value] += weight
         self._total += weight
+
+    def _add_counts(self, counts: Mapping[object, int]) -> None:
+        """Bulk :meth:`_add`: one call per batch column, values already checked."""
+        self._counts.update(counts)
+        self._total += sum(counts.values())
 
     def forget(self, value: object, weight: int = 1) -> None:
         """Remove ``weight`` observations of ``value`` (sliding-window decay)."""
@@ -79,6 +94,20 @@ class FrequencyCounter:
             if self._counts[value] == 0:
                 del self._counts[value]
             self._total -= removed
+
+    def _forget_counts(self, counts: Mapping[object, int]) -> None:
+        """Bulk :meth:`forget`: one call per column of an evicted window slice."""
+        own = self._counts
+        removed = 0
+        for value, weight in counts.items():
+            current = own.get(value, 0)
+            if current > weight:
+                own[value] = current - weight
+                removed += weight
+            elif current:
+                del own[value]
+                removed += current
+        self._total -= removed
 
     def set_count(self, value: object, count: int) -> None:
         """Overwrite the counter of ``value`` (distribution simulation)."""
@@ -132,6 +161,14 @@ class EventHistory:
     The adaptive filter component consults the history to estimate the
     current event distribution ``P_e`` and decide whether the profile tree
     should be restructured.
+
+    Events enter one at a time (:meth:`observe`: validate, append, bump one
+    counter per carried attribute, evict the oldest event beyond the
+    window) or as a batch (:meth:`observe_all`: the same end state, reached
+    with one domain check and one counter update per *distinct* value of
+    each attribute column instead of one per occurrence).  The per-event
+    path is the specification; the batch path falls back to it whenever a
+    batch is not provably complete and valid.
     """
 
     def __init__(self, schema: Schema, *, max_length: int = 10_000) -> None:
@@ -155,16 +192,51 @@ class EventHistory:
         """Add one event, evicting the oldest one beyond the window size."""
         event.validate(self._schema, require_all=False)
         self._events.append(event)
+        counters = self._counters
         for name, value in event.values.items():
-            self._counters[name].record(value)
+            counters[name]._add(value, 1)
         if len(self._events) > self._max_length:
             expired = self._events.popleft()
             for name, value in expired.values.items():
-                self._counters[name].forget(value)
+                counters[name].forget(value)
 
     def observe_all(self, events: Iterable[Event]) -> None:
-        for event in events:
-            self.observe(event)
+        """Add a batch of events: the same end state as an :meth:`observe` loop.
+
+        A batch of complete, valid events is admitted column by column
+        (:func:`~repro.core.events.column_counts`: one domain check per
+        distinct value), appended to the window in one ``extend`` and
+        counted with one bulk update per attribute; the overflow leaves
+        the window in one slice with one bulk forget per attribute.
+        Anything the columnar check cannot vouch for — partial events,
+        unknown attributes, out-of-domain or unhashable values, a column
+        of mixed types — goes through the per-event loop, which raises
+        the :class:`~repro.core.errors.EventError` at the offending event
+        with the valid prefix already counted.
+        """
+        events = events if isinstance(events, list) else list(events)
+        counts = column_counts(events, self._schema)
+        if counts is None:
+            for event in events:
+                self.observe(event)
+            return
+        counters = self._counters
+        window = self._events
+        window.extend(events)
+        for name, counted in counts.items():
+            counters[name]._add_counts(counted)
+        overflow = len(window) - self._max_length
+        if overflow > 0:
+            expired = [window.popleft().values for _ in range(overflow)]
+            if sum(map(len, expired)) == overflow * len(counters):
+                # Every expired event is complete (names were checked on
+                # entry), so the slice leaves column by column as well.
+                for name, counter in counters.items():
+                    counter._forget_counts(Counter([values[name] for values in expired]))
+            else:
+                for values in expired:
+                    for name, value in values.items():
+                        counters[name].forget(value)
 
     def counter(self, attribute: str) -> FrequencyCounter:
         """Return the frequency counter of one attribute."""

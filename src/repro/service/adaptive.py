@@ -13,7 +13,12 @@ registry** (:mod:`repro.matching.registry`; the built-in families are
 and
 
 * records every filtered event in a bounded
-  :class:`~repro.distributions.estimation.EventHistory`,
+  :class:`~repro.distributions.estimation.EventHistory` — one
+  ``observe`` per :meth:`~AdaptiveFilterEngine.match`, one
+  ``observe_all`` per chunk of a :meth:`~AdaptiveFilterEngine.match_batch`
+  (column by column: each *distinct* value of a chunk is checked against
+  its domain and counted once, with the per-event loop as the fallback
+  for anything not provably complete and valid),
 * periodically (every ``reoptimize_interval`` events) estimates the current
   per-attribute event distributions from the history,
 * asks every :class:`~repro.matching.registry.EngineSpec` on its roster
@@ -87,13 +92,14 @@ class AdaptationPolicy:
     #: Length of the sliding event history window.
     history_length: int = 10_000
     #: Which matcher the engine drives: the name of any family registered
-    #: with the engine registry (built-ins: ``"tree"``, the paper's
-    #: profile tree restructured via the TreeOptimizer, and ``"index"``,
-    #: the predicate-index matcher replanned via the IndexPlanner) or
-    #: ``"auto"`` (starts on the registry's preferred family and, at every
-    #: re-optimisation, switches to whichever registered family the cost
-    #: models predict to be cheaper under the current history
-    #: distributions).
+    #: with the engine registry — the built-ins are ``"tree"`` (the
+    #: paper's profile tree, restructured via the TreeOptimizer),
+    #: ``"index"`` (the predicate-index matcher, replanned via the
+    #: IndexPlanner), ``"hybrid"``, ``"sharded"`` and the ``"counting"`` /
+    #: ``"naive"`` baselines — or ``"auto"`` (starts on the registry's
+    #: preferred family and, at every re-optimisation, switches to
+    #: whichever ranked family the cost models predict to be cheapest
+    #: under the current history distributions).
     engine: str = "tree"
     #: Hysteresis of the ``auto`` arbitration: after an applied
     #: family switch, further switches are suppressed for
@@ -220,7 +226,7 @@ class AdaptationRecord:
     #: decisions use the deterministic operation currency above).
     measured_wall_seconds: float | None = None
     #: Calibration factor of the selected family when the decision was
-    #: taken (``1.0``: the model was trusted as-is); see
+    #: taken (``1.0``: the model was taken as-is); see
     #: :attr:`AdaptationPolicy.calibration_smoothing`.
     correction_factor: float = 1.0
     #: Wall-clock seconds the re-optimisation check itself took — history
@@ -413,8 +419,10 @@ class AdaptiveFilterEngine:
         (e.g. from :meth:`repro.service.broker.Broker.publish_batch`) reach
         the index family's columnar kernel
         (:mod:`repro.matching.index.kernel`) instead of degrading to the
-        per-event loop.  Chunking at the next due re-optimisation keeps
-        the cadence exact: within a chunk no check could fire anyway.
+        per-event loop, and the history records the chunk in one
+        :meth:`~repro.distributions.estimation.EventHistory.observe_all`.
+        Chunking at the next due re-optimisation keeps the cadence exact:
+        within a chunk no check could fire anyway.
         """
         events = events if isinstance(events, list) else list(events)
         results: list[MatchResult] = []
@@ -431,9 +439,7 @@ class AdaptiveFilterEngine:
             chunk = events[position : position + take]
             chunk_results = self._matcher.match_batch(chunk)
             results.extend(chunk_results)
-            observe = self._history.observe
-            for event in chunk:
-                observe(event)
+            self._history.observe_all(chunk)
             self._events_filtered += len(chunk)
             self._operations_filtered += sum(r.operations for r in chunk_results)
             if self._reoptimisation_due():

@@ -50,7 +50,7 @@ from typing import Iterable, Sequence
 
 from repro.core.deprecation import warn_once
 from repro.core.errors import ServiceError, SubscriptionError
-from repro.core.events import Event
+from repro.core.events import Event, column_counts
 from repro.core.profiles import Profile, ProfileSet
 from repro.core.schema import Schema
 from repro.matching.interfaces import MatchResult
@@ -564,7 +564,11 @@ class Broker:
         so an invalid event rejects the whole batch without side effects
         (per-event :meth:`publish` remains available for pipelines that
         want to deliver the valid prefix).  Partial events are accepted,
-        exactly as in :meth:`publish`.  The surviving events are then
+        exactly as in :meth:`publish`.  Validation is columnar
+        (:func:`~repro.core.events.column_counts`: one domain check per
+        *distinct* value of each attribute column); a batch that is not
+        provably complete and valid that way is validated event by event,
+        which is also what raises the error.  The surviving events are then
         filtered in one
         :meth:`~repro.service.adaptive.AdaptiveFilterEngine.match_batch`
         call; on the index family large batches reach the columnar batch
@@ -585,8 +589,11 @@ class Broker:
                 f"timestamps length {len(timestamps)} does not match "
                 f"batch length {len(materialised)}"
             )
-        for event in materialised:
-            event.validate(self._schema, require_all=False)
+        if column_counts(materialised, self._schema) is None:
+            # The per-event loop accepts the batch after all (partial
+            # events, mixed value types) or raises the EventError.
+            for event in materialised:
+                event.validate(self._schema, require_all=False)
         outcomes: list[PublishOutcome | None] = [None] * len(materialised)
         clocks: list[float] = [0.0] * len(materialised)
         pending_indices: list[int] = []

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.domains import ContinuousDomain, IntegerDomain
 from repro.core.errors import EventError, SchemaError
-from repro.core.events import Event
+from repro.core.events import Event, column_counts
 from repro.core.schema import Attribute, Schema
 
 
@@ -111,3 +111,56 @@ class TestEvent:
         event = Event(source)
         source["temperature"] = 99
         assert event["temperature"] == 30
+
+
+class TestColumnCounts:
+    """The columnar batch admission: counts, or ``None`` for "ask per event"."""
+
+    def test_counts_every_column_of_a_valid_batch(self):
+        events = [
+            Event({"temperature": 30.5, "humidity": 90}),
+            Event({"humidity": 90, "temperature": 12.0}),
+            Event({"temperature": 30.5, "humidity": 10}),
+        ]
+        counts = column_counts(events, sample_schema())
+        assert list(counts) == ["temperature", "humidity"]
+        assert counts["temperature"] == {30.5: 2, 12.0: 1}
+        assert counts["humidity"] == {90: 2, 10: 1}
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"temperature": 30},  # partial
+            {"temperature": 30, "pressure": 1},  # unknown name in place of a column
+            {"temperature": 30, "humidity": 90, "pressure": 1},  # unknown extra name
+            {"temperature": 500, "humidity": 90},  # outside the domain
+            {"temperature": 30, "humidity": [90]},  # unhashable
+            {"temperature": 30, "humidity": 90.0},  # 90 == 90.0, but not an integer
+            {"temperature": 30, "humidity": True},  # True == 1, but not an integer
+        ],
+    )
+    def test_anything_not_provably_valid_answers_none(self, bad):
+        good = Event({"temperature": 30, "humidity": 1})
+        assert column_counts([good, good], sample_schema()) is not None
+        assert column_counts([good, Event(bad), good], sample_schema()) is None
+
+    def test_mixed_types_in_a_column_answer_none_even_when_each_is_valid(self):
+        # ``Counter([30, 30.0])`` has one key; the per-event path decides.
+        events = [
+            Event({"temperature": 30, "humidity": 1}),
+            Event({"temperature": 30.0, "humidity": 1}),
+        ]
+        for event in events:
+            event.validate(sample_schema())
+        assert column_counts(events, sample_schema()) is None
+
+    def test_a_raising_domain_answers_none(self):
+        class Exploding(IntegerDomain):
+            def __contains__(self, value):
+                raise RuntimeError("boom")
+
+        schema = Schema([Attribute("x", Exploding(0, 9))])
+        assert column_counts([Event({"x": 1})], schema) is None
+
+    def test_empty_batch_answers_none(self):
+        assert column_counts([], sample_schema()) is None

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from history_reference import PerEventHistory
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.domains import ContinuousDomain, IntegerDomain
-from repro.core.errors import DistributionError
+from repro.core.domains import ContinuousDomain, DiscreteDomain, IntegerDomain
+from repro.core.errors import DistributionError, EventError
 from repro.core.events import Event
 from repro.core.profiles import ProfileSet, profile
 from repro.core.schema import Attribute, Schema
@@ -229,3 +232,170 @@ class TestProfileDistributionEstimation:
         estimated = estimate_profile_distribution(profiles, partition)
         assert estimated.total_defined_probability() == 0.0
         assert estimated.zero_probability == pytest.approx(1.0)
+
+
+# -- observe_all ≡ the per-event loop ---------------------------------------------------
+#
+# ``EventHistory.observe_all`` admits a batch column by column; the oracle
+# (``history_reference.PerEventHistory``) admits it event by event.  After
+# any interleaving of ``observe``, ``observe_all`` and ``clear`` the two
+# must hold the same window and the same counters, and a batch the oracle
+# rejects must raise the same exception with the same prefix counted.
+
+#: Values that are equal as counter keys but not as domain members, an
+#: unhashable one, and one no domain below contains.
+AWKWARD = [1, 1.0, True, 0, 0.0, False, [1], "zz", None, 99, 99.5]
+
+DOMAIN_POOLS = {
+    "discrete": (DiscreteDomain(["a", "b", "c", 1, 2.5]), ["a", "b", "c", 1, 2.5]),
+    "integer": (IntegerDomain(0, 4), [0, 1, 2, 3, 4]),
+    "continuous": (ContinuousDomain(0.0, 4.0), [0.0, 0.5, 1.0, 2.25, 4.0]),
+    # Integers are members of a continuous domain too: an all-int column
+    # takes the columnar path, an int/float mix the per-event one.
+    "continuous-ints": (ContinuousDomain(0.0, 4.0), [0, 1, 2, 1.0, 3.5]),
+}
+
+
+@st.composite
+def history_schemas(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(DOMAIN_POOLS)), min_size=1, max_size=3))
+    return [(f"a{i}", *DOMAIN_POOLS[kind]) for i, kind in enumerate(kinds)]
+
+
+@st.composite
+def history_events(draw, columns, flavour):
+    """One event of a ``clean`` (complete, in-domain), ``partial`` (in-domain,
+    attributes missing: valid, but never columnar), ``twins`` (complete, some
+    values swapped for an equal one of another type) or ``dirty`` (anything
+    goes) batch."""
+    values = {}
+    for name, _, pool in columns:
+        value = draw(st.sampled_from(pool))
+        oddity = 0
+        if flavour in ("twins", "dirty"):
+            oddity = draw(st.integers(1 if flavour == "twins" else 0, 6))
+        if oddity == 1 and value in (0, 1, 2, 3, 4):
+            # A twin: equal to a pool value (the same counter key), of
+            # another type (not the same domain member).
+            twins = [int(value), float(value)] + ([bool(value)] if value in (0, 1) else [])
+            value = draw(st.sampled_from(twins))
+        elif oddity == 2 and flavour == "dirty":
+            value = draw(st.sampled_from(AWKWARD))
+        values[name] = value
+    if flavour == "partial" and len(values) > 1 and draw(st.booleans()):
+        del values[draw(st.sampled_from(sorted(values)))]
+    if flavour == "dirty":
+        mutation = draw(st.integers(0, 9))
+        if mutation == 0 and len(values) > 1:
+            del values[draw(st.sampled_from(sorted(values)))]  # partial event
+        elif mutation == 1:
+            values["nope"] = draw(st.sampled_from(AWKWARD))  # unknown extra name
+        elif mutation == 2:
+            # An unknown name *in place of* a column: the event keeps the
+            # length of a complete one.
+            del values[draw(st.sampled_from(sorted(values)))]
+            values["nope"] = 1
+    return Event(values)
+
+
+@st.composite
+def history_scripts(draw):
+    columns = draw(history_schemas())
+    batch_size = draw(st.integers(1, 12))
+    # Windows from a single event up to three batches.
+    max_length = draw(st.integers(1, 3 * batch_size))
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["batch", "batch", "batch", "one", "clear"]))
+        if kind == "clear":
+            steps.append(("clear", None))
+            continue
+        flavour = draw(st.sampled_from(["clean", "clean", "partial", "twins", "dirty"]))
+        if kind == "one":
+            steps.append(("observe", draw(history_events(columns, flavour))))
+        else:
+            size = draw(st.integers(0, batch_size))
+            events = [draw(history_events(columns, flavour)) for _ in range(size)]
+            steps.append(("observe_all", events))
+    return columns, max_length, steps
+
+
+def history_state(history, names):
+    """Everything the equivalence covers, in a comparable form."""
+    state = {"length": len(history), "events": [id(event) for event in history.events()]}
+    for name in names:
+        counter = history.counter(name)
+        state[name] = (counter.counts(), counter.total)
+        if counter.total:
+            distribution = counter.to_distribution(bins=8)
+            state[f"P_e({name})"] = (
+                distribution.pmf()
+                if hasattr(distribution, "pmf")
+                else distribution.bin_masses()
+            )
+    return state
+
+
+def outcome_of(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:  # the oracle decides what is an error
+        return type(exc), str(exc)
+    return None
+
+
+class TestObserveAllEqualsPerEventLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(history_scripts())
+    def test_same_state_and_same_errors_after_every_step(self, script):
+        columns, max_length, steps = script
+        schema = Schema([Attribute(name, domain) for name, domain, _ in columns])
+        names = schema.names
+        history = EventHistory(schema, max_length=max_length)
+        oracle = PerEventHistory(schema, max_length=max_length)
+        for method, argument in steps:
+            arguments = () if argument is None else (argument,)
+            expected = outcome_of(getattr(oracle, method), *arguments)
+            assert outcome_of(getattr(history, method), *arguments) == expected
+            assert history_state(history, names) == history_state(oracle, names)
+
+    def test_window_shorter_than_the_batch_keeps_the_tail(self):
+        schema = two_attribute_schema()
+        events = [Event({"price": i % 10, "volume": i % 5}) for i in range(23)]
+        history = EventHistory(schema, max_length=4)
+        history.observe_all(events)
+        assert history.events() == events[-4:]
+        assert history.counter("price").counts() == {9: 1, 0: 1, 1: 1, 2: 1}
+        assert history.counter("volume").total == 4
+
+    def test_partial_events_expire_from_under_a_columnar_batch(self):
+        schema = two_attribute_schema()
+        history = EventHistory(schema, max_length=3)
+        history.observe_all([Event({"price": 1}), Event({"volume": 2}), Event({"price": 1})])
+        assert history.counter("price").total == 2
+        history.observe_all([Event({"price": 5, "volume": 0})] * 2)
+        assert len(history) == 3
+        assert history.counter("price").counts() == {1: 1, 5: 2}
+        assert history.counter("volume").counts() == {0: 2}
+
+    def test_invalid_batch_counts_the_valid_prefix(self):
+        schema = two_attribute_schema()
+        history = EventHistory(schema)
+        good = Event({"price": 1, "volume": 1})
+        with pytest.raises(EventError, match="outside the domain of attribute 'volume'"):
+            history.observe_all([good, good, Event({"price": 1, "volume": 77}), good])
+        assert len(history) == 2
+        assert history.counter("price").counts() == {1: 2}
+
+    def test_true_is_not_counted_as_the_integer_one(self):
+        history = EventHistory(two_attribute_schema())
+        with pytest.raises(EventError, match="True"):
+            history.observe_all(
+                [Event({"price": 1, "volume": 1}), Event({"price": True, "volume": 1})]
+            )
+        assert history.counter("price").counts() == {1: 1}
+
+    def test_accepts_any_iterable(self):
+        history = EventHistory(two_attribute_schema())
+        history.observe_all(Event({"price": i, "volume": 0}) for i in range(3))
+        assert history.counter("price").total == 3

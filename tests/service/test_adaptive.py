@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.domains import IntegerDomain
-from repro.core.errors import ServiceError
+from repro.core.errors import EventError, ServiceError
 from repro.core.events import Event
 from repro.core.predicates import Equals, RangePredicate
 from repro.core.profiles import Profile, ProfileSet, profile
@@ -323,6 +323,41 @@ class TestBatchFiltering:
             (r.event_count, r.engine, r.applied) for r in sequential_engine.adaptations()
         ]
         assert batched_engine.adaptations(), "the cadence never fired"
+
+    @pytest.mark.parametrize("engine_kind", ["tree", "index"])
+    def test_match_batch_keeps_the_history_a_match_loop_keeps(self, engine_kind):
+        # The batch path feeds the history a chunk at a time
+        # (``EventHistory.observe_all``); with a window shorter than the
+        # stream, both paths must end on the same window, the same
+        # counters, and therefore the same decisions at every check.
+        events = peaked_events(700)
+        sequential_engine = self.make_engine(engine=engine_kind, history_length=120)
+        batched_engine = self.make_engine(engine=engine_kind, history_length=120)
+        for event in events:
+            sequential_engine.match(event)
+        batched_engine.match_batch(events)
+        sequential, batched = sequential_engine.history, batched_engine.history
+        assert batched.events() == sequential.events() == events[-120:]
+        assert batched.counter("v").counts() == sequential.counter("v").counts()
+        assert batched.counter("v").total == sequential.counter("v").total == 120
+        records = [
+            replace(record, measured_wall_seconds=None, check_seconds=None)
+            for record in batched_engine.adaptations()
+        ]
+        assert records and records == [
+            replace(record, measured_wall_seconds=None, check_seconds=None)
+            for record in sequential_engine.adaptations()
+        ]
+
+    def test_match_batch_counts_the_valid_prefix_of_an_invalid_chunk(self):
+        # Without a broker in front nothing has validated the batch: the
+        # history rejects it at the offending event, as the loop would.
+        engine = self.make_engine(engine="index")
+        events = [Event({"v": 1}), Event({"v": 2}), Event({"v": 1000}), Event({"v": 3})]
+        with pytest.raises(EventError, match="1000"):
+            engine.match_batch(events)
+        assert engine.history.events() == events[:2]
+        assert engine.history.counter("v").counts() == {1: 1, 2: 1}
 
     def test_match_batch_in_odd_slices_keeps_cadence(self):
         events = peaked_events(700)

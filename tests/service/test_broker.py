@@ -1,13 +1,15 @@
 """Tests for subscriptions, notifications and the single broker."""
 
 import pytest
+from history_reference import validate_each
 
 from repro.core.domains import IntegerDomain
-from repro.core.errors import ServiceError, SubscriptionError
+from repro.core.errors import EventError, ServiceError, SubscriptionError
 from repro.core.events import Event
 from repro.core.predicates import RangePredicate
 from repro.core.profiles import profile
 from repro.core.schema import Attribute, Schema
+from repro.service.adaptive import AdaptationPolicy
 from repro.service.broker import Broker
 from repro.service.notifications import Notification, NotificationLog
 from repro.service.subscriptions import SubscriptionRegistry
@@ -163,6 +165,108 @@ class TestBroker:
             broker.publish(Event({"temperature": 10_000}))
         with pytest.raises(Exception):
             broker.publish(Event({"no_such_attribute": 1}))
+
+
+class TestBatchAdmission:
+    """``publish_batch`` validates column by column; the per-event loop
+    (``history_reference.validate_each``) still defines every rejection."""
+
+    @staticmethod
+    def price_broker(schema: Schema | None = None) -> Broker:
+        broker = Broker(
+            schema or price_schema(), adaptation_policy=AdaptationPolicy(engine="index")
+        )
+        broker.subscribe(profile("cheap", price=RangePredicate.between(0, 50)), subscriber="ann")
+        broker.subscribe(profile("exact", price=7), subscriber="bob")
+        return broker
+
+    @staticmethod
+    def observable_state(broker: Broker):
+        history = broker.engine.history
+        return (
+            broker.statistics.events,
+            broker.statistics.total_notifications,
+            broker.notification_log.all(),
+            history.events(),
+            history.counter("price").counts(),
+            broker.quenched_events,
+        )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"price": 500},  # outside the domain
+            {"price": 7, "volume": 1},  # unknown attribute
+            {"volume": 1},  # unknown attribute in place of the column
+            {"price": True},  # True == 1, but no integer
+            {"price": 7.0},  # 7.0 == 7, but no integer
+            {"price": [7]},  # unhashable
+        ],
+    )
+    def test_invalid_batch_is_rejected_atomically_with_the_per_event_error(self, bad):
+        good = [Event({"price": price}) for price in (7, 1, 60, 7, 1)]
+        batch = good[:3] + [Event(bad)] + good[3:]
+        with pytest.raises(EventError) as expected:
+            validate_each(batch, price_schema())
+
+        touched, untouched = self.price_broker(), self.price_broker()
+        for broker in (touched, untouched):
+            broker.publish_batch(good)
+        before = self.observable_state(touched)
+        with pytest.raises(EventError) as raised:
+            touched.publish_batch(batch)
+        assert str(raised.value) == str(expected.value)
+        assert self.observable_state(touched) == before
+        # The clock did not advance either: the next batch is stamped as
+        # on a broker that never saw the rejected one.
+        stamps = [
+            [n.delivered_at for outcome in broker.publish_batch(good) for n in outcome.notifications]
+            for broker in (touched, untouched)
+        ]
+        assert stamps[0] == stamps[1] and stamps[0]
+
+    def test_partial_and_mixed_type_batches_are_still_accepted(self):
+        schema = Schema(
+            [Attribute("price", IntegerDomain(0, 199)), Attribute("volume", IntegerDomain(0, 9))]
+        )
+        batched, sequential = self.price_broker(schema), self.price_broker(schema)
+        events = [Event({"price": 7, "volume": 1}), Event({"price": 7}), Event({"volume": 3})]
+        outcomes = batched.publish_batch(events)
+        expected = [sequential.publish(event) for event in events]
+        assert [o.match_result.matched_profile_ids for o in outcomes] == [
+            o.match_result.matched_profile_ids for o in expected
+        ]
+        assert self.observable_state(batched)[3:] == self.observable_state(sequential)[3:]
+
+    def test_membership_checks_scale_with_distinct_values_not_events(self):
+        # Deterministic work guard: a batch of 250 events over 10 distinct
+        # values per attribute may check each *distinct* value a fixed
+        # number of times (once to admit the batch, once more to feed the
+        # history) — never once per occurrence, as the per-event loop did
+        # (3 checks x 250 events per attribute).
+        checks: dict[str, int] = {"price": 0, "volume": 0}
+
+        def counting_domain(name: str) -> IntegerDomain:
+            class Counting(IntegerDomain):
+                def __contains__(self, value: object) -> bool:
+                    checks[name] += 1
+                    return super().__contains__(value)
+
+            return Counting(0, 199)
+
+        schema = Schema(
+            [Attribute("price", counting_domain("price")), Attribute("volume", counting_domain("volume"))]
+        )
+        broker = self.price_broker(schema)
+        distinct = 10
+        events = [
+            Event({"price": i % distinct, "volume": (7 * i) % distinct}) for i in range(250)
+        ]
+        for name in checks:
+            checks[name] = 0  # subscribing may consult the domains
+        outcomes = broker.publish_batch(events)
+        assert len(outcomes) == 250 and broker.engine.history.counter("price").total == 250
+        assert checks == {"price": 2 * distinct, "volume": 2 * distinct}
 
 
 class TestIncrementalSubscriptionChurn:
