@@ -32,10 +32,11 @@ from repro.core.subranges import AttributePartition, Subrange
 from repro.distributions.base import Distribution
 from repro.matching.tree.builder import ProfileTree
 from repro.matching.tree.config import SearchStrategy, ValueOrder
-from repro.matching.tree.nodes import TreeLeaf, TreeNode
+from repro.matching.tree.nodes import TreeElement, TreeLeaf, TreeNode
 from repro.matching.tree.search import (
     absence_cost_for_gap,
     binary_search_depth,
+    binary_search_max_depth,
     find_cost,
 )
 
@@ -135,19 +136,11 @@ def attribute_response_time(
         if probability <= 0:
             continue
         if strategy is SearchStrategy.BINARY:
-            cost = _binary_absence_cost(count)
+            cost = binary_search_max_depth(count)
         else:
             cost = min(gap_index + 1, count) if count else 0
         rejection += probability * cost
     return AttributeCost(expectation, rejection)
-
-
-def _binary_absence_cost(count: int) -> int:
-    if count <= 0:
-        return 0
-    import math
-
-    return int(math.floor(math.log2(count))) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +248,15 @@ def expected_tree_cost(
     """Return the expected filtering cost of ``tree`` under the given
     per-attribute event distributions (attributes assumed independent).
 
-    The walk visits every node once, weighting its expected probe count by
-    the probability that an event reaches it; rejection and residual-edge
-    costs use the same conventions as the runtime matcher.
+    The tree is swept level by level from the root, carrying for each
+    distinct node the probability that an event reaches it and the
+    probability-weighted probes spent on the paths leading there; a node's
+    expected probe count is weighted by the former.  The builder shares
+    equal subtrees between edges, so the work is proportional to the stored
+    nodes, not to the unfolded tree; a level's nodes are keyed on identity,
+    so a tree assembled without sharing costs the same, just without the
+    saving.  Rejection and residual-edge costs use the same conventions as
+    the runtime matcher.
     """
     missing = [
         name for name in tree.configuration.attribute_order if name not in event_distributions
@@ -266,14 +265,6 @@ def expected_tree_cost(
         raise MatchingError(f"missing event distributions for attributes {missing}")
 
     strategy = tree.configuration.search
-    level_count = len(tree.configuration.attribute_order)
-    per_level = [0.0] * level_count
-    total = 0.0
-    match_probability = 0.0
-    expected_notifications = 0.0
-    # Per-profile accumulation of (probability, probability * path cost).
-    profile_mass: dict[str, float] = {}
-    profile_weighted_cost: dict[str, float] = {}
 
     # The same sub-ranges and gap intervals recur at many nodes of the tree,
     # so cache their probabilities per attribute.  Gap probabilities are
@@ -297,62 +288,90 @@ def expected_tree_cost(
             )
         return gap_probability_cache[key]
 
-    def walk(element, reach_probability: float, level: int, path_cost: float) -> None:
-        nonlocal total, match_probability, expected_notifications
-        if reach_probability <= 0:
-            return
-        if isinstance(element, TreeLeaf):
-            match_probability += reach_probability if element.profile_ids else 0.0
-            expected_notifications += reach_probability * len(element.profile_ids)
-            for profile_id in element.profile_ids:
-                profile_mass[profile_id] = profile_mass.get(profile_id, 0.0) + reach_probability
-                profile_weighted_cost[profile_id] = (
-                    profile_weighted_cost.get(profile_id, 0.0) + reach_probability * path_cost
-                )
-            return
-        node: TreeNode = element
-        attribute = node.attribute
+    per_level = [0.0] * len(tree.configuration.attribute_order)
+    total = 0.0
+    match_probability = 0.0
+    expected_notifications = 0.0
+    # Per-profile accumulation of (probability, probability * path cost).
+    profile_mass: dict[str, float] = {}
+    profile_weighted_cost: dict[str, float] = {}
 
-        node_expected = 0.0
-        edge_probabilities: list[float] = []
-        for edge in node.edges:
-            probability = cached_subrange_probability(attribute, edge.subrange)
-            edge_probabilities.append(probability)
-            cost = find_cost(node, edge, strategy)
-            node_expected += probability * cost
+    # One level of the tree is a dict: node identity -> [node, probability
+    # of reaching it, sum over the paths reaching it of probability * path
+    # cost].  ``carry`` adds one branch's share to the level below.
+    def carry(
+        below: dict[int, list], child: TreeElement, reach: float, weighted_cost: float
+    ) -> None:
+        # Zero-probability branches are pruned, not carried.
+        if reach <= 0:
+            return
+        entry = below.get(id(child))
+        if entry is None:
+            below[id(child)] = [child, reach, weighted_cost]
+        else:
+            entry[1] += reach
+            entry[2] += weighted_cost
 
-        gap_probabilities = cached_gap_probabilities(attribute, node)
-        outside_probability = sum(gap_probabilities)
-        expected_absence_cost = 0.0
-        for gap_index, probability in enumerate(gap_probabilities):
-            if probability <= 0:
+    frontier: dict[int, list] = {id(tree.root): [tree.root, 1.0, 0.0]}
+    level = 0
+    while frontier:
+        below: dict[int, list] = {}
+        for element, reach_probability, reach_cost in frontier.values():
+            if isinstance(element, TreeLeaf):
+                match_probability += reach_probability if element.profile_ids else 0.0
+                expected_notifications += reach_probability * len(element.profile_ids)
+                for profile_id in element.profile_ids:
+                    profile_mass[profile_id] = (
+                        profile_mass.get(profile_id, 0.0) + reach_probability
+                    )
+                    profile_weighted_cost[profile_id] = (
+                        profile_weighted_cost.get(profile_id, 0.0) + reach_cost
+                    )
                 continue
-            expected_absence_cost += probability * absence_cost_for_gap(
-                node, gap_index, strategy
-            )
-        if node.has_residual:
-            # One extra probe for taking the * / (*) edge.
-            expected_absence_cost += outside_probability * 1.0
-        node_expected += expected_absence_cost
+            node: TreeNode = element
+            attribute = node.attribute
 
-        total += reach_probability * node_expected
-        per_level[level] += reach_probability * node_expected
+            node_expected = 0.0
+            for edge in node.edges:
+                probability = cached_subrange_probability(attribute, edge.subrange)
+                cost = find_cost(node, edge, strategy)
+                node_expected += probability * cost
+                carry(
+                    below,
+                    edge.child,
+                    reach_probability * probability,
+                    (reach_cost + reach_probability * cost) * probability,
+                )
 
-        # Recurse along defined edges.
-        for edge, probability in zip(node.edges, edge_probabilities):
-            cost = find_cost(node, edge, strategy)
-            walk(edge.child, reach_probability * probability, level + 1, path_cost + cost)
-        # Recurse along the residual edge (conditional expected cost).
-        if node.has_residual and outside_probability > 0:
-            residual_cost = expected_absence_cost / outside_probability
-            walk(
-                node.residual,
-                reach_probability * outside_probability,
-                level + 1,
-                path_cost + residual_cost,
-            )
+            gap_probabilities = cached_gap_probabilities(attribute, node)
+            outside_probability = sum(gap_probabilities)
+            expected_absence_cost = 0.0
+            for gap_index, probability in enumerate(gap_probabilities):
+                if probability <= 0:
+                    continue
+                expected_absence_cost += probability * absence_cost_for_gap(
+                    node, gap_index, strategy
+                )
+            if node.has_residual:
+                # One extra probe for taking the * / (*) edge.
+                expected_absence_cost += outside_probability * 1.0
+            node_expected += expected_absence_cost
+            if node.has_residual and outside_probability > 0:
+                # The residual edge is taken at the conditional expected
+                # cost, expected_absence_cost / outside_probability.
+                carry(
+                    below,
+                    node.residual,
+                    reach_probability * outside_probability,
+                    reach_cost * outside_probability
+                    + reach_probability * expected_absence_cost,
+                )
 
-    walk(tree.root, 1.0, 0, 0.0)
+            total += reach_probability * node_expected
+            per_level[level] += reach_probability * node_expected
+
+        frontier = below
+        level += 1
 
     per_profile = {
         profile_id: profile_weighted_cost[profile_id] / mass

@@ -323,11 +323,16 @@ def _tree_candidate(
             attribute_measure=ctx.attribute_measure,
             search=ctx.search,
         )
-        tree = build_tree(ctx.profiles, configuration, partitions=partitions)
-        cost = expected_tree_cost(tree, distributions).operations_per_event
         predicted_current = None
         if running:
             predicted_current = expected_tree_cost(matcher.tree, distributions).operations_per_event
+        # A converged tree: the optimiser's answer is what is already running
+        # (labels aside), so there is nothing to build or to cost again.
+        if running and configuration == replace(matcher.configuration, label=configuration.label):
+            tree, cost = matcher.tree, predicted_current
+        else:
+            tree = build_tree(ctx.profiles, configuration, partitions=partitions)
+            cost = expected_tree_cost(tree, distributions).operations_per_event
     except ReproError:
         return None
 

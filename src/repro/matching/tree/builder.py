@@ -10,11 +10,19 @@ value is outside all defined edges but that may still match don't-care
 profiles.  Rebuilding with a different
 :class:`~repro.matching.tree.config.TreeConfiguration` performs the
 distribution-based restructuring of Section 4.
+
+The replication is logical, not physical: a subtree depends only on its level
+and its candidate tuple, so each distinct subtree is built once per
+:func:`build_tree` call and every edge reaching the same candidates points at
+the same frozen node.  The result is *equal* (dataclass equality) to the tree
+the per-edge recursion would unfold — it is that tree stored as the minimised
+DFSA — and nothing may mutate a node, since it can hang under many edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping
 
 from repro.core.errors import TreeConstructionError
@@ -25,6 +33,8 @@ from repro.matching.tree.config import TreeConfiguration
 from repro.matching.tree.nodes import TreeEdge, TreeElement, TreeLeaf, TreeNode
 
 __all__ = ["ProfileTree", "build_tree"]
+
+_natural_position = attrgetter("natural_position")
 
 
 @dataclass(frozen=True)
@@ -38,6 +48,8 @@ class ProfileTree:
     profile_count: int
 
     # -- structural statistics -------------------------------------------------
+    # The paper's figures, i.e. those of the unfolded tree: a subtree shared
+    # by k edges counts k times.
     def node_count(self) -> int:
         """Return the total number of nodes (internal and leaves)."""
         return self.root.node_count()
@@ -117,62 +129,74 @@ def build_tree(
     if not all_ids:
         return ProfileTree(schema, configuration, dict(partitions), TreeLeaf(tuple()), 0)
 
+    attribute_order = configuration.attribute_order
     value_orders = {
         name: configuration.value_order_for(name, partitions[name])
-        for name in configuration.attribute_order
+        for name in attribute_order
     }
+    # Per attribute, each profile's own sub-range indices in natural
+    # ascending order: a node assigns its edges by walking its constraining
+    # candidates' entries rather than testing every candidate against every
+    # sub-range of the partition.
+    owned_subranges: dict[str, dict[str, list[int]]] = {}
+    for name in attribute_order:
+        owned = owned_subranges[name] = {}
+        for subrange in partitions[name].subranges:
+            for pid in subrange.profile_ids:
+                owned.setdefault(pid, []).append(subrange.index)
+
+    # A subtree depends only on its level and candidate tuple, so each
+    # distinct one is built once per call and shared by every edge reaching
+    # it.  Keyed on the tuple (not a set): leaf and candidate id order stay
+    # exactly those of the unfolded recursion.
+    built: dict[tuple[int, tuple[str, ...]], TreeElement] = {}
 
     def build_level(candidates: tuple[str, ...], level: int) -> TreeElement:
-        if level == len(configuration.attribute_order):
-            return TreeLeaf(candidates)
-        attribute = configuration.attribute_order[level]
-        partition = partitions[attribute]
-        order = value_orders[attribute]
+        key = (level, candidates)
+        element = built.get(key)
+        if element is None:
+            element = built[key] = build_element(candidates, level)
+        return element
 
-        constraining = [
-            pid for pid in candidates if profile_by_id[pid].constrains(attribute)
-        ]
-        dont_care = tuple(
-            pid for pid in candidates if not profile_by_id[pid].constrains(attribute)
-        )
+    def build_element(candidates: tuple[str, ...], level: int) -> TreeElement:
+        if level == len(attribute_order):
+            return TreeLeaf(candidates)
+        attribute = attribute_order[level]
+        partition = partitions[attribute]
+        probe_position_of = value_orders[attribute].positions.__getitem__
+        owned = owned_subranges[attribute]
+
         # Defined edges: one per partition sub-range accepted by at least one
         # constraining candidate; don't-care candidates are replicated under
         # every edge so the single-path property holds.
-        edge_specs: list[tuple[int, tuple[str, ...]]] = []
-        for subrange in partition.subranges:
-            owners = [pid for pid in constraining if pid in subrange.profile_ids]
-            if not owners:
+        owners_of: dict[int, list[str]] = {}
+        dont_care_ids: list[str] = []
+        for pid in candidates:
+            if not profile_by_id[pid].constrains(attribute):
+                dont_care_ids.append(pid)
                 continue
-            child_candidates = tuple(owners) + dont_care
-            edge_specs.append((subrange.index, child_candidates))
+            for subrange_index in owned.get(pid, ()):
+                owners_of.setdefault(subrange_index, []).append(pid)
+        dont_care = tuple(dont_care_ids)
 
         # Natural positions follow the partition's natural sub-range order;
         # probe positions follow the configured value order.
-        natural_rank = {
-            subrange_index: rank + 1
-            for rank, (subrange_index, _) in enumerate(edge_specs)
+        natural_order = sorted(owners_of)
+        natural_position = {
+            subrange_index: rank for rank, subrange_index in enumerate(natural_order, start=1)
         }
-        probe_rank_source = sorted(
-            edge_specs, key=lambda spec: order.position_of(spec[0])
-        )
-        probe_rank = {
-            subrange_index: rank + 1
-            for rank, (subrange_index, _) in enumerate(probe_rank_source)
-        }
-
-        edges = []
-        for subrange_index, child_candidates in probe_rank_source:
-            subrange = partition.subranges[subrange_index]
-            child = build_level(child_candidates, level + 1)
-            edges.append(
-                TreeEdge(
-                    subrange=subrange,
-                    child=child,
-                    probe_position=probe_rank[subrange_index],
-                    natural_position=natural_rank[subrange_index],
-                )
+        edges = tuple(
+            TreeEdge(
+                subrange=partition.subranges[subrange_index],
+                child=build_level(tuple(owners_of[subrange_index]) + dont_care, level + 1),
+                probe_position=probe_position,
+                natural_position=natural_position[subrange_index],
             )
-        natural_edges = tuple(sorted(edges, key=lambda e: e.natural_position))
+            for probe_position, subrange_index in enumerate(
+                sorted(natural_order, key=probe_position_of), start=1
+            )
+        )
+        natural_edges = tuple(sorted(edges, key=_natural_position))
 
         residual: TreeElement | None = None
         if dont_care:
@@ -186,7 +210,7 @@ def build_tree(
 
         return TreeNode(
             attribute=attribute,
-            edges=tuple(edges),
+            edges=edges,
             natural_edges=natural_edges,
             residual=residual,
             candidate_profile_ids=candidates,

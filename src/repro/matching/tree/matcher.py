@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from repro.core.errors import MatchingError
+from repro.core.errors import MatchingError, TreeConstructionError
 from repro.core.events import Event
 from repro.core.profiles import Profile, ProfileSet
 from repro.core.subranges import AttributePartition
@@ -91,7 +91,7 @@ class TreeMatcher:
     def _rebuild_after_profile_change(self) -> None:
         try:
             self._tree = build_tree(self.profiles, self._configuration)
-        except Exception:
+        except TreeConstructionError:
             # Value orders sized for the previous partitions can become
             # stale; fall back to natural orders but keep attribute order
             # and search strategy.

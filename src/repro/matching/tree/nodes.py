@@ -16,7 +16,7 @@ Leaves carry the ids of the profiles matched by every event reaching them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from repro.core.subranges import Subrange
 
@@ -112,18 +112,39 @@ class TreeNode:
             yield self.residual
 
     # -- structural statistics -------------------------------------------------
+    # The figures are those of the *unfolded* tree (a subtree shared by k
+    # edges counts k times), computed once per distinct node.
     def node_count(self) -> int:
         """Return the number of nodes (internal + leaves) in this subtree."""
-        return 1 + sum(child.node_count() for child in self.children())
+        return _fold(self, 1, lambda children: 1 + sum(children))
 
     def leaf_count(self) -> int:
         """Return the number of leaves in this subtree."""
-        return sum(child.leaf_count() for child in self.children())
+        return _fold(self, 1, sum)
 
     def max_depth(self) -> int:
         """Return the height of this subtree in edges."""
-        depths = [child.max_depth() for child in self.children()]
-        return 1 + (max(depths) if depths else 0)
+        return _fold(self, 0, lambda children: 1 + max(children, default=0))
+
+
+def _fold(root: "TreeElement", leaf_value: int, combine: Callable[[list[int]], int]) -> int:
+    """Evaluate a bottom-up statistic of the unfolded tree under ``root``.
+
+    The builder shares equal subtrees between edges, so the per-call memo
+    is keyed on node identity: each distinct node is combined once, and a
+    tree assembled without sharing gives the same result.
+    """
+    memo: dict[int, int] = {}
+
+    def visit(element: "TreeElement") -> int:
+        if element.is_leaf:
+            return leaf_value
+        value = memo.get(id(element))
+        if value is None:
+            value = memo[id(element)] = combine([visit(c) for c in element.children()])
+        return value
+
+    return visit(root)
 
 
 #: A tree element is either an internal node or a leaf.

@@ -26,6 +26,7 @@ from repro.matching.registry import (
 )
 from repro.service.adaptive import AdaptationPolicy, AdaptiveFilterEngine
 from repro.service.broker import Broker
+from repro.workloads.toy import environmental_profiles
 
 
 def small_profiles() -> ProfileSet:
@@ -380,3 +381,42 @@ class TestAutoArbitrationOverRegistry:
         assert [r.matched_profile_ids for r in results] == [
             (f"P{event['v']}",) for event in events
         ]
+
+
+def test_a_converged_pinned_tree_check_builds_nothing(monkeypatch):
+    """Once the optimiser's answer is the running configuration the check
+    reuses the running tree: no candidate build, and the one cost is both
+    the current and the candidate prediction."""
+    import repro.matching.tree.builder as builder
+
+    builds = []
+    build_tree = builder.build_tree
+
+    def counting_build_tree(*args, **kwargs):
+        builds.append(args)
+        return build_tree(*args, **kwargs)
+
+    # ``_tree_candidate`` looks the builder up by name at every check.
+    monkeypatch.setattr(builder, "build_tree", counting_build_tree)
+    policy = AdaptationPolicy(engine="tree", reoptimize_interval=100, warmup_events=50)
+    engine = AdaptiveFilterEngine(environmental_profiles(), policy=policy)
+    rng = random.Random(3)
+    for _ in range(500):
+        engine.match(
+            Event(
+                {
+                    "temperature": rng.choice([30, 31, 32, 40]),
+                    "humidity": rng.choice([90, 95]),
+                    "radiation": rng.choice([1, 2, 50]),
+                }
+            )
+        )
+    records = engine.adaptations()
+    assert [record.applied for record in records] == [True, False, False, False, False]
+    assert len(builds) == 1, "only the applied restructuring builds a tree"
+    tree = engine.matcher.tree
+    for record in records[1:]:
+        assert record.predicted_candidate == record.predicted_current
+    # The converged checks still install nothing new.
+    assert engine.matcher.tree is tree
+

@@ -158,3 +158,24 @@ class TestReconfiguration:
         assert "extra" in matcher.match(Event({"v": 77}))
         matcher.remove_profile("extra")
         assert not matcher.match(Event({"v": 77})).is_match
+
+    def test_stale_value_order_falls_back_to_natural_after_a_profile_change(self):
+        profiles = self.single_attribute_profiles()
+        matcher = TreeMatcher(profiles)
+        optimizer = TreeOptimizer(profiles, {"v": uniform_discrete(IntegerDomain(0, 99))})
+        matcher.reconfigure(optimizer.configuration(value_measure=ValueMeasure.V1_EVENT))
+        assert matcher.configuration.value_orders
+        # A seventh sub-range: the configured order no longer fits.
+        matcher.add_profile(profile("extra", v=77))
+        assert matcher.configuration.value_orders == {}
+        assert "extra" in matcher.match(Event({"v": 77}))
+
+    def test_a_builder_bug_surfaces_instead_of_resetting_the_value_orders(self, monkeypatch):
+        matcher = TreeMatcher(self.single_attribute_profiles())
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("builder bug")
+
+        monkeypatch.setattr("repro.matching.tree.matcher.build_tree", broken)
+        with pytest.raises(RuntimeError, match="builder bug"):
+            matcher.add_profile(profile("extra", v=77))
