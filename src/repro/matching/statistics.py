@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.core.errors import MatchingError
 from repro.matching.interfaces import MatchResult
@@ -90,19 +90,52 @@ class FilterStatistics:
     # -- recording ---------------------------------------------------------------
     def record(self, result: MatchResult) -> None:
         """Record the outcome of filtering one event."""
-        self._events += 1
-        self._operations.add(result.operations)
-        self._matches_per_event.add(len(result.matched_profile_ids))
-        self._total_operations += result.operations
-        self._total_notifications += len(result.matched_profile_ids)
-        if result.is_match:
-            self._matched_events += 1
-        for profile_id in result.matched_profile_ids:
-            self._per_profile_notifications[profile_id] += 1
-            # The operations spent on the event are attributed to every
-            # profile it notifies; per-profile averages therefore measure how
-            # quickly *this* profile's notifications are produced.
-            self._per_profile_operations[profile_id] += result.operations
+        self.record_all((result,))
+
+    def record_all(self, results: Sequence[MatchResult]) -> int:
+        """Record the outcomes of filtering a batch of events, in order.
+
+        The running means (Welford) fold every result in order, so every
+        float is bit-identical to a :meth:`record` loop; the integer totals
+        are updated once per batch, and the per-profile counters once per
+        distinct notified profile (in first-notified order, so their
+        insertion order is a loop's too).  Returns the number of
+        notifications recorded.
+        """
+        add_operations = self._operations.add
+        add_matches = self._matches_per_event.add
+        operations = matched_events = notifications = 0
+        # Per profile: [notifications, operations charged], first-notified order.
+        notified: dict[str, list[int]] = {}
+        for result in results:
+            profile_ids = result.matched_profile_ids
+            add_operations(result.operations)
+            add_matches(len(profile_ids))
+            operations += result.operations
+            if profile_ids:
+                matched_events += 1
+                notifications += len(profile_ids)
+                # The operations spent on the event are attributed to every
+                # profile it notifies; per-profile averages therefore measure
+                # how quickly *this* profile's notifications are produced.
+                for profile_id in profile_ids:
+                    tally = notified.get(profile_id)
+                    if tally is None:
+                        notified[profile_id] = [1, result.operations]
+                    else:
+                        tally[0] += 1
+                        tally[1] += result.operations
+        self._events += len(results)
+        self._total_operations += operations
+        if notifications:
+            self._matched_events += matched_events
+            self._total_notifications += notifications
+            per_profile_notifications = self._per_profile_notifications
+            per_profile_operations = self._per_profile_operations
+            for profile_id, (count, charged) in notified.items():
+                per_profile_notifications[profile_id] += count
+                per_profile_operations[profile_id] += charged
+        return notifications
 
     # -- aggregate metrics ----------------------------------------------------------
     @property

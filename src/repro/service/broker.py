@@ -23,9 +23,13 @@ Engine selection goes through the engine registry
 ``Broker(engine="...")`` keyword keeps working behind a deprecation shim.
 
 Notification delivery is decoupled from matching through
-:mod:`repro.service.delivery`: matching produces a ``DeliveryPlan`` and
-the broker's dispatcher routes each sink invocation to the ``inline``
-(default), ``threadpool``, ``asyncio`` or ``webhook`` executor —
+:mod:`repro.service.delivery`.  A publish call is the unit of
+notification bookkeeping: one settle pass records the statistics,
+resolves each matched profile's subscription once, bulk-records the
+notifications in the log and produces one ``DeliveryPlan`` — the
+fan-out of the whole ``publish`` / ``publish_batch`` call — and the
+broker's dispatcher hands each executor its share of it as one list:
+``inline`` (default), ``threadpool``, ``asyncio`` or ``webhook`` —
 selected per broker (``Broker(delivery="threadpool")``) or pinned per
 subscription — with per-subscription FIFO ordering, bounded
 backpressure queues and a draining :meth:`Broker.close`.
@@ -509,47 +513,83 @@ class Broker:
             return PublishOutcome(event, False, None, tuple())
 
         result = self._engine.match(event)
-        return self._deliver(event, result, self._clock)
+        (notifications,) = self._settle((event,), (result,), (self._clock,))
+        return PublishOutcome(event, False, result, notifications)
 
-    def _deliver(self, event: Event, result: MatchResult, clock: float) -> PublishOutcome:
-        """Record statistics and dispatch the notifications of one result.
+    def _settle(
+        self,
+        events: Sequence[Event],
+        results: Sequence[MatchResult],
+        clocks: Sequence[float],
+    ) -> list[tuple[Notification, ...]]:
+        """Record, log and dispatch the results of one publish call.
 
-        Matching, statistics and the notification log are settled *here*,
-        synchronously — they are bit-identical whatever executor runs the
-        sinks.  Sink invocation is decoupled through a
-        :class:`~repro.service.delivery.DeliveryPlan` handed to the
-        delivery dispatcher: the default ``inline`` executor preserves
+        The one settle path of both :meth:`publish` (a batch of one) and
+        :meth:`publish_batch`.  Statistics (one
+        :meth:`~repro.matching.statistics.FilterStatistics.record_all`
+        fold) and the notification log (one bulk append) are settled
+        *here*, synchronously, for the whole call — they are bit-identical
+        whatever executor runs the sinks.  Each matched profile's
+        subscription is resolved once per call.  Sink invocation is
+        decoupled through one
+        :class:`~repro.service.delivery.DeliveryPlan` per call handed to
+        the delivery dispatcher: the default ``inline`` executor preserves
         the historical synchronous semantics, while ``threadpool`` /
         ``asyncio`` deliveries complete in the background (await them
-        with :meth:`drain_deliveries` / :meth:`close`).
+        with :meth:`drain_deliveries` / :meth:`close`).  A call that notifies
+        nobody skips that pass (:meth:`_notify`).  Returns the notifications
+        of each result; the callers build the outcomes after the dispatch,
+        so an inline sink never waits for them.
         """
-        self._statistics.record(result)
-        notifications = []
-        tasks = []
-        for profile_id in result.matched_profile_ids:
-            subscription = self._registry.by_profile_id(profile_id)
-            notification = Notification(
-                event=event,
-                profile_id=profile_id,
-                subscriber=subscription.subscriber,
-                broker_id=self.broker_id,
-                delivered_at=clock,
-                filter_operations=result.operations,
-            )
-            self._log.deliver(notification)
-            notifications.append(notification)
-            if subscription.sink is not None:
-                tasks.append(
-                    DeliveryTask(
-                        subscription_id=subscription.subscription_id,
-                        sink=subscription.sink,
-                        notification=notification,
-                        delivery=subscription.delivery,
+        produced: list[tuple[Notification, ...]] = [()] * len(results)
+        if self._statistics.record_all(results):
+            self._notify(events, results, clocks, produced)
+        return produced
+
+    def _notify(
+        self,
+        events: Sequence[Event],
+        results: Sequence[MatchResult],
+        clocks: Sequence[float],
+        produced: list[tuple[Notification, ...]],
+    ) -> None:
+        """Build, log and dispatch the notifications of one publish call.
+
+        ``produced[i]`` receives the notifications of ``results[i]``.
+        """
+        broker_id = self.broker_id
+        subscriptions: dict[str, Subscription] = {}
+        notifications: list[Notification] = []
+        tasks: list[DeliveryTask] = []
+        for index, result in enumerate(results):
+            if not result.matched_profile_ids:
+                continue
+            event, clock = events[index], clocks[index]
+            notes = []
+            for profile_id in result.matched_profile_ids:
+                subscription = subscriptions.get(profile_id)
+                if subscription is None:
+                    subscription = subscriptions[profile_id] = self._registry.by_profile_id(
+                        profile_id
                     )
+                notification = Notification(
+                    event, profile_id, subscription.subscriber, broker_id, clock, result.operations
                 )
+                notes.append(notification)
+                if subscription.sink is not None:
+                    tasks.append(
+                        DeliveryTask(
+                            subscription.subscription_id,
+                            subscription.sink,
+                            notification,
+                            subscription.delivery,
+                        )
+                    )
+            notifications.extend(notes)
+            produced[index] = tuple(notes)
+        self._log.deliver_all(notifications)
         if tasks:
             self._delivery.dispatch(DeliveryPlan(tuple(tasks)))
-        return PublishOutcome(event, False, result, tuple(notifications))
 
     def publish_batch(
         self,
@@ -581,6 +621,16 @@ class Broker:
         externally supplied clock (one value per event) instead of the
         broker's internal tick — the broker-overlay substrate uses this
         to carry *simulated* delivery times across hops.
+
+        The batch is settled as one unit: statistics and the notification
+        log record every event of the batch, then one
+        :class:`~repro.service.delivery.DeliveryPlan` covering all of its
+        notifications is dispatched.  Hence, when an ``inline`` sink
+        raises, the statistics and the log already hold the *whole* batch
+        (not just the events before the failing one); the error still
+        propagates, and no delivery task after the failing one is
+        dispatched.  (Per-event :meth:`publish` is unchanged: it settles one
+        event at a time.)
         """
         self._delivery.ensure_open()
         materialised = list(events)
@@ -612,9 +662,11 @@ class Broker:
             else:
                 pending_indices.append(index)
         if pending_indices:
-            results = self.engine.match_batch([materialised[i] for i in pending_indices])
-            for index, result in zip(pending_indices, results):
-                outcomes[index] = self._deliver(materialised[index], result, clocks[index])
+            pending = [materialised[i] for i in pending_indices]
+            results = self.engine.match_batch(pending)
+            produced = self._settle(pending, results, [clocks[i] for i in pending_indices])
+            for index, result, notifications in zip(pending_indices, results, produced):
+                outcomes[index] = PublishOutcome(materialised[index], False, result, notifications)
         return [outcome for outcome in outcomes if outcome is not None]
 
     def publish_all(self, events: Iterable[Event]) -> list[PublishOutcome]:

@@ -1,9 +1,11 @@
 """``repro.service.delivery`` — pluggable notification-delivery executors.
 
-The broker's matching path produces a
-:class:`~repro.service.delivery.base.DeliveryPlan` per matched event and
-hands it to the :class:`DeliveryDispatcher`, which routes every task to
-one of three executors:
+The broker's matching path produces one
+:class:`~repro.service.delivery.base.DeliveryPlan` per publish call (the
+fan-out of every matched event of a ``publish`` or ``publish_batch``)
+and hands it to the :class:`DeliveryDispatcher`, which submits it in
+plan order, each run of consecutive same-mode tasks as one list
+(``DeliveryExecutor.submit_all``), to one of four executors:
 
 * :class:`~repro.service.delivery.inline.InlineExecutor` — run the sink
   synchronously on the publishing thread (the historical default; sink
@@ -84,8 +86,10 @@ class DeliveryDispatcher:
     each executor with its *own*
     :class:`~repro.service.delivery.stats.DeliveryCounters` (so an
     executor's ``stats()`` reports exactly its own work) and fans the
-    tasks of a plan out by their pinned mode; :meth:`stats` aggregates
-    the per-executor snapshots into one service-level view.
+    tasks of a plan out by their pinned mode, one list per run of
+    same-mode tasks;
+    :meth:`stats` aggregates the per-executor snapshots into one
+    service-level view.
     """
 
     def __init__(
@@ -171,9 +175,26 @@ class DeliveryDispatcher:
 
     # -- dispatch ---------------------------------------------------------------
     def dispatch(self, plan: DeliveryPlan) -> None:
-        """Submit every task of a plan to its (pinned or default) executor."""
-        for task in plan.tasks:
-            self.executor_for(task.delivery).submit(task)
+        """Submit a plan in order, one list per run of same-mode tasks.
+
+        Consecutive tasks bound for the same (pinned or default) executor
+        go to it as one ``submit_all`` — a plan whose subscriptions all
+        ride the default is one call.  An executor that raises (a closed
+        executor, an overflow, an ``inline`` sink error) stops the
+        dispatch there: every task before the failing one in plan order
+        was submitted, none after it is.
+        """
+        tasks = plan.tasks
+        default = self._default_mode
+        start, run_mode = 0, None
+        for index, task in enumerate(tasks):
+            mode = default if task.delivery is None else task.delivery
+            if mode != run_mode:
+                if index:
+                    self.executor_for(run_mode).submit_all(tasks[start:index])
+                start, run_mode = index, mode
+        if tasks:
+            self.executor_for(run_mode).submit_all(tasks[start:])
 
     # -- life-cycle -------------------------------------------------------------
     def drain(self) -> None:
@@ -196,7 +217,10 @@ class DeliveryDispatcher:
         high-water marks (an upper bound of the true combined backlog
         peak, since the executors peak independently).
         """
-        snapshots = [executor.stats() for executor in self._executors.values()]
+        # Copy the roster first: a publisher may build an executor on first
+        # use while another thread reads the stats.
+        executors = dict(self._executors)
+        snapshots = [executor.stats() for executor in executors.values()]
         return DeliveryStats(
             mode=self._default_mode,
             dispatched=sum(s.dispatched for s in snapshots),
@@ -207,7 +231,7 @@ class DeliveryDispatcher:
             max_pending=sum(s.max_pending for s in snapshots),
             retried=sum(s.retried for s in snapshots),
             dead_lettered=sum(s.dead_lettered for s in snapshots),
-            executors=tuple(self._executors),
+            executors=tuple(executors),
         )
 
     def dead_letters(self) -> tuple["DeadLetter", ...]:

@@ -11,7 +11,9 @@ point: a thousand slow ``await``-ing subscribers cost one thread.
 Publisher-side backpressure mirrors the threadpool executor: each lane
 holds at most ``queue_capacity`` tasks and a full lane applies the
 ``block`` / ``drop_oldest`` / ``raise`` overflow policy at ``submit``
-time, on the publishing thread.  Sink exceptions are swallowed and
+time, on the publishing thread — task by task, even when
+``submit_all`` queues a whole list under one hold of the executor's
+condition with one ``accepted(n)``.  Sink exceptions are swallowed and
 counted (``failed``), never propagated into the loop.  With
 ``retry_attempts > 1`` an ordinary :class:`Exception` is re-attempted
 after an ``await asyncio.sleep(retry_backoff * 2**n)`` — the lane's
@@ -26,9 +28,14 @@ import inspect
 import threading
 import time
 from collections import deque
+from typing import Sequence
 
-from repro.core.errors import DeliveryError, DeliveryOverflowError
-from repro.service.delivery.base import DeliveryTask, validate_overflow_policy
+from repro.core.errors import DeliveryError
+from repro.service.delivery.base import (
+    DeliveryTask,
+    enqueue_in_order,
+    validate_overflow_policy,
+)
 from repro.service.delivery.stats import DeliveryCounters, DeliveryStats
 
 __all__ = ["AsyncioDeliveryExecutor"]
@@ -81,38 +88,55 @@ class AsyncioDeliveryExecutor:
 
     # -- publisher side ---------------------------------------------------------
     def submit(self, task: DeliveryTask) -> None:
-        subscription_id = task.subscription_id
-        with self._condition:
-            if self._closed:
-                raise DeliveryError("the asyncio delivery executor is closed")
-            lane = self._lanes.setdefault(subscription_id, deque())
-            while len(lane) >= self._capacity:
-                if self._overflow == "drop_oldest":
-                    lane.popleft()
-                    self._counters.discarded()
-                elif self._overflow == "raise":
-                    raise DeliveryOverflowError(
-                        f"delivery lane full ({self._capacity} tasks) for "
-                        f"subscription {subscription_id!r}"
-                    )
-                else:  # block: wait for the consumer to free a slot
-                    self._condition.wait()
-                    if self._closed:
-                        raise DeliveryError(
-                            "the asyncio delivery executor closed while "
-                            "waiting for queue space"
-                        )
-                    lane = self._lanes.setdefault(subscription_id, deque())
-            lane.append(task)
-            self._counters.accepted()
-            if subscription_id not in self._consuming:
-                self._consuming.add(subscription_id)
-                # Scheduled while still holding the condition (the call
-                # only enqueues a loop callback): close() cannot stop
-                # the loop between acceptance and scheduling.
-                asyncio.run_coroutine_threadsafe(
-                    self._consume(subscription_id), self._loop
-                )
+        self.submit_all((task,))
+
+    def submit_all(self, tasks: Sequence[DeliveryTask]) -> None:
+        """Queue tasks under one hold of the condition, one ``accepted``."""
+        # Every lane shares the one condition; a lane is looked up by
+        # subscription id under it (a consumer retires its empty lane).
+        enqueue_in_order(
+            tasks,
+            [task.subscription_id for task in tasks],
+            condition_of=self._condition_of,
+            offer=self._offer,
+            drop_oldest=self._drop_oldest,
+            full_message=self._full_message,
+            is_closed=self._is_closed,
+            overflow=self._overflow,
+            counters=self._counters,
+            name=self.name,
+        )
+
+    def _condition_of(self, subscription_id: str) -> threading.Condition:
+        return self._condition
+
+    def _is_closed(self) -> bool:
+        return self._closed
+
+    def _offer(self, subscription_id: str, task: DeliveryTask) -> bool:
+        """Queue ``task`` unless its lane is full (condition held)."""
+        lane = self._lanes.get(subscription_id)
+        if lane is None:
+            lane = self._lanes[subscription_id] = deque()
+        elif len(lane) >= self._capacity:
+            return False
+        lane.append(task)
+        if subscription_id not in self._consuming:
+            self._consuming.add(subscription_id)
+            # Scheduled while still holding the condition (the call only
+            # enqueues a loop callback): close() cannot stop the loop
+            # between acceptance and scheduling.
+            asyncio.run_coroutine_threadsafe(self._consume(subscription_id), self._loop)
+        return True
+
+    def _drop_oldest(self, subscription_id: str, task: DeliveryTask) -> None:
+        self._lanes[subscription_id].popleft()
+
+    def _full_message(self, subscription_id: str, task: DeliveryTask) -> str:
+        return (
+            f"delivery lane full ({self._capacity} tasks) for "
+            f"subscription {subscription_id!r}"
+        )
 
     # -- loop side --------------------------------------------------------------
     async def _consume(self, subscription_id: str) -> None:
@@ -134,7 +158,7 @@ class AsyncioDeliveryExecutor:
                 attempt += 1
                 try:
                     result = task.sink(task.notification)
-                    if inspect.isawaitable(result):
+                    if result is not None and inspect.isawaitable(result):
                         await result
                     break
                 except Exception:
@@ -157,7 +181,7 @@ class AsyncioDeliveryExecutor:
                     break
             with self._condition:
                 self._in_flight -= 1
-                self._counters.executed(ok=ok)
+                self._counters.executed(int(ok), int(not ok))
 
     # -- life-cycle -------------------------------------------------------------
     def drain(self) -> None:

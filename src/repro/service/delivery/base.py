@@ -1,20 +1,23 @@
 """Delivery-subsystem value objects and the executor protocol.
 
 The matching hot path produces a :class:`DeliveryPlan` — the pure *what*
-of one event's fan-out (which sink receives which notification, in what
-per-subscription order) — and hands it to a
-:class:`~repro.service.delivery.DeliveryDispatcher`, which routes every
-:class:`DeliveryTask` to a :class:`DeliveryExecutor` (the *how*: inline,
-bounded thread pool, or asyncio event loop).  The split is the seam the
-ROADMAP called out on ``FilterService.publish_batch``: matching never
-waits on a sink, and a slow subscriber stalls at most its own delivery
-lane.
+of one publish call's fan-out (which sink receives which notification,
+in what per-subscription order) — and hands it to a
+:class:`~repro.service.delivery.DeliveryDispatcher`, which walks the
+plan's tasks (:class:`DeliveryTask`) in order and hands each run of
+consecutive tasks bound for one :class:`DeliveryExecutor` (the *how*:
+inline, bounded thread pool, asyncio event loop or webhook lanes) to it
+as one list through :meth:`DeliveryExecutor.submit_all`.  The split is
+the seam the ROADMAP called out on ``FilterService.publish_batch``:
+matching never waits on a sink, and a slow subscriber stalls at most
+its own delivery lane.
 
 Executor contract
 -----------------
 
 * **Per-subscription FIFO** — for one subscription id, sinks observe
-  notifications in submission order, whatever the executor.
+  notifications in submission order (list order within one
+  ``submit_all``), whatever the executor.
 * **At-most-once settlement** — a submitted task settles exactly once:
   delivered, failed, dropped, or dead-lettered (counted in
   :class:`~repro.service.delivery.stats.DeliveryStats`), never
@@ -27,7 +30,13 @@ Executor contract
   :data:`OVERFLOW_POLICIES` when a lane is full: ``"block"`` (the
   publisher waits for space — backpressure), ``"drop_oldest"`` (the
   oldest queued task of that lane is discarded) or ``"raise"``
-  (:class:`~repro.core.errors.DeliveryOverflowError`).
+  (:class:`~repro.core.errors.DeliveryOverflowError`).  The policy
+  applies per task, in list order, even when a whole list is submitted
+  (:func:`enqueue_in_order`).
+* **Prefix acceptance** — a submission that fails part-way (closed
+  executor, ``raise`` overflow, an inline sink error) leaves exactly the
+  tasks *before* the failing one accepted, in list order, across every
+  lane — as if the tasks had been submitted one at a time.
 * **Graceful close** — ``close(drain=True)`` delivers everything queued
   before returning; ``drain()`` waits for in-flight work without
   closing.
@@ -39,12 +48,12 @@ import asyncio
 import inspect
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence, TypeVar, runtime_checkable
 
-from repro.core.errors import DeliveryError
+from repro.core.errors import DeliveryError, DeliveryOverflowError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.service.delivery.stats import DeliveryStats
+    from repro.service.delivery.stats import DeliveryCounters, DeliveryStats
     from repro.service.notifications import Notification, NotificationSink
 
 __all__ = [
@@ -53,6 +62,7 @@ __all__ = [
     "DeliveryExecutor",
     "DeliveryPlan",
     "DeliveryTask",
+    "enqueue_in_order",
     "invoke_sink",
     "validate_delivery_mode",
     "validate_overflow_policy",
@@ -64,6 +74,9 @@ DELIVERY_MODES = ("inline", "threadpool", "asyncio", "webhook")
 
 #: Reactions of a full bounded delivery lane.
 OVERFLOW_POLICIES = ("block", "drop_oldest", "raise")
+
+#: Whatever an executor queues a task on (see :func:`enqueue_in_order`).
+Lane = TypeVar("Lane")
 
 
 def validate_delivery_mode(mode: str) -> str:
@@ -103,12 +116,14 @@ class DeliveryTask:
 
 @dataclass(frozen=True)
 class DeliveryPlan:
-    """The complete fan-out of one matched event, in delivery order.
+    """The complete fan-out of one publish call, in delivery order.
 
-    Built by the broker *after* matching and statistics recording;
-    everything concurrency-sensitive starts downstream of this object, so
-    matching results are bit-identical whatever executor consumes it.
-    (The matched event itself lives on each task's notification.)
+    Built by the broker once per ``publish`` / ``publish_batch`` call,
+    *after* matching, statistics recording and the notification log;
+    tasks appear event by event, and within an event in matched-profile
+    order.  Everything concurrency-sensitive starts downstream of this
+    object, so matching results are bit-identical whatever executor
+    consumes it.  (Each matched event lives on its tasks' notifications.)
     """
 
     tasks: tuple[DeliveryTask, ...]
@@ -124,8 +139,20 @@ class DeliveryExecutor(Protocol):
     #: Executor mode name (one of :data:`DELIVERY_MODES`).
     name: str
 
+    def submit_all(self, tasks: Sequence[DeliveryTask]) -> None:
+        """Accept tasks for delivery, in list order (raises once closed).
+
+        The dispatcher's entry point: one call per run of same-mode tasks
+        of a :class:`DeliveryPlan`.  Capacity and the overflow policy
+        apply per task exactly as if each were submitted alone.  An error
+        (closed executor, ``raise`` overflow, an inline sink) propagates:
+        the tasks before the failing one in list order stay accepted,
+        whatever lane they ride, and no task after it is submitted.
+        """
+        ...
+
     def submit(self, task: DeliveryTask) -> None:
-        """Accept one task for delivery (raises once closed)."""
+        """Accept one task for delivery (``submit_all`` of one task)."""
         ...
 
     def drain(self) -> None:
@@ -139,6 +166,90 @@ class DeliveryExecutor(Protocol):
     def stats(self) -> "DeliveryStats":
         """Return a consistent snapshot of the delivery accounting."""
         ...
+
+
+def enqueue_in_order(
+    tasks: Sequence[DeliveryTask],
+    lanes: Sequence[Lane],
+    *,
+    condition_of: Callable[[Lane], threading.Condition],
+    offer: Callable[[Lane, DeliveryTask], bool],
+    drop_oldest: Callable[[Lane, DeliveryTask], None],
+    full_message: Callable[[Lane, DeliveryTask], str],
+    is_closed: Callable[[], bool],
+    overflow: str,
+    counters: "DeliveryCounters",
+    name: str,
+) -> None:
+    """Queue ``tasks[i]`` on ``lanes[i]``, in list order, as one submission.
+
+    The shared publisher side of the queueing executors.  Every lock the
+    list touches (``condition_of`` of each lane, deduplicated) is taken
+    once, in one global order so two publishers cannot deadlock, and held
+    for the whole walk; the accepted tasks are counted with one
+    ``accepted(n)`` and each lock is notified once.  ``offer`` queues a
+    task when its lane has room and answers ``False`` when it is full;
+    the overflow policy then applies to that task: ``drop_oldest`` makes
+    room, ``raise`` raises ``full_message``, ``block`` waits on the
+    lane's condition with every other lock released.  The tasks queued
+    so far are announced before any of these, so the counters never run
+    behind a worker.  A failure leaves exactly the tasks before the
+    failing one queued, whatever their lanes.
+    """
+    if not tasks:
+        return
+    held = sorted({condition_of(lane) for lane in dict.fromkeys(lanes)}, key=id)
+    for condition in held:
+        condition.acquire()
+    added = 0
+    try:
+        if is_closed():
+            raise DeliveryError(f"the {name} delivery executor is closed")
+        for task, lane in zip(tasks, lanes):
+            while not offer(lane, task):
+                if added:
+                    counters.accepted(added)
+                    added = 0
+                    for other in held:
+                        other.notify_all()
+                if overflow == "drop_oldest":
+                    drop_oldest(lane, task)
+                    counters.discarded()
+                elif overflow == "raise":
+                    raise DeliveryOverflowError(full_message(lane, task))
+                else:  # block: wait for the lane's consumer to free a slot
+                    _wait_alone(held, condition_of(lane))
+                    if is_closed():
+                        raise DeliveryError(
+                            f"the {name} delivery executor closed while "
+                            "waiting for queue space"
+                        )
+            added += 1
+    finally:
+        if added:
+            counters.accepted(added)
+            for condition in held:
+                condition.notify_all()
+        for condition in reversed(held):
+            condition.release()
+
+
+def _wait_alone(held: list[threading.Condition], condition: threading.Condition) -> None:
+    """Wait on ``condition`` with every lock in ``held`` released.
+
+    The other lanes' consumers keep running meanwhile; the locks are
+    re-taken in ``held`` order, so the global order is never violated.
+    """
+    others = [other for other in held if other is not condition]
+    for other in others:
+        other.release()
+    try:
+        condition.wait()
+    finally:
+        if others:
+            condition.release()
+            for lock in held:
+                lock.acquire()
 
 
 async def _drive(awaitable) -> None:
@@ -184,7 +295,8 @@ def invoke_sink(sink: "NotificationSink", notification: "Notification") -> None:
     pin such subscriptions to ``delivery="asyncio"``.
     """
     result = sink(notification)
-    if inspect.isawaitable(result):
+    # A plain sink returns None: skip the awaitable probe for it.
+    if result is not None and inspect.isawaitable(result):
         try:
             asyncio.get_running_loop()
         except RuntimeError:

@@ -1,13 +1,17 @@
 """Synchronous in-publisher-thread delivery (the historical default).
 
-``submit`` runs the sink before returning, on the publishing thread, so
-``publish()`` keeps today's semantics exactly: when it returns, every
-sink has observed its notification, and a sink exception propagates to
-the publisher (asynchronous executors instead swallow and count sink
-failures — a subscriber bug must not kill a shared worker).
+``submit_all`` runs the sinks in list order before returning, on the
+publishing thread, so ``publish()`` keeps today's semantics exactly:
+when it returns, every sink has observed its notification, and a sink
+exception propagates to the publisher (asynchronous executors instead
+swallow and count sink failures — a subscriber bug must not kill a
+shared worker).  The sinks after a raising one do not run and are never
+counted as dispatched.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from repro.core.errors import DeliveryError
 from repro.service.delivery.base import DeliveryTask, invoke_sink
@@ -26,18 +30,27 @@ class InlineExecutor:
         self._closed = False
 
     def submit(self, task: DeliveryTask) -> None:
+        self.submit_all((task,))
+
+    def submit_all(self, tasks: Sequence[DeliveryTask]) -> None:
         if self._closed:
             raise DeliveryError("the inline delivery executor is closed")
-        self._counters.accepted()
+        delivered = 0
         ok = False
         try:
-            invoke_sink(task.sink, task.notification)
+            for task in tasks:
+                invoke_sink(task.sink, task.notification)
+                delivered += 1
             ok = True
         finally:
             # try/finally so even a BaseException-raising sink (e.g.
-            # sys.exit) can never leak a pending count and hang drain();
-            # inline semantics: the publisher sees the sink error.
-            self._counters.executed(ok=ok)
+            # sys.exit) is settled as failed; inline semantics: the
+            # publisher sees the sink error.  Nothing stays pending, so
+            # both counts land together.
+            failed = 0 if ok else 1
+            if delivered or failed:
+                self._counters.accepted(delivered + failed)
+                self._counters.executed(delivered, failed)
 
     def drain(self) -> None:
         """Nothing is ever pending: submit already ran the sink."""

@@ -1,6 +1,9 @@
 """Thread-safe delivery accounting.
 
-Executors mutate one :class:`DeliveryCounters` under its lock;
+Executors mutate one :class:`DeliveryCounters` under its lock (the
+publisher side once per submitted list of tasks); a thread-pool worker
+instead counts the tasks it executed on its own :class:`WorkerTally`,
+which the counters read under their lock.
 :meth:`DeliveryCounters.snapshot` freezes the numbers into the
 :class:`DeliveryStats` value object that
 :class:`repro.api.ServiceStats` exposes as its ``delivery`` field.
@@ -20,7 +23,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-__all__ = ["DeliveryCounters", "DeliveryStats"]
+__all__ = ["DeliveryCounters", "DeliveryStats", "WorkerTally"]
 
 
 @dataclass(frozen=True)
@@ -57,43 +60,88 @@ class DeliveryStats:
     executors: tuple[str, ...] = ()
 
 
+class WorkerTally:
+    """The tasks one worker thread has executed, kept without a lock.
+
+    Only its worker writes a tally (one ``+= 1`` per task, the moment the
+    sink returns); :class:`DeliveryCounters` reads it, under its own
+    lock, whenever it computes ``pending`` or a snapshot.  A worker task
+    is therefore settled as soon as it ran, without a lock round trip
+    per task.
+    """
+
+    __slots__ = ("delivered", "failed")
+
+    def __init__(self) -> None:
+        self.delivered = 0
+        self.failed = 0
+
+
 @dataclass
 class DeliveryCounters:
     """Mutable, lock-guarded accumulator behind :class:`DeliveryStats`.
 
-    The lock doubles as the condition executors notify whenever
-    ``pending`` drops, which is what ``drain()`` waits on.
+    ``pending`` is derived — dispatched minus every settled task,
+    including those on the workers' :class:`WorkerTally` objects — so the
+    conservation law holds by construction in every snapshot.  The lock
+    doubles as the condition notified whenever ``pending`` drops to zero,
+    which is what ``drain()`` waits for.
     """
 
     dispatched: int = 0
     delivered: int = 0
     failed: int = 0
     dropped: int = 0
-    pending: int = 0
     max_pending: int = 0
     retried: int = 0
     dead_lettered: int = 0
+    _tallies: list[WorkerTally] = field(default_factory=list, repr=False)
     _condition: threading.Condition = field(
         default_factory=threading.Condition, repr=False
     )
+
+    def tally(self) -> WorkerTally:
+        """Register and return a worker thread's own :class:`WorkerTally`."""
+        with self._condition:
+            tally = WorkerTally()
+            self._tallies.append(tally)
+            return tally
+
+    def _executed(self) -> tuple[int, int]:
+        """Return ``(delivered, failed)`` including every tally (lock held)."""
+        delivered, failed = self.delivered, self.failed
+        for tally in self._tallies:
+            delivered += tally.delivered
+            failed += tally.failed
+        return delivered, failed
+
+    def _pending(self, delivered: int, failed: int) -> int:
+        return self.dispatched - delivered - failed - self.dropped - self.dead_lettered
+
+    def _wake_if_idle(self) -> None:
+        """Notify ``wait_idle`` once nothing is pending (lock held)."""
+        if self._pending(*self._executed()) <= 0:
+            self._condition.notify_all()
 
     def accepted(self, count: int = 1) -> None:
         """Record tasks entering an executor's queue."""
         with self._condition:
             self.dispatched += count
-            self.pending += count
-            if self.pending > self.max_pending:
-                self.max_pending = self.pending
+            pending = self._pending(*self._executed())
+            if pending > self.max_pending:
+                self.max_pending = pending
 
-    def executed(self, *, ok: bool) -> None:
-        """Record one task leaving the queue through its sink."""
+    def executed(self, delivered: int = 0, failed: int = 0) -> None:
+        """Record tasks that left the queue through their sinks."""
         with self._condition:
-            if ok:
-                self.delivered += 1
-            else:
-                self.failed += 1
-            self.pending -= 1
-            self._condition.notify_all()
+            self.delivered += delivered
+            self.failed += failed
+            self._wake_if_idle()
+
+    def worker_idle(self) -> None:
+        """Called by a tally's worker when it runs out of work."""
+        with self._condition:
+            self._wake_if_idle()
 
     def retrying(self, count: int = 1) -> None:
         """Record extra attempts on a task that has not yet settled."""
@@ -104,8 +152,7 @@ class DeliveryCounters:
         """Record one task settling on the dead-letter queue."""
         with self._condition:
             self.dead_lettered += 1
-            self.pending -= 1
-            self._condition.notify_all()
+            self._wake_if_idle()
 
     def discarded(self, count: int = 1) -> None:
         """Record queued tasks dropped before execution."""
@@ -113,25 +160,25 @@ class DeliveryCounters:
             return
         with self._condition:
             self.dropped += count
-            self.pending -= count
-            self._condition.notify_all()
+            self._wake_if_idle()
 
     def wait_idle(self) -> None:
         """Block until no task is queued or in flight."""
         with self._condition:
-            while self.pending > 0:
+            while self._pending(*self._executed()) > 0:
                 self._condition.wait()
 
     def snapshot(self, *, mode: str, executors: tuple[str, ...] = ()) -> DeliveryStats:
         """Freeze the counters into a :class:`DeliveryStats`."""
         with self._condition:
+            delivered, failed = self._executed()
             return DeliveryStats(
                 mode=mode,
                 dispatched=self.dispatched,
-                delivered=self.delivered,
-                failed=self.failed,
+                delivered=delivered,
+                failed=failed,
                 dropped=self.dropped,
-                pending=self.pending,
+                pending=self._pending(delivered, failed),
                 max_pending=self.max_pending,
                 retried=self.retried,
                 dead_lettered=self.dead_lettered,

@@ -8,16 +8,26 @@ with no cross-lane synchronisation on the delivery path.  A worker
 executes its subscriptions' tasks in arrival order (one shared run
 queue per worker).
 
+``submit_all`` queues a whole list with one acquisition of each lane
+lock it touches, one ``accepted(n)`` and one wake-up per lane
+(:func:`~repro.service.delivery.base.enqueue_in_order`).  A worker pops
+one task at a time — a task it has not started stays on the queue,
+where a non-draining ``close`` can discard it — and counts it on its
+own lock-free :class:`~repro.service.delivery.stats.WorkerTally` the
+moment the sink returns, so ``pending`` counts exactly the tasks queued
+or in flight without a counters round trip per task.
+
 Capacity is **per subscription**, exactly as on the asyncio executor:
-each subscription may have at most ``queue_capacity`` tasks queued, and
-a full subscription lane applies the executor's overflow policy at
-``submit`` time — to that subscription alone, never to others sharing
-the worker.  ``"block"`` parks the publisher until the worker frees a
-slot (backpressure — the matcher is throttled by delivery, never
-blocked *inside* a sink), ``"drop_oldest"`` discards the subscription's
-oldest queued task (at-most-once: the dropped task is gone for good,
-counted in the stats), ``"raise"`` surfaces
-:class:`~repro.core.errors.DeliveryOverflowError` to the publisher.
+each subscription may have at most ``queue_capacity`` tasks queued (not
+yet started), and a full subscription lane applies the executor's
+overflow policy at submit time, task by task — to that subscription
+alone, never to others sharing the worker.  ``"block"`` parks the
+publisher until the worker frees a slot (backpressure — the matcher is
+throttled by delivery, never blocked *inside* a sink), ``"drop_oldest"``
+discards the subscription's oldest queued task (at-most-once: the
+dropped task is gone for good, counted in the stats), ``"raise"``
+surfaces :class:`~repro.core.errors.DeliveryOverflowError` to the
+publisher.
 
 Sink exceptions are swallowed and counted (``failed``): a broken
 subscriber must not take down a worker shared with other subscriptions.
@@ -32,11 +42,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter, deque
+from typing import Sequence
 
-from repro.core.errors import DeliveryError, DeliveryOverflowError
+from repro.core.errors import DeliveryError
 from repro.service.delivery.base import (
     DeliveryTask,
     close_bridge_loop,
+    enqueue_in_order,
     invoke_sink,
     validate_overflow_policy,
 )
@@ -66,6 +78,16 @@ class _Lane:
         raise AssertionError(  # pragma: no cover - guarded by the counter
             f"no queued task for subscription {subscription_id!r}"
         )
+
+
+def _condition_of(lane: _Lane) -> threading.Condition:
+    return lane.condition
+
+
+def _drop_oldest(lane: _Lane, task: DeliveryTask) -> None:
+    """Discard the oldest queued task of ``task``'s subscription."""
+    lane.pop_oldest_of(task.subscription_id)
+    lane.queued_per_subscription[task.subscription_id] -= 1
 
 
 class ThreadPoolDeliveryExecutor:
@@ -111,38 +133,44 @@ class ThreadPoolDeliveryExecutor:
             worker.start()
 
     # -- publisher side ---------------------------------------------------------
-    def _lane_for(self, subscription_id: str) -> _Lane:
+    def submit(self, task: DeliveryTask) -> None:
+        self.submit_all((task,))
+
+    def submit_all(self, tasks: Sequence[DeliveryTask]) -> None:
+        lanes = self._lanes
         # Stable within the process is all FIFO needs; hash() is stable
         # per run (per-subscription ordering never crosses processes).
-        return self._lanes[hash(subscription_id) % len(self._lanes)]
+        enqueue_in_order(
+            tasks,
+            [lanes[hash(task.subscription_id) % len(lanes)] for task in tasks],
+            condition_of=_condition_of,
+            offer=self._offer,
+            drop_oldest=_drop_oldest,
+            full_message=self._full_message,
+            is_closed=self._is_closed,
+            overflow=self._overflow,
+            counters=self._counters,
+            name=self.name,
+        )
 
-    def submit(self, task: DeliveryTask) -> None:
-        subscription_id = task.subscription_id
-        lane = self._lane_for(subscription_id)
-        with lane.condition:
-            if self._closed:
-                raise DeliveryError("the threadpool delivery executor is closed")
-            while lane.queued_per_subscription[subscription_id] >= self._capacity:
-                if self._overflow == "drop_oldest":
-                    lane.pop_oldest_of(subscription_id)
-                    lane.queued_per_subscription[subscription_id] -= 1
-                    self._counters.discarded()
-                elif self._overflow == "raise":
-                    raise DeliveryOverflowError(
-                        f"delivery lane full ({self._capacity} tasks) for "
-                        f"subscription {subscription_id!r}"
-                    )
-                else:  # block: wait for the worker to free a slot
-                    lane.condition.wait()
-                    if self._closed:
-                        raise DeliveryError(
-                            "the threadpool delivery executor closed while "
-                            "waiting for queue space"
-                        )
-            lane.queue.append(task)
-            lane.queued_per_subscription[subscription_id] += 1
-            self._counters.accepted()
-            lane.condition.notify_all()
+    def _is_closed(self) -> bool:
+        return self._closed
+
+    def _offer(self, lane: _Lane, task: DeliveryTask) -> bool:
+        """Queue ``task`` unless its subscription is full (lock held)."""
+        queued = lane.queued_per_subscription
+        count = queued.get(task.subscription_id, 0)
+        if count >= self._capacity:
+            return False
+        lane.queue.append(task)
+        queued[task.subscription_id] = count + 1
+        return True
+
+    def _full_message(self, lane: _Lane, task: DeliveryTask) -> str:
+        return (
+            f"delivery lane full ({self._capacity} tasks) for "
+            f"subscription {task.subscription_id!r}"
+        )
 
     # -- worker side ------------------------------------------------------------
     def _work(self, lane: _Lane) -> None:
@@ -152,19 +180,27 @@ class ThreadPoolDeliveryExecutor:
             close_bridge_loop()  # async-sink bridge loop dies with the thread
 
     def _serve(self, lane: _Lane) -> None:
+        queued = lane.queued_per_subscription
+        capacity = self._capacity
+        tally = self._counters.tally()
         while True:
             with lane.condition:
+                if not lane.queue:
+                    self._counters.worker_idle()  # drain() may be waiting
                 while not lane.queue and not self._closed:
                     lane.condition.wait()
                 if not lane.queue:
                     return  # closed and fully drained
                 task = lane.queue.popleft()
-                remaining = lane.queued_per_subscription[task.subscription_id] - 1
+                remaining = queued[task.subscription_id] - 1
                 if remaining > 0:
-                    lane.queued_per_subscription[task.subscription_id] = remaining
+                    queued[task.subscription_id] = remaining
                 else:
-                    del lane.queued_per_subscription[task.subscription_id]
-                lane.condition.notify_all()
+                    del queued[task.subscription_id]
+                if remaining == capacity - 1:
+                    # The subscription was full: a publisher may be
+                    # blocked on it (no one waits on any other).
+                    lane.condition.notify_all()
             ok = True
             attempt = 0
             while True:
@@ -188,7 +224,10 @@ class ThreadPoolDeliveryExecutor:
                     # Never retried: such escapes are not transient.
                     ok = False
                     break
-            self._counters.executed(ok=ok)
+            if ok:
+                tally.delivered += 1
+            else:
+                tally.failed += 1
 
     # -- life-cycle -------------------------------------------------------------
     def drain(self) -> None:

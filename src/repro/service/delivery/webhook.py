@@ -41,10 +41,14 @@ import threading
 import urllib.request
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.core.errors import DeliveryError, DeliveryOverflowError
-from repro.service.delivery.base import DeliveryTask, validate_overflow_policy
+from repro.core.errors import DeliveryError
+from repro.service.delivery.base import (
+    DeliveryTask,
+    enqueue_in_order,
+    validate_overflow_policy,
+)
 from repro.service.delivery.stats import DeliveryCounters, DeliveryStats
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -217,6 +221,14 @@ class _EndpointLane:
         self.worker: threading.Thread | None = None
 
 
+def _condition_of(lane: _EndpointLane) -> threading.Condition:
+    return lane.condition
+
+
+def _drop_oldest(lane: _EndpointLane, task: DeliveryTask) -> None:
+    lane.queue.popleft()
+
+
 class WebhookDeliveryExecutor:
     """Deliver notifications to HTTP endpoints, one FIFO lane each."""
 
@@ -274,36 +286,55 @@ class WebhookDeliveryExecutor:
             return lane
 
     def submit(self, task: DeliveryTask) -> None:
-        sink = task.sink
-        if not isinstance(sink, WebhookSink):
+        self.submit_all((task,))
+
+    def submit_all(self, tasks: Sequence[DeliveryTask]) -> None:
+        """Queue ``tasks`` on their endpoints' lanes, in list order.
+
+        Tasks before a non-webhook sink are queued; that task raises and
+        the rest are not submitted, exactly as one ``submit`` at a time.
+        """
+        lanes: list[_EndpointLane] = []
+        rejected = None
+        for task in tasks:
+            if not isinstance(task.sink, WebhookSink):
+                rejected = task
+                break
+            lanes.append(self._lane_for(task.sink.endpoint))
+        enqueue_in_order(
+            tasks[: len(lanes)],
+            lanes,
+            condition_of=_condition_of,
+            offer=self._offer,
+            drop_oldest=_drop_oldest,
+            full_message=self._full_message,
+            is_closed=self._is_closed,
+            overflow=self._overflow,
+            counters=self._counters,
+            name=self.name,
+        )
+        if rejected is not None:
             raise DeliveryError(
                 "the webhook executor delivers WebhookSink subscriptions only; "
-                f"got {type(sink).__name__} for subscription "
-                f"{task.subscription_id!r}"
+                f"got {type(rejected.sink).__name__} for subscription "
+                f"{rejected.subscription_id!r}"
             )
-        lane = self._lane_for(sink.endpoint)
-        with lane.condition:
-            if self._closed:
-                raise DeliveryError("the webhook delivery executor is closed")
-            while len(lane.queue) >= self._capacity:
-                if self._overflow == "drop_oldest":
-                    lane.queue.popleft()
-                    self._counters.discarded()
-                elif self._overflow == "raise":
-                    raise DeliveryOverflowError(
-                        f"webhook lane full ({self._capacity} tasks) for "
-                        f"endpoint {sink.endpoint!r}"
-                    )
-                else:  # block: wait for the endpoint worker to free a slot
-                    lane.condition.wait()
-                    if self._closed:
-                        raise DeliveryError(
-                            "the webhook delivery executor closed while "
-                            "waiting for queue space"
-                        )
-            lane.queue.append(task)
-            self._counters.accepted()
-            lane.condition.notify_all()
+
+    def _is_closed(self) -> bool:
+        return self._closed
+
+    def _offer(self, lane: _EndpointLane, task: DeliveryTask) -> bool:
+        """Queue ``task`` unless its endpoint's lane is full (lock held)."""
+        if len(lane.queue) >= self._capacity:
+            return False
+        lane.queue.append(task)
+        return True
+
+    def _full_message(self, lane: _EndpointLane, task: DeliveryTask) -> str:
+        return (
+            f"webhook lane full ({self._capacity} tasks) for endpoint "
+            f"{task.sink.endpoint!r}"
+        )
 
     # -- worker side ------------------------------------------------------------
     def _work(self, endpoint: str, lane: _EndpointLane) -> None:
@@ -340,7 +371,7 @@ class WebhookDeliveryExecutor:
                 self._sleep(self._backoff(attempt))
             else:
                 lane.breaker.on_success()
-                self._counters.executed(ok=True)
+                self._counters.executed(delivered=1)
                 return
 
     def _backoff(self, attempt: int) -> float:

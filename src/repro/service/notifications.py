@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Iterator, Mapping
+from typing import Awaitable, Callable, Iterator, Mapping, Sequence
 
 from repro.core.events import Event
 
@@ -49,13 +49,17 @@ class NotificationLog:
 
     Thread-safe: a log may serve as the sink of subscriptions delivered
     through the threadpool or asyncio executors, whose sinks run off the
-    publishing thread.
+    publishing thread.  Recording only appends; the per-profile and
+    per-subscriber counts are brought up to date when they are read, so
+    the publish path never pays for them.
     """
 
     def __init__(self) -> None:
         self._notifications: list[Notification] = []
         self._per_profile: Counter = Counter()
         self._per_subscriber: Counter = Counter()
+        #: Notifications already folded into the two counters.
+        self._counted = 0
         self._lock = threading.Lock()
 
     def __call__(self, notification: Notification) -> None:
@@ -63,11 +67,19 @@ class NotificationLog:
 
     def deliver(self, notification: Notification) -> None:
         """Record one notification."""
+        self.deliver_all((notification,))
+
+    def deliver_all(self, notifications: Sequence[Notification]) -> None:
+        """Record notifications in order, under one lock acquisition."""
         with self._lock:
-            self._notifications.append(notification)
-            self._per_profile[notification.profile_id] += 1
-            if notification.subscriber is not None:
-                self._per_subscriber[notification.subscriber] += 1
+            self._notifications.extend(notifications)
+
+    def _count(self) -> None:
+        """Fold the notifications recorded since the last read (lock held)."""
+        fresh = self._notifications[self._counted :]
+        self._counted = len(self._notifications)
+        self._per_profile.update(n.profile_id for n in fresh)
+        self._per_subscriber.update(n.subscriber for n in fresh if n.subscriber is not None)
 
     # -- access ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -93,11 +105,13 @@ class NotificationLog:
     def count_per_profile(self) -> Mapping[str, int]:
         """Return the notification counts keyed by profile id."""
         with self._lock:
+            self._count()
             return dict(self._per_profile)
 
     def count_per_subscriber(self) -> Mapping[str, int]:
         """Return the notification counts keyed by subscriber."""
         with self._lock:
+            self._count()
             return dict(self._per_subscriber)
 
     def clear(self) -> None:
@@ -106,3 +120,4 @@ class NotificationLog:
             self._notifications.clear()
             self._per_profile.clear()
             self._per_subscriber.clear()
+            self._counted = 0

@@ -70,6 +70,21 @@ class TestNotificationLog:
         log.clear()
         assert len(log) == 0
 
+    def test_counts_stay_exact_across_bulk_records_reads_and_clear(self):
+        """The counts are folded in when read; interleaving must not skew them."""
+        log = NotificationLog()
+        event = Event({"price": 10})
+        log.deliver_all([Notification(event, "P1", subscriber="alice")] * 2)
+        assert log.count_per_profile() == {"P1": 2}
+        log.deliver_all([Notification(event, "P2"), Notification(event, "P1", subscriber="bob")])
+        log.deliver(Notification(event, "P2", subscriber="bob"))
+        assert log.count_per_subscriber() == {"alice": 2, "bob": 2}  # anonymous not counted
+        assert log.count_per_profile() == {"P1": 3, "P2": 2}
+        log.clear()
+        log.deliver(Notification(event, "P3", subscriber="carol"))
+        assert log.count_per_profile() == {"P3": 1}
+        assert log.count_per_subscriber() == {"carol": 1}
+
 
 class TestBroker:
     def toy_broker(self, **kwargs) -> Broker:
