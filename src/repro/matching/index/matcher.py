@@ -734,7 +734,3 @@ class PredicateIndexMatcher:
         if self._min_columnar_batch is not None:
             return self._min_columnar_batch
         return kernel.MIN_COLUMNAR_BATCH
-
-    def match_all(self, events: Iterable[Event]) -> list[MatchResult]:
-        """Alias of :meth:`match_batch` (tree-matcher compatible)."""
-        return self.match_batch(events)

@@ -23,10 +23,9 @@ matcher family registers one :class:`EngineSpec` bundling
 pits every ranked family's candidate against the current matcher.
 :func:`default_registry` returns the process-wide registry, pre-populated
 with the built-in ``tree``, ``index`` and ``hybrid`` families, the
-partition-parallel ``sharded`` family, and the ``counting`` and ``naive``
-baselines
+partition-parallel ``sharded`` family, and the ``naive`` baseline
 (selectable by name, but never part of the ``auto`` arbitration: the
-baselines carry no cost estimator, and ``sharded`` opts out with
+baseline carries no cost estimator, and ``sharded`` opts out with
 ``auto_rank=None``); third-party engines
 become selectable by registering a spec — no change to ``repro.service``
 required::
@@ -481,21 +480,6 @@ def _sharded_candidate(
     )
 
 
-def _counting_factory(ctx: EngineContext) -> "Matcher":
-    from repro.matching.counting import CountingMatcher
-
-    return CountingMatcher(ctx.profiles)
-
-
-def _counting_owns(matcher: "Matcher") -> bool:
-    from repro.matching.counting import CountingMatcher
-
-    # Exact type, not isinstance: a subclass registered as its own
-    # family (a common third-party pattern in the tests) must not be
-    # claimed by the baseline it derives from.
-    return type(matcher) is CountingMatcher
-
-
 def _naive_factory(ctx: EngineContext) -> "Matcher":
     from repro.matching.naive import NaiveMatcher
 
@@ -563,19 +547,10 @@ def _builtin_specs() -> tuple[EngineSpec, ...]:
         auto_rank=None,
         description="partition-parallel predicate-index shards merged bit-identically",
     )
-    # The two baseline families of the paper's related work, registered
-    # so the experiment harness and the benchmarks drive *every* matcher
-    # through one ``AdaptationPolicy(engine=...)`` switch.  Neither
-    # carries a cost estimator: they never arbitrate and never
-    # restructure periodically.
-    counting = EngineSpec(
-        name="counting",
-        factory=_counting_factory,
-        capabilities=EngineCapabilities(incremental_maintenance=False, batch_kernel=False),
-        owns=_counting_owns,
-        auto_rank=50,
-        description="predicate-counting baseline (shared predicates, rebuilt per change)",
-    )
+    # The sequential-scan baseline, registered so the end-to-end
+    # benchmark's verifier replays every workload through the same
+    # ``AdaptationPolicy(engine=...)`` switch.  It carries no cost
+    # estimator: it never arbitrates and never restructures periodically.
     naive = EngineSpec(
         name="naive",
         factory=_naive_factory,
@@ -585,7 +560,7 @@ def _builtin_specs() -> tuple[EngineSpec, ...]:
         auto_rank=60,
         description="sequential per-profile scan baseline",
     )
-    return (tree, index, hybrid, sharded, counting, naive)
+    return (tree, index, hybrid, sharded, naive)
 
 
 _DEFAULT: EngineRegistry | None = None

@@ -293,10 +293,6 @@ class ShardedMatcher:
         merge = self._merge_one
         return [merge(row) for row in zip(*per_shard)]
 
-    def match_all(self, events: Iterable[Event]) -> list[MatchResult]:
-        """Alias of :meth:`match_batch` (tree-matcher compatible)."""
-        return self.match_batch(events)
-
     # -- life-cycle ---------------------------------------------------------------
     def close(self) -> None:
         """Shut the shard executor down (idempotent).

@@ -170,10 +170,6 @@ class TreeMatcher:
         assert isinstance(element, TreeLeaf)
         return MatchResult(element.profile_ids, operations, levels)
 
-    def match_all(self, events: Iterable[Event]) -> list[MatchResult]:
-        """Filter a sequence of events (alias of :meth:`match_batch`)."""
-        return self.match_batch(events)
-
     def match_batch(self, events: Iterable[Event]) -> list[MatchResult]:
         """Filter a sequence of events (amortised dispatch)."""
         match = self.match

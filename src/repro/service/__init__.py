@@ -11,16 +11,13 @@ from repro.service.broker import Broker, PublishOutcome
 from repro.service.notifications import Notification, NotificationLog
 from repro.service.quenching import QuenchDecision, Quencher
 from repro.service.routing import (
-    BrokerNetwork,
     CoveringTable,
-    DeliveryReport,
     NetworkDeliveryReport,
     NetworkService,
     NetworkStats,
     NetworkSubscriptionHandle,
     OverlayBroker,
     OverlayNetwork,
-    RoutingBroker,
     minimal_cover,
     predicate_covers,
     profile_covers,
@@ -32,9 +29,7 @@ __all__ = [
     "AdaptationRecord",
     "AdaptiveFilterEngine",
     "Broker",
-    "BrokerNetwork",
     "CoveringTable",
-    "DeliveryReport",
     "NetworkDeliveryReport",
     "NetworkService",
     "NetworkStats",
@@ -46,7 +41,6 @@ __all__ = [
     "PublishOutcome",
     "QuenchDecision",
     "Quencher",
-    "RoutingBroker",
     "Subscription",
     "SubscriptionRegistry",
     "minimal_cover",

@@ -8,8 +8,8 @@ tree for certain applications based on the data distributions".
 
 :class:`AdaptiveFilterEngine` drives one matcher from the **engine
 registry** (:mod:`repro.matching.registry`; the built-in families are
-``tree``, ``index``, ``hybrid``, ``sharded`` and the ``counting`` /
-``naive`` baselines, ``"auto"`` arbitrates between every ranked family)
+``tree``, ``index``, ``hybrid``, ``sharded`` and the ``naive`` baseline,
+``"auto"`` arbitrates between every ranked family)
 and
 
 * records every filtered event in a bounded
@@ -95,8 +95,8 @@ class AdaptationPolicy:
     #: with the engine registry — the built-ins are ``"tree"`` (the
     #: paper's profile tree, restructured via the TreeOptimizer),
     #: ``"index"`` (the predicate-index matcher, replanned via the
-    #: IndexPlanner), ``"hybrid"``, ``"sharded"`` and the ``"counting"`` /
-    #: ``"naive"`` baselines — or ``"auto"`` (starts on the registry's
+    #: IndexPlanner), ``"hybrid"``, ``"sharded"`` and the ``"naive"``
+    #: baseline — or ``"auto"`` (starts on the registry's
     #: preferred family and, at every re-optimisation, switches to
     #: whichever ranked family the cost models predict to be cheapest
     #: under the current history distributions).
@@ -631,8 +631,9 @@ def resolve_policy_engine(
     """Resolve an ``engine=`` name against an optional policy.
 
     The single site reconciling the two ways of choosing an engine
-    (used by :class:`~repro.service.broker.Broker` and
-    :class:`repro.api.FilterService`): raises on a conflict, otherwise
+    (used by :class:`repro.api.FilterService` and
+    :class:`~repro.service.routing.overlay.OverlayBroker`): raises on a
+    conflict, otherwise
     returns a policy whose ``engine`` is the requested one — validation
     happens in the policy's ``__post_init__`` (the single registry
     lookup).

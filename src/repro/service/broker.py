@@ -19,8 +19,8 @@ path backs the pause/resume/modify life-cycle
 
 Engine selection goes through the engine registry
 (:mod:`repro.matching.registry`) via the
-:class:`~repro.service.adaptive.AdaptationPolicy`; the legacy
-``Broker(engine="...")`` keyword keeps working behind a deprecation shim.
+:class:`~repro.service.adaptive.AdaptationPolicy`
+(``Broker(adaptation_policy=AdaptationPolicy(engine="index"))``).
 
 Notification delivery is decoupled from matching through
 :mod:`repro.service.delivery`.  A publish call is the unit of
@@ -52,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from repro.core.deprecation import warn_once
 from repro.core.errors import ServiceError, SubscriptionError
 from repro.core.events import Event, column_counts
 from repro.core.profiles import Profile, ProfileSet
@@ -63,7 +62,6 @@ from repro.matching.tree.config import TreeConfiguration
 from repro.service.adaptive import (
     AdaptationPolicy,
     AdaptiveFilterEngine,
-    resolve_policy_engine,
 )
 from repro.service.delivery import (
     DeliveryDispatcher,
@@ -117,7 +115,6 @@ class Broker:
         adaptation_policy: AdaptationPolicy | None = None,
         configuration: TreeConfiguration | None = None,
         enable_quenching: bool = False,
-        engine: str | None = None,
         delivery: str = "inline",
         max_workers: int | None = None,
         queue_capacity: int | None = None,
@@ -128,17 +125,9 @@ class Broker:
         store: SubscriptionStore | None = None,
     ) -> None:
         self.broker_id = broker_id
-        if engine is not None:
-            warn_once(
-                "repro.service.broker.Broker.engine",
-                "Broker(engine=...) is deprecated; pass "
-                "adaptation_policy=AdaptationPolicy(engine=...) or use "
-                "repro.api.FilterService(engine=...)",
-            )
-        # One registry lookup validates the engine choice (inside the
-        # policy's __post_init__); the broker no longer double-checks a
-        # hard-coded roster tuple.
-        self._adaptation_policy = resolve_policy_engine(adaptation_policy, engine)
+        self._adaptation_policy = (
+            AdaptationPolicy() if adaptation_policy is None else adaptation_policy
+        )
         self._schema = schema
         self._registry = SubscriptionRegistry(schema)
         self._profiles = ProfileSet(schema)

@@ -1,19 +1,13 @@
 """Distributed broker-overlay routing (Siena-style, with covering).
 
-Two generations live here:
-
-* :class:`OverlayNetwork` / :class:`NetworkService` — the modern
-  subsystem: every broker hosts a full engine from the registry,
-  covering relations are maintained **incrementally** under churn
-  (with correct uncovering on removal), per-link interest is an indexed
-  matcher, and events are forwarded in batches through the columnar
-  kernel.  See ``docs/routing.md``.
-* :class:`BrokerNetwork` — the original single-event overlay, kept for
-  the simple synchronous examples and the covering-helper tests.
+:class:`OverlayNetwork` / :class:`NetworkService`: every broker hosts a
+full engine from the registry, covering relations are maintained
+**incrementally** under churn (with correct uncovering on removal),
+per-link interest is an indexed matcher, and events are forwarded in
+batches through the columnar kernel.  See ``docs/routing.md``.
 """
 
 from repro.service.routing.covering import minimal_cover, predicate_covers, profile_covers
-from repro.service.routing.network import BrokerNetwork, DeliveryReport, RoutingBroker
 from repro.service.routing.overlay import (
     LinkState,
     NetworkDeliveryReport,
@@ -35,10 +29,8 @@ from repro.service.routing.table import (
 
 __all__ = [
     "AddOutcome",
-    "BrokerNetwork",
     "BrokerStats",
     "CoveringTable",
-    "DeliveryReport",
     "LinkState",
     "NetworkDeliveryReport",
     "NetworkService",
@@ -47,7 +39,6 @@ __all__ = [
     "OverlayBroker",
     "OverlayNetwork",
     "RemoveOutcome",
-    "RoutingBroker",
     "TableEntry",
     "minimal_cover",
     "predicate_covers",

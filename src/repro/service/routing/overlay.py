@@ -1,7 +1,6 @@
-"""The distributed broker overlay: incremental routing on the modern stack.
+"""The distributed broker overlay: incremental, covering-based routing.
 
-This is the successor of the seed-era :mod:`~repro.service.routing.network`
-module.  Every :class:`OverlayBroker` hosts a full
+Every :class:`OverlayBroker` hosts a full
 :class:`~repro.service.broker.Broker` for its local subscribers — any
 engine family of the :class:`~repro.matching.registry.EngineRegistry`
 (``tree`` / ``index`` / ``hybrid`` / ``sharded`` / ``auto``…), per-broker
@@ -154,11 +153,9 @@ class NetworkDeliveryReport:
 class OverlayNetwork:
     """An acyclic overlay of :class:`OverlayBroker` nodes.
 
-    Topology management mirrors the legacy
-    :class:`~repro.service.routing.network.BrokerNetwork` (acyclicity is
-    enforced, links are bidirectional); subscription state is maintained
-    incrementally and events are routed in batches — see the module
-    docstring for the protocol.
+    Acyclicity is enforced and links are bidirectional; subscription
+    state is maintained incrementally and events are routed in batches
+    — see the module docstring for the protocol.
     """
 
     def __init__(

@@ -1,7 +1,6 @@
 """Multi-broker fan-out scenarios on simulated time.
 
-The seed-era simulator only modelled single-event hop latency; this
-module drives the modern :class:`~repro.service.routing.NetworkService`
+This module drives the :class:`~repro.service.routing.NetworkService`
 overlay at scale: N brokers in a chain / star / balanced-tree topology,
 a workload-generated subscription population spread over the brokers,
 high subscription churn (pause/resume/modify/cancel against live
@@ -24,14 +23,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.errors import SimulationError
-from repro.service.routing.service import NetworkService, NetworkStats
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.latency import LatencyModel
 from repro.workloads.generators import build_workload
 from repro.workloads.profiles import get_profile
 from repro.workloads.spec import WorkloadSpec
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.service.routing.service import NetworkService, NetworkStats
 
 __all__ = ["FanOutReport", "build_topology", "run_fanout_scenario"]
 
@@ -111,6 +113,10 @@ def run_fanout_scenario(
     cancel operations against live handles, exercising the covering
     tables' incremental maintenance while traffic flows.
     """
+    # Imported here: the overlay schedules on this package's engine and
+    # latency modules, so a module-level import would be circular.
+    from repro.service.routing.service import NetworkService
+
     rng = random.Random(seed)
     spec = spec or (
         get_profile("stock-ticker")

@@ -1,10 +1,10 @@
 """Workload specifications, generators and the declarative scenario corpus.
 
 Scenarios are *data*: the committed corpus of TOML profiles under
-:mod:`repro.workloads.profiles` replaces the hand-written ``*_spec()``
-callables (kept as one-time-warning shims).  ``list_profiles()`` /
+:mod:`repro.workloads.profiles`.  ``list_profiles()`` /
 ``get_profile(name)`` / ``load_profile(path)`` are the discovery and
-loading API; see ``docs/workloads.md``.
+loading API, and a profile's ``spec`` is varied through the
+``WorkloadSpec.with_*`` copies; see ``docs/workloads.md``.
 """
 
 from repro.core.errors import WorkloadSpecError
@@ -22,14 +22,6 @@ from repro.workloads.profiles import (
     get_profile,
     list_profiles,
     load_profile,
-)
-from repro.workloads.scenarios import (
-    environmental_monitoring_spec,
-    facility_management_spec,
-    mixed_workload_spec,
-    single_attribute_spec,
-    stock_ticker_spec,
-    wide_range_spec,
 )
 from repro.workloads.spec import AttributeSpec, MixGroup, WorkloadSpec
 from repro.workloads.toy import (
@@ -51,20 +43,14 @@ __all__ = [
     "WorkloadSpecError",
     "build_workload",
     "dump_profile",
-    "environmental_monitoring_spec",
     "environmental_profiles",
     "environmental_schema",
     "example2_temperature_distribution",
     "example3_event_distributions",
     "example_event",
-    "facility_management_spec",
     "generate_events",
     "generate_profiles",
     "get_profile",
     "list_profiles",
     "load_profile",
-    "mixed_workload_spec",
-    "single_attribute_spec",
-    "stock_ticker_spec",
-    "wide_range_spec",
 ]

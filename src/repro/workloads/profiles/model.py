@@ -25,8 +25,8 @@ from repro.workloads.spec import WorkloadSpec
 __all__ = ["EngineHints", "RunShape", "ScenarioProfile"]
 
 #: Engine families a corpus profile runs through unless it names its own
-#: roster.  ``counting``/``naive`` stay out: their op metrics are
-#: documented lower bounds, not comparable production costs.  ``sharded``
+#: roster.  The ``naive`` baseline stays out: its op metrics are a
+#: documented lower bound, not a comparable production cost.  ``sharded``
 #: is opt-in because it requires a pinned ``shard_count`` (the cores-based
 #: default would make corpus numbers machine-dependent).
 DEFAULT_FAMILIES = ("tree", "index", "hybrid")

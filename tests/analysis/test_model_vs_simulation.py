@@ -24,7 +24,7 @@ from repro.matching.tree.builder import build_tree
 from repro.matching.tree.matcher import TreeMatcher
 from repro.selectivity.optimizer import TreeOptimizer
 from repro.workloads.generators import build_workload
-from repro.workloads.scenarios import single_attribute_spec
+from repro.workloads.profiles import get_profile
 from repro.workloads.toy import environmental_profiles, example3_event_distributions
 
 STRATEGIES = [STRATEGY_NATURAL, STRATEGY_EVENT, STRATEGY_PROFILE, STRATEGY_BINARY]
@@ -34,9 +34,10 @@ STRATEGIES = [STRATEGY_NATURAL, STRATEGY_EVENT, STRATEGY_PROFILE, STRATEGY_BINAR
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.name)
 def test_simulation_converges_to_analytic_single_attribute(events, profiles, strategy):
     workload = build_workload(
-        single_attribute_spec(
-            events=events, profiles=profiles, profile_count=40, event_count=1, seed=3
-        )
+        get_profile("single-attribute")
+        .spec.with_counts(profile_count=40, event_count=1)
+        .with_seed(3)
+        .with_distributions(events=events, profiles=profiles)
     )
     optimizer = TreeOptimizer(workload.profiles, dict(workload.event_distributions))
     configuration = configuration_for_strategy(strategy, optimizer)
@@ -77,9 +78,10 @@ def test_simulation_converges_to_analytic_on_toy_tree():
 
 def test_per_profile_metric_agrees_between_model_and_simulation():
     workload = build_workload(
-        single_attribute_spec(
-            events="equal", profiles="95% high", profile_count=30, event_count=1, seed=9
-        )
+        get_profile("single-attribute")
+        .spec.with_counts(profile_count=30, event_count=1)
+        .with_seed(9)
+        .with_distributions(events="equal", profiles="95% high")
     )
     tree = build_tree(workload.profiles)
     analytic = expected_tree_cost(tree, dict(workload.event_distributions))

@@ -16,7 +16,7 @@ from repro.workloads import (
     environmental_profiles,
     environmental_schema,
     example_event,
-    stock_ticker_spec,
+    get_profile,
 )
 
 
@@ -33,7 +33,6 @@ class TestConstruction:
             "index",
             "hybrid",
             "sharded",
-            "counting",
             "naive",
             "auto",
         )
@@ -72,7 +71,9 @@ class TestPublishing:
         assert outcome.match_result is not None
 
     def test_publish_batch_equals_sequential_publish(self):
-        workload = build_workload(stock_ticker_spec(profile_count=30, event_count=80))
+        workload = build_workload(
+            get_profile("stock-ticker").spec.with_counts(profile_count=30, event_count=80)
+        )
         events = list(workload.events)
         sequential = FilterService(workload.schema, engine="index", adaptive=False)
         batched = FilterService(workload.schema, engine="index", adaptive=False)
@@ -164,7 +165,9 @@ class TestStats:
         assert snapshot.match_rate == pytest.approx(1.0)
 
     def test_snapshot_merges_kernel_stats_from_batches(self):
-        workload = build_workload(stock_ticker_spec(profile_count=40, event_count=200))
+        workload = build_workload(
+            get_profile("stock-ticker").spec.with_counts(profile_count=40, event_count=200)
+        )
         service = FilterService(
             workload.schema,
             adaptive=False,
@@ -178,7 +181,9 @@ class TestStats:
         assert snapshot.batch_dedup_factor > 1.0
 
     def test_snapshot_merges_adaptation_history(self):
-        workload = build_workload(stock_ticker_spec(profile_count=30, event_count=500))
+        workload = build_workload(
+            get_profile("stock-ticker").spec.with_counts(profile_count=30, event_count=500)
+        )
         service = FilterService(
             workload.schema,
             policy=AdaptationPolicy(

@@ -13,16 +13,17 @@ from repro.experiments.harness import (
 )
 from repro.experiments.reporting import FigureRow, FigureTable
 from repro.workloads.generators import build_workload
-from repro.workloads.scenarios import single_attribute_spec
+from repro.workloads.profiles import get_profile
 
 STRATEGIES = (STRATEGY_NATURAL, STRATEGY_EVENT, STRATEGY_BINARY)
 
 
 def small_workload():
     return build_workload(
-        single_attribute_spec(
-            events="95% high", profiles="95% high", profile_count=30, event_count=500, seed=2
-        )
+        get_profile("single-attribute")
+        .spec.with_counts(profile_count=30, event_count=500)
+        .with_seed(2)
+        .with_distributions(events="95% high", profiles="95% high")
     )
 
 

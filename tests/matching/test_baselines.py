@@ -1,5 +1,6 @@
 """Tests for the naive and counting baseline matchers."""
 
+import pytest
 
 from repro.core.domains import DiscreteDomain, IntegerDomain
 from repro.core.events import Event
@@ -7,8 +8,11 @@ from repro.core.predicates import OneOf, RangePredicate
 from repro.core.profiles import ProfileSet, profile
 from repro.core.schema import Attribute, Schema
 from repro.matching.counting import CountingMatcher
-from repro.matching.interfaces import Matcher, match_all
+from repro.matching.index import PredicateIndexMatcher
+from repro.matching.interfaces import Matcher, match_all, match_batch
 from repro.matching.naive import NaiveMatcher
+from repro.matching.sharded import ShardedMatcher
+from repro.matching.tree import TreeMatcher
 from repro.workloads.toy import environmental_profiles, example_event
 
 
@@ -131,3 +135,30 @@ class TestCountingMatcher:
         results = match_all(matcher, events)
         assert len(results) == 2
         assert results[0].is_match
+
+
+@pytest.mark.parametrize(
+    "make_matcher",
+    [
+        TreeMatcher,
+        PredicateIndexMatcher,
+        lambda profiles: ShardedMatcher(profiles, shard_count=2, executor="serial"),
+    ],
+    ids=["tree", "index", "sharded"],
+)
+def test_free_match_all_is_the_only_per_event_helper(make_matcher):
+    """Engines expose ``match_batch`` only; the free ``match_all`` still
+    filters through any of them and agrees with the batch path."""
+    matcher = make_matcher(stock_profiles())
+    events = [
+        Event({"symbol": "AAPL", "price": 90}),
+        Event({"symbol": "GOOG", "price": 160}),
+        Event({"symbol": "MSFT", "price": 20}),
+    ]
+    assert not hasattr(matcher, "match_all")
+    per_event = [result.matched_profile_ids for result in match_all(matcher, events)]
+    batched = [result.matched_profile_ids for result in match_batch(matcher, events)]
+    assert per_event == batched
+    assert [sorted(ids) for ids in per_event] == [
+        ["any-aapl", "buy-aapl", "tech"], ["expensive"], ["tech"]
+    ]

@@ -21,7 +21,7 @@ from repro.core.profiles import Profile, ProfileSet
 from repro.core.schema import Attribute, Schema
 from repro.matching.index import PredicateIndexMatcher, kernel
 from repro.matching.naive import NaiveMatcher
-from repro.workloads import build_workload, stock_ticker_spec, wide_range_spec
+from repro.workloads import build_workload, get_profile
 
 DOMAIN_SIZE = 12
 ATTRIBUTES = ("a", "b")
@@ -160,7 +160,9 @@ def test_always_match_profiles_in_batches():
 def test_kernel_after_churn_matches_fresh_build():
     """Maintenance (including np-slab cache invalidation) keeps the kernel
     equivalent to a freshly built matcher."""
-    workload = build_workload(stock_ticker_spec(profile_count=80, event_count=200))
+    workload = build_workload(
+        get_profile("stock-ticker").spec.with_counts(profile_count=80, event_count=200)
+    )
     matcher = PredicateIndexMatcher(workload.profiles)
     events = list(workload.events)
     kernel.match_batch_columnar(matcher, events)  # warm the np slab caches
@@ -179,10 +181,12 @@ def test_kernel_after_churn_matches_fresh_build():
     assert [r.matched_profile_ids for r in columnar] == expected
 
 
-@pytest.mark.parametrize("spec_factory", [stock_ticker_spec, wide_range_spec])
-def test_generated_scenarios_equivalence(spec_factory):
+@pytest.mark.parametrize("scenario", ["stock-ticker", "wide-range"])
+def test_generated_scenarios_equivalence(scenario):
     """Acceptance property on generator workloads, both kernel paths."""
-    workload = build_workload(spec_factory(profile_count=120, event_count=300))
+    workload = build_workload(
+        get_profile(scenario).spec.with_counts(profile_count=120, event_count=300)
+    )
     matcher = PredicateIndexMatcher(workload.profiles)
     events = list(workload.events)
     sequential = [matcher.match(event) for event in events]
@@ -198,7 +202,9 @@ def test_generated_scenarios_equivalence(spec_factory):
 def test_kernel_stats_account_dedup():
     """Charged operations equal the per-event loop's; executed operations
     count each distinct probe once, so redundancy shows up as dedup > 1."""
-    workload = build_workload(stock_ticker_spec(profile_count=100, event_count=400))
+    workload = build_workload(
+        get_profile("stock-ticker").spec.with_counts(profile_count=100, event_count=400)
+    )
     matcher = PredicateIndexMatcher(workload.profiles)
     events = list(workload.events)
     stats = kernel.KernelStats()

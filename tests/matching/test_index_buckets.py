@@ -263,9 +263,11 @@ class TestIndexPlanner:
         family without building it.
         """
         from repro.matching.index import PredicateIndexMatcher
-        from repro.workloads import build_workload, stock_ticker_spec
+        from repro.workloads import build_workload, get_profile
 
-        workload = build_workload(stock_ticker_spec(profile_count=120, event_count=10))
+        workload = build_workload(
+            get_profile("stock-ticker").spec.with_counts(profile_count=120, event_count=10)
+        )
         planner = IndexPlanner(dict(workload.event_distributions))
         estimated = planner.plan_profiles(workload.profiles)
         built = PredicateIndexMatcher(
@@ -284,9 +286,11 @@ class TestIndexPlanner:
         """The scores are public (the batch kernel schedules by them) and
         consistent with the probe order / plan's schedule attribute."""
         from repro.matching.index import PredicateIndexMatcher
-        from repro.workloads import build_workload, stock_ticker_spec
+        from repro.workloads import build_workload, get_profile
 
-        workload = build_workload(stock_ticker_spec(profile_count=40, event_count=10))
+        workload = build_workload(
+            get_profile("stock-ticker").spec.with_counts(profile_count=40, event_count=10)
+        )
         planner = IndexPlanner(dict(workload.event_distributions))
         scores = planner.rejection_scores(workload.profiles)
         order = planner.probe_order(workload.profiles)

@@ -22,7 +22,7 @@ from repro.core.profiles import Profile, ProfileSet
 from repro.core.schema import Attribute, Schema
 from repro.matching.index import PredicateIndexMatcher
 from repro.matching.naive import NaiveMatcher
-from repro.workloads import build_workload, stock_ticker_spec
+from repro.workloads import build_workload, get_profile
 
 DOMAIN_SIZE = 9
 ATTRIBUTES = ("a", "b")
@@ -155,7 +155,9 @@ def test_churned_plan_recost_stays_consistent(data):
 
 def test_generator_workload_churn_equivalence():
     """Seeded, range-heavy churn at realistic scale (slab splicing)."""
-    workload = build_workload(stock_ticker_spec(profile_count=150, event_count=200))
+    workload = build_workload(
+        get_profile("stock-ticker").spec.with_counts(profile_count=150, event_count=200)
+    )
     events = list(workload.events)
     matcher = PredicateIndexMatcher(workload.profiles)
     profiles = list(workload.profiles)
@@ -219,7 +221,9 @@ def test_bulk_add_profiles_takes_the_batch_build_path():
     """A batch comparable to the live population rebuilds once (the batch
     slab sweep) instead of splicing per profile; small batches stay on the
     delta path.  Both must match the oracle."""
-    workload = build_workload(stock_ticker_spec(profile_count=80, event_count=60))
+    workload = build_workload(
+        get_profile("stock-ticker").spec.with_counts(profile_count=80, event_count=60)
+    )
     profiles = list(workload.profiles)
     bulk = PredicateIndexMatcher(ProfileSet(workload.schema))
     bulk.add_profiles(profiles)

@@ -24,8 +24,7 @@ from repro.service.adaptive import AdaptationPolicy, AdaptiveFilterEngine
 from repro.service.broker import Broker
 from repro.workloads import (
     build_workload,
-    environmental_monitoring_spec,
-    stock_ticker_spec,
+    get_profile,
 )
 
 DOMAIN_SIZE = 12
@@ -124,10 +123,10 @@ def test_match_batch_equals_sequential_match(data):
 
 
 @pytest.mark.parametrize("seed", [1, 7, 23, 99])
-@pytest.mark.parametrize("spec_factory", [stock_ticker_spec, environmental_monitoring_spec])
-def test_generated_workload_equivalence(spec_factory, seed):
+@pytest.mark.parametrize("scenario", ["stock-ticker", "environmental"])
+def test_generated_workload_equivalence(scenario, seed):
     """Acceptance property: identical matches on generator workloads."""
-    spec = spec_factory(profile_count=60, event_count=120).with_seed(seed)
+    spec = get_profile(scenario).spec.with_counts(profile_count=60, event_count=120).with_seed(seed)
     workload = build_workload(spec)
     naive = NaiveMatcher(workload.profiles)
     indexed = PredicateIndexMatcher(workload.profiles)
@@ -193,7 +192,9 @@ def test_satisfies_matcher_protocol():
 
 
 def test_operations_are_counted_and_bounded():
-    workload = build_workload(stock_ticker_spec(profile_count=50, event_count=50))
+    workload = build_workload(
+        get_profile("stock-ticker").spec.with_counts(profile_count=50, event_count=50)
+    )
     naive = NaiveMatcher(workload.profiles)
     indexed = PredicateIndexMatcher(workload.profiles)
     for event in workload.events:
@@ -203,7 +204,9 @@ def test_operations_are_counted_and_bounded():
 
 
 def test_replan_with_distributions_keeps_semantics():
-    workload = build_workload(stock_ticker_spec(profile_count=50, event_count=100))
+    workload = build_workload(
+        get_profile("stock-ticker").spec.with_counts(profile_count=50, event_count=100)
+    )
     naive = NaiveMatcher(workload.profiles)
     indexed = PredicateIndexMatcher(workload.profiles)
     indexed.replan(dict(workload.event_distributions))
@@ -215,7 +218,9 @@ def test_replan_with_distributions_keeps_semantics():
 
 class TestServiceIntegration:
     def test_adaptive_engine_index_roster(self):
-        workload = build_workload(stock_ticker_spec(profile_count=40, event_count=300))
+        workload = build_workload(
+            get_profile("stock-ticker").spec.with_counts(profile_count=40, event_count=300)
+        )
         policy = AdaptationPolicy(reoptimize_interval=100, warmup_events=50, engine="index")
         engine = AdaptiveFilterEngine(workload.profiles, policy=policy)
         assert isinstance(engine.matcher, PredicateIndexMatcher)
@@ -231,24 +236,13 @@ class TestServiceIntegration:
         with pytest.raises(ServiceError):
             AdaptationPolicy(engine="quantum")
 
-    def test_broker_conflicting_engine_choices_rejected(self):
-        from repro.core.errors import ServiceError
-
-        workload = build_workload(stock_ticker_spec(profile_count=5, event_count=5))
-        with pytest.raises(ServiceError, match="conflicting engine"):
-            Broker(
-                workload.schema,
-                adaptation_policy=AdaptationPolicy(engine="index"),
-                engine="tree",
-            )
-        with pytest.raises(ServiceError, match="unknown engine"):
-            Broker(workload.schema, engine="quantum")
-
     def test_broker_publish_batch_matches_sequential_publish(self):
-        workload = build_workload(stock_ticker_spec(profile_count=30, event_count=60))
+        workload = build_workload(
+            get_profile("stock-ticker").spec.with_counts(profile_count=30, event_count=60)
+        )
         events = list(workload.events)
         sequential = Broker(workload.schema)
-        batched = Broker(workload.schema, engine="index")
+        batched = Broker(workload.schema, adaptation_policy=AdaptationPolicy(engine="index"))
         for broker in (sequential, batched):
             broker.subscribe_all(list(workload.profiles))
         outcomes_a = [sequential.publish(event) for event in events]

@@ -37,16 +37,14 @@ def small_profiles() -> ProfileSet:
 class TestDefaultRegistry:
     def test_builtin_roster(self):
         registry = default_registry()
-        assert registry.names() == (
-            "tree", "index", "hybrid", "sharded", "counting", "naive"
-        )
+        assert registry.names() == ("tree", "index", "hybrid", "sharded", "naive")
         assert registry.engine_names() == (
-            "tree", "index", "hybrid", "sharded", "counting", "naive", "auto"
+            "tree", "index", "hybrid", "sharded", "naive", "auto"
         )
         assert "tree" in registry and "index" in registry
         assert "hybrid" in registry and "sharded" in registry
-        assert "counting" in registry and "naive" in registry
-        assert len(registry) == 6
+        assert "naive" in registry and "counting" not in registry
+        assert len(registry) == 5
 
     def test_auto_starts_on_the_index_family(self):
         assert default_registry().auto_start().name == "index"
@@ -67,12 +65,13 @@ class TestDefaultRegistry:
         # Same class, hybrid planner mode: a different family.
         hybrid = PredicateIndexMatcher(profiles, planner=IndexPlanner(hybrid=True))
         assert registry.owner_of(hybrid).name == "hybrid"
-        assert registry.owner_of(CountingMatcher(profiles)).name == "counting"
+        # The counting matcher is a test oracle, not a registered family.
+        assert registry.owner_of(CountingMatcher(profiles)) is None
         assert registry.owner_of(NaiveMatcher(profiles)).name == "naive"
 
     def test_unknown_engine_error_lists_registered_names(self):
         with pytest.raises(
-            MatchingError, match="tree, index, hybrid, sharded, counting, naive, auto"
+            MatchingError, match="tree, index, hybrid, sharded, naive, auto"
         ):
             default_registry().spec("quantum")
 
@@ -102,23 +101,21 @@ class TestDefaultRegistry:
         )
         assert isinstance(registry.spec("tree").factory(context), TreeMatcher)
         assert isinstance(registry.spec("index").factory(context), PredicateIndexMatcher)
-        assert isinstance(registry.spec("counting").factory(context), CountingMatcher)
         assert isinstance(registry.spec("naive").factory(context), NaiveMatcher)
 
 
 class TestBaselineFamilies:
-    """The counting/naive baselines as first-class registry families."""
+    """The naive baseline as a first-class registry family."""
 
     def test_selectable_through_the_policy(self):
-        for name, expected in (("counting", CountingMatcher), ("naive", NaiveMatcher)):
-            policy = AdaptationPolicy(engine=name)
-            engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
-            assert type(engine.matcher) is expected
-            assert engine.engine_family == name
-            assert engine.match(Event({"v": 40})).matched_profile_ids == ("P40",)
+        policy = AdaptationPolicy(engine="naive")
+        engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
+        assert type(engine.matcher) is NaiveMatcher
+        assert engine.engine_family == "naive"
+        assert engine.match(Event({"v": 40})).matched_profile_ids == ("P40",)
 
     def test_no_participation_in_auto_arbitration(self):
-        """No cost estimator: the baselines never arbitrate (nor does
+        """No cost estimator: the baseline never arbitrates (nor does
         ``sharded``, which has one but no ``auto_rank``), and auto still
         starts on the index family."""
         registry = default_registry()
@@ -132,36 +129,33 @@ class TestBaselineFamilies:
 
     def test_no_periodic_restructuring(self):
         policy = AdaptationPolicy(
-            engine="counting", reoptimize_interval=10, warmup_events=10
+            engine="naive", reoptimize_interval=10, warmup_events=10
         )
         engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
         rng = random.Random(7)
         for _ in range(60):
             engine.match(Event({"v": rng.randint(0, 99)}))
         assert engine.adaptations() == []
-        assert type(engine.matcher) is CountingMatcher
+        assert type(engine.matcher) is NaiveMatcher
 
-    def test_baselines_reach_the_broker_by_name(self):
+    def test_baseline_reaches_the_broker_by_name(self):
         profiles = small_profiles()
-        for name in ("counting", "naive"):
-            broker = Broker(
-                profiles.schema, adaptation_policy=AdaptationPolicy(engine=name)
-            )
-            for item in profiles:
-                broker.subscribe(item, "user")
-            outcome = broker.publish(Event({"v": 30}))
-            assert [n.profile_id for n in outcome.notifications] == ["P30"]
-            broker.unsubscribe(
-                broker.subscriptions.by_profile_id("P30").subscription_id
-            )
-            assert broker.publish(Event({"v": 30})).notifications == ()
+        broker = Broker(
+            profiles.schema, adaptation_policy=AdaptationPolicy(engine="naive")
+        )
+        for item in profiles:
+            broker.subscribe(item, "user")
+        outcome = broker.publish(Event({"v": 30}))
+        assert [n.profile_id for n in outcome.notifications] == ["P30"]
+        broker.unsubscribe(broker.subscriptions.by_profile_id("P30").subscription_id)
+        assert broker.publish(Event({"v": 30})).notifications == ()
 
     def test_every_family_agrees_on_a_churned_workload(self):
-        """One engine switch drives all four families to identical
+        """One engine switch drives all three families to identical
         notifications — the experiment-harness contract."""
         events = [Event({"v": v}) for v in (0, 15, 30, 30, 80, 99)]
         reference = None
-        for name in ("tree", "index", "counting", "naive"):
+        for name in ("tree", "index", "naive"):
             engine = AdaptiveFilterEngine(
                 small_profiles(), policy=AdaptationPolicy(engine=name)
             )
@@ -172,11 +166,26 @@ class TestBaselineFamilies:
                 reference = matched
             assert matched == reference, name
 
+    def test_counting_is_not_selectable_by_name(self):
+        with pytest.raises(ServiceError, match="unknown engine 'counting'"):
+            AdaptationPolicy(engine="counting")
+
+    @pytest.mark.parametrize("name", default_registry().names())
+    def test_counting_oracle_agrees_with_each_family(self, name):
+        """``CountingMatcher`` left the roster but stays the oracle every
+        registered family must agree with."""
+        events = [Event({"v": v}) for v in (0, 15, 30, 30, 80, 99)]
+        oracle = CountingMatcher(small_profiles())
+        engine = AdaptiveFilterEngine(small_profiles(), policy=AdaptationPolicy(engine=name))
+        for event in events:
+            assert (
+                engine.match(event).matched_profile_ids
+                == oracle.match(event).matched_profile_ids
+            ), name
+
     def test_capability_flags(self):
         registry = default_registry()
-        assert not registry.spec("counting").capabilities.incremental_maintenance
         assert registry.spec("naive").capabilities.incremental_maintenance
-        assert not registry.spec("counting").capabilities.batch_kernel
         assert not registry.spec("naive").capabilities.batch_kernel
 
     def test_ownership_is_exact_type(self):
@@ -241,7 +250,7 @@ class TestThirdPartyEngines:
 
     def test_policy_rejects_unknown_engine_with_roster_listing(self):
         with pytest.raises(
-            ServiceError, match="tree, index, hybrid, sharded, counting, naive, auto"
+            ServiceError, match="tree, index, hybrid, sharded, naive, auto"
         ):
             AdaptationPolicy(engine="quantum")
 

@@ -149,7 +149,7 @@ class TestAdaptiveFilterEngine:
         engine.remove_profile("extra")
         assert not engine.match(Event({"v": 33})).is_match
 
-    @pytest.mark.parametrize("engine_kind", ["index", "sharded", "counting", "naive"])
+    @pytest.mark.parametrize("engine_kind", ["index", "hybrid", "sharded", "naive"])
     def test_configuration_error_names_the_running_family(self, engine_kind):
         engine = self.make_engine(engine=engine_kind)
         with pytest.raises(

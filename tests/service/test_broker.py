@@ -181,6 +181,13 @@ class TestBroker:
         with pytest.raises(Exception):
             broker.publish(Event({"no_such_attribute": 1}))
 
+    def test_engine_is_chosen_only_through_the_adaptation_policy(self):
+        with pytest.raises(TypeError, match="engine"):
+            Broker(environmental_schema(), engine="index")
+        broker = self.toy_broker(adaptation_policy=AdaptationPolicy(engine="index"))
+        assert broker.engine.engine_family == "index"
+        assert broker.publish(example_event()).delivered == 2
+
 
 class TestBatchAdmission:
     """``publish_batch`` validates column by column; the per-event loop
@@ -289,7 +296,9 @@ class TestIncrementalSubscriptionChurn:
     maintenance — the filter engine object (and its history) survives."""
 
     def test_engine_survives_subscription_churn(self):
-        broker = Broker(environmental_schema(), engine="index")
+        broker = Broker(
+            environmental_schema(), adaptation_policy=AdaptationPolicy(engine="index")
+        )
         first = broker.subscribe(
             profile("hot", temperature=RangePredicate.at_least(30)), "alice"
         )
@@ -311,7 +320,9 @@ class TestIncrementalSubscriptionChurn:
 
     @pytest.mark.parametrize("engine", ["tree", "index", "auto"])
     def test_churned_broker_matches_fresh_broker(self, engine):
-        churned = Broker(environmental_schema(), engine=engine)
+        churned = Broker(
+            environmental_schema(), adaptation_policy=AdaptationPolicy(engine=engine)
+        )
         doomed = [
             churned.subscribe(profile(f"tmp-{i}", temperature=i * 4), "t")
             for i in range(5)
@@ -321,7 +332,9 @@ class TestIncrementalSubscriptionChurn:
         for subscription in doomed:
             churned.unsubscribe(subscription.subscription_id)
 
-        fresh = Broker(environmental_schema(), engine=engine)
+        fresh = Broker(
+            environmental_schema(), adaptation_policy=AdaptationPolicy(engine=engine)
+        )
         for item in environmental_profiles():
             fresh.subscribe(item, subscriber=f"user-{item.profile_id}")
 

@@ -594,12 +594,12 @@ class TestWorkloadScenarioEquivalence:
 
     @pytest.mark.parametrize("scenario", ["stock-ticker", "wide-range"])
     def test_all_executors_agree(self, scenario):
-        from repro.workloads import build_workload, stock_ticker_spec, wide_range_spec
+        from repro.workloads import build_workload, get_profile
 
         spec = (
-            stock_ticker_spec(profile_count=60, event_count=150)
+            get_profile("stock-ticker").spec.with_counts(profile_count=60, event_count=150)
             if scenario == "stock-ticker"
-            else wide_range_spec(profile_count=40, event_count=80)
+            else get_profile("wide-range").spec.with_counts(profile_count=40, event_count=80)
         )
         workload = build_workload(spec)
         events = list(workload.events)

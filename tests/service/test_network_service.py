@@ -7,6 +7,8 @@ equivalence between a :class:`NetworkService` over arbitrary acyclic
 topologies under churn and a single central :class:`FilterService`.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +56,12 @@ class TestTopology:
         service.add_broker("a")
         with pytest.raises(RoutingError):
             service.connect("a", "a")
+
+    def test_connect_requires_existing_brokers(self):
+        service = NetworkService(price_schema())
+        service.add_broker("a")
+        with pytest.raises(RoutingError):
+            service.connect("a", "ghost")
 
     def test_duplicate_link_rejected(self):
         service = chain_service("a", "b")
@@ -110,6 +118,61 @@ class TestRoutingPropagation:
         assert matched.event_hops == (2,)
         assert matched.max_hops == 2
         assert [n.profile_id for n in matched.notifications["c"]] == ["high"]
+
+    def test_event_is_not_forwarded_to_uninterested_branches(self):
+        service = NetworkService(price_schema())
+        for b in ("hub", "left", "right"):
+            service.add_broker(b)
+        service.connect("hub", "left")
+        service.connect("hub", "right")
+        service.subscribe(profile("low", price=RangePredicate.at_most(50)), at="left")
+        service.subscribe(profile("high", price=RangePredicate.at_least(150)), at="right")
+        report = service.publish({"price": 10}, at="hub")
+        assert [n.profile_id for n in report.notifications["left"]] == ["low"]
+        assert "right" not in report.notifications
+        assert service.broker_stats("left").events_in == 1
+        assert service.broker_stats("right").events_in == 0
+
+    def test_event_reaches_a_remote_subscriber(self):
+        service = chain_service("a", "b", "c")
+        service.subscribe(
+            profile("cheap", price=RangePredicate.at_most(50)), at="c", subscriber="carol"
+        )
+        report = service.publish({"price": 10}, at="a")
+        assert report.total_notifications == 1
+        assert [n.subscriber for n in report.notifications["c"]] == ["carol"]
+        assert service.broker_stats("b").events_in == 1
+        assert service.broker_stats("c").events_in == 1
+
+    def test_random_ranges_match_centralised_filtering(self):
+        """Routing over the chain delivers exactly what one central
+        filter would, from whichever broker the event enters."""
+        rng = random.Random(3)
+        brokers = ("a", "b", "c")
+        service = chain_service(*brokers)
+        subscribed = []
+        for i in range(30):
+            low = rng.randint(0, 180)
+            item = profile(f"P{i}", price=RangePredicate.between(low, low + rng.randint(0, 20)))
+            subscribed.append(item)
+            service.subscribe(item, at=rng.choice(brokers))
+        for _ in range(100):
+            event = Event({"price": rng.randint(0, 199)})
+            report = service.publish(event, at=rng.choice(brokers))
+            expected = sorted(p.profile_id for p in subscribed if p.matches(event))
+            delivered = sorted(
+                n.profile_id for batch in report.notifications.values() for n in batch
+            )
+            assert delivered == expected
+
+    def test_local_subscription_is_delivered_at_its_home_broker(self):
+        service = chain_service("a", "b", "c")
+        service.subscribe(
+            profile("all", price=RangePredicate.at_least(0)), at="a", subscriber="alice"
+        )
+        report = service.publish({"price": 5}, at="a")
+        assert report.event_hops == (0,)
+        assert [n.subscriber for n in report.notifications["a"]] == ["alice"]
 
     def test_uncovering_repropagates_the_pruned_profile(self):
         # The ISSUE's uncovering criterion: after the coverer dies, the

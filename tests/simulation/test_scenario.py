@@ -12,12 +12,12 @@ from repro.simulation import (
     build_topology,
     run_fanout_scenario,
 )
-from repro.workloads.scenarios import stock_ticker_spec
+from repro.workloads.profiles import get_profile
 
 
 class TestBuildTopology:
     def test_chain_links_consecutive_brokers(self):
-        service = NetworkService(stock_ticker_spec().schema)
+        service = NetworkService(get_profile("stock-ticker").spec.schema)
         names = build_topology(service, brokers=5, topology="chain")
         assert names == ["b0", "b1", "b2", "b3", "b4"]
         assert service.neighbours("b0") == ["b1"]
@@ -25,20 +25,20 @@ class TestBuildTopology:
         assert service.stats().links == 4
 
     def test_star_routes_through_the_hub(self):
-        service = NetworkService(stock_ticker_spec().schema)
+        service = NetworkService(get_profile("stock-ticker").spec.schema)
         build_topology(service, brokers=5, topology="star")
         assert service.neighbours("b0") == ["b1", "b2", "b3", "b4"]
         assert service.neighbours("b3") == ["b0"]
 
     def test_tree_is_balanced_and_acyclic(self):
-        service = NetworkService(stock_ticker_spec().schema)
+        service = NetworkService(get_profile("stock-ticker").spec.schema)
         build_topology(service, brokers=7, topology="tree")
         assert service.neighbours("b0") == ["b1", "b2"]
         assert service.neighbours("b1") == ["b0", "b3", "b4"]
         assert service.neighbours("b2") == ["b0", "b5", "b6"]
 
     def test_unknown_topology_rejected(self):
-        service = NetworkService(stock_ticker_spec().schema)
+        service = NetworkService(get_profile("stock-ticker").spec.schema)
         with pytest.raises(SimulationError):
             build_topology(service, brokers=3, topology="ring")
         with pytest.raises(SimulationError):
@@ -76,7 +76,11 @@ class TestFanOutScenario:
     def test_latency_model_drives_the_simulated_clock(self):
         # One far-end subscriber on a chain: delivery time must equal
         # hop count times the constant per-link latency.
-        spec = stock_ticker_spec(profile_count=1, event_count=1, seed=1)
+        spec = (
+            get_profile("stock-ticker")
+            .spec.with_counts(profile_count=1, event_count=1)
+            .with_seed(1)
+        )
         service = NetworkService(spec.schema, engine="index",
                                  latency=ConstantLatency(3.0))
         names = build_topology(service, brokers=4, topology="chain")
@@ -93,7 +97,11 @@ class TestFanOutScenario:
 
     def test_simulated_and_synchronous_runs_deliver_identically(self):
         def build():
-            spec = stock_ticker_spec(profile_count=40, event_count=30, seed=9)
+            spec = (
+                get_profile("stock-ticker")
+                .spec.with_counts(profile_count=40, event_count=30)
+                .with_seed(9)
+            )
             service = NetworkService(spec.schema, engine="index")
             names = build_topology(service, brokers=4, topology="tree")
             return spec, service, names

@@ -403,14 +403,29 @@ WORKLOADS_PROFILES_SURFACE = {
     "WorkloadSpecError": ("key", "message"),
 }
 
-#: Legacy scenario callables kept as deprecation shims — still importable.
-LEGACY_SPEC_SHIMS = (
-    "stock_ticker_spec",
-    "environmental_monitoring_spec",
-    "facility_management_spec",
-    "single_attribute_spec",
-    "wide_range_spec",
-    "mixed_workload_spec",
+#: ``repro.workloads.__all__``, sorted: adding or removing a public name
+#: is an explicit diff here.
+WORKLOADS_ALL = (
+    "AttributeSpec",
+    "EngineHints",
+    "MixGroup",
+    "RunShape",
+    "ScenarioProfile",
+    "Workload",
+    "WorkloadSpec",
+    "WorkloadSpecError",
+    "build_workload",
+    "dump_profile",
+    "environmental_profiles",
+    "environmental_schema",
+    "example2_temperature_distribution",
+    "example3_event_distributions",
+    "example_event",
+    "generate_events",
+    "generate_profiles",
+    "get_profile",
+    "list_profiles",
+    "load_profile",
 )
 
 
@@ -424,11 +439,10 @@ def test_workloads_profiles_surface_is_locked():
         )
 
 
-def test_legacy_spec_shims_stay_importable():
+def test_workloads_exports_are_locked():
     import repro.workloads as workloads
 
-    for name in LEGACY_SPEC_SHIMS:
-        assert callable(getattr(workloads, name)), f"{name} shim disappeared"
+    assert tuple(sorted(workloads.__all__)) == WORKLOADS_ALL
 
 
 def test_filter_service_is_a_context_manager():

@@ -2,20 +2,18 @@
 
 Covers the loader (validation with key-path errors, inheritance,
 round-trips), the registry (caching, name vs path discipline), the mix
-groups, the legacy ``*_spec()`` shims (bit-identical output plus the
-exactly-once deprecation contract) and ``FilterService.from_profile``.
+groups, the pinned workloads of the paper's scenarios and
+``FilterService.from_profile``.
 """
 
 import hashlib
 import textwrap
-import warnings
+from dataclasses import replace
 
 import pytest
 
-from repro.core.deprecation import reset_warnings
 from repro.core.errors import WorkloadError, WorkloadSpecError
 from repro.workloads import build_workload
-from repro.workloads import scenarios as legacy
 from repro.workloads.profiles import (
     PROFILES_DIR,
     dump_profile,
@@ -25,20 +23,9 @@ from repro.workloads.profiles import (
 )
 from repro.workloads.spec import MixGroup, WorkloadSpec
 
-#: Scenario name -> the legacy callable it replaced.
-LEGACY_SHIMS = {
-    "stock-ticker": legacy.stock_ticker_spec,
-    "environmental": legacy.environmental_monitoring_spec,
-    "facility": legacy.facility_management_spec,
-    "single-attribute": legacy.single_attribute_spec,
-    "wide-range": legacy.wide_range_spec,
-    "mixed-structure": legacy.mixed_workload_spec,
-}
-
 #: Pinned workload fingerprints (40 profiles / 80 events) per ported
 #: scenario.  These freeze the *semantics* of the committed TOML files:
-#: an edit that changes what the declarative corpus generates — and so
-#: silently changes what the legacy callables return — fails here.
+#: an edit that changes what the declarative corpus generates fails here.
 WORKLOAD_FINGERPRINTS = {
     "stock-ticker": "56475fa785d66051",
     "environmental": "ae08d095eacb3c3a",
@@ -83,7 +70,7 @@ class TestRegistry:
     def test_corpus_spans_at_least_eight_profiles(self):
         names = list_profiles()
         assert len(names) >= 8
-        assert set(LEGACY_SHIMS) <= set(names)
+        assert set(WORKLOAD_FINGERPRINTS) <= set(names)
 
     def test_get_profile_is_cached(self):
         assert get_profile("stock-ticker") is get_profile("stock-ticker")
@@ -259,40 +246,37 @@ class TestMixGroups:
             )
 
 
-class TestLegacyShims:
-    @pytest.mark.parametrize("name", sorted(LEGACY_SHIMS))
-    def test_shim_matches_declarative_profile(self, name):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert LEGACY_SHIMS[name]() == get_profile(name).spec
+@pytest.mark.parametrize("name", sorted(WORKLOAD_FINGERPRINTS))
+def test_generated_workloads_are_pinned(name):
+    spec = get_profile(name).spec.with_counts(profile_count=40, event_count=80)
+    assert _fingerprint(spec) == WORKLOAD_FINGERPRINTS[name], (
+        f"the committed {name!r} profile no longer generates its pinned "
+        "workload; if the change is deliberate, update the pinned fingerprint"
+    )
+
+
+class TestSpecChain:
+    """``get_profile(name).spec.with_*`` is the one way to size and
+    reseed a scenario: each step changes its own knob and nothing else."""
 
     @pytest.mark.parametrize("name", sorted(WORKLOAD_FINGERPRINTS))
-    def test_generated_workloads_are_pinned(self, name):
-        spec = get_profile(name).spec.with_counts(profile_count=40, event_count=80)
-        assert _fingerprint(spec) == WORKLOAD_FINGERPRINTS[name], (
-            f"the committed {name!r} profile no longer generates the workload "
-            "the legacy *_spec() callables promised; if the change is "
-            "deliberate, update the pinned fingerprint"
-        )
+    def test_with_counts_changes_only_the_counts(self, name):
+        declared = get_profile(name).spec
+        sized = declared.with_counts(profile_count=7, event_count=11)
+        assert (sized.profile_count, sized.event_count) == (7, 11)
+        assert replace(
+            sized, profile_count=declared.profile_count, event_count=declared.event_count
+        ) == declared
+        assert declared.with_counts(event_count=11).profile_count == declared.profile_count
 
-    def test_each_shim_warns_exactly_once(self):
-        keys = tuple(
-            f"repro.workloads.scenarios.{fn.__name__}" for fn in LEGACY_SHIMS.values()
-        )
-        reset_warnings(*keys)
-        try:
-            for fn in LEGACY_SHIMS.values():
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    fn()
-                    fn()
-                emitted = [
-                    w for w in caught if issubclass(w.category, DeprecationWarning)
-                ]
-                assert len(emitted) == 1, fn.__name__
-                assert "get_profile" in str(emitted[0].message)
-        finally:
-            reset_warnings(*keys)
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_FINGERPRINTS))
+    def test_reseeding_moves_only_the_generated_values(self, name):
+        spec = get_profile(name).spec.with_counts(profile_count=40, event_count=80)
+        assert spec.with_seed(spec.seed) == spec
+        assert _fingerprint(spec.with_seed(spec.seed)) == WORKLOAD_FINGERPRINTS[name]
+        reseeded = spec.with_seed(spec.seed + 1)
+        assert replace(reseeded, seed=spec.seed) == spec
+        assert _fingerprint(reseeded) != WORKLOAD_FINGERPRINTS[name]
 
 
 class TestFromProfile:
