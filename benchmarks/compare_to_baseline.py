@@ -43,7 +43,6 @@ SECTIONS = (
     "churn",
     "batch",
     "delivery",
-    "sharded",
     "durability",
     "hybrid",
     "routing",

@@ -28,7 +28,6 @@ _OPS_SUMMARY: dict[str, dict[str, float]] = {}
 _CHURN_SUMMARY: dict[str, dict[str, float]] = {}
 _BATCH_SUMMARY: dict[str, dict[str, float]] = {}
 _DELIVERY_SUMMARY: dict[str, dict[str, float]] = {}
-_SHARDED_SUMMARY: dict[str, dict[str, float]] = {}
 _DURABILITY_SUMMARY: dict[str, dict[str, float]] = {}
 _HYBRID_SUMMARY: dict[str, dict[str, float]] = {}
 _ROUTING_SUMMARY: dict[str, dict[str, float]] = {}
@@ -131,30 +130,6 @@ def record_delivery():
 
 
 @pytest.fixture
-def record_sharded():
-    """Record one sharded-matcher scenario for the summary dump.
-
-    The charged metrics are deterministic at every shard count (the
-    per-shard ops are exact under fixed seeds and the fold is a plain
-    sum), so the regression gate covers the partitioned engine the same
-    way it covers the single-shard families.  Timing runs add
-    ``wall_clock_seconds`` keys, gated loosely and only when both
-    summaries carry them.
-    """
-
-    def _record(scenario_name: str, statistics, **extra: float) -> None:
-        entry = {
-            "mean_operations_per_event": statistics.average_operations_per_event(),
-            "mean_matches_per_event": statistics.average_matches_per_event(),
-            "events": float(statistics.events),
-        }
-        entry.update(extra)
-        _SHARDED_SUMMARY[scenario_name] = entry
-
-    return _record
-
-
-@pytest.fixture
 def record_durability():
     """Record one durability scenario for the summary dump.
 
@@ -230,8 +205,8 @@ def record_corpus():
     """Record one corpus profile x engine-family run for the summary dump.
 
     Keys are ``"<profile>:<family>"``.  The corpus runner's ops/event and
-    matches/event are deterministic (pinned seeds, pinned shard counts,
-    pinned adaptation knobs), so ``compare_to_baseline.py`` gates every
+    matches/event are deterministic (pinned seeds, pinned adaptation
+    knobs), so ``compare_to_baseline.py`` gates every
     scenario of the corpus individually — a regression names the
     scenario that moved.  Timing runs add ``wall_clock_seconds``, gated
     loosely and only when both summaries carry it.
@@ -257,7 +232,7 @@ def profile_service():
     """Factory for profile-configured services: ``profile_service(scenario=...)``.
 
     Builds a :class:`repro.api.FilterService` via ``from_profile`` so
-    benchmarks stop duplicating engine/delivery/shard setup; pass
+    benchmarks stop duplicating engine/delivery setup; pass
     ``engine=`` (or any other constructor kwarg) to override the
     profile's hints.  Services are closed at teardown.
     """
@@ -286,7 +261,6 @@ def pytest_sessionfinish(session, exitstatus):
         _CHURN_SUMMARY,
         _BATCH_SUMMARY,
         _DELIVERY_SUMMARY,
-        _SHARDED_SUMMARY,
         _DURABILITY_SUMMARY,
         _HYBRID_SUMMARY,
         _ROUTING_SUMMARY,
@@ -304,7 +278,6 @@ def pytest_sessionfinish(session, exitstatus):
         "churn": dict(sorted(_CHURN_SUMMARY.items())),
         "batch": dict(sorted(_BATCH_SUMMARY.items())),
         "delivery": dict(sorted(_DELIVERY_SUMMARY.items())),
-        "sharded": dict(sorted(_SHARDED_SUMMARY.items())),
         "durability": dict(sorted(_DURABILITY_SUMMARY.items())),
         "hybrid": dict(sorted(_HYBRID_SUMMARY.items())),
         "routing": dict(sorted(_ROUTING_SUMMARY.items())),

@@ -12,8 +12,10 @@ Covers all 12 corpus profiles x every pinned family they declare, plus
 run: the decision fields (``event_count``, ``engine``, ``applied``,
 ``suppressed``) and the matched-id digest compare exactly, the two predicted
 costs within :data:`COST_REL_TOL` relative — cost models may sum in a
-different order (``sharded`` adds per-shard costs, the tree is costed per
-distinct node), a decision may not move.  The tail line reports the worst
+different order (the tree is costed per distinct node), a decision may not
+move.  A run present in only one file (a family added or deleted) is
+labelled ``NEW`` or ``GONE`` and counted apart; only runs on both sides
+that differ make ``--diff`` exit non-zero.  The tail line reports the worst
 relative cost deviation seen.
 """
 
@@ -109,25 +111,28 @@ def diff(parent_path: str, change_path: str) -> int:
         parent = json.load(handle)
     with open(change_path) as handle:
         change = json.load(handle)
-    differing = 0
+    counts = {"same": 0, "DIFF": 0, "GONE": 0, "NEW": 0}
     worst = 0.0
     for key in sorted(set(parent) | set(change)):
         before, after = parent.get(key), change.get(key)
-        both = bool(before and after)
-        same = both and same_run(before, after)
-        if both:
+        if before is None:
+            verdict = "NEW"
+        elif after is None:
+            verdict = "GONE"
+        else:
             worst = max(worst, cost_deviation(before, after))
+            verdict = "same" if same_run(before, after) else "DIFF"
+        counts[verdict] += 1
         records = (after or before)["records"]
         applied = sum(1 for record in records if record[2])
-        verdict = "same" if same else "DIFF"
-        print(f"{verdict}  {key:32} {len(records):3} checks, {applied} applied")
-        differing += not same
+        print(f"{verdict:4}  {key:32} {len(records):3} checks, {applied} applied")
     checks = sum(len(run["records"]) for run in change.values())
     print(
-        f"{len(change)} runs, {checks} checks, {differing} differing "
+        f"{len(change)} runs, {checks} checks, {counts['DIFF']} differing, "
+        f"{counts['GONE']} gone, {counts['NEW']} new "
         f"(worst relative cost deviation {worst:.1e})"
     )
-    return 1 if differing else 0
+    return 1 if counts["DIFF"] else 0
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ This is the "breadth with teeth" gate of the scenario corpus
 (``src/repro/workloads/profiles/*.toml``).  Each profile runs through
 each engine family its hints declare applicable, via the
 ``FilterService`` facade and the profile's own run shape (batch size,
-delivery mode, churn schedule).  Under the pinned seeds, shard counts
-and adaptation knobs the resulting ops/event and matches/event are
+delivery mode, churn schedule).  Under the pinned seeds and adaptation
+knobs the resulting ops/event and matches/event are
 bit-stable, so:
 
 * the per-scenario numbers land in the ``corpus`` section of
@@ -13,7 +13,7 @@ bit-stable, so:
   ``compare_to_baseline.py`` — a regression names the scenario that
   moved;
 * the *win coverage* is asserted outright: each production family
-  (tree / index / hybrid / sharded) must achieve the minimum ops/event
+  (tree / index / hybrid) must achieve the minimum ops/event
   on at least one corpus scenario, i.e. the corpus genuinely spans the
   space where the families disagree.
 
@@ -37,7 +37,7 @@ from repro.workloads.profiles import get_profile, list_profiles
 CI_EVENT_CAP = 600
 
 #: Families whose corpus win the gate demands (the production roster).
-REQUIRED_WINNERS = ("tree", "index", "hybrid", "sharded")
+REQUIRED_WINNERS = ("tree", "index", "hybrid")
 
 _HISTORY = os.path.join(os.path.dirname(os.path.dirname(__file__)), "BENCH_history.jsonl")
 

@@ -11,7 +11,7 @@ possible.  This example
 * runs it through the :class:`~repro.api.FilterService` facade with
   publisher-side quenching and a fluent-builder catastrophe alarm wired
   to a notification sink,
-* compares the fixed engine families (tree, index, sharded) on the same
+* compares the fixed engine families (tree, index, hybrid) on the same
   batch, operation-for-operation, and
 * compares natural order, the distribution-based reordering (V1 + A2)
   and binary search on the same event stream.
@@ -66,18 +66,11 @@ def main() -> None:
 
     # --- 2. Engine families on the same batch ---------------------------------
     # Same events, same profiles, same operation accounting — only the
-    # filtering structure differs.  The sharded engine partitions the
-    # index family over 4 shards; its matches are bit-identical, the
-    # per-shard overhead shows up in the summed operation count.
+    # filtering structure differs.
     print("engine families on the same 3000-event batch (fixed, no adaptation):")
     matched_reference: list[tuple[str, ...]] | None = None
-    for engine in ("tree", "index", "sharded"):
-        with FilterService(
-            workload.schema,
-            engine=engine,
-            adaptive=False,
-            shard_count=4 if engine == "sharded" else None,
-        ) as fixed:
+    for engine in ("tree", "index", "hybrid"):
+        with FilterService(workload.schema, engine=engine, adaptive=False) as fixed:
             fixed.subscribe_all(list(workload.profiles))
             outcomes = fixed.publish_batch(list(workload.events))
             # Families report matches in their own internal order (tree
@@ -87,10 +80,9 @@ def main() -> None:
                 matched_reference = matched
             assert matched == matched_reference, "families must agree on matches"
             stats = fixed.stats()
-            shards = f", {stats.shards.shard_count} shards" if stats.shards else ""
             print(
                 f"  {engine:8s} ops/event = {stats.average_operations_per_event:8.2f}"
-                f"   notifications = {stats.notifications}{shards}"
+                f"   notifications = {stats.notifications}"
             )
     print("  (identical matches across all families, checked event-for-event)")
     print()

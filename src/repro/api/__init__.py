@@ -126,7 +126,6 @@ from repro.matching.registry import (
     EngineSpec,
     default_registry,
 )
-from repro.matching.sharded import ShardStats
 from repro.service.adaptive import AdaptationPolicy, AdaptationRecord
 from repro.service.broker import PublishOutcome
 from repro.service.delivery import (
@@ -177,7 +176,6 @@ __all__ = [
     "PublishOutcome",
     "Schema",
     "ServiceStats",
-    "ShardStats",
     "SqliteSubscriptionStore",
     "SubscriptionHandle",
     "SubscriptionStore",

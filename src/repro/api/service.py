@@ -11,18 +11,17 @@ maintenance path — subscription churn never rebuilds the filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.analysis.calibration import CalibrationSnapshot
 from repro.core.builder import ProfileBuilder
-from repro.core.errors import ProfileError, ServiceError, SubscriptionError
+from repro.core.errors import ProfileError, SubscriptionError
 from repro.core.events import Event
 from repro.core.profiles import Profile
 from repro.core.schema import Schema
 from repro.matching.index.kernel import KernelStats
 from repro.matching.registry import EngineRegistry
-from repro.matching.sharded import ShardStats
 from repro.matching.statistics import FilterStatistics
 from repro.service.adaptive import (
     AdaptationPolicy,
@@ -89,10 +88,6 @@ class ServiceStats:
     #: service instantiated (all-zero with ``mode="inline"`` when no
     #: sink ever received a notification).
     delivery: DeliveryStats = DeliveryStats()
-    #: Partitioning snapshot of the running matcher — shard count,
-    #: executor backend and per-shard profile loads (``None`` whenever
-    #: the running family is unsharded).
-    shards: ShardStats | None = None
     #: Durable subscription-store accounting — journal sequence,
     #: snapshots taken, records replayed at boot (``None`` when the
     #: service runs without a store).
@@ -279,7 +274,6 @@ class FilterService:
         engine: str | None = None,
         adaptive: bool = True,
         policy: AdaptationPolicy | None = None,
-        shard_count: int | None = None,
         quenching: bool = False,
         service_id: str = "filter-service",
         delivery: str = "inline",
@@ -301,11 +295,6 @@ class FilterService:
         and a custom
         :attr:`~repro.service.adaptive.AdaptationPolicy.registry` — and
         must agree with ``engine`` when both are given.
-
-        ``shard_count`` partitions the profile population for the
-        partition-parallel families (``engine="sharded"``): ``None``
-        keeps the family's cores-based default, and a policy carrying
-        its own ``shard_count`` must agree when both are given.
 
         ``delivery`` selects the default notification executor
         (``"inline"``: sinks run synchronously inside ``publish``, the
@@ -336,15 +325,6 @@ class FilterService:
         if policy is None and engine is None:
             engine = "auto"  # the facade serves the paper's adaptive framing
         policy = resolve_policy_engine(policy, engine)
-        if shard_count is not None:
-            if policy.shard_count is not None and policy.shard_count != shard_count:
-                raise ServiceError(
-                    f"conflicting shard count: shard_count={shard_count!r} but the "
-                    f"adaptation policy selects {policy.shard_count!r}; set one or "
-                    "the other"
-                )
-            # replace() re-runs the policy's validation (shard_count >= 1).
-            policy = replace(policy, shard_count=shard_count)
         self._broker = Broker(
             schema,
             broker_id=service_id,
@@ -378,7 +358,7 @@ class FilterService:
         file, or an already-loaded
         :class:`~repro.workloads.profiles.ScenarioProfile`.  The
         profile's engine hints become the service configuration — engine
-        family, pinned ``shard_count`` and adaptation knobs (via a
+        family and adaptation knobs (via a
         generated :class:`~repro.service.adaptive.AdaptationPolicy`),
         delivery mode from the run shape — so examples, benchmarks and
         the corpus runner stop duplicating setup code.  ``engine``
@@ -580,7 +560,6 @@ class FilterService:
         """Return one merged observability snapshot (see :class:`ServiceStats`)."""
         statistics: FilterStatistics = self._broker.statistics
         events = statistics.events
-        shards = None
         calibration = None
         if self._broker.has_engine:
             engine = self._broker.engine
@@ -588,9 +567,6 @@ class FilterService:
             adaptations = tuple(engine.adaptations())
             engine_family = engine.engine_family
             calibration = engine.calibration()
-            shard_stats = getattr(engine.matcher, "shard_stats", None)
-            if shard_stats is not None:
-                shards = shard_stats()
         else:
             kernel = KernelStats()
             adaptations = ()
@@ -615,7 +591,6 @@ class FilterService:
             kernel=kernel,
             adaptations=adaptations,
             delivery=self._broker.delivery_stats(),
-            shards=shards,
             durability=self._broker.durability_stats(),
             calibration=calibration,
         )

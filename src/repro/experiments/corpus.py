@@ -7,8 +7,8 @@ event stream in the profile's batch shape while applying its churn
 schedule — and returns a :class:`CorpusRecord` of deterministic metrics
 (ops/event, matches/event; wall-clock only on explicit timing runs).
 
-Determinism is the whole point: the workload seeds, the pinned
-``shard_count`` and the pinned adaptation knobs make ``ops_per_event``
+Determinism is the whole point: the workload seeds and the pinned
+adaptation knobs make ``ops_per_event``
 and ``matches_per_event`` bit-stable across machines, so the corpus can
 gate engine-family wins in CI and the appended ``BENCH_history.jsonl``
 records are comparable across commits.  The churn schedule is part of

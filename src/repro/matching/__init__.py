@@ -1,6 +1,6 @@
 """Event-filtering algorithms.
 
-Five matcher families, all implementing the same
+Four matcher families, all implementing the same
 :class:`~repro.matching.interfaces.Matcher` interface (including the batch
 API ``match_batch``) and the same comparison-operation accounting:
 
@@ -12,10 +12,7 @@ API ``match_batch``) and the same comparison-operation accounting:
   paper improves with distribution-based reordering;
 * :class:`~repro.matching.index.PredicateIndexMatcher` — counting over
   per-(attribute, operator) index buckets, planned by the
-  selectivity-aware :class:`~repro.matching.index.IndexPlanner`;
-* :class:`~repro.matching.sharded.ShardedMatcher` — the index matcher
-  partitioned over N shards, batches fanned out across a worker pool and
-  merged bit-identically to the unsharded engine.
+  selectivity-aware :class:`~repro.matching.index.IndexPlanner`.
 
 The families the adaptive service can drive are declared in the
 **engine registry** (:mod:`repro.matching.registry`): each registers a
@@ -41,7 +38,6 @@ from repro.matching.registry import (
     EngineSpec,
     default_registry,
 )
-from repro.matching.sharded import ShardStats, ShardedMatcher
 from repro.matching.statistics import FilterStatistics, RunningMean
 from repro.matching.tree import (
     ProfileTree,
@@ -70,8 +66,6 @@ __all__ = [
     "ProfileTree",
     "RunningMean",
     "SearchStrategy",
-    "ShardStats",
-    "ShardedMatcher",
     "TreeConfiguration",
     "TreeMatcher",
     "ValueOrder",

@@ -22,11 +22,9 @@ matcher family registers one :class:`EngineSpec` bundling
 ``"auto"`` is not a family: it is the reserved arbitration mode that
 pits every ranked family's candidate against the current matcher.
 :func:`default_registry` returns the process-wide registry, pre-populated
-with the built-in ``tree``, ``index`` and ``hybrid`` families, the
-partition-parallel ``sharded`` family, and the ``naive`` baseline
-(selectable by name, but never part of the ``auto`` arbitration: the
-baseline carries no cost estimator, and ``sharded`` opts out with
-``auto_rank=None``); third-party engines
+with the built-in ``tree``, ``index`` and ``hybrid`` families and the
+``naive`` baseline (selectable by name, but never part of the ``auto``
+arbitration: the baseline carries no cost estimator); third-party engines
 become selectable by registering a spec — no change to ``repro.service``
 required::
 
@@ -105,11 +103,6 @@ class EngineContext:
     #: ``AdaptationPolicy.min_columnar_batch`` falling back to the
     #: registry entry's :attr:`EngineSpec.min_columnar_batch`.
     min_columnar_batch: int | None = None
-    #: Shard count for partition-parallel families (today: ``sharded``).
-    #: ``None`` leaves the family on its cores-based default
-    #: (:func:`repro.matching.sharded.default_shard_count`); resolved
-    #: from :attr:`repro.service.adaptive.AdaptationPolicy.shard_count`.
-    shard_count: int | None = None
 
 
 @dataclass(frozen=True)
@@ -347,19 +340,6 @@ def _tree_candidate(
     )
 
 
-def _recost(matcher: "Matcher", distributions) -> tuple[float, float]:
-    """Price a running predicate-index matcher in one recosting pass.
-
-    Returns ``(cost of the current strategy choices, cost of a fresh
-    plan)`` over the live buckets, both under ``distributions``.
-    """
-    recosted = matcher.recost_plans(distributions)
-    return (
-        matcher.plan.cost_under(recosted),
-        sum(plan.chosen_cost for plan in recosted.values()),
-    )
-
-
 def _predicate_index_spec(
     name: str,
     *,
@@ -400,7 +380,9 @@ def _predicate_index_spec(
             # A cheap recost of the live buckets prices both sides; an
             # applied decision replans (rebuilds) in place, keeping the
             # matcher object and its stats.
-            predicted_current, cost = _recost(matcher, distributions)
+            recosted = matcher.recost_plans(distributions)
+            predicted_current = matcher.plan.cost_under(recosted)
+            cost = sum(plan.chosen_cost for plan in recosted.values())
 
             def install() -> "Matcher":
                 matcher.replan(distributions)
@@ -432,54 +414,6 @@ def _predicate_index_spec(
     )
 
 
-def _sharded_factory(ctx: EngineContext) -> "Matcher":
-    from repro.matching.index.planner import IndexPlanner
-    from repro.matching.sharded.matcher import ShardedMatcher
-
-    return ShardedMatcher(
-        ctx.profiles,
-        shard_count=ctx.shard_count,
-        planner=IndexPlanner(attribute_measure=ctx.attribute_measure),
-        min_columnar_batch=ctx.min_columnar_batch,
-    )
-
-
-def _sharded_owns(matcher: "Matcher") -> bool:
-    from repro.matching.sharded.matcher import ShardedMatcher
-
-    return isinstance(matcher, ShardedMatcher)
-
-
-def _sharded_candidate(
-    ctx: EngineContext, matcher: "Matcher | None", distributions
-) -> EngineCandidate | None:
-    """Recost every shard's buckets and propose one collective replan.
-
-    Both predicted costs are sums of the per-shard :func:`_recost`;
-    installing replans every shard under the shared distributions.  The
-    family only re-optimises itself: it abstains unless it is running.
-    """
-    if not _sharded_owns(matcher):
-        return None
-    predicted_current = cost = 0.0
-    for shard in matcher.shards:
-        shard_current, shard_cost = _recost(shard, distributions)
-        predicted_current += shard_current
-        cost += shard_cost
-
-    def install() -> "Matcher":
-        matcher.replan(distributions)
-        return matcher
-
-    return EngineCandidate(
-        "sharded",
-        cost,
-        f"sharded[{matcher.shard_count} shards, P_e estimated]",
-        install,
-        predicted_current,
-    )
-
-
 def _naive_factory(ctx: EngineContext) -> "Matcher":
     from repro.matching.naive import NaiveMatcher
 
@@ -493,8 +427,6 @@ def _naive_owns(matcher: "Matcher") -> bool:
 
 
 def _builtin_specs() -> tuple[EngineSpec, ...]:
-    from repro.matching.index.planner import IndexPlanner
-
     tree = EngineSpec(
         name="tree",
         factory=_tree_factory,
@@ -533,20 +465,6 @@ def _builtin_specs() -> tuple[EngineSpec, ...]:
             "(hash/interval/scan chosen independently)"
         ),
     )
-    sharded = EngineSpec(
-        name="sharded",
-        factory=_sharded_factory,
-        capabilities=EngineCapabilities(incremental_maintenance=True, batch_kernel=True),
-        owns=_sharded_owns,
-        supported_measures=tuple(IndexPlanner.SUPPORTED_MEASURES),
-        candidate=_sharded_candidate,
-        # Out of ``auto``: sharding is a deployment decision (core
-        # budget), not something the per-event cost currency can
-        # arbitrate — the summed probe cost always looks worse than one
-        # unsharded probe.
-        auto_rank=None,
-        description="partition-parallel predicate-index shards merged bit-identically",
-    )
     # The sequential-scan baseline, registered so the end-to-end
     # benchmark's verifier replays every workload through the same
     # ``AdaptationPolicy(engine=...)`` switch.  It carries no cost
@@ -560,7 +478,7 @@ def _builtin_specs() -> tuple[EngineSpec, ...]:
         auto_rank=60,
         description="sequential per-profile scan baseline",
     )
-    return (tree, index, hybrid, sharded, naive)
+    return (tree, index, hybrid, naive)
 
 
 _DEFAULT: EngineRegistry | None = None

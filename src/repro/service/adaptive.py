@@ -8,7 +8,7 @@ tree for certain applications based on the data distributions".
 
 :class:`AdaptiveFilterEngine` drives one matcher from the **engine
 registry** (:mod:`repro.matching.registry`; the built-in families are
-``tree``, ``index``, ``hybrid``, ``sharded`` and the ``naive`` baseline,
+``tree``, ``index``, ``hybrid`` and the ``naive`` baseline,
 ``"auto"`` arbitrates between every ranked family)
 and
 
@@ -95,7 +95,7 @@ class AdaptationPolicy:
     #: with the engine registry — the built-ins are ``"tree"`` (the
     #: paper's profile tree, restructured via the TreeOptimizer),
     #: ``"index"`` (the predicate-index matcher, replanned via the
-    #: IndexPlanner), ``"hybrid"``, ``"sharded"`` and the ``"naive"``
+    #: IndexPlanner), ``"hybrid"`` and the ``"naive"``
     #: baseline — or ``"auto"`` (starts on the registry's
     #: preferred family and, at every re-optimisation, switches to
     #: whichever ranked family the cost models predict to be cheapest
@@ -135,13 +135,6 @@ class AdaptationPolicy:
     #: :data:`repro.matching.index.kernel.MIN_COLUMNAR_BATCH`; smaller
     #: values push smaller batches into the columnar kernel.
     min_columnar_batch: int | None = None
-    #: Shard count for partition-parallel families (today: the
-    #: ``sharded`` family, which partitions the profile population over
-    #: this many predicate-index shards).  ``None`` leaves the family on
-    #: its cores-based default
-    #: (:func:`repro.matching.sharded.default_shard_count`); ignored by
-    #: unsharded families.
-    shard_count: int | None = None
     #: Engine roster consulted for validation, construction and the
     #: ``auto`` arbitration.  ``None`` uses the process-wide
     #: :func:`~repro.matching.registry.default_registry`; passing a
@@ -181,8 +174,6 @@ class AdaptationPolicy:
             raise ServiceError("calibration_window must be at least 1")
         if self.min_columnar_batch is not None and self.min_columnar_batch < 0:
             raise ServiceError("min_columnar_batch must be non-negative")
-        if self.shard_count is not None and self.shard_count < 1:
-            raise ServiceError("shard_count must be at least 1")
 
     @property
     def engine_registry(self) -> EngineRegistry:
@@ -318,7 +309,6 @@ class AdaptiveFilterEngine:
             search=self.policy.search,
             initial_configuration=self._initial_configuration,
             min_columnar_batch=min_columnar,
-            shard_count=self.policy.shard_count,
         )
 
     def _adopt_matcher(self, matcher: Matcher) -> None:

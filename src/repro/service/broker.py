@@ -9,8 +9,7 @@ profile, the metrics of Fig. 5) and optionally applies publisher-side
 quenching.
 
 Subscription churn is incremental: subscribe/unsubscribe flow through the
-engine's profile maintenance (postings deltas on the index family; the
-sharded family routes each delta to the one shard owning the profile), so
+engine's profile maintenance (postings deltas on the index family), so
 the filter structures, the event history and the adaptation state all
 survive churn; only the first subscription builds an engine.  The same maintenance
 path backs the pause/resume/modify life-cycle
@@ -690,17 +689,11 @@ class Broker:
         discards queued deliveries (counted as ``dropped``).  A closed
         broker rejects further publishing with
         :class:`~repro.core.errors.DeliveryError`; subscriptions and
-        statistics stay readable.  A matcher that owns execution
-        resources (the sharded family's worker pool) is closed too, via
-        its own ``close()``.  An attached subscription store is flushed
+        statistics stay readable.  An attached subscription store is flushed
         (fsync) and closed last, so every journaled operation is durable
         when ``close`` returns.
         """
         self._delivery.close(drain=drain)
-        if self._engine is not None:
-            close_matcher = getattr(self._engine.matcher, "close", None)
-            if close_matcher is not None:
-                close_matcher()
         if self._store is not None and not self._store.closed:
             self._store.flush()
             self._store.close()

@@ -73,6 +73,7 @@ from repro.core.errors import (
 )
 from repro.core.schema import Attribute, Schema
 from repro.distributions.library import make_distribution
+from repro.matching.registry import default_registry
 from repro.workloads.profiles.model import (
     DEFAULT_FAMILIES,
     EngineHints,
@@ -129,6 +130,16 @@ def _check_string(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise WorkloadSpecError(path, f"expected a string, got {value!r}")
     return value
+
+
+def _check_engine_name(value: Any, path: str) -> str:
+    name = _check_string(value, path)
+    engines = default_registry().engine_names()
+    if name not in engines:
+        raise WorkloadSpecError(
+            path, f"unknown engine {name!r}; registered engines: {', '.join(engines)}"
+        )
+    return name
 
 
 def _check_int(value: Any, path: str) -> int:
@@ -393,15 +404,15 @@ def _build_engine(table: Mapping, path: str) -> EngineHints:
     _reject_unknown_keys(table, _ENGINE_KEYS, path)
     kwargs: dict[str, Any] = {}
     if "engine" in table:
-        kwargs["engine"] = _check_string(table["engine"], f"{path}.engine")
+        kwargs["engine"] = _check_engine_name(table["engine"], f"{path}.engine")
     if "families" in table:
         families = table["families"]
         if not isinstance(families, list):
             raise WorkloadSpecError(f"{path}.families", "expected a list of family names")
         kwargs["families"] = tuple(
-            _check_string(family, f"{path}.families") for family in families
+            _check_engine_name(family, f"{path}.families") for family in families
         )
-    for knob in ("shard_count", "reoptimize_interval", "warmup_events", "min_columnar_batch"):
+    for knob in ("reoptimize_interval", "warmup_events", "min_columnar_batch"):
         if knob in table:
             kwargs[knob] = _check_int(table[knob], f"{path}.{knob}")
     if "improvement_threshold" in table:

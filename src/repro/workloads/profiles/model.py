@@ -26,9 +26,7 @@ __all__ = ["EngineHints", "RunShape", "ScenarioProfile"]
 
 #: Engine families a corpus profile runs through unless it names its own
 #: roster.  The ``naive`` baseline stays out: its op metrics are a
-#: documented lower bound, not a comparable production cost.  ``sharded``
-#: is opt-in because it requires a pinned ``shard_count`` (the cores-based
-#: default would make corpus numbers machine-dependent).
+#: documented lower bound, not a comparable production cost.
 DEFAULT_FAMILIES = ("tree", "index", "hybrid")
 
 _DELIVERY_MODES = ("inline", "threadpool", "asyncio")
@@ -69,14 +67,11 @@ class EngineHints:
     for a family (e.g. broad ranges exploding the tree's subrange
     decomposition) narrows it and documents why in the file.  The
     remaining knobs pin :class:`~repro.service.adaptive.AdaptationPolicy`
-    fields that change deterministic op counts (``shard_count`` must be
-    pinned whenever ``families`` includes ``"sharded"``: the cores-based
-    default would make corpus numbers machine-dependent).
+    fields that change deterministic op counts.
     """
 
     engine: str = "auto"
     families: tuple[str, ...] = DEFAULT_FAMILIES
-    shard_count: int | None = None
     reoptimize_interval: int | None = None
     warmup_events: int | None = None
     improvement_threshold: float | None = None
@@ -86,19 +81,11 @@ class EngineHints:
         object.__setattr__(self, "families", tuple(self.families))
         if not self.families:
             raise WorkloadSpecError("engine.families", "must name at least one family")
-        if "sharded" in self.families and self.shard_count is None:
-            raise WorkloadSpecError(
-                "engine.shard_count",
-                "must be pinned when 'sharded' is in engine.families (the "
-                "cores-based default is machine-dependent, corpus numbers "
-                "must not be)",
-            )
 
     def policy_overrides(self) -> dict[str, object]:
         """Return the pinned AdaptationPolicy kwargs (unset knobs omitted)."""
         overrides: dict[str, object] = {}
         for knob in (
-            "shard_count",
             "reoptimize_interval",
             "warmup_events",
             "improvement_threshold",

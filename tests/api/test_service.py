@@ -32,7 +32,6 @@ class TestConstruction:
             "tree",
             "index",
             "hybrid",
-            "sharded",
             "naive",
             "auto",
         )

@@ -11,7 +11,6 @@ from repro.matching.counting import CountingMatcher
 from repro.matching.index import PredicateIndexMatcher
 from repro.matching.interfaces import Matcher, match_all, match_batch
 from repro.matching.naive import NaiveMatcher
-from repro.matching.sharded import ShardedMatcher
 from repro.matching.tree import TreeMatcher
 from repro.workloads.toy import environmental_profiles, example_event
 
@@ -137,15 +136,7 @@ class TestCountingMatcher:
         assert results[0].is_match
 
 
-@pytest.mark.parametrize(
-    "make_matcher",
-    [
-        TreeMatcher,
-        PredicateIndexMatcher,
-        lambda profiles: ShardedMatcher(profiles, shard_count=2, executor="serial"),
-    ],
-    ids=["tree", "index", "sharded"],
-)
+@pytest.mark.parametrize("make_matcher", [TreeMatcher, PredicateIndexMatcher], ids=["tree", "index"])
 def test_free_match_all_is_the_only_per_event_helper(make_matcher):
     """Engines expose ``match_batch`` only; the free ``match_all`` still
     filters through any of them and agrees with the batch path."""

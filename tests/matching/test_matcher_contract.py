@@ -1,11 +1,12 @@
 """Cross-family maintenance contract tests.
 
-Every matcher family — naive, counting, tree, predicate index — plus the
-adaptive engine wrapper must behave identically at the maintenance
-surface: removing an unknown profile id raises
-:class:`~repro.core.errors.MatchingError`, adding a duplicate id raises
-:class:`~repro.core.errors.ProfileError`, and a successful remove makes
-the profile id removable exactly once.
+Every matcher family — naive, counting, tree, predicate index, hybrid
+index — plus the adaptive engine wrapper over each registered family must
+behave identically at the maintenance surface: removing an unknown profile
+id raises :class:`~repro.core.errors.MatchingError`, adding a duplicate id
+raises :class:`~repro.core.errors.ProfileError`, and a successful remove
+makes the profile id removable exactly once.  The index families report
+matches in insertion order, and a re-added id sorts by its new position.
 """
 
 import pytest
@@ -17,6 +18,7 @@ from repro.core.profiles import ProfileSet, profile
 from repro.core.schema import Attribute, Schema
 from repro.matching import (
     CountingMatcher,
+    IndexPlanner,
     NaiveMatcher,
     PredicateIndexMatcher,
     TreeMatcher,
@@ -29,23 +31,30 @@ def make_profiles() -> ProfileSet:
     return ProfileSet(schema, [profile("P1", v=10), profile("P2", v=20)])
 
 
+def hybrid_matcher(profiles: ProfileSet) -> PredicateIndexMatcher:
+    return PredicateIndexMatcher(profiles, planner=IndexPlanner(hybrid=True))
+
+
+def adaptive(engine: str):
+    return lambda profiles: AdaptiveFilterEngine(profiles, policy=AdaptationPolicy(engine=engine))
+
+
+ADAPTIVE_ENGINES = ("tree", "index", "hybrid", "naive", "auto")
 FAMILIES = [
     NaiveMatcher,
     CountingMatcher,
     TreeMatcher,
     PredicateIndexMatcher,
-    lambda profiles: AdaptiveFilterEngine(profiles, policy=AdaptationPolicy(engine="tree")),
-    lambda profiles: AdaptiveFilterEngine(profiles, policy=AdaptationPolicy(engine="index")),
-    lambda profiles: AdaptiveFilterEngine(profiles, policy=AdaptationPolicy(engine="auto")),
+    hybrid_matcher,
+    *(adaptive(engine) for engine in ADAPTIVE_ENGINES),
 ]
 FAMILY_IDS = [
     "naive",
     "counting",
     "tree",
     "index",
-    "adaptive-tree",
-    "adaptive-index",
-    "adaptive-auto",
+    "hybrid",
+    *(f"adaptive-{engine}" for engine in ADAPTIVE_ENGINES),
 ]
 
 
@@ -96,6 +105,19 @@ def test_add_profiles_batch_equals_sequential(factory):
             batched.match(event).matched_profile_ids
             == sequential.match(event).matched_profile_ids
         )
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [PredicateIndexMatcher, hybrid_matcher, adaptive("index"), adaptive("hybrid")],
+    ids=["index", "hybrid", "adaptive-index", "adaptive-hybrid"],
+)
+def test_readded_profile_sorts_by_its_new_position(factory):
+    schema = Schema([Attribute("v", IntegerDomain(0, 99))])
+    matcher = factory(ProfileSet(schema, [profile(pid, v=10) for pid in ("P0", "P1", "P2")]))
+    matcher.remove_profile("P0")
+    matcher.add_profile(profile("P0", v=10))
+    assert matcher.match(Event({"v": 10})).matched_profile_ids == ("P1", "P2", "P0")
 
 
 def test_tree_add_profiles_rebuilds_once(monkeypatch):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api import FilterService
 from repro.core.domains import IntegerDomain
 from repro.core.errors import MatchingError, ServiceError
 from repro.core.events import Event
@@ -37,14 +38,12 @@ def small_profiles() -> ProfileSet:
 class TestDefaultRegistry:
     def test_builtin_roster(self):
         registry = default_registry()
-        assert registry.names() == ("tree", "index", "hybrid", "sharded", "naive")
-        assert registry.engine_names() == (
-            "tree", "index", "hybrid", "sharded", "naive", "auto"
-        )
-        assert "tree" in registry and "index" in registry
-        assert "hybrid" in registry and "sharded" in registry
-        assert "naive" in registry and "counting" not in registry
-        assert len(registry) == 5
+        assert registry.names() == ("tree", "index", "hybrid", "naive")
+        assert registry.engine_names() == ("tree", "index", "hybrid", "naive", "auto")
+        assert "tree" in registry and "index" in registry and "hybrid" in registry
+        assert "naive" in registry
+        assert "counting" not in registry and "sharded" not in registry
+        assert len(registry) == 4
 
     def test_auto_starts_on_the_index_family(self):
         assert default_registry().auto_start().name == "index"
@@ -71,7 +70,7 @@ class TestDefaultRegistry:
 
     def test_unknown_engine_error_lists_registered_names(self):
         with pytest.raises(
-            MatchingError, match="tree, index, hybrid, sharded, naive, auto"
+            MatchingError, match="tree, index, hybrid, naive, auto"
         ):
             default_registry().spec("quantum")
 
@@ -115,8 +114,7 @@ class TestBaselineFamilies:
         assert engine.match(Event({"v": 40})).matched_profile_ids == ("P40",)
 
     def test_no_participation_in_auto_arbitration(self):
-        """No cost estimator: the baseline never arbitrates (nor does
-        ``sharded``, which has one but no ``auto_rank``), and auto still
+        """No cost estimator: the baseline never arbitrates, and auto still
         starts on the index family."""
         registry = default_registry()
         assert [spec.name for spec in registry.arbitrating_specs()] == [
@@ -124,7 +122,6 @@ class TestBaselineFamilies:
             "tree",
             "hybrid",
         ]
-        assert registry.spec("sharded").auto_rank is None
         assert registry.auto_start().name == "index"
 
     def test_no_periodic_restructuring(self):
@@ -166,9 +163,13 @@ class TestBaselineFamilies:
                 reference = matched
             assert matched == reference, name
 
-    def test_counting_is_not_selectable_by_name(self):
-        with pytest.raises(ServiceError, match="unknown engine 'counting'"):
-            AdaptationPolicy(engine="counting")
+    @pytest.mark.parametrize("name", ["counting", "sharded"])
+    def test_retired_family_is_not_selectable_by_name(self, name):
+        with pytest.raises(
+            ServiceError,
+            match=f"unknown engine '{name}'; registered engines: tree, index, hybrid, naive, auto",
+        ):
+            FilterService(small_profiles().schema, engine=name)
 
     @pytest.mark.parametrize("name", default_registry().names())
     def test_counting_oracle_agrees_with_each_family(self, name):
@@ -250,7 +251,7 @@ class TestThirdPartyEngines:
 
     def test_policy_rejects_unknown_engine_with_roster_listing(self):
         with pytest.raises(
-            ServiceError, match="tree, index, hybrid, sharded, naive, auto"
+            ServiceError, match="tree, index, hybrid, naive, auto"
         ):
             AdaptationPolicy(engine="quantum")
 

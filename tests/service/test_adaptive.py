@@ -149,7 +149,7 @@ class TestAdaptiveFilterEngine:
         engine.remove_profile("extra")
         assert not engine.match(Event({"v": 33})).is_match
 
-    @pytest.mark.parametrize("engine_kind", ["index", "hybrid", "sharded", "naive"])
+    @pytest.mark.parametrize("engine_kind", ["index", "hybrid", "naive"])
     def test_configuration_error_names_the_running_family(self, engine_kind):
         engine = self.make_engine(engine=engine_kind)
         with pytest.raises(
@@ -157,7 +157,7 @@ class TestAdaptiveFilterEngine:
         ):
             engine.configuration
 
-    @pytest.mark.parametrize("engine_kind", ["tree", "index", "hybrid", "sharded"])
+    @pytest.mark.parametrize("engine_kind", ["tree", "index", "hybrid"])
     def test_pinned_engines_feed_the_calibrator(self, engine_kind):
         """One decision path means one feedback loop: every check after
         the first scores the previous prediction against measurement."""
@@ -275,15 +275,6 @@ class TestAutoEngine:
         assert "late" in engine.match(Event({"v": 500}))
         engine.remove_profile("late")
         assert "late" not in engine.match(Event({"v": 500}))
-
-    def test_auto_never_considers_sharded(self):
-        """``sharded`` costs its own replans but has no ``auto_rank``."""
-        rng = random.Random(4)
-        engine = AdaptiveFilterEngine(
-            self.broad_range_profiles(), policy=self.auto_policy(shard_count=2)
-        )
-        self.run(engine, [Event({"v": rng.randint(0, 999)}) for _ in range(600)])
-        assert {record.engine for record in engine.adaptations()} <= {"index", "tree", "hybrid"}
 
     def test_auto_policy_validates_measures_like_index(self):
         from repro.selectivity import AttributeMeasure
@@ -415,9 +406,9 @@ class TestAutoSwitchHysteresis:
                 registry.register(replace(spec, candidate=None))
                 continue
             if spec.candidate is None or spec.auto_rank is None:
-                # The counting/naive baselines carry no cost estimator and
-                # sharded no auto rank; they sit the arbitration out here
-                # exactly as they do on the default roster.
+                # The naive baseline carries no cost estimator; it sits
+                # the arbitration out here exactly as it does on the
+                # default roster.
                 registry.register(spec)
                 continue
             registry.register(
@@ -532,7 +523,7 @@ def decision(record):
     )
 
 
-@pytest.mark.parametrize("family", ["tree", "index", "hybrid", "sharded"])
+@pytest.mark.parametrize("family", ["tree", "index", "hybrid"])
 @given(run=churned_runs(), threshold=st.sampled_from([0.0, 0.05]))
 @settings(max_examples=25, deadline=None)
 def test_pinned_engine_is_auto_over_a_roster_of_one(family, run, threshold):
@@ -544,12 +535,9 @@ def test_pinned_engine_is_auto_over_a_roster_of_one(family, run, threshold):
         reoptimize_interval=8,
         warmup_events=8,
         improvement_threshold=threshold,
-        shard_count=2,
         min_columnar_batch=4,
     )
     spec = next(spec for spec in builtin_specs() if spec.name == family)
-    if spec.auto_rank is None:
-        spec = replace(spec, auto_rank=0)  # let auto rank the sharded family
     pinned = AdaptiveFilterEngine(
         ProfileSet(schema, pool[::2]), policy=AdaptationPolicy(engine=family, **knobs)
     )

@@ -11,7 +11,7 @@ SQLite):
   state, modified profiles and webhook sinks all reconstructed.
 * **Equivalence** — a Hypothesis churn script asserts that a service
   restarted mid-stream matches *exactly* like one that never stopped,
-  across the tree, index and sharded engine families.
+  across the tree and index engine families.
 """
 
 from __future__ import annotations
@@ -391,7 +391,7 @@ class TestBootPath:
         assert len(recovered.entries) == 1
 
 
-ENGINES = ("tree", "index", "sharded")
+ENGINES = ("tree", "index")
 
 
 def churn_scripts():
@@ -436,8 +436,6 @@ class TestReplayEquivalence:
     ):
         tmp_path = tmp_path_factory.mktemp("equiv")
         kwargs = {"engine": engine, "adaptive": False}
-        if engine == "sharded":
-            kwargs["shard_count"] = 2
 
         oracle = FilterService(price_schema(), **kwargs)
         oracle_handles: dict = {}

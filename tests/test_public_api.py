@@ -32,7 +32,6 @@ PACKAGES = [
     "repro.distributions",
     "repro.matching",
     "repro.matching.index",
-    "repro.matching.sharded",
     "repro.matching.tree",
     "repro.selectivity",
     "repro.analysis",
@@ -109,7 +108,6 @@ API_SURFACE = {
         "calibration_smoothing",
         "calibration_window",
         "min_columnar_batch",
-        "shard_count",
         "registry",
     ),
     "AdaptationRecord": (
@@ -186,7 +184,6 @@ API_SURFACE = {
         "engine",
         "adaptive",
         "policy",
-        "shard_count",
         "quenching",
         "service_id",
         "delivery",
@@ -248,11 +245,9 @@ API_SURFACE = {
         "kernel",
         "adaptations",
         "delivery",
-        "shards",
         "durability",
         "calibration",
     ),
-    "ShardStats": ("shard_count", "executor", "profiles_per_shard"),
     "SqliteSubscriptionStore": ("path", "snapshot_every"),
     "SubscriptionHandle": ("service", "subscription"),
     "SubscriptionStore": ("snapshot_every",),
@@ -394,7 +389,6 @@ WORKLOADS_PROFILES_SURFACE = {
     "EngineHints": (
         "engine",
         "families",
-        "shard_count",
         "reoptimize_interval",
         "warmup_events",
         "improvement_threshold",

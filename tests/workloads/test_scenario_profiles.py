@@ -139,11 +139,36 @@ class TestValidation:
             load_profile(path)
         assert excinfo.value.key == "attributes.c.predicate"
 
-    def test_sharded_family_requires_pinned_shard_count(self, tmp_path):
-        path = _write(tmp_path, _MINIMAL + '\n[engine]\nfamilies = ["sharded"]\n')
+    @pytest.mark.parametrize(
+        ("engine_table", "key", "message"),
+        [
+            ("shard_count = 4", "engine.shard_count", "unknown key"),
+            ('families = ["sharded"]', "engine.families", "unknown engine 'sharded'"),
+            ('families = ["tree", "indx"]', "engine.families", "unknown engine 'indx'"),
+            ('engine = "sharded"', "engine.engine", "unknown engine 'sharded'"),
+        ],
+        ids=["leftover-knob", "retired-family", "typo-family", "retired-engine"],
+    )
+    def test_stale_engine_hints_are_rejected_at_load(self, tmp_path, engine_table, key, message):
+        path = _write(tmp_path, _MINIMAL + f"\n[engine]\n{engine_table}\n")
         with pytest.raises(WorkloadSpecError) as excinfo:
             load_profile(path)
-        assert excinfo.value.key == "engine.shard_count"
+        assert excinfo.value.key == key
+        assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        ("engine_table", "engine", "families"),
+        [
+            ('engine = "naive"\nfamilies = ["naive"]', "naive", ("naive",)),
+            ('families = ["tree", "naive", "auto"]', "auto", ("tree", "naive", "auto")),
+        ],
+        ids=["baseline-family", "auto-in-families"],
+    )
+    def test_every_registered_engine_name_loads(self, tmp_path, engine_table, engine, families):
+        """The check is the registry's roster, not the default families."""
+        path = _write(tmp_path, _MINIMAL + f"\n[engine]\n{engine_table}\n")
+        hints = load_profile(path).engine
+        assert (hints.engine, hints.families) == (engine, families)
 
     def test_unknown_delivery_mode(self, tmp_path):
         path = _write(tmp_path, _MINIMAL + '\n[run]\ndelivery = "pigeon"\n')
