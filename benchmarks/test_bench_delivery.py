@@ -1,4 +1,4 @@
-"""Delivery-throughput benchmark: inline vs threadpool (vs asyncio).
+"""Delivery-throughput benchmark: inline vs threadpool.
 
 The stock-ticker batch flows through a :class:`~repro.api.FilterService`
 whose 400 subscriptions all carry sinks, once per delivery executor.
@@ -33,7 +33,6 @@ _PROFILES = list(_STOCK.profiles)
 _MODES = {
     "inline": {},
     "threadpool": {"max_workers": 4, "queue_capacity": 4096},
-    "asyncio": {"queue_capacity": 4096},
 }
 
 

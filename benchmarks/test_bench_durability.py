@@ -3,9 +3,10 @@
 Three questions the ROADMAP's robustness item asks of the durable path:
 
 * **What does journaling cost on subscribe?**  The stock-ticker profile
-  set is subscribed once without a store and once per backend; timing
-  runs report the per-subscribe overhead, smoke runs gate the journal
-  accounting (records appended, snapshots taken) deterministically.
+  set is subscribed once without a store and once over the JSONL WAL;
+  timing runs report the per-subscribe overhead, smoke runs gate the
+  journal accounting (records appended, snapshots taken)
+  deterministically.
 * **How fast is recovery?**  A journal of ``--benchmark`` size (50k
   subscriptions on timing runs, 2k in smoke) boots a fresh
   ``FilterService(store=...)``; the recovered service must match
@@ -24,12 +25,9 @@ import random
 import threading
 import time
 
-import pytest
-
 from repro.api import (
     FilterService,
     JsonlWalStore,
-    SqliteSubscriptionStore,
     WebhookConfig,
     WebhookSink,
 )
@@ -57,26 +55,19 @@ def _timing_enabled(request) -> bool:
     return not request.config.getoption("benchmark_disable", default=False)
 
 
-def _make_store(backend: str, tmp_path, **kwargs):
-    if backend == "jsonl":
-        return JsonlWalStore(tmp_path / "wal", **kwargs)
-    return SqliteSubscriptionStore(tmp_path / "subs.db", **kwargs)
-
-
 def _subscribe_all(service: FilterService) -> float:
     start = time.perf_counter()
     service.subscribe_all(_PROFILES, subscriber="bench")
     return time.perf_counter() - start
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_wal_append_overhead_per_subscribe(backend, tmp_path, record_durability, request):
-    """Journaling cost of the subscribe path, per backend."""
+def test_wal_append_overhead_per_subscribe(tmp_path, record_durability, request):
+    """Journaling cost of the subscribe path."""
     bare = FilterService(_STOCK.schema, engine="index", adaptive=False)
     bare_elapsed = _subscribe_all(bare)
     bare.close()
 
-    store = _make_store(backend, tmp_path, snapshot_every=1000)
+    store = JsonlWalStore(tmp_path / "wal", snapshot_every=1000)
     durable = FilterService(_STOCK.schema, engine="index", adaptive=False,
                             store=store)
     durable_elapsed = _subscribe_all(durable)
@@ -94,14 +85,13 @@ def test_wal_append_overhead_per_subscribe(backend, tmp_path, record_durability,
         extra["wall_clock_seconds"] = durable_elapsed
         extra["append_overhead_us_per_subscribe"] = overhead * 1e6
         print(
-            f"\ndurability[{backend}]: {overhead * 1e6:.1f} us journaling "
+            f"\ndurability[jsonl]: {overhead * 1e6:.1f} us journaling "
             f"overhead per subscribe ({len(_PROFILES)} profiles)"
         )
-    record_durability(f"append-overhead[{backend}]", **extra)
+    record_durability("append-overhead[jsonl]", **extra)
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-def test_replay_time(backend, tmp_path, record_durability, request):
+def test_replay_time(tmp_path, record_durability, request):
     """Boot-from-journal latency and post-replay matching equivalence."""
     count = _REPLAY_TIMING if _timing_enabled(request) else _REPLAY_SMOKE
     spec = get_profile("stock-ticker").spec.with_counts(profile_count=count, event_count=1)
@@ -109,7 +99,7 @@ def test_replay_time(backend, tmp_path, record_durability, request):
 
     # Seed the journal directly (the subscribe-path cost is measured
     # above); compaction folds it into one snapshot plus a short tail.
-    store = _make_store(backend, tmp_path, snapshot_every=count)
+    store = JsonlWalStore(tmp_path / "wal", snapshot_every=count)
     store.open()
     for index, item in enumerate(profiles):
         store.append("subscribe", f"sub-{index + 1}", profile=item,
@@ -119,7 +109,7 @@ def test_replay_time(backend, tmp_path, record_durability, request):
     start = time.perf_counter()
     service = FilterService(
         _STOCK.schema, engine="index", adaptive=False,
-        store=_make_store(backend, tmp_path, snapshot_every=count),
+        store=JsonlWalStore(tmp_path / "wal", snapshot_every=count),
     )
     elapsed = time.perf_counter() - start
     stats = service.stats().durability
@@ -143,12 +133,12 @@ def test_replay_time(backend, tmp_path, record_durability, request):
         extra["wall_clock_seconds"] = elapsed
         extra["replay_subscriptions_per_second"] = count / elapsed
         print(
-            f"\ndurability-replay[{backend}]: {count} subscriptions in "
+            f"\ndurability-replay[jsonl]: {count} subscriptions in "
             f"{elapsed:.2f}s ({count / elapsed:,.0f}/s)"
         )
-        record_durability(f"replay-50k[{backend}]", statistics, **extra)
+        record_durability("replay-50k[jsonl]", statistics, **extra)
     else:
-        record_durability(f"replay[{backend}]", statistics, **extra)
+        record_durability("replay[jsonl]", statistics, **extra)
     service.close()
 
 

@@ -7,8 +7,8 @@ Eq. (1), exercises the durable subscription handles and reads the merged
 service statistics — including the adaptive re-optimisation history the
 service keeps underneath (Section 4).  A second act shows asynchronous
 notification delivery: the same subscriptions fed through an ``async
-def`` sink on the service-owned event loop and a slow webhook on the
-bounded thread pool, with a draining context-manager shutdown.
+def`` sink and a slow webhook, both on the bounded thread pool, with a
+draining context-manager shutdown.
 
 Run with:  python examples/quickstart.py
 """
@@ -93,38 +93,35 @@ def main() -> None:
 def async_delivery() -> None:
     """Notification sinks off the matching hot path.
 
-    The service default here is the ``asyncio`` executor (sinks run on
-    an event loop the service owns), and one subscription pins the
-    bounded ``threadpool`` executor instead — a slow webhook must not
-    stall anyone else.  Both keep per-subscription FIFO order, and the
+    The service default here is the bounded ``threadpool`` executor: a
+    slow webhook must not stall the publisher or anyone else, and an
+    ``async def`` sink is awaited to completion on the worker that
+    delivers it.  Every subscription keeps its FIFO order, and the
     ``with`` block drains every queued notification on exit.
     """
     schema = environmental_schema()
     alerts: list[str] = []
 
     async def alert_feed(notification) -> None:
-        # An ``async def`` sink: awaited on the service's event loop.
+        # An ``async def`` sink: awaited on the delivering worker thread.
         await asyncio.sleep(0.001)
         alerts.append(notification.profile_id)
 
     def slow_webhook(notification) -> None:
         time.sleep(0.002)  # a sluggish subscriber, safely off the hot path
 
-    with FilterService(schema, delivery="asyncio", max_workers=4) as service:
+    with FilterService(schema, delivery="threadpool", max_workers=4) as service:
         for item in environmental_profiles(schema):
             service.subscribe(item, subscriber="ops", sink=alert_feed)
         service.subscribe(
-            where("temperature").at_least(10),
-            subscriber="audit",
-            sink=slow_webhook,
-            delivery="threadpool",  # pinned per subscription
+            where("temperature").at_least(10), subscriber="audit", sink=slow_webhook
         )
         started = time.perf_counter()
         service.publish_batch([example_event()] * 20)
         publish_ms = (time.perf_counter() - started) * 1e3
         service.drain()  # barrier: every sink has caught up
         delivery = service.stats().delivery
-        print("asynchronous delivery (async sinks + pinned threadpool):")
+        print("asynchronous delivery (async sinks + a slow sink on the thread pool):")
         print(f"  publish_batch wall   : {publish_ms:6.1f} ms (sinks run behind it)")
         print(f"  async alerts         : {len(alerts)} notifications awaited")
         print(

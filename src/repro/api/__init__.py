@@ -54,20 +54,21 @@ statistics, the batch-kernel accounting and the adaptation history::
 
 **6. Take delivery off the hot path.**  The default executor runs sinks
 inline (synchronously); a heavy-traffic service hands them to a bounded
-worker pool or an asyncio loop — per-subscription FIFO order, bounded
-backpressure queues, and a draining close are guaranteed either way::
+worker pool — per-subscription FIFO order, bounded backpressure queues,
+and a draining close are guaranteed either way.  An ``async def`` sink
+works on either executor (each notification is awaited to completion
+on the delivering thread)::
 
     with FilterService(schema, delivery="threadpool", max_workers=8) as service:
         service.subscribe(where("symbol").eq("MSFT"), sink=slow_webhook)
-        service.subscribe(where("price").at_least(100), sink=an_async_def_sink,
-                          delivery="asyncio")
+        service.subscribe(where("price").at_least(100), sink=an_async_def_sink)
         service.publish_batch(ticks)      # matching never waits on a sink
         service.drain()                   # barrier: all sinks caught up
         service.stats().delivery          # dispatched/delivered/dropped/...
 
 **7. Survive restarts and leave the process.**  A
 :class:`SubscriptionStore` journals every subscription operation
-(JSONL WAL or SQLite, snapshot + log compaction); booting a service
+(a JSONL write-ahead log, snapshot + log compaction); booting a service
 over the same store replays the state and resumes the durable handles
 by id.  A :class:`WebhookSink` pins a subscription to the remote
 ``webhook`` executor — per-endpoint FIFO lanes, retry budget with
@@ -137,7 +138,6 @@ from repro.service.durability import (
     DurabilityStats,
     InMemorySubscriptionStore,
     JsonlWalStore,
-    SqliteSubscriptionStore,
     SubscriptionStore,
 )
 from repro.service.routing import (
@@ -176,7 +176,6 @@ __all__ = [
     "PublishOutcome",
     "Schema",
     "ServiceStats",
-    "SqliteSubscriptionStore",
     "SubscriptionHandle",
     "SubscriptionStore",
     "WebhookConfig",

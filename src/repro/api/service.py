@@ -227,7 +227,7 @@ class SubscriptionHandle:
         ``sink=None`` detaches the sink (the notification log still
         records matches).  ``delivery`` routes this subscription's
         notifications through the named executor (``"inline"``,
-        ``"threadpool"``, ``"asyncio"``); omitted, an existing pin is
+        ``"threadpool"``, ``"webhook"``); omitted, an existing pin is
         kept, while an explicit ``None`` resets the subscription to the
         service-default executor.  Notifications already queued for the
         old sink still reach it — and when the re-pin *changes executor*,
@@ -299,16 +299,18 @@ class FilterService:
         ``delivery`` selects the default notification executor
         (``"inline"``: sinks run synchronously inside ``publish``, the
         historical semantics; ``"threadpool"``: a bounded pool of
-        ``max_workers`` threads; ``"asyncio"``: async sinks awaited on a
-        service-owned event loop).  Asynchronous executors bound each
-        delivery lane at ``queue_capacity`` tasks and apply ``overflow``
-        (``"block"`` | ``"drop_oldest"`` | ``"raise"``) when a lane is
-        full.  Use the service as a context manager — or call
-        :meth:`close` — to drain in-flight deliveries on shutdown.
+        ``max_workers`` threads; ``"webhook"``: remote
+        :class:`~repro.service.delivery.WebhookSink` endpoints).  An
+        ``async def`` sink runs to completion on whichever thread
+        delivers it.  Asynchronous executors bound each delivery lane at
+        ``queue_capacity`` tasks and apply ``overflow`` (``"block"`` |
+        ``"drop_oldest"`` | ``"raise"``) when a lane is full.  Use the
+        service as a context manager — or call :meth:`close` — to drain
+        in-flight deliveries on shutdown.
 
-        ``retry_attempts`` / ``retry_backoff`` give the threadpool and
-        asyncio executors a bounded budget for transient sink
-        exceptions (default: one attempt, the historical semantics);
+        ``retry_attempts`` / ``retry_backoff`` give the threadpool
+        executor a bounded budget for transient sink exceptions
+        (default: one attempt, the historical semantics);
         ``webhook`` tunes the remote
         :class:`~repro.service.delivery.WebhookDeliveryExecutor`
         (timeouts, backoff, circuit breaker, dead-letter capacity).
@@ -470,7 +472,8 @@ class FilterService:
         ``profile-N`` when omitted).  The subscription attaches through
         the engine's incremental maintenance; ``sink`` is invoked for
         every delivered notification (an ``async def`` sink works too —
-        pair it with ``delivery="asyncio"``).  ``delivery`` pins this
+        publishing from inside a running event loop needs
+        ``delivery="threadpool"`` for it).  ``delivery`` pins this
         subscription to one executor mode, overriding the service
         default.
         """
@@ -522,7 +525,7 @@ class FilterService:
         """Block until every queued notification reached (or missed) its sink.
 
         A no-op under pure inline delivery; with ``threadpool`` /
-        ``asyncio`` executors this is the barrier tests and shutdown
+        ``webhook`` executors this is the barrier tests and shutdown
         paths use before reading sink-side state.
         """
         self._broker.drain_deliveries()

@@ -28,7 +28,7 @@ resolves each matched profile's subscription once, bulk-records the
 notifications in the log and produces one ``DeliveryPlan`` — the
 fan-out of the whole ``publish`` / ``publish_batch`` call — and the
 broker's dispatcher hands each executor its share of it as one list:
-``inline`` (default), ``threadpool``, ``asyncio`` or ``webhook`` —
+``inline`` (default), ``threadpool`` or ``webhook`` —
 selected per broker (``Broker(delivery="threadpool")``) or pinned per
 subscription — with per-subscription FIFO ordering, bounded
 backpressure queues and a draining :meth:`Broker.close`.
@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from repro.core.errors import ServiceError, SubscriptionError
+from repro.core.errors import ServiceError, StoreError, SubscriptionError
 from repro.core.events import Event, column_counts
 from repro.core.profiles import Profile, ProfileSet
 from repro.core.schema import Schema
@@ -63,6 +63,7 @@ from repro.service.adaptive import (
     AdaptiveFilterEngine,
 )
 from repro.service.delivery import (
+    DELIVERY_MODES,
     DeliveryDispatcher,
     DeliveryPlan,
     DeliveryStats,
@@ -215,7 +216,23 @@ class Broker:
         journaled endpoint), the live profiles attach in one bulk engine
         build, and paused entries are re-paused — all without journaling,
         since the store already holds exactly this state.
+
+        A journaled delivery pin this version does not offer fails the
+        boot with a :class:`~repro.core.errors.StoreError` naming the
+        subscription, before anything is registered (the store is closed
+        again); unchecked, it would surface on the first publish that
+        matches the subscription, after matching.  Re-pin it through the
+        store first: ``store.append("retarget", subscription_id)``.
         """
+        for entry in recovered.entries:
+            if entry.delivery is not None and entry.delivery not in DELIVERY_MODES:
+                self._store.close()
+                raise StoreError(
+                    f"subscription {entry.subscription_id!r} is journaled with "
+                    f"delivery mode {entry.delivery!r}, which this version does "
+                    f"not provide (available modes: {', '.join(DELIVERY_MODES)}); "
+                    "journal a 'retarget' for it before booting"
+                )
         for entry in recovered.entries:
             sink = WebhookSink(entry.endpoint) if entry.endpoint is not None else None
             self._registry.subscribe(
@@ -322,7 +339,7 @@ class Broker:
         """Register a subscription and update the filter incrementally.
 
         ``delivery`` pins this subscription's sink to one executor mode
-        (``"inline"``, ``"threadpool"``, ``"asyncio"``, ``"webhook"``);
+        (``"inline"``, ``"threadpool"``, ``"webhook"``);
         ``None`` rides the broker's default executor.
         """
         if delivery is not None:
@@ -523,7 +540,7 @@ class Broker:
         :class:`~repro.service.delivery.DeliveryPlan` per call handed to
         the delivery dispatcher: the default ``inline`` executor preserves
         the historical synchronous semantics, while ``threadpool`` /
-        ``asyncio`` deliveries complete in the background (await them
+        ``webhook`` deliveries complete in the background (await them
         with :meth:`drain_deliveries` / :meth:`close`).  A call that notifies
         nobody skips that pass (:meth:`_notify`).  Returns the notifications
         of each result; the callers build the outcomes after the dispatch,

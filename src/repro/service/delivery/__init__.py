@@ -5,7 +5,7 @@ The broker's matching path produces one
 fan-out of every matched event of a ``publish`` or ``publish_batch``)
 and hands it to the :class:`DeliveryDispatcher`, which submits it in
 plan order, each run of consecutive same-mode tasks as one list
-(``DeliveryExecutor.submit_all``), to one of four executors:
+(``DeliveryExecutor.submit_all``), to one of three executors:
 
 * :class:`~repro.service.delivery.inline.InlineExecutor` — run the sink
   synchronously on the publishing thread (the historical default; sink
@@ -13,8 +13,6 @@ plan order, each run of consecutive same-mode tasks as one list
 * :class:`~repro.service.delivery.threadpool.ThreadPoolDeliveryExecutor`
   — a bounded worker pool with per-subscription FIFO lanes and a
   backpressure queue;
-* :class:`~repro.service.delivery.aio.AsyncioDeliveryExecutor` — async
-  sinks ``await``-ed on an event loop owned by the service;
 * :class:`~repro.service.delivery.webhook.WebhookDeliveryExecutor` —
   remote HTTP delivery of :class:`~repro.service.delivery.webhook.WebhookSink`
   subscriptions, with per-endpoint FIFO lanes, a retry budget
@@ -23,7 +21,7 @@ plan order, each run of consecutive same-mode tasks as one list
 
 The service default is selected per
 :class:`~repro.api.FilterService` (``delivery="threadpool"``) and can be
-pinned per subscription (``subscribe(..., delivery="asyncio")``); all
+pinned per subscription (``subscribe(..., delivery="threadpool")``); all
 executors guarantee per-subscription FIFO ordering (strictly: per
 (subscription, executor) — re-pinning a live subscription to a new
 executor starts a fresh lane; drain first for a clean handover),
@@ -32,13 +30,14 @@ at-most-once dispatch, bounded queues with a ``block`` /
 ``close()``.  Matching results
 are bit-identical whichever executor delivers — the executors consume
 *already matched* plans and the matcher hot path never blocks inside a
-sink.
+sink.  An ``async def`` sink takes the same path on every in-process
+executor: :func:`~repro.service.delivery.base.invoke_sink` drives it to
+completion on the calling thread.
 """
 
 from __future__ import annotations
 
 from repro.core.errors import DeliveryError
-from repro.service.delivery.aio import AsyncioDeliveryExecutor
 from repro.service.delivery.base import (
     DELIVERY_MODES,
     OVERFLOW_POLICIES,
@@ -61,7 +60,6 @@ from repro.service.delivery.webhook import (
 __all__ = [
     "DELIVERY_MODES",
     "OVERFLOW_POLICIES",
-    "AsyncioDeliveryExecutor",
     "DeadLetter",
     "DeliveryCounters",
     "DeliveryDispatcher",
@@ -151,17 +149,10 @@ class DeliveryDispatcher:
                 retry_attempts=self._retry_attempts,
                 retry_backoff=self._retry_backoff,
             )
-        if mode == "webhook":
-            return WebhookDeliveryExecutor(
-                config=self._webhook,
-                queue_capacity=self._queue_capacity,
-                overflow=self._overflow,
-            )
-        return AsyncioDeliveryExecutor(
+        return WebhookDeliveryExecutor(
+            config=self._webhook,
             queue_capacity=self._queue_capacity,
             overflow=self._overflow,
-            retry_attempts=self._retry_attempts,
-            retry_backoff=self._retry_backoff,
         )
 
     def executor_for(self, mode: str | None) -> DeliveryExecutor:

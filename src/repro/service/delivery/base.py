@@ -6,7 +6,7 @@ in what per-subscription order) — and hands it to a
 :class:`~repro.service.delivery.DeliveryDispatcher`, which walks the
 plan's tasks (:class:`DeliveryTask`) in order and hands each run of
 consecutive tasks bound for one :class:`DeliveryExecutor` (the *how*:
-inline, bounded thread pool, asyncio event loop or webhook lanes) to it
+inline, bounded thread pool or webhook lanes) to it
 as one list through :meth:`DeliveryExecutor.submit_all`.  The split is
 the seam the ROADMAP called out on ``FilterService.publish_batch``:
 matching never waits on a sink, and a slow subscriber stalls at most
@@ -70,7 +70,7 @@ __all__ = [
 
 #: Selectable delivery executors, in documentation order.  ``"inline"``
 #: is the historical synchronous behaviour and the default.
-DELIVERY_MODES = ("inline", "threadpool", "asyncio", "webhook")
+DELIVERY_MODES = ("inline", "threadpool", "webhook")
 
 #: Reactions of a full bounded delivery lane.
 OVERFLOW_POLICIES = ("block", "drop_oldest", "raise")
@@ -149,10 +149,6 @@ class DeliveryExecutor(Protocol):
         the tasks before the failing one in list order stay accepted,
         whatever lane they ride, and no task after it is submitted.
         """
-        ...
-
-    def submit(self, task: DeliveryTask) -> None:
-        """Accept one task for delivery (``submit_all`` of one task)."""
         ...
 
     def drain(self) -> None:
@@ -287,12 +283,12 @@ def invoke_sink(sink: "NotificationSink", notification: "Notification") -> None:
 
     Plain callables are invoked directly.  A coroutine (or any awaitable)
     returned by an ``async def`` sink is driven on a long-lived
-    per-thread bridge loop — correct from any executor, though the
-    asyncio executor is the right home for async sinks (it awaits them
-    on its own service-owned loop).  Raises
+    per-thread bridge loop — the one path for async sinks, on every
+    in-process executor.  Raises
     :class:`~repro.core.errors.DeliveryError` when the calling thread
     already runs an event loop (driving a nested loop would deadlock):
-    pin such subscriptions to ``delivery="asyncio"``.
+    pin such subscriptions to ``delivery="threadpool"``, whose workers
+    run no loop of their own.
     """
     result = sink(notification)
     # A plain sink returns None: skip the awaitable probe for it.
@@ -306,5 +302,5 @@ def invoke_sink(sink: "NotificationSink", notification: "Notification") -> None:
                 result.close()  # silence the never-awaited warning
             raise DeliveryError(
                 "an async sink cannot be driven synchronously from inside a "
-                "running event loop; pin the subscription to delivery='asyncio'"
+                "running event loop; pin the subscription to delivery='threadpool'"
             )

@@ -29,9 +29,6 @@ class InlineExecutor:
         self._counters = counters if counters is not None else DeliveryCounters()
         self._closed = False
 
-    def submit(self, task: DeliveryTask) -> None:
-        self.submit_all((task,))
-
     def submit_all(self, tasks: Sequence[DeliveryTask]) -> None:
         if self._closed:
             raise DeliveryError("the inline delivery executor is closed")
@@ -53,7 +50,7 @@ class InlineExecutor:
                 self._counters.executed(delivered, failed)
 
     def drain(self) -> None:
-        """Nothing is ever pending: submit already ran the sink."""
+        """Nothing is ever pending: ``submit_all`` already ran the sinks."""
 
     def close(self, *, drain: bool = True) -> None:
         self._closed = True

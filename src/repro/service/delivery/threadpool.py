@@ -17,13 +17,13 @@ own lock-free :class:`~repro.service.delivery.stats.WorkerTally` the
 moment the sink returns, so ``pending`` counts exactly the tasks queued
 or in flight without a counters round trip per task.
 
-Capacity is **per subscription**, exactly as on the asyncio executor:
-each subscription may have at most ``queue_capacity`` tasks queued (not
-yet started), and a full subscription lane applies the executor's
-overflow policy at submit time, task by task — to that subscription
-alone, never to others sharing the worker.  ``"block"`` parks the
-publisher until the worker frees a slot (backpressure — the matcher is
-throttled by delivery, never blocked *inside* a sink), ``"drop_oldest"``
+Capacity is **per subscription**: each subscription may have at most
+``queue_capacity`` tasks queued (not yet started), and a full
+subscription lane applies the executor's overflow policy at submit
+time, task by task — to that subscription alone, never to others
+sharing the worker.  ``"block"`` parks the publisher until the worker
+frees a slot (backpressure — the matcher is throttled by delivery,
+never blocked *inside* a sink), ``"drop_oldest"``
 discards the subscription's oldest queued task (at-most-once: the
 dropped task is gone for good, counted in the stats), ``"raise"``
 surfaces :class:`~repro.core.errors.DeliveryOverflowError` to the
@@ -133,9 +133,6 @@ class ThreadPoolDeliveryExecutor:
             worker.start()
 
     # -- publisher side ---------------------------------------------------------
-    def submit(self, task: DeliveryTask) -> None:
-        self.submit_all((task,))
-
     def submit_all(self, tasks: Sequence[DeliveryTask]) -> None:
         lanes = self._lanes
         # Stable within the process is all FIFO needs; hash() is stable

@@ -285,14 +285,11 @@ class WebhookDeliveryExecutor:
                 lane.worker.start()
             return lane
 
-    def submit(self, task: DeliveryTask) -> None:
-        self.submit_all((task,))
-
     def submit_all(self, tasks: Sequence[DeliveryTask]) -> None:
         """Queue ``tasks`` on their endpoints' lanes, in list order.
 
         Tasks before a non-webhook sink are queued; that task raises and
-        the rest are not submitted, exactly as one ``submit`` at a time.
+        the rest are not submitted, exactly as one task at a time.
         """
         lanes: list[_EndpointLane] = []
         rejected = None

@@ -12,7 +12,6 @@ from repro.service.durability.codec import (
     encode_profile,
     encode_record_line,
 )
-from repro.service.durability.sqlite import SqliteSubscriptionStore
 from repro.service.durability.store import (
     STORE_OPS,
     DurabilityStats,
@@ -31,7 +30,6 @@ __all__ = [
     "InMemorySubscriptionStore",
     "JsonlWalStore",
     "RecoveredState",
-    "SqliteSubscriptionStore",
     "StoreRecord",
     "SubscriptionEntry",
     "SubscriptionStore",

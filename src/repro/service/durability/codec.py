@@ -2,8 +2,8 @@
 
 Everything a broker must remember across a restart — profiles (with
 their full predicate algebra), subscription metadata and journal records
-— round-trips through plain JSON here, so every store backend (JSONL
-WAL, SQLite, in-memory) shares one wire format and one integrity check.
+— round-trips through plain JSON here, the one wire format and
+integrity check of the store.
 
 Sinks are Python callables and therefore *not* durable, with one
 deliberate exception: a :class:`~repro.service.delivery.webhook.WebhookSink`

@@ -15,15 +15,15 @@ snapshot + tail into an ordered list of :class:`SubscriptionEntry`
 objects that ``FilterService(store=...)`` replays into any engine
 family through the registry, resuming durable handles by id.
 
-Three backends ship: :class:`InMemorySubscriptionStore` (tests, and the
-protocol's reference semantics), the crash-safe JSONL write-ahead log
-(:class:`~repro.service.durability.wal.JsonlWalStore`) and SQLite
-(:class:`~repro.service.durability.sqlite.SqliteSubscriptionStore`).
+Two backends ship: :class:`InMemorySubscriptionStore` (tests, and the
+protocol's reference semantics) and the crash-safe JSONL write-ahead log
+(:class:`~repro.service.durability.wal.JsonlWalStore`), the one
+on-disk format.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from repro.core.errors import StoreCorruptionError, StoreError
@@ -143,7 +143,7 @@ class RecoveredState:
 class DurabilityStats:
     """One snapshot of a store's accounting, surfaced on ``ServiceStats``."""
 
-    #: Backend name (``"memory"``, ``"jsonl"``, ``"sqlite"``).
+    #: Backend name (``"memory"``, ``"jsonl"``).
     backend: str = "none"
     #: Highest journal sequence number ever assigned.
     last_seq: int = 0
@@ -181,62 +181,36 @@ def materialize(
         if record.seq <= applied_seq:
             continue  # duplicate or pre-snapshot record: replay is idempotent
         applied_seq = record.seq
-        sid = record.subscription_id
-        if record.op == "subscribe":
-            entries[sid] = SubscriptionEntry(
-                subscription_id=sid,
-                profile=record.profile,
-                subscriber=record.subscriber or "anonymous",
-                delivery=record.delivery,
-                endpoint=record.endpoint,
-                paused=False,
-            )
-        elif record.op == "cancel":
-            entries.pop(sid, None)
-        else:
-            current = entries.get(sid)
-            if current is None:
-                raise StoreCorruptionError(
-                    f"journal applies {record.op!r} to unknown subscription {sid!r}"
-                )
-            if record.op == "modify":
-                updated = SubscriptionEntry(
-                    subscription_id=sid,
-                    profile=record.profile,
-                    subscriber=current.subscriber,
-                    delivery=current.delivery,
-                    endpoint=current.endpoint,
-                    paused=current.paused,
-                )
-            elif record.op == "pause":
-                updated = SubscriptionEntry(
-                    **{**_entry_fields(current), "paused": True}
-                )
-            elif record.op == "resume":
-                updated = SubscriptionEntry(
-                    **{**_entry_fields(current), "paused": False}
-                )
-            else:  # retarget: re-pin delivery mode and/or webhook endpoint
-                updated = SubscriptionEntry(
-                    **{
-                        **_entry_fields(current),
-                        "delivery": record.delivery,
-                        "endpoint": record.endpoint,
-                    }
-                )
-            entries[sid] = updated
+        _apply(entries, record)
     return entries, applied_seq
 
 
-def _entry_fields(entry: SubscriptionEntry) -> dict:
-    return {
-        "subscription_id": entry.subscription_id,
-        "profile": entry.profile,
-        "subscriber": entry.subscriber,
-        "delivery": entry.delivery,
-        "endpoint": entry.endpoint,
-        "paused": entry.paused,
-    }
+def _apply(entries: dict[str, SubscriptionEntry], record: StoreRecord) -> None:
+    """Fold one record into ``entries`` in place (unchanged if it raises)."""
+    sid = record.subscription_id
+    if record.op == "subscribe":
+        entries[sid] = SubscriptionEntry(
+            subscription_id=sid,
+            profile=record.profile,
+            subscriber=record.subscriber or "anonymous",
+            delivery=record.delivery,
+            endpoint=record.endpoint,
+        )
+        return
+    if record.op == "cancel":
+        entries.pop(sid, None)
+        return
+    current = entries.get(sid)
+    if current is None:
+        raise StoreCorruptionError(
+            f"journal applies {record.op!r} to unknown subscription {sid!r}"
+        )
+    if record.op == "modify":
+        entries[sid] = replace(current, profile=record.profile)
+    elif record.op in ("pause", "resume"):
+        entries[sid] = replace(current, paused=record.op == "pause")
+    else:  # retarget: re-pin delivery mode and/or webhook endpoint
+        entries[sid] = replace(current, delivery=record.delivery, endpoint=record.endpoint)
 
 
 class SubscriptionStore:
@@ -339,9 +313,7 @@ class SubscriptionStore:
             endpoint=endpoint,
         )
         self._write_record(record)
-        self._entries, _ = materialize(
-            list(self._entries.values()), record.seq - 1, [record]
-        )
+        _apply(self._entries, record)
         self._appended += 1
         self._tail_records += 1
         if self._snapshot_every is not None and self._tail_records >= self._snapshot_every:

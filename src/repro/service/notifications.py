@@ -20,10 +20,9 @@ __all__ = ["AsyncNotificationSink", "Notification", "NotificationLog", "Notifica
 
 #: Callback type invoked for every delivered notification.  A sink may
 #: also be an ``async def`` returning an awaitable
-#: (:data:`AsyncNotificationSink`); the delivery executors of
-#: :mod:`repro.service.delivery` drive either kind — async sinks are
-#: awaited on the asyncio executor's own event loop and bridged through a
-#: private loop elsewhere.
+#: (:data:`AsyncNotificationSink`); the in-process delivery executors of
+#: :mod:`repro.service.delivery` drive either kind — an async sink runs
+#: to completion on a private per-thread loop of the delivering thread.
 NotificationSink = Callable[["Notification"], None]
 
 #: An ``async def`` notification sink (awaited by the delivery layer).
@@ -48,8 +47,8 @@ class NotificationLog:
     """In-memory sink collecting notifications for inspection.
 
     Thread-safe: a log may serve as the sink of subscriptions delivered
-    through the threadpool or asyncio executors, whose sinks run off the
-    publishing thread.  Recording only appends; the per-profile and
+    through the threadpool executor, whose sinks run off the publishing
+    thread.  Recording only appends; the per-profile and
     per-subscriber counts are brought up to date when they are read, so
     the publish path never pays for them.
     """

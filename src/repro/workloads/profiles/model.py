@@ -29,7 +29,7 @@ __all__ = ["EngineHints", "RunShape", "ScenarioProfile"]
 #: documented lower bound, not a comparable production cost.
 DEFAULT_FAMILIES = ("tree", "index", "hybrid")
 
-_DELIVERY_MODES = ("inline", "threadpool", "asyncio")
+_DELIVERY_MODES = ("inline", "threadpool")
 
 
 @dataclass(frozen=True)

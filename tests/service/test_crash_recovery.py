@@ -23,7 +23,7 @@ from repro.core.events import Event
 from repro.core.predicates import RangePredicate
 from repro.core.profiles import Profile, profile
 from repro.core.schema import Attribute, Schema
-from repro.service.durability import JsonlWalStore, SqliteSubscriptionStore
+from repro.service.durability import JsonlWalStore
 from repro.testing import (
     CrashingStore,
     FlakySink,
@@ -50,16 +50,11 @@ def make_service(store=None, **kwargs) -> FilterService:
 
 
 class TestKillBetweenRecords:
-    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-    def test_successful_calls_survive_the_kill(self, tmp_path, backend):
-        if backend == "jsonl":
-            # A killed process loses buffered writes: the kill-tests run
-            # with per-append fsync so every *returned* call is durable.
-            inner = JsonlWalStore(tmp_path / "wal", snapshot_every=None,
-                                  fsync_on_append=True)
-        else:
-            inner = SqliteSubscriptionStore(tmp_path / "subs.db",
-                                            snapshot_every=None)
+    def test_successful_calls_survive_the_kill(self, tmp_path):
+        # A killed process loses buffered writes: the kill-tests run
+        # with per-append fsync so every *returned* call is durable.
+        inner = JsonlWalStore(tmp_path / "wal", snapshot_every=None,
+                              fsync_on_append=True)
         # The 4th journal append dies before reaching the backend.
         service = make_service(CrashingStore(inner, crash_after=4))
         a = service.subscribe(price_profile("P1", 10), subscriber="alice")
@@ -70,12 +65,7 @@ class TestKillBetweenRecords:
 
         # The restarted process sees exactly the durable prefix: both
         # subscriptions exist, the pause stuck, the cancel never landed.
-        if backend == "jsonl":
-            reopened = JsonlWalStore(tmp_path / "wal", snapshot_every=None)
-        else:
-            reopened = SqliteSubscriptionStore(tmp_path / "subs.db",
-                                               snapshot_every=None)
-        restarted = make_service(reopened)
+        restarted = make_service(JsonlWalStore(tmp_path / "wal", snapshot_every=None))
         ids = sorted(h.subscription_id for h in restarted.handles())
         assert ids == sorted([a.subscription_id, b.subscription_id])
         assert restarted.handle(a.subscription_id).is_paused

@@ -79,9 +79,10 @@ def assert_at_most_once(stats: DeliveryStats) -> None:
 
 
 class TestValidation:
-    def test_unknown_delivery_mode(self):
-        with pytest.raises(DeliveryError, match="inline, threadpool, asyncio"):
-            make_service(delivery="carrier-pigeon")
+    @pytest.mark.parametrize("mode", ["carrier-pigeon", "asyncio"], ids=["typo", "retired"])
+    def test_unknown_delivery_mode(self, mode):
+        with pytest.raises(DeliveryError, match="available modes: inline, threadpool, webhook$"):
+            make_service(delivery=mode)
 
     def test_unknown_overflow_policy(self):
         with pytest.raises(DeliveryError, match="block, drop_oldest, raise"):
@@ -100,8 +101,29 @@ class TestValidation:
                 match_all_profile("P1"), sink=lambda n: None, delivery="quantum"
             )
 
+    def test_retired_mode_refused_as_a_pin(self):
+        """The retired ``asyncio`` executor is refused per subscription
+        too, on subscribe and on re-pin; a refused re-pin keeps the old
+        pin and sink."""
+        with make_service() as service:
+            with pytest.raises(DeliveryError, match="available modes: inline, threadpool, webhook$"):
+                service.subscribe(
+                    match_all_profile("P1"), sink=lambda n: None, delivery="asyncio"
+                )
+            assert service.stats().subscriptions == 0
+            sink = Recorder()
+            handle = service.subscribe(
+                match_all_profile("P2"), sink=sink, delivery="threadpool"
+            )
+            with pytest.raises(DeliveryError, match="'asyncio'"):
+                handle.deliver_to(Recorder(), delivery="asyncio")
+            assert handle._subscription.delivery == "threadpool"
+            service.publish(Event({"price": 4}))
+            service.drain()
+            assert sink.prices == [4]
+
     def test_mode_and_policy_rosters_are_stable(self):
-        assert DELIVERY_MODES == ("inline", "threadpool", "asyncio", "webhook")
+        assert DELIVERY_MODES == ("inline", "threadpool", "webhook")
         assert OVERFLOW_POLICIES == ("block", "drop_oldest", "raise")
 
 
@@ -314,16 +336,16 @@ class TestThreadPoolSubscriptionIsolation:
         quiet_calls = []
         executor = self._executor(queue_capacity=2, overflow="raise")
         try:
-            executor.submit(self._task("hot", hot))
+            executor.submit_all([self._task("hot", hot)])
             assert hot.started.wait(10)  # in flight; the worker is busy
-            executor.submit(self._task("hot", hot))
-            executor.submit(self._task("hot", hot))  # hot's lane is now full
+            executor.submit_all([self._task("hot", hot)])
+            executor.submit_all([self._task("hot", hot)])  # hot's lane is now full
             # The quiet subscription shares the single worker but has its
             # own capacity: these must neither raise nor evict hot tasks.
-            executor.submit(self._task("quiet", quiet_calls.append))
-            executor.submit(self._task("quiet", quiet_calls.append))
+            executor.submit_all([self._task("quiet", quiet_calls.append)])
+            executor.submit_all([self._task("quiet", quiet_calls.append)])
             with pytest.raises(DeliveryOverflowError, match="'hot'"):
-                executor.submit(self._task("hot", hot))
+                executor.submit_all([self._task("hot", hot)])
             hot.gate.set()
             executor.drain()
         finally:
@@ -338,11 +360,11 @@ class TestThreadPoolSubscriptionIsolation:
         quiet_calls = []
         executor = self._executor(queue_capacity=1, overflow="drop_oldest")
         try:
-            executor.submit(self._task("hot", hot))
+            executor.submit_all([self._task("hot", hot)])
             assert hot.started.wait(10)
-            executor.submit(self._task("quiet", quiet_calls.append))  # behind hot
-            executor.submit(self._task("hot", hot))  # hot queue: [second]
-            executor.submit(self._task("hot", hot))  # evicts second, not quiet's
+            executor.submit_all([self._task("quiet", quiet_calls.append)])  # behind hot
+            executor.submit_all([self._task("hot", hot)])  # hot queue: [second]
+            executor.submit_all([self._task("hot", hot)])  # evicts second, not quiet's
             hot.gate.set()
             executor.drain()
         finally:
@@ -353,40 +375,39 @@ class TestThreadPoolSubscriptionIsolation:
         assert executor.stats().dropped == 1
 
 
-class TestAsyncioExecutor:
-    def test_async_sinks_are_awaited_in_order(self):
-        import asyncio
+class TestAsyncSinks:
+    """An ``async def`` sink takes one path on every in-process executor:
+    each notification is awaited to completion on the delivering thread."""
 
-        received: list[int] = []
+    @staticmethod
+    def _awaiting_sink(received: list):
+        import asyncio
 
         async def sink(notification):
             await asyncio.sleep(0)
             received.append(notification.event["price"])
 
-        with make_service(delivery="asyncio") as service:
-            service.subscribe(match_all_profile("P1"), sink=sink)
-            prices = list(range(50))
+        return sink
+
+    @pytest.mark.parametrize("mode", ["inline", "threadpool"])
+    def test_async_sinks_are_awaited_in_order(self, mode):
+        logs: dict[str, list[int]] = {"a": [], "b": [], "c": []}
+        with make_service(delivery=mode, max_workers=2) as service:
+            for name, log in logs.items():
+                service.subscribe(match_all_profile(f"P{name}"), sink=self._awaiting_sink(log))
+            prices = list(range(40))
             service.publish_batch([Event({"price": price}) for price in prices])
             service.drain()
-            assert received == prices
+            assert all(log == prices for log in logs.values())
             stats = service.stats().delivery
-            assert stats.mode == "asyncio"
-            assert stats.delivered == len(prices)
+            assert stats.delivered == len(logs) * len(prices)
             assert_at_most_once(stats)
 
-    def test_plain_sinks_work_on_the_loop_too(self):
-        sink = Recorder()
-        with make_service(delivery="asyncio") as service:
-            service.subscribe(match_all_profile("P1"), sink=sink)
-            service.publish(Event({"price": 4}))
-            service.drain()
-            assert sink.prices == [4]
-
-    def test_async_sink_errors_are_counted_not_raised(self):
+    def test_async_sink_errors_are_counted_on_the_pool(self):
         async def broken(notification):
             raise RuntimeError("async subscriber bug")
 
-        with make_service(delivery="asyncio") as service:
+        with make_service(delivery="threadpool") as service:
             service.subscribe(match_all_profile("P1"), sink=broken)
             service.publish(Event({"price": 1}))
             service.drain()
@@ -394,76 +415,31 @@ class TestAsyncioExecutor:
             assert stats.failed == 1
             assert_at_most_once(stats)
 
-    def test_subscriptions_interleave_but_stay_fifo(self):
-        import asyncio
+    def test_async_sink_errors_propagate_inline(self):
+        async def broken(notification):
+            raise RuntimeError("async subscriber bug")
 
-        logs: dict[str, list[int]] = {"a": [], "b": []}
-
-        def sink_for(name):
-            async def sink(notification):
-                await asyncio.sleep(0)
-                logs[name].append(notification.event["price"])
-
-            return sink
-
-        with make_service(delivery="asyncio") as service:
-            service.subscribe(match_all_profile("PA"), sink=sink_for("a"))
-            service.subscribe(match_all_profile("PB"), sink=sink_for("b"))
-            prices = list(range(40))
-            service.publish_batch([Event({"price": price}) for price in prices])
-            service.drain()
-            assert logs["a"] == prices
-            assert logs["b"] == prices
-
-    def test_close_without_drain_reconciles_an_in_flight_async_sink(self):
-        """A sink suspended mid-await when the loop stops is accounted
-        as dropped — pending can never stick and hang a later drain."""
-        import asyncio
-
-        started = threading.Event()
-
-        async def stuck(notification):
-            started.set()
-            await asyncio.sleep(30)
-
-        service = make_service(delivery="asyncio")
-        service.subscribe(match_all_profile("P1"), sink=stuck)
-        service.publish(Event({"price": 1}))
-        assert started.wait(10)
-        service.close(drain=False)  # the coroutine is suspended mid-await
-        stats = service.stats().delivery
-        assert stats.pending == 0
-        assert stats.dropped == 1
-        assert_at_most_once(stats)
-        service.drain()  # must return immediately, not hang
-
-    def test_overflow_raise_on_the_asyncio_lane(self):
-        gate = threading.Event()
-        started = threading.Event()
-
-        async def slow(notification):
-            started.set()
-            # Block the lane's consumer without blocking the loop thread
-            # forever: poll the threading gate cooperatively.
-            import asyncio
-
-            while not gate.is_set():
-                await asyncio.sleep(0.001)
-
-        service = make_service(
-            delivery="asyncio", queue_capacity=2, overflow="raise"
-        )
-        try:
-            service.subscribe(match_all_profile("P1"), sink=slow)
-            service.publish(Event({"price": 0}))
-            assert started.wait(10)
+        service = make_service()
+        service.subscribe(match_all_profile("P1"), sink=broken)
+        with pytest.raises(RuntimeError, match="async subscriber bug"):
             service.publish(Event({"price": 1}))
-            service.publish(Event({"price": 2}))
-            with pytest.raises(DeliveryOverflowError, match="delivery lane full"):
+        assert service.stats().delivery.failed == 1
+
+    def test_publishing_inside_a_running_loop_works_on_the_pool(self):
+        """The remedy the nested-loop error names: the pool's workers run
+        no loop of their own, so they drive the async sink."""
+        import asyncio
+
+        received: list[int] = []
+
+        async def scenario():
+            with make_service(delivery="threadpool") as service:
+                service.subscribe(match_all_profile("P1"), sink=self._awaiting_sink(received))
                 service.publish(Event({"price": 3}))
-        finally:
-            gate.set()
-            service.close()
+                service.drain()
+
+        asyncio.run(scenario())
+        assert received == [3]
 
 
 class TestPerSubscriptionPinning:
@@ -537,14 +513,13 @@ class TestPerSubscriptionPinning:
 class TestSinkMisbehaviour:
     """Hostile sinks can never wedge the delivery accounting."""
 
-    @pytest.mark.parametrize("mode", ["threadpool", "asyncio"])
-    def test_base_exception_sink_cannot_hang_drain(self, mode):
+    def test_base_exception_sink_cannot_hang_drain(self):
         """A sink raising SystemExit is counted as failed; drain returns."""
 
         def hostile(notification):
             raise SystemExit(1)
 
-        with make_service(delivery=mode) as service:
+        with make_service(delivery="threadpool") as service:
             survivor = Recorder()
             service.subscribe(match_all_profile("P-hostile"), sink=hostile)
             service.subscribe(match_all_profile("P-survivor"), sink=survivor)
@@ -566,26 +541,10 @@ class TestSinkMisbehaviour:
             pass  # pragma: no cover - never driven
 
         async def scenario():
-            with pytest.raises(DeliveryError, match="delivery='asyncio'"):
+            with pytest.raises(DeliveryError, match="delivery='threadpool'"):
                 invoke_sink(sink, None)
 
         asyncio.run(scenario())
-
-    def test_async_sink_bridges_on_sync_executors_outside_a_loop(self):
-        import asyncio
-
-        received = []
-
-        async def sink(notification):
-            await asyncio.sleep(0)
-            received.append(notification.event["price"])
-
-        with make_service(delivery="threadpool", max_workers=2) as service:
-            service.subscribe(match_all_profile("P1"), sink=sink)
-            for price in (5, 6):
-                service.publish(Event({"price": price}))
-            service.drain()
-            assert received == [5, 6]
 
 
 class TestWorkloadScenarioEquivalence:
@@ -622,9 +581,7 @@ class TestWorkloadScenarioEquivalence:
                 service.drain()
             return received
 
-        inline = run("inline")
-        assert run("threadpool") == inline
-        assert run("asyncio") == inline
+        assert run("threadpool") == run("inline")
 
 
 @pytest.mark.skipif(
@@ -667,6 +624,3 @@ class TestDeliveryStress:
 
     def test_threadpool_high_worker_count(self):
         self._run("threadpool", max_workers=32, queue_capacity=512)
-
-    def test_asyncio_under_load(self):
-        self._run("asyncio", queue_capacity=512)

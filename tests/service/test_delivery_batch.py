@@ -5,7 +5,7 @@ notification-log append, one ``DeliveryPlan``) and every executor takes
 its share of the plan as one list.  Pinned here:
 
 * **Equivalence** (hypothesis): over random subscription sets — default,
-  pinned ``inline`` / ``threadpool`` / ``asyncio`` modes, some without a
+  pinned ``inline`` / ``threadpool`` modes, some without a
   sink — one ``publish_batch`` leaves exactly what publishing the same
   events one by one leaves: outcomes, filter statistics, the notification
   log, every sink's sequence and the final delivery counts.
@@ -75,7 +75,7 @@ class Recorder:
 # -- equivalence ------------------------------------------------------------------
 
 #: ``None`` rides the service default; the rest pin the subscription.
-PINS = (None, "inline", "threadpool", "asyncio")
+PINS = (None, "inline", "threadpool")
 
 subscriptions = st.lists(
     st.tuples(
@@ -272,11 +272,11 @@ def test_threadpool_raise_accepts_exactly_the_prefix(case, full_lane):
     try:
         # Park both workers, then fill the "full" subscription's one slot.
         for lane in (0, 1):
-            executor.submit(make_task(on_lane(lane, "gate"), gated))
+            executor.submit_all([make_task(on_lane(lane, "gate"), gated)])
         for _ in range(2):
             assert started.acquire(timeout=10)
         full = on_lane(full_lane, "full")
-        executor.submit(make_task(full, lambda n: None))
+        executor.submit_all([make_task(full, lambda n: None)])
 
         def task_for(name: str) -> DeliveryTask:
             if name == "F":
@@ -323,10 +323,10 @@ def test_webhook_raise_accepts_exactly_the_prefix(case):
     )
     try:
         # Park the full endpoint's worker, then fill its queue.
-        executor.submit(make_task("S", WebhookSink(full)))
+        executor.submit_all([make_task("S", WebhookSink(full))])
         assert started.wait(10)
         for _ in range(4):
-            executor.submit(make_task("S", WebhookSink(full)))
+            executor.submit_all([make_task("S", WebhookSink(full))])
         names = PREFIX_CASES[case]
         tasks = [make_task("S", WebhookSink(endpoint_of(name))) for name in names]
         before = executor.stats().dispatched
@@ -355,7 +355,7 @@ def test_a_blocked_publisher_lets_the_other_lanes_run():
     order: list[int] = []
     executor = ThreadPoolDeliveryExecutor(max_workers=2, queue_capacity=1, overflow="block")
     hot = on_lane(0, "hot")
-    executor.submit(make_task(on_lane(0, "gate"), gated))
+    executor.submit_all([make_task(on_lane(0, "gate"), gated)])
     assert started.wait(10)
     tasks = [
         make_task(on_lane(1, "other"), lambda n: other_ran.set()),

@@ -2,7 +2,7 @@
 
 For arbitrary interleavings of ``publish`` and ``publish_batch`` calls,
 the *set* and *per-subscription order* of notifications delivered by the
-``threadpool`` and ``asyncio`` executors must equal inline delivery —
+``threadpool`` executor must equal inline delivery —
 and the matching results themselves must be bit-identical (delivery is
 strictly downstream of the matcher).  This is the acceptance property of
 the delivery tentpole.
@@ -86,21 +86,6 @@ def test_threadpool_order_equals_inline(script):
     )
     assert pooled_matches == inline_matches  # matching is bit-identical
     assert pooled_received == inline_received  # per-subscription FIFO
-
-
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(script=steps)
-def test_asyncio_order_equals_inline(script):
-    inline_received, inline_matches = run_interleaving("inline", script)
-    async_received, async_matches = run_interleaving(
-        "asyncio", script, queue_capacity=8
-    )
-    assert async_matches == inline_matches
-    assert async_received == inline_received
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,9 +1,9 @@
 """The durable subscription store and the crash-safe boot path.
 
-Three layers under test, each against every backend (memory, JSONL WAL,
-SQLite):
+Three layers under test, each against both backends (memory, JSONL WAL):
 
-* **Store semantics** — journal round-trips, snapshot + log compaction
+* **Store semantics** — journal round-trips, the in-place fold of every
+  operation into the live view, snapshot + log compaction
   (including mid-churn), duplicate-replay idempotence, torn-tail repair
   versus interior corruption.
 * **Boot path** — ``FilterService(store=...)`` replays the journal into
@@ -15,6 +15,8 @@ SQLite):
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,6 @@ from repro.service.durability import (
     STORE_OPS,
     InMemorySubscriptionStore,
     JsonlWalStore,
-    SqliteSubscriptionStore,
     StoreRecord,
     SubscriptionEntry,
     materialize,
@@ -39,7 +40,7 @@ from repro.service.durability import (
 
 PRICES = IntegerDomain(0, 99)
 
-BACKENDS = ("memory", "jsonl", "sqlite")
+BACKENDS = ("memory", "jsonl")
 
 
 def price_schema() -> Schema:
@@ -63,9 +64,7 @@ class StoreFactory:
         if self.backend == "memory":
             self._memory = InMemorySubscriptionStore(**kwargs)
             return self._memory
-        if self.backend == "jsonl":
-            return JsonlWalStore(self._tmp_path / "wal", **kwargs)
-        return SqliteSubscriptionStore(self._tmp_path / "subs.db", **kwargs)
+        return JsonlWalStore(self._tmp_path / "wal", **kwargs)
 
     def reopened(self, **kwargs):
         """A store as a restarted process would build it (same location)."""
@@ -230,6 +229,61 @@ class TestReplayIdempotence:
         )
 
 
+HOOK = "https://example.test/hook"
+ALICE = SubscriptionEntry("sub-1", price_profile("P1", 10), "alice", delivery="inline")
+BOB = SubscriptionEntry("sub-2", price_profile("P2", 20), "bob", delivery="webhook",
+                        endpoint=HOOK, paused=True)
+
+#: One record per journaled operation applied on top of ``ALICE, BOB``,
+#: and the live subscriptions it must leave (in subscription order).
+FOLD_CASES = {
+    "subscribe": (
+        ("sub-3", {"profile": price_profile("P3", 30), "subscriber": "carol"}),
+        (ALICE, BOB, SubscriptionEntry("sub-3", price_profile("P3", 30), "carol")),
+    ),
+    "modify": (
+        ("sub-1", {"profile": price_profile("P1", 15)}),
+        (replace(ALICE, profile=price_profile("P1", 15)), BOB),
+    ),
+    "pause": (("sub-1", {}), (replace(ALICE, paused=True), BOB)),
+    "resume": (("sub-2", {}), (ALICE, replace(BOB, paused=False))),
+    "retarget": (
+        ("sub-2", {"delivery": "threadpool"}),
+        (ALICE, replace(BOB, delivery="threadpool", endpoint=None)),
+    ),
+    "cancel": (("sub-1", {}), (BOB,)),
+}
+
+
+class TestIncrementalFold:
+    """``append`` folds each record into the live view in place.  That
+    view must be what a restart rebuilds from the journal
+    (``snapshot_every=None``) and what a compaction fired by the very
+    same append persists (``snapshot_every=4``)."""
+
+    @pytest.mark.parametrize("snapshot_every", [None, 4], ids=["journal", "snapshot"])
+    @pytest.mark.parametrize("op", STORE_OPS)
+    def test_live_view_matches_the_recovered_state(self, store_factory, op,
+                                                   snapshot_every):
+        (sid, kwargs), expected = FOLD_CASES[op]
+        store = store_factory.fresh(snapshot_every=snapshot_every)
+        store.open()
+        store.append("subscribe", "sub-1", profile=ALICE.profile,
+                     subscriber="alice", delivery="inline")
+        store.append("subscribe", "sub-2", profile=BOB.profile,
+                     subscriber="bob", delivery="webhook", endpoint=HOOK)
+        store.append("pause", "sub-2")
+        store.append(op, sid, **kwargs)  # the 4th append
+        assert store.entries() == expected
+        assert store.stats().snapshots == (0 if snapshot_every is None else 1)
+        store.close()
+
+        recovered = store_factory.reopened(snapshot_every=snapshot_every).open()
+        assert recovered.entries == expected
+        assert recovered.last_seq == 4
+        assert recovered.replayed_records == (4 if snapshot_every is None else 0)
+
+
 class TestWalRepair:
     """JSONL-specific crash shapes (the only backend with a torn tail)."""
 
@@ -389,6 +443,66 @@ class TestBootPath:
         assert store.closed
         recovered = store_factory.reopened(snapshot_every=None).open()
         assert len(recovered.entries) == 1
+
+    def test_retired_delivery_pin_fails_the_boot(self, store_factory):
+        """A journaled pin this version does not offer (here the retired
+        ``asyncio`` executor) is refused at boot, naming the subscription,
+        not at the first publish that matches it; a journaled
+        ``retarget`` makes the same journal boot."""
+        store = store_factory.fresh(snapshot_every=None)
+        store.open()
+        store.append("subscribe", "sub-1", profile=price_profile("P1", 10),
+                     subscriber="alice", delivery="asyncio")
+        store.close()
+        refused = store_factory.reopened(snapshot_every=None)
+        with pytest.raises(StoreError, match="'sub-1'.*'asyncio'.*inline, threadpool, webhook"):
+            self.service(refused)
+        assert refused.closed
+
+        repair = store_factory.reopened(snapshot_every=None)
+        repair.open()
+        repair.append("retarget", "sub-1")
+        repair.close()
+        service = self.service(store_factory.reopened(snapshot_every=None))
+        received = []
+        service.handle("sub-1").deliver_to(received.append)
+        service.publish(Event({"price": 50}))
+        assert [n.event["price"] for n in received] == [50]
+        service.close()
+
+    def test_retarget_to_a_retired_mode_fails_the_boot(self, store_factory):
+        """The pin check reads the folded state: a valid subscribe later
+        re-pinned to a retired mode is refused as well."""
+        store = store_factory.fresh(snapshot_every=None)
+        store.open()
+        store.append("subscribe", "sub-1", profile=price_profile("P1", 10),
+                     subscriber="alice", delivery="inline")
+        store.append("retarget", "sub-1", delivery="asyncio")
+        store.close()
+        refused = store_factory.reopened(snapshot_every=None)
+        with pytest.raises(StoreError, match="'sub-1'.*'asyncio'"):
+            self.service(refused)
+        assert refused.closed
+
+    def test_cancelled_retired_pin_does_not_block_the_boot(self, store_factory):
+        """Only live subscriptions are checked: a retired pin whose
+        subscription was cancelled is history, not state."""
+        store = store_factory.fresh(snapshot_every=None)
+        store.open()
+        store.append("subscribe", "sub-1", profile=price_profile("P1", 10),
+                     subscriber="alice", delivery="asyncio")
+        store.append("subscribe", "sub-2", profile=price_profile("P2", 20),
+                     subscriber="bob", delivery="threadpool")
+        store.append("cancel", "sub-1")
+        store.close()
+        service = self.service(store_factory.reopened(snapshot_every=None))
+        assert [h.subscription_id for h in service.handles()] == ["sub-2"]
+        received = []
+        service.handle("sub-2").deliver_to(received.append)
+        service.publish(Event({"price": 30}))
+        service.drain()
+        assert [n.event["price"] for n in received] == [30]
+        service.close()
 
 
 ENGINES = ("tree", "index")

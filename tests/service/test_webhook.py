@@ -94,8 +94,8 @@ class TestLanes:
             config=WebhookConfig(transport=recording_transport(posts))
         )
         for price in range(8):
-            executor.submit(make_task("sub-1", "https://a.test/hook", price))
-            executor.submit(make_task("sub-2", "https://b.test/hook", price))
+            executor.submit_all([make_task("sub-1", "https://a.test/hook", price)])
+            executor.submit_all([make_task("sub-2", "https://b.test/hook", price)])
         drain_close(executor)
         for endpoint in ("https://a.test/hook", "https://b.test/hook"):
             lane = [body["event"]["values"]["price"]
@@ -109,7 +109,7 @@ class TestLanes:
         task = make_task("sub-1", "https://a.test/hook")
         object.__setattr__(task, "sink", lambda n: None)
         with pytest.raises(DeliveryError, match="WebhookSink"):
-            executor.submit(task)
+            executor.submit_all([task])
         executor.close()
 
     def test_overflow_raise_policy(self):
@@ -123,11 +123,11 @@ class TestLanes:
             queue_capacity=1,
             overflow="raise",
         )
-        executor.submit(make_task("sub-1", "https://a.test/hook"))
+        executor.submit_all([make_task("sub-1", "https://a.test/hook")])
         try:
             with pytest.raises(DeliveryOverflowError, match="webhook lane full"):
                 for _ in range(3):  # one rides the worker; the queue holds 1
-                    executor.submit(make_task("sub-1", "https://a.test/hook"))
+                    executor.submit_all([make_task("sub-1", "https://a.test/hook")])
         finally:
             release.set()
         drain_close(executor)
@@ -144,8 +144,8 @@ class TestLanes:
                                  breaker_threshold=3, breaker_cooldown=9e9)
         )
         for price in range(20):
-            executor.submit(make_task("dark", "https://dark.test/hook", price))
-            executor.submit(make_task("ok", "https://ok.test/hook", price))
+            executor.submit_all([make_task("dark", "https://dark.test/hook", price)])
+            executor.submit_all([make_task("ok", "https://ok.test/hook", price)])
         drain_close(executor)
         assert len(posts) == 20  # every healthy post landed
         stats = executor.stats()
@@ -169,8 +169,8 @@ class TestLanes:
                 finished.setdefault(endpoint, len(finished))
 
         executor = WebhookDeliveryExecutor(config=WebhookConfig(transport=gated))
-        executor.submit(make_task("slow", "https://slow.test/hook"))
-        executor.submit(make_task("fast", "https://fast.test/hook"))
+        executor.submit_all([make_task("slow", "https://slow.test/hook")])
+        executor.submit_all([make_task("fast", "https://fast.test/hook")])
         drain_close(executor)
         assert finished["https://fast.test/hook"] < finished["https://slow.test/hook"]
 
@@ -190,7 +190,7 @@ class TestRetries:
                                  backoff_base=0.1, jitter=0.0,
                                  sleep=delays.append)
         )
-        executor.submit(make_task("sub-1", "https://a.test/hook"))
+        executor.submit_all([make_task("sub-1", "https://a.test/hook")])
         drain_close(executor)
         stats = executor.stats()
         assert stats.delivered == 1
@@ -211,7 +211,7 @@ class TestRetries:
                     jitter=0.5, seed=42, sleep=delays.append,
                 )
             )
-            executor.submit(make_task("sub-1", "https://a.test/hook"))
+            executor.submit_all([make_task("sub-1", "https://a.test/hook")])
             drain_close(executor)
         assert delays_a == delays_b  # same seed, same schedule
         assert len(delays_a) == 5
@@ -226,7 +226,7 @@ class TestRetries:
                 max_attempts=2, backoff_base=0.0, jitter=0.0,
             )
         )
-        executor.submit(make_task("sub-1", "https://a.test/hook", price=7))
+        executor.submit_all([make_task("sub-1", "https://a.test/hook", price=7)])
         drain_close(executor)
         (letter,) = executor.dead_letters()
         assert letter.reason == "retries-exhausted"
@@ -243,7 +243,7 @@ class TestRetries:
             )
         )
         for price in range(5):
-            executor.submit(make_task("sub-1", "https://a.test/hook", price))
+            executor.submit_all([make_task("sub-1", "https://a.test/hook", price)])
         drain_close(executor)
         letters = executor.dead_letters()
         assert [l.notification.event["price"] for l in letters] == [2, 3, 4]
@@ -269,21 +269,21 @@ class TestCircuitBreaker:
         endpoint = "https://a.test/hook"
 
         for _ in range(2):  # threshold=2: second task failure opens it
-            executor.submit(make_task("sub-1", endpoint))
+            executor.submit_all([make_task("sub-1", endpoint)])
         executor.drain()
         assert executor.breaker_state(endpoint) == "open"
         assert [l.reason for l in executor.dead_letters()] == [
             "retries-exhausted", "retries-exhausted"
         ]
 
-        executor.submit(make_task("sub-1", endpoint))  # inside the cooldown
+        executor.submit_all([make_task("sub-1", endpoint)])  # inside the cooldown
         executor.drain()
         assert executor.dead_letters()[-1].reason == "circuit-open"
         assert executor.dead_letters()[-1].attempts == 0
 
         clock.now = 6.0      # past the cooldown: next task is the probe
         healthy.set()        # and the endpoint has healed
-        executor.submit(make_task("sub-1", endpoint))
+        executor.submit_all([make_task("sub-1", endpoint)])
         executor.drain()
         assert executor.breaker_state(endpoint) == "closed"
         stats = executor.stats()
@@ -297,17 +297,17 @@ class TestCircuitBreaker:
         executor = self.executor_with_switch(clock, healthy)
         endpoint = "https://a.test/hook"
         for _ in range(2):
-            executor.submit(make_task("sub-1", endpoint))
+            executor.submit_all([make_task("sub-1", endpoint)])
         executor.drain()
 
         clock.now = 6.0  # cooldown over: the probe runs — and fails
-        executor.submit(make_task("sub-1", endpoint))
+        executor.submit_all([make_task("sub-1", endpoint)])
         executor.drain()
         assert executor.breaker_state(endpoint) == "open"
         assert executor.dead_letters()[-1].reason == "retries-exhausted"
 
         clock.now = 10.0  # the *restarted* cooldown (6.0 + 5.0) not yet over
-        executor.submit(make_task("sub-1", endpoint))
+        executor.submit_all([make_task("sub-1", endpoint)])
         executor.drain()
         assert executor.dead_letters()[-1].reason == "circuit-open"
         executor.close()
@@ -319,8 +319,8 @@ class TestCircuitBreaker:
                 max_attempts=1, breaker_threshold=1, breaker_cooldown=9e9,
             )
         )
-        executor.submit(make_task("bad", "https://bad.test/1"))
-        executor.submit(make_task("good", "https://good.test/2"))
+        executor.submit_all([make_task("bad", "https://bad.test/1")])
+        executor.submit_all([make_task("good", "https://good.test/2")])
         drain_close(executor)
         assert executor.breaker_state("https://bad.test/1") == "open"
         assert executor.breaker_state("https://good.test/2") == "closed"
@@ -385,7 +385,7 @@ class TestCloseConsistency:
     """Satellite fix: publishing after close raises DeliveryError on
     every executor, webhook included."""
 
-    @pytest.mark.parametrize("mode", ["inline", "threadpool", "asyncio", "webhook"])
+    @pytest.mark.parametrize("mode", ["inline", "threadpool", "webhook"])
     def test_publish_after_close_raises(self, mode):
         kwargs = {"delivery": mode}
         if mode == "webhook":
@@ -401,11 +401,10 @@ class TestCloseConsistency:
 
 
 class TestExecutorRetryKnobs:
-    """Satellite: bounded retries on the threadpool and asyncio lanes."""
+    """Satellite: bounded retries on the threadpool lanes."""
 
-    @pytest.mark.parametrize("mode", ["threadpool", "asyncio"])
-    def test_transient_failure_heals_within_budget(self, mode):
-        service = make_service(delivery=mode, retry_attempts=3,
+    def test_transient_failure_heals_within_budget(self):
+        service = make_service(delivery="threadpool", retry_attempts=3,
                                retry_backoff=0.0)
         sink = FlakySink(failures=2)
         service.subscribe(match_all("P1"), sink=sink)
@@ -418,9 +417,8 @@ class TestExecutorRetryKnobs:
         assert [n.event["price"] for n in sink.delivered] == [9]
         service.close()
 
-    @pytest.mark.parametrize("mode", ["threadpool", "asyncio"])
-    def test_default_is_single_attempt(self, mode):
-        service = make_service(delivery=mode)
+    def test_default_is_single_attempt(self):
+        service = make_service(delivery="threadpool")
         sink = FlakySink(failures=1)
         service.subscribe(match_all("P1"), sink=sink)
         service.publish(Event({"price": 9}))
@@ -431,12 +429,11 @@ class TestExecutorRetryKnobs:
         assert sink.calls == 1
         service.close()
 
-    @pytest.mark.parametrize("mode", ["threadpool", "asyncio"])
-    def test_knobs_validated(self, mode):
+    def test_knobs_validated(self):
         with pytest.raises(DeliveryError, match="retry_attempts"):
-            make_service(delivery=mode, retry_attempts=0)
+            make_service(delivery="threadpool", retry_attempts=0)
         with pytest.raises(DeliveryError, match="retry_backoff"):
-            make_service(delivery=mode, retry_backoff=-0.1)
+            make_service(delivery="threadpool", retry_backoff=-0.1)
 
 
 class _StubHandler(http.server.BaseHTTPRequestHandler):

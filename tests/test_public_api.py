@@ -248,7 +248,6 @@ API_SURFACE = {
         "durability",
         "calibration",
     ),
-    "SqliteSubscriptionStore": ("path", "snapshot_every"),
     "SubscriptionHandle": ("service", "subscription"),
     "SubscriptionStore": ("snapshot_every",),
     "WebhookConfig": (

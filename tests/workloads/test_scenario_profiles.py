@@ -170,11 +170,13 @@ class TestValidation:
         hints = load_profile(path).engine
         assert (hints.engine, hints.families) == (engine, families)
 
-    def test_unknown_delivery_mode(self, tmp_path):
-        path = _write(tmp_path, _MINIMAL + '\n[run]\ndelivery = "pigeon"\n')
+    @pytest.mark.parametrize("mode", ["pigeon", "asyncio"], ids=["typo", "retired"])
+    def test_unknown_delivery_mode(self, tmp_path, mode):
+        path = _write(tmp_path, _MINIMAL + f'\n[run]\ndelivery = "{mode}"\n')
         with pytest.raises(WorkloadSpecError) as excinfo:
             load_profile(path)
         assert excinfo.value.key == "run.delivery"
+        assert "['inline', 'threadpool']" in str(excinfo.value)
 
     def test_type_errors_name_the_key(self, tmp_path):
         path = _write(tmp_path, _MINIMAL.replace("profile_count = 10", 'profile_count = "ten"'))
