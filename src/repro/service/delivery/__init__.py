@@ -188,9 +188,12 @@ class DeliveryDispatcher:
             self.executor_for(run_mode).submit_all(tasks[start:])
 
     # -- life-cycle -------------------------------------------------------------
+    # drain, close and stats walk a copy of the roster: a publisher may
+    # build an executor on first use meanwhile (for instance while one
+    # executor's drain blocks this thread).
     def drain(self) -> None:
         """Block until no executor holds queued or in-flight deliveries."""
-        for executor in self._executors.values():
+        for executor in list(self._executors.values()):
             executor.drain()
 
     def close(self, *, drain: bool = True) -> None:
@@ -198,7 +201,7 @@ class DeliveryDispatcher:
         if self._closed:
             return
         self._closed = True
-        for executor in self._executors.values():
+        for executor in list(self._executors.values()):
             executor.close(drain=drain)
 
     def stats(self) -> DeliveryStats:
@@ -208,8 +211,6 @@ class DeliveryDispatcher:
         high-water marks (an upper bound of the true combined backlog
         peak, since the executors peak independently).
         """
-        # Copy the roster first: a publisher may build an executor on first
-        # use while another thread reads the stats.
         executors = dict(self._executors)
         snapshots = [executor.stats() for executor in executors.values()]
         return DeliveryStats(

@@ -48,7 +48,15 @@ import asyncio
 import inspect
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence, TypeVar, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    NamedTuple,
+    Protocol,
+    Sequence,
+    TypeVar,
+    runtime_checkable,
+)
 
 from repro.core.errors import DeliveryError, DeliveryOverflowError
 
@@ -99,13 +107,16 @@ def validate_overflow_policy(policy: str) -> str:
     return policy
 
 
-@dataclass(frozen=True)
-class DeliveryTask:
+class DeliveryTask(NamedTuple):
     """One sink invocation: deliver ``notification`` to ``sink``.
 
     ``delivery`` carries the subscription's pinned executor mode
     (``None``: the service default) so one dispatcher can fan a single
-    event out across several executors.
+    event out across several executors.  A named tuple, like
+    :class:`~repro.service.notifications.Notification` (one task per
+    notification with a sink): immutable, equal to a plain tuple of the
+    same values, indexable and unpackable, and changed with
+    ``task._replace(...)``, not ``dataclasses.replace``.
     """
 
     subscription_id: str

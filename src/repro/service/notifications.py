@@ -2,17 +2,17 @@
 
 An ENS "informs its users about new events that occurred on providers'
 sites" — a notification pairs one matched event with one profile (and hence
-one subscriber).  The classes here are deliberately small value objects plus
-an in-memory delivery log used by the examples, the tests and the service
-statistics.
+one subscriber).  :class:`Notification` is a small value object (a named
+tuple: the broker builds one per matched (event, profile) pair) and
+:class:`NotificationLog` an in-memory delivery log used by the examples,
+the tests and the service statistics.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import Counter
-from dataclasses import dataclass
-from typing import Awaitable, Callable, Iterator, Mapping, Sequence
+from typing import Awaitable, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.core.events import Event
 
@@ -29,9 +29,16 @@ NotificationSink = Callable[["Notification"], None]
 AsyncNotificationSink = Callable[["Notification"], Awaitable[None]]
 
 
-@dataclass(frozen=True)
-class Notification:
-    """One delivered notification: ``event`` matched ``profile_id``."""
+class Notification(NamedTuple):
+    """One delivered notification: ``event`` matched ``profile_id``.
+
+    A named tuple, because the broker builds one per match and a tuple
+    costs a third of a frozen dataclass to construct.  Fields are read
+    by name; a notification is immutable, equals (and hashes like) a
+    plain tuple of the same values, can be indexed and unpacked, and is
+    changed with ``notification._replace(...)``, not
+    ``dataclasses.replace``.
+    """
 
     event: Event
     profile_id: str

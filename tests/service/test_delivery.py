@@ -29,6 +29,7 @@ from repro.service.delivery import (
     DELIVERY_MODES,
     OVERFLOW_POLICIES,
     DeliveryStats,
+    ThreadPoolDeliveryExecutor,
 )
 
 PRICES = IntegerDomain(0, 9_999)
@@ -508,6 +509,49 @@ class TestPerSubscriptionPinning:
         assert sink.prices == [5]
         assert broker.delivery_stats().executors == ("threadpool",)
         broker.close()
+
+    def test_drain_survives_a_publisher_building_an_executor(self, monkeypatch):
+        """While ``drain()`` waits on the threadpool, a publish on another
+        thread builds the ``inline`` executor; the drain must not trip
+        over the grown roster."""
+        draining = threading.Event()
+        pool_drain = ThreadPoolDeliveryExecutor.drain
+
+        def signalling_drain(executor):
+            draining.set()
+            pool_drain(executor)
+
+        monkeypatch.setattr(ThreadPoolDeliveryExecutor, "drain", signalling_drain)
+        errors: list[Exception] = []
+
+        def drain():
+            try:
+                service.drain()
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        with make_service(delivery="threadpool", max_workers=1) as service:
+            gated, pinned = GatedSink(), Recorder()
+            service.subscribe(profile("P-gated", price=RangePredicate.between(0, 0)), sink=gated)
+            service.subscribe(
+                profile("P-pinned", price=RangePredicate.between(1, 1)),
+                sink=pinned,
+                delivery="inline",
+            )
+            service.publish(Event({"price": 0}))  # builds the pool; parks its worker
+            assert gated.started.wait(10)
+            drainer = threading.Thread(target=drain)
+            drainer.start()
+            try:
+                assert draining.wait(10)
+                service.publish(Event({"price": 1}))  # builds the inline executor
+            finally:
+                gated.gate.set()
+            drainer.join(10)
+            assert not drainer.is_alive()
+            assert errors == []
+            assert (gated.prices, pinned.prices) == ([0], [1])
+            assert service.stats().delivery.executors == ("threadpool", "inline")
 
 
 class TestSinkMisbehaviour:

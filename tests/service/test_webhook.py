@@ -106,8 +106,7 @@ class TestLanes:
         executor = WebhookDeliveryExecutor(
             config=WebhookConfig(transport=lambda e, p, t: None)
         )
-        task = make_task("sub-1", "https://a.test/hook")
-        object.__setattr__(task, "sink", lambda n: None)
+        task = make_task("sub-1", "https://a.test/hook")._replace(sink=lambda n: None)
         with pytest.raises(DeliveryError, match="WebhookSink"):
             executor.submit_all([task])
         executor.close()
