@@ -15,7 +15,8 @@ the calibrator updates a per-family correction factor
 
     ``factor ← (1 − α) · factor + α · (measured / predicted)``
 
-an exponentially-weighted mean of the observed misprediction ratio.
+an exponentially-weighted mean of the observed misprediction ratio,
+with α = :data:`SMOOTHING`.
 Future predictions for that family are multiplied by the factor before
 they are compared.  With a stationary workload the ratio is roughly
 constant, so the factor converges geometrically and the *calibrated*
@@ -42,6 +43,9 @@ __all__ = [
 
 #: How many recent samples a snapshot retains for observability.
 _RECENT_SAMPLES = 16
+
+#: EWMA weight α of the newest misprediction ratio.
+SMOOTHING = 0.5
 
 
 @dataclass(frozen=True)
@@ -104,30 +108,10 @@ class CalibrationSnapshot:
 
 
 class CostCalibrator:
-    """Per-family exponentially-weighted correction of predicted costs.
+    """Per-family exponentially-weighted correction of predicted costs."""
 
-    ``smoothing`` is the EWMA weight α of the newest observation; 0
-    disables learning entirely (factors stay 1.0, :meth:`calibrate` is
-    the identity), 1 trusts only the latest ratio.
-
-    ``window`` bounds the calibrator's memory for drifting workloads:
-    when set, each family's factor is the EWMA folded over only its last
-    ``window`` observed ratios, so evidence gathered under a previous
-    workload regime ages out *completely* after ``window`` fresh
-    observations instead of lingering as a geometric tail.  ``None``
-    (the default) keeps the unbounded incremental EWMA — identical
-    behaviour to the pre-window calibrator.
-    """
-
-    def __init__(self, smoothing: float = 0.5, window: int | None = None) -> None:
-        if not 0.0 <= smoothing <= 1.0:
-            raise ValueError(f"smoothing must be within [0, 1], got {smoothing!r}")
-        if window is not None and window < 1:
-            raise ValueError(f"window must be at least 1, got {window!r}")
-        self.smoothing = smoothing
-        self.window = window
+    def __init__(self) -> None:
         self._factors: dict[str, float] = {}
-        self._ratios: dict[str, deque[float]] = {}
         self._observations = 0
         self._recent: deque[CalibrationSample] = deque(maxlen=_RECENT_SAMPLES)
 
@@ -159,23 +143,11 @@ class CostCalibrator:
             calibrated=self.calibrate(family, predicted),
             measured=measured,
         )
-        if self.smoothing > 0.0 and predicted > 0.0 and measured > 0.0:
-            ratio = measured / predicted
-            if self.window is None:
-                previous = self._factors.get(family, 1.0)
-                self._factors[family] = (
-                    1.0 - self.smoothing
-                ) * previous + self.smoothing * ratio
-            else:
-                ratios = self._ratios.setdefault(family, deque(maxlen=self.window))
-                ratios.append(ratio)
-                # Refold from the neutral prior over the surviving window
-                # only: once `window` fresh ratios arrive, older regimes
-                # contribute nothing at all.
-                factor = 1.0
-                for observed in ratios:
-                    factor = (1.0 - self.smoothing) * factor + self.smoothing * observed
-                self._factors[family] = factor
+        if predicted > 0.0 and measured > 0.0:
+            previous = self._factors.get(family, 1.0)
+            self._factors[family] = (1.0 - SMOOTHING) * previous + SMOOTHING * (
+                measured / predicted
+            )
         self._observations += 1
         self._recent.append(sample)
         return sample

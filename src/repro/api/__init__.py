@@ -122,7 +122,6 @@ from repro.core.events import Event
 from repro.core.profiles import Profile
 from repro.core.schema import Attribute, Schema
 from repro.matching.registry import (
-    EngineCapabilities,
     EngineRegistry,
     EngineSpec,
     default_registry,
@@ -160,7 +159,6 @@ __all__ = [
     "CostCalibrator",
     "DeliveryStats",
     "DurabilityStats",
-    "EngineCapabilities",
     "EngineRegistry",
     "EngineSpec",
     "Event",

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.analysis.calibration import CalibrationSnapshot
-from repro.core.builder import ProfileBuilder
+from repro.core.builder import ProfileBuilder, ProfileCompiler
 from repro.core.errors import ProfileError, SubscriptionError
-from repro.core.events import Event
+from repro.core.events import Event, as_event
 from repro.core.profiles import Profile
 from repro.core.schema import Schema
 from repro.matching.index.kernel import KernelStats
@@ -275,13 +275,10 @@ class FilterService:
         adaptive: bool = True,
         policy: AdaptationPolicy | None = None,
         quenching: bool = False,
-        service_id: str = "filter-service",
         delivery: str = "inline",
         max_workers: int | None = None,
         queue_capacity: int | None = None,
         overflow: str = "block",
-        retry_attempts: int = 1,
-        retry_backoff: float = 0.0,
         webhook: WebhookConfig | None = None,
         store: SubscriptionStore | None = None,
     ) -> None:
@@ -290,9 +287,7 @@ class FilterService:
         ``engine`` names any registered matcher family or ``"auto"``
         (the default when no policy is given: the facade serves the
         paper's adaptive-service framing).  ``policy`` carries the full
-        adaptation knobs — including
-        :attr:`~repro.service.adaptive.AdaptationPolicy.min_columnar_batch`
-        and a custom
+        adaptation knobs — including a custom
         :attr:`~repro.service.adaptive.AdaptationPolicy.registry` — and
         must agree with ``engine`` when both are given.
 
@@ -308,10 +303,7 @@ class FilterService:
         service as a context manager — or call :meth:`close` — to drain
         in-flight deliveries on shutdown.
 
-        ``retry_attempts`` / ``retry_backoff`` give the threadpool
-        executor a bounded budget for transient sink exceptions
-        (default: one attempt, the historical semantics);
-        ``webhook`` tunes the remote
+        A threadpool sink is attempted once; ``webhook`` tunes the remote
         :class:`~repro.service.delivery.WebhookDeliveryExecutor`
         (timeouts, backoff, circuit breaker, dead-letter capacity).
 
@@ -329,7 +321,7 @@ class FilterService:
         policy = resolve_policy_engine(policy, engine)
         self._broker = Broker(
             schema,
-            broker_id=service_id,
+            broker_id="filter-service",
             adaptive=adaptive,
             adaptation_policy=policy,
             enable_quenching=quenching,
@@ -337,13 +329,11 @@ class FilterService:
             max_workers=max_workers,
             queue_capacity=queue_capacity,
             overflow=overflow,
-            retry_attempts=retry_attempts,
-            retry_backoff=retry_backoff,
             webhook=webhook,
             store=store,
         )
         self._handles: dict[str, SubscriptionHandle] = {}
-        self._profile_counter = 0
+        self._compiler = ProfileCompiler(self._broker.subscriptions.has_profile_id)
         # A store replayed subscriptions into the broker before we got
         # here: resume a durable handle for each, in original order.
         for subscription in self._broker.subscriptions:
@@ -423,40 +413,6 @@ class FilterService:
         self._handles.pop(subscription_id, None)
 
     # -- subscribing -----------------------------------------------------------
-    def _generate_profile_id(self) -> str:
-        """Return the next free ``profile-N`` id.
-
-        Skips ids already registered (a user may have hand-picked
-        ``profile-3``), so auto-named builder subscriptions never collide.
-        """
-        registry = self._broker.subscriptions
-        while True:
-            self._profile_counter += 1
-            candidate = f"profile-{self._profile_counter}"
-            if not registry.has_profile_id(candidate):
-                return candidate
-
-    def _compile(
-        self,
-        profile: Profile | ProfileBuilder,
-        profile_id: str | None,
-        subscriber: str,
-    ) -> Profile:
-        if isinstance(profile, ProfileBuilder):
-            if profile_id is None:
-                profile_id = self._generate_profile_id()
-            return profile.build(profile_id, subscriber=subscriber)
-        if not isinstance(profile, Profile):
-            raise ProfileError(
-                f"subscribe() needs a Profile or ProfileBuilder, got {type(profile).__name__}"
-            )
-        if profile_id is not None and profile_id != profile.profile_id:
-            raise ProfileError(
-                f"profile_id={profile_id!r} conflicts with the profile's own id "
-                f"{profile.profile_id!r}; pass one or the other"
-            )
-        return profile
-
     def subscribe(
         self,
         profile: Profile | ProfileBuilder,
@@ -477,7 +433,7 @@ class FilterService:
         subscription to one executor mode, overriding the service
         default.
         """
-        compiled = self._compile(profile, profile_id, subscriber)
+        compiled = self._compiler.compile(profile, profile_id, subscriber)
         subscription = self._broker.subscribe(
             compiled, subscriber, sink=sink, delivery=delivery
         )
@@ -492,7 +448,7 @@ class FilterService:
         subscriber: str = "anonymous",
     ) -> list[SubscriptionHandle]:
         """Subscribe many profiles/builders (one engine build, atomic)."""
-        compiled = [self._compile(profile, None, subscriber) for profile in profiles]
+        compiled = [self._compiler.compile(profile, None, subscriber) for profile in profiles]
         subscriptions = self._broker.subscribe_all(compiled, subscriber)
         handles = []
         for subscription in subscriptions:
@@ -502,22 +458,16 @@ class FilterService:
         return handles
 
     # -- publishing ------------------------------------------------------------
-    @staticmethod
-    def _as_event(event: Event | Mapping[str, object]) -> Event:
-        if isinstance(event, Event):
-            return event
-        return Event(dict(event))
-
     def publish(self, event: Event | Mapping[str, object]) -> PublishOutcome:
         """Publish one event (plain mappings are wrapped into events)."""
-        return self._broker.publish(self._as_event(event))
+        return self._broker.publish(as_event(event))
 
     def publish_batch(
         self, events: Iterable[Event | Mapping[str, object]]
     ) -> list[PublishOutcome]:
         """Publish a batch atomically through the engine's batch kernel."""
         return self._broker.publish_batch(
-            [self._as_event(event) for event in events]
+            [as_event(event) for event in events]
         )
 
     # -- delivery life-cycle ---------------------------------------------------

@@ -30,7 +30,7 @@ silently overwriting.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.core.errors import ProfileError
 from repro.core.predicates import (
@@ -43,7 +43,7 @@ from repro.core.predicates import (
 )
 from repro.core.profiles import Profile
 
-__all__ = ["AttributeClause", "ProfileBuilder", "build_profiles", "where"]
+__all__ = ["AttributeClause", "ProfileBuilder", "ProfileCompiler", "build_profiles", "where"]
 
 
 def where(attribute: str) -> "AttributeClause":
@@ -219,3 +219,45 @@ def build_profiles(
         builder.build(f"{id_prefix}-{index}", subscriber=subscriber)
         for index, builder in enumerate(builders, start=1)
     ]
+
+
+class ProfileCompiler:
+    """Turn a facade's ``subscribe`` arguments into a :class:`Profile`.
+
+    A builder compiles under ``profile_id``, or under the next
+    ``profile-N`` that ``taken`` does not claim (a user may have
+    hand-picked ``profile-3``); a ready-made profile passes through.
+    Each facade owns one, with its own notion of which ids are taken.
+    """
+
+    def __init__(self, taken: Callable[[str], bool]) -> None:
+        self._taken = taken
+        self._counter = 0
+
+    def _next_id(self) -> str:
+        while True:
+            self._counter += 1
+            candidate = f"profile-{self._counter}"
+            if not self._taken(candidate):
+                return candidate
+
+    def compile(
+        self,
+        profile: Profile | ProfileBuilder,
+        profile_id: str | None,
+        subscriber: str,
+    ) -> Profile:
+        if isinstance(profile, ProfileBuilder):
+            if profile_id is None:
+                profile_id = self._next_id()
+            return profile.build(profile_id, subscriber=subscriber)
+        if not isinstance(profile, Profile):
+            raise ProfileError(
+                f"subscribe() needs a Profile or ProfileBuilder, got {type(profile).__name__}"
+            )
+        if profile_id is not None and profile_id != profile.profile_id:
+            raise ProfileError(
+                f"profile_id={profile_id!r} conflicts with the profile's own id "
+                f"{profile.profile_id!r}; pass one or the other"
+            )
+        return profile

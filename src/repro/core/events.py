@@ -15,7 +15,7 @@ from typing import Iterator, Mapping, Sequence
 from repro.core.errors import EventError
 from repro.core.schema import Schema
 
-__all__ = ["Event", "column_counts"]
+__all__ = ["Event", "as_event", "column_counts"]
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,13 @@ class Event:
     def __str__(self) -> str:  # pragma: no cover - display helper
         pairs = ", ".join(f"{k}={v!r}" for k, v in self.values.items())
         return f"event({pairs})"
+
+
+def as_event(event: Event | Mapping[str, object]) -> Event:
+    """Return ``event``, wrapping a plain mapping into an :class:`Event`."""
+    if isinstance(event, Event):
+        return event
+    return Event(dict(event))
 
 
 def column_counts(events: Sequence[Event], schema: Schema) -> dict[str, Counter] | None:

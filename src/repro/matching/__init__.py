@@ -16,8 +16,8 @@ API ``match_batch``) and the same comparison-operation accounting:
 
 The families the adaptive service can drive are declared in the
 **engine registry** (:mod:`repro.matching.registry`): each registers a
-factory, a cost estimator for the ``auto`` arbitration and capability
-flags, and third-party families become selectable by registering an
+factory and a cost estimator for the ``auto`` arbitration, and
+third-party families become selectable by registering an
 :class:`~repro.matching.registry.EngineSpec` of their own.
 """
 
@@ -32,7 +32,6 @@ from repro.matching.interfaces import Matcher, MatchResult, match_all, match_bat
 from repro.matching.naive import NaiveMatcher
 from repro.matching.registry import (
     EngineCandidate,
-    EngineCapabilities,
     EngineContext,
     EngineRegistry,
     EngineSpec,
@@ -52,7 +51,6 @@ __all__ = [
     "AttributePlan",
     "CountingMatcher",
     "EngineCandidate",
-    "EngineCapabilities",
     "EngineContext",
     "EngineRegistry",
     "EngineSpec",

@@ -219,15 +219,9 @@ class PredicateIndexMatcher:
         profiles: ProfileSet,
         *,
         planner: IndexPlanner | None = None,
-        min_columnar_batch: int | None = None,
     ) -> None:
         self.profiles = profiles
         self._planner = planner if planner is not None else IndexPlanner()
-        if min_columnar_batch is not None and min_columnar_batch < 0:
-            raise MatchingError("min_columnar_batch must be non-negative")
-        #: Columnar-kernel cutover override; ``None`` tracks the module
-        #: default :data:`~repro.matching.index.kernel.MIN_COLUMNAR_BATCH`.
-        self._min_columnar_batch = min_columnar_batch
         #: Executed-work accounting accumulated over every columnar batch
         #: this matcher instance has run (survives incremental maintenance
         #: and in-place :meth:`replan` rebuilds).
@@ -710,12 +704,9 @@ class PredicateIndexMatcher:
     def match_batch(self, events: Iterable[Event]) -> list[MatchResult]:
         """Filter a sequence of events, batch-size-aware.
 
-        Batches of at least :attr:`min_columnar_batch` events (the
-        constructor knob, defaulting to
-        :data:`~repro.matching.index.kernel.MIN_COLUMNAR_BATCH`; the
-        adaptive service threads
-        :attr:`~repro.service.adaptive.AdaptationPolicy.min_columnar_batch`
-        through here) run through the columnar batch kernel
+        Batches of at least
+        :data:`~repro.matching.index.kernel.MIN_COLUMNAR_BATCH` events (read
+        at call time) run through the columnar batch kernel
         (:func:`~repro.matching.index.kernel.match_batch_columnar`):
         cache-aware scheduling, per-column probe dedup and — with numpy
         available — vectorized slab counting.  Smaller batches keep the
@@ -723,14 +714,7 @@ class PredicateIndexMatcher:
         exactly what sequential :meth:`match` calls would.
         """
         events = events if isinstance(events, list) else list(events)
-        if len(events) >= self.min_columnar_batch:
+        if len(events) >= kernel.MIN_COLUMNAR_BATCH:
             return kernel.match_batch_columnar(self, events, stats=self.kernel_stats)
         match = self.match
         return [match(event) for event in events]
-
-    @property
-    def min_columnar_batch(self) -> int:
-        """Return the effective columnar-kernel cutover of this matcher."""
-        if self._min_columnar_batch is not None:
-            return self._min_columnar_batch
-        return kernel.MIN_COLUMNAR_BATCH

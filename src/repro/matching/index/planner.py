@@ -70,37 +70,17 @@ class AttributePlan:
     scan_cost: float
     #: Number of distinct predicate entries on the attribute.
     entry_count: int
-    #: Per-structure verdicts; ``None`` means "couple to use_index"
-    #: (resolved in ``__post_init__`` so binary plans stay constructible).
-    use_hash: bool | None = None
-    use_interval: bool | None = None
+    #: Per-structure verdicts (a binary planner sets both to ``use_index``).
+    use_hash: bool
+    use_interval: bool
     #: Component costs.  ``*_index_cost`` is probe + E[hits] for that
     #: structure alone; ``*_scan_cost`` is its distinct entry count.
-    hash_index_cost: float = 0.0
-    hash_scan_cost: float = 0.0
-    interval_index_cost: float = 0.0
-    interval_scan_cost: float = 0.0
+    hash_index_cost: float
+    hash_scan_cost: float
+    interval_index_cost: float
+    interval_scan_cost: float
     #: Entries that can only ever be scanned (NotEquals and friends).
-    residual_scan_cost: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.use_hash is None:
-            object.__setattr__(self, "use_hash", self.use_index)
-        if self.use_interval is None:
-            object.__setattr__(self, "use_interval", self.use_index)
-        components = (
-            self.hash_index_cost,
-            self.hash_scan_cost,
-            self.interval_index_cost,
-            self.interval_scan_cost,
-            self.residual_scan_cost,
-        )
-        if not any(components) and (self.index_cost or self.scan_cost):
-            # Back-compat: a plan built from aggregate costs alone treats
-            # the whole attribute as one hash-side component, so the
-            # component-wise chosen_cost reproduces the binary formula.
-            object.__setattr__(self, "hash_index_cost", self.index_cost)
-            object.__setattr__(self, "hash_scan_cost", self.scan_cost)
+    residual_scan_cost: float
 
     @property
     def chosen_cost(self) -> float:

@@ -6,7 +6,7 @@ switch on ``isinstance`` checks whenever it needed family-specific
 behaviour.  This module replaces that with a declarative registry: every
 matcher family registers one :class:`EngineSpec` bundling
 
-* a **factory** building a fresh matcher for a profile set,
+* a **factory** building a fresh matcher for a profile set, and
 * a **cost estimator** (:attr:`EngineSpec.candidate`) producing the
   family's best candidate — predicted comparisons/event, the running
   matcher's predicted cost and an install closure — under given event
@@ -14,10 +14,7 @@ matcher family registers one :class:`EngineSpec` bundling
   check of :class:`~repro.service.adaptive.AdaptiveFilterEngine`
   compares the candidates of its roster — every ranked family under
   ``engine="auto"``, else the one pinned family, whose candidate is its
-  own tree restructure or index replan — and
-* **capability flags** (:class:`EngineCapabilities`) the service layer
-  consults instead of hard-coding family names: whether subscription
-  churn is incremental, whether a columnar batch kernel exists.
+  own tree restructure or index replan.
 
 ``"auto"`` is not a family: it is the reserved arbitration mode that
 pits every ranked family's candidate against the current matcher.
@@ -44,7 +41,7 @@ per-event hot path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from repro.core.errors import MatchingError
@@ -60,7 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 __all__ = [
     "AUTO_ENGINE",
     "EngineCandidate",
-    "EngineCapabilities",
     "EngineContext",
     "EngineRegistry",
     "EngineSpec",
@@ -70,18 +66,6 @@ __all__ = [
 #: Reserved engine name selecting cross-family arbitration instead of one
 #: fixed family.  Not registrable.
 AUTO_ENGINE = "auto"
-
-
-@dataclass(frozen=True)
-class EngineCapabilities:
-    """What a matcher family can do, for the service layer to consult."""
-
-    #: ``add_profile``/``remove_profile`` apply deltas instead of
-    #: rebuilding, so subscription churn is cheap.
-    incremental_maintenance: bool = False
-    #: ``match_batch`` runs a dedicated batch kernel (columnar execution)
-    #: rather than a per-event loop.
-    batch_kernel: bool = False
 
 
 @dataclass(frozen=True)
@@ -98,11 +82,6 @@ class EngineContext:
     value_measure: "ValueMeasure"
     search: "SearchStrategy"
     initial_configuration: "TreeConfiguration | None" = None
-    #: Effective columnar-batch cutover for families with a batch kernel
-    #: (``None`` keeps the kernel's module default).  Resolved from
-    #: ``AdaptationPolicy.min_columnar_batch`` falling back to the
-    #: registry entry's :attr:`EngineSpec.min_columnar_batch`.
-    min_columnar_batch: int | None = None
 
 
 @dataclass(frozen=True)
@@ -138,7 +117,6 @@ class EngineSpec:
     name: str
     #: Build a fresh matcher over ``ctx.profiles``.
     factory: Callable[[EngineContext], "Matcher"]
-    capabilities: EngineCapabilities = field(default_factory=EngineCapabilities)
     #: ``isinstance``-style ownership test mapping a live matcher back to
     #: its family (used by the arbitration to know what is running).
     owns: Callable[["Matcher"], bool] | None = None
@@ -164,10 +142,6 @@ class EngineSpec:
     #: ``None`` keeps the family out of ``auto`` (it still re-optimises
     #: when pinned by name).
     auto_rank: int | None = 100
-    #: Default columnar-batch cutover of the family's batch kernel, when
-    #: it has one (``None`` = the kernel's own module default).  A policy
-    #: ``min_columnar_batch`` overrides this per engine instance.
-    min_columnar_batch: int | None = None
     description: str = ""
 
     def matcher_owned(self, matcher: "Matcher") -> bool:
@@ -364,11 +338,7 @@ def _predicate_index_spec(
         )
 
     def build(ctx: EngineContext, distributions=None) -> "Matcher":
-        return PredicateIndexMatcher(
-            ctx.profiles,
-            planner=planner(ctx, distributions),
-            min_columnar_batch=ctx.min_columnar_batch,
-        )
+        return PredicateIndexMatcher(ctx.profiles, planner=planner(ctx, distributions))
 
     def owns(matcher: "Matcher") -> bool:
         return isinstance(matcher, PredicateIndexMatcher) and matcher.planner.hybrid == hybrid
@@ -404,7 +374,6 @@ def _predicate_index_spec(
     return EngineSpec(
         name=name,
         factory=build,
-        capabilities=EngineCapabilities(incremental_maintenance=True, batch_kernel=True),
         owns=owns,
         supported_measures=tuple(IndexPlanner.SUPPORTED_MEASURES),
         candidate=candidate,
@@ -430,7 +399,6 @@ def _builtin_specs() -> tuple[EngineSpec, ...]:
     tree = EngineSpec(
         name="tree",
         factory=_tree_factory,
-        capabilities=EngineCapabilities(incremental_maintenance=False, batch_kernel=False),
         owns=_tree_owns,
         supported_measures=None,
         candidate=_tree_candidate,
@@ -472,8 +440,6 @@ def _builtin_specs() -> tuple[EngineSpec, ...]:
     naive = EngineSpec(
         name="naive",
         factory=_naive_factory,
-        # add/remove are O(1) set edits — trivially incremental.
-        capabilities=EngineCapabilities(incremental_maintenance=True, batch_kernel=False),
         owns=_naive_owns,
         auto_rank=60,
         description="sequential per-profile scan baseline",

@@ -69,6 +69,14 @@ __all__ = [
     "resolve_policy_engine",
 ]
 
+#: Hysteresis of the ``auto`` arbitration: after an applied family
+#: switch, further switches are suppressed for this many re-optimisation
+#: checks, so an alternating workload does not thrash expensive family
+#: rebuilds every interval.  Suppressed decisions are still recorded
+#: (``AdaptationRecord.suppressed``); same-family restructures/replans
+#: are never held back.
+SWITCH_COOLDOWN_INTERVALS = 2
+
 
 @dataclass(frozen=True)
 class AdaptationPolicy:
@@ -101,40 +109,6 @@ class AdaptationPolicy:
     #: whichever ranked family the cost models predict to be cheapest
     #: under the current history distributions).
     engine: str = "tree"
-    #: Hysteresis of the ``auto`` arbitration: after an applied
-    #: family switch, further switches are suppressed for
-    #: this many re-optimisation checks, so an alternating workload does
-    #: not thrash expensive family rebuilds every interval.  Suppressed
-    #: decisions are still recorded (``AdaptationRecord.suppressed``);
-    #: same-family restructures/replans are never held back.  ``0``
-    #: disables the cooldown.
-    switch_cooldown_intervals: int = 2
-    #: EWMA weight of the measured-cost calibration
-    #: (:class:`~repro.analysis.calibration.CostCalibrator`): after every
-    #: re-optimisation interval the engine pairs the cost it predicted
-    #: with the comparison operations per event actually measured over
-    #: that interval, and folds the misprediction ratio into a per-family
-    #: correction factor with this weight.  Candidate costs of different
-    #: families are multiplied by their family's factor before they are
-    #: compared, so a consistently optimistic model stops winning
-    #: arbitrations it should lose.  ``0`` disables calibration (raw
-    #: analytical costs, the pre-calibration behaviour); ``1`` trusts
-    #: only the latest interval.
-    calibration_smoothing: float = 0.5
-    #: Bounded memory of the measured-cost calibration under workload
-    #: drift: when set, each family's correction factor is folded over
-    #: only its last this-many observed intervals, so evidence from a
-    #: previous workload regime ages out completely instead of lingering
-    #: as a geometric tail (see
-    #: :class:`~repro.analysis.calibration.CostCalibrator`).  ``None``
-    #: keeps the unbounded EWMA.
-    calibration_window: int | None = None
-    #: Columnar batch-kernel cutover for families with a batch kernel
-    #: (today: the index family).  ``None`` defers to the registry
-    #: entry's default and ultimately to
-    #: :data:`repro.matching.index.kernel.MIN_COLUMNAR_BATCH`; smaller
-    #: values push smaller batches into the columnar kernel.
-    min_columnar_batch: int | None = None
     #: Engine roster consulted for validation, construction and the
     #: ``auto`` arbitration.  ``None`` uses the process-wide
     #: :func:`~repro.matching.registry.default_registry`; passing a
@@ -166,14 +140,6 @@ class AdaptationPolicy:
             raise ServiceError("improvement_threshold must lie in [0, 1)")
         if self.history_length <= 0:
             raise ServiceError("history_length must be positive")
-        if self.switch_cooldown_intervals < 0:
-            raise ServiceError("switch_cooldown_intervals must be non-negative")
-        if not 0.0 <= self.calibration_smoothing <= 1.0:
-            raise ServiceError("calibration_smoothing must lie in [0, 1]")
-        if self.calibration_window is not None and self.calibration_window < 1:
-            raise ServiceError("calibration_window must be at least 1")
-        if self.min_columnar_batch is not None and self.min_columnar_batch < 0:
-            raise ServiceError("min_columnar_batch must be non-negative")
 
     @property
     def engine_registry(self) -> EngineRegistry:
@@ -206,7 +172,7 @@ class AdaptationRecord:
     engine: str = ""
     #: ``True`` when the arbitration *wanted* to switch matcher families
     #: but the switch cooldown held it back (``applied`` is then False);
-    #: see :attr:`AdaptationPolicy.switch_cooldown_intervals`.
+    #: see :data:`SWITCH_COOLDOWN_INTERVALS`.
     suppressed: bool = False
     #: Comparison operations per event actually *measured* over the
     #: interval that ended at this check (``None`` when the interval saw
@@ -218,7 +184,7 @@ class AdaptationRecord:
     measured_wall_seconds: float | None = None
     #: Calibration factor of the selected family when the decision was
     #: taken (``1.0``: the model was taken as-is); see
-    #: :attr:`AdaptationPolicy.calibration_smoothing`.
+    #: :class:`~repro.analysis.calibration.CostCalibrator`.
     correction_factor: float = 1.0
     #: Wall-clock seconds the re-optimisation check itself took — history
     #: estimation, costing, arbitration and any applied rebuild: the time
@@ -263,7 +229,15 @@ class AdaptiveFilterEngine:
         self.policy = policy or AdaptationPolicy()
         self.profiles = profiles
         self._registry = self.policy.engine_registry
-        self._initial_configuration = initial_configuration
+        #: What every spec callback gets; the profile set is shared, so
+        #: one context stays current under subscription churn.
+        self._context = EngineContext(
+            profiles=profiles,
+            attribute_measure=self.policy.attribute_measure,
+            value_measure=self.policy.value_measure,
+            search=self.policy.search,
+            initial_configuration=initial_configuration,
+        )
         if self.policy.engine == AUTO_ENGINE:
             # ``auto`` starts on the registry's preferred family (the
             # cheaper build; the built-in roster starts on the index
@@ -272,7 +246,7 @@ class AdaptiveFilterEngine:
             spec = self._registry.auto_start()
         else:
             spec = self._registry.spec(self.policy.engine)
-        self._matcher: Matcher = spec.factory(self._context_for(spec))
+        self._matcher: Matcher = spec.factory(self._context)
         self._history = EventHistory(profiles.schema, max_length=self.policy.history_length)
         self._events_filtered = 0
         self._events_at_last_check = 0
@@ -283,9 +257,7 @@ class AdaptiveFilterEngine:
         #: Measured-cost feedback: cumulative charged operations (and the
         #: interval markers) pair each check's *measured* ops/event with
         #: the cost the previous check *predicted* for the same interval.
-        self._calibrator = CostCalibrator(
-            self.policy.calibration_smoothing, window=self.policy.calibration_window
-        )
+        self._calibrator = CostCalibrator()
         self._operations_filtered = 0
         self._ops_at_last_check = 0
         self._wall_at_last_check = time.perf_counter()
@@ -296,20 +268,6 @@ class AdaptiveFilterEngine:
         #: Kernel stats of matcher instances retired by replans/switches;
         #: :meth:`kernel_stats` folds the live matcher's stats on top.
         self._retired_kernel_stats = KernelStats()
-
-    def _context_for(self, spec: EngineSpec) -> EngineContext:
-        """Build the spec-callback context, resolving per-spec defaults."""
-        min_columnar = self.policy.min_columnar_batch
-        if min_columnar is None:
-            min_columnar = spec.min_columnar_batch
-        return EngineContext(
-            profiles=self.profiles,
-            attribute_measure=self.policy.attribute_measure,
-            value_measure=self.policy.value_measure,
-            search=self.policy.search,
-            initial_configuration=self._initial_configuration,
-            min_columnar_batch=min_columnar,
-        )
 
     def _adopt_matcher(self, matcher: Matcher) -> None:
         """Install a (possibly new) matcher, preserving kernel accounting."""
@@ -538,7 +496,7 @@ class AdaptiveFilterEngine:
         :attr:`AdaptationRecord.correction_factor` is the winner's factor.
 
         **Hysteresis.**  An applied family switch arms a cooldown of
-        :attr:`AdaptationPolicy.switch_cooldown_intervals` further checks
+        :data:`SWITCH_COOLDOWN_INTERVALS` further checks
         during which another switch is suppressed (recorded with
         ``suppressed=True``), so a workload oscillating around the
         cost-model break-even point does not rebuild a family per
@@ -564,7 +522,7 @@ class AdaptiveFilterEngine:
                 # The pinned family opted out of periodic restructuring
                 # (the baselines, most third-party engines).
                 continue
-            candidate = spec.candidate(self._context_for(spec), matcher, distributions)
+            candidate = spec.candidate(self._context, matcher, distributions)
             if candidate is None:
                 continue
             calibrated = candidate.cost * self._correction(spec)
@@ -591,7 +549,7 @@ class AdaptiveFilterEngine:
         if applied:
             self._adopt_matcher(best.install())
             if is_switch:
-                self._switch_cooldown = self.policy.switch_cooldown_intervals
+                self._switch_cooldown = SWITCH_COOLDOWN_INTERVALS
             self._pending_prediction = (best_spec.name, best.cost)
         elif predicted_current < float("inf"):
             self._pending_prediction = (current_spec.name, predicted_current)

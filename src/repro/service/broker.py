@@ -119,8 +119,6 @@ class Broker:
         max_workers: int | None = None,
         queue_capacity: int | None = None,
         overflow: str = "block",
-        retry_attempts: int = 1,
-        retry_backoff: float = 0.0,
         webhook: WebhookConfig | None = None,
         store: SubscriptionStore | None = None,
     ) -> None:
@@ -145,8 +143,6 @@ class Broker:
             max_workers=max_workers,
             queue_capacity=queue_capacity,
             overflow=overflow,
-            retry_attempts=retry_attempts,
-            retry_backoff=retry_backoff,
             webhook=webhook,
         )
         self._store = store

@@ -97,8 +97,6 @@ class DeliveryDispatcher:
         max_workers: int | None = None,
         queue_capacity: int | None = None,
         overflow: str = "block",
-        retry_attempts: int = 1,
-        retry_backoff: float = 0.0,
         webhook: WebhookConfig | None = None,
     ) -> None:
         self._default_mode = validate_delivery_mode(delivery)
@@ -107,14 +105,8 @@ class DeliveryDispatcher:
             raise DeliveryError("max_workers must be at least 1")
         if queue_capacity is not None and queue_capacity < 1:
             raise DeliveryError("queue_capacity must be at least 1")
-        if retry_attempts < 1:
-            raise DeliveryError("retry_attempts must be at least 1")
-        if retry_backoff < 0.0:
-            raise DeliveryError("retry_backoff must not be negative")
         self._max_workers = max_workers if max_workers is not None else 4
         self._queue_capacity = queue_capacity if queue_capacity is not None else 1024
-        self._retry_attempts = retry_attempts
-        self._retry_backoff = retry_backoff
         self._webhook = webhook
         self._executors: dict[str, DeliveryExecutor] = {}
         self._closed = False
@@ -146,8 +138,6 @@ class DeliveryDispatcher:
                 max_workers=self._max_workers,
                 queue_capacity=self._queue_capacity,
                 overflow=self._overflow,
-                retry_attempts=self._retry_attempts,
-                retry_backoff=self._retry_backoff,
             )
         return WebhookDeliveryExecutor(
             config=self._webhook,

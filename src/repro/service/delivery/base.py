@@ -21,10 +21,9 @@ Executor contract
 * **At-most-once settlement** — a submitted task settles exactly once:
   delivered, failed, dropped, or dead-lettered (counted in
   :class:`~repro.service.delivery.stats.DeliveryStats`), never
-  duplicated.  Executors with a retry budget may *attempt* a sink more
-  than once before settling; extra attempts are counted in ``retried``
-  and the default budget (one attempt) preserves the historical
-  never-retried semantics.
+  duplicated.  The webhook executor, the one with a retry budget, may
+  *attempt* a sink more than once before settling; extra attempts are
+  counted in ``retried``.  The in-process executors attempt once.
 * **Bounded backpressure** — asynchronous executors bound each delivery
   lane at ``queue_capacity`` tasks and apply one of the
   :data:`OVERFLOW_POLICIES` when a lane is full: ``"block"`` (the

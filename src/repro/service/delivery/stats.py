@@ -50,8 +50,9 @@ class DeliveryStats:
     pending: int = 0
     #: High-water mark of ``pending`` (backpressure visibility).
     max_pending: int = 0
-    #: Extra sink attempts beyond each task's first (retry knobs); not
-    #: part of the at-most-once conservation law.
+    #: Extra sink attempts beyond each task's first (the webhook
+    #: executor's retry budget); not part of the at-most-once
+    #: conservation law.
     retried: int = 0
     #: Tasks parked on a dead-letter queue after exhausting their retry
     #: budget or hitting an open circuit breaker (webhook executor).

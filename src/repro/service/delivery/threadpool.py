@@ -29,18 +29,15 @@ dropped task is gone for good, counted in the stats), ``"raise"``
 surfaces :class:`~repro.core.errors.DeliveryOverflowError` to the
 publisher.
 
-Sink exceptions are swallowed and counted (``failed``): a broken
-subscriber must not take down a worker shared with other subscriptions.
-With ``retry_attempts > 1`` a sink raising an ordinary :class:`Exception`
-is re-attempted (after ``retry_backoff * 2**n`` seconds) before counting
-as failed; extra attempts are counted in ``retried``.  The default budget
-of one attempt preserves the historical never-retried semantics.
+Each task is attempted once.  Sink exceptions are swallowed and counted
+(``failed``): a broken subscriber must not take down a worker shared
+with other subscriptions.  Retrying is the remote ``webhook`` executor's
+business, where transient failure is the normal case.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import Counter, deque
 from typing import Sequence
 
@@ -101,20 +98,12 @@ class ThreadPoolDeliveryExecutor:
         max_workers: int = 4,
         queue_capacity: int = 1024,
         overflow: str = "block",
-        retry_attempts: int = 1,
-        retry_backoff: float = 0.0,
         counters: DeliveryCounters | None = None,
     ) -> None:
         if max_workers < 1:
             raise DeliveryError("max_workers must be at least 1")
         if queue_capacity < 1:
             raise DeliveryError("queue_capacity must be at least 1")
-        if retry_attempts < 1:
-            raise DeliveryError("retry_attempts must be at least 1")
-        if retry_backoff < 0.0:
-            raise DeliveryError("retry_backoff must not be negative")
-        self._retry_attempts = retry_attempts
-        self._retry_backoff = retry_backoff
         self._overflow = validate_overflow_policy(overflow)
         self._capacity = queue_capacity
         self._counters = counters if counters is not None else DeliveryCounters()
@@ -198,33 +187,15 @@ class ThreadPoolDeliveryExecutor:
                     # The subscription was full: a publisher may be
                     # blocked on it (no one waits on any other).
                     lane.condition.notify_all()
-            ok = True
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    invoke_sink(task.sink, task.notification)
-                    break
-                except Exception:
-                    # Transient sink failures are retried within the
-                    # budget; the final attempt settles as failed.
-                    if attempt >= self._retry_attempts:
-                        ok = False
-                        break
-                    self._counters.retrying()
-                    if self._retry_backoff > 0.0:
-                        time.sleep(self._retry_backoff * (2 ** (attempt - 1)))
-                except BaseException:
-                    # BaseException included: a sink calling sys.exit must
-                    # neither kill the worker (orphaning its lane) nor leak
-                    # the pending count (hanging every later drain()).
-                    # Never retried: such escapes are not transient.
-                    ok = False
-                    break
-            if ok:
-                tally.delivered += 1
-            else:
+            try:
+                invoke_sink(task.sink, task.notification)
+            except BaseException:
+                # BaseException included: a sink calling sys.exit must
+                # neither kill the worker (orphaning its lane) nor leak
+                # the pending count (hanging every later drain()).
                 tally.failed += 1
+            else:
+                tally.delivered += 1
 
     # -- life-cycle -------------------------------------------------------------
     def drain(self) -> None:

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.core.builder import ProfileBuilder
+from repro.core.builder import ProfileBuilder, ProfileCompiler
 from repro.core.errors import ProfileError, SubscriptionError
-from repro.core.events import Event
+from repro.core.events import Event, as_event
 from repro.core.profiles import Profile
 from repro.core.schema import Schema
 from repro.matching.index.kernel import KernelStats
@@ -264,7 +264,7 @@ class NetworkService:
         #: Every profile id registered anywhere (paused included) — the
         #: network-wide uniqueness the central registry gives for free.
         self._profile_ids: set[str] = set()
-        self._profile_counter = 0
+        self._compiler = ProfileCompiler(self._profile_ids.__contains__)
 
     # -- topology ----------------------------------------------------------------
     @property
@@ -302,34 +302,6 @@ class NetworkService:
         return self._network.neighbours(broker_id)
 
     # -- subscribing -------------------------------------------------------------
-    def _generate_profile_id(self) -> str:
-        while True:
-            self._profile_counter += 1
-            candidate = f"profile-{self._profile_counter}"
-            if candidate not in self._profile_ids:
-                return candidate
-
-    def _compile(
-        self,
-        profile: Profile | ProfileBuilder,
-        profile_id: str | None,
-        subscriber: str,
-    ) -> Profile:
-        if isinstance(profile, ProfileBuilder):
-            if profile_id is None:
-                profile_id = self._generate_profile_id()
-            return profile.build(profile_id, subscriber=subscriber)
-        if not isinstance(profile, Profile):
-            raise ProfileError(
-                f"subscribe() needs a Profile or ProfileBuilder, got {type(profile).__name__}"
-            )
-        if profile_id is not None and profile_id != profile.profile_id:
-            raise ProfileError(
-                f"profile_id={profile_id!r} conflicts with the profile's own id "
-                f"{profile.profile_id!r}; pass one or the other"
-            )
-        return profile
-
     def subscribe(
         self,
         profile: Profile | ProfileBuilder,
@@ -347,7 +319,7 @@ class NetworkService:
         covering tables, pruned wherever an already-forwarded profile
         covers it.
         """
-        compiled = self._compile(profile, profile_id, subscriber)
+        compiled = self._compiler.compile(profile, profile_id, subscriber)
         if compiled.profile_id in self._profile_ids:
             raise SubscriptionError(
                 f"profile id {compiled.profile_id!r} is already subscribed"
@@ -406,12 +378,6 @@ class NetworkService:
         return subscription
 
     # -- publishing --------------------------------------------------------------
-    @staticmethod
-    def _as_event(event: Event | Mapping[str, object]) -> Event:
-        if isinstance(event, Event):
-            return event
-        return Event(dict(event))
-
     def publish(
         self,
         event: Event | Mapping[str, object],
@@ -420,7 +386,7 @@ class NetworkService:
         simulation: SimulationEngine | None = None,
     ) -> NetworkDeliveryReport:
         """Publish one event at broker ``at`` (mappings are wrapped)."""
-        return self._network.publish(at, self._as_event(event), simulation=simulation)
+        return self._network.publish(at, as_event(event), simulation=simulation)
 
     def publish_batch(
         self,
@@ -432,7 +398,7 @@ class NetworkService:
         """Publish a batch at ``at``; it rides ``publish_batch`` end to end."""
         return self._network.publish_batch(
             at,
-            [self._as_event(event) for event in events],
+            [as_event(event) for event in events],
             simulation=simulation,
         )
 

@@ -68,6 +68,7 @@ from repro.core.errors import (
     DistributionError,
     DomainError,
     SchemaError,
+    ServiceError,
     WorkloadError,
     WorkloadSpecError,
 )
@@ -412,14 +413,25 @@ def _build_engine(table: Mapping, path: str) -> EngineHints:
         kwargs["families"] = tuple(
             _check_engine_name(family, f"{path}.families") for family in families
         )
-    for knob in ("reoptimize_interval", "warmup_events", "min_columnar_batch"):
+    for knob in ("reoptimize_interval", "warmup_events"):
         if knob in table:
             kwargs[knob] = _check_int(table[knob], f"{path}.{knob}")
     if "improvement_threshold" in table:
         kwargs["improvement_threshold"] = _check_number(
             table["improvement_threshold"], f"{path}.improvement_threshold"
         )
-    return EngineHints(**kwargs)
+    hints = EngineHints(**kwargs)
+    # The policy owns the range rules: build the one each pinned knob
+    # describes, so a bad value fails here, at its key.  Imported here:
+    # the service layer imports this package.
+    from repro.service.adaptive import AdaptationPolicy
+
+    for knob, value in hints.policy_overrides().items():
+        try:
+            AdaptationPolicy(**{knob: value})
+        except ServiceError as exc:
+            raise WorkloadSpecError(f"{path}.{knob}", str(exc)) from exc
+    return hints
 
 
 def _build_profile(document: Mapping, *, default_name: str, source: Path | None) -> ScenarioProfile:

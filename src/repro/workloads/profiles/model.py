@@ -75,7 +75,6 @@ class EngineHints:
     reoptimize_interval: int | None = None
     warmup_events: int | None = None
     improvement_threshold: float | None = None
-    min_columnar_batch: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "families", tuple(self.families))
@@ -85,12 +84,7 @@ class EngineHints:
     def policy_overrides(self) -> dict[str, object]:
         """Return the pinned AdaptationPolicy kwargs (unset knobs omitted)."""
         overrides: dict[str, object] = {}
-        for knob in (
-            "reoptimize_interval",
-            "warmup_events",
-            "improvement_threshold",
-            "min_columnar_batch",
-        ):
+        for knob in ("reoptimize_interval", "warmup_events", "improvement_threshold"):
             value = getattr(self, knob)
             if value is not None:
                 overrides[knob] = value

@@ -6,14 +6,6 @@ from repro.analysis.calibration import CalibrationSnapshot, CostCalibrator
 
 
 class TestConstruction:
-    def test_smoothing_must_lie_in_unit_interval(self):
-        with pytest.raises(ValueError):
-            CostCalibrator(smoothing=-0.1)
-        with pytest.raises(ValueError):
-            CostCalibrator(smoothing=1.5)
-        CostCalibrator(smoothing=0.0)
-        CostCalibrator(smoothing=1.0)
-
     def test_unobserved_families_are_trusted(self):
         calibrator = CostCalibrator()
         assert calibrator.factor("index") == 1.0
@@ -23,7 +15,7 @@ class TestConstruction:
 
 class TestObserve:
     def test_factor_moves_toward_the_observed_ratio(self):
-        calibrator = CostCalibrator(smoothing=0.5)
+        calibrator = CostCalibrator()
         calibrator.observe("index", predicted=10.0, measured=30.0)
         # EWMA from the neutral prior 1.0 toward ratio 3.0.
         assert calibrator.factor("index") == pytest.approx(2.0)
@@ -32,13 +24,13 @@ class TestObserve:
         assert calibrator.factor("index") == pytest.approx(2.5)
 
     def test_families_are_independent(self):
-        calibrator = CostCalibrator(smoothing=1.0)
+        calibrator = CostCalibrator()
         calibrator.observe("index", predicted=10.0, measured=20.0)
-        assert calibrator.factor("index") == pytest.approx(2.0)
+        assert calibrator.factor("index") == pytest.approx(1.5)
         assert calibrator.factor("tree") == 1.0
 
     def test_nonpositive_observations_carry_no_ratio(self):
-        calibrator = CostCalibrator(smoothing=0.5)
+        calibrator = CostCalibrator()
         calibrator.observe("index", predicted=0.0, measured=5.0)
         calibrator.observe("index", predicted=5.0, measured=0.0)
         assert calibrator.factor("index") == 1.0
@@ -48,14 +40,8 @@ class TestObserve:
         assert snapshot.observations == 2
         assert len(snapshot.recent) == 2
 
-    def test_zero_smoothing_disables_learning(self):
-        calibrator = CostCalibrator(smoothing=0.0)
-        calibrator.observe("index", predicted=10.0, measured=100.0)
-        assert calibrator.factor("index") == 1.0
-        assert calibrator.calibrate("index", 10.0) == 10.0
-
     def test_sample_reports_the_error_the_arbitration_incurred(self):
-        calibrator = CostCalibrator(smoothing=0.5)
+        calibrator = CostCalibrator()
         first = calibrator.observe("index", predicted=10.0, measured=20.0)
         assert first.calibrated == pytest.approx(10.0)  # factor before update
         assert first.error == pytest.approx(0.5)
@@ -66,7 +52,7 @@ class TestObserve:
         assert second.raw_error == pytest.approx(0.5)  # raw bias unchanged
 
     def test_error_converges_geometrically_for_a_constant_ratio(self):
-        calibrator = CostCalibrator(smoothing=0.5)
+        calibrator = CostCalibrator()
         errors = [
             calibrator.observe("index", predicted=10.0, measured=40.0).error
             for _ in range(8)
@@ -76,52 +62,9 @@ class TestObserve:
         assert errors[-1] < 0.02
 
 
-class TestBoundedWindow:
-    def test_window_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CostCalibrator(window=0)
-        with pytest.raises(ValueError):
-            CostCalibrator(window=-3)
-        CostCalibrator(window=1)
-
-    def test_windowed_tracks_unbounded_while_the_window_is_not_full(self):
-        bounded = CostCalibrator(smoothing=0.5, window=8)
-        unbounded = CostCalibrator(smoothing=0.5)
-        for _ in range(8):
-            bounded.observe("index", predicted=10.0, measured=30.0)
-            unbounded.observe("index", predicted=10.0, measured=30.0)
-            assert bounded.factor("index") == pytest.approx(unbounded.factor("index"))
-
-    def test_old_regime_ages_out_completely(self):
-        """After ``window`` fresh observations the factor is exactly what a
-        calibrator that never saw the old regime would hold."""
-        drifted = CostCalibrator(smoothing=0.5, window=4)
-        fresh = CostCalibrator(smoothing=0.5, window=4)
-        for _ in range(20):
-            drifted.observe("index", predicted=10.0, measured=50.0)  # regime A
-        for _ in range(4):
-            drifted.observe("index", predicted=10.0, measured=10.0)  # regime B
-            fresh.observe("index", predicted=10.0, measured=10.0)
-        assert drifted.factor("index") == fresh.factor("index")
-
-    def test_window_reconverges_faster_under_slow_smoothing(self):
-        """With a small alpha the unbounded EWMA drags the dead regime as a
-        long geometric tail; the window truncates it outright."""
-        bounded = CostCalibrator(smoothing=0.1, window=10)
-        unbounded = CostCalibrator(smoothing=0.1)
-        for calibrator in (bounded, unbounded):
-            for _ in range(50):
-                calibrator.observe("index", predicted=10.0, measured=50.0)
-            for _ in range(10):
-                calibrator.observe("index", predicted=10.0, measured=10.0)
-        true_ratio = 1.0
-        assert abs(bounded.factor("index") - true_ratio) < 1e-9
-        assert abs(unbounded.factor("index") - true_ratio) > 1.0
-
-
 class TestSnapshot:
     def test_snapshot_is_detached_and_serialisable(self):
-        calibrator = CostCalibrator(smoothing=0.5)
+        calibrator = CostCalibrator()
         calibrator.observe("index", predicted=10.0, measured=20.0)
         snapshot = calibrator.snapshot()
         assert isinstance(snapshot, CalibrationSnapshot)
@@ -136,7 +79,7 @@ class TestSnapshot:
         assert snapshot.observations == 1
 
     def test_recent_samples_are_bounded(self):
-        calibrator = CostCalibrator(smoothing=0.5)
+        calibrator = CostCalibrator()
         for _ in range(40):
             calibrator.observe("index", predicted=10.0, measured=20.0)
         snapshot = calibrator.snapshot()

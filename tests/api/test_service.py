@@ -49,9 +49,51 @@ class TestConstruction:
         assert service.policy.engine == "tree"
 
     def test_policy_carries_all_knobs(self):
-        policy = AdaptationPolicy(engine="index", min_columnar_batch=4)
+        policy = AdaptationPolicy(engine="index", history_length=500)
         service = make_service(policy=policy, adaptive=False)
-        assert service.policy.min_columnar_batch == 4
+        assert service.policy.history_length == 500
+
+
+def _retired_knob_owners():
+    from repro.analysis.calibration import CostCalibrator
+    from repro.matching.index import PredicateIndexMatcher
+    from repro.matching.registry import EngineSpec
+
+    return {
+        "AdaptationPolicy": AdaptationPolicy,
+        "FilterService": make_service,
+        "EngineSpec": lambda **kwargs: EngineSpec(
+            name="x", factory=lambda ctx: None, **kwargs
+        ),
+        "CostCalibrator": CostCalibrator,
+        "PredicateIndexMatcher": lambda **kwargs: PredicateIndexMatcher(
+            environmental_profiles(environmental_schema()), **kwargs
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    ("owner", "knob", "value"),
+    [
+        ("AdaptationPolicy", "switch_cooldown_intervals", 0),
+        ("AdaptationPolicy", "calibration_smoothing", 0.5),
+        ("AdaptationPolicy", "calibration_window", 4),
+        ("AdaptationPolicy", "min_columnar_batch", 4),
+        ("FilterService", "service_id", "svc"),
+        ("FilterService", "retry_attempts", 3),
+        ("FilterService", "retry_backoff", 0.01),
+        ("EngineSpec", "capabilities", None),
+        ("EngineSpec", "min_columnar_batch", 4),
+        ("CostCalibrator", "smoothing", 0.5),
+        ("CostCalibrator", "window", 4),
+        ("PredicateIndexMatcher", "min_columnar_batch", 4),
+    ],
+)
+def test_retired_knobs_are_rejected(owner, knob, value):
+    """Settable values no committed caller set were deleted, not hidden:
+    passing one is a ``TypeError``."""
+    with pytest.raises(TypeError, match=knob):
+        _retired_knob_owners()[owner](**{knob: value})
 
 
 class TestPublishing:
@@ -170,7 +212,7 @@ class TestStats:
         service = FilterService(
             workload.schema,
             adaptive=False,
-            policy=AdaptationPolicy(engine="index", min_columnar_batch=8),
+            policy=AdaptationPolicy(engine="index"),
         )
         service.subscribe_all(list(workload.profiles))
         service.publish_batch(list(workload.events))

@@ -10,6 +10,7 @@ and subscription churn, on the per-event and the columnar batch path
 alike (with identical per-event operation accounting between the two).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from repro.core.events import Event
 from repro.core.predicates import Equals, NotEquals, OneOf, RangePredicate
 from repro.core.profiles import Profile, ProfileSet
 from repro.core.schema import Attribute, Schema
-from repro.matching.index import IndexPlanner, PredicateIndexMatcher
+from repro.matching.index import IndexPlanner, PredicateIndexMatcher, kernel
 from repro.matching.naive import NaiveMatcher
 
 DOMAIN_SIZE = 12
@@ -29,8 +30,8 @@ def make_schema(size: int = DOMAIN_SIZE) -> Schema:
     return Schema([Attribute(name, IntegerDomain(0, size - 1)) for name in ATTRIBUTES])
 
 
-def hybrid_matcher(profiles: ProfileSet, **kwargs) -> PredicateIndexMatcher:
-    return PredicateIndexMatcher(profiles, planner=IndexPlanner(hybrid=True), **kwargs)
+def hybrid_matcher(profiles: ProfileSet) -> PredicateIndexMatcher:
+    return PredicateIndexMatcher(profiles, planner=IndexPlanner(hybrid=True))
 
 
 # -- mixed-plan units ---------------------------------------------------------
@@ -193,9 +194,11 @@ def test_hybrid_batch_path_equals_per_event_path(data):
     profiles = ProfileSet(schema)
     for profile in initial:
         profiles.add(profile)
-    matcher = hybrid_matcher(profiles, min_columnar_batch=1)
+    matcher = hybrid_matcher(profiles)
     sequential = [matcher.match(event) for event in events]
-    batched = matcher.match_batch(events)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "MIN_COLUMNAR_BATCH", 1)
+        batched = matcher.match_batch(events)
     assert [r.matched_profile_ids for r in batched] == [
         r.matched_profile_ids for r in sequential
     ]

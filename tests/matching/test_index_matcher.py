@@ -7,6 +7,7 @@ drives small adversarial profile sets over every predicate kind, and the
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -95,13 +96,7 @@ def test_scan_only_planner_is_still_identical(data):
     class ScanPlanner(IndexPlanner):
         def plan_attribute(self, attribute, domain, **kwargs):
             plan = super().plan_attribute(attribute, domain, **kwargs)
-            return type(plan)(
-                attribute=plan.attribute,
-                use_index=False,
-                index_cost=plan.index_cost,
-                scan_cost=plan.scan_cost,
-                entry_count=plan.entry_count,
-            )
+            return replace(plan, use_index=False, use_hash=False, use_interval=False)
 
     profiles, events = data
     naive = NaiveMatcher(profiles)

@@ -1,7 +1,6 @@
 """The pluggable engine registry (matching families roster)."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -18,7 +17,6 @@ from repro.matching import (
     TreeMatcher,
 )
 from repro.matching.registry import (
-    EngineCapabilities,
     EngineContext,
     EngineRegistry,
     EngineSpec,
@@ -47,12 +45,6 @@ class TestDefaultRegistry:
 
     def test_auto_starts_on_the_index_family(self):
         assert default_registry().auto_start().name == "index"
-
-    def test_capability_flags(self):
-        registry = default_registry()
-        assert registry.spec("index").capabilities.incremental_maintenance
-        assert registry.spec("index").capabilities.batch_kernel
-        assert not registry.spec("tree").capabilities.batch_kernel
 
     def test_owner_of_maps_matchers_to_families(self):
         from repro.matching.index.planner import IndexPlanner
@@ -86,7 +78,7 @@ class TestDefaultRegistry:
         registry.register(
             EngineSpec(name="tree", factory=lambda ctx: None), replace=True
         )
-        assert registry.spec("tree").capabilities == EngineCapabilities()
+        assert registry.spec("tree").candidate is None
 
     def test_factories_build_the_right_families(self):
         registry = default_registry()
@@ -183,11 +175,6 @@ class TestBaselineFamilies:
                 engine.match(event).matched_profile_ids
                 == oracle.match(event).matched_profile_ids
             ), name
-
-    def test_capability_flags(self):
-        registry = default_registry()
-        assert registry.spec("naive").capabilities.incremental_maintenance
-        assert not registry.spec("naive").capabilities.batch_kernel
 
     def test_ownership_is_exact_type(self):
         """Subclasses (third-party families) are not claimed by the
@@ -294,7 +281,6 @@ class TestAutoArbitrationOverRegistry:
             reoptimize_interval=50,
             warmup_events=50,
             improvement_threshold=0.0,
-            switch_cooldown_intervals=0,
         )
         engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
         # auto_rank -1 also makes the custom family the warmup start.
@@ -347,45 +333,19 @@ class TestAutoArbitrationOverRegistry:
         assert calibration.observations == len(records) - 1 > 0
         assert set(calibration.factors) == {"scan"}
 
-    def test_min_columnar_batch_threads_to_the_index_matcher(self):
-        policy = AdaptationPolicy(engine="index", min_columnar_batch=4)
-        engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
-        assert engine.matcher.min_columnar_batch == 4
-        # The registry-entry default can also carry the knob.
-        registry = EngineRegistry(
-            [
-                replace(spec, min_columnar_batch=7) if spec.name == "index" else spec
-                for spec in builtin_specs()
-            ]
-        )
-        engine = AdaptiveFilterEngine(
-            small_profiles(), policy=AdaptationPolicy(engine="index", registry=registry)
-        )
-        assert engine.matcher.min_columnar_batch == 7
-        # The policy knob wins over the registry entry.
-        engine = AdaptiveFilterEngine(
-            small_profiles(),
-            policy=AdaptationPolicy(
-                engine="index", registry=registry, min_columnar_batch=3
-            ),
-        )
-        assert engine.matcher.min_columnar_batch == 3
+    def test_min_columnar_batch_controls_the_kernel_cutover(self, monkeypatch):
+        """Batches at or above ``kernel.MIN_COLUMNAR_BATCH`` (read at call
+        time) run the columnar kernel (visible through the matcher's
+        accumulated KernelStats)."""
+        from repro.matching.index import kernel
 
-    def test_min_columnar_batch_validation(self):
-        with pytest.raises(ServiceError):
-            AdaptationPolicy(min_columnar_batch=-1)
-        with pytest.raises(MatchingError):
-            PredicateIndexMatcher(small_profiles(), min_columnar_batch=-2)
-
-    def test_min_columnar_batch_controls_the_kernel_cutover(self):
-        """Batches at or above the knob run the columnar kernel (visible
-        through the matcher's accumulated KernelStats)."""
         profiles = small_profiles()
         events = [Event({"v": v}) for v in (0, 10, 20, 30, 40, 50)]
         default = PredicateIndexMatcher(profiles)
         default.match_batch(events)
         assert default.kernel_stats.events == 0  # below MIN_COLUMNAR_BATCH=16
-        lowered = PredicateIndexMatcher(profiles, min_columnar_batch=4)
+        lowered = PredicateIndexMatcher(profiles)
+        monkeypatch.setattr(kernel, "MIN_COLUMNAR_BATCH", 4)
         results = lowered.match_batch(events)
         assert lowered.kernel_stats.events == len(events)
         assert [r.matched_profile_ids for r in results] == [

@@ -165,7 +165,6 @@ class TestCalibratedArbitration:
                 reoptimize_interval=100,
                 warmup_events=100,
                 improvement_threshold=0.05,
-                switch_cooldown_intervals=0,
                 registry=registry,
             ),
         )
@@ -252,11 +251,11 @@ class TestCalibrationPrior:
         assert engine._correction(hybrid) == engine.calibrator.factor("hybrid") == 0.75
 
 
-class TestBoundedWindowUnderDrift:
-    """``calibration_window`` bounds the feedback loop's memory so a
-    workload-regime change re-converges instead of dragging a stale tail."""
+class TestUnboundedMemoryUnderDrift:
+    """The EWMA has unbounded memory: a workload-regime change leaves the
+    previous regime as a geometric tail in the correction factor."""
 
-    def make_engine(self, window: int | None) -> AdaptiveFilterEngine:
+    def make_engine(self) -> AdaptiveFilterEngine:
         registry = EngineRegistry()
         registry.register(
             constant_spec("stub", _ConstantOpsMatcher, true_ops=7, predicted=70.0, auto_rank=0)
@@ -268,52 +267,20 @@ class TestBoundedWindowUnderDrift:
                 reoptimize_interval=100,
                 warmup_events=100,
                 improvement_threshold=0.5,
-                calibration_window=window,
                 registry=registry,
             ),
         )
 
-    def test_window_must_be_positive(self):
-        from repro.core.errors import ServiceError
-
-        with pytest.raises(ServiceError):
-            AdaptationPolicy(calibration_window=0)
-        assert AdaptationPolicy(calibration_window=6).calibration_window == 6
-
-    def test_policy_window_reaches_the_calibrator(self):
-        assert self.make_engine(6).calibrator.window == 6
-        assert self.make_engine(None).calibrator.window is None
-
-    def test_drifted_factor_equals_a_fresh_engine_after_one_window(self):
-        """Regime A (7 ops against the 70 prediction) then regime B (140
-        ops): once ``window`` post-drift intervals are measured, the
-        factor is bit-identical to an engine that only ever saw regime B
-        — the old regime contributes nothing at all."""
-        drifted = self.make_engine(window=6)
-        drive(drifted, 1200)
-        # Near the true 0.1 ratio (the refold keeps a small neutral-prior
-        # term: 0.1 + 0.9 * 0.5**window).
-        assert drifted.calibrator.factor("stub") == pytest.approx(0.114, abs=0.01)
-        drifted.matcher.ops = 140  # the workload's true cost drifts 20x
-        drive(drifted, 900)
-
-        fresh = self.make_engine(window=6)
-        fresh.matcher.ops = 140
-        drive(fresh, 900)
-
-        drifted_factor = drifted.calibrator.factor("stub")
-        assert drifted_factor == fresh.calibrator.factor("stub")
-        assert drifted_factor == pytest.approx(2.0, rel=0.05)
-
     def test_unbounded_memory_keeps_the_stale_tail(self):
-        """Same drift without a window: the pre-drift regime lingers as a
-        geometric tail, so the factor never matches a fresh engine's."""
-        drifted = self.make_engine(window=None)
+        """Regime A (7 ops against the 70 prediction) then regime B (140
+        ops): the pre-drift regime lingers, so the factor never matches a
+        fresh engine's."""
+        drifted = self.make_engine()
         drive(drifted, 1200)
         drifted.matcher.ops = 140
         drive(drifted, 900)
 
-        fresh = self.make_engine(window=None)
+        fresh = self.make_engine()
         fresh.matcher.ops = 140
         drive(fresh, 900)
 

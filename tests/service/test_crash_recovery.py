@@ -188,12 +188,11 @@ class TestBalancedAccounting:
             stats.delivered + stats.failed + stats.dropped + stats.dead_lettered
         )
 
-    def test_flaky_sink_with_retry_budget(self):
-        service = make_service(delivery="threadpool", retry_attempts=3,
-                               retry_backoff=0.0)
-        healed = FlakySink(failures=2)        # heals within the budget
+    def test_flaky_sink_is_attempted_once(self):
+        service = make_service(delivery="threadpool")
+        healthy = FlakySink(failures=0)
         doomed = FlakySink(failures=10**6)    # never heals
-        service.subscribe(price_profile("P1", 0), sink=healed)
+        service.subscribe(price_profile("P1", 0), sink=healthy)
         service.subscribe(price_profile("P2", 0), sink=doomed)
         service.publish(Event({"price": 5}))
         service.drain()
@@ -201,9 +200,10 @@ class TestBalancedAccounting:
         assert stats.dispatched == 2
         assert stats.delivered == 1
         assert stats.failed == 1
-        assert stats.retried == 2 + 2  # two extra attempts per sink
+        assert stats.retried == 0
         self.assert_balanced(stats)
-        assert len(healed.delivered) == 1
+        assert len(healthy.delivered) == 1
+        assert doomed.calls == 1
         service.close()
 
     def test_webhook_mix_of_flaky_and_dead_endpoints(self):

@@ -399,21 +399,21 @@ class TestCloseConsistency:
             service.publish(Event({"price": 2}))
 
 
-class TestExecutorRetryKnobs:
-    """Satellite: bounded retries on the threadpool lanes."""
+class TestThreadpoolSingleAttempt:
+    """Retrying is the webhook executor's alone: a threadpool sink is
+    attempted once."""
 
-    def test_transient_failure_heals_within_budget(self):
-        service = make_service(delivery="threadpool", retry_attempts=3,
-                               retry_backoff=0.0)
+    def test_transient_failure_settles_as_failed(self):
+        service = make_service(delivery="threadpool")
         sink = FlakySink(failures=2)
         service.subscribe(match_all("P1"), sink=sink)
         service.publish(Event({"price": 9}))
         service.drain()
         stats = service.stats().delivery
-        assert stats.delivered == 1
-        assert stats.failed == 0
-        assert stats.retried == 2
-        assert [n.event["price"] for n in sink.delivered] == [9]
+        assert stats.failed == 1
+        assert stats.retried == 0
+        assert stats.dispatched == stats.delivered + stats.failed
+        assert sink.calls == 1 and sink.delivered == []
         service.close()
 
     def test_default_is_single_attempt(self):
@@ -427,12 +427,6 @@ class TestExecutorRetryKnobs:
         assert stats.retried == 0
         assert sink.calls == 1
         service.close()
-
-    def test_knobs_validated(self):
-        with pytest.raises(DeliveryError, match="retry_attempts"):
-            make_service(delivery="threadpool", retry_attempts=0)
-        with pytest.raises(DeliveryError, match="retry_backoff"):
-            make_service(delivery="threadpool", retry_backoff=-0.1)
 
 
 class _StubHandler(http.server.BaseHTTPRequestHandler):

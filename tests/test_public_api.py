@@ -104,10 +104,6 @@ API_SURFACE = {
         "improvement_threshold",
         "history_length",
         "engine",
-        "switch_cooldown_intervals",
-        "calibration_smoothing",
-        "calibration_window",
-        "min_columnar_batch",
         "registry",
     ),
     "AdaptationRecord": (
@@ -141,19 +137,16 @@ API_SURFACE = {
     ),
     "CalibrationSample": ("family", "predicted", "calibrated", "measured"),
     "CalibrationSnapshot": ("factors", "observations", "recent"),
-    "CostCalibrator": ("smoothing", "window"),
-    "EngineCapabilities": ("incremental_maintenance", "batch_kernel"),
+    "CostCalibrator": (),
     "EngineRegistry": ("specs",),
     "EngineSpec": (
         "name",
         "factory",
-        "capabilities",
         "owns",
         "supported_measures",
         "candidate",
         "calibration_prior",
         "auto_rank",
-        "min_columnar_batch",
         "description",
     ),
     "DeliveryStats": (
@@ -185,13 +178,10 @@ API_SURFACE = {
         "adaptive",
         "policy",
         "quenching",
-        "service_id",
         "delivery",
         "max_workers",
         "queue_capacity",
         "overflow",
-        "retry_attempts",
-        "retry_backoff",
         "webhook",
         "store",
     ),
@@ -391,7 +381,6 @@ WORKLOADS_PROFILES_SURFACE = {
         "reoptimize_interval",
         "warmup_events",
         "improvement_threshold",
-        "min_columnar_batch",
     ),
     "WorkloadSpecError": ("key", "message"),
 }

@@ -146,8 +146,25 @@ class TestValidation:
             ('families = ["sharded"]', "engine.families", "unknown engine 'sharded'"),
             ('families = ["tree", "indx"]', "engine.families", "unknown engine 'indx'"),
             ('engine = "sharded"', "engine.engine", "unknown engine 'sharded'"),
+            ("min_columnar_batch = 4", "engine.min_columnar_batch", "unknown key"),
+            ("reoptimize_interval = 0", "engine.reoptimize_interval", "must be positive"),
+            (
+                "improvement_threshold = 1.5",
+                "engine.improvement_threshold",
+                "must lie in [0, 1)",
+            ),
+            ("warmup_events = -3", "engine.warmup_events", "must be non-negative"),
         ],
-        ids=["leftover-knob", "retired-family", "typo-family", "retired-engine"],
+        ids=[
+            "leftover-knob",
+            "retired-family",
+            "typo-family",
+            "retired-engine",
+            "retired-knob",
+            "zero-interval",
+            "threshold-above-one",
+            "negative-warmup",
+        ],
     )
     def test_stale_engine_hints_are_rejected_at_load(self, tmp_path, engine_table, key, message):
         path = _write(tmp_path, _MINIMAL + f"\n[engine]\n{engine_table}\n")
