@@ -7,8 +7,10 @@ ids as they were.  Run the script from each checkout's root, then diff::
     (cd ../parent && PYTHONPATH=src python benchmarks/decision_trace.py) > /tmp/parent.json
     python benchmarks/decision_trace.py --diff /tmp/parent.json /tmp/change.json
 
-Covers all 12 corpus profiles x every pinned family they declare, plus
-``engine="auto"`` on six profiles at 100 subscriptions.  One rule for every
+Covers every corpus profile x every pinned family it declares, plus
+``engine="auto"`` on every corpus profile at 100 subscriptions — the
+profiles where ``auto`` prunes its tree candidate on the root-level bound
+and those where it must not.  One rule for every
 run: the decision fields (``event_count``, ``engine``, ``applied``,
 ``suppressed``) and the matched-id digest compare exactly, the two predicted
 costs within :data:`COST_REL_TOL` relative — cost models may sum in a
@@ -28,15 +30,6 @@ from dataclasses import replace
 
 #: Relative tolerance on ``predicted_current`` / ``predicted_candidate``.
 COST_REL_TOL = 1e-9
-
-AUTO_PROFILES = (
-    "stock-ticker",
-    "social-fanout",
-    "flash-crowd",
-    "mixed-structure",
-    "single-attribute",
-    "aml-transactions",
-)
 
 
 def trace(profile, engine: str) -> dict:
@@ -77,8 +70,6 @@ def collect() -> dict:
         profile = get_profile(name)
         for family in profile.engine.families:
             traces[f"{name}/{family}"] = trace(profile, family)
-    for name in AUTO_PROFILES:
-        profile = get_profile(name)
         small = replace(profile, spec=profile.spec.with_counts(profile_count=100))
         traces[f"{name}@100/auto"] = trace(small, "auto")
     return traces

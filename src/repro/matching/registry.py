@@ -14,7 +14,11 @@ matcher family registers one :class:`EngineSpec` bundling
   check of :class:`~repro.service.adaptive.AdaptiveFilterEngine`
   compares the candidates of its roster — every ranked family under
   ``engine="auto"``, else the one pinned family, whose candidate is its
-  own tree restructure or index replan.
+  own tree restructure or index replan.  The running family is asked
+  first, then the rest in ``auto_rank`` order; each gets a
+  ``could_win(raw_cost)`` predicate applying the selection's own
+  comparison against the best candidate so far, so a family may abstain
+  (return ``None``) as soon as a lower bound on its cost cannot win.
 
 ``"auto"`` is not a family: it is the reserved arbitration mode that
 pits every ranked family's candidate against the current matcher.
@@ -123,12 +127,22 @@ class EngineSpec:
     #: Attribute measures the family can rank by (``None`` = any).
     supported_measures: tuple["AttributeMeasure", ...] | None = None
     #: Cost the family's best candidate under distributions, given the
-    #: running matcher (``None``: the family filters without periodic
-    #: restructuring and never arbitrates).  May return ``None`` to
-    #: abstain from one check.
+    #: running matcher and ``could_win`` (``None``: the family filters
+    #: without periodic restructuring and never arbitrates).  May return
+    #: ``None`` to abstain from one check — in particular when
+    #: ``could_win(bound)`` is false for a lower bound on the candidate's
+    #: raw cost.  ``could_win`` is exact: it applies the arbitration's own
+    #: ``raw × correction`` comparison (ties to the earlier ``auto_rank``)
+    #: against the best candidate so far, so a sound bound never prunes a
+    #: candidate that would have been chosen.
     candidate: (
         Callable[
-            [EngineContext, "Matcher | None", Mapping[str, "Distribution"]],
+            [
+                EngineContext,
+                "Matcher | None",
+                Mapping[str, "Distribution"],
+                Callable[[float], bool],
+            ],
             EngineCandidate | None,
         ]
         | None
@@ -264,12 +278,16 @@ def _tree_owns(matcher: "Matcher") -> bool:
 
 
 def _tree_candidate(
-    ctx: EngineContext, matcher: "Matcher | None", distributions
+    ctx: EngineContext, matcher: "Matcher | None", distributions, could_win
 ) -> EngineCandidate | None:
     """Cost the optimizer's candidate tree under ``distributions``.
 
-    The built tree travels with the candidate so an applied decision
-    adopts it instead of rebuilding.
+    Unless the tree is running, the candidate's root level is built and
+    priced first: it is ``per_level[0]`` of the full tree's cost, and every
+    deeper level adds a non-negative term, so when that bound cannot win
+    the family abstains without building the tree.  The built tree
+    travels with the candidate so an applied decision adopts it instead
+    of rebuilding.
     """
     from repro.analysis.cost_model import expected_tree_cost
     from repro.core.errors import ReproError
@@ -297,6 +315,10 @@ def _tree_candidate(
         if running and configuration == replace(matcher.configuration, label=configuration.label):
             tree, cost = matcher.tree, predicted_current
         else:
+            if not running:
+                root = build_tree(ctx.profiles, configuration, partitions=partitions, levels=1)
+                if not could_win(expected_tree_cost(root, distributions).operations_per_event):
+                    return None
             tree = build_tree(ctx.profiles, configuration, partitions=partitions)
             cost = expected_tree_cost(tree, distributions).operations_per_event
     except ReproError:
@@ -344,8 +366,10 @@ def _predicate_index_spec(
         return isinstance(matcher, PredicateIndexMatcher) and matcher.planner.hybrid == hybrid
 
     def candidate(
-        ctx: EngineContext, matcher: "Matcher | None", distributions
+        ctx: EngineContext, matcher: "Matcher | None", distributions, could_win
     ) -> EngineCandidate | None:
+        # Costing a plan builds nothing, so there is no bound worth
+        # checking first: ``could_win`` goes unused.
         if owns(matcher):
             # A cheap recost of the live buckets prices both sides; an
             # applied decision replans (rebuilds) in place, keeping the

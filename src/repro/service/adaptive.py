@@ -479,9 +479,16 @@ class AdaptiveFilterEngine:
         the running matcher's predicted cost (the
         :attr:`~repro.matching.registry.EngineCandidate.predicted_current`
         of the running family's own candidate) by at least
-        ``improvement_threshold``.  Ties fall to the lower
+        ``improvement_threshold``.  The running family's candidate is
+        costed first (it is always needed for the incumbent's cost), then
+        the others in roster order, and the winner is the least
+        ``(calibrated cost, roster position)``: ties fall to the lower
         :attr:`~repro.matching.registry.EngineSpec.auto_rank` (the index
-        family, on the built-in roster).  The chosen family is exposed as
+        family, on the built-in roster) whatever the evaluation order.
+        Each candidate callback gets that comparison as ``could_win``,
+        so a family whose lower-bound cost already loses may abstain
+        without building anything (the tree family prices its root level
+        first).  The chosen family is exposed as
         :attr:`AdaptationRecord.engine`.
 
         **Calibration.**  Candidates are ranked by corrected cost — raw
@@ -513,25 +520,36 @@ class AdaptiveFilterEngine:
         current_spec = self._registry.owner_of(matcher)
         best = None
         best_spec = None
-        best_calibrated = float("inf")
+        best_key = None
         # An unknown (or cost-less) incumbent cannot be compared, so any
         # finite candidate is treated as an improvement.
         predicted_current = float("inf")
-        for spec in self.policy._roster():
+        # The incumbent first (its candidate carries ``predicted_current``
+        # and is always needed), then the rest in roster order; the sort
+        # is stable.
+        for position, spec in sorted(
+            enumerate(self.policy._roster()), key=lambda item: item[1] is not current_spec
+        ):
             if spec.candidate is None:
                 # The pinned family opted out of periodic restructuring
                 # (the baselines, most third-party engines).
                 continue
-            candidate = spec.candidate(self._context, matcher, distributions)
+            correction = self._correction(spec)
+
+            def could_win(cost: float, correction=correction, position=position) -> bool:
+                return best_key is None or (cost * correction, position) < best_key
+
+            candidate = spec.candidate(self._context, matcher, distributions, could_win)
             if candidate is None:
                 continue
-            calibrated = candidate.cost * self._correction(spec)
             if spec is current_spec and candidate.predicted_current is not None:
                 predicted_current = candidate.predicted_current
-            if best is None or calibrated < best_calibrated:
-                best, best_spec, best_calibrated = candidate, spec, calibrated
+            if could_win(candidate.cost):
+                best, best_spec = candidate, spec
+                best_key = (candidate.cost * correction, position)
         if best is None:
             return
+        best_calibrated = best_key[0]
 
         is_switch = best_spec is not current_spec
         candidate_cost, incumbent_cost = best.cost, predicted_current

@@ -253,7 +253,7 @@ class TestAutoArbitrationOverRegistry:
         arbitration and gets installed."""
         calls = []
 
-        def cheap_candidate(ctx, matcher, distributions):
+        def cheap_candidate(ctx, matcher, distributions, could_win):
             from repro.matching.registry import EngineCandidate
 
             calls.append(type(matcher).__name__)
@@ -301,7 +301,7 @@ class TestAutoArbitrationOverRegistry:
         feedback, to a family that never runs."""
         from repro.matching.registry import EngineCandidate
 
-        def mislabelled(ctx, matcher, distributions):
+        def mislabelled(ctx, matcher, distributions, could_win):
             return EngineCandidate(
                 "scna",
                 1.0,
@@ -332,6 +332,55 @@ class TestAutoArbitrationOverRegistry:
         calibration = engine.calibration()
         assert calibration.observations == len(records) - 1 > 0
         assert set(calibration.factors) == {"scan"}
+
+    def test_could_win_is_the_selection_comparison(self):
+        """A family costed after the best candidate so far gets the
+        arbitration's own test as ``could_win``: a lower cost could win,
+        a higher one cannot, and neither can an equal one (the tie goes
+        to the earlier roster position)."""
+        from repro.matching.registry import EngineCandidate
+
+        def constant(ctx, matcher, distributions, could_win):
+            return EngineCandidate(
+                "scan",
+                5.0,
+                "scan[flat]",
+                lambda: _ScanSpy(ctx.profiles),
+                predicted_current=5.0,
+            )
+
+        answers = []
+
+        def recording(ctx, matcher, distributions, could_win):
+            answers.append((could_win(4.0), could_win(5.0), could_win(6.0)))
+            return None
+
+        registry = EngineRegistry(
+            [
+                EngineSpec(
+                    name="scan",
+                    factory=lambda ctx: _ScanSpy(ctx.profiles),
+                    owns=lambda matcher: isinstance(matcher, _ScanSpy),
+                    candidate=constant,
+                    auto_rank=0,
+                ),
+                EngineSpec(
+                    name="probe",
+                    factory=lambda ctx: NaiveMatcher(ctx.profiles),
+                    candidate=recording,
+                    auto_rank=1,
+                ),
+            ]
+        )
+        policy = AdaptationPolicy(
+            engine="auto", registry=registry, reoptimize_interval=50, warmup_events=50
+        )
+        engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
+        rng = random.Random(8)
+        for _ in range(50):  # exactly one check, before any calibration
+            engine.match(Event({"v": rng.randint(0, 99)}))
+        assert answers == [(True, False, False)]
+        assert [record.engine for record in engine.adaptations()] == ["scan"]
 
     def test_min_columnar_batch_controls_the_kernel_cutover(self, monkeypatch):
         """Batches at or above ``kernel.MIN_COLUMNAR_BATCH`` (read at call

@@ -389,8 +389,10 @@ class TestAutoSwitchHysteresis:
         from switching — the worst case the cooldown exists for.
         """
         def flipping(spec_name, real_candidate):
-            def candidate(ctx, matcher, distributions):
-                built = real_candidate(ctx, matcher, distributions)
+            def candidate(ctx, matcher, distributions, could_win):
+                # The costs are rewritten below, so no real bound may
+                # prune the real candidate.
+                built = real_candidate(ctx, matcher, distributions, lambda cost: True)
                 running = "index" if isinstance(matcher, PredicateIndexMatcher) else "tree"
                 if spec_name == running:
                     return replace(built, cost=10.0, predicted_current=10.0)

@@ -66,7 +66,7 @@ def constant_spec(
 ) -> EngineSpec:
     """A family whose model claims ``predicted`` but always costs ``true_ops``."""
 
-    def candidate(ctx, matcher, distributions):
+    def candidate(ctx, matcher, distributions, could_win):
         return EngineCandidate(
             name,
             predicted,
