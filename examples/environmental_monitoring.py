@@ -8,9 +8,8 @@ possible.  This example
 
 * generates the environmental workload (profiles peaked on alarm ranges,
   Gauss/uniform sensor readings),
-* runs it through the :class:`~repro.api.FilterService` facade with
-  publisher-side quenching and a fluent-builder catastrophe alarm wired
-  to a notification sink,
+* runs it through the :class:`~repro.api.FilterService` facade with a
+  fluent-builder catastrophe alarm wired to a notification sink,
 * compares the fixed engine families (tree, index, hybrid) on the same
   batch, operation-for-operation, and
 * compares natural order, the distribution-based reordering (V1 + A2)
@@ -38,9 +37,9 @@ def main() -> None:
     )
     print()
 
-    # --- 1. The full service: quenching + a fluent alarm + batch publish ------
+    # --- 1. The full service: a fluent alarm + batch publish -----------------
     alarms = []
-    with FilterService(workload.schema, quenching=True) as service:
+    with FilterService(workload.schema) as service:
         service.subscribe_all(list(workload.profiles))
         # The crisis center's profile, written the fluent way and wired to
         # a sink — catastrophic heat with elevated radiation.
@@ -53,10 +52,8 @@ def main() -> None:
         service.publish_batch(list(workload.events))
         snapshot = service.stats()
 
-    print("service run (adaptive filter + quenching, batched publish):")
-    print(f"  published events      : {len(workload.events)}")
-    print(f"  quenched at publisher : {snapshot.quenched_events}")
-    print(f"  filtered events       : {snapshot.events}")
+    print("service run (adaptive filter, batched publish):")
+    print(f"  published events      : {snapshot.events}")
     print(f"  delivered notifications: {snapshot.notifications}")
     print(f"  avg operations/event  : {snapshot.average_operations_per_event:.2f}")
     print(f"  match rate            : {snapshot.match_rate:.1%}")
@@ -90,7 +87,7 @@ def main() -> None:
     # --- 3. Ordering strategies on the same stream ---------------------------
     strategies = (STRATEGY_NATURAL, STRATEGY_EVENT, STRATEGY_BINARY)
     evaluations = evaluate_by_simulation(workload, strategies)
-    print("ordering strategies on the raw event stream (no quenching):")
+    print("ordering strategies on the raw event stream:")
     for evaluation in evaluations:
         print(
             f"  {evaluation.strategy.name:24s} "

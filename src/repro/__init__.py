@@ -19,7 +19,7 @@ Sub-packages
     The analytical cost model (Eq. 2) and the paper's worked examples.
 ``repro.service``
     The event notification service: broker, subscriptions, adaptive
-    re-optimisation, quenching and a multi-broker routing overlay.
+    re-optimisation and a multi-broker routing overlay.
 ``repro.api``
     The stable client facade: :class:`~repro.api.FilterService`, durable
     subscription handles, the fluent profile builder (``where``) and the

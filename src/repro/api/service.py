@@ -53,8 +53,7 @@ class ServiceStats:
     engine's :class:`~repro.service.adaptive.AdaptationRecord` history.
     """
 
-    #: Events published (excluding quenched ones, which never reach the
-    #: filter component).
+    #: Events published.
     events: int
     #: Events that matched at least one profile.
     matched_events: int
@@ -68,8 +67,6 @@ class ServiceStats:
     average_matches_per_event: float
     #: Fraction of events matching at least one profile.
     match_rate: float
-    #: Events suppressed by publisher-side quenching.
-    quenched_events: int
     #: Registered subscriptions (paused ones included).
     subscriptions: int
     #: Subscriptions currently paused.
@@ -274,11 +271,9 @@ class FilterService:
         engine: str | None = None,
         adaptive: bool = True,
         policy: AdaptationPolicy | None = None,
-        quenching: bool = False,
         delivery: str = "inline",
         max_workers: int | None = None,
         queue_capacity: int | None = None,
-        overflow: str = "block",
         webhook: WebhookConfig | None = None,
         store: SubscriptionStore | None = None,
     ) -> None:
@@ -298,8 +293,8 @@ class FilterService:
         :class:`~repro.service.delivery.WebhookSink` endpoints).  An
         ``async def`` sink runs to completion on whichever thread
         delivers it.  Asynchronous executors bound each delivery lane at
-        ``queue_capacity`` tasks and apply ``overflow`` (``"block"`` |
-        ``"drop_oldest"`` | ``"raise"``) when a lane is full.  Use the
+        ``queue_capacity`` tasks; a publisher that finds a lane full
+        waits for space (backpressure).  Use the
         service as a context manager — or call :meth:`close` — to drain
         in-flight deliveries on shutdown.
 
@@ -324,11 +319,9 @@ class FilterService:
             broker_id="filter-service",
             adaptive=adaptive,
             adaptation_policy=policy,
-            enable_quenching=quenching,
             delivery=delivery,
             max_workers=max_workers,
             queue_capacity=queue_capacity,
-            overflow=overflow,
             webhook=webhook,
             store=store,
         )
@@ -536,7 +529,6 @@ class FilterService:
                 statistics.average_matches_per_event() if events else 0.0
             ),
             match_rate=statistics.match_rate() if events else 0.0,
-            quenched_events=self._broker.quenched_events,
             subscriptions=len(self._broker.subscriptions),
             paused_subscriptions=len(self._broker.paused_subscription_ids),
             engine=self.policy.engine,

@@ -21,7 +21,6 @@ __all__ = [
     "ServiceError",
     "SubscriptionError",
     "DeliveryError",
-    "DeliveryOverflowError",
     "StoreError",
     "StoreCorruptionError",
     "RoutingError",
@@ -82,10 +81,6 @@ class SubscriptionError(ServiceError):
 
 class DeliveryError(ServiceError):
     """A notification-delivery operation failed (closed executor, ...)."""
-
-
-class DeliveryOverflowError(DeliveryError):
-    """A bounded delivery queue overflowed under the ``"raise"`` policy."""
 
 
 class StoreError(ServiceError):

@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.core.profiles import ProfileSet
     from repro.distributions.base import Distribution
     from repro.matching.interfaces import Matcher
-    from repro.matching.tree.config import SearchStrategy, TreeConfiguration
+    from repro.matching.tree.config import SearchStrategy
     from repro.selectivity.attribute_measures import AttributeMeasure
     from repro.selectivity.value_measures import ValueMeasure
 
@@ -85,7 +85,6 @@ class EngineContext:
     attribute_measure: "AttributeMeasure"
     value_measure: "ValueMeasure"
     search: "SearchStrategy"
-    initial_configuration: "TreeConfiguration | None" = None
 
 
 @dataclass(frozen=True)
@@ -268,7 +267,7 @@ class EngineRegistry:
 def _tree_factory(ctx: EngineContext) -> "Matcher":
     from repro.matching.tree.matcher import TreeMatcher
 
-    return TreeMatcher(ctx.profiles, ctx.initial_configuration)
+    return TreeMatcher(ctx.profiles)
 
 
 def _tree_owns(matcher: "Matcher") -> bool:

@@ -2,14 +2,13 @@
 
 Operational components built on top of the matching engines: a broker with
 subscribe/publish/notify, the adaptive filter component that restructures
-the profile tree from the observed event history, Elvin-style quenching and
-a Siena-style multi-broker routing overlay.
+the profile tree from the observed event history, and a Siena-style
+multi-broker routing overlay.
 """
 
 from repro.service.adaptive import AdaptationPolicy, AdaptationRecord, AdaptiveFilterEngine
 from repro.service.broker import Broker, PublishOutcome
 from repro.service.notifications import Notification, NotificationLog
-from repro.service.quenching import QuenchDecision, Quencher
 from repro.service.routing import (
     CoveringTable,
     NetworkDeliveryReport,
@@ -39,8 +38,6 @@ __all__ = [
     "OverlayBroker",
     "OverlayNetwork",
     "PublishOutcome",
-    "QuenchDecision",
-    "Quencher",
     "Subscription",
     "SubscriptionRegistry",
     "minimal_cover",

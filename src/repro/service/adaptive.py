@@ -224,7 +224,6 @@ class AdaptiveFilterEngine:
         profiles: ProfileSet,
         *,
         policy: AdaptationPolicy | None = None,
-        initial_configuration: TreeConfiguration | None = None,
     ) -> None:
         self.policy = policy or AdaptationPolicy()
         self.profiles = profiles
@@ -236,7 +235,6 @@ class AdaptiveFilterEngine:
             attribute_measure=self.policy.attribute_measure,
             value_measure=self.policy.value_measure,
             search=self.policy.search,
-            initial_configuration=initial_configuration,
         )
         if self.policy.engine == AUTO_ENGINE:
             # ``auto`` starts on the registry's preferred family (the

@@ -4,9 +4,8 @@ The broker is the operational wrapper around the filter component: it
 manages subscriptions, filters published events through the
 :class:`~repro.service.adaptive.AdaptiveFilterEngine` (whose roster offers
 the tree, index and auto engines), delivers notifications to subscriber
-sinks, keeps the service-level statistics (operations per event / per
-profile, the metrics of Fig. 5) and optionally applies publisher-side
-quenching.
+sinks and keeps the service-level statistics (operations per event / per
+profile, the metrics of Fig. 5).
 
 Subscription churn is incremental: subscribe/unsubscribe flow through the
 engine's profile maintenance (postings deltas on the index family), so
@@ -57,7 +56,6 @@ from repro.core.profiles import Profile, ProfileSet
 from repro.core.schema import Schema
 from repro.matching.interfaces import MatchResult
 from repro.matching.statistics import FilterStatistics
-from repro.matching.tree.config import TreeConfiguration
 from repro.service.adaptive import (
     AdaptationPolicy,
     AdaptiveFilterEngine,
@@ -78,7 +76,6 @@ from repro.service.durability.store import (
     SubscriptionStore,
 )
 from repro.service.notifications import Notification, NotificationLog, NotificationSink
-from repro.service.quenching import Quencher
 from repro.service.subscriptions import (
     KEEP_DELIVERY,
     Subscription,
@@ -93,7 +90,6 @@ class PublishOutcome:
     """Result of publishing one event to a broker."""
 
     event: Event
-    quenched: bool
     match_result: MatchResult | None
     notifications: tuple[Notification, ...]
 
@@ -113,12 +109,9 @@ class Broker:
         broker_id: str = "broker-1",
         adaptive: bool = False,
         adaptation_policy: AdaptationPolicy | None = None,
-        configuration: TreeConfiguration | None = None,
-        enable_quenching: bool = False,
         delivery: str = "inline",
         max_workers: int | None = None,
         queue_capacity: int | None = None,
-        overflow: str = "block",
         webhook: WebhookConfig | None = None,
         store: SubscriptionStore | None = None,
     ) -> None:
@@ -130,19 +123,15 @@ class Broker:
         self._registry = SubscriptionRegistry(schema)
         self._profiles = ProfileSet(schema)
         self._adaptive = adaptive
-        self._configuration = configuration
         self._engine: AdaptiveFilterEngine | None = None
         self._statistics = FilterStatistics()
         self._log = NotificationLog()
-        self._quencher: Quencher | None = Quencher(self._profiles) if enable_quenching else None
-        self._quenched_events = 0
         self._paused: set[str] = set()
         self._clock = 0.0
         self._delivery = DeliveryDispatcher(
             delivery=delivery,
             max_workers=max_workers,
             queue_capacity=queue_capacity,
-            overflow=overflow,
             webhook=webhook,
         )
         self._store = store
@@ -159,11 +148,7 @@ class Broker:
             # with an interval large enough that it never restructures; this
             # keeps a single code path for filtering and history keeping.
             policy = replace(policy, reoptimize_interval=2**31, warmup_events=2**31)
-        self._engine = AdaptiveFilterEngine(
-            self._profiles,
-            policy=policy,
-            initial_configuration=self._configuration,
-        )
+        self._engine = AdaptiveFilterEngine(self._profiles, policy=policy)
 
     def _attach_profile(self, profile: Profile) -> None:
         """Wire one new profile into the live filter component.
@@ -181,8 +166,6 @@ class Broker:
             # The engine's matcher shares self._profiles and registers the
             # profile there itself.
             self._engine.add_profile(profile)
-        if self._quencher is not None:
-            self._quencher.refresh()
 
     def _detach_profile(self, profile_id: str, *, keep_engine: bool = False) -> None:
         """Remove one profile from the live filter component incrementally.
@@ -200,8 +183,6 @@ class Broker:
                 self._engine = None
         else:
             self._profiles.remove(profile_id)
-        if self._quencher is not None:
-            self._quencher.refresh()
 
     # -- durability ---------------------------------------------------------------
     def _replay(self, recovered: RecoveredState) -> None:
@@ -246,8 +227,6 @@ class Broker:
         for entry in recovered.entries:
             if entry.paused:
                 self._paused.add(entry.subscription_id)
-        if self._quencher is not None:
-            self._quencher.refresh()
 
     def _journal(self, op: str, subscription_id: str, **fields) -> None:
         """Journal one applied operation (no-op without a store)."""
@@ -299,11 +278,6 @@ class Broker:
         if self._engine is None:
             raise ServiceError("the broker has no subscriptions yet")
         return self._engine
-
-    @property
-    def quenched_events(self) -> int:
-        """Return how many published events were quenched."""
-        return self._quenched_events
 
     @property
     def adaptation_policy(self) -> AdaptationPolicy:
@@ -405,8 +379,6 @@ class Broker:
                 self._make_engine()
         elif subscriptions:
             self._engine.add_profiles([s.profile for s in subscriptions])
-        if self._quencher is not None:
-            self._quencher.refresh()
         for subscription in subscriptions:
             self._journal(
                 "subscribe",
@@ -493,7 +465,7 @@ class Broker:
 
     # -- publishing --------------------------------------------------------------------
     def publish(self, event: Event, *, timestamp: float | None = None) -> PublishOutcome:
-        """Publish one event: quench, filter, and deliver notifications.
+        """Publish one event: filter it and deliver its notifications.
 
         Partial events (a subset of the schema's attributes) are
         accepted: validation checks the attributes the event *does*
@@ -501,21 +473,26 @@ class Broker:
         does not match.  The tree family predates partial events and
         raises :class:`~repro.core.errors.MatchingError` on them; every
         other family handles them natively.
+
+        ``timestamp`` stamps the notifications instead of the broker's
+        next tick; as in :meth:`publish_batch`, it never moves the broker
+        clock backwards.
         """
         self._delivery.ensure_open()
         event.validate(self._schema, require_all=False)
-        self._clock = timestamp if timestamp is not None else self._clock + 1.0
-
-        if self._quencher is not None and self._quencher.quench(event):
-            self._quenched_events += 1
-            return PublishOutcome(event, True, None, tuple())
+        if timestamp is None:
+            self._clock += 1.0
+            clock = self._clock
+        else:
+            self._clock = max(self._clock, timestamp)
+            clock = timestamp
 
         if self._engine is None:
-            return PublishOutcome(event, False, None, tuple())
+            return PublishOutcome(event, None, ())
 
         result = self._engine.match(event)
-        (notifications,) = self._settle((event,), (result,), (self._clock,))
-        return PublishOutcome(event, False, result, notifications)
+        (notifications,) = self._settle((event,), (result,), (clock,))
+        return PublishOutcome(event, result, notifications)
 
     def _settle(
         self,
@@ -601,7 +578,7 @@ class Broker:
         """Publish a sequence of events through the engine's batch API.
 
         The batch is atomic with respect to validation: every event is
-        validated before any clock advance, quenching or delivery happens,
+        validated before any clock advance or delivery happens,
         so an invalid event rejects the whole batch without side effects
         (per-event :meth:`publish` remains available for pipelines that
         want to deliver the valid prefix).  Partial events are accepted,
@@ -645,30 +622,22 @@ class Broker:
             # events, mixed value types) or raises the EventError.
             for event in materialised:
                 event.validate(self._schema, require_all=False)
-        outcomes: list[PublishOutcome | None] = [None] * len(materialised)
-        clocks: list[float] = [0.0] * len(materialised)
-        pending_indices: list[int] = []
-        for index, event in enumerate(materialised):
-            if timestamps is not None:
-                self._clock = max(self._clock, timestamps[index])
-                clocks[index] = timestamps[index]
-            else:
+        if timestamps is not None:
+            clocks = list(timestamps)
+            self._clock = max([self._clock, *clocks])
+        else:
+            clocks = []
+            for _ in materialised:
                 self._clock += 1.0
-                clocks[index] = self._clock
-            if self._quencher is not None and self._quencher.quench(event):
-                self._quenched_events += 1
-                outcomes[index] = PublishOutcome(event, True, None, tuple())
-            elif self._engine is None:
-                outcomes[index] = PublishOutcome(event, False, None, tuple())
-            else:
-                pending_indices.append(index)
-        if pending_indices:
-            pending = [materialised[i] for i in pending_indices]
-            results = self.engine.match_batch(pending)
-            produced = self._settle(pending, results, [clocks[i] for i in pending_indices])
-            for index, result, notifications in zip(pending_indices, results, produced):
-                outcomes[index] = PublishOutcome(materialised[index], False, result, notifications)
-        return [outcome for outcome in outcomes if outcome is not None]
+                clocks.append(self._clock)
+        if self._engine is None:
+            return [PublishOutcome(event, None, ()) for event in materialised]
+        results = self._engine.match_batch(materialised)
+        produced = self._settle(materialised, results, clocks)
+        return [
+            PublishOutcome(event, result, notifications)
+            for event, result, notifications in zip(materialised, results, produced)
+        ]
 
     def publish_all(self, events: Iterable[Event]) -> list[PublishOutcome]:
         """Publish events one by one (streaming semantics).

@@ -25,9 +25,8 @@ pinned per subscription (``subscribe(..., delivery="threadpool")``); all
 executors guarantee per-subscription FIFO ordering (strictly: per
 (subscription, executor) — re-pinning a live subscription to a new
 executor starts a fresh lane; drain first for a clean handover),
-at-most-once dispatch, bounded queues with a ``block`` /
-``drop_oldest`` / ``raise`` overflow policy, and a graceful draining
-``close()``.  Matching results
+at-most-once dispatch, bounded queues that block the publisher when
+full, and a graceful draining ``close()``.  Matching results
 are bit-identical whichever executor delivers — the executors consume
 *already matched* plans and the matcher hot path never blocks inside a
 sink.  An ``async def`` sink takes the same path on every in-process
@@ -40,12 +39,10 @@ from __future__ import annotations
 from repro.core.errors import DeliveryError
 from repro.service.delivery.base import (
     DELIVERY_MODES,
-    OVERFLOW_POLICIES,
     DeliveryExecutor,
     DeliveryPlan,
     DeliveryTask,
     validate_delivery_mode,
-    validate_overflow_policy,
 )
 from repro.service.delivery.inline import InlineExecutor
 from repro.service.delivery.stats import DeliveryCounters, DeliveryStats
@@ -59,7 +56,6 @@ from repro.service.delivery.webhook import (
 
 __all__ = [
     "DELIVERY_MODES",
-    "OVERFLOW_POLICIES",
     "DeadLetter",
     "DeliveryCounters",
     "DeliveryDispatcher",
@@ -73,7 +69,6 @@ __all__ = [
     "WebhookDeliveryExecutor",
     "WebhookSink",
     "validate_delivery_mode",
-    "validate_overflow_policy",
 ]
 
 
@@ -96,11 +91,9 @@ class DeliveryDispatcher:
         delivery: str = "inline",
         max_workers: int | None = None,
         queue_capacity: int | None = None,
-        overflow: str = "block",
         webhook: WebhookConfig | None = None,
     ) -> None:
         self._default_mode = validate_delivery_mode(delivery)
-        self._overflow = validate_overflow_policy(overflow)
         if max_workers is not None and max_workers < 1:
             raise DeliveryError("max_workers must be at least 1")
         if queue_capacity is not None and queue_capacity < 1:
@@ -137,12 +130,10 @@ class DeliveryDispatcher:
             return ThreadPoolDeliveryExecutor(
                 max_workers=self._max_workers,
                 queue_capacity=self._queue_capacity,
-                overflow=self._overflow,
             )
         return WebhookDeliveryExecutor(
             config=self._webhook,
             queue_capacity=self._queue_capacity,
-            overflow=self._overflow,
         )
 
     def executor_for(self, mode: str | None) -> DeliveryExecutor:
@@ -161,9 +152,9 @@ class DeliveryDispatcher:
         Consecutive tasks bound for the same (pinned or default) executor
         go to it as one ``submit_all`` — a plan whose subscriptions all
         ride the default is one call.  An executor that raises (a closed
-        executor, an overflow, an ``inline`` sink error) stops the
-        dispatch there: every task before the failing one in plan order
-        was submitted, none after it is.
+        executor, an ``inline`` sink error) stops the dispatch there:
+        every task before the failing one in plan order was submitted,
+        none after it is.
         """
         tasks = plan.tasks
         default = self._default_mode

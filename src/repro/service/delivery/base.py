@@ -25,17 +25,13 @@ Executor contract
   *attempt* a sink more than once before settling; extra attempts are
   counted in ``retried``.  The in-process executors attempt once.
 * **Bounded backpressure** — asynchronous executors bound each delivery
-  lane at ``queue_capacity`` tasks and apply one of the
-  :data:`OVERFLOW_POLICIES` when a lane is full: ``"block"`` (the
-  publisher waits for space — backpressure), ``"drop_oldest"`` (the
-  oldest queued task of that lane is discarded) or ``"raise"``
-  (:class:`~repro.core.errors.DeliveryOverflowError`).  The policy
-  applies per task, in list order, even when a whole list is submitted
-  (:func:`enqueue_in_order`).
+  lane at ``queue_capacity`` tasks; a publisher that finds a lane full
+  waits for space.  The bound applies per task, in list order, even when
+  a whole list is submitted (:func:`enqueue_in_order`).
 * **Prefix acceptance** — a submission that fails part-way (closed
-  executor, ``raise`` overflow, an inline sink error) leaves exactly the
-  tasks *before* the failing one accepted, in list order, across every
-  lane — as if the tasks had been submitted one at a time.
+  executor, closed while waiting for space, an inline sink error) leaves
+  exactly the tasks *before* the failing one accepted, in list order,
+  across every lane — as if the tasks had been submitted one at a time.
 * **Graceful close** — ``close(drain=True)`` delivers everything queued
   before returning; ``drain()`` waits for in-flight work without
   closing.
@@ -57,7 +53,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.core.errors import DeliveryError, DeliveryOverflowError
+from repro.core.errors import DeliveryError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.service.delivery.stats import DeliveryCounters, DeliveryStats
@@ -65,22 +61,17 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 __all__ = [
     "DELIVERY_MODES",
-    "OVERFLOW_POLICIES",
     "DeliveryExecutor",
     "DeliveryPlan",
     "DeliveryTask",
     "enqueue_in_order",
     "invoke_sink",
     "validate_delivery_mode",
-    "validate_overflow_policy",
 ]
 
 #: Selectable delivery executors, in documentation order.  ``"inline"``
 #: is the historical synchronous behaviour and the default.
 DELIVERY_MODES = ("inline", "threadpool", "webhook")
-
-#: Reactions of a full bounded delivery lane.
-OVERFLOW_POLICIES = ("block", "drop_oldest", "raise")
 
 #: Whatever an executor queues a task on (see :func:`enqueue_in_order`).
 Lane = TypeVar("Lane")
@@ -94,16 +85,6 @@ def validate_delivery_mode(mode: str) -> str:
             f"{', '.join(DELIVERY_MODES)}"
         )
     return mode
-
-
-def validate_overflow_policy(policy: str) -> str:
-    """Return ``policy`` or raise the standard unknown-policy error."""
-    if policy not in OVERFLOW_POLICIES:
-        raise DeliveryError(
-            f"unknown overflow policy {policy!r}; available policies: "
-            f"{', '.join(OVERFLOW_POLICIES)}"
-        )
-    return policy
 
 
 class DeliveryTask(NamedTuple):
@@ -153,9 +134,9 @@ class DeliveryExecutor(Protocol):
         """Accept tasks for delivery, in list order (raises once closed).
 
         The dispatcher's entry point: one call per run of same-mode tasks
-        of a :class:`DeliveryPlan`.  Capacity and the overflow policy
-        apply per task exactly as if each were submitted alone.  An error
-        (closed executor, ``raise`` overflow, an inline sink) propagates:
+        of a :class:`DeliveryPlan`.  Capacity applies per task exactly as
+        if each were submitted alone.  An error (closed executor, an
+        inline sink) propagates:
         the tasks before the failing one in list order stay accepted,
         whatever lane they ride, and no task after it is submitted.
         """
@@ -180,10 +161,7 @@ def enqueue_in_order(
     *,
     condition_of: Callable[[Lane], threading.Condition],
     offer: Callable[[Lane, DeliveryTask], bool],
-    drop_oldest: Callable[[Lane, DeliveryTask], None],
-    full_message: Callable[[Lane, DeliveryTask], str],
     is_closed: Callable[[], bool],
-    overflow: str,
     counters: "DeliveryCounters",
     name: str,
 ) -> None:
@@ -195,12 +173,11 @@ def enqueue_in_order(
     for the whole walk; the accepted tasks are counted with one
     ``accepted(n)`` and each lock is notified once.  ``offer`` queues a
     task when its lane has room and answers ``False`` when it is full;
-    the overflow policy then applies to that task: ``drop_oldest`` makes
-    room, ``raise`` raises ``full_message``, ``block`` waits on the
-    lane's condition with every other lock released.  The tasks queued
-    so far are announced before any of these, so the counters never run
-    behind a worker.  A failure leaves exactly the tasks before the
-    failing one queued, whatever their lanes.
+    the publisher then waits on the lane's condition with every other
+    lock released, and fails once the executor closes meanwhile.  The
+    tasks queued so far are announced before it waits, so the counters
+    never run behind a worker.  A failure leaves exactly the tasks
+    before the failing one queued, whatever their lanes.
     """
     if not tasks:
         return
@@ -218,18 +195,13 @@ def enqueue_in_order(
                     added = 0
                     for other in held:
                         other.notify_all()
-                if overflow == "drop_oldest":
-                    drop_oldest(lane, task)
-                    counters.discarded()
-                elif overflow == "raise":
-                    raise DeliveryOverflowError(full_message(lane, task))
-                else:  # block: wait for the lane's consumer to free a slot
-                    _wait_alone(held, condition_of(lane))
-                    if is_closed():
-                        raise DeliveryError(
-                            f"the {name} delivery executor closed while "
-                            "waiting for queue space"
-                        )
+                # Wait for the lane's consumer to free a slot.
+                _wait_alone(held, condition_of(lane))
+                if is_closed():
+                    raise DeliveryError(
+                        f"the {name} delivery executor closed while "
+                        "waiting for queue space"
+                    )
             added += 1
     finally:
         if added:

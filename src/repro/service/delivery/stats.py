@@ -36,15 +36,14 @@ class DeliveryStats:
 
     #: Default executor mode of the service (``"inline"`` historically).
     mode: str = "inline"
-    #: Tasks accepted by an executor (excludes overflow-rejected ones).
+    #: Tasks accepted by an executor.
     dispatched: int = 0
     #: Sinks that ran to completion.
     delivered: int = 0
     #: Sinks that raised; asynchronous executors swallow the error (a bad
     #: subscriber must not kill a worker), count it here and move on.
     failed: int = 0
-    #: Tasks discarded by the ``drop_oldest`` overflow policy or by a
-    #: non-draining ``close``.
+    #: Queued tasks discarded by a non-draining ``close``.
     dropped: int = 0
     #: Tasks accepted but not yet executed (queued or in flight).
     pending: int = 0
@@ -155,7 +154,7 @@ class DeliveryCounters:
             self.dead_lettered += 1
             self._wake_if_idle()
 
-    def discarded(self, count: int = 1) -> None:
+    def discarded(self, count: int) -> None:
         """Record queued tasks dropped before execution."""
         if count <= 0:
             return

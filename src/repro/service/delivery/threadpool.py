@@ -18,16 +18,11 @@ moment the sink returns, so ``pending`` counts exactly the tasks queued
 or in flight without a counters round trip per task.
 
 Capacity is **per subscription**: each subscription may have at most
-``queue_capacity`` tasks queued (not yet started), and a full
-subscription lane applies the executor's overflow policy at submit
-time, task by task — to that subscription alone, never to others
-sharing the worker.  ``"block"`` parks the publisher until the worker
-frees a slot (backpressure — the matcher is throttled by delivery,
-never blocked *inside* a sink), ``"drop_oldest"``
-discards the subscription's oldest queued task (at-most-once: the
-dropped task is gone for good, counted in the stats), ``"raise"``
-surfaces :class:`~repro.core.errors.DeliveryOverflowError` to the
-publisher.
+``queue_capacity`` tasks queued (not yet started).  A full subscription
+lane parks the publisher at submit time, task by task, until the worker
+frees a slot — backpressure on that subscription alone, never on others
+sharing the worker (the matcher is throttled by delivery, never blocked
+*inside* a sink).
 
 Each task is attempted once.  Sink exceptions are swallowed and counted
 (``failed``): a broken subscriber must not take down a worker shared
@@ -47,7 +42,6 @@ from repro.service.delivery.base import (
     close_bridge_loop,
     enqueue_in_order,
     invoke_sink,
-    validate_overflow_policy,
 )
 from repro.service.delivery.stats import DeliveryCounters, DeliveryStats
 
@@ -66,25 +60,9 @@ class _Lane:
         #: Queued tasks per subscription (the capacity unit).
         self.queued_per_subscription: Counter = Counter()
 
-    def pop_oldest_of(self, subscription_id: str) -> DeliveryTask:
-        """Remove and return the subscription's oldest queued task."""
-        for index, task in enumerate(self.queue):
-            if task.subscription_id == subscription_id:
-                del self.queue[index]
-                return task
-        raise AssertionError(  # pragma: no cover - guarded by the counter
-            f"no queued task for subscription {subscription_id!r}"
-        )
-
 
 def _condition_of(lane: _Lane) -> threading.Condition:
     return lane.condition
-
-
-def _drop_oldest(lane: _Lane, task: DeliveryTask) -> None:
-    """Discard the oldest queued task of ``task``'s subscription."""
-    lane.pop_oldest_of(task.subscription_id)
-    lane.queued_per_subscription[task.subscription_id] -= 1
 
 
 class ThreadPoolDeliveryExecutor:
@@ -97,14 +75,12 @@ class ThreadPoolDeliveryExecutor:
         *,
         max_workers: int = 4,
         queue_capacity: int = 1024,
-        overflow: str = "block",
         counters: DeliveryCounters | None = None,
     ) -> None:
         if max_workers < 1:
             raise DeliveryError("max_workers must be at least 1")
         if queue_capacity < 1:
             raise DeliveryError("queue_capacity must be at least 1")
-        self._overflow = validate_overflow_policy(overflow)
         self._capacity = queue_capacity
         self._counters = counters if counters is not None else DeliveryCounters()
         self._closed = False
@@ -131,10 +107,7 @@ class ThreadPoolDeliveryExecutor:
             [lanes[hash(task.subscription_id) % len(lanes)] for task in tasks],
             condition_of=_condition_of,
             offer=self._offer,
-            drop_oldest=_drop_oldest,
-            full_message=self._full_message,
             is_closed=self._is_closed,
-            overflow=self._overflow,
             counters=self._counters,
             name=self.name,
         )
@@ -151,12 +124,6 @@ class ThreadPoolDeliveryExecutor:
         lane.queue.append(task)
         queued[task.subscription_id] = count + 1
         return True
-
-    def _full_message(self, lane: _Lane, task: DeliveryTask) -> str:
-        return (
-            f"delivery lane full ({self._capacity} tasks) for "
-            f"subscription {task.subscription_id!r}"
-        )
 
     # -- worker side ------------------------------------------------------------
     def _work(self, lane: _Lane) -> None:

@@ -23,7 +23,7 @@ pinned to ``delivery="webhook"``; the executor then:
   :meth:`WebhookDeliveryExecutor.dead_letters`).
 
 Accounting: a webhook task settles as ``delivered`` or
-``dead_lettered`` (or ``dropped`` by overflow / non-draining close) —
+``dead_lettered`` (or ``dropped`` by a non-draining close) —
 never ``failed`` — so the at-most-once conservation law
 ``dispatched == delivered + failed + dropped + dead_lettered + pending``
 holds across mixed-executor services.
@@ -44,11 +44,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.errors import DeliveryError
-from repro.service.delivery.base import (
-    DeliveryTask,
-    enqueue_in_order,
-    validate_overflow_policy,
-)
+from repro.service.delivery.base import DeliveryTask, enqueue_in_order
 from repro.service.delivery.stats import DeliveryCounters, DeliveryStats
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -225,10 +221,6 @@ def _condition_of(lane: _EndpointLane) -> threading.Condition:
     return lane.condition
 
 
-def _drop_oldest(lane: _EndpointLane, task: DeliveryTask) -> None:
-    lane.queue.popleft()
-
-
 class WebhookDeliveryExecutor:
     """Deliver notifications to HTTP endpoints, one FIFO lane each."""
 
@@ -239,7 +231,6 @@ class WebhookDeliveryExecutor:
         *,
         config: WebhookConfig | None = None,
         queue_capacity: int = 1024,
-        overflow: str = "block",
         counters: DeliveryCounters | None = None,
     ) -> None:
         if queue_capacity < 1:
@@ -250,7 +241,6 @@ class WebhookDeliveryExecutor:
         if config.breaker_threshold < 1:
             raise DeliveryError("breaker_threshold must be at least 1")
         self._config = config
-        self._overflow = validate_overflow_policy(overflow)
         self._capacity = queue_capacity
         self._counters = counters if counters is not None else DeliveryCounters()
         self._transport = config.transport if config.transport is not None else _urllib_transport
@@ -303,10 +293,7 @@ class WebhookDeliveryExecutor:
             lanes,
             condition_of=_condition_of,
             offer=self._offer,
-            drop_oldest=_drop_oldest,
-            full_message=self._full_message,
             is_closed=self._is_closed,
-            overflow=self._overflow,
             counters=self._counters,
             name=self.name,
         )
@@ -326,12 +313,6 @@ class WebhookDeliveryExecutor:
             return False
         lane.queue.append(task)
         return True
-
-    def _full_message(self, lane: _EndpointLane, task: DeliveryTask) -> str:
-        return (
-            f"webhook lane full ({self._capacity} tasks) for endpoint "
-            f"{task.sink.endpoint!r}"
-        )
 
     # -- worker side ------------------------------------------------------------
     def _work(self, endpoint: str, lane: _EndpointLane) -> None:

@@ -240,12 +240,3 @@ class TestStats:
             1 for r in snapshot.adaptations if r.applied
         )
         assert all(r.engine in ("tree", "index") for r in snapshot.adaptations)
-
-    def test_quenching_is_reported(self):
-        service = make_service(quenching=True)
-        # The only subscriber pins temperature to one point, so an event
-        # off that point dies at the publisher (zero-subdomain test).
-        service.subscribe(where("temperature").eq(0))
-        outcome = service.publish(example_event())
-        assert outcome.quenched
-        assert service.stats().quenched_events == 1

@@ -130,24 +130,6 @@ class TestBroker:
         broker.unsubscribe(subscription.subscription_id)
         assert broker.publish(example_event()).delivered == 0
 
-    def test_quenching_drops_unmatchable_events(self):
-        broker = Broker(environmental_schema(), enable_quenching=True)
-        broker.subscribe(
-            profile(
-                "alarm",
-                temperature=RangePredicate.at_least(45),
-                humidity=RangePredicate.at_least(90),
-                radiation=RangePredicate.at_least(90),
-            ),
-            "ops",
-        )
-        cold = Event({"temperature": 0, "humidity": 95, "radiation": 95})
-        outcome = broker.publish(cold)
-        assert outcome.quenched
-        assert broker.quenched_events == 1
-        # Quenched events never reach the filter statistics.
-        assert broker.statistics.events == 0
-
     def test_statistics_accumulate_over_events(self):
         broker = self.toy_broker()
         events = [
@@ -211,7 +193,6 @@ class TestBatchAdmission:
             broker.notification_log.all(),
             history.events(),
             history.counter("price").counts(),
-            broker.quenched_events,
         )
 
     @pytest.mark.parametrize(
@@ -367,23 +348,3 @@ class TestIncrementalSubscriptionChurn:
         assert broker.publish(example_event()).delivered == 1
         broker.unsubscribe(keeper.subscription_id)
         assert broker.publish(example_event()).delivered == 0
-
-    def test_quenching_tracks_churn(self):
-        broker = Broker(environmental_schema(), enable_quenching=True)
-        subscription = broker.subscribe(
-            profile(
-                "alarm",
-                temperature=RangePredicate.at_least(45),
-                humidity=RangePredicate.at_least(90),
-                radiation=RangePredicate.at_least(90),
-            ),
-            "ops",
-        )
-        cold = Event({"temperature": 0, "humidity": 95, "radiation": 95})
-        assert broker.publish(cold).quenched
-        broker.subscribe(profile("cold", temperature=RangePredicate.at_most(5)), "ops")
-        # The quencher's coverage must have been refreshed incrementally.
-        assert not broker.publish(cold).quenched
-        broker.unsubscribe(subscription.subscription_id)
-        hot_only = Event({"temperature": 50, "humidity": 0, "radiation": 1})
-        assert broker.publish(hot_only).quenched

@@ -1,4 +1,4 @@
-"""Tests for quenching and the covering relation."""
+"""Tests for the covering relation."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,63 +6,9 @@ from hypothesis import strategies as st
 from repro.core.domains import ContinuousDomain, IntegerDomain
 from repro.core.events import Event
 from repro.core.predicates import DONT_CARE, Equals, NotEquals, OneOf, RangePredicate
-from repro.core.profiles import ProfileSet, profile
+from repro.core.profiles import profile
 from repro.core.schema import Attribute, Schema
-from repro.service.quenching import Quencher
 from repro.service.routing.covering import minimal_cover, predicate_covers, profile_covers
-from repro.workloads.toy import environmental_profiles, example_event
-
-
-class TestQuencher:
-    def test_events_outside_all_subscriptions_are_quenched(self):
-        profiles = environmental_profiles()
-        quencher = Quencher(profiles)
-        # Temperature 0 lies in the zero-subdomain of the temperature
-        # attribute, which every profile constrains.
-        decision = quencher.decide(Event({"temperature": 0, "humidity": 90, "radiation": 2}))
-        assert decision.quenched
-        assert decision.rejecting_attribute == "temperature"
-
-    def test_matching_events_pass(self):
-        quencher = Quencher(environmental_profiles())
-        assert not quencher.quench(example_event())
-
-    def test_attributes_with_dont_care_subscribers_never_quench(self):
-        quencher = Quencher(environmental_profiles())
-        # Radiation 10 matches no radiation constraint but P1/P2/P5 don't care.
-        event = Event({"temperature": 40, "humidity": 95, "radiation": 10})
-        assert not quencher.quench(event)
-
-    def test_quenching_never_drops_a_matching_event(self):
-        profiles = environmental_profiles()
-        quencher = Quencher(profiles)
-        import random
-
-        rng = random.Random(7)
-        for _ in range(500):
-            event = Event(
-                {
-                    "temperature": rng.uniform(-30, 50),
-                    "humidity": rng.uniform(0, 100),
-                    "radiation": rng.uniform(1, 100),
-                }
-            )
-            if profiles.matching(event):
-                assert not quencher.quench(event)
-
-    def test_empty_profile_set_quenches_everything(self):
-        schema = Schema([Attribute("v", IntegerDomain(0, 9))])
-        quencher = Quencher(ProfileSet(schema))
-        assert quencher.quench(Event({"v": 1}))
-
-    def test_refresh_after_subscription_change(self):
-        schema = Schema([Attribute("v", IntegerDomain(0, 9))])
-        profiles = ProfileSet(schema, [profile("P1", v=1)])
-        quencher = Quencher(profiles)
-        assert quencher.quench(Event({"v": 5}))
-        profiles.add(profile("P2", v=5))
-        quencher.refresh()
-        assert not quencher.quench(Event({"v": 5}))
 
 
 class TestPredicateCovering:

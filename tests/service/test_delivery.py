@@ -19,7 +19,7 @@ import pytest
 
 from repro.api import FilterService
 from repro.core.domains import IntegerDomain
-from repro.core.errors import DeliveryError, DeliveryOverflowError
+from repro.core.errors import DeliveryError
 from repro.core.events import Event
 from repro.core.predicates import RangePredicate
 from repro.core.profiles import profile
@@ -27,7 +27,6 @@ from repro.core.schema import Attribute, Schema
 from repro.service.broker import Broker
 from repro.service.delivery import (
     DELIVERY_MODES,
-    OVERFLOW_POLICIES,
     DeliveryStats,
     ThreadPoolDeliveryExecutor,
 )
@@ -85,10 +84,6 @@ class TestValidation:
         with pytest.raises(DeliveryError, match="available modes: inline, threadpool, webhook$"):
             make_service(delivery=mode)
 
-    def test_unknown_overflow_policy(self):
-        with pytest.raises(DeliveryError, match="block, drop_oldest, raise"):
-            make_service(delivery="threadpool", overflow="explode")
-
     def test_bounds_validated(self):
         with pytest.raises(DeliveryError, match="max_workers"):
             make_service(delivery="threadpool", max_workers=0)
@@ -123,9 +118,8 @@ class TestValidation:
             service.drain()
             assert sink.prices == [4]
 
-    def test_mode_and_policy_rosters_are_stable(self):
+    def test_mode_roster_is_stable(self):
         assert DELIVERY_MODES == ("inline", "threadpool", "webhook")
-        assert OVERFLOW_POLICIES == ("block", "drop_oldest", "raise")
 
 
 class TestInlineExecutor:
@@ -211,40 +205,9 @@ class TestThreadPoolExecutor:
         service.publish(Event({"price": 1}))
         service.publish(Event({"price": 2}))  # lane now holds [1, 2]
 
-    def test_overflow_drop_oldest(self):
-        sink = GatedSink()
-        with make_service(
-            delivery="threadpool",
-            max_workers=1,
-            queue_capacity=2,
-            overflow="drop_oldest",
-        ) as service:
-            self._fill_one_lane(service, sink)
-            service.publish(Event({"price": 3}))  # evicts queued price-1
-            sink.gate.set()
-            service.drain()
-            assert sink.prices == [0, 2, 3]
-            stats = service.stats().delivery
-            assert stats.dropped == 1
-            assert_at_most_once(stats)
-
-    def test_overflow_raise(self):
-        sink = GatedSink()
-        with make_service(
-            delivery="threadpool", max_workers=1, queue_capacity=2, overflow="raise"
-        ) as service:
-            self._fill_one_lane(service, sink)
-            with pytest.raises(DeliveryOverflowError, match="delivery lane full"):
-                service.publish(Event({"price": 3}))
-            sink.gate.set()
-            service.drain()
-            assert sink.prices == [0, 1, 2]
-
     def test_overflow_block_applies_backpressure(self):
         sink = GatedSink()
-        with make_service(
-            delivery="threadpool", max_workers=1, queue_capacity=2, overflow="block"
-        ) as service:
+        with make_service(delivery="threadpool", max_workers=1, queue_capacity=2) as service:
             self._fill_one_lane(service, sink)
             unblocked = threading.Event()
 
@@ -335,45 +298,33 @@ class TestThreadPoolSubscriptionIsolation:
     def test_hot_subscription_does_not_overflow_a_quiet_one(self):
         hot = self._GatedCounter()
         quiet_calls = []
-        executor = self._executor(queue_capacity=2, overflow="raise")
+        executor = self._executor(queue_capacity=2)
         try:
             executor.submit_all([self._task("hot", hot)])
             assert hot.started.wait(10)  # in flight; the worker is busy
             executor.submit_all([self._task("hot", hot)])
             executor.submit_all([self._task("hot", hot)])  # hot's lane is now full
+            blocked = threading.Thread(
+                target=executor.submit_all, args=([self._task("hot", hot)],)
+            )
+            blocked.start()
+            blocked.join(0.2)
+            assert blocked.is_alive(), "hot's submission returned despite a full lane"
             # The quiet subscription shares the single worker but has its
-            # own capacity: these must neither raise nor evict hot tasks.
+            # own capacity: its submissions return while hot's blocks.
             executor.submit_all([self._task("quiet", quiet_calls.append)])
             executor.submit_all([self._task("quiet", quiet_calls.append)])
-            with pytest.raises(DeliveryOverflowError, match="'hot'"):
-                executor.submit_all([self._task("hot", hot)])
+            assert blocked.is_alive()
             hot.gate.set()
+            blocked.join(10)
+            assert not blocked.is_alive()
             executor.drain()
         finally:
             hot.gate.set()
             executor.close()
-        assert hot.calls == 3  # nothing of hot's was evicted
+        assert hot.calls == 4  # every hot task ran, none was evicted
         assert len(quiet_calls) == 2
         assert executor.stats().dropped == 0
-
-    def test_drop_oldest_evicts_only_the_overflowing_subscription(self):
-        hot = self._GatedCounter()
-        quiet_calls = []
-        executor = self._executor(queue_capacity=1, overflow="drop_oldest")
-        try:
-            executor.submit_all([self._task("hot", hot)])
-            assert hot.started.wait(10)
-            executor.submit_all([self._task("quiet", quiet_calls.append)])  # behind hot
-            executor.submit_all([self._task("hot", hot)])  # hot queue: [second]
-            executor.submit_all([self._task("hot", hot)])  # evicts second, not quiet's
-            hot.gate.set()
-            executor.drain()
-        finally:
-            hot.gate.set()
-            executor.close()
-        assert hot.calls == 2  # first (in flight) + the latest
-        assert len(quiet_calls) == 1  # untouched by hot's eviction
-        assert executor.stats().dropped == 1
 
 
 class TestAsyncSinks:

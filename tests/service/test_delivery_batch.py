@@ -7,14 +7,17 @@ its share of the plan as one list.  Pinned here:
 * **Equivalence** (hypothesis): over random subscription sets — default,
   pinned ``inline`` / ``threadpool`` modes, some without a
   sink — one ``publish_batch`` leaves exactly what publishing the same
-  events one by one leaves: outcomes, filter statistics, the notification
-  log, every sink's sequence and the final delivery counts.
+  events one by one leaves, with or without explicit timestamps (in or
+  out of order) and for one unstamped publish after them: outcomes,
+  filter statistics, the notification log, every sink's sequence and the
+  final delivery counts.
 * **The inline-raise contract**: a raising inline sink inside a batch
   leaves the whole batch in the statistics and the log, propagates, and
   stops the inline sinks after it.
 * **Prefix acceptance**: a submission that fails part-way (a raising
-  inline sink, a ``raise`` overflow) leaves exactly the tasks before the
-  failing one accepted, on every executor and every lane.
+  inline sink, an executor closed while the submission waits on a full
+  lane) leaves exactly the tasks before the failing one accepted, on
+  every executor and every lane.
 * **A deterministic work guard** (no clock): one batch of 200 events ×
   13 matches costs the threadpool publisher one acquisition per lane
   lock and one ``accepted`` call, not one of each per task.
@@ -39,7 +42,7 @@ from hypothesis import strategies as st
 
 from repro.api import FilterService
 from repro.core.domains import IntegerDomain
-from repro.core.errors import DeliveryOverflowError
+from repro.core.errors import DeliveryError
 from repro.core.events import Event
 from repro.core.predicates import RangePredicate
 from repro.core.profiles import profile
@@ -92,8 +95,18 @@ subscriptions = st.lists(
 batches = st.lists(st.integers(0, 99), min_size=1, max_size=30)
 
 
-def run(default: str, population, prices, *, batched: bool) -> dict:
-    """Publish ``prices`` once (one batch or one by one); return the state."""
+@st.composite
+def stamped_batches(draw):
+    """A batch and, optionally, one timestamp per event (in or out of order)."""
+    prices = draw(batches)
+    size = len(prices)
+    stamps = draw(st.none() | st.lists(st.floats(0, 200), min_size=size, max_size=size))
+    return prices, stamps
+
+
+def run(default: str, population, prices, stamps=None, *, batched: bool) -> dict:
+    """Publish ``prices`` once (one batch or one by one, stamped with
+    ``stamps`` when given), then one unstamped event; return the state."""
     events = [Event({"price": price}) for price in prices]
     sinks: dict[str, Recorder] = {}
     with make_service(delivery=default, max_workers=2) as service:
@@ -106,12 +119,18 @@ def run(default: str, population, prices, *, batched: bool) -> dict:
                 sink=sink,
                 delivery=pin,
             )
+        broker = service.broker  # timestamps are a broker-level option
         if batched:
-            outcomes = service.publish_batch(events)
+            outcomes = broker.publish_batch(events, timestamps=stamps)
         else:
-            outcomes = [service.publish(event) for event in events]
+            per_event = stamps if stamps is not None else [None] * len(events)
+            outcomes = [
+                broker.publish(event, timestamp=stamp) for event, stamp in zip(events, per_event)
+            ]
+        # Unstamped, this event carries the clock the batch left behind;
+        # it matches the first subscription, so the log shows that clock.
+        outcomes.append(service.publish(Event({"price": population[0][0]})))
         service.drain()
-        broker = service.broker
         statistics = broker.statistics
         state = {
             "outcomes": outcomes,
@@ -141,11 +160,12 @@ def run(default: str, population, prices, *, batched: bool) -> dict:
 @given(
     default=st.sampled_from(("inline", "threadpool")),
     population=subscriptions,
-    prices=batches,
+    stamped=stamped_batches(),
 )
-def test_publish_batch_equals_publishing_one_by_one(default, population, prices):
-    batched = run(default, population, prices, batched=True)
-    one_by_one = run(default, population, prices, batched=False)
+def test_publish_batch_equals_publishing_one_by_one(default, population, stamped):
+    prices, stamps = stamped
+    batched = run(default, population, prices, stamps, batched=True)
+    one_by_one = run(default, population, prices, stamps, batched=False)
     assert batched["outcomes"] == one_by_one["outcomes"]
     for key in ("summary", "per_profile", "per_profile_ops", "log", "log_per_subscriber"):
         assert batched[key] == one_by_one[key], key
@@ -257,6 +277,41 @@ PREFIX_CASES = {
 }
 
 
+def block_then_close(executor, tasks, accepted: int, release: threading.Event) -> None:
+    """Submit ``tasks`` from a helper thread until it blocks on a full
+    lane after ``accepted`` tasks, then close the executor: the blocked
+    submission fails, and nothing after its prefix is accepted.
+
+    ``release`` opens the gate the executor's workers are parked on; it
+    is set once the submission failed, so the close can drain.
+    """
+    failures: list[DeliveryError] = []
+
+    def submit() -> None:
+        try:
+            executor.submit_all(tasks)
+        except DeliveryError as error:
+            failures.append(error)
+
+    before = executor.stats().dispatched
+    publisher = threading.Thread(target=submit)
+    publisher.start()
+    deadline = time.monotonic() + 10
+    while executor.stats().dispatched - before < accepted:
+        assert time.monotonic() < deadline, "the prefix was never accepted"
+        time.sleep(0.001)
+    assert publisher.is_alive()  # blocked on the full lane
+    closer = threading.Thread(target=executor.close)
+    closer.start()
+    publisher.join(10)
+    release.set()
+    closer.join(10)
+    assert not publisher.is_alive() and not closer.is_alive()
+    assert len(failures) == 1
+    assert "closed while waiting for queue space" in str(failures[0])
+    assert executor.stats().dispatched - before == accepted
+
+
 @pytest.mark.parametrize("full_lane", [0, 1])
 @pytest.mark.parametrize("case", sorted(PREFIX_CASES))
 def test_threadpool_raise_accepts_exactly_the_prefix(case, full_lane):
@@ -268,7 +323,7 @@ def test_threadpool_raise_accepts_exactly_the_prefix(case, full_lane):
         assert release.wait(10), "test gate never released"
 
     received: list[str] = []
-    executor = ThreadPoolDeliveryExecutor(max_workers=2, queue_capacity=1, overflow="raise")
+    executor = ThreadPoolDeliveryExecutor(max_workers=2, queue_capacity=1)
     try:
         # Park both workers, then fill the "full" subscription's one slot.
         for lane in (0, 1):
@@ -284,16 +339,11 @@ def test_threadpool_raise_accepts_exactly_the_prefix(case, full_lane):
             return make_task(on_lane(int(name[-1]), name[0]), lambda n: received.append(name))
 
         names = PREFIX_CASES[case]
-        tasks = [task_for(name) for name in names]
-        before = executor.stats().dispatched
-        with pytest.raises(DeliveryOverflowError, match="delivery lane full"):
-            executor.submit_all(tasks)
         prefix = names[: names.index("F")]
-        assert executor.stats().dispatched - before == len(prefix)
+        block_then_close(executor, [task_for(name) for name in names], len(prefix), release)
     finally:
         release.set()
-    executor.drain()
-    executor.close()
+        executor.close()
     assert sorted(received) == sorted(prefix)
 
 
@@ -319,7 +369,6 @@ def test_webhook_raise_accepts_exactly_the_prefix(case):
     executor = WebhookDeliveryExecutor(
         config=WebhookConfig(transport=transport, max_attempts=1),
         queue_capacity=4,
-        overflow="raise",
     )
     try:
         # Park the full endpoint's worker, then fill its queue.
@@ -328,16 +377,12 @@ def test_webhook_raise_accepts_exactly_the_prefix(case):
         for _ in range(4):
             executor.submit_all([make_task("S", WebhookSink(full))])
         names = PREFIX_CASES[case]
-        tasks = [make_task("S", WebhookSink(endpoint_of(name))) for name in names]
-        before = executor.stats().dispatched
-        with pytest.raises(DeliveryOverflowError, match="webhook lane full"):
-            executor.submit_all(tasks)
         prefix = names[: names.index("F")]
-        assert executor.stats().dispatched - before == len(prefix)
+        tasks = [make_task("S", WebhookSink(endpoint_of(name))) for name in names]
+        block_then_close(executor, tasks, len(prefix), release)
     finally:
         release.set()
-    executor.drain()
-    executor.close()
+        executor.close()
     assert sorted(e for e in posted if e != full) == sorted(map(endpoint_of, prefix))
 
 
@@ -353,7 +398,7 @@ def test_a_blocked_publisher_lets_the_other_lanes_run():
         assert release.wait(10), "test gate never released"
 
     order: list[int] = []
-    executor = ThreadPoolDeliveryExecutor(max_workers=2, queue_capacity=1, overflow="block")
+    executor = ThreadPoolDeliveryExecutor(max_workers=2, queue_capacity=1)
     hot = on_lane(0, "hot")
     executor.submit_all([make_task(on_lane(0, "gate"), gated)])
     assert started.wait(10)

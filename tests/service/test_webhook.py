@@ -19,7 +19,7 @@ import pytest
 
 from repro.api import FilterService, WebhookConfig, WebhookSink
 from repro.core.domains import IntegerDomain
-from repro.core.errors import DeliveryError, DeliveryOverflowError
+from repro.core.errors import DeliveryError
 from repro.core.events import Event
 from repro.core.predicates import RangePredicate
 from repro.core.profiles import Profile, profile
@@ -110,26 +110,6 @@ class TestLanes:
         with pytest.raises(DeliveryError, match="WebhookSink"):
             executor.submit_all([task])
         executor.close()
-
-    def test_overflow_raise_policy(self):
-        release = threading.Event()
-
-        def stuck(endpoint, payload, timeout):
-            release.wait(10)
-
-        executor = WebhookDeliveryExecutor(
-            config=WebhookConfig(transport=stuck),
-            queue_capacity=1,
-            overflow="raise",
-        )
-        executor.submit_all([make_task("sub-1", "https://a.test/hook")])
-        try:
-            with pytest.raises(DeliveryOverflowError, match="webhook lane full"):
-                for _ in range(3):  # one rides the worker; the queue holds 1
-                    executor.submit_all([make_task("sub-1", "https://a.test/hook")])
-        finally:
-            release.set()
-        drain_close(executor)
 
     def test_dead_endpoint_never_stalls_the_healthy_lane(self):
         """The isolation gate: a dark endpoint's lane piles up and dead-

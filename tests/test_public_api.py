@@ -177,11 +177,9 @@ API_SURFACE = {
         "engine",
         "adaptive",
         "policy",
-        "quenching",
         "delivery",
         "max_workers",
         "queue_capacity",
-        "overflow",
         "webhook",
         "store",
     ),
@@ -217,7 +215,7 @@ API_SURFACE = {
     "NetworkSubscriptionHandle": ("service", "broker_id", "subscription"),
     "Profile": ("profile_id", "predicates", "subscriber", "priority"),
     "ProfileBuilder": ("predicates",),
-    "PublishOutcome": ("event", "quenched", "match_result", "notifications"),
+    "PublishOutcome": ("event", "match_result", "notifications"),
     "Schema": ("attributes",),
     "ServiceStats": (
         "events",
@@ -227,7 +225,6 @@ API_SURFACE = {
         "average_operations_per_event",
         "average_matches_per_event",
         "match_rate",
-        "quenched_events",
         "subscriptions",
         "paused_subscriptions",
         "engine",
