@@ -57,7 +57,16 @@ class TestConstruction:
 def _retired_knob_owners():
     from repro.analysis.calibration import CostCalibrator
     from repro.matching.index import PredicateIndexMatcher
-    from repro.matching.registry import EngineSpec
+    from repro.matching.registry import EngineContext, EngineSpec
+    from repro.matching.tree.config import SearchStrategy
+    from repro.selectivity import AttributeMeasure, ValueMeasure
+    from repro.service.adaptive import AdaptiveFilterEngine
+    from repro.service.broker import Broker
+    from repro.service.delivery import (
+        DeliveryDispatcher,
+        ThreadPoolDeliveryExecutor,
+        WebhookDeliveryExecutor,
+    )
 
     return {
         "AdaptationPolicy": AdaptationPolicy,
@@ -69,6 +78,20 @@ def _retired_knob_owners():
         "PredicateIndexMatcher": lambda **kwargs: PredicateIndexMatcher(
             environmental_profiles(environmental_schema()), **kwargs
         ),
+        "Broker": lambda **kwargs: Broker(environmental_schema(), **kwargs),
+        "AdaptiveFilterEngine": lambda **kwargs: AdaptiveFilterEngine(
+            environmental_profiles(environmental_schema()), **kwargs
+        ),
+        "EngineContext": lambda **kwargs: EngineContext(
+            environmental_profiles(environmental_schema()),
+            AttributeMeasure.A2_ZERO_PROBABILITY,
+            ValueMeasure.V1_EVENT,
+            SearchStrategy.LINEAR,
+            **kwargs,
+        ),
+        "DeliveryDispatcher": DeliveryDispatcher,
+        "ThreadPoolDeliveryExecutor": ThreadPoolDeliveryExecutor,
+        "WebhookDeliveryExecutor": WebhookDeliveryExecutor,
     }
 
 
@@ -87,6 +110,16 @@ def _retired_knob_owners():
         ("CostCalibrator", "smoothing", 0.5),
         ("CostCalibrator", "window", 4),
         ("PredicateIndexMatcher", "min_columnar_batch", 4),
+        ("FilterService", "quenching", True),
+        ("FilterService", "overflow", "raise"),
+        ("Broker", "enable_quenching", True),
+        ("Broker", "overflow", "drop_oldest"),
+        ("Broker", "configuration", None),
+        ("AdaptiveFilterEngine", "initial_configuration", None),
+        ("EngineContext", "initial_configuration", None),
+        ("DeliveryDispatcher", "overflow", "raise"),
+        ("ThreadPoolDeliveryExecutor", "overflow", "raise"),
+        ("WebhookDeliveryExecutor", "overflow", "raise"),
     ],
 )
 def test_retired_knobs_are_rejected(owner, knob, value):
@@ -240,3 +273,13 @@ class TestStats:
             1 for r in snapshot.adaptations if r.applied
         )
         assert all(r.engine in ("tree", "index") for r in snapshot.adaptations)
+
+    def test_events_no_subscription_matches_are_still_counted(self):
+        service = make_service()
+        # The only subscriber pins temperature to one point the event misses.
+        service.subscribe(where("temperature").eq(0))
+        outcome = service.publish(example_event())
+        assert outcome.delivered == 0
+        snapshot = service.stats()
+        assert (snapshot.events, snapshot.matched_events, snapshot.notifications) == (1, 0, 0)
+        assert snapshot.match_rate == 0.0

@@ -130,6 +130,36 @@ class TestBroker:
         broker.unsubscribe(subscription.subscription_id)
         assert broker.publish(example_event()).delivered == 0
 
+    def test_every_published_event_reaches_the_filter(self):
+        # No publisher-side shortcut: an event that no subscription can
+        # match is still filtered, counted and answered with an empty result.
+        broker = Broker(environmental_schema())
+        broker.subscribe(
+            profile(
+                "alarm",
+                temperature=RangePredicate.at_least(45),
+                humidity=RangePredicate.at_least(90),
+                radiation=RangePredicate.at_least(90),
+            ),
+            "ops",
+        )
+        outcome = broker.publish(Event({"temperature": 0, "humidity": 95, "radiation": 95}))
+        assert outcome.delivered == 0
+        assert not outcome.match_result.matched_profile_ids
+        assert (broker.statistics.events, broker.statistics.matched_events) == (1, 0)
+
+    def test_a_stamped_publish_never_moves_the_clock_backwards(self):
+        broker = Broker(environmental_schema())
+        broker.subscribe(profile("hot", temperature=RangePredicate.at_least(30)), "alice")
+        stamps = [
+            notification.delivered_at
+            for timestamp in (5.0, 3.0, None)
+            for notification in broker.publish(example_event(), timestamp=timestamp).notifications
+        ]
+        # A stamped event carries its own stamp; the unstamped one goes on
+        # from the latest stamp seen, exactly as after publish_batch.
+        assert stamps == [5.0, 3.0, 6.0]
+
     def test_statistics_accumulate_over_events(self):
         broker = self.toy_broker()
         events = [
@@ -348,3 +378,23 @@ class TestIncrementalSubscriptionChurn:
         assert broker.publish(example_event()).delivered == 1
         broker.unsubscribe(keeper.subscription_id)
         assert broker.publish(example_event()).delivered == 0
+
+    def test_churn_alone_decides_whether_the_same_event_is_delivered(self):
+        broker = Broker(environmental_schema())
+        alarm = broker.subscribe(
+            profile(
+                "alarm",
+                temperature=RangePredicate.at_least(45),
+                humidity=RangePredicate.at_least(90),
+                radiation=RangePredicate.at_least(90),
+            ),
+            "ops",
+        )
+        cold = Event({"temperature": 0, "humidity": 95, "radiation": 95})
+        assert broker.publish(cold).delivered == 0
+        broker.subscribe(profile("cold", temperature=RangePredicate.at_most(5)), "ops")
+        assert [n.profile_id for n in broker.publish(cold).notifications] == ["cold"]
+        broker.unsubscribe(alarm.subscription_id)
+        hot_only = Event({"temperature": 50, "humidity": 0, "radiation": 1})
+        assert broker.publish(hot_only).delivered == 0
+        assert broker.statistics.events == 3

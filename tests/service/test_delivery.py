@@ -225,6 +225,39 @@ class TestThreadPoolExecutor:
             assert sink.prices == [0, 1, 2, 3]
             assert service.stats().delivery.dropped == 0
 
+    def test_close_fails_a_publisher_blocked_on_a_full_lane(self):
+        sink = GatedSink()
+        service = make_service(delivery="threadpool", max_workers=1, queue_capacity=2)
+        self._fill_one_lane(service, sink)
+        failures: list[DeliveryError] = []
+
+        def publish_fourth():
+            try:
+                service.publish(Event({"price": 3}))
+            except DeliveryError as error:
+                failures.append(error)
+
+        publisher = threading.Thread(target=publish_fourth)
+        publisher.start()
+        publisher.join(0.2)
+        assert publisher.is_alive(), "publish returned despite a full lane"
+        closer = threading.Thread(target=service.close)  # drains: waits on the gate
+        closer.start()
+        try:
+            publisher.join(10)
+            assert not publisher.is_alive()
+        finally:
+            sink.gate.set()
+        closer.join(10)
+        assert not closer.is_alive()
+        assert len(failures) == 1
+        assert "closed while waiting for queue space" in str(failures[0])
+        # The blocked task was never accepted; the three before it were delivered.
+        assert sink.prices == [0, 1, 2]
+        stats = service.stats().delivery
+        assert (stats.dispatched, stats.delivered) == (3, 3)
+        assert_at_most_once(stats)
+
     def test_close_drains_by_default(self):
         service = make_service(delivery="threadpool", max_workers=2)
         sink = GatedSink()

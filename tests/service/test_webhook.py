@@ -14,6 +14,7 @@ from __future__ import annotations
 import http.server
 import json
 import threading
+import time
 
 import pytest
 
@@ -110,6 +111,70 @@ class TestLanes:
         with pytest.raises(DeliveryError, match="WebhookSink"):
             executor.submit_all([task])
         executor.close()
+
+    @staticmethod
+    def _gated_transport(posted: list):
+        """A transport parking every post on a gate; returns it with the
+        gate and an event set once the first post is in flight."""
+        started, gate = threading.Event(), threading.Event()
+
+        def transport(endpoint, payload, timeout):
+            started.set()
+            assert gate.wait(10), "test gate never released"
+            posted.append(json.loads(payload.decode("utf-8"))["event"]["values"]["price"])
+
+        return transport, started, gate
+
+    def test_full_lane_blocks_the_publisher_until_the_worker_frees_space(self):
+        posted: list = []
+        transport, started, gate = self._gated_transport(posted)
+        executor = WebhookDeliveryExecutor(
+            config=WebhookConfig(transport=transport), queue_capacity=1
+        )
+        try:
+            executor.submit_all([make_task("sub-1", "https://a.test/hook", 0)])
+            assert started.wait(10)  # price 0 in flight, lane empty
+            executor.submit_all([make_task("sub-1", "https://a.test/hook", 1)])  # lane full
+            publisher = threading.Thread(
+                target=executor.submit_all,
+                args=([make_task("sub-1", "https://a.test/hook", 2)],),
+            )
+            publisher.start()
+            publisher.join(0.2)
+            assert publisher.is_alive(), "submission returned despite a full lane"
+            gate.set()  # the worker frees the slot; the publisher proceeds
+            publisher.join(10)
+            assert not publisher.is_alive()
+            executor.drain()
+        finally:
+            gate.set()
+            executor.close()
+        assert posted == [0, 1, 2]
+        stats = executor.stats()
+        assert (stats.dispatched, stats.delivered, stats.dropped) == (3, 3, 0)
+
+    def test_close_without_drain_drops_exactly_the_queued_posts(self):
+        posted: list = []
+        transport, started, gate = self._gated_transport(posted)
+        executor = WebhookDeliveryExecutor(config=WebhookConfig(transport=transport))
+        for price in range(5):
+            executor.submit_all([make_task("sub-1", "https://a.test/hook", price)])
+        assert started.wait(10)  # price 0 in flight, 1-4 queued
+        closer = threading.Thread(target=executor.close, kwargs={"drain": False})
+        closer.start()
+        try:
+            # The queue is discarded before close waits for the worker.
+            deadline = time.monotonic() + 10
+            while executor.stats().dropped < 4:
+                assert time.monotonic() < deadline, "queued posts never dropped"
+                time.sleep(0.001)
+        finally:
+            gate.set()
+        closer.join(10)
+        assert not closer.is_alive()
+        assert posted == [0]
+        stats = executor.stats()
+        assert (stats.dispatched, stats.delivered, stats.dropped, stats.pending) == (5, 1, 4, 0)
 
     def test_dead_endpoint_never_stalls_the_healthy_lane(self):
         """The isolation gate: a dark endpoint's lane piles up and dead-
