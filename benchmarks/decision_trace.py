@@ -10,7 +10,10 @@ ids as they were.  Run the script from each checkout's root, then diff::
 Covers every corpus profile x every pinned family it declares, plus
 ``engine="auto"`` on every corpus profile at 100 subscriptions — the
 profiles where ``auto`` prunes its tree candidate on the root-level bound
-and those where it must not.  One rule for every
+and those where it must not.  Those runs publish in the profile's
+batches; one more pinned-``index`` run per profile (``<name>/index/one-by-one``)
+publishes the same events one ``publish`` call at a time, so the
+per-event path into the event history is traced too.  One rule for every
 run: the decision fields (``event_count``, ``engine``, ``applied``,
 ``suppressed``) and the matched-id digest compare exactly, the two predicted
 costs within :data:`COST_REL_TOL` relative — cost models may sum in a
@@ -32,18 +35,22 @@ from dataclasses import replace
 COST_REL_TOL = 1e-9
 
 
-def trace(profile, engine: str) -> dict:
+def trace(profile, engine: str, *, one_by_one: bool = False) -> dict:
     from repro.api import FilterService
     from repro.workloads.generators import build_workload
 
     workload = build_workload(profile.spec)
     events = list(workload.events)
-    size = profile.run.batch_size
+    size = 1 if one_by_one else profile.run.batch_size
     digest = hashlib.sha256()
     with FilterService.from_profile(profile, engine=engine, delivery="inline") as service:
         service.subscribe_all(workload.profiles)
         for start in range(0, len(events), size):
-            for outcome in service.publish_batch(events[start : start + size]):
+            if one_by_one:
+                outcomes = [service.publish(events[start])]
+            else:
+                outcomes = service.publish_batch(events[start : start + size])
+            for outcome in outcomes:
                 digest.update(repr(outcome.match_result.matched_profile_ids).encode())
         records = service.broker.engine.adaptations()
     return {
@@ -70,6 +77,7 @@ def collect() -> dict:
         profile = get_profile(name)
         for family in profile.engine.families:
             traces[f"{name}/{family}"] = trace(profile, family)
+        traces[f"{name}/index/one-by-one"] = trace(profile, "index", one_by_one=True)
         small = replace(profile, spec=profile.spec.with_counts(profile_count=100))
         traces[f"{name}@100/auto"] = trace(small, "auto")
     return traces

@@ -185,7 +185,12 @@ class DiscreteDomain(Domain):
         return float(len(self.ordered_values))
 
     def __contains__(self, value: object) -> bool:
-        return value in self._index  # type: ignore[attr-defined]
+        try:
+            return value in self._index  # type: ignore[attr-defined]
+        except TypeError:
+            # An unhashable value (a list, a dict) is no member of any
+            # finite domain; asking must not raise.
+            return False
 
     def index_of(self, value: object) -> int:
         """Return the position of ``value`` in the natural order."""

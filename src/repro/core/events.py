@@ -79,17 +79,20 @@ class Event:
         level of the profile tree probes one attribute — so ``require_all``
         defaults to ``True``.
         """
+        by_name = schema._by_name
         for name, value in self.values.items():
-            if name not in schema:
+            attribute = by_name.get(name)
+            if attribute is None:
                 raise EventError(f"event attribute {name!r} is not part of the schema")
-            if value not in schema.domain(name):
+            if value not in attribute.domain:
                 raise EventError(
                     f"event value {value!r} is outside the domain of attribute {name!r}"
                 )
-        if require_all:
+        # Every carried name is a distinct schema attribute by now, so the
+        # event is complete exactly when it carries as many as the schema.
+        if require_all and len(self.values) != len(by_name):
             missing = [name for name in schema.names if name not in self.values]
-            if missing:
-                raise EventError(f"event is missing schema attributes {missing}")
+            raise EventError(f"event is missing schema attributes {missing}")
 
     def restricted_to(self, names: list[str]) -> "Event":
         """Return a copy carrying only the attributes in ``names``."""
@@ -127,12 +130,14 @@ def column_counts(events: Sequence[Event], schema: Schema) -> dict[str, Counter]
     ``None`` covers everything the shortcut cannot vouch for: a partial
     event or an unknown attribute name (some event lacks a schema column,
     or the summed event lengths exceed ``len(events) * len(schema)``), a
-    value outside its domain, an unhashable value (or any other exception
-    raised on the way), and a column whose values are not all of one exact
-    ``type`` — a counter keys by equality (``1 == 1.0 == True``) while
-    domain membership does not, so distinct values may only stand in for
-    their occurrences within a single type.  An empty batch also answers
-    ``None``; its per-event loop is free.  Nothing is mutated either way.
+    value outside its domain, an unhashable value (no counter can key it;
+    the per-event loop reports it as outside its domain) or any other
+    exception raised on the way, and a column whose values are not all of
+    one exact ``type`` — a counter keys by equality (``1 == 1.0 == True``)
+    while domain membership does not, so distinct values may only stand in
+    for their occurrences within a single type.  An empty batch also
+    answers ``None``; its per-event loop is free.  Nothing is mutated
+    either way.
     """
     counts: dict[str, Counter] = {}
     try:
@@ -154,6 +159,6 @@ def column_counts(events: Sequence[Event], schema: Schema) -> dict[str, Counter]
         # A missing schema column (KeyError), a value no counter can hash
         # (TypeError), or whatever a value's own ``__hash__`` / ``__eq__``
         # or a domain's ``__contains__`` raises: nothing has been mutated,
-        # and the per-event loop re-raises it at the event it belongs to.
+        # and the per-event loop reports it at the event it belongs to.
         return None
     return counts

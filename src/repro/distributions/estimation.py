@@ -162,13 +162,24 @@ class EventHistory:
     current event distribution ``P_e`` and decide whether the profile tree
     should be restructured.
 
-    Events enter one at a time (:meth:`observe`: validate, append, bump one
-    counter per carried attribute, evict the oldest event beyond the
-    window) or as a batch (:meth:`observe_all`: the same end state, reached
-    with one domain check and one counter update per *distinct* value of
-    each attribute column instead of one per occurrence).  The per-event
-    path is the specification; the batch path falls back to it whenever a
-    batch is not provably complete and valid.
+    Events are checked on the way in and counted on the way out.
+    :meth:`observe` validates one event, :meth:`observe_all` a batch
+    (:func:`~repro.core.events.column_counts`: one domain check per
+    *distinct* value of each column, the per-event loop as the fallback);
+    an admitted event then waits in a pending list until something reads
+    the history — :meth:`counter`, :meth:`events`, ``len`` — or the next
+    :meth:`observe_all`, or until the list holds a full window.  Folding
+    it counts the pending events column by column (one
+    :class:`~collections.Counter` per attribute; partial events one value
+    at a time) and lets the overflow leave the window with one bulk
+    forget per attribute.  The state any read sees is the one a loop of
+    validate, append, count, evict-the-oldest per event would leave.
+
+    A caller that has already validated its events against the schema —
+    the broker admits every published event itself — hands them over
+    through the unchecked :meth:`_admit` / :meth:`_admit_all`, the way
+    :meth:`FrequencyCounter._add` is the unchecked half of
+    :meth:`FrequencyCounter.record`.
     """
 
     def __init__(self, schema: Schema, *, max_length: int = 10_000) -> None:
@@ -177,11 +188,15 @@ class EventHistory:
         self._schema = schema
         self._max_length = max_length
         self._events: Deque[Event] = deque()
+        #: Admitted events not counted yet, oldest first; folded as soon
+        #: as it holds a full window.
+        self._pending: list[Event] = []
         self._counters = {
             attribute.name: FrequencyCounter(attribute.domain) for attribute in schema
         }
 
     def __len__(self) -> int:
+        self._fold()
         return len(self._events)
 
     @property
@@ -191,28 +206,26 @@ class EventHistory:
     def observe(self, event: Event) -> None:
         """Add one event, evicting the oldest one beyond the window size."""
         event.validate(self._schema, require_all=False)
-        self._events.append(event)
-        counters = self._counters
-        for name, value in event.values.items():
-            counters[name]._add(value, 1)
-        if len(self._events) > self._max_length:
-            expired = self._events.popleft()
-            for name, value in expired.values.items():
-                counters[name].forget(value)
+        self._admit(event)
+
+    def _admit(self, event: Event) -> None:
+        """Add one event the caller already validated against the schema."""
+        pending = self._pending
+        pending.append(event)
+        if len(pending) >= self._max_length:
+            self._fold()
 
     def observe_all(self, events: Iterable[Event]) -> None:
         """Add a batch of events: the same end state as an :meth:`observe` loop.
 
         A batch of complete, valid events is admitted column by column
         (:func:`~repro.core.events.column_counts`: one domain check per
-        distinct value), appended to the window in one ``extend`` and
-        counted with one bulk update per attribute; the overflow leaves
-        the window in one slice with one bulk forget per attribute.
+        distinct value) and counted with one bulk update per attribute.
         Anything the columnar check cannot vouch for — partial events,
         unknown attributes, out-of-domain or unhashable values, a column
         of mixed types — goes through the per-event loop, which raises
         the :class:`~repro.core.errors.EventError` at the offending event
-        with the valid prefix already counted.
+        with the valid prefix already admitted.
         """
         events = events if isinstance(events, list) else list(events)
         counts = column_counts(events, self._schema)
@@ -220,11 +233,55 @@ class EventHistory:
             for event in events:
                 self.observe(event)
             return
+        self._admit_all(events, counts)
+
+    def _admit_all(self, events: list[Event], counts: dict[str, Counter] | None) -> None:
+        """Add a batch the caller already validated against the schema.
+
+        ``counts`` is the batch's :func:`~repro.core.events.column_counts`
+        when the caller has it, in which case the batch is counted at
+        once; with ``None`` the events join the pending list and are
+        counted at the next fold.
+        """
+        if counts is None:
+            self._pending.extend(events)
+            if len(self._pending) >= self._max_length:
+                self._fold()
+            return
+        self._fold()
+        self._count(events, counts)
+
+    def _fold(self) -> None:
+        """Count the pending events into the window."""
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        names = self._schema.names
+        carried = [event.values for event in pending]
+        counts = None
+        if sum(map(len, carried)) == len(carried) * len(names):
+            # Admitted events carry schema names only, so these are all
+            # complete: count them column by column.
+            counts = {name: Counter([values[name] for values in carried]) for name in names}
+        self._count(pending, counts)
+
+    def _count(self, events: list[Event], counts: dict[str, Counter] | None) -> None:
+        """Append admitted ``events`` to the window, count them, evict the overflow.
+
+        ``counts`` holds the events' per-attribute value counts, or
+        ``None`` to count them one value at a time (partial events).
+        """
         counters = self._counters
         window = self._events
         window.extend(events)
-        for name, counted in counts.items():
-            counters[name]._add_counts(counted)
+        if counts is None:
+            for event in events:
+                for name, value in event.values.items():
+                    counters[name]._add(value, 1)
+        else:
+            for name, counted in counts.items():
+                counters[name]._add_counts(counted)
         overflow = len(window) - self._max_length
         if overflow > 0:
             expired = [window.popleft().values for _ in range(overflow)]
@@ -240,6 +297,7 @@ class EventHistory:
 
     def counter(self, attribute: str) -> FrequencyCounter:
         """Return the frequency counter of one attribute."""
+        self._fold()
         try:
             return self._counters[attribute]
         except KeyError as exc:
@@ -247,10 +305,12 @@ class EventHistory:
 
     def events(self) -> list[Event]:
         """Return the retained events, oldest first."""
+        self._fold()
         return list(self._events)
 
     def clear(self) -> None:
         """Drop all retained events and counters."""
+        self._pending = []
         self._events.clear()
         for attribute in self._schema:
             self._counters[attribute.name] = FrequencyCounter(attribute.domain)

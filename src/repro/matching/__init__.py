@@ -37,7 +37,7 @@ from repro.matching.registry import (
     EngineSpec,
     default_registry,
 )
-from repro.matching.statistics import FilterStatistics, RunningMean
+from repro.matching.statistics import FilterStatistics
 from repro.matching.tree import (
     ProfileTree,
     SearchStrategy,
@@ -62,7 +62,6 @@ __all__ = [
     "NaiveMatcher",
     "PredicateIndexMatcher",
     "ProfileTree",
-    "RunningMean",
     "SearchStrategy",
     "TreeConfiguration",
     "TreeMatcher",

@@ -17,72 +17,33 @@ operation count drops below 5 % of the mean.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from typing import Mapping, Sequence
 
 from repro.core.errors import MatchingError
 from repro.matching.interfaces import MatchResult
 
-__all__ = ["FilterStatistics", "RunningMean"]
+__all__ = ["FilterStatistics"]
 
-
-class RunningMean:
-    """Numerically stable running mean/variance (Welford's algorithm)."""
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, value: float) -> None:
-        """Add one observation."""
-        self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (value - self._mean)
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self._count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Return the sample variance (0 for fewer than two observations)."""
-        if self._count < 2:
-            return 0.0
-        return self._m2 / (self._count - 1)
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def confidence_halfwidth(self, z: float = 1.96) -> float:
-        """Return the half-width of the ``z``-sigma confidence interval."""
-        if self._count < 2:
-            return math.inf
-        return z * self.stddev / math.sqrt(self._count)
-
-    def relative_precision(self, z: float = 1.96) -> float:
-        """Return the confidence half-width relative to the mean."""
-        if self.mean == 0:
-            return 0.0 if self._count >= 2 and self.stddev == 0 else math.inf
-        return self.confidence_halfwidth(z) / abs(self.mean)
+#: The normal quantile of the two-sided 95 % confidence interval, as an
+#: exact ratio of integers for :meth:`FilterStatistics.precision_reached`.
+_Z_NUMERATOR, _Z_DENOMINATOR = (1.96).as_integer_ratio()
 
 
 class FilterStatistics:
-    """Aggregated filtering statistics over a stream of match results."""
+    """Aggregated filtering statistics over a stream of match results.
+
+    Every aggregate is an integer — events, operations, the sum of
+    squared operations, notifications — so folding a batch costs a few
+    additions per result, the order of recording changes nothing, and
+    each mean is one correctly rounded division at read time.
+    """
 
     def __init__(self) -> None:
-        self._operations = RunningMean()
-        self._matches_per_event = RunningMean()
         self._events = 0
         self._matched_events = 0
         self._total_operations = 0
+        self._squared_operations = 0
         self._total_notifications = 0
         self._per_profile_notifications: Counter = Counter()
         self._per_profile_operations: Counter = Counter()
@@ -95,23 +56,19 @@ class FilterStatistics:
     def record_all(self, results: Sequence[MatchResult]) -> int:
         """Record the outcomes of filtering a batch of events, in order.
 
-        The running means (Welford) fold every result in order, so every
-        float is bit-identical to a :meth:`record` loop; the integer totals
-        are updated once per batch, and the per-profile counters once per
-        distinct notified profile (in first-notified order, so their
-        insertion order is a loop's too).  Returns the number of
-        notifications recorded.
+        The integer totals are updated once per batch, and the
+        per-profile counters once per distinct notified profile (in
+        first-notified order, so their insertion order is a :meth:`record`
+        loop's too).  Returns the number of notifications recorded.
         """
-        add_operations = self._operations.add
-        add_matches = self._matches_per_event.add
-        operations = matched_events = notifications = 0
+        operations = squared = matched_events = notifications = 0
         # Per profile: [notifications, operations charged], first-notified order.
         notified: dict[str, list[int]] = {}
         for result in results:
+            charged = result.operations
+            operations += charged
+            squared += charged * charged
             profile_ids = result.matched_profile_ids
-            add_operations(result.operations)
-            add_matches(len(profile_ids))
-            operations += result.operations
             if profile_ids:
                 matched_events += 1
                 notifications += len(profile_ids)
@@ -121,12 +78,13 @@ class FilterStatistics:
                 for profile_id in profile_ids:
                     tally = notified.get(profile_id)
                     if tally is None:
-                        notified[profile_id] = [1, result.operations]
+                        notified[profile_id] = [1, charged]
                     else:
                         tally[0] += 1
-                        tally[1] += result.operations
+                        tally[1] += charged
         self._events += len(results)
         self._total_operations += operations
+        self._squared_operations += squared
         if notifications:
             self._matched_events += matched_events
             self._total_notifications += notifications
@@ -160,13 +118,13 @@ class FilterStatistics:
         """Return the paper's primary metric (Fig. 4, Fig. 5(a), Fig. 6)."""
         if self._events == 0:
             raise MatchingError("no events recorded")
-        return self._operations.mean
+        return self._total_operations / self._events
 
     def average_matches_per_event(self) -> float:
         """Return the average number of notified profiles per event."""
         if self._events == 0:
             raise MatchingError("no events recorded")
-        return self._matches_per_event.mean
+        return self._total_notifications / self._events
 
     def match_rate(self) -> float:
         """Return the fraction of events matching at least one profile."""
@@ -216,10 +174,29 @@ class FilterStatistics:
     def precision_reached(self, target: float = 0.05, *, minimum_events: int = 30) -> bool:
         """Return ``True`` once the mean operation count is estimated with
         the requested relative precision (the paper's "95 % precision").
+
+        The half-width ``z·s/√n`` of the 95 % confidence interval
+        (``z = 1.96``, ``s`` the sample standard deviation) must be at
+        most ``target`` times the mean.  Squared, that is
+        ``z²·(n·Σx² − (Σx)²) ≤ target²·(n − 1)·(Σx)²``, which is decided
+        exactly on the integer totals.  Fewer than two events never reach
+        it; a zero mean reaches it only when every observation is zero.
         """
-        if self._events < minimum_events:
+        events = self._events
+        if events < minimum_events or events < 2:
             return False
-        return self._operations.relative_precision() <= target
+        total = self._total_operations
+        # n·Σx² − (Σx)²: n·(n − 1) times the sample variance.
+        spread = events * self._squared_operations - total * total
+        if total == 0:
+            return spread == 0 and target >= 0
+        if target < 0:
+            return False
+        target_numerator, target_denominator = target.as_integer_ratio()
+        # Both sides multiplied by the squared denominators of z and target.
+        scaled_spread = (_Z_NUMERATOR * target_denominator) ** 2 * spread
+        scaled_mean = (target_numerator * _Z_DENOMINATOR) ** 2 * (events - 1) * total * total
+        return scaled_spread <= scaled_mean
 
     def summary(self) -> dict[str, float]:
         """Return the headline metrics as a plain dictionary."""

@@ -13,12 +13,12 @@ registry** (:mod:`repro.matching.registry`; the built-in families are
 and
 
 * records every filtered event in a bounded
-  :class:`~repro.distributions.estimation.EventHistory` — one
-  ``observe`` per :meth:`~AdaptiveFilterEngine.match`, one
-  ``observe_all`` per chunk of a :meth:`~AdaptiveFilterEngine.match_batch`
-  (column by column: each *distinct* value of a chunk is checked against
-  its domain and counted once, with the per-event loop as the fallback
-  for anything not provably complete and valid),
+  :class:`~repro.distributions.estimation.EventHistory`, which counts
+  the events only when a check reads it.  :meth:`~AdaptiveFilterEngine.match`
+  and :meth:`~AdaptiveFilterEngine.match_batch` validate their events
+  against the schema first (a batch column by column: each *distinct*
+  value is checked once); the broker validates every published event
+  itself and calls their unchecked halves instead,
 * periodically (every ``reoptimize_interval`` events) estimates the current
   per-attribute event distributions from the history,
 * asks every :class:`~repro.matching.registry.EngineSpec` on its roster
@@ -39,12 +39,13 @@ history and adaptation state alive (the broker relies on this).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.analysis.calibration import CalibrationSnapshot, CostCalibrator
-from repro.core.errors import MatchingError, ServiceError
-from repro.core.events import Event
+from repro.core.errors import EventError, MatchingError, ServiceError
+from repro.core.events import Event, column_counts
 from repro.core.profiles import Profile, ProfileSet
 from repro.distributions.base import Distribution
 from repro.distributions.estimation import EventHistory
@@ -346,9 +347,14 @@ class AdaptiveFilterEngine:
 
     # -- filtering ----------------------------------------------------------------
     def match(self, event: Event) -> MatchResult:
-        """Filter one event, record it, and re-optimise when due."""
+        """Validate one event, filter it, record it, and re-optimise when due."""
+        event.validate(self.profiles.schema, require_all=False)
+        return self._match_admitted(event)
+
+    def _match_admitted(self, event: Event) -> MatchResult:
+        """:meth:`match` for an event the caller already validated."""
         result = self._matcher.match(event)
-        self._history.observe(event)
+        self._history._admit(event)
         self._events_filtered += 1
         self._operations_filtered += result.operations
         if self._reoptimisation_due():
@@ -365,12 +371,37 @@ class AdaptiveFilterEngine:
         (e.g. from :meth:`repro.service.broker.Broker.publish_batch`) reach
         the index family's columnar kernel
         (:mod:`repro.matching.index.kernel`) instead of degrading to the
-        per-event loop, and the history records the chunk in one
-        :meth:`~repro.distributions.estimation.EventHistory.observe_all`.
+        per-event loop.  The batch is validated column by column
+        (:func:`~repro.core.events.column_counts`); a batch that is not
+        provably valid that way is validated event by event.  An invalid
+        event raises :class:`~repro.core.errors.EventError` once the valid
+        events before it have been filtered and recorded, as a
+        :meth:`match` loop would.
+        """
+        events = events if isinstance(events, list) else list(events)
+        schema = self.profiles.schema
+        counts = column_counts(events, schema)
+        if counts is None:
+            for position, event in enumerate(events):
+                try:
+                    event.validate(schema, require_all=False)
+                except EventError:
+                    self._match_batch_admitted(events[:position], None)
+                    raise
+        return self._match_batch_admitted(events, counts)
+
+    def _match_batch_admitted(
+        self, events: list[Event], counts: dict[str, Counter] | None
+    ) -> list[MatchResult]:
+        """:meth:`match_batch` for events the caller already validated.
+
+        ``counts`` is the batch's :func:`~repro.core.events.column_counts`
+        (or ``None``).  It goes to the history with the batch when the
+        batch is filtered as one chunk; the chunks of a batch split at a
+        re-optimisation point are counted by the history itself.
         Chunking at the next due re-optimisation keeps the cadence exact:
         within a chunk no check could fire anyway.
         """
-        events = events if isinstance(events, list) else list(events)
         results: list[MatchResult] = []
         position = 0
         while position < len(events):
@@ -385,7 +416,7 @@ class AdaptiveFilterEngine:
             chunk = events[position : position + take]
             chunk_results = self._matcher.match_batch(chunk)
             results.extend(chunk_results)
-            self._history.observe_all(chunk)
+            self._history._admit_all(chunk, counts if len(chunk) == len(events) else None)
             self._events_filtered += len(chunk)
             self._operations_filtered += sum(r.operations for r in chunk_results)
             if self._reoptimisation_due():

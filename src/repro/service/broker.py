@@ -477,6 +477,9 @@ class Broker:
         ``timestamp`` stamps the notifications instead of the broker's
         next tick; as in :meth:`publish_batch`, it never moves the broker
         clock backwards.
+
+        The broker is where a published event is checked against the
+        schema, once: the engine and its event history take it unchecked.
         """
         self._delivery.ensure_open()
         event.validate(self._schema, require_all=False)
@@ -490,7 +493,7 @@ class Broker:
         if self._engine is None:
             return PublishOutcome(event, None, ())
 
-        result = self._engine.match(event)
+        result = self._engine._match_admitted(event)
         (notifications,) = self._settle((event,), (result,), (clock,))
         return PublishOutcome(event, result, notifications)
 
@@ -586,10 +589,12 @@ class Broker:
         (:func:`~repro.core.events.column_counts`: one domain check per
         *distinct* value of each attribute column); a batch that is not
         provably complete and valid that way is validated event by event,
-        which is also what raises the error.  The surviving events are then
-        filtered in one
-        :meth:`~repro.service.adaptive.AdaptiveFilterEngine.match_batch`
-        call; on the index family large batches reach the columnar batch
+        which is also what raises the error.  This is the batch's only
+        schema check: its column counts travel with it to the engine's
+        event history.  The surviving events are then filtered in one
+        call of the unchecked half of
+        :meth:`~repro.service.adaptive.AdaptiveFilterEngine.match_batch`;
+        on the index family large batches reach the columnar batch
         kernel (:mod:`repro.matching.index.kernel`) — cache-aware event
         scheduling, per-batch probe dedup, vectorized posting-slab
         counting — so this is the publishing entry point for
@@ -617,7 +622,8 @@ class Broker:
                 f"timestamps length {len(timestamps)} does not match "
                 f"batch length {len(materialised)}"
             )
-        if column_counts(materialised, self._schema) is None:
+        counts = column_counts(materialised, self._schema)
+        if counts is None:
             # The per-event loop accepts the batch after all (partial
             # events, mixed value types) or raises the EventError.
             for event in materialised:
@@ -632,7 +638,7 @@ class Broker:
                 clocks.append(self._clock)
         if self._engine is None:
             return [PublishOutcome(event, None, ()) for event in materialised]
-        results = self._engine.match_batch(materialised)
+        results = self._engine._match_batch_admitted(materialised, counts)
         produced = self._settle(materialised, results, clocks)
         return [
             PublishOutcome(event, result, notifications)

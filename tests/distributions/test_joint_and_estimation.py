@@ -236,11 +236,15 @@ class TestProfileDistributionEstimation:
 
 # -- observe_all ≡ the per-event loop ---------------------------------------------------
 #
-# ``EventHistory.observe_all`` admits a batch column by column; the oracle
-# (``history_reference.PerEventHistory``) admits it event by event.  After
-# any interleaving of ``observe``, ``observe_all`` and ``clear`` the two
-# must hold the same window and the same counters, and a batch the oracle
-# rejects must raise the same exception with the same prefix counted.
+# ``EventHistory.observe_all`` admits a batch column by column, and both
+# entry points only queue what they admit until the next read counts it;
+# the oracle (``history_reference.PerEventHistory``) admits and counts
+# event by event.  After any interleaving of ``observe``, ``observe_all``
+# and ``clear`` — with reads (``counter``, ``events``, ``len``) at random
+# points, runs of ``observe`` longer than the window between two of them,
+# and ``clear`` while events are still queued — every read must see the
+# same window and the same counters, and a call the oracle rejects must
+# raise the same exception with the same prefix counted.
 
 #: Values that are equal as counter keys but not as domain members, an
 #: unhashable one, and one no domain below contains.
@@ -304,20 +308,39 @@ def history_scripts(draw):
     batch_size = draw(st.integers(1, 12))
     # Windows from a single event up to three batches.
     max_length = draw(st.integers(1, 3 * batch_size))
+    reads = ["len", "events", *(name for name, _, _ in columns)]
     steps = []
-    for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["batch", "batch", "batch", "one", "clear"]))
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["batch", "batch", "one", "run", "clear", "read", "read"]))
         if kind == "clear":
             steps.append(("clear", None))
+            continue
+        if kind == "read":
+            steps.append(("read", draw(st.sampled_from(reads))))
             continue
         flavour = draw(st.sampled_from(["clean", "clean", "partial", "twins", "dirty"]))
         if kind == "one":
             steps.append(("observe", draw(history_events(columns, flavour))))
+        elif kind == "run":
+            # More one-by-one events than the window holds, with no read
+            # in between: the queue fills, folds itself, and overflows.
+            for _ in range(draw(st.integers(max_length + 1, 2 * max_length + 1))):
+                steps.append(("observe", draw(history_events(columns, flavour))))
         else:
             size = draw(st.integers(0, batch_size))
             events = [draw(history_events(columns, flavour)) for _ in range(size)]
             steps.append(("observe_all", events))
     return columns, max_length, steps
+
+
+def history_read(history, what):
+    """One read of a history: its length, its window, or one counter."""
+    if what == "len":
+        return len(history)
+    if what == "events":
+        return [id(event) for event in history.events()]
+    counter = history.counter(what)
+    return counter.counts(), counter.total
 
 
 def history_state(history, names):
@@ -347,17 +370,20 @@ def outcome_of(call, *args):
 class TestObserveAllEqualsPerEventLoop:
     @settings(max_examples=300, deadline=None)
     @given(history_scripts())
-    def test_same_state_and_same_errors_after_every_step(self, script):
+    def test_same_errors_after_every_step_and_same_state_at_every_read(self, script):
         columns, max_length, steps = script
         schema = Schema([Attribute(name, domain) for name, domain, _ in columns])
         names = schema.names
         history = EventHistory(schema, max_length=max_length)
         oracle = PerEventHistory(schema, max_length=max_length)
         for method, argument in steps:
+            if method == "read":
+                assert history_read(history, argument) == history_read(oracle, argument)
+                continue
             arguments = () if argument is None else (argument,)
             expected = outcome_of(getattr(oracle, method), *arguments)
             assert outcome_of(getattr(history, method), *arguments) == expected
-            assert history_state(history, names) == history_state(oracle, names)
+        assert history_state(history, names) == history_state(oracle, names)
 
     def test_window_shorter_than_the_batch_keeps_the_tail(self):
         schema = two_attribute_schema()

@@ -6,9 +6,10 @@ the event and then bumped one counter per value through the public, checked
 ``FrequencyCounter.record``, and ``Broker.publish_batch`` validated a batch
 with one ``event.validate`` call per event.  They are kept here,
 unoptimised, as the oracles the columnar batch admission
-(:func:`repro.core.events.column_counts`) is compared against: same end
-state on success; same exception type, message and prefix effects on
-failure.
+(:func:`repro.core.events.column_counts`) and the history's lazy
+counting (admitted events are counted at the next read) are compared
+against: same state at every read; same exception type, message and
+prefix effects on failure.
 """
 
 from __future__ import annotations

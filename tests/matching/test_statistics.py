@@ -1,42 +1,117 @@
 """Tests for filter statistics and the 95 %-precision stopping rule."""
 
-import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import MatchingError
 from repro.matching.interfaces import MatchResult
-from repro.matching.statistics import FilterStatistics, RunningMean
+from repro.matching.statistics import FilterStatistics
+
+#: One filtered event: the operations it cost and the profiles it notified.
+results = st.builds(
+    MatchResult,
+    st.lists(st.sampled_from(["P1", "P2", "P3"]), unique=True).map(tuple),
+    st.one_of(st.integers(0, 20), st.integers(0, 10**18)),
+)
+targets = st.sampled_from([0.0, 0.01, 0.05, 0.2, 1.0, 2.5])
+few = st.lists(results, max_size=6)
+many = st.lists(results, min_size=30, max_size=120)
+#: A low spread around a large mean: the rule's two sides come close.
+near_the_boundary = st.lists(
+    st.integers(0, 3).map(lambda noise: MatchResult((), 100 + noise)), min_size=2, max_size=80
+)
 
 
-class TestRunningMean:
-    def test_mean_and_variance(self):
-        running = RunningMean()
-        for value in [2, 4, 4, 4, 5, 5, 7, 9]:
-            running.add(value)
-        assert running.count == 8
-        assert running.mean == pytest.approx(5.0)
-        assert running.variance == pytest.approx(4.571428, rel=1e-5)
+def recorded(stream) -> FilterStatistics:
+    stats = FilterStatistics()
+    stats.record_all(stream)
+    return stats
 
-    def test_confidence_halfwidth_shrinks_with_samples(self):
-        few = RunningMean()
-        many = RunningMean()
-        for value in [1, 2, 3]:
-            few.add(value)
-        for value in [1, 2, 3] * 50:
-            many.add(value)
-        assert many.confidence_halfwidth() < few.confidence_halfwidth()
 
-    def test_empty_mean_is_zero_and_halfwidth_infinite(self):
-        running = RunningMean()
-        assert running.mean == 0.0
-        assert math.isinf(running.confidence_halfwidth())
+def reference_precision_reached(stream, target: float, minimum_events: int) -> bool:
+    """The stopping rule in exact rationals, from the textbook definitions:
+    the 1.96-sigma half-width of the mean, at most ``target`` times it."""
+    n = len(stream)
+    if n < minimum_events or n < 2:
+        return False
+    values = [result.operations for result in stream]
+    mean = Fraction(sum(values), n)
+    variance = sum((value - mean) ** 2 for value in values) / (n - 1)
+    if mean == 0:
+        return variance == 0 and target >= 0
+    # (z·s/√n)² ≤ (target·mean)²
+    return Fraction(1.96) ** 2 * variance / n <= Fraction(target) ** 2 * mean**2
 
-    def test_constant_observations_reach_full_precision(self):
-        running = RunningMean()
-        for _ in range(10):
-            running.add(3.0)
-        assert running.relative_precision() == 0.0
+
+class TestExactStatistics:
+    """The aggregates against a :class:`fractions.Fraction` reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(results, min_size=1, max_size=60))
+    def test_means_are_the_correctly_rounded_ratios(self, stream):
+        stats = recorded(stream)
+        events = len(stream)
+        operations = sum(result.operations for result in stream)
+        notifications = sum(len(result.matched_profile_ids) for result in stream)
+        assert stats.average_operations_per_event() == float(Fraction(operations, events))
+        assert stats.average_matches_per_event() == float(Fraction(notifications, events))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(few, many, near_the_boundary), targets, st.integers(0, 40))
+    def test_precision_rule_is_the_exact_rule(self, stream, target, minimum_events):
+        reached = recorded(stream).precision_reached(target, minimum_events=minimum_events)
+        assert reached == reference_precision_reached(stream, target, minimum_events)
+
+    @pytest.mark.parametrize("operations", [0, 7])
+    def test_fewer_than_two_observations_never_reach_precision(self, operations):
+        stats = FilterStatistics()
+        assert not stats.precision_reached(1.0, minimum_events=0)
+        stats.record(MatchResult(("P1",), operations))
+        assert not stats.precision_reached(1.0, minimum_events=0)
+        stats.record(MatchResult(("P1",), operations))
+        assert stats.precision_reached(0.0, minimum_events=0)
+
+    def test_zero_variance_reaches_any_precision_and_a_zero_mean_needs_it(self):
+        constant = recorded([MatchResult((), 10**17 + 3)] * 3)
+        assert constant.precision_reached(0.0, minimum_events=0)
+        zeros = recorded([MatchResult((), 0)] * 3)
+        assert zeros.precision_reached(0.0, minimum_events=0)
+        assert not zeros.precision_reached(-0.5, minimum_events=0)
+
+    def test_spread_shrinks_with_more_observations(self):
+        few = recorded([MatchResult((), value) for value in (1, 2, 3)])
+        many = recorded([MatchResult((), value) for value in (1, 2, 3)] * 600)
+        assert not few.precision_reached(0.05, minimum_events=0)
+        assert many.precision_reached(0.05, minimum_events=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(results, max_size=40), st.integers(0, 40), targets)
+    def test_record_loop_equals_record_all(self, stream, cut, target):
+        looped, batched = FilterStatistics(), FilterStatistics()
+        for result in stream:
+            looped.record(result)
+        notifications = batched.record_all(stream[:cut]) + batched.record_all(stream[cut:])
+        assert notifications == sum(len(result.matched_profile_ids) for result in stream)
+        expected = reference_precision_reached(stream, target, 0)
+        for stats in (looped, batched):
+            assert stats.precision_reached(target, minimum_events=0) == expected
+        assert public_state(looped) == public_state(batched)
+
+
+def public_state(stats: FilterStatistics) -> list:
+    """Every aggregate a reader can see, per-profile insertion order included."""
+    per_profile = list(stats.per_profile_notification_counts().items())
+    state = [stats.events, stats.matched_events, stats.total_operations]
+    state += [stats.total_notifications, per_profile]
+    if stats.events:
+        state += [stats.average_operations_per_event(), stats.average_matches_per_event()]
+    if stats.total_notifications:
+        state += [stats.average_operations_over_profiles()]
+        state += [stats.average_operations_per_profile(pid) for pid, _ in per_profile]
+    return state
 
 
 class TestFilterStatistics:

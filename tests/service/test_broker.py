@@ -3,7 +3,7 @@
 import pytest
 from history_reference import validate_each
 
-from repro.core.domains import IntegerDomain
+from repro.core.domains import DiscreteDomain, IntegerDomain
 from repro.core.errors import EventError, ServiceError, SubscriptionError
 from repro.core.events import Event
 from repro.core.predicates import RangePredicate
@@ -225,29 +225,44 @@ class TestBatchAdmission:
             history.counter("price").counts(),
         )
 
+    @staticmethod
+    def ticker_schema() -> Schema:
+        return Schema(
+            [
+                Attribute("price", IntegerDomain(0, 199)),
+                Attribute("sector", DiscreteDomain(["energy", "tech"])),
+            ]
+        )
+
     @pytest.mark.parametrize(
         "bad",
         [
-            {"price": 500},  # outside the domain
-            {"price": 7, "volume": 1},  # unknown attribute
-            {"volume": 1},  # unknown attribute in place of the column
-            {"price": True},  # True == 1, but no integer
-            {"price": 7.0},  # 7.0 == 7, but no integer
-            {"price": [7]},  # unhashable
+            {"price": 500, "sector": "tech"},  # outside the domain
+            {"price": 7, "sector": "tech", "volume": 1},  # unknown attribute
+            {"price": 7, "volume": 1},  # unknown attribute in place of a column
+            {"price": True, "sector": "tech"},  # True == 1, but no integer
+            {"price": 7.0, "sector": "tech"},  # 7.0 == 7, but no integer
+            {"price": [7], "sector": "tech"},  # unhashable
+            {"price": 7, "sector": ["tech"]},  # unhashable, on a discrete domain
         ],
     )
     def test_invalid_batch_is_rejected_atomically_with_the_per_event_error(self, bad):
-        good = [Event({"price": price}) for price in (7, 1, 60, 7, 1)]
+        schema = self.ticker_schema()
+        good = [Event({"price": price, "sector": "tech"}) for price in (7, 1, 60, 7, 1)]
         batch = good[:3] + [Event(bad)] + good[3:]
         with pytest.raises(EventError) as expected:
-            validate_each(batch, price_schema())
+            validate_each(batch, schema)
 
-        touched, untouched = self.price_broker(), self.price_broker()
+        touched, untouched = self.price_broker(schema), self.price_broker(schema)
         for broker in (touched, untouched):
             broker.publish_batch(good)
         before = self.observable_state(touched)
         with pytest.raises(EventError) as raised:
             touched.publish_batch(batch)
+        assert str(raised.value) == str(expected.value)
+        # Published on its own, the event is rejected with the same error.
+        with pytest.raises(EventError) as raised:
+            touched.publish(Event(bad))
         assert str(raised.value) == str(expected.value)
         assert self.observable_state(touched) == before
         # The clock did not advance either: the next batch is stamped as
@@ -271,12 +286,15 @@ class TestBatchAdmission:
         ]
         assert self.observable_state(batched)[3:] == self.observable_state(sequential)[3:]
 
-    def test_membership_checks_scale_with_distinct_values_not_events(self):
-        # Deterministic work guard: a batch of 250 events over 10 distinct
-        # values per attribute may check each *distinct* value a fixed
-        # number of times (once to admit the batch, once more to feed the
-        # history) — never once per occurrence, as the per-event loop did
-        # (3 checks x 250 events per attribute).
+    @pytest.mark.parametrize("batched", [True, False], ids=["publish_batch", "publish"])
+    def test_membership_checks_scale_with_distinct_values_not_events(self, batched):
+        # Deterministic work guard: the broker is the one place an event is
+        # checked against the schema.  A batch of 250 events over 10
+        # distinct values per attribute checks each *distinct* value once
+        # (its column counts then feed the history unchecked) — never once
+        # per occurrence, as the per-event loop did (3 checks x 250 events
+        # per attribute).  Published one by one, each event is checked
+        # once: 250 checks per attribute.
         checks: dict[str, int] = {"price": 0, "volume": 0}
 
         def counting_domain(name: str) -> IntegerDomain:
@@ -297,9 +315,13 @@ class TestBatchAdmission:
         ]
         for name in checks:
             checks[name] = 0  # subscribing may consult the domains
-        outcomes = broker.publish_batch(events)
+        if batched:
+            outcomes = broker.publish_batch(events)
+        else:
+            outcomes = [broker.publish(event) for event in events]
         assert len(outcomes) == 250 and broker.engine.history.counter("price").total == 250
-        assert checks == {"price": 2 * distinct, "volume": 2 * distinct}
+        expected = distinct if batched else len(events)
+        assert checks == {"price": expected, "volume": expected}
 
 
 class TestIncrementalSubscriptionChurn:
