@@ -6,7 +6,7 @@ example generates such a workload, serves it through a
 :class:`~repro.api.FilterService` per engine family — tree, index, and the
 ``auto`` arbitration — and compares comparison operations and wall-clock
 throughput, publishing in batches so the index family's columnar batch
-kernel (probe dedup, vectorized counting) gets to work.  The merged
+kernel (per-batch probe dedup) gets to work.  The merged
 :meth:`~repro.api.FilterService.stats` snapshot reports the kernel's
 executed-work accounting and the adaptive engine's decisions alongside
 the paper's ops/event metric.

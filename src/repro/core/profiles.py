@@ -157,6 +157,16 @@ class ProfileSet:
         item.validate(self._schema)
         self._profiles[item.profile_id] = item
 
+    def _admit(self, item: Profile) -> None:
+        """Add a profile the caller has already validated against the schema.
+
+        Only the duplicate-id check runs; the broker's subscription registry
+        validates every profile it accepts before it reaches the filter.
+        """
+        if item.profile_id in self._profiles:
+            raise ProfileError(f"duplicate profile id {item.profile_id!r}")
+        self._profiles[item.profile_id] = item
+
     def remove(self, profile_id: str) -> Profile:
         """Remove and return the profile with ``profile_id``."""
         try:

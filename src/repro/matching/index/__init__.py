@@ -30,35 +30,36 @@ power (Measures A1/A2 of :mod:`repro.selectivity`) so the matcher probes
 the most selective attribute first and can stop as soon as a
 fully-constrained attribute yields no hit.
 
-:class:`PredicateIndexMatcher` then satisfies profiles by counting index
-hits per profile — never by evaluating profiles one at a time — and offers
-a batch API (:meth:`PredicateIndexMatcher.match_batch`) that amortises
+:class:`PredicateIndexMatcher` then satisfies profiles by intersecting
+index hits — never by evaluating profiles one at a time — and offers a
+batch API (:meth:`PredicateIndexMatcher.match_batch`) that amortises
 per-event dispatch for the service layer and the benchmarks.
 
-The matcher counts into a **dense-id core** (integer profile ids from an
-allocator with a free list, preallocated counters reset via a touched
-list) and maintains its buckets **incrementally**: ``add_profile`` /
-``remove_profile`` apply postings deltas — splicing slab endpoints in
-place, with in-place slab compaction once churn leaves most boundaries
-stale — instead of rebuilding, with planner recosting deferred to the
-next plan query.  See :mod:`repro.matching.index.matcher` for the layout.
+The matcher works on a **dense-id bitmask core**: integer profile ids from
+an allocator with a free list, and every set of profiles — an entry's
+subscribers, an attribute's unconstraining profiles, an event's matches —
+one Python ``int`` with bit *d* for dense id *d*; an event's matches are
+one AND per probed attribute.  It maintains its buckets
+**incrementally**: ``add_profile`` / ``remove_profile`` apply postings
+deltas — splicing slab endpoints in place, with in-place slab compaction
+once churn leaves most boundaries stale, and flipping the profile's bit in
+the affected masks — instead of rebuilding, with planner recosting
+deferred to the next plan query.  See :mod:`repro.matching.index.matcher`
+for the layout.
 
 Columnar batch execution
 ------------------------
 Batches of at least :data:`~repro.matching.index.kernel.MIN_COLUMNAR_BATCH`
 events entering :meth:`PredicateIndexMatcher.match_batch` run through the
 **columnar kernel** (:mod:`repro.matching.index.kernel`) instead of the
-per-event loop: the batch is scheduled (sorted) on the highest-rejection-
-power attribute so equal probe keys form contiguous runs, every distinct
-``(attribute, value)`` probe is resolved once per batch, and the deferred
-hit covers are counted either through a vectorized numpy ``(event,
-profile)`` count matrix (hit-heavy tiles) or the scratch counter
-(hit-sparse tiles, and whenever numpy is absent — the dependency stays
-optional).  Results are bit-identical to sequential :meth:`match` calls,
-including the per-event operation accounting; only the *executed* work
-shrinks (observable via :class:`~repro.matching.index.kernel.KernelStats`).
-Below the cutover the per-event fast path is kept, since its fixed
-overhead is lower for tiny batches.
+per-event loop: every distinct ``(attribute, value)`` probe is resolved
+once per batch into the mask of profiles surviving the attribute, so each
+later event carrying the value costs one lookup and one AND.  Results are
+bit-identical to sequential :meth:`match` calls, including the per-event
+operation accounting; only the *executed* work shrinks (observable via
+:class:`~repro.matching.index.kernel.KernelStats`).  Below the cutover the
+per-event fast path is kept, since its fixed overhead is lower for tiny
+batches.  Everything is pure Python; there is no optional dependency.
 """
 
 from repro.matching.index import kernel
@@ -67,11 +68,11 @@ from repro.matching.index.kernel import KernelStats, match_batch_columnar
 from repro.matching.index.matcher import PredicateIndexMatcher
 from repro.matching.index.planner import AttributePlan, IndexPlan, IndexPlanner
 
-# ``kernel.HAS_NUMPY`` / ``kernel.MIN_COLUMNAR_BATCH`` are deliberately NOT
-# re-exported as package attributes: the hot paths read them off the kernel
-# module at call time, so only patching them *there* has any effect — a
-# package-level value copy would make ``monkeypatch.setattr`` a silent
-# no-op.  Reach them via the ``kernel`` submodule.
+# ``kernel.MIN_COLUMNAR_BATCH`` is deliberately NOT re-exported as a
+# package attribute: the hot path reads it off the kernel module at call
+# time, so only patching it *there* has any effect — a package-level value
+# copy would make ``monkeypatch.setattr`` a silent no-op.  Reach it via the
+# ``kernel`` submodule.
 __all__ = [
     "AttributePlan",
     "HashBucket",

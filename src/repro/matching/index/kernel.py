@@ -1,49 +1,33 @@
 """Columnar batch-matching kernel for the predicate-index matcher.
 
-:func:`match_batch_columnar` executes a whole batch of events
-*column-by-column* instead of event-by-event.  The per-event loop of
+:func:`match_batch_columnar` filters a whole batch of events while
+resolving every *distinct* ``(attribute, value)`` probe only once.  The
+per-event loop of
 :meth:`~repro.matching.index.matcher.PredicateIndexMatcher.match` pays the
-full probe pipeline — bucket lookup, posting-slab flatten, one counter
-bump per posting id — once per event; the columnar kernel restructures
-that work around the observation that real batches carry massive value
-redundancy (a 1500-event stock-ticker batch observes ~40 distinct
-symbols):
+full probe pipeline — bucket lookup, cover mask, scan evaluations — once
+per event; real batches carry massive value redundancy (a 1500-event
+stock-ticker batch observes ~40 distinct symbols), so the kernel keeps a
+per-batch memo per probed attribute:
 
-1. **Cache-aware scheduling.**  Event indices are sorted (grouped) by the
-   value of the *highest-rejection-power* attribute — the first entry of
-   the planner's probe order, see
-   :meth:`~repro.matching.index.planner.IndexPlanner.rejection_scores` —
-   so equal probe keys become **contiguous runs**: the first (and most
-   selective) column is processed run-by-run with one probe and one slice
-   of accounting per run, and consecutive events touch the same hash
-   rows, posting slabs and count-matrix rows back-to-back.  Input order
-   is restored on output.
-2. **Per-column probe dedup.**  For every planned attribute the kernel
-   resolves each *distinct* probe value exactly once per batch (memoised
-   across row tiles): one bucket probe, one posting-slab flatten, one
-   operation/hit accounting, shared by every event carrying the value.
-   Early rejection stays exact — when a fully-constraining attribute
-   yields zero hits, the whole value group dies at once — and rejected
-   events of a run share one immutable :class:`MatchResult`.
-3. **Adaptive vectorized counting.**  Hit covers are collected per value
-   group and the counting strategy is chosen from the *observed* workload
-   of each row tile: hit-heavy tiles (with numpy importable) accumulate
-   into a 2-D ``(event, profile)`` count matrix via one vectorized
-   fancy-indexed add per value group — posting slabs are memoised as
-   contiguous ``intp`` arrays alongside the tuple slabs — and matches
-   fall out of one vectorized ``counts == required`` comparison over the
-   rows that counted anything; hit-sparse tiles (or no numpy) walk each
-   event's pre-resolved covers through the matcher's scratch counter,
-   which beats the matrix's fixed costs when almost nothing counts.  The
-   matrix is processed in scheduled-order row tiles so memory stays
-   bounded on huge batches.
+* **Probe dedup.**  The first event carrying a value resolves it against
+  the attribute's buckets into ``(operations, keep)``: the operations the
+  per-event loop charges any event carrying the value, and the bitmask of
+  profiles that survive the attribute — ``probe mask | free mask`` (see
+  :mod:`repro.matching.index.matcher` for the bitmask layout).  Every later
+  event carrying the value costs one dict lookup and one ``&``.
+* **Exact early rejection.**  ``keep == 0`` happens exactly when every
+  live profile constrains the attribute and the probe hits nothing — the
+  per-event loop's rejection — so the event stops there with the same
+  charged operations.
+* **Shared results.**  Events with the same surviving mask, operations and
+  attribute count produce equal results; :class:`MatchResult` is an
+  immutable value object, so one instance (and one id read-out) serves
+  them all.
 
-numpy is therefore **optional**: without it (or with ``HAS_NUMPY`` forced
-off) the kernel keeps scheduling, probe dedup and scratch counting.  Both
-paths return results identical to per-event :meth:`match` — same matched
-ids, same order, same operation accounting (operations are *charged* per
-event as if each event had probed alone; the dedup shrinks the work
-actually *executed*, reported separately via :class:`KernelStats`).
+Results are identical to per-event :meth:`match` — same matched ids, same
+order, same operation accounting (operations are *charged* per event as
+if each event had probed alone; the dedup shrinks the work actually
+*executed*, reported separately via :class:`KernelStats`).
 
 :meth:`PredicateIndexMatcher.match_batch` routes batches of at least
 :data:`MIN_COLUMNAR_BATCH` events here; smaller batches keep the
@@ -61,29 +45,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotations only
     from repro.core.events import Event
     from repro.matching.index.matcher import PredicateIndexMatcher
 
-try:
-    import numpy as _np
+__all__ = ["MIN_COLUMNAR_BATCH", "KernelStats", "match_batch_columnar"]
 
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised via HAS_NUMPY monkeypatch
-    _np = None
-    HAS_NUMPY = False
-
-__all__ = ["HAS_NUMPY", "MIN_COLUMNAR_BATCH", "KernelStats", "match_batch_columnar"]
-
-#: Batches below this size keep the per-event fast path: the columnar
-#: kernel's scheduling/grouping setup only amortises once a batch carries
-#: enough value redundancy to dedupe.
+#: Batches below this size keep the per-event fast path: the kernel's
+#: per-batch memo setup only amortises once a batch carries enough value
+#: redundancy to dedupe.
 MIN_COLUMNAR_BATCH = 16
-
-#: Upper bound on ``events x profiles`` cells per count-matrix tile; keeps
-#: the numpy path's memory bounded (and cache-resident) on huge batches.
-_MAX_TILE_CELLS = 4_000_000
-
-#: Matrix counting pays a fixed toll (matrix zeroing, one vectorized
-#: compare over the counting rows) that only amortises on hit-heavy
-#: tiles; below this many scalar counter bumps the scratch path wins.
-_MIN_MATRIX_BUMPS = 2048
 
 #: Sentinel for "event does not carry the attribute" (values may be None).
 _MISSING = object()
@@ -105,18 +72,12 @@ class KernelStats:
     charged_operations: int = 0
     #: Comparison operations actually executed: each distinct
     #: (attribute, value) probe of the batch counted once, and the
-    #: flatten of an interval-slab cover shared by several distinct
+    #: entries of an interval-slab cover shared by several distinct
     #: values counted once per cover.
     executed_operations: int = 0
     #: Distinct probes resolved (memo misses) vs probes the per-event
     #: loop would have issued.
     distinct_probes: int = 0
-    #: Scalar counter bumps deferred to the counting phase.
-    counter_bumps: int = 0
-    #: Row tiles that chose the vectorized count matrix.
-    matrix_tiles: int = 0
-    #: Row tiles that chose scratch-counter counting.
-    scratch_tiles: int = 0
 
     @property
     def dedup_factor(self) -> float:
@@ -135,162 +96,55 @@ class KernelStats:
         self.charged_operations += other.charged_operations
         self.executed_operations += other.executed_operations
         self.distinct_probes += other.distinct_probes
-        self.counter_bumps += other.counter_bumps
-        self.matrix_tiles += other.matrix_tiles
-        self.scratch_tiles += other.scratch_tiles
         return self
-
-
-def _schedule(events: list["Event"], probe_states):
-    """Schedule the batch on the highest-rejection-power attribute.
-
-    Returns ``(order, runs)``: ``order`` lists the event indices grouped
-    (and, when the values are mutually orderable, sorted) by the first
-    probe attribute's value, attribute-less events last; ``runs`` lists
-    ``(value, start, end)`` half-open slices of ``order`` per distinct
-    value, with one trailing ``(_MISSING, ...)`` run for the
-    attribute-less tail.  Grouping guarantees one probe per distinct key
-    serves a whole contiguous run; sorting additionally makes neighbouring
-    interval-bucket slabs adjacent for range-heavy columns.
-    """
-    n = len(events)
-    if not probe_states:
-        return list(range(n)), [(_MISSING, 0, n)]
-    attribute = probe_states[0][0]
-    groups: dict[object, list[int]] = {}
-    missing: list[int] = []
-    for index, event in enumerate(events):
-        value = event.values.get(attribute, _MISSING)
-        if value is _MISSING:
-            missing.append(index)
-        else:
-            group = groups.get(value)
-            if group is None:
-                groups[value] = [index]
-            else:
-                group.append(index)
-    try:
-        keys = sorted(groups)
-    except TypeError:
-        # Heterogeneous value types: grouping (first-seen order) is enough.
-        keys = list(groups)
-    order: list[int] = []
-    runs: list[tuple[object, int, int]] = []
-    for key in keys:
-        start = len(order)
-        order.extend(groups[key])
-        runs.append((key, start, len(order)))
-    if missing:
-        start = len(order)
-        order.extend(missing)
-        runs.append((_MISSING, start, len(order)))
-    return order, runs
 
 
 def _probe_value(state, value, seen_covers):
     """Resolve one distinct probe value against one attribute's buckets.
 
-    Returns ``(operations, executed, hits, parts)``: ``operations`` is
-    exactly the accounting the per-event loop would charge any single
-    event carrying ``value``; ``executed`` is the work a fresh probe of
-    the value actually performs — identical except that the comparisons
-    of an interval-slab cover already flattened for an *earlier distinct
-    value of this batch* (tracked in ``seen_covers``) are not re-counted,
-    since the posting cache serves them without re-walking the slabs.
-    ``parts`` is a list of ``(memo_key, posting_ids)`` pairs — the hash
-    cover, the interval cover and each satisfied scan entry — whose ids
-    are disjoint (a profile carries at most one predicate per attribute).
+    Returns ``(operations, executed, mask)``: ``operations`` is exactly the
+    accounting the per-event loop would charge any single event carrying
+    ``value``; ``executed`` is the work a fresh probe of the value actually
+    performs — identical except that the entries of an interval-slab
+    cover already resolved for an *earlier distinct value of this batch*
+    (tracked in ``seen_covers``) are not re-counted, since the cover-mask
+    cache serves them without re-walking the slab.  ``mask`` is the OR of
+    the satisfied hash cover, slab cover and scan entries.
     """
     operations = 0
     executed = 0
-    hits = 0
-    parts = []
+    mask = 0
     hash_table = state.view_hash
     if hash_table is not None:
         operations += 1
         executed += 1
         entry_ids = hash_table.get(value)
         if entry_ids:
-            posting = state.posting_cache.get(entry_ids)
-            if posting is None:
-                posting = state.flatten(entry_ids)
-            ids, comparisons = posting
-            operations += comparisons
-            executed += comparisons
-            hits += len(ids)
-            parts.append((entry_ids, ids))
+            operations += len(entry_ids)
+            executed += len(entry_ids)
+            mask = state.cover_masks.get(id(entry_ids)) or state.cover_mask(entry_ids)
     interval_bucket = state.view_interval
     if interval_bucket is not None:
         operations += interval_bucket.probe_cost
         executed += interval_bucket.probe_cost
         cover = interval_bucket.lookup(value)
         if cover:
-            posting = state.posting_cache.get(cover)
-            if posting is None:
-                posting = state.flatten(cover)
-            ids, comparisons = posting
-            operations += comparisons
+            operations += len(cover)
             # Range-heavy columns map many distinct values onto few slab
-            # covers; the flatten runs once per cover, so the executed
-            # side charges it once per cover too.
-            if cover not in seen_covers:
-                seen_covers.add(cover)
-                executed += comparisons
-            hits += len(ids)
-            parts.append((cover, ids))
+            # covers; the cover resolves once, so the executed side
+            # charges it once per cover too.  The bucket cannot change
+            # during a batch, so the cover's id names it.
+            key = id(cover)
+            if key not in seen_covers:
+                seen_covers.add(key)
+                executed += len(cover)
+            mask |= state.cover_masks.get(key) or state.cover_mask(cover)
     for entry in state.view_scan:
         operations += 1
         executed += 1
         if entry.predicate.matches(value):
-            postings = entry.postings
-            hits += len(postings)
-            if postings:
-                parts.append((entry.entry_id, postings))
-    return operations, executed, hits, parts
-
-
-def _resolve(memo, seen_covers, state, value, stats):
-    """Memoised probe of one ``(attribute, value)`` pair.
-
-    The memo entry is ``(operations, hits, payload)`` where ``payload``
-    is a tuple of posting-id sequences of every satisfied entry; the
-    matching numpy array is built lazily (see :func:`_combined_array`)
-    only when a tile actually chooses matrix counting.
-    """
-    probe = memo.get(value)
-    if probe is None:
-        operations, executed, hits, parts = _probe_value(state, value, seen_covers)
-        probe = memo[value] = (operations, hits, parts)
-        if stats is not None:
-            stats.distinct_probes += 1
-            stats.executed_operations += executed
-    return probe
-
-
-def _combined_array(state, parts):
-    """Memoise the combined posting slab of a probe as one numpy array.
-
-    Single-part covers reuse the per-slab array cache directly (entry-id
-    tuples for bucket covers, the bare entry id for scan entries — an
-    ``int`` never collides with a ``tuple``); multi-part covers memoise
-    their concatenation under a ``("+", key, ...)`` compound key, which a
-    flat entry-id tuple can never equal.  Maintenance drops this cache
-    together with ``posting_cache``.
-    """
-    cache = state.np_posting_cache
-    if len(parts) == 1:
-        key, ids = parts[0]
-        array = cache.get(key)
-        if array is None:
-            array = cache[key] = _np.asarray(ids, dtype=_np.intp)
-        return array
-    key = ("+",) + tuple(key for key, _ in parts)
-    array = cache.get(key)
-    if array is None:
-        array = cache[key] = _np.concatenate(
-            [_np.asarray(ids, dtype=_np.intp) for _, ids in parts]
-        )
-    return array
+            mask |= entry.mask
+    return operations, executed, mask
 
 
 def match_batch_columnar(
@@ -299,247 +153,62 @@ def match_batch_columnar(
     *,
     stats: KernelStats | None = None,
 ) -> list[MatchResult]:
-    """Filter a batch of events column-by-column (see the module doc).
+    """Filter a batch of events with per-batch probe dedup (see the module doc).
 
     Semantically identical to mapping :meth:`PredicateIndexMatcher.match`
     over ``events`` — same matched ids in the same order, same per-event
     operation counts, same partial-event and early-rejection behaviour
-    (rejected events of one value run share a single immutable result
-    object).  Pass a :class:`KernelStats` to observe the executed-work
-    accounting.
+    (events with equal outcomes share a single immutable result object).
+    Pass a :class:`KernelStats` to observe the executed-work accounting.
     """
     events = events if isinstance(events, list) else list(events)
-    n = len(events)
-    if n == 0:
+    if not events:
         return []
-    probe_states = matcher._probe_states
-    order, runs = _schedule(events, probe_states)
-    nids = len(matcher._pid_of)
-    tile_rows = max(64, _MAX_TILE_CELLS // nids) if (HAS_NUMPY and nids) else n
-    #: Per-column probe memo, shared across tiles: distinct values resolve
-    #: (flatten + accounting) once per batch, not once per tile.
-    memos: list[dict] = [{} for _ in probe_states]
-    #: Per-column interval covers already flattened this batch: executed
-    #: work counts each cover's comparisons once, however many distinct
-    #: values resolve to it.
-    cover_sets: list[set] = [set() for _ in probe_states]
-    results: list[MatchResult | None] = [None] * n
-    if stats is not None:
-        stats.events += n
-    run_cursor = 0
-
-    for tile_start in range(0, n, tile_rows):
-        tile_end = min(n, tile_start + tile_rows)
-        tile = order[tile_start:tile_end]
-        # Clip the schedule runs to this tile (runs and tiles both follow
-        # the scheduled order, so a linear cursor suffices).
-        tile_runs = []
-        while run_cursor < len(runs):
-            value, start, end = runs[run_cursor]
-            lo = max(start, tile_start) - tile_start
-            hi = min(end, tile_end) - tile_start
-            if lo < hi:
-                tile_runs.append((value, lo, hi))
-            if end > tile_end:
-                break
-            run_cursor += 1
-        _match_tile(matcher, events, tile, tile_runs, memos, cover_sets, results, stats)
-    return results
-
-
-def _match_tile(matcher, events, tile, tile_runs, memos, cover_sets, results, stats):
-    """Probe one scheduled row tile and emit its results.
-
-    The probe phase is strategy-agnostic: it accumulates per-row charged
-    operations, early rejections and *deferred* hit groups ``(rows,
-    payload)``; the counting strategy (vectorized matrix vs scratch
-    counter) is then chosen from the observed number of counter bumps.
-    """
-    t = len(tile)
-    probe_states = matcher._probe_states
-    values_of = [events[index].values for index in tile]
-    ops = [0] * t
-    dead = [False] * t
-    #: Deferred counting work: (state, row range-or-list, payload parts).
-    hit_groups: list[tuple[object, object, list]] = []
-    pending_bumps = 0
-
-    # -- column 1: contiguous scheduled runs ------------------------------
-    if probe_states:
-        first_memo = memos[0]
-        first_covers = cover_sets[0]
-        _, state = probe_states[0]
-        reject_fast = state.reject_fast
-        for value, lo, hi in tile_runs:
+    #: Per probed attribute: its state, the batch's value memo
+    #: ``{value: (operations, keep mask)}`` and the slab covers already
+    #: resolved this batch.
+    columns = [(attribute, state, {}, set()) for attribute, state in matcher._probe_states]
+    live = matcher._live
+    profile_ids = matcher._profile_ids
+    shared: dict[tuple[int, int, int], MatchResult] = {}
+    results: list[MatchResult] = []
+    charged = 0
+    distinct = 0
+    executed = 0
+    for event in events:
+        values = event.values
+        matched = live
+        operations = 0
+        for attribute, state, memo, seen_covers in columns:
+            value = values.get(attribute, _MISSING)
             if value is _MISSING:
+                matched &= state.free
                 continue
-            operations, hits, parts = _resolve(first_memo, first_covers, state, value, stats)
-            if operations:
-                for row in range(lo, hi):
-                    ops[row] += operations
-            if hits:
-                hit_groups.append((state, range(lo, hi), parts))
-                pending_bumps += hits * (hi - lo)
-            elif reject_fast:
-                for row in range(lo, hi):
-                    dead[row] = True
-
-    # -- columns 2+: group the still-alive rows per distinct value --------
-    if len(probe_states) > 1:
-        alive = [row for row in range(t) if not dead[row]]
-        for (attribute, state), memo, seen_covers in zip(
-            probe_states[1:], memos[1:], cover_sets[1:]
-        ):
-            if not alive:
+            probe = memo.get(value)
+            if probe is None:
+                cost, work, mask = _probe_value(state, value, seen_covers)
+                probe = memo[value] = (cost, mask | state.free)
+                distinct += 1
+                executed += work
+            operations += probe[0]
+            keep = probe[1]
+            if not keep:
+                # Every live profile constrains the attribute and none is
+                # satisfied: the per-event loop rejects here.
+                matched = 0
                 break
-            groups: dict[object, list[int]] = {}
-            for row in alive:
-                value = values_of[row].get(attribute, _MISSING)
-                if value is _MISSING:
-                    continue
-                group = groups.get(value)
-                if group is None:
-                    groups[value] = [row]
-                else:
-                    group.append(row)
-            if not groups:
-                continue
-            died = False
-            reject_fast = state.reject_fast
-            for value, rows in groups.items():
-                operations, hits, parts = _resolve(memo, seen_covers, state, value, stats)
-                if operations:
-                    for row in rows:
-                        ops[row] += operations
-                if hits:
-                    hit_groups.append((state, rows, parts))
-                    pending_bumps += hits * len(rows)
-                elif reject_fast:
-                    for row in rows:
-                        dead[row] = True
-                    died = True
-            if died:
-                alive = [row for row in alive if not dead[row]]
-
-    # -- counting: vectorized matrix or per-row scratch walk --------------
-    nids = len(matcher._pid_of)
-    use_matrix = HAS_NUMPY and nids > 0 and pending_bumps >= _MIN_MATRIX_BUMPS
-    if stats is not None:
-        stats.counter_bumps += pending_bumps
-        stats.charged_operations += sum(ops)
-        if use_matrix:
-            stats.matrix_tiles += 1
-        else:
-            stats.scratch_tiles += 1
-    if use_matrix:
-        matched_by_row = _count_matrix(matcher, t, nids, hit_groups, dead)
-        get_matched = matched_by_row.get
-    else:
-        covers: list[list] = [[] for _ in range(t)]
-        for _, rows, parts in hit_groups:
-            for row in rows:
-                covers[row].append(parts)
-
-        def get_matched(row):
-            if not covers[row]:
-                return None
-            return _count_covers(matcher, covers[row], matcher._required)
-
-    # -- epilogue ----------------------------------------------------------
-    always = matcher._always_match_ids
-    order_pos = matcher._order_pos
-    pid_of = matcher._pid_of
-    cache: dict = {}
-    for row in range(t):
-        operations = ops[row]
-        visited = len(values_of[row])
-        matched = None if dead[row] else get_matched(row)
-        if matched:
-            if always:
-                matched.extend(always)
-            matched.sort(key=order_pos.__getitem__)
-            results[tile[row]] = MatchResult(
-                tuple([pid_of[dense] for dense in matched]),
-                operations,
-                visited_levels=visited,
-            )
-            continue
-        # Empty and always-only results repeat massively across a batch
-        # (every rejected event of a run carries identical numbers);
-        # MatchResult is an immutable value object, so sharing one
-        # instance is observationally equivalent to the per-event path.
-        key = (operations, visited, dead[row])
-        result = cache.get(key)
+            matched &= keep
+        charged += operations
+        key = (matched, operations, len(values))
+        result = shared.get(key)
         if result is None:
-            if always and not dead[row]:
-                ordered = sorted(always, key=order_pos.__getitem__)
-                pids = tuple([pid_of[dense] for dense in ordered])
-            else:
-                pids = ()
-            result = cache[key] = MatchResult(pids, operations, visited_levels=visited)
-        results[tile[row]] = result
-
-
-def _count_matrix(matcher, t, nids, hit_groups, dead):
-    """Vectorized counting: accumulate hit groups into a 2-D matrix.
-
-    One fancy-indexed add per value group (contiguous row slices for the
-    scheduled first column), then a single vectorized threshold compare
-    over the rows that counted anything.  The posting ids of one group
-    are disjoint (a profile carries one predicate per attribute) and
-    groups of one column are row-disjoint, so plain ``+= 1`` adds are
-    exact.  Returns ``{row: [matched dense ids]}``.
-    """
-    counts = _np.zeros((t, nids), dtype=_np.int32)
-    for state, rows, parts in hit_groups:
-        payload = _combined_array(state, parts)
-        if type(rows) is range:
-            if len(rows) == 1:
-                counts[rows.start, payload] += 1
-            else:
-                counts[rows.start : rows.stop, payload] += 1
-        elif len(rows) == 1:
-            counts[rows[0], payload] += 1
-        else:
-            counts[_np.asarray(rows, dtype=_np.intp)[:, None], payload] += 1
-    required_arr = _np.asarray(matcher._required, dtype=_np.int32)
-    # Untouched rows hold zero everywhere and required > 0 filters them, so
-    # one full vectorized compare needs no per-row bookkeeping; only rows
-    # rejected *after* counting something must be masked out.
-    matched_mask = (counts == required_arr) & (required_arr > 0)
-    if any(dead):
-        matched_mask[_np.asarray(dead, dtype=bool)] = False
-    matched_by_row: dict[int, list[int]] = {}
-    for row, dense in zip(*(index.tolist() for index in _np.nonzero(matched_mask))):
-        matched_by_row.setdefault(row, []).append(dense)
-    return matched_by_row
-
-
-def _count_covers(matcher, row_covers, required) -> list[int]:
-    """Count one event's pre-resolved covers via the matcher's scratch.
-
-    Mirrors the tail of :meth:`PredicateIndexMatcher.match` — counts into
-    the preallocated dense counter, resets via the touched list — but
-    skips the probe work the column phase already deduped.
-    """
-    counts = matcher._counts
-    touched = matcher._touched
-    if touched:
-        # A previous per-event match aborted mid-way; heal like match().
-        for dense in touched:
-            counts[dense] = 0
-        del touched[:]
-    for parts in row_covers:
-        for _, ids in parts:
-            for dense in ids:
-                count = counts[dense]
-                if count == 0:
-                    touched.append(dense)
-                counts[dense] = count + 1
-    if not touched:
-        return []
-    matched = [dense for dense in touched if counts[dense] == required[dense]]
-    for dense in touched:
-        counts[dense] = 0
-    del touched[:]
-    return matched
+            result = shared[key] = MatchResult(
+                profile_ids(matched), operations, visited_levels=len(values)
+            )
+        results.append(result)
+    if stats is not None:
+        stats.events += len(events)
+        stats.charged_operations += charged
+        stats.distinct_probes += distinct
+        stats.executed_operations += executed
+    return results

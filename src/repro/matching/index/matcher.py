@@ -1,59 +1,65 @@
-"""The predicate-index matcher (dense-id counting core).
+"""The predicate-index matcher (dense-id bitmask core).
 
 :class:`PredicateIndexMatcher` decomposes every profile predicate into the
 per-(attribute, operator) buckets of :mod:`repro.matching.index.buckets`
-and satisfies profiles by *counting over index hits*: each distinct
+and satisfies profiles by *intersecting index hits*: each distinct
 ``(attribute, predicate)`` pair is one entry shared by all subscribing
 profiles; per event and attribute a single probe returns the satisfied
-entries, their subscribers' counters are incremented, and the profiles
-whose counter reaches their constrained-attribute count match.
+entries, and a profile matches when, on every attribute it constrains,
+one of its entries is satisfied.
 
-Dense-id layout
----------------
+Dense-id bitmasks
+-----------------
 The hot loop never touches profile-id strings.  Every profile is assigned a
 **dense integer id** by an allocator with a free list (``_id_of`` /
 ``_pid_of`` / ``_free_ids``), so subscription churn recycles ids instead of
-growing the id space.  Everything per-profile is an array indexed by dense
-id:
+growing the id space, and ``_order_pos[dense]`` keeps a monotone insertion
+stamp that reports matches in profile-set insertion order (dense-id order
+is insertion order until the first recycled id).
 
-* ``_required[dense]`` — number of constrained attributes (the match
-  threshold);
-* ``_order_pos[dense]`` — monotone insertion stamp used to report matches
-  in profile-set insertion order;
-* ``_counts[dense]`` — the per-event hit counter, a preallocated list of
-  ints (a plain list beats ``bytearray``/``array('I')`` here: CPython
-  specialises list subscripts, and unboxed arrays re-box every value on
-  read).
+A set of profiles is one Python ``int`` whose bit *d* stands for dense id
+*d*:
 
-Posting lists are flattened into contiguous slabs of dense ids, built
-lazily per distinct entry-id tuple and memoised in a per-attribute cache
-that maintenance simply drops.  Per event the counter is reset by walking
-the *touched* dense ids — never by reallocating — so :meth:`match` /
-:meth:`match_batch` allocate nothing per event beyond the result object.
+* ``_live`` — every live profile;
+* ``_Entry.mask`` — the subscribers of one entry;
+* ``_AttributeState.free`` — the live profiles that do **not** constrain
+  the attribute (don't-care there, including the always-match profiles);
+* ``_AttributeState.cover_masks`` — the OR of the entry masks of one
+  hash-bucket hit or slab cover, memoised per entry-id tuple; maintenance
+  rebinds the cache to ``{}``.
+
+A probe of ``(attribute, value)`` resolves to the OR of its satisfied
+entry masks, and an event's matches are the AND, over the probed
+attributes, of ``probe mask | free mask`` (an attribute the event does
+not carry contributes ``free`` alone).  A profile carries at most one
+predicate per attribute, so the entry masks OR-ed by one probe are
+disjoint.  Matched ids are read out of the final mask in dense-id order
+and, once churn has recycled an id, sorted by ``_order_pos``.
 
 Incremental maintenance
 -----------------------
 :meth:`add_profile` / :meth:`remove_profile` apply **postings deltas**: the
 profile's entries are spliced into (or out of) the hash, slab and scan
 buckets in place (slab buckets splice endpoints via ``bisect.insort``-style
-edits, see :class:`~repro.matching.index.buckets.IntervalBucket`), which
-makes the cost of one churn operation proportional to the profile's own
-predicates — not to the total predicate population.  Strategy decisions
-(index-vs-scan per attribute, the probe order) are *not* recomputed per
-churn op; maintenance merely raises a deferred-replan flag and the planner
-recosts lazily the next time :attr:`plan` (or an estimated cost) is asked
-for.  A full :meth:`replan` rebuild also compacts ids and stale slab
-boundaries.
+edits, see :class:`~repro.matching.index.buckets.IntervalBucket`) and its
+bit is set in (or cleared from) the entry masks and every attribute's free
+mask, which makes the cost of one churn operation proportional to the
+profile's own predicates plus one mask edit per attribute — not to the
+total predicate population.  Strategy decisions (index-vs-scan per
+attribute, the probe order) are *not* recomputed per churn op; maintenance
+merely raises a deferred-replan flag and the planner recosts lazily the
+next time :attr:`plan` (or an estimated cost) is asked for.  A full
+:meth:`replan` rebuild also compacts ids and stale slab boundaries.
 
 Maintenance must go through the matcher's own methods; mutating the wrapped
 :class:`~repro.core.profiles.ProfileSet` directly desynchronises the index.
 
 Operation accounting follows the suite's convention (one comparison per
-probe step and per satisfied/scanned entry; counter bookkeeping is free —
+probe step and per satisfied/scanned entry; the mask arithmetic is free —
 see ``CountingMatcher`` and the baselines benchmark for the caveat this
-implies).  The matcher is not reentrant: the counter and touched list are
-shared scratch state, so concurrent :meth:`match` calls on one instance
-are not supported.
+implies).  Early rejection is exact: when every live profile constrains an
+attribute (its free mask is empty) and the probe hits nothing, no profile
+can match and the event stops there.
 """
 
 from __future__ import annotations
@@ -87,26 +93,28 @@ def _classify(predicate: Predicate) -> int:
 class _Entry:
     """One distinct ``(attribute, predicate)`` pair and its subscribers."""
 
-    __slots__ = ("entry_id", "predicate", "kind", "postings")
+    __slots__ = ("entry_id", "predicate", "kind", "mask")
 
     def __init__(self, entry_id: int, predicate: Predicate, kind: int) -> None:
         self.entry_id = entry_id
         self.predicate = predicate
         self.kind = kind
-        #: Dense ids of the subscribing profiles (unordered).
-        self.postings: list[int] = []
+        #: Bitmask of the subscribing profiles' dense ids.
+        self.mask = 0
 
 
 class _AttributeState:
     """Mutable per-attribute index state.
 
-    ``posting_cache`` maps an entry-id tuple (a hash-bucket hit or a slab
-    cover) to its flattened ``(dense-id tuple, entry count)`` posting slab.
-    ``np_posting_cache`` memoises the same slabs (plus per-scan-entry
-    postings, keyed by the bare entry id) as contiguous numpy arrays for
-    the columnar batch kernel (:mod:`repro.matching.index.kernel`).
-    Maintenance rebinds both caches to ``{}``; the hot loops re-flatten
-    each distinct tuple once on its next probe.
+    ``free`` is the bitmask of live profiles that do not constrain the
+    attribute.  ``cover_masks`` maps an entry-id tuple (a hash-bucket hit
+    or a slab cover) to the OR of its entries' masks, keyed by the tuple's
+    ``id()``: a slab cover can list hundreds of entries, and hashing the
+    tuple on every probe would cost more than the mask lookup saves.  The
+    buckets own the tuples and only replace them during maintenance,
+    which rebinds the cache to ``{}``, so a cached id always names the
+    live tuple it was computed for; the hot loops rebuild each tuple's
+    mask once on its next probe.
     """
 
     __slots__ = (
@@ -124,13 +132,11 @@ class _AttributeState:
         "view_hash",
         "view_interval",
         "view_scan",
-        "constraining",
-        "reject_fast",
-        "posting_cache",
-        "np_posting_cache",
+        "free",
+        "cover_masks",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, free: int = 0) -> None:
         self.entries: dict[Predicate, _Entry] = {}
         self.entry_by_id: dict[int, _Entry] = {}
         self.next_entry_id = 0
@@ -156,17 +162,11 @@ class _AttributeState:
         self.view_hash: Mapping[object, tuple[int, ...]] | None = None
         self.view_interval: IntervalBucket | None = None
         self.view_scan: Iterable[_Entry] = self.scan_entries
-        #: Number of live profiles constraining the attribute (each profile
-        #: carries at most one predicate per attribute, so this equals the
-        #: distinct-profile count).
-        self.constraining = 0
-        #: ``True`` when *every* live profile constrains the attribute, so
-        #: a zero-hit probe rejects the event outright; refreshed by the
-        #: matcher whenever the live-profile count or ``constraining``
-        #: changes (see ``_refresh_reject_flags``).
-        self.reject_fast = False
-        self.posting_cache: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        self.np_posting_cache: dict[object, object] = {}
+        #: Live profiles not constraining the attribute.  Empty means every
+        #: live profile constrains it, so a zero-hit probe rejects the
+        #: event outright.
+        self.free = free
+        self.cover_masks: dict[int, int] = {}
 
     def refresh_view(self) -> None:
         """Recompile the probe view after a strategy or bucket change.
@@ -194,21 +194,57 @@ class _AttributeState:
                 if entry.kind == _SCAN or entry.kind == demoted
             ]
 
-    def flatten(self, entry_ids: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        """Flatten and memoise the posting slab of an entry-id tuple.
-
-        The slab is a tuple of dense ids rather than an ``array('I')``:
-        iterating an unboxed array re-boxes every id above the small-int
-        cache on every event, which measures slower than reusing the int
-        objects a tuple keeps alive.
-        """
-        flat: list[int] = []
+    def cover_mask(self, entry_ids: tuple[int, ...]) -> int:
+        """Return (and memoise) the OR of the entry masks of ``entry_ids``."""
+        mask = 0
         by_id = self.entry_by_id
         for entry_id in entry_ids:
-            flat.extend(by_id[entry_id].postings)
-        posting = (tuple(flat), len(entry_ids))
-        self.posting_cache[entry_ids] = posting
-        return posting
+            mask |= by_id[entry_id].mask
+        self.cover_masks[id(entry_ids)] = mask
+        return mask
+
+
+def _mask_of(dense_ids: list[int], width: int) -> int:
+    """Return the bitmask of ``dense_ids`` (all below ``width``).
+
+    Built through a bytearray in O(width + len(dense_ids)); OR-ing one bit
+    at a time would copy the growing int once per id.
+    """
+    buffer = bytearray((width + 7) >> 3)
+    for dense in dense_ids:
+        buffer[dense >> 3] |= 1 << (dense & 7)
+    return int.from_bytes(buffer, "little")
+
+
+#: Set-bit offsets of every byte value, for the dense-mask read-out.
+_BYTE_BITS = tuple(tuple(bit for bit in range(8) if value >> bit & 1) for value in range(256))
+
+
+def _dense_ids(mask: int) -> list[int]:
+    """Return the dense ids set in ``mask``, ascending.
+
+    Sparse masks clear their top bit once per id, linear in matches (each
+    step copies the shrinking int); dense masks are scanned byte by byte,
+    linear in the id space.  Measured on CPython 3.11, the first costs
+    about ``1 + width / 10 000`` units per set bit and the second
+    ``width / 800`` units in all, so the cheaper one runs.
+    """
+    ids: list[int] = []
+    width = mask.bit_length()
+    if mask.bit_count() * (width + 10_000) < width * 800:
+        while mask:
+            top = mask.bit_length() - 1
+            ids.append(top)
+            mask ^= 1 << top
+        ids.reverse()
+        return ids
+    base = -8
+    for byte in mask.to_bytes((width + 7) >> 3, "little"):
+        base += 8
+        if byte:
+            for bit in _BYTE_BITS[byte]:
+                ids.append(base + bit)
+    return ids
 
 
 class PredicateIndexMatcher:
@@ -234,12 +270,11 @@ class PredicateIndexMatcher:
             dense = self._free_ids.pop()
             self._pid_of[dense] = profile_id
             self._order_pos[dense] = self._order_counter
+            self._recycled = True
         else:
             dense = len(self._pid_of)
             self._pid_of.append(profile_id)
-            self._required.append(0)
             self._order_pos.append(self._order_counter)
-            self._counts.append(0)
         self._order_counter += 1
         self._id_of[profile_id] = dense
         return dense
@@ -250,34 +285,35 @@ class PredicateIndexMatcher:
 
         Used at construction and by :meth:`replan`; ordinary churn goes
         through the postings-delta path instead.  The batch path builds the
-        slab buckets with the O(k log k) endpoint sweep and compacts the
-        dense-id space and any stale slab boundaries.
+        slab buckets with the O(k log k) endpoint sweep, every mask in one
+        pass over its ids, and compacts the dense-id space and any stale
+        slab boundaries.
         """
         self._states: dict[str, _AttributeState] = {}
         self._id_of: dict[str, int] = {}
         self._pid_of: list[str | None] = []
         self._free_ids: list[int] = []
-        self._required: list[int] = []
         self._order_pos: list[int] = []
         self._order_counter = 0
-        self._counts: list[int] = []
-        self._touched: list[int] = []
-        self._always_match_ids: list[int] = []
+        #: Whether a recycled dense id broke the match between dense-id
+        #: order and insertion order (read-outs then sort by ``_order_pos``).
+        self._recycled = False
         self._probe_order: tuple[str, ...] = ()
         self._probe_states: tuple[tuple[str, _AttributeState], ...] = ()
         self._probed: set[str] = set()
         self._replan_pending = True
 
+        postings: dict[_Entry, list[int]] = {}
+        constrainers: dict[_AttributeState, list[int]] = {}
         for profile in self.profiles:
             dense = self._allocate_id(profile.profile_id)
-            constrained = 0
             for attribute, predicate in profile.predicates.items():
                 if predicate.is_dont_care:
                     continue
-                constrained += 1
                 state = self._states.get(attribute)
                 if state is None:
                     state = self._states[attribute] = _AttributeState()
+                    constrainers[state] = []
                 entry = state.entries.get(predicate)
                 if entry is None:
                     entry = _Entry(state.next_entry_id, predicate, _classify(predicate))
@@ -286,9 +322,16 @@ class PredicateIndexMatcher:
                     state.entry_by_id[entry.entry_id] = entry
                     if entry.kind == _SCAN:
                         state.scan_entries.append(entry)
-                entry.postings.append(dense)
-                state.constraining += 1
-            self._set_required(dense, constrained)
+                    postings[entry] = []
+                postings[entry].append(dense)
+                constrainers[state].append(dense)
+        width = len(self._pid_of)
+        #: Bitmask of every live profile's dense id.
+        self._live = (1 << width) - 1
+        for entry, ids in postings.items():
+            entry.mask = _mask_of(ids, width)
+        for state, ids in constrainers.items():
+            state.free = self._live ^ _mask_of(ids, width)
 
         for state in self._states.values():
             hash_items: dict[object, list[int]] = {}
@@ -307,11 +350,6 @@ class PredicateIndexMatcher:
             state.interval_bucket = IntervalBucket(interval_items) if interval_items else None
             state.range_entry_count = len(interval_items)
         self._recompute_plan()
-
-    def _set_required(self, dense: int, constrained: int) -> None:
-        self._required[dense] = constrained
-        if constrained == 0:
-            self._always_match_ids.append(dense)
 
     def _create_entry(self, state: _AttributeState, predicate: Predicate) -> _Entry:
         entry = _Entry(state.next_entry_id, predicate, _classify(predicate))
@@ -365,15 +403,17 @@ class PredicateIndexMatcher:
     def _insert_profile(self, profile: Profile) -> None:
         """Apply the postings delta of one added profile."""
         dense = self._allocate_id(profile.profile_id)
-        constrained = 0
+        bit = 1 << dense
+        states = self._states
+        constrained: list[_AttributeState] = []
         new_attributes: list[str] = []
         for attribute, predicate in profile.predicates.items():
             if predicate.is_dont_care:
                 continue
-            constrained += 1
-            state = self._states.get(attribute)
+            state = states.get(attribute)
             if state is None:
-                state = self._states[attribute] = _AttributeState()
+                # Every profile already live leaves the new attribute free.
+                state = states[attribute] = _AttributeState(self._live)
             if attribute not in self._probed:
                 # Probing the new attribute is required for correctness
                 # immediately; its *position* is refined at the next replan.
@@ -384,14 +424,16 @@ class PredicateIndexMatcher:
             entry = state.entries.get(predicate)
             if entry is None:
                 entry = self._create_entry(state, predicate)
-            entry.postings.append(dense)
-            state.constraining += 1
-            state.posting_cache = {}
-            state.np_posting_cache = {}
-        self._set_required(dense, constrained)
+            entry.mask |= bit
+            state.cover_masks = {}
+            constrained.append(state)
+        for state in states.values():
+            if state not in constrained:
+                state.free |= bit
+        self._live |= bit
         schema = self.profiles.schema
         for attribute in new_attributes:
-            state = self._states[attribute]
+            state = states[attribute]
             plan = self._planner.plan_attribute(
                 attribute,
                 schema.domain(attribute),
@@ -419,7 +461,15 @@ class PredicateIndexMatcher:
         """
         self.profiles.add(profile)
         self._insert_profile(profile)
-        self._refresh_reject_flags()
+
+    def _add_admitted(self, profile: Profile) -> None:
+        """Register a profile the caller has already validated.
+
+        The broker's subscription registry validates every profile it
+        accepts; this skips the profile set's second schema check.
+        """
+        self.profiles._admit(profile)
+        self._insert_profile(profile)
 
     def add_profiles(self, profiles: Iterable[Profile]) -> None:
         """Register a batch of profiles.
@@ -440,28 +490,9 @@ class PredicateIndexMatcher:
                 # so the index always describes the profile set exactly.
                 self._rebuild()
             return
-        try:
-            for profile in batch:
-                self.profiles.add(profile)
-                self._insert_profile(profile)
-        finally:
-            # Refresh even on a mid-batch failure: the successfully
-            # inserted prefix must not be shadowed by stale reject flags.
-            self._refresh_reject_flags()
-
-    def _refresh_reject_flags(self) -> None:
-        """Re-derive every attribute's early-reject flag.
-
-        O(#attributes) — the live-profile count enters every flag, so any
-        churn op refreshes them all.
-        """
-        live = len(self._id_of)
-        if live:
-            for state in self._states.values():
-                state.reject_fast = state.constraining == live
-        else:
-            for state in self._states.values():
-                state.reject_fast = False
+        for profile in batch:
+            self.profiles.add(profile)
+            self._insert_profile(profile)
 
     def remove_profile(self, profile_id: str) -> None:
         """Unregister a profile via postings deltas.
@@ -473,24 +504,24 @@ class PredicateIndexMatcher:
         if dense is None:
             raise MatchingError(f"unknown profile id {profile_id!r}")
         profile = self.profiles.remove(profile_id)
+        bit = 1 << dense
+        states = self._states
         for attribute, predicate in profile.predicates.items():
             if predicate.is_dont_care:
                 continue
-            state = self._states[attribute]
+            state = states[attribute]
             entry = state.entries[predicate]
-            entry.postings.remove(dense)
-            if not entry.postings:
+            entry.mask ^= bit
+            if not entry.mask:
                 self._drop_entry(state, predicate, entry)
-            state.constraining -= 1
-            state.posting_cache = {}
-            state.np_posting_cache = {}
+            state.cover_masks = {}
+        keep = ~bit
+        for state in states.values():
+            state.free &= keep
+        self._live ^= bit
         del self._id_of[profile_id]
         self._pid_of[dense] = None
-        if self._required[dense] == 0:
-            self._always_match_ids.remove(dense)
-        self._required[dense] = 0
         self._free_ids.append(dense)
-        self._refresh_reject_flags()
         self._replan_pending = True
 
     # -- planning introspection -------------------------------------------------
@@ -526,7 +557,6 @@ class PredicateIndexMatcher:
         #: these so it never chases the states dict per event.
         self._probe_states = tuple((name, states[name]) for name in self._probe_order)
         self._plan = IndexPlan(attributes=plans, probe_order=self._probe_order)
-        self._refresh_reject_flags()
         self._replan_pending = False
 
     @property
@@ -605,60 +635,32 @@ class PredicateIndexMatcher:
 
     # -- matching ---------------------------------------------------------------
     def match(self, event: Event) -> MatchResult:
-        """Filter one event by counting satisfied entries per profile.
-
-        The loop allocates nothing per event: hits are counted into the
-        preallocated dense counter and reset by walking the touched list.
-        """
-        counts = self._counts
-        touched = self._touched
-        if touched:
-            # A previous match aborted mid-way (a predicate comparison
-            # raised): heal the shared scratch state before counting.
-            for dense in touched:
-                counts[dense] = 0
-            del touched[:]
+        """Filter one event by intersecting per-attribute hit masks."""
         operations = 0
         values = event.values
+        matched = self._live
         for attribute, state in self._probe_states:
             try:
                 value = values[attribute]
             except KeyError:
-                # Partial event: the attribute is simply unconstrainable.
+                # Partial event: only profiles free on the attribute survive.
+                matched &= state.free
                 continue
-            hits = 0
+            mask = 0
             hash_table = state.view_hash
             if hash_table is not None:
                 operations += 1
                 entry_ids = hash_table.get(value)
                 if entry_ids:
-                    posting = state.posting_cache.get(entry_ids)
-                    if posting is None:
-                        posting = state.flatten(entry_ids)
-                    ids, comparisons = posting
-                    operations += comparisons
-                    hits = len(ids)
-                    for dense in ids:
-                        count = counts[dense]
-                        if count == 0:
-                            touched.append(dense)
-                        counts[dense] = count + 1
+                    operations += len(entry_ids)
+                    mask = state.cover_masks.get(id(entry_ids)) or state.cover_mask(entry_ids)
             interval_bucket = state.view_interval
             if interval_bucket is not None:
                 operations += interval_bucket.probe_cost
                 cover = interval_bucket.lookup(value)
                 if cover:
-                    posting = state.posting_cache.get(cover)
-                    if posting is None:
-                        posting = state.flatten(cover)
-                    ids, comparisons = posting
-                    operations += comparisons
-                    hits += len(ids)
-                    for dense in ids:
-                        count = counts[dense]
-                        if count == 0:
-                            touched.append(dense)
-                        counts[dense] = count + 1
+                    operations += len(cover)
+                    mask |= state.cover_masks.get(id(cover)) or state.cover_mask(cover)
             # In index mode this scans the residual (NotEquals-style)
             # entries only; in scan mode view_scan is every entry of the
             # attribute (the planner judged a probe more expensive than
@@ -666,40 +668,26 @@ class PredicateIndexMatcher:
             for entry in state.view_scan:
                 operations += 1
                 if entry.predicate.matches(value):
-                    postings = entry.postings
-                    hits += len(postings)
-                    for dense in postings:
-                        count = counts[dense]
-                        if count == 0:
-                            touched.append(dense)
-                        counts[dense] = count + 1
-            # Early rejection is sound only when *every* live profile
-            # constrains the attribute (precomputed per state): a zero-hit
-            # probe then proves that no profile can match.
-            if hits == 0 and state.reject_fast:
-                if touched:
-                    for dense in touched:
-                        counts[dense] = 0
-                    del touched[:]
-                return MatchResult(tuple(), operations, visited_levels=len(values))
+                    mask |= entry.mask
+            if mask:
+                matched &= mask | state.free
+            elif state.free:
+                matched &= state.free
+            else:
+                # Every live profile constrains the attribute and none is
+                # satisfied: no profile can match.
+                return MatchResult((), operations, visited_levels=len(values))
+        return MatchResult(self._profile_ids(matched), operations, visited_levels=len(values))
 
-        if touched:
-            required = self._required
-            matched = [dense for dense in touched if counts[dense] == required[dense]]
-            for dense in touched:
-                counts[dense] = 0
-            del touched[:]
-        else:
-            matched = []
-        if self._always_match_ids:
-            matched.extend(self._always_match_ids)
-        matched.sort(key=self._order_pos.__getitem__)
+    def _profile_ids(self, mask: int) -> tuple[str, ...]:
+        """Return the profile ids of ``mask`` in profile-set insertion order."""
+        if not mask:
+            return ()
+        matched = _dense_ids(mask)
+        if self._recycled:
+            matched.sort(key=self._order_pos.__getitem__)
         pid_of = self._pid_of
-        return MatchResult(
-            tuple([pid_of[dense] for dense in matched]),
-            operations,
-            visited_levels=len(values),
-        )
+        return tuple([pid_of[dense] for dense in matched])
 
     def match_batch(self, events: Iterable[Event]) -> list[MatchResult]:
         """Filter a sequence of events, batch-size-aware.
@@ -707,11 +695,11 @@ class PredicateIndexMatcher:
         Batches of at least
         :data:`~repro.matching.index.kernel.MIN_COLUMNAR_BATCH` events (read
         at call time) run through the columnar batch kernel
-        (:func:`~repro.matching.index.kernel.match_batch_columnar`):
-        cache-aware scheduling, per-column probe dedup and — with numpy
-        available — vectorized slab counting.  Smaller batches keep the
-        per-event loop, whose fixed overhead is lower.  Both paths return
-        exactly what sequential :meth:`match` calls would.
+        (:func:`~repro.matching.index.kernel.match_batch_columnar`), which
+        probes each distinct ``(attribute, value)`` pair once per batch.
+        Smaller batches keep the per-event loop, whose fixed overhead is
+        lower.  Both paths return exactly what sequential :meth:`match`
+        calls would.
         """
         events = events if isinstance(events, list) else list(events)
         if len(events) >= kernel.MIN_COLUMNAR_BATCH:

@@ -110,18 +110,6 @@ class IndexPlan:
         """Return the planner's predicted comparisons per event."""
         return sum(plan.chosen_cost for plan in self.attributes.values())
 
-    @property
-    def schedule_attribute(self) -> str | None:
-        """Return the highest-rejection-power attribute (or ``None``).
-
-        This is the first probe-order entry — the attribute most likely to
-        reject an event outright — and the sort key the columnar batch
-        kernel (:mod:`repro.matching.index.kernel`) schedules a batch by
-        so that events sharing a probe value hit the same posting slabs
-        back-to-back.
-        """
-        return self.probe_order[0] if self.probe_order else None
-
     def plan_for(self, attribute: str) -> AttributePlan | None:
         return self.attributes.get(attribute)
 
@@ -368,9 +356,7 @@ class IndexPlanner:
         available, degrading to Measure A1 (relative zero-subdomain size)
         without them.  Returns ``{}`` for ``NATURAL`` (no ranking) and for
         workloads the partition builder cannot model — callers fall back
-        to schema order either way.  Besides driving :meth:`probe_order`,
-        the scores pick the batch-scheduling attribute of the columnar
-        kernel (see :attr:`IndexPlan.schedule_attribute`).
+        to schema order either way.
         """
         measure = self.attribute_measure
         if measure is AttributeMeasure.NATURAL:

@@ -34,6 +34,10 @@ class NaiveMatcher:
         """Register an additional profile."""
         self.profiles.add(profile)
 
+    def _add_admitted(self, profile: Profile) -> None:
+        """Register a profile the caller has already validated."""
+        self.profiles._admit(profile)
+
     def add_profiles(self, profiles: Iterable[Profile]) -> None:
         """Register a batch of profiles."""
         for profile in profiles:

@@ -67,6 +67,11 @@ class TreeMatcher:
         self.profiles.add(profile)
         self._rebuild_after_profile_change()
 
+    def _add_admitted(self, profile: Profile) -> None:
+        """Register a profile the caller has already validated."""
+        self.profiles._admit(profile)
+        self._rebuild_after_profile_change()
+
     def add_profiles(self, profiles: Iterable[Profile]) -> None:
         """Register a batch of profiles with a single tree rebuild.
 

@@ -332,6 +332,19 @@ class AdaptiveFilterEngine:
         """Register a profile (delegates to the matcher)."""
         self._matcher.add_profile(profile)
 
+    def _add_admitted(self, profile: Profile) -> None:
+        """Register a profile the caller has already validated.
+
+        The built-in families skip their profile set's schema check; a
+        family without the unchecked path validates through
+        ``add_profile``.
+        """
+        add = getattr(self._matcher, "_add_admitted", None)
+        if add is None:
+            self._matcher.add_profile(profile)
+        else:
+            add(profile)
+
     def add_profiles(self, profiles: Iterable[Profile]) -> None:
         """Register a batch of profiles via the matcher's batch path.
 

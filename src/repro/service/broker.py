@@ -159,13 +159,15 @@ class Broker:
         state; the engine is only ever built from scratch for the first
         subscription.
         """
+        # Every attached profile passed the subscription registry's schema
+        # check, so the filter side registers it unchecked.
         if self._engine is None:
-            self._profiles.add(profile)
+            self._profiles._admit(profile)
             self._make_engine()
         else:
             # The engine's matcher shares self._profiles and registers the
             # profile there itself.
-            self._engine.add_profile(profile)
+            self._engine._add_admitted(profile)
 
     def _detach_profile(self, profile_id: str, *, keep_engine: bool = False) -> None:
         """Remove one profile from the live filter component incrementally.
@@ -221,7 +223,7 @@ class Broker:
             )
         live = [entry for entry in recovered.entries if not entry.paused]
         for entry in live:
-            self._profiles.add(entry.profile)
+            self._profiles._admit(entry.profile)
         if len(self._profiles) > 0:
             self._make_engine()
         for entry in recovered.entries:
@@ -374,7 +376,7 @@ class Broker:
             raise
         if self._engine is None:
             for subscription in subscriptions:
-                self._profiles.add(subscription.profile)
+                self._profiles._admit(subscription.profile)
             if len(self._profiles) > 0:
                 self._make_engine()
         elif subscriptions:
@@ -595,9 +597,9 @@ class Broker:
         call of the unchecked half of
         :meth:`~repro.service.adaptive.AdaptiveFilterEngine.match_batch`;
         on the index family large batches reach the columnar batch
-        kernel (:mod:`repro.matching.index.kernel`) — cache-aware event
-        scheduling, per-batch probe dedup, vectorized posting-slab
-        counting — so this is the publishing entry point for
+        kernel (:mod:`repro.matching.index.kernel`) — each distinct
+        ``(attribute, value)`` probed once per batch, one bitmask AND per
+        attribute — so this is the publishing entry point for
         heavy-traffic pipelines.
 
         ``timestamps`` stamps each event's notifications with an

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import ProfileError, ServiceError, SubscriptionError
-from repro.core.profiles import Profile
+from repro.core.profiles import Profile, ProfileSet
 from repro.core.predicates import Equals
 from repro.api import (
     AdaptationPolicy,
@@ -11,6 +11,7 @@ from repro.api import (
     ServiceStats,
     where,
 )
+from repro.matching.index import PredicateIndexMatcher
 from repro.workloads import (
     build_workload,
     environmental_profiles,
@@ -203,6 +204,38 @@ class TestSubscribing:
         service = make_service()
         with pytest.raises(ProfileError, match="Profile or ProfileBuilder"):
             service.subscribe({"temperature": Equals(20)})
+
+    @pytest.mark.parametrize("engine", ["auto", "index", "hybrid", "tree", "naive"])
+    def test_subscribe_validates_each_profile_once(self, engine, monkeypatch):
+        """The registry's schema check is the only one: the filter side
+        registers the already-validated profile unchecked."""
+        validated = []
+        validate = Profile.validate
+
+        def counting(profile, schema):
+            validated.append(profile.profile_id)
+            validate(profile, schema)
+
+        monkeypatch.setattr(Profile, "validate", counting)
+        service = make_service(engine=engine)
+        for index in range(10):
+            service.subscribe(Profile(f"P{index}", {"temperature": Equals(20 + index)}))
+            assert validated == [f"P{i}" for i in range(index + 1)]
+        handle = service.subscribe(where("humidity").at_most(50), profile_id="humid")
+        assert validated[-1] == "humid" and len(validated) == 11
+        handle.cancel()
+        service.subscribe(Profile("P3-again", {"temperature": Equals(3)}))
+        assert len(validated) == 12
+
+    def test_unchecked_path_leaves_public_adds_validating(self):
+        schema = environmental_schema()
+        bad = Profile("bad", {"no-such-attribute": Equals(1)})
+        with pytest.raises(ProfileError, match="unknown attribute"):
+            ProfileSet(schema).add(bad)
+        with pytest.raises(ProfileError, match="unknown attribute"):
+            PredicateIndexMatcher(ProfileSet(schema)).add_profile(bad)
+        with pytest.raises(ProfileError, match="unknown attribute"):
+            make_service(engine="index").subscribe(bad)
 
     def test_handle_lookup(self):
         service = make_service()

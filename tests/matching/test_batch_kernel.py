@@ -5,10 +5,16 @@ The contract (and the tentpole property): for ANY event batch,
     columnar kernel == per-event ``match`` loop == naive oracle
 
 — same matched profile ids in the same order AND the same per-event
-operation accounting — with numpy *and* on the pure-Python fallback path
-(``HAS_NUMPY`` monkeypatched off), including duplicate events, empty
-batches, partial events and churned matchers.
+operation accounting — including duplicate events, empty batches, partial
+events and churned matchers.  The kernel is pure Python: one test runs it
+in an interpreter where numpy cannot be imported.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -101,17 +107,24 @@ def test_columnar_kernel_equals_match_and_naive_oracle(data):
 
 @given(data=workloads())
 @settings(max_examples=100, deadline=None)
-def test_fallback_kernel_equals_match_without_numpy(data):
+def test_kernel_stats_charge_what_match_charges(data):
+    """Charged operations are the per-event loop's; executed operations
+    never exceed them, and each distinct probe resolves once."""
     profiles, events = data
     matcher = PredicateIndexMatcher(profiles)
     sequential = [matcher.match(event) for event in events]
-    previous = kernel.HAS_NUMPY
-    kernel.HAS_NUMPY = False
-    try:
-        fallback = kernel.match_batch_columnar(matcher, events)
-    finally:
-        kernel.HAS_NUMPY = previous
-    assert_results_equal(fallback, sequential)
+    stats = kernel.KernelStats()
+    kernel.match_batch_columnar(matcher, events, stats=stats)
+    assert stats.events == len(events)
+    assert stats.charged_operations == sum(r.operations for r in sequential)
+    assert 0 <= stats.executed_operations <= stats.charged_operations
+    distinct_values = {
+        (name, event.values[name])
+        for event in events
+        for name in matcher.plan.probe_order
+        if name in event.values
+    }
+    assert stats.distinct_probes <= len(distinct_values)
 
 
 @given(data=workloads())
@@ -158,14 +171,14 @@ def test_always_match_profiles_in_batches():
 
 
 def test_kernel_after_churn_matches_fresh_build():
-    """Maintenance (including np-slab cache invalidation) keeps the kernel
-    equivalent to a freshly built matcher."""
+    """Maintenance (including cover-mask cache invalidation) keeps the
+    kernel equivalent to a freshly built matcher."""
     workload = build_workload(
         get_profile("stock-ticker").spec.with_counts(profile_count=80, event_count=200)
     )
     matcher = PredicateIndexMatcher(workload.profiles)
     events = list(workload.events)
-    kernel.match_batch_columnar(matcher, events)  # warm the np slab caches
+    kernel.match_batch_columnar(matcher, events)  # warm the cover-mask caches
     victims = [profile.profile_id for profile in list(workload.profiles)[:20]]
     removed = {}
     for profile_id in victims:
@@ -183,7 +196,7 @@ def test_kernel_after_churn_matches_fresh_build():
 
 @pytest.mark.parametrize("scenario", ["stock-ticker", "wide-range"])
 def test_generated_scenarios_equivalence(scenario):
-    """Acceptance property on generator workloads, both kernel paths."""
+    """Acceptance property on generator workloads."""
     workload = build_workload(
         get_profile(scenario).spec.with_counts(profile_count=120, event_count=300)
     )
@@ -191,12 +204,6 @@ def test_generated_scenarios_equivalence(scenario):
     events = list(workload.events)
     sequential = [matcher.match(event) for event in events]
     assert_results_equal(kernel.match_batch_columnar(matcher, events), sequential)
-    previous = kernel.HAS_NUMPY
-    kernel.HAS_NUMPY = False
-    try:
-        assert_results_equal(kernel.match_batch_columnar(matcher, events), sequential)
-    finally:
-        kernel.HAS_NUMPY = previous
 
 
 def test_kernel_stats_account_dedup():
@@ -213,7 +220,6 @@ def test_kernel_stats_account_dedup():
     assert stats.charged_operations == sum(r.operations for r in results)
     assert 0 < stats.executed_operations < stats.charged_operations
     assert stats.dedup_factor > 1.0
-    assert stats.matrix_tiles + stats.scratch_tiles >= 1
 
 
 def test_schedule_restores_input_order():
@@ -227,3 +233,46 @@ def test_schedule_restores_input_order():
     assert [r.matched_profile_ids for r in results] == [
         (f"P{event['a']}",) for event in events
     ]
+
+
+def test_columnar_batch_runs_without_numpy():
+    """The kernel needs nothing beyond the standard library: a batch runs
+    in an interpreter where ``import numpy`` fails."""
+    script = textwrap.dedent(
+        """
+        import sys
+        sys.modules["numpy"] = None  # any import of numpy now raises
+        from repro.core.domains import IntegerDomain
+        from repro.core.events import Event
+        from repro.core.predicates import Equals, RangePredicate
+        from repro.core.profiles import Profile, ProfileSet
+        from repro.core.schema import Attribute, Schema
+        from repro.matching.index import PredicateIndexMatcher, kernel
+
+        schema = Schema([Attribute("a", IntegerDomain(0, 9))])
+        profiles = ProfileSet(schema, [
+            Profile("eq", {"a": Equals(3)}),
+            Profile("low", {"a": RangePredicate.between(0, 4)}),
+        ])
+        matcher = PredicateIndexMatcher(profiles)
+        events = [Event({"a": value % 10}) for value in range(kernel.MIN_COLUMNAR_BATCH)]
+        stats = kernel.KernelStats()
+        results = kernel.match_batch_columnar(matcher, events, stats=stats)
+        assert [r.matched_profile_ids for r in results] == [
+            matcher.match(event).matched_profile_ids for event in events
+        ]
+        assert results[3].matched_profile_ids == ("eq", "low")
+        assert stats.events == len(events)
+        print("ok")
+        """
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "ok"

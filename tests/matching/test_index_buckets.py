@@ -282,9 +282,8 @@ class TestIndexPlanner:
             assert plan.index_cost == pytest.approx(exact.index_cost)
             assert plan.scan_cost == pytest.approx(exact.scan_cost)
 
-    def test_rejection_scores_drive_probe_order_and_schedule(self):
-        """The scores are public (the batch kernel schedules by them) and
-        consistent with the probe order / plan's schedule attribute."""
+    def test_rejection_scores_drive_probe_order(self):
+        """The scores are public and consistent with the probe order."""
         from repro.matching.index import PredicateIndexMatcher
         from repro.workloads import build_workload, get_profile
 
@@ -298,7 +297,7 @@ class TestIndexPlanner:
         assert set(order) == set(workload.schema.names)
         assert scores[order[0]] == max(scores.values())
         matcher = PredicateIndexMatcher(workload.profiles, planner=planner)
-        assert matcher.plan.schedule_attribute == order[0]
+        assert matcher.plan.probe_order[0] == order[0]
 
     def test_natural_measure_keeps_schema_order(self):
         from repro.core.predicates import Equals

@@ -20,7 +20,8 @@ from repro.core.events import Event
 from repro.core.predicates import Equals, NotEquals, OneOf, RangePredicate
 from repro.core.profiles import Profile, ProfileSet
 from repro.core.schema import Attribute, Schema
-from repro.matching.index import PredicateIndexMatcher
+from repro.matching.index import PredicateIndexMatcher, kernel
+from repro.matching.index.matcher import _dense_ids
 from repro.matching.naive import NaiveMatcher
 from repro.workloads import build_workload, get_profile
 
@@ -63,7 +64,7 @@ def profile_pool(draw):
             elif kind == "ne":
                 predicates[name] = NotEquals(draw(values))
         # "skip" for every attribute leaves an always-match profile — kept
-        # on purpose: the dense-id core tracks those outside the counters.
+        # on purpose: it matches through every attribute's free mask.
         pool.append(Profile(f"P{index}", predicates))
     return pool
 
@@ -123,6 +124,140 @@ def test_any_churn_sequence_matches_fresh_build_and_oracle(data):
             matcher.match(event).matched_profile_ids
             == fresh.match(event).matched_profile_ids
         )
+
+
+def _batch_events(probe_events: list[Event]) -> list[Event]:
+    """A batch long enough for the columnar kernel: the drawn events, a
+    slice of the value grid, and partial events missing either attribute."""
+    grid = _full_event_grid()
+    batch = list(probe_events) + grid[:: len(grid) // 12]
+    batch += [Event({"a": value}) for value in range(0, DOMAIN_SIZE, 3)]
+    batch += [Event({"b": value}) for value in range(1, DOMAIN_SIZE, 3)]
+    assert len(batch) >= kernel.MIN_COLUMNAR_BATCH
+    return batch
+
+
+@given(churn_runs())
+@settings(max_examples=120, deadline=None)
+def test_any_churn_sequence_batch_matches_oracle(data):
+    """After every toggle the columnar kernel returns the oracle's exact id
+    tuples — recycled dense ids put bits out of subscription order, so the
+    read-out must reorder them."""
+    pool, script, probe_events = data
+    schema = make_schema()
+    matcher = PredicateIndexMatcher(ProfileSet(schema))
+    live: set[str] = set()
+    batch = _batch_events(probe_events)
+    for index in script:
+        profile = pool[index]
+        if profile.profile_id in live:
+            matcher.remove_profile(profile.profile_id)
+            live.discard(profile.profile_id)
+        else:
+            matcher.add_profile(profile)
+            live.add(profile.profile_id)
+        oracle = NaiveMatcher(ProfileSet(schema, list(matcher.profiles)))
+        expected = [oracle.match(event).matched_profile_ids for event in batch]
+        results = matcher.match_batch(batch)
+        assert [r.matched_profile_ids for r in results] == expected
+        sequential = [matcher.match(event) for event in batch]
+        assert [r.operations for r in results] == [r.operations for r in sequential]
+
+
+def _batch_ids(matcher, events):
+    return [r.matched_profile_ids for r in kernel.match_batch_columnar(matcher, events)]
+
+
+def test_recycled_dense_ids_report_in_subscription_order():
+    schema = make_schema()
+    matcher = PredicateIndexMatcher(ProfileSet(schema))
+    for name in ("P0", "P1", "P2", "P3"):
+        matcher.add_profile(Profile(name, {"a": RangePredicate.at_least(0)}))
+    matcher.remove_profile("P1")
+    matcher.add_profile(Profile("P4", {"a": RangePredicate.at_least(0)}))
+    # P4 reuses P1's dense id: its bit sits below P2's and P3's.
+    assert matcher._id_of["P4"] < matcher._id_of["P2"]
+    events = [Event({"a": value % DOMAIN_SIZE, "b": 0}) for value in range(20)]
+    expected = ("P0", "P2", "P3", "P4")
+    assert _batch_ids(matcher, events) == [expected] * len(events)
+    assert matcher.match(events[0]).matched_profile_ids == expected
+
+
+def test_dense_mask_where_every_live_profile_matches():
+    """A mask dense enough for the byte-scan read-out, through churn, in
+    insertion order."""
+    schema = make_schema()
+    profiles = [Profile(f"P{i}", {"a": RangePredicate.at_least(0)}) for i in range(300)]
+    matcher = PredicateIndexMatcher(ProfileSet(schema, profiles))
+    for profile in profiles[::5]:
+        matcher.remove_profile(profile.profile_id)
+    for profile in profiles[::10]:
+        matcher.add_profile(profile)
+    expected = tuple(profile.profile_id for profile in matcher.profiles)
+    assert len(expected) > 200
+    events = [Event({"a": value % DOMAIN_SIZE, "b": 1}) for value in range(20)]
+    assert _batch_ids(matcher, events) == [expected] * len(events)
+    assert matcher.match(events[0]).matched_profile_ids == expected
+
+
+def test_always_match_profiles_survive_churn_in_batches():
+    schema = make_schema()
+    matcher = PredicateIndexMatcher(
+        ProfileSet(schema, [Profile("all-1", {}), Profile("a1", {"a": Equals(1)})])
+    )
+    matcher.add_profile(Profile("b2", {"b": Equals(2)}))
+    matcher.remove_profile("all-1")
+    matcher.add_profile(Profile("all-2", {}))
+    events = [Event({"a": 1, "b": 2}), Event({"a": 0, "b": 0}), Event({"b": 0})] * 8
+    assert _batch_ids(matcher, events) == [("a1", "b2", "all-2"), ("all-2",), ("all-2",)] * 8
+
+
+def test_event_missing_the_first_probed_attribute():
+    schema = make_schema()
+    matcher = PredicateIndexMatcher(
+        ProfileSet(
+            schema,
+            [
+                Profile("a-only", {"a": Equals(1)}),
+                Profile("b-only", {"b": Equals(2)}),
+                Profile("both", {"a": Equals(1), "b": Equals(2)}),
+            ],
+        )
+    )
+    first = matcher.plan.probe_order[0]
+    other = "b" if first == "a" else "a"
+    value = {"a": 1, "b": 2}[other]
+    events = [Event({other: value})] * kernel.MIN_COLUMNAR_BATCH
+    expected = (f"{other}-only",)
+    results = kernel.match_batch_columnar(matcher, events)
+    assert [r.matched_profile_ids for r in results] == [expected] * len(events)
+    assert results[0] == matcher.match(events[0])
+
+
+def test_rejected_events_in_a_batch():
+    """A zero-hit probe on an attribute every live profile constrains
+    rejects the event, with the per-event loop's operations."""
+    schema = make_schema()
+    matcher = PredicateIndexMatcher(
+        ProfileSet(schema, [Profile(f"A{v}", {"a": Equals(v), "b": Equals(v)}) for v in (1, 2)])
+    )
+    events = [Event({"a": 5, "b": 1}), Event({"a": 1, "b": 1})] * 8
+    results = kernel.match_batch_columnar(matcher, events)
+    assert [r.matched_profile_ids for r in results] == [(), ("A1",)] * 8
+    assert results == [matcher.match(event) for event in events]
+    assert results[0].operations < results[1].operations
+
+
+def test_dense_id_read_out_is_exact_on_sparse_and_dense_masks():
+    """Both read-out strategies (top-bit clearing, byte scan) are exact."""
+    rng = random.Random(5)
+    for width in (1, 63, 64, 65, 1_500, 20_000):
+        for count in (0, 1, 2, 17, 120, 600, width // 2, width):
+            ids = rng.sample(range(width), min(count, width))
+            mask = 0
+            for dense in ids:
+                mask |= 1 << dense
+            assert _dense_ids(mask) == sorted(ids)
 
 
 @given(churn_runs())
@@ -197,7 +332,7 @@ class _RaisingOnEq:
 
 
 def test_match_heals_after_mid_match_exception():
-    """An aborted match must not corrupt the shared counter scratch."""
+    """An aborted match must not leave state behind for the next event."""
     schema = make_schema()
     matcher = PredicateIndexMatcher(
         ProfileSet(
@@ -212,7 +347,7 @@ def test_match_heals_after_mid_match_exception():
     try:
         matcher.match(poisoned)
     except TypeError:
-        pass  # counters for attribute "a" were already incremented
+        pass  # attribute "a" was already probed
     result = matcher.match(Event({"a": 5, "b": 0}))
     assert result.matched_profile_ids == ("both", "just-a")
 
