@@ -86,8 +86,7 @@ exponential backoff, circuit breaker, dead-letter queue::
 **8. Plug in an engine.**  Matcher families live in the engine registry
 (:mod:`repro.matching.registry`); registering an
 :class:`~repro.matching.registry.EngineSpec` makes a third-party family
-selectable by name — globally via :func:`default_registry`, or per
-service via ``AdaptationPolicy(registry=...)`` — without touching
+selectable by name through :func:`default_registry` — without touching
 ``repro.service``::
 
     from repro.api import AdaptationPolicy, EngineSpec, default_registry

@@ -104,11 +104,6 @@ class ServiceStats:
         """Return how many re-optimisation decisions were applied."""
         return sum(1 for record in self.adaptations if record.applied)
 
-    @property
-    def recent_adaptations(self) -> tuple[AdaptationRecord, ...]:
-        """Return the newest re-optimisation decisions (up to eight)."""
-        return self.adaptations[-8:]
-
 
 class SubscriptionHandle:
     """Durable handle of one subscription (returned by ``subscribe``).
@@ -282,9 +277,8 @@ class FilterService:
         ``engine`` names any registered matcher family or ``"auto"``
         (the default when no policy is given: the facade serves the
         paper's adaptive-service framing).  ``policy`` carries the full
-        adaptation knobs — including a custom
-        :attr:`~repro.service.adaptive.AdaptationPolicy.registry` — and
-        must agree with ``engine`` when both are given.
+        adaptation knobs and must agree with ``engine`` when both are
+        given.
 
         ``delivery`` selects the default notification executor
         (``"inline"``: sinks run synchronously inside ``publish``, the

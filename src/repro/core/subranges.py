@@ -80,11 +80,6 @@ class AttributePartition:
     dont_care_profile_ids: frozenset[str]
 
     @property
-    def covered_size(self) -> float:
-        """Return the measure of the union of defined sub-ranges."""
-        return self.domain_size - self.zero_size
-
-    @property
     def zero_fraction(self) -> float:
         """Return ``d_0 / d`` — the paper's attribute-selectivity Measure A1."""
         if self.domain_size == 0:
@@ -148,10 +143,6 @@ class AttributePartition:
 
     def subrange_count(self) -> int:
         return len(self.subranges)
-
-    def profiles_accepting(self, subrange: Subrange) -> frozenset[str]:
-        """Return ids of profiles whose predicate accepts the sub-range."""
-        return subrange.profile_ids
 
 
 def _discrete_partition(

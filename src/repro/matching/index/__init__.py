@@ -54,7 +54,9 @@ events entering :meth:`PredicateIndexMatcher.match_batch` run through the
 **columnar kernel** (:mod:`repro.matching.index.kernel`) instead of the
 per-event loop: every distinct ``(attribute, value)`` probe is resolved
 once per batch into the mask of profiles surviving the attribute, so each
-later event carrying the value costs one lookup and one AND.  Results are
+later event carrying the value costs one lookup and one AND.  The kernel
+and the per-event loop share one per-attribute probe (the matcher's
+``_AttributeState.probe``), so the pricing rule is written once.  Results are
 bit-identical to sequential :meth:`match` calls, including the per-event
 operation accounting; only the *executed* work shrinks (observable via
 :class:`~repro.matching.index.kernel.KernelStats`).  Below the cutover the

@@ -1,18 +1,19 @@
 """Columnar batch-matching kernel for the predicate-index matcher.
 
 :func:`match_batch_columnar` filters a whole batch of events while
-resolving every *distinct* ``(attribute, value)`` probe only once.  The
-per-event loop of
-:meth:`~repro.matching.index.matcher.PredicateIndexMatcher.match` pays the
-full probe pipeline — bucket lookup, cover mask, scan evaluations — once
-per event; real batches carry massive value redundancy (a 1500-event
+resolving every *distinct* ``(attribute, value)`` probe only once.  Both
+this kernel and the per-event loop of
+:meth:`~repro.matching.index.matcher.PredicateIndexMatcher.match` resolve a
+value with the attribute's one probe, ``_AttributeState.probe`` (bucket
+lookup, cover mask, scan evaluations).  The per-event loop pays it once per
+event; real batches carry massive value redundancy (a 1500-event
 stock-ticker batch observes ~40 distinct symbols), so the kernel keeps a
 per-batch memo per probed attribute:
 
-* **Probe dedup.**  The first event carrying a value resolves it against
-  the attribute's buckets into ``(operations, keep)``: the operations the
-  per-event loop charges any event carrying the value, and the bitmask of
-  profiles that survive the attribute — ``probe mask | free mask`` (see
+* **Probe dedup.**  The first event carrying a value probes it once into
+  ``(operations, keep)``: the operations the per-event loop charges any
+  event carrying the value, and the bitmask of profiles that survive the
+  attribute — ``probe mask | free mask`` (see
   :mod:`repro.matching.index.matcher` for the bitmask layout).  Every later
   event carrying the value costs one dict lookup and one ``&``.
 * **Exact early rejection.**  ``keep == 0`` happens exactly when every
@@ -27,7 +28,10 @@ per-batch memo per probed attribute:
 Results are identical to per-event :meth:`match` — same matched ids, same
 order, same operation accounting (operations are *charged* per event as
 if each event had probed alone; the dedup shrinks the work actually
-*executed*, reported separately via :class:`KernelStats`).
+*executed*, reported separately via :class:`KernelStats`: each distinct
+probe's operations once, less the entries of a slab cover that an earlier
+distinct value of the batch already resolved — the probe returns its
+cover so the kernel can tell).
 
 :meth:`PredicateIndexMatcher.match_batch` routes batches of at least
 :data:`MIN_COLUMNAR_BATCH` events here; smaller batches keep the
@@ -99,54 +103,6 @@ class KernelStats:
         return self
 
 
-def _probe_value(state, value, seen_covers):
-    """Resolve one distinct probe value against one attribute's buckets.
-
-    Returns ``(operations, executed, mask)``: ``operations`` is exactly the
-    accounting the per-event loop would charge any single event carrying
-    ``value``; ``executed`` is the work a fresh probe of the value actually
-    performs — identical except that the entries of an interval-slab
-    cover already resolved for an *earlier distinct value of this batch*
-    (tracked in ``seen_covers``) are not re-counted, since the cover-mask
-    cache serves them without re-walking the slab.  ``mask`` is the OR of
-    the satisfied hash cover, slab cover and scan entries.
-    """
-    operations = 0
-    executed = 0
-    mask = 0
-    hash_table = state.view_hash
-    if hash_table is not None:
-        operations += 1
-        executed += 1
-        entry_ids = hash_table.get(value)
-        if entry_ids:
-            operations += len(entry_ids)
-            executed += len(entry_ids)
-            mask = state.cover_masks.get(id(entry_ids)) or state.cover_mask(entry_ids)
-    interval_bucket = state.view_interval
-    if interval_bucket is not None:
-        operations += interval_bucket.probe_cost
-        executed += interval_bucket.probe_cost
-        cover = interval_bucket.lookup(value)
-        if cover:
-            operations += len(cover)
-            # Range-heavy columns map many distinct values onto few slab
-            # covers; the cover resolves once, so the executed side
-            # charges it once per cover too.  The bucket cannot change
-            # during a batch, so the cover's id names it.
-            key = id(cover)
-            if key not in seen_covers:
-                seen_covers.add(key)
-                executed += len(cover)
-            mask |= state.cover_masks.get(key) or state.cover_mask(cover)
-    for entry in state.view_scan:
-        operations += 1
-        executed += 1
-        if entry.predicate.matches(value):
-            mask |= entry.mask
-    return operations, executed, mask
-
-
 def match_batch_columnar(
     matcher: "PredicateIndexMatcher",
     events: Iterable["Event"],
@@ -158,8 +114,11 @@ def match_batch_columnar(
     Semantically identical to mapping :meth:`PredicateIndexMatcher.match`
     over ``events`` — same matched ids in the same order, same per-event
     operation counts, same partial-event and early-rejection behaviour
-    (events with equal outcomes share a single immutable result object).
-    Pass a :class:`KernelStats` to observe the executed-work accounting.
+    (events with equal outcomes share a single immutable result object),
+    because each distinct value goes through the same
+    ``_AttributeState.probe`` that :meth:`~PredicateIndexMatcher.match`
+    calls.  Pass a :class:`KernelStats` to observe the executed-work
+    accounting.
     """
     events = events if isinstance(events, list) else list(events)
     if not events:
@@ -186,10 +145,19 @@ def match_batch_columnar(
                 continue
             probe = memo.get(value)
             if probe is None:
-                cost, work, mask = _probe_value(state, value, seen_covers)
+                cost, mask, cover = state.probe(value)
                 probe = memo[value] = (cost, mask | state.free)
                 distinct += 1
-                executed += work
+                executed += cost
+                if cover:
+                    # Range-heavy columns map many distinct values onto
+                    # few slab covers, and the cover-mask cache resolves
+                    # each once; the bucket cannot change during a batch,
+                    # so the cover's id names it.
+                    if id(cover) in seen_covers:
+                        executed -= len(cover)
+                    else:
+                        seen_covers.add(id(cover))
             operations += probe[0]
             keep = probe[1]
             if not keep:

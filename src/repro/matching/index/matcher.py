@@ -36,6 +36,11 @@ predicate per attribute, so the entry masks OR-ed by one probe are
 disjoint.  Matched ids are read out of the final mask in dense-id order
 and, once churn has recycled an id, sorted by ``_order_pos``.
 
+The probe is written once, as ``_AttributeState.probe``:
+:meth:`~PredicateIndexMatcher.match` calls it per event and attribute,
+and the columnar kernel (:mod:`repro.matching.index.kernel`) once per
+distinct value of a batch, so both charge the same operations.
+
 Incremental maintenance
 -----------------------
 :meth:`add_profile` / :meth:`remove_profile` apply **postings deltas**: the
@@ -70,6 +75,7 @@ from repro.core.errors import MatchingError
 from repro.core.events import Event
 from repro.core.predicates import Equals, OneOf, Predicate, RangePredicate
 from repro.core.profiles import Profile, ProfileSet
+from repro.core.schema import Schema
 from repro.distributions.base import Distribution
 from repro.matching.index import kernel
 from repro.matching.index.buckets import HashBucket, IntervalBucket
@@ -104,7 +110,14 @@ class _Entry:
 
 
 class _AttributeState:
-    """Mutable per-attribute index state.
+    """Mutable per-attribute index state and the one per-attribute probe.
+
+    Every rule that prices or resolves one attribute lives here, so the
+    per-event :meth:`PredicateIndexMatcher.match` loop and the columnar
+    kernel (:mod:`repro.matching.index.kernel`) share it: :meth:`probe`
+    resolves one value, :meth:`plan` costs the attribute's buckets,
+    :meth:`adopt` installs a plan's verdicts and :meth:`new_entry`
+    registers a predicate.
 
     ``free`` is the bitmask of live profiles that do not constrain the
     attribute.  ``cover_masks`` maps an entry-id tuple (a hash-bucket hit
@@ -113,7 +126,7 @@ class _AttributeState:
     tuple on every probe would cost more than the mask lookup saves.  The
     buckets own the tuples and only replace them during maintenance,
     which rebinds the cache to ``{}``, so a cached id always names the
-    live tuple it was computed for; the hot loops rebuild each tuple's
+    live tuple it was computed for; :meth:`probe` rebuilds each tuple's
     mask once on its next probe.
     """
 
@@ -122,11 +135,9 @@ class _AttributeState:
         "entry_by_id",
         "next_entry_id",
         "hash_bucket",
-        "hash_table",
         "interval_bucket",
         "range_entry_count",
         "scan_entries",
-        "use_index",
         "use_hash",
         "use_interval",
         "view_hash",
@@ -141,24 +152,20 @@ class _AttributeState:
         self.entry_by_id: dict[int, _Entry] = {}
         self.next_entry_id = 0
         self.hash_bucket: HashBucket | None = None
-        #: Mirror of ``hash_bucket.table`` (same dict object) so the hot
-        #: loop probes it without a method call; ``None`` with the bucket.
-        self.hash_table: Mapping[object, tuple[int, ...]] | None = None
         self.interval_bucket: IntervalBucket | None = None
         self.range_entry_count = 0
         self.scan_entries: list[_Entry] = []
-        self.use_index = False
         #: Per-structure verdicts (see :class:`AttributePlan`): a binary
-        #: planner couples both to ``use_index``; a hybrid planner may
+        #: planner couples both to its ``use_index``; a hybrid planner may
         #: route the hash side through its bucket while the interval side
         #: scans, or vice versa.
         self.use_hash = False
         self.use_interval = False
-        #: Hot-loop probe view: when the planner picks an indexed strategy
-        #: for a structure these expose its bucket plus the residual scan
-        #: entries; a demoted structure's entries join ``view_scan``
-        #: instead, so the one loop shape serves every strategy mix
-        #: without a per-event branch.
+        #: Probe view: when the planner picks an indexed strategy for a
+        #: structure these expose its bucket's table (or the slab bucket)
+        #: plus the residual scan entries; a demoted structure's entries
+        #: join ``view_scan`` instead, so one probe shape serves every
+        #: strategy mix without a per-event branch.
         self.view_hash: Mapping[object, tuple[int, ...]] | None = None
         self.view_interval: IntervalBucket | None = None
         self.view_scan: Iterable[_Entry] = self.scan_entries
@@ -167,6 +174,32 @@ class _AttributeState:
         #: event outright.
         self.free = free
         self.cover_masks: dict[int, int] = {}
+
+    def new_entry(self, predicate: Predicate) -> _Entry:
+        """Register a new entry for ``predicate`` (bucket edits are the caller's)."""
+        entry = _Entry(self.next_entry_id, predicate, _classify(predicate))
+        self.next_entry_id += 1
+        self.entries[predicate] = entry
+        self.entry_by_id[entry.entry_id] = entry
+        if entry.kind == _SCAN:
+            self.scan_entries.append(entry)
+        return entry
+
+    def plan(self, planner: IndexPlanner, attribute: str, schema: Schema) -> AttributePlan:
+        """Cost this attribute's current buckets with ``planner``."""
+        return planner.plan_attribute(
+            attribute,
+            schema.domain(attribute),
+            hash_bucket=self.hash_bucket,
+            interval_bucket=self.interval_bucket,
+            scan_entry_count=len(self.scan_entries),
+        )
+
+    def adopt(self, plan: AttributePlan) -> None:
+        """Install one plan's strategy verdicts and recompile the view."""
+        self.use_hash = bool(plan.use_hash)
+        self.use_interval = bool(plan.use_interval)
+        self.refresh_view()
 
     def refresh_view(self) -> None:
         """Recompile the probe view after a strategy or bucket change.
@@ -178,13 +211,12 @@ class _AttributeState:
         demoted to scan) materialises the demoted entries into a list;
         entry creation/removal re-lands here, so the list stays exact.
         """
-        self.view_hash = self.hash_table if self.use_hash else None
+        hash_bucket = self.hash_bucket if self.use_hash else None
+        self.view_hash = hash_bucket.table if hash_bucket is not None else None
         self.view_interval = self.interval_bucket if self.use_interval else None
         if self.use_hash and self.use_interval:
             self.view_scan = self.scan_entries
         elif not self.use_hash and not self.use_interval:
-            self.view_hash = None
-            self.view_interval = None
             self.view_scan = self.entries.values()
         else:
             demoted = _RANGE if self.use_hash else _HASH
@@ -202,6 +234,49 @@ class _AttributeState:
             mask |= by_id[entry_id].mask
         self.cover_masks[id(entry_ids)] = mask
         return mask
+
+    def probe(self, value: object) -> tuple[int, int, tuple[int, ...]]:
+        """Resolve one event value against the attribute's probe view.
+
+        Returns ``(operations, mask, cover)``.  ``operations`` is the
+        suite's accounting for one event carrying ``value``: one for the
+        hash lookup plus one per hit, the bisect depth plus one per entry
+        of the slab cover, and one per scanned entry.  ``mask`` is the OR
+        of the satisfied hash hit, slab cover and scan entries.  ``cover``
+        is the slab cover itself (``()`` without one), so the batch kernel
+        can count a cover shared by several values once.
+        """
+        operations = 0
+        mask = 0
+        cover: tuple[int, ...] = ()
+        hash_table = self.view_hash
+        if hash_table is not None:
+            operations += 1
+            entry_ids = hash_table.get(value)
+            if entry_ids:
+                operations += len(entry_ids)
+                mask = self.cover_masks.get(id(entry_ids)) or self.cover_mask(entry_ids)
+        interval_bucket = self.view_interval
+        if interval_bucket is not None:
+            operations += interval_bucket.probe_cost
+            cover = interval_bucket.lookup(value)
+            if cover:
+                operations += len(cover)
+                mask |= self.cover_masks.get(id(cover)) or self.cover_mask(cover)
+        # With both structures indexed this scans the residual
+        # (NotEquals-style) entries only; in scan mode view_scan is every
+        # entry of the attribute (the planner judged a probe more
+        # expensive than evaluating each predicate once).
+        for entry in self.view_scan:
+            operations += 1
+            if entry.predicate.matches(value):
+                mask |= entry.mask
+        return operations, mask, cover
+
+
+def _hash_values(predicate: Equals | OneOf) -> Iterable[object]:
+    """Return the values a hash entry is registered under."""
+    return (predicate.value,) if isinstance(predicate, Equals) else predicate.values
 
 
 def _mask_of(dense_ids: list[int], width: int) -> int:
@@ -316,12 +391,7 @@ class PredicateIndexMatcher:
                     constrainers[state] = []
                 entry = state.entries.get(predicate)
                 if entry is None:
-                    entry = _Entry(state.next_entry_id, predicate, _classify(predicate))
-                    state.next_entry_id += 1
-                    state.entries[predicate] = entry
-                    state.entry_by_id[entry.entry_id] = entry
-                    if entry.kind == _SCAN:
-                        state.scan_entries.append(entry)
+                    entry = state.new_entry(predicate)
                     postings[entry] = []
                 postings[entry].append(dense)
                 constrainers[state].append(dense)
@@ -338,42 +408,29 @@ class PredicateIndexMatcher:
             interval_items = []
             for predicate, entry in state.entries.items():
                 if entry.kind == _HASH:
-                    if isinstance(predicate, Equals):
-                        hash_items.setdefault(predicate.value, []).append(entry.entry_id)
-                    else:
-                        for value in predicate.values:
-                            hash_items.setdefault(value, []).append(entry.entry_id)
+                    for value in _hash_values(predicate):
+                        hash_items.setdefault(value, []).append(entry.entry_id)
                 elif entry.kind == _RANGE:
                     interval_items.append((predicate.interval, entry.entry_id))
             state.hash_bucket = HashBucket(hash_items) if hash_items else None
-            state.hash_table = state.hash_bucket.table if hash_items else None
             state.interval_bucket = IntervalBucket(interval_items) if interval_items else None
             state.range_entry_count = len(interval_items)
         self._recompute_plan()
 
     def _create_entry(self, state: _AttributeState, predicate: Predicate) -> _Entry:
-        entry = _Entry(state.next_entry_id, predicate, _classify(predicate))
-        state.next_entry_id += 1
-        state.entries[predicate] = entry
-        state.entry_by_id[entry.entry_id] = entry
+        entry = state.new_entry(predicate)
         if entry.kind == _HASH:
             bucket = state.hash_bucket
             if bucket is None:
                 bucket = state.hash_bucket = HashBucket({})
-                state.hash_table = bucket.table
-            if isinstance(predicate, Equals):
-                bucket.add_entry(predicate.value, entry.entry_id)
-            else:
-                for value in predicate.values:
-                    bucket.add_entry(value, entry.entry_id)
+            for value in _hash_values(predicate):
+                bucket.add_entry(value, entry.entry_id)
         elif entry.kind == _RANGE:
             bucket = state.interval_bucket
             if bucket is None:
                 bucket = state.interval_bucket = IntervalBucket([])
             bucket.add(predicate.interval, entry.entry_id)
             state.range_entry_count += 1
-        else:
-            state.scan_entries.append(entry)
         state.refresh_view()
         return entry
 
@@ -382,14 +439,10 @@ class PredicateIndexMatcher:
         del state.entry_by_id[entry.entry_id]
         if entry.kind == _HASH:
             bucket = state.hash_bucket
-            if isinstance(predicate, Equals):
-                bucket.discard_entry(predicate.value, entry.entry_id)
-            else:
-                for value in predicate.values:
-                    bucket.discard_entry(value, entry.entry_id)
+            for value in _hash_values(predicate):
+                bucket.discard_entry(value, entry.entry_id)
             if len(bucket) == 0:
                 state.hash_bucket = None
-                state.hash_table = None
         elif entry.kind == _RANGE:
             state.interval_bucket.remove(predicate.interval, entry.entry_id)
             state.range_entry_count -= 1
@@ -431,26 +484,10 @@ class PredicateIndexMatcher:
             if state not in constrained:
                 state.free |= bit
         self._live |= bit
-        schema = self.profiles.schema
         for attribute in new_attributes:
             state = states[attribute]
-            plan = self._planner.plan_attribute(
-                attribute,
-                schema.domain(attribute),
-                hash_bucket=state.hash_bucket,
-                interval_bucket=state.interval_bucket,
-                scan_entry_count=len(state.scan_entries),
-            )
-            self._adopt_attribute_plan(state, plan)
+            state.adopt(state.plan(self._planner, attribute, self.profiles.schema))
         self._replan_pending = True
-
-    @staticmethod
-    def _adopt_attribute_plan(state: _AttributeState, plan: AttributePlan) -> None:
-        """Install one attribute's strategy verdicts and recompile its view."""
-        state.use_index = plan.use_index
-        state.use_hash = bool(plan.use_hash)
-        state.use_interval = bool(plan.use_interval)
-        state.refresh_view()
 
     def add_profile(self, profile: Profile) -> None:
         """Register an additional profile via postings deltas.
@@ -539,15 +576,8 @@ class PredicateIndexMatcher:
             if not state.entries:
                 del self._states[attribute]
                 continue
-            plan = planner.plan_attribute(
-                attribute,
-                schema.domain(attribute),
-                hash_bucket=state.hash_bucket,
-                interval_bucket=state.interval_bucket,
-                scan_entry_count=len(state.scan_entries),
-            )
-            plans[attribute] = plan
-            self._adopt_attribute_plan(state, plan)
+            plan = plans[attribute] = state.plan(planner, attribute, schema)
+            state.adopt(plan)
         states = self._states
         self._probe_order = tuple(
             name for name in planner.probe_order(self.profiles) if name in states
@@ -622,13 +652,7 @@ class PredicateIndexMatcher:
         )
         schema = self.profiles.schema
         return {
-            attribute: planner.plan_attribute(
-                attribute,
-                schema.domain(attribute),
-                hash_bucket=state.hash_bucket,
-                interval_bucket=state.interval_bucket,
-                scan_entry_count=len(state.scan_entries),
-            )
+            attribute: state.plan(planner, attribute, schema)
             for attribute, state in self._states.items()
             if state.entries
         }
@@ -646,37 +670,14 @@ class PredicateIndexMatcher:
                 # Partial event: only profiles free on the attribute survive.
                 matched &= state.free
                 continue
-            mask = 0
-            hash_table = state.view_hash
-            if hash_table is not None:
-                operations += 1
-                entry_ids = hash_table.get(value)
-                if entry_ids:
-                    operations += len(entry_ids)
-                    mask = state.cover_masks.get(id(entry_ids)) or state.cover_mask(entry_ids)
-            interval_bucket = state.view_interval
-            if interval_bucket is not None:
-                operations += interval_bucket.probe_cost
-                cover = interval_bucket.lookup(value)
-                if cover:
-                    operations += len(cover)
-                    mask |= state.cover_masks.get(id(cover)) or state.cover_mask(cover)
-            # In index mode this scans the residual (NotEquals-style)
-            # entries only; in scan mode view_scan is every entry of the
-            # attribute (the planner judged a probe more expensive than
-            # evaluating each predicate once).
-            for entry in state.view_scan:
-                operations += 1
-                if entry.predicate.matches(value):
-                    mask |= entry.mask
-            if mask:
-                matched &= mask | state.free
-            elif state.free:
-                matched &= state.free
-            else:
+            cost, mask, _ = state.probe(value)
+            operations += cost
+            keep = mask | state.free
+            if not keep:
                 # Every live profile constrains the attribute and none is
                 # satisfied: no profile can match.
                 return MatchResult((), operations, visited_levels=len(values))
+            matched &= keep
         return MatchResult(self._profile_ids(matched), operations, visited_levels=len(values))
 
     def _profile_ids(self, mask: int) -> tuple[str, ...]:

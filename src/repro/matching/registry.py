@@ -36,11 +36,10 @@ required::
     )
     Broker(schema, adaptation_policy=AdaptationPolicy(engine="bitmap"))
 
-A custom :class:`EngineRegistry` can also be carried per policy
-(:attr:`repro.service.adaptive.AdaptationPolicy.registry`), which keeps
-experiment-local engines out of the global roster.  The registry is
-consulted at construction and re-optimisation points only — never on the
-per-event hot path.
+An experiment-local family is registered the same way and removed again
+with :meth:`EngineRegistry.unregister`.  The registry is consulted at
+construction and re-optimisation points only — never on the per-event
+hot path.
 """
 
 from __future__ import annotations

@@ -62,13 +62,6 @@ class ProfileTree:
         """Return the height of the tree in edges (``n`` for a full tree)."""
         return self.root.max_depth()
 
-    def partition_for(self, attribute: str) -> AttributePartition:
-        """Return the sub-range partition of one attribute."""
-        try:
-            return self.partitions[attribute]
-        except KeyError as exc:
-            raise TreeConstructionError(f"no partition for attribute {attribute!r}") from exc
-
     def describe(self, *, max_edges: int = 12) -> str:
         """Return an indented textual rendering of the tree (Fig. 1 style)."""
         lines: list[str] = [

@@ -161,17 +161,3 @@ class TreeConfiguration:
             attribute_order=tuple(names),
             label=label if label is not None else self.label,
         )
-
-    def with_value_order(self, order: ValueOrder) -> "TreeConfiguration":
-        """Return a copy with the value order of one attribute replaced."""
-        orders = dict(self.value_orders)
-        orders[order.attribute] = order
-        return replace(self, value_orders=orders)
-
-    def with_search(self, search: SearchStrategy) -> "TreeConfiguration":
-        """Return a copy using a different node search strategy."""
-        return replace(self, search=search)
-
-    def with_label(self, label: str) -> "TreeConfiguration":
-        """Return a copy with a different report label."""
-        return replace(self, label=label)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.analysis.calibration import CalibrationSnapshot, CostCalibrator
@@ -110,12 +110,6 @@ class AdaptationPolicy:
     #: whichever ranked family the cost models predict to be cheapest
     #: under the current history distributions).
     engine: str = "tree"
-    #: Engine roster consulted for validation, construction and the
-    #: ``auto`` arbitration.  ``None`` uses the process-wide
-    #: :func:`~repro.matching.registry.default_registry`; passing a
-    #: custom :class:`~repro.matching.registry.EngineRegistry` keeps
-    #: experiment-local engines out of the global roster.
-    registry: EngineRegistry | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         roster = self.engine_registry
@@ -144,8 +138,9 @@ class AdaptationPolicy:
 
     @property
     def engine_registry(self) -> EngineRegistry:
-        """Return the roster this policy resolves engine names against."""
-        return self.registry if self.registry is not None else default_registry()
+        """Return the roster this policy resolves engine names against:
+        the process-wide :func:`~repro.matching.registry.default_registry`."""
+        return default_registry()
 
     def _roster(self) -> list[EngineSpec]:
         """Return the families a re-optimisation check arbitrates between:

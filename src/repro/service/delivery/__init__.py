@@ -106,11 +106,6 @@ class DeliveryDispatcher:
 
     # -- introspection ----------------------------------------------------------
     @property
-    def default_mode(self) -> str:
-        """Return the service-default delivery mode."""
-        return self._default_mode
-
-    @property
     def closed(self) -> bool:
         """Return ``True`` once :meth:`close` ran."""
         return self._closed

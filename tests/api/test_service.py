@@ -103,6 +103,7 @@ def _retired_knob_owners():
         ("AdaptationPolicy", "calibration_smoothing", 0.5),
         ("AdaptationPolicy", "calibration_window", 4),
         ("AdaptationPolicy", "min_columnar_batch", 4),
+        ("AdaptationPolicy", "registry", None),
         ("FilterService", "service_id", "svc"),
         ("FilterService", "retry_attempts", 3),
         ("FilterService", "retry_backoff", 0.01),

@@ -25,7 +25,7 @@ from repro.core.events import Event
 from repro.core.predicates import Equals, NotEquals, OneOf, RangePredicate
 from repro.core.profiles import Profile, ProfileSet
 from repro.core.schema import Attribute, Schema
-from repro.matching.index import PredicateIndexMatcher, kernel
+from repro.matching.index import IndexPlanner, PredicateIndexMatcher, kernel
 from repro.matching.naive import NaiveMatcher
 from repro.workloads import build_workload, get_profile
 
@@ -84,6 +84,14 @@ def workloads(draw):
     return profiles, events
 
 
+#: The binary planner probes or scans an attribute as a whole; the hybrid
+#: planner also mixes (one structure probed, the other scanned), so the
+#: one probe runs on homogeneous, all-scan and mixed views.
+PLANNERS = pytest.mark.parametrize(
+    "planner", [IndexPlanner(), IndexPlanner(hybrid=True)], ids=["binary", "hybrid"]
+)
+
+
 def assert_results_equal(actual, expected):
     assert [r.matched_profile_ids for r in actual] == [
         r.matched_profile_ids for r in expected
@@ -92,11 +100,12 @@ def assert_results_equal(actual, expected):
     assert [r.visited_levels for r in actual] == [r.visited_levels for r in expected]
 
 
-@given(workloads())
+@PLANNERS
+@given(data=workloads())
 @settings(max_examples=150, deadline=None)
-def test_columnar_kernel_equals_match_and_naive_oracle(data):
+def test_columnar_kernel_equals_match_and_naive_oracle(planner, data):
     profiles, events = data
-    matcher = PredicateIndexMatcher(profiles)
+    matcher = PredicateIndexMatcher(profiles, planner=planner)
     naive = NaiveMatcher(profiles)
     sequential = [matcher.match(event) for event in events]
     for result, event in zip(sequential, events):
@@ -105,13 +114,14 @@ def test_columnar_kernel_equals_match_and_naive_oracle(data):
     assert_results_equal(columnar, sequential)
 
 
+@PLANNERS
 @given(data=workloads())
 @settings(max_examples=100, deadline=None)
-def test_kernel_stats_charge_what_match_charges(data):
+def test_kernel_stats_charge_what_match_charges(planner, data):
     """Charged operations are the per-event loop's; executed operations
     never exceed them, and each distinct probe resolves once."""
     profiles, events = data
-    matcher = PredicateIndexMatcher(profiles)
+    matcher = PredicateIndexMatcher(profiles, planner=planner)
     sequential = [matcher.match(event) for event in events]
     stats = kernel.KernelStats()
     kernel.match_batch_columnar(matcher, events, stats=stats)
@@ -220,6 +230,63 @@ def test_kernel_stats_account_dedup():
     assert stats.charged_operations == sum(r.operations for r in results)
     assert 0 < stats.executed_operations < stats.charged_operations
     assert stats.dedup_factor > 1.0
+
+
+def test_kernel_stats_by_hand():
+    """Charged, executed and distinct-probe counts on a batch small enough
+    to count by hand.
+
+    One attribute, domain 0..99: a hash bucket holding ``Equals(7)`` and
+    ``OneOf([7, 9])``, and a slab bucket over the boundaries 10, 20, 30
+    (bisect depth 2) holding [10, 20], [10, 30] and [20, 30].  The planner
+    probes both buckets.  Per distinct value (hash lookup + hits, bisect +
+    slab cover):
+
+    ====== ======= ======= ======== =========================
+    value  hash    slab    charged  executed
+    ====== ======= ======= ======== =========================
+    7      1 + 2   2 + 0   5        5
+    9      1 + 1   2 + 0   4        4
+    12     1 + 0   2 + 2   5        5 (slab (10, 20))
+    15     1 + 0   2 + 2   5        3 (same slab cover as 12)
+    25     1 + 0   2 + 2   5        5 (slab (20, 30))
+    50     1 + 0   2 + 0   3        3 (rejected: no hit)
+    ====== ======= ======= ======== =========================
+
+    The batch 7, 7, 9, 12, 15, 12, 25, 50 charges 5+5+4+5+5+5+5+3 = 37,
+    executes 25 and resolves 6 distinct probes.
+    """
+    schema = Schema([Attribute("a", IntegerDomain(0, 99))])
+    profiles = ProfileSet(
+        schema,
+        [
+            Profile("eq7", {"a": Equals(7)}),
+            Profile("in79", {"a": OneOf([7, 9])}),
+            Profile("r10_20", {"a": RangePredicate.between(10, 20)}),
+            Profile("r10_30", {"a": RangePredicate.between(10, 30)}),
+            Profile("r20_30", {"a": RangePredicate.between(20, 30)}),
+        ],
+    )
+    matcher = PredicateIndexMatcher(profiles)
+    plan = matcher.plan.attributes["a"]
+    assert plan.use_hash and plan.use_interval
+    events = [Event({"a": value}) for value in (7, 7, 9, 12, 15, 12, 25, 50)]
+    stats = kernel.KernelStats()
+    results = kernel.match_batch_columnar(matcher, events, stats=stats)
+    assert [r.operations for r in results] == [5, 5, 4, 5, 5, 5, 5, 3]
+    assert [r.matched_profile_ids for r in results] == [
+        ("eq7", "in79"),
+        ("eq7", "in79"),
+        ("in79",),
+        ("r10_20", "r10_30"),
+        ("r10_20", "r10_30"),
+        ("r10_20", "r10_30"),
+        ("r10_30", "r20_30"),
+        (),
+    ]
+    assert_results_equal(results, [matcher.match(event) for event in events])
+    assert (stats.events, stats.charged_operations) == (8, 37)
+    assert (stats.executed_operations, stats.distinct_probes) == (25, 6)
 
 
 def test_schedule_restores_input_order():

@@ -188,33 +188,30 @@ class _ScanSpy(NaiveMatcher):
 
 
 class TestThirdPartyEngines:
-    def make_registry(self) -> EngineRegistry:
-        registry = EngineRegistry(builtin_specs())
-        registry.register(
-            EngineSpec(
-                name="scan",
-                factory=lambda ctx: _ScanSpy(ctx.profiles),
-                owns=lambda matcher: isinstance(matcher, _ScanSpy),
-                description="sequential scan baseline",
-            )
+    @pytest.fixture
+    def roster(self, engine_roster) -> EngineRegistry:
+        return engine_roster(
+            [
+                *builtin_specs(),
+                EngineSpec(
+                    name="scan",
+                    factory=lambda ctx: _ScanSpy(ctx.profiles),
+                    owns=lambda matcher: isinstance(matcher, _ScanSpy),
+                    description="sequential scan baseline",
+                ),
+            ]
         )
-        return registry
 
-    def test_registered_engine_is_selectable_through_the_policy(self):
-        policy = AdaptationPolicy(engine="scan", registry=self.make_registry())
+    def test_registered_engine_is_selectable_through_the_policy(self, roster):
+        policy = AdaptationPolicy(engine="scan")
         engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
         assert isinstance(engine.matcher, _ScanSpy)
         assert engine.engine_family == "scan"
         assert engine.match(Event({"v": 40})).matched_profile_ids == ("P40",)
 
-    def test_reoptimisation_is_skipped_without_a_hook(self):
+    def test_reoptimisation_is_skipped_without_a_hook(self, roster):
         """A family without a candidate hook filters indefinitely."""
-        policy = AdaptationPolicy(
-            engine="scan",
-            registry=self.make_registry(),
-            reoptimize_interval=10,
-            warmup_events=10,
-        )
+        policy = AdaptationPolicy(engine="scan", reoptimize_interval=10, warmup_events=10)
         engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
         rng = random.Random(4)
         for _ in range(100):
@@ -222,13 +219,13 @@ class TestThirdPartyEngines:
         assert engine.adaptations() == []
         assert isinstance(engine.matcher, _ScanSpy)
 
-    def test_third_party_engine_reaches_the_broker(self):
+    def test_third_party_engine_reaches_the_broker(self, roster):
         """The broker consults the registry via the policy — no service
         changes needed for a new family."""
         profiles = small_profiles()
         broker = Broker(
             profiles.schema,
-            adaptation_policy=AdaptationPolicy(engine="scan", registry=self.make_registry()),
+            adaptation_policy=AdaptationPolicy(engine="scan"),
         )
         for item in profiles:
             broker.subscribe(item, "user")
@@ -242,13 +239,18 @@ class TestThirdPartyEngines:
         ):
             AdaptationPolicy(engine="quantum")
 
-    def test_custom_registry_does_not_leak_into_the_default(self):
-        self.make_registry()
+    def test_the_swapped_roster_is_restored(self, roster, monkeypatch):
+        """The fixture swaps the process roster through ``monkeypatch``,
+        so undoing it brings the built-in roster back."""
+        assert default_registry() is roster
+        monkeypatch.undo()
+        assert default_registry() is not roster
         assert "scan" not in default_registry()
+        assert default_registry().names() == ("tree", "index", "hybrid", "naive")
 
 
 class TestAutoArbitrationOverRegistry:
-    def test_auto_consults_every_candidate_spec(self):
+    def test_auto_consults_every_candidate_spec(self, engine_roster):
         """A custom family whose candidate is always cheapest wins the
         arbitration and gets installed."""
         calls = []
@@ -265,19 +267,20 @@ class TestAutoArbitrationOverRegistry:
                 predicted_current=0.0,
             )
 
-        registry = EngineRegistry(builtin_specs())
-        registry.register(
-            EngineSpec(
-                name="scan",
-                factory=lambda ctx: _ScanSpy(ctx.profiles),
-                owns=lambda matcher: isinstance(matcher, _ScanSpy),
-                candidate=cheap_candidate,
-                auto_rank=-1,
-            )
+        engine_roster(
+            [
+                *builtin_specs(),
+                EngineSpec(
+                    name="scan",
+                    factory=lambda ctx: _ScanSpy(ctx.profiles),
+                    owns=lambda matcher: isinstance(matcher, _ScanSpy),
+                    candidate=cheap_candidate,
+                    auto_rank=-1,
+                ),
+            ]
         )
         policy = AdaptationPolicy(
             engine="auto",
-            registry=registry,
             reoptimize_interval=50,
             warmup_events=50,
             improvement_threshold=0.0,
@@ -295,7 +298,7 @@ class TestAutoArbitrationOverRegistry:
             record.configuration_label == "auto:scan[flat]" for record in records
         )
 
-    def test_decisions_are_recorded_under_the_spec_name(self):
+    def test_decisions_are_recorded_under_the_spec_name(self, engine_roster):
         """A candidate's free-form ``family`` string is informational: a
         mistyped one must not send the record, or the calibrator's
         feedback, to a family that never runs."""
@@ -310,7 +313,7 @@ class TestAutoArbitrationOverRegistry:
                 predicted_current=1.0,
             )
 
-        registry = EngineRegistry(
+        engine_roster(
             [
                 EngineSpec(
                     name="scan",
@@ -320,9 +323,7 @@ class TestAutoArbitrationOverRegistry:
                 )
             ]
         )
-        policy = AdaptationPolicy(
-            engine="scan", registry=registry, reoptimize_interval=20, warmup_events=20
-        )
+        policy = AdaptationPolicy(engine="scan", reoptimize_interval=20, warmup_events=20)
         engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
         rng = random.Random(6)
         for _ in range(80):
@@ -333,7 +334,7 @@ class TestAutoArbitrationOverRegistry:
         assert calibration.observations == len(records) - 1 > 0
         assert set(calibration.factors) == {"scan"}
 
-    def test_could_win_is_the_selection_comparison(self):
+    def test_could_win_is_the_selection_comparison(self, engine_roster):
         """A family costed after the best candidate so far gets the
         arbitration's own test as ``could_win``: a lower cost could win,
         a higher one cannot, and neither can an equal one (the tie goes
@@ -355,7 +356,7 @@ class TestAutoArbitrationOverRegistry:
             answers.append((could_win(4.0), could_win(5.0), could_win(6.0)))
             return None
 
-        registry = EngineRegistry(
+        engine_roster(
             [
                 EngineSpec(
                     name="scan",
@@ -372,9 +373,7 @@ class TestAutoArbitrationOverRegistry:
                 ),
             ]
         )
-        policy = AdaptationPolicy(
-            engine="auto", registry=registry, reoptimize_interval=50, warmup_events=50
-        )
+        policy = AdaptationPolicy(engine="auto", reoptimize_interval=50, warmup_events=50)
         engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
         rng = random.Random(8)
         for _ in range(50):  # exactly one check, before any calibration

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.matching.registry as registry_module
 from repro.core.domains import IntegerDomain
 from repro.core.errors import EventError, ServiceError
 from repro.core.events import Event
@@ -376,11 +377,11 @@ class TestAutoSwitchHysteresis:
         for _ in range(count):
             engine.match(Event({"v": rng.randint(0, 99)}))
 
-    def make_flipping_engine(self) -> AdaptiveFilterEngine:
+    def make_flipping_engine(self, engine_roster) -> AdaptiveFilterEngine:
         """An auto engine whose cost models always favour the *other* family.
 
-        The deterministic costs are injected through a policy-local
-        :class:`~repro.matching.registry.EngineRegistry`: the built-in
+        The deterministic costs are injected through a swapped process
+        roster (the ``engine_roster`` fixture): the built-in
         specs keep their real factories and install paths (so matching
         semantics stay honest) but their cost estimators report whatever
         family is *running* as expensive (10.0, on both the candidate and
@@ -400,23 +401,21 @@ class TestAutoSwitchHysteresis:
 
             return candidate
 
-        registry = EngineRegistry()
+        specs = []
         for spec in builtin_specs():
             if spec.name == "hybrid":
                 # The hybrid family shares the index executor and would
                 # tie-break these synthetic costs; strip its estimator so
                 # the arbitration stays a pure tree<->index flip.
-                registry.register(replace(spec, candidate=None))
-                continue
-            if spec.candidate is None or spec.auto_rank is None:
+                specs.append(replace(spec, candidate=None))
+            elif spec.candidate is None or spec.auto_rank is None:
                 # The naive baseline carries no cost estimator; it sits
                 # the arbitration out here exactly as it does on the
                 # default roster.
-                registry.register(spec)
-                continue
-            registry.register(
-                replace(spec, candidate=flipping(spec.name, spec.candidate))
-            )
+                specs.append(spec)
+            else:
+                specs.append(replace(spec, candidate=flipping(spec.name, spec.candidate)))
+        engine_roster(specs)
         return AdaptiveFilterEngine(
             single_attribute_profiles(),
             policy=AdaptationPolicy(
@@ -424,12 +423,11 @@ class TestAutoSwitchHysteresis:
                 reoptimize_interval=100,
                 warmup_events=100,
                 improvement_threshold=0.0,
-                registry=registry,
             ),
         )
 
-    def test_cooldown_suppresses_immediate_switch_back(self):
-        engine = self.make_flipping_engine()
+    def test_cooldown_suppresses_immediate_switch_back(self, engine_roster):
+        engine = self.make_flipping_engine(engine_roster)
         self.drive(engine, 400)
         records = engine.adaptations()
         assert [(r.engine, r.applied, r.suppressed) for r in records] == [
@@ -521,16 +519,18 @@ def test_pinned_engine_is_auto_over_a_roster_of_one(family, run, threshold):
     )
     knobs = dict(reoptimize_interval=8, warmup_events=8, improvement_threshold=threshold)
     spec = next(spec for spec in builtin_specs() if spec.name == family)
-    pinned = AdaptiveFilterEngine(
-        ProfileSet(schema, pool[::2]), policy=AdaptationPolicy(engine=family, **knobs)
-    )
-    auto = AdaptiveFilterEngine(
-        ProfileSet(schema, pool[::2]),
-        policy=AdaptationPolicy(engine="auto", registry=EngineRegistry([spec]), **knobs),
-    )
-    # Short bursts reach the columnar kernel too.
+    # The process roster holds the one family for the whole example (the
+    # ``engine_roster`` fixture's swap, scoped per hypothesis example), and
+    # short bursts reach the columnar kernel too.
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(registry_module, "_DEFAULT", EngineRegistry([spec]))
         patch.setattr(kernel, "MIN_COLUMNAR_BATCH", 4)
+        pinned = AdaptiveFilterEngine(
+            ProfileSet(schema, pool[::2]), policy=AdaptationPolicy(engine=family, **knobs)
+        )
+        auto = AdaptiveFilterEngine(
+            ProfileSet(schema, pool[::2]), policy=AdaptationPolicy(engine="auto", **knobs)
+        )
         assert drive_script(pinned, pool, script) == drive_script(auto, pool, script)
     assert auto.engine_family == family
     assert [decision(r) for r in auto.adaptations()] == [

@@ -14,7 +14,7 @@ from repro.core.events import Event
 from repro.core.profiles import ProfileSet, profile
 from repro.core.schema import Attribute, Schema
 from repro.matching.interfaces import MatchResult
-from repro.matching.registry import EngineCandidate, EngineRegistry, EngineSpec
+from repro.matching.registry import EngineCandidate, EngineSpec
 from repro.service.adaptive import AdaptationPolicy, AdaptiveFilterEngine
 
 
@@ -92,12 +92,14 @@ def drive(engine: AdaptiveFilterEngine, count: int) -> None:
 
 
 class TestConvergence:
-    def make_engine(self) -> AdaptiveFilterEngine:
-        registry = EngineRegistry()
+    @pytest.fixture(autouse=True)
+    def roster(self, engine_roster):
         # The model claims 70 ops/event; the matcher always costs 7.
-        registry.register(
-            constant_spec("stub", _ConstantOpsMatcher, true_ops=7, predicted=70.0, auto_rank=0)
+        engine_roster(
+            [constant_spec("stub", _ConstantOpsMatcher, true_ops=7, predicted=70.0, auto_rank=0)]
         )
+
+    def make_engine(self) -> AdaptiveFilterEngine:
         return AdaptiveFilterEngine(
             tiny_profiles(),
             policy=AdaptationPolicy(
@@ -105,7 +107,6 @@ class TestConvergence:
                 reoptimize_interval=100,
                 warmup_events=100,
                 improvement_threshold=0.5,
-                registry=registry,
             ),
         )
 
@@ -147,16 +148,15 @@ class TestConvergence:
 
 
 class TestCalibratedArbitration:
-    def test_auto_abandons_an_optimistic_model_after_one_measurement(self):
+    def test_auto_abandons_an_optimistic_model_after_one_measurement(self, engine_roster):
         """The liar family predicts 2 ops/event but costs 20; the honest
         family predicts its true 10.  Uncalibrated arbitration would run
         the liar forever — one measured interval flips it."""
-        registry = EngineRegistry()
-        registry.register(
-            constant_spec("liar", _LiarMatcher, true_ops=20, predicted=2.0, auto_rank=0)
-        )
-        registry.register(
-            constant_spec("honest", _HonestMatcher, true_ops=10, predicted=10.0, auto_rank=1)
+        engine_roster(
+            [
+                constant_spec("liar", _LiarMatcher, true_ops=20, predicted=2.0, auto_rank=0),
+                constant_spec("honest", _HonestMatcher, true_ops=10, predicted=10.0, auto_rank=1),
+            ]
         )
         engine = AdaptiveFilterEngine(
             tiny_profiles(),
@@ -165,7 +165,6 @@ class TestCalibratedArbitration:
                 reoptimize_interval=100,
                 warmup_events=100,
                 improvement_threshold=0.05,
-                registry=registry,
             ),
         )
         assert isinstance(engine.matcher, _LiarMatcher)  # lowest rank starts
@@ -187,22 +186,21 @@ class TestCalibratedArbitration:
 class TestCalibrationPrior:
     """A never-measured family borrows its ``calibration_prior``'s factor."""
 
-    def make_engine(self, prior: str | None) -> AdaptiveFilterEngine:
-        registry = EngineRegistry()
+    def make_engine(self, engine_roster, prior: str | None) -> AdaptiveFilterEngine:
         # The incumbent's model is 2x optimistic; the sibling shares that
         # model and predicts 4 % less — under the 5 % threshold.
-        registry.register(
-            constant_spec("base", _LiarMatcher, true_ops=20, predicted=10.0, auto_rank=0)
-        )
-        registry.register(
-            constant_spec(
-                "sibling",
-                _HonestMatcher,
-                true_ops=19,
-                predicted=9.6,
-                auto_rank=1,
-                calibration_prior=prior,
-            )
+        engine_roster(
+            [
+                constant_spec("base", _LiarMatcher, true_ops=20, predicted=10.0, auto_rank=0),
+                constant_spec(
+                    "sibling",
+                    _HonestMatcher,
+                    true_ops=19,
+                    predicted=9.6,
+                    auto_rank=1,
+                    calibration_prior=prior,
+                ),
+            ]
         )
         return AdaptiveFilterEngine(
             tiny_profiles(),
@@ -211,18 +209,17 @@ class TestCalibrationPrior:
                 reoptimize_interval=100,
                 warmup_events=100,
                 improvement_threshold=0.05,
-                registry=registry,
             ),
         )
 
-    def test_without_a_prior_the_unmeasured_sibling_wins_on_neutral_trust(self):
-        engine = self.make_engine(prior=None)
+    def test_without_a_prior_the_unmeasured_sibling_wins_on_neutral_trust(self, engine_roster):
+        engine = self.make_engine(engine_roster, prior=None)
         drive(engine, 300)
         # base is corrected to ~15+ ops while the sibling still reads 9.6.
         assert isinstance(engine.matcher, _HonestMatcher)
 
-    def test_the_prior_holds_until_the_family_is_measured_itself(self):
-        engine = self.make_engine(prior="base")
+    def test_the_prior_holds_until_the_family_is_measured_itself(self, engine_roster):
+        engine = self.make_engine(engine_roster, prior="base")
         drive(engine, 600)
         records = engine.adaptations()
         assert len(records) == 6 and not any(r.applied for r in records)
@@ -255,11 +252,13 @@ class TestUnboundedMemoryUnderDrift:
     """The EWMA has unbounded memory: a workload-regime change leaves the
     previous regime as a geometric tail in the correction factor."""
 
-    def make_engine(self) -> AdaptiveFilterEngine:
-        registry = EngineRegistry()
-        registry.register(
-            constant_spec("stub", _ConstantOpsMatcher, true_ops=7, predicted=70.0, auto_rank=0)
+    @pytest.fixture(autouse=True)
+    def roster(self, engine_roster):
+        engine_roster(
+            [constant_spec("stub", _ConstantOpsMatcher, true_ops=7, predicted=70.0, auto_rank=0)]
         )
+
+    def make_engine(self) -> AdaptiveFilterEngine:
         return AdaptiveFilterEngine(
             tiny_profiles(),
             policy=AdaptationPolicy(
@@ -267,7 +266,6 @@ class TestUnboundedMemoryUnderDrift:
                 reoptimize_interval=100,
                 warmup_events=100,
                 improvement_threshold=0.5,
-                registry=registry,
             ),
         )
 

@@ -16,7 +16,7 @@ import pytest
 
 import repro.matching.tree.builder as builder
 from repro.core.profiles import ProfileSet
-from repro.matching.registry import EngineRegistry, _tree_candidate, builtin_specs
+from repro.matching.registry import EngineSpec, _tree_candidate, builtin_specs
 from repro.matching.tree.matcher import TreeMatcher
 from repro.service.adaptive import AdaptationPolicy, AdaptiveFilterEngine
 from repro.workloads import build_workload
@@ -42,28 +42,25 @@ def full_builds(monkeypatch):
     return calls
 
 
-def never_pruning_registry() -> EngineRegistry:
+def never_pruning_specs() -> list[EngineSpec]:
     """The built-in roster, its tree family told that any cost could win."""
 
     def unpruned(ctx, matcher, distributions, could_win):
         return _tree_candidate(ctx, matcher, distributions, lambda cost: True)
 
-    return EngineRegistry(
-        [
-            replace(spec, candidate=unpruned) if spec.name == "tree" else spec
-            for spec in builtin_specs()
-        ]
-    )
+    return [
+        replace(spec, candidate=unpruned) if spec.name == "tree" else spec
+        for spec in builtin_specs()
+    ]
 
 
-def run_auto(name: str, registry: EngineRegistry | None = None, events: int | None = None):
+def run_auto(name: str, events: int | None = None):
     """Drive ``auto`` over a corpus profile at 100 subscriptions in
-    250-event batches; return the engine and every matched id tuple."""
+    250-event batches on the process roster; return the engine and every
+    matched id tuple."""
     profile = get_profile(name)
     workload = build_workload(profile.spec.with_counts(profile_count=SUBSCRIPTIONS))
-    policy = AdaptationPolicy(
-        engine="auto", registry=registry, **profile.engine.policy_overrides()
-    )
+    policy = AdaptationPolicy(engine="auto", **profile.engine.policy_overrides())
     engine = AdaptiveFilterEngine(
         ProfileSet(workload.spec.schema, workload.profiles), policy=policy
     )
@@ -94,11 +91,12 @@ def decisions(engine: AdaptiveFilterEngine) -> list:
         ("smart-building", False),
     ],
 )
-def test_pruning_changes_no_decision(name, prunes, full_builds):
+def test_pruning_changes_no_decision(name, prunes, full_builds, engine_roster):
     pruned, pruned_matched = run_auto(name)
     pruned_builds = len(full_builds)
     full_builds.clear()
-    unpruned, unpruned_matched = run_auto(name, never_pruning_registry())
+    engine_roster(never_pruning_specs())
+    unpruned, unpruned_matched = run_auto(name)
     unpruned_builds = len(full_builds)
 
     assert decisions(pruned) and decisions(pruned) == decisions(unpruned)

@@ -104,7 +104,6 @@ API_SURFACE = {
         "improvement_threshold",
         "history_length",
         "engine",
-        "registry",
     ),
     "AdaptationRecord": (
         "event_count",
