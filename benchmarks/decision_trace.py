@@ -8,10 +8,9 @@ ids as they were.  Run the script from each checkout's root, then diff::
     python benchmarks/decision_trace.py --diff /tmp/parent.json /tmp/change.json
 
 Covers every corpus profile x every pinned family it declares, plus
-``engine="auto"`` on every corpus profile at 100 subscriptions — the
-profiles where ``auto`` prunes its tree candidate on the root-level bound
-and those where it must not.  Those runs publish in the profile's
-batches; one more pinned-``index`` run per profile (``<name>/index/one-by-one``)
+``engine="auto"`` (which arbitrates between ``index`` and ``hybrid``) on
+every corpus profile at 100 subscriptions.  Those runs publish in the
+profile's batches; one more pinned-``index`` run per profile (``<name>/index/one-by-one``)
 publishes the same events one ``publish`` call at a time, so the
 per-event path into the event history is traced too.  One rule for every
 run: the decision fields (``event_count``, ``engine``, ``applied``,

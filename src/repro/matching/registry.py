@@ -15,19 +15,18 @@ matcher family registers one :class:`EngineSpec` bundling
   compares the candidates of its roster — every ranked family under
   ``engine="auto"``, else the one pinned family, whose candidate is its
   own tree restructure or index replan.  The running family is asked
-  first, then the rest in ``auto_rank`` order; each gets a
-  ``could_win(raw_cost)`` predicate applying the selection's own
-  comparison against the best candidate so far, so a family may abstain
-  (return ``None``) as soon as a lower bound on its cost cannot win.
+  first, then the rest in ``auto_rank`` order; a family may abstain from
+  a check by returning ``None``.
 
 ``"auto"`` is not a family: it is the reserved arbitration mode that
 pits every ranked family's candidate against the current matcher.
 :func:`default_registry` returns the process-wide registry, pre-populated
 with the built-in ``tree``, ``index`` and ``hybrid`` families and the
-``naive`` baseline (selectable by name, but never part of the ``auto``
-arbitration: the baseline carries no cost estimator); third-party engines
-become selectable by registering a spec — no change to ``repro.service``
-required::
+``naive`` baseline.  ``auto`` arbitrates between ``index`` and ``hybrid``:
+the tree (the paper's adaptive filter) restructures itself only when
+pinned by name, and the baseline carries no cost estimator.  Third-party
+engines become selectable by registering a spec — no change to
+``repro.service`` required::
 
     from repro.matching.registry import EngineSpec, default_registry
 
@@ -125,22 +124,12 @@ class EngineSpec:
     #: Attribute measures the family can rank by (``None`` = any).
     supported_measures: tuple["AttributeMeasure", ...] | None = None
     #: Cost the family's best candidate under distributions, given the
-    #: running matcher and ``could_win`` (``None``: the family filters
-    #: without periodic restructuring and never arbitrates).  May return
-    #: ``None`` to abstain from one check — in particular when
-    #: ``could_win(bound)`` is false for a lower bound on the candidate's
-    #: raw cost.  ``could_win`` is exact: it applies the arbitration's own
-    #: ``raw × correction`` comparison (ties to the earlier ``auto_rank``)
-    #: against the best candidate so far, so a sound bound never prunes a
-    #: candidate that would have been chosen.
+    #: running matcher (``None``: the family filters without periodic
+    #: restructuring and never arbitrates).  May return ``None`` to
+    #: abstain from one check.
     candidate: (
         Callable[
-            [
-                EngineContext,
-                "Matcher | None",
-                Mapping[str, "Distribution"],
-                Callable[[float], bool],
-            ],
+            [EngineContext, "Matcher | None", Mapping[str, "Distribution"]],
             EngineCandidate | None,
         ]
         | None
@@ -251,10 +240,6 @@ class EngineRegistry:
                 return spec
         return None
 
-    def copy(self) -> "EngineRegistry":
-        """Return an independent registry with the same specs."""
-        return EngineRegistry(tuple(self._specs.values()))
-
 
 # -- built-in families -----------------------------------------------------------
 #
@@ -276,58 +261,48 @@ def _tree_owns(matcher: "Matcher") -> bool:
 
 
 def _tree_candidate(
-    ctx: EngineContext, matcher: "Matcher | None", distributions, could_win
+    ctx: EngineContext, matcher: "Matcher | None", distributions
 ) -> EngineCandidate | None:
-    """Cost the optimizer's candidate tree under ``distributions``.
+    """Cost the optimizer's restructure of a running tree under ``distributions``.
 
-    Unless the tree is running, the candidate's root level is built and
-    priced first: it is ``per_level[0]`` of the full tree's cost, and every
-    deeper level adds a non-negative term, so when that bound cannot win
-    the family abstains without building the tree.  The built tree
-    travels with the candidate so an applied decision adopts it instead
-    of rebuilding.
+    Only a running tree is priced (``None`` for any other matcher): the
+    tree is off ``auto``'s roster, so it restructures itself only when
+    pinned.  The built tree travels with the candidate so an applied
+    decision adopts it instead of rebuilding.
     """
     from repro.analysis.cost_model import expected_tree_cost
     from repro.core.errors import ReproError
-    from repro.core.subranges import build_partitions
     from repro.matching.tree.builder import build_tree
     from repro.matching.tree.matcher import TreeMatcher
     from repro.selectivity.optimizer import TreeOptimizer
 
-    running = isinstance(matcher, TreeMatcher)
-    # Workloads the tree model cannot express (partition construction
-    # fails) simply leave the family out of the check.
+    if not isinstance(matcher, TreeMatcher):
+        return None
+    # Workloads the tree model cannot express (the optimiser or the
+    # builder fails) simply skip the check.
     try:
-        partitions = dict(matcher.partitions() if running else build_partitions(ctx.profiles))
+        partitions = dict(matcher.partitions())
         optimizer = TreeOptimizer(ctx.profiles, distributions, partitions=partitions)
         configuration = optimizer.configuration(
             value_measure=ctx.value_measure,
             attribute_measure=ctx.attribute_measure,
             search=ctx.search,
         )
-        predicted_current = None
-        if running:
-            predicted_current = expected_tree_cost(matcher.tree, distributions).operations_per_event
+        predicted_current = expected_tree_cost(matcher.tree, distributions).operations_per_event
         # A converged tree: the optimiser's answer is what is already running
         # (labels aside), so there is nothing to build or to cost again.
-        if running and configuration == replace(matcher.configuration, label=configuration.label):
+        if configuration == replace(matcher.configuration, label=configuration.label):
             tree, cost = matcher.tree, predicted_current
         else:
-            if not running:
-                root = build_tree(ctx.profiles, configuration, partitions=partitions, levels=1)
-                if not could_win(expected_tree_cost(root, distributions).operations_per_event):
-                    return None
             tree = build_tree(ctx.profiles, configuration, partitions=partitions)
             cost = expected_tree_cost(tree, distributions).operations_per_event
     except ReproError:
         return None
 
     def install() -> "Matcher":
-        if running:
-            # Install the tree already built for costing — no second build.
-            matcher.adopt(tree, configuration)
-            return matcher
-        return TreeMatcher.from_built(ctx.profiles, tree, configuration)
+        # Install the tree already built for costing — no second build.
+        matcher.adopt(tree, configuration)
+        return matcher
 
     return EngineCandidate(
         "tree", cost, f"tree[{configuration.label}]", install, predicted_current
@@ -364,10 +339,8 @@ def _predicate_index_spec(
         return isinstance(matcher, PredicateIndexMatcher) and matcher.planner.hybrid == hybrid
 
     def candidate(
-        ctx: EngineContext, matcher: "Matcher | None", distributions, could_win
+        ctx: EngineContext, matcher: "Matcher | None", distributions
     ) -> EngineCandidate | None:
-        # Costing a plan builds nothing, so there is no bound worth
-        # checking first: ``could_win`` goes unused.
         if owns(matcher):
             # A cheap recost of the live buckets prices both sides; an
             # applied decision replans (rebuilds) in place, keeping the
@@ -417,14 +390,18 @@ def _naive_owns(matcher: "Matcher") -> bool:
     return type(matcher) is NaiveMatcher
 
 
-def _builtin_specs() -> tuple[EngineSpec, ...]:
+def builtin_specs() -> tuple[EngineSpec, ...]:
+    """Return the built-in specs, built fresh on every call."""
     tree = EngineSpec(
         name="tree",
         factory=_tree_factory,
         owns=_tree_owns,
         supported_measures=None,
         candidate=_tree_candidate,
-        auto_rank=1,
+        # Off the ``auto`` roster: it loses to ``index`` in seconds on
+        # every committed profile, so ``auto`` never prices it.  Pinned by
+        # name it still restructures itself at every check.
+        auto_rank=None,
         description="the paper's profile tree, restructured via the TreeOptimizer",
     )
     index = _predicate_index_spec(
@@ -439,8 +416,8 @@ def _builtin_specs() -> tuple[EngineSpec, ...]:
     hybrid = _predicate_index_spec(
         "hybrid",
         hybrid=True,
-        # Arbitrates after index/tree: on workloads where a homogeneous
-        # plan is already optimal the hybrid ties, and the tie goes to the
+        # Arbitrates after index: on workloads where a homogeneous plan
+        # is already optimal the hybrid ties, and the tie goes to the
         # established family.
         auto_rank=2,
         # Same cost model and executor as the index family, so until a
@@ -463,7 +440,7 @@ def _builtin_specs() -> tuple[EngineSpec, ...]:
         name="naive",
         factory=_naive_factory,
         owns=_naive_owns,
-        auto_rank=60,
+        auto_rank=None,
         description="sequential per-profile scan baseline",
     )
     return (tree, index, hybrid, naive)
@@ -476,10 +453,5 @@ def default_registry() -> EngineRegistry:
     """Return the process-wide registry (built-ins registered lazily)."""
     global _DEFAULT
     if _DEFAULT is None:
-        _DEFAULT = EngineRegistry(_builtin_specs())
+        _DEFAULT = EngineRegistry(builtin_specs())
     return _DEFAULT
-
-
-def builtin_specs() -> tuple[EngineSpec, ...]:
-    """Return fresh copies of the built-in specs (for custom registries)."""
-    return tuple(replace(spec) for spec in _builtin_specs())

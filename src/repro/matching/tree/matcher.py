@@ -120,25 +120,11 @@ class TreeMatcher:
         """Install an externally built tree without rebuilding.
 
         The caller guarantees ``tree`` was built from this matcher's
-        profile set under ``configuration`` — the adaptive engine uses
-        this to reuse the candidate tree it already built for costing.
+        profile set under ``configuration`` — the tree family's candidate
+        uses this to install the tree it already built for costing.
         """
         self._tree = tree
         self._configuration = configuration
-
-    @classmethod
-    def from_built(
-        cls,
-        profiles: ProfileSet,
-        tree: ProfileTree,
-        configuration: TreeConfiguration,
-    ) -> "TreeMatcher":
-        """Wrap an already-built tree (same contract as :meth:`adopt`)."""
-        matcher = cls.__new__(cls)
-        matcher.profiles = profiles
-        matcher._configuration = configuration
-        matcher._tree = tree
-        return matcher
 
     # -- matching ----------------------------------------------------------------------
     def match(self, event: Event) -> MatchResult:

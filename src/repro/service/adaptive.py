@@ -509,7 +509,7 @@ class AdaptiveFilterEngine:
         the paper's common currency (expected comparison operations per
         event) under the current history distributions — the index side
         through the :class:`~repro.matching.index.planner.IndexPlanner`
-        estimate, the tree side through
+        estimate, a pinned tree through
         :func:`repro.analysis.cost_model.expected_tree_cost` of the
         :class:`~repro.selectivity.optimizer.TreeOptimizer`'s candidate
         configuration — and the cheapest is adopted when it improves on
@@ -521,12 +521,9 @@ class AdaptiveFilterEngine:
         the others in roster order, and the winner is the least
         ``(calibrated cost, roster position)``: ties fall to the lower
         :attr:`~repro.matching.registry.EngineSpec.auto_rank` (the index
-        family, on the built-in roster) whatever the evaluation order.
-        Each candidate callback gets that comparison as ``could_win``,
-        so a family whose lower-bound cost already loses may abstain
-        without building anything (the tree family prices its root level
-        first).  The chosen family is exposed as
-        :attr:`AdaptationRecord.engine`.
+        family, on the built-in roster) whatever the evaluation order.  A
+        family may abstain from a check by returning ``None``.  The chosen
+        family is exposed as :attr:`AdaptationRecord.engine`.
 
         **Calibration.**  Candidates are ranked by corrected cost — raw
         model cost times the family's :meth:`_correction` — which closes
@@ -571,19 +568,14 @@ class AdaptiveFilterEngine:
                 # The pinned family opted out of periodic restructuring
                 # (the baselines, most third-party engines).
                 continue
-            correction = self._correction(spec)
-
-            def could_win(cost: float, correction=correction, position=position) -> bool:
-                return best_key is None or (cost * correction, position) < best_key
-
-            candidate = spec.candidate(self._context, matcher, distributions, could_win)
+            candidate = spec.candidate(self._context, matcher, distributions)
             if candidate is None:
                 continue
             if spec is current_spec and candidate.predicted_current is not None:
                 predicted_current = candidate.predicted_current
-            if could_win(candidate.cost):
-                best, best_spec = candidate, spec
-                best_key = (candidate.cost * correction, position)
+            key = (candidate.cost * self._correction(spec), position)
+            if best_key is None or key < best_key:
+                best, best_spec, best_key = candidate, spec, key
         if best is None:
             return
         best_calibrated = best_key[0]

@@ -107,13 +107,11 @@ class TestBaselineFamilies:
 
     def test_no_participation_in_auto_arbitration(self):
         """No cost estimator: the baseline never arbitrates, and auto still
-        starts on the index family."""
+        starts on the index family.  The tree is off the roster too."""
         registry = default_registry()
-        assert [spec.name for spec in registry.arbitrating_specs()] == [
-            "index",
-            "tree",
-            "hybrid",
-        ]
+        assert [spec.name for spec in registry.arbitrating_specs()] == ["index", "hybrid"]
+        assert registry.spec("naive").auto_rank is None
+        assert registry.spec("tree").auto_rank is None
         assert registry.auto_start().name == "index"
 
     def test_no_periodic_restructuring(self):
@@ -255,7 +253,7 @@ class TestAutoArbitrationOverRegistry:
         arbitration and gets installed."""
         calls = []
 
-        def cheap_candidate(ctx, matcher, distributions, could_win):
+        def cheap_candidate(ctx, matcher, distributions):
             from repro.matching.registry import EngineCandidate
 
             calls.append(type(matcher).__name__)
@@ -304,7 +302,7 @@ class TestAutoArbitrationOverRegistry:
         feedback, to a family that never runs."""
         from repro.matching.registry import EngineCandidate
 
-        def mislabelled(ctx, matcher, distributions, could_win):
+        def mislabelled(ctx, matcher, distributions):
             return EngineCandidate(
                 "scna",
                 1.0,
@@ -334,52 +332,35 @@ class TestAutoArbitrationOverRegistry:
         assert calibration.observations == len(records) - 1 > 0
         assert set(calibration.factors) == {"scan"}
 
-    def test_could_win_is_the_selection_comparison(self, engine_roster):
-        """A family costed after the best candidate so far gets the
-        arbitration's own test as ``could_win``: a lower cost could win,
-        a higher one cannot, and neither can an equal one (the tie goes
-        to the earlier roster position)."""
-        from repro.matching.registry import EngineCandidate
+    def test_an_abstaining_family_is_skipped(self, engine_roster):
+        """A candidate hook returning ``None`` sits that check out: it is
+        asked at every check, and every decision goes to another family."""
+        asked = []
 
-        def constant(ctx, matcher, distributions, could_win):
-            return EngineCandidate(
-                "scan",
-                5.0,
-                "scan[flat]",
-                lambda: _ScanSpy(ctx.profiles),
-                predicted_current=5.0,
-            )
-
-        answers = []
-
-        def recording(ctx, matcher, distributions, could_win):
-            answers.append((could_win(4.0), could_win(5.0), could_win(6.0)))
+        def abstaining(ctx, matcher, distributions):
+            asked.append(type(matcher).__name__)
             return None
 
         engine_roster(
             [
+                *builtin_specs(),
                 EngineSpec(
                     name="scan",
                     factory=lambda ctx: _ScanSpy(ctx.profiles),
-                    owns=lambda matcher: isinstance(matcher, _ScanSpy),
-                    candidate=constant,
-                    auto_rank=0,
-                ),
-                EngineSpec(
-                    name="probe",
-                    factory=lambda ctx: NaiveMatcher(ctx.profiles),
-                    candidate=recording,
-                    auto_rank=1,
+                    candidate=abstaining,
+                    auto_rank=5,
                 ),
             ]
         )
         policy = AdaptationPolicy(engine="auto", reoptimize_interval=50, warmup_events=50)
         engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
-        rng = random.Random(8)
-        for _ in range(50):  # exactly one check, before any calibration
+        rng = random.Random(9)
+        for _ in range(150):
             engine.match(Event({"v": rng.randint(0, 99)}))
-        assert answers == [(True, False, False)]
-        assert [record.engine for record in engine.adaptations()] == ["scan"]
+        records = engine.adaptations()
+        assert len(records) == len(asked) == 3
+        assert {record.engine for record in records} <= {"index", "hybrid"}
+        assert not isinstance(engine.matcher, _ScanSpy)
 
     def test_min_columnar_batch_controls_the_kernel_cutover(self, monkeypatch):
         """Batches at or above ``kernel.MIN_COLUMNAR_BATCH`` (read at call
@@ -399,6 +380,29 @@ class TestAutoArbitrationOverRegistry:
         assert [r.matched_profile_ids for r in results] == [
             (f"P{event['v']}",) for event in events
         ]
+
+
+def test_the_tree_candidate_prices_only_a_running_tree():
+    """Off the ``auto`` roster the tree family is never asked to price a
+    switch to itself: its candidate abstains unless a tree is running."""
+    from repro.workloads import example3_event_distributions
+
+    profiles = environmental_profiles()
+    policy = AdaptationPolicy()
+    context = EngineContext(
+        profiles=profiles,
+        attribute_measure=policy.attribute_measure,
+        value_measure=policy.value_measure,
+        search=policy.search,
+    )
+    distributions = example3_event_distributions()
+    candidate = default_registry().spec("tree").candidate
+    assert candidate(context, None, distributions) is None
+    assert candidate(context, PredicateIndexMatcher(profiles), distributions) is None
+    running = TreeMatcher(profiles)
+    priced = candidate(context, running, distributions)
+    assert priced.family == "tree" and priced.predicted_current is not None
+    assert priced.install() is running
 
 
 def test_a_converged_pinned_tree_check_builds_nothing(monkeypatch):

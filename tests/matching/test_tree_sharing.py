@@ -72,8 +72,9 @@ def assert_same_tree(profiles, configuration, distributions, events):
     assert tree.height() == unfolded_height(reference.root)
     assert stored_node_count(tree.root) <= stored_node_count(reference.root)
 
-    shared = TreeMatcher.from_built(profiles, tree, tree.configuration)
-    unfolded = TreeMatcher.from_built(profiles, reference, reference.configuration)
+    shared, unfolded = TreeMatcher(profiles), TreeMatcher(profiles)
+    shared.adopt(tree, tree.configuration)
+    unfolded.adopt(reference, reference.configuration)
     for event in events:
         ours, theirs = shared.match(event), unfolded.match(event)
         assert ours.matched_profile_ids == theirs.matched_profile_ids

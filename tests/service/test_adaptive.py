@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.matching.registry as registry_module
+import repro.matching.tree.builder as tree_builder
+from repro.api import FilterService
 from repro.core.domains import IntegerDomain
 from repro.core.errors import EventError, ServiceError
 from repro.core.events import Event
@@ -20,12 +22,63 @@ from repro.matching.registry import EngineRegistry, builtin_specs
 from repro.matching.tree.config import SearchStrategy
 from repro.service.adaptive import AdaptationPolicy, AdaptiveFilterEngine
 from repro.selectivity.value_measures import ValueMeasure
+from repro.workloads import build_workload
+from repro.workloads.profiles import get_profile
 
 
 def single_attribute_profiles() -> ProfileSet:
     schema = Schema([Attribute("v", IntegerDomain(0, 99))])
     values = list(range(0, 100, 5))  # 20 referenced values spread over the domain
     return ProfileSet(schema, [profile(f"P{v}", v=v) for v in values])
+
+
+def count_tree_builds(monkeypatch) -> list:
+    """Record every ``build_tree`` call the tree family's candidate makes
+    from now on (it looks the builder up by name at every check)."""
+    calls = []
+    build_tree = tree_builder.build_tree
+
+    def counting_build_tree(*args, **kwargs):
+        calls.append(args)
+        return build_tree(*args, **kwargs)
+
+    monkeypatch.setattr(tree_builder, "build_tree", counting_build_tree)
+    return calls
+
+
+def flipping_auto_engine(engine_roster) -> AdaptiveFilterEngine:
+    """An auto engine whose cost models always favour the *other* family.
+
+    The deterministic costs are injected through a swapped process roster
+    (the ``engine_roster`` fixture): the built-in ``index`` and ``hybrid``
+    specs keep their real factories and install paths (so matching
+    semantics stay honest) but their cost estimators report whichever
+    family is *running* as expensive (10.0, on both the candidate and its
+    ``predicted_current``) and the other family's candidate as cheap
+    (1.0), so every check predicts a 10x payoff from switching — the worst
+    case the cooldown exists for.
+    """
+
+    def flipping(spec):
+        def candidate(ctx, matcher, distributions):
+            built = spec.candidate(ctx, matcher, distributions)
+            if spec.matcher_owned(matcher):
+                return replace(built, cost=10.0, predicted_current=10.0)
+            return replace(built, cost=1.0)
+
+        return replace(spec, candidate=candidate)
+
+    specs = builtin_specs()
+    engine_roster([flipping(spec) if spec.name in ("index", "hybrid") else spec for spec in specs])
+    return AdaptiveFilterEngine(
+        single_attribute_profiles(),
+        policy=AdaptationPolicy(
+            engine="auto",
+            reoptimize_interval=100,
+            warmup_events=100,
+            improvement_threshold=0.0,
+        ),
+    )
 
 
 def peaked_events(count: int, seed: int = 1) -> list[Event]:
@@ -176,7 +229,7 @@ class TestAdaptiveFilterEngine:
 
 
 class TestAutoEngine:
-    """The ``engine="auto"`` roster entry: tree-vs-index arbitration."""
+    """The ``engine="auto"`` roster entry: index-vs-hybrid arbitration."""
 
     @staticmethod
     def sparse_equality_profiles() -> ProfileSet:
@@ -208,6 +261,28 @@ class TestAutoEngine:
                 engine.match(event).matched_profile_ids
                 == oracle.match(event).matched_profile_ids
             )
+
+    @staticmethod
+    def run_corpus(name: str, engine_name: str, *, subscriptions: int | None = None):
+        """Publish a corpus profile's events through the facade in its
+        batches; return the matched ids, the events, the profiles and the
+        adaptive engine."""
+        scenario = get_profile(name)
+        if subscriptions is not None:
+            scenario = replace(
+                scenario, spec=scenario.spec.with_counts(profile_count=subscriptions)
+            )
+        workload = build_workload(scenario.spec)
+        events = list(workload.events)
+        size = scenario.run.batch_size
+        matched = []
+        with FilterService.from_profile(scenario, engine=engine_name, delivery="inline") as service:
+            service.subscribe_all(workload.profiles)
+            for start in range(0, len(events), size):
+                outcomes = service.publish_batch(events[start : start + size])
+                matched.extend(outcome.match_result.matched_profile_ids for outcome in outcomes)
+            engine = service.broker.engine
+        return matched, events, ProfileSet(workload.spec.schema, workload.profiles), engine
 
     def auto_policy(self, **kwargs) -> AdaptationPolicy:
         return AdaptationPolicy(
@@ -248,7 +323,11 @@ class TestAutoEngine:
             engine.matcher.estimated_cost(recosts[-1])
         )
 
-    def test_auto_selects_tree_for_broad_ranges(self):
+    def test_auto_builds_no_tree_for_broad_ranges(self, monkeypatch):
+        """Nested broad ranges are where the tree wins the paper's metric;
+        ``auto`` still neither builds nor installs one: the tree is off
+        its roster."""
+        builds = count_tree_builds(monkeypatch)
         rng = random.Random(2)
         events = [Event({"v": rng.randint(300, 700)}) for _ in range(600)]
         engine = AdaptiveFilterEngine(
@@ -257,26 +336,51 @@ class TestAutoEngine:
         )
         self.run(engine, events)
         records = engine.adaptations()
-        assert any(record.engine == "tree" and record.applied for record in records)
-        assert isinstance(engine.matcher, TreeMatcher)
-        # The switch was predicted to pay off under the common cost currency.
-        switch = next(r for r in records if r.engine == "tree" and r.applied)
-        assert switch.predicted_candidate < switch.predicted_current
+        assert records and {record.engine for record in records} <= {"index", "hybrid"}
+        assert not isinstance(engine.matcher, TreeMatcher)
+        assert builds == []
 
-    def test_auto_switch_preserves_matching_semantics_both_ways(self):
-        """Drive one engine through tree territory and keep checking the
-        oracle; maintenance keeps working on whichever family is active."""
-        rng = random.Random(3)
-        engine = AdaptiveFilterEngine(
-            self.broad_range_profiles(),
-            policy=self.auto_policy(search=SearchStrategy.BINARY),
-        )
-        self.run(engine, [Event({"v": rng.randint(300, 700)}) for _ in range(400)])
+    @pytest.mark.parametrize("name", ["smart-building", "stock-ticker", "wide-range"])
+    def test_auto_builds_no_tree_on_the_corpus(self, name, monkeypatch):
+        """The three corpus profiles on which ``auto`` used to install the
+        tree (at 100 subscriptions, in the profile's batches): no
+        ``build_tree`` call, and the naive oracle's matches."""
+        builds = count_tree_builds(monkeypatch)
+        matched, events, profiles, engine = self.run_corpus(name, "auto", subscriptions=100)
+        oracle = NaiveMatcher(profiles)
+        assert matched == [oracle.match(event).matched_profile_ids for event in events]
+        assert engine.adaptations()
+        assert builds == []
+
+    def test_pinned_tree_still_restructures(self):
+        """Pinned by name the tree is the paper's adaptive filter: on
+        ``stock-ticker`` its first check applies a restructure."""
+        matched, events, profiles, engine = self.run_corpus("stock-ticker", "tree")
+        oracle = NaiveMatcher(profiles)
+        assert matched == [oracle.match(event).matched_profile_ids for event in events]
+        records = engine.adaptations()
+        assert [(record.engine, record.applied) for record in records] == [
+            ("tree", True),
+            ("tree", False),
+        ]
         assert isinstance(engine.matcher, TreeMatcher)
-        engine.add_profile(Profile("late", {"v": Equals(500)}))
-        assert "late" in engine.match(Event({"v": 500}))
-        engine.remove_profile("late")
-        assert "late" not in engine.match(Event({"v": 500}))
+
+    def test_auto_switch_preserves_matching_semantics_both_ways(self, engine_roster):
+        """Drive one engine index -> hybrid -> index and keep checking the
+        oracle; maintenance keeps working on whichever family is active."""
+        engine = flipping_auto_engine(engine_roster)
+        rng = random.Random(3)
+        for family, events in (("hybrid", 150), ("index", 250)):
+            self.run(engine, [Event({"v": rng.randint(0, 99)}) for _ in range(events)])
+            assert engine.engine_family == family
+            engine.add_profile(Profile("late", {"v": Equals(50)}))
+            assert "late" in engine.match(Event({"v": 50}))
+            engine.remove_profile("late")
+            assert "late" not in engine.match(Event({"v": 50}))
+        assert [(r.engine, r.applied) for r in engine.adaptations() if r.applied] == [
+            ("hybrid", True),
+            ("index", True),
+        ]
 
     def test_auto_policy_validates_measures_like_index(self):
         from repro.selectivity import AttributeMeasure
@@ -369,7 +473,7 @@ class TestBatchFiltering:
 
 
 class TestAutoSwitchHysteresis:
-    """The switch cooldown: no tree<->index thrash on alternating costs."""
+    """The switch cooldown: no index<->hybrid thrash on alternating costs."""
 
     @staticmethod
     def drive(engine: AdaptiveFilterEngine, count: int, seed: int = 9) -> None:
@@ -377,61 +481,12 @@ class TestAutoSwitchHysteresis:
         for _ in range(count):
             engine.match(Event({"v": rng.randint(0, 99)}))
 
-    def make_flipping_engine(self, engine_roster) -> AdaptiveFilterEngine:
-        """An auto engine whose cost models always favour the *other* family.
-
-        The deterministic costs are injected through a swapped process
-        roster (the ``engine_roster`` fixture): the built-in
-        specs keep their real factories and install paths (so matching
-        semantics stay honest) but their cost estimators report whatever
-        family is *running* as expensive (10.0, on both the candidate and
-        its ``predicted_current``) and the other family's candidate as
-        cheap (1.0), so every check predicts a 10x payoff
-        from switching — the worst case the cooldown exists for.
-        """
-        def flipping(spec_name, real_candidate):
-            def candidate(ctx, matcher, distributions, could_win):
-                # The costs are rewritten below, so no real bound may
-                # prune the real candidate.
-                built = real_candidate(ctx, matcher, distributions, lambda cost: True)
-                running = "index" if isinstance(matcher, PredicateIndexMatcher) else "tree"
-                if spec_name == running:
-                    return replace(built, cost=10.0, predicted_current=10.0)
-                return replace(built, cost=1.0)
-
-            return candidate
-
-        specs = []
-        for spec in builtin_specs():
-            if spec.name == "hybrid":
-                # The hybrid family shares the index executor and would
-                # tie-break these synthetic costs; strip its estimator so
-                # the arbitration stays a pure tree<->index flip.
-                specs.append(replace(spec, candidate=None))
-            elif spec.candidate is None or spec.auto_rank is None:
-                # The naive baseline carries no cost estimator; it sits
-                # the arbitration out here exactly as it does on the
-                # default roster.
-                specs.append(spec)
-            else:
-                specs.append(replace(spec, candidate=flipping(spec.name, spec.candidate)))
-        engine_roster(specs)
-        return AdaptiveFilterEngine(
-            single_attribute_profiles(),
-            policy=AdaptationPolicy(
-                engine="auto",
-                reoptimize_interval=100,
-                warmup_events=100,
-                improvement_threshold=0.0,
-            ),
-        )
-
     def test_cooldown_suppresses_immediate_switch_back(self, engine_roster):
-        engine = self.make_flipping_engine(engine_roster)
+        engine = flipping_auto_engine(engine_roster)
         self.drive(engine, 400)
         records = engine.adaptations()
         assert [(r.engine, r.applied, r.suppressed) for r in records] == [
-            ("tree", True, False),  # first check: switch index -> tree
+            ("hybrid", True, False),  # first check: switch index -> hybrid
             ("index", False, True),  # wants to flip back: cooldown holds it
             ("index", False, True),  # still cooling down
             ("index", True, False),  # cooldown elapsed: switch allowed again
@@ -519,6 +574,10 @@ def test_pinned_engine_is_auto_over_a_roster_of_one(family, run, threshold):
     )
     knobs = dict(reoptimize_interval=8, warmup_events=8, improvement_threshold=threshold)
     spec = next(spec for spec in builtin_specs() if spec.name == family)
+    if spec.auto_rank is None:
+        # The tree is off the built-in ``auto`` roster; a rank puts it on
+        # this roster of one.
+        spec = replace(spec, auto_rank=1)
     # The process roster holds the one family for the whole example (the
     # ``engine_roster`` fixture's swap, scoped per hypothesis example), and
     # short bursts reach the columnar kernel too.

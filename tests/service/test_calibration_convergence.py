@@ -66,7 +66,7 @@ def constant_spec(
 ) -> EngineSpec:
     """A family whose model claims ``predicted`` but always costs ``true_ops``."""
 
-    def candidate(ctx, matcher, distributions, could_win):
+    def candidate(ctx, matcher, distributions):
         return EngineCandidate(
             name,
             predicted,

@@ -350,6 +350,54 @@ def test_api_methods_are_locked(class_name):
         )
 
 
+# -- engine registry and tree matcher surface lock -----------------------------
+#
+# Third-party families plug in through the registry, and the tree matcher is
+# the paper's filter; their public methods are pinned by name, so adding or
+# removing one is an explicit diff here.
+
+REGISTRY_METHODS = (
+    "arbitrating_specs",
+    "auto_start",
+    "engine_names",
+    "names",
+    "owner_of",
+    "register",
+    "spec",
+    "unregister",
+    "validate_engine",
+)
+
+TREE_MATCHER_METHODS = (
+    "add_profile",
+    "add_profiles",
+    "adopt",
+    "configuration",
+    "match",
+    "match_batch",
+    "partitions",
+    "reconfigure",
+    "remove_profile",
+    "tree",
+)
+
+
+def _public_members(cls) -> tuple:
+    return tuple(sorted(name for name in vars(cls) if not name.startswith("_")))
+
+
+def test_registry_and_tree_matcher_surfaces_are_locked():
+    from repro.matching.registry import EngineRegistry, builtin_specs
+
+    assert _public_members(EngineRegistry) == REGISTRY_METHODS
+    assert _public_members(TreeMatcher) == TREE_MATCHER_METHODS
+    assert _parameter_names(builtin_specs) == ()
+    # ``EngineSpec.candidate`` takes ``(ctx, matcher, distributions)``.
+    for spec in builtin_specs():
+        if spec.candidate is not None:
+            assert _parameter_names(spec.candidate) == ("ctx", "matcher", "distributions")
+
+
 # -- repro.workloads.profiles surface lock ------------------------------------
 #
 # The declarative scenario-corpus API is the replacement for the legacy
