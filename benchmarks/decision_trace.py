@@ -21,6 +21,12 @@ move.  A run present in only one file (a family added or deleted) is
 labelled ``NEW`` or ``GONE`` and counted apart; only runs on both sides
 that differ make ``--diff`` exit non-zero.  The tail line reports the worst
 relative cost deviation seen.
+
+Each record also carries the check's own stall,
+``AdaptationRecord.check_seconds``.  ``--diff`` never compares it — it is a
+clock, not a decision — but prints the slowest check of each side on the
+line before the tail line ("not recorded" for a trace written before the
+field was).
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ def trace(profile, engine: str, *, one_by_one: bool = False) -> dict:
                 r.suppressed,
                 r.predicted_current,
                 r.predicted_candidate,
+                r.check_seconds,
             ]
             for r in records
         ],
@@ -104,6 +111,20 @@ def same_run(before: dict, after: dict) -> bool:
     )
 
 
+def slowest_check(traces: dict) -> str:
+    """Describe the slowest recorded check of one side's traces."""
+    timed = [
+        (record[6], key, record[0])
+        for key, run in traces.items()
+        for record in run["records"]
+        if len(record) > 6 and record[6] is not None
+    ]
+    if not timed:
+        return "not recorded"
+    seconds, key, events = max(timed)
+    return f"{seconds * 1e3:.1f} ms ({key}, check at {events} events)"
+
+
 def diff(parent_path: str, change_path: str) -> int:
     with open(parent_path) as handle:
         parent = json.load(handle)
@@ -125,6 +146,7 @@ def diff(parent_path: str, change_path: str) -> int:
         applied = sum(1 for record in records if record[2])
         print(f"{verdict:4}  {key:32} {len(records):3} checks, {applied} applied")
     checks = sum(len(run["records"]) for run in change.values())
+    print(f"slowest check: parent {slowest_check(parent)}; change {slowest_check(change)}")
     print(
         f"{len(change)} runs, {checks} checks, {counts['DIFF']} differing, "
         f"{counts['GONE']} gone, {counts['NEW']} new "

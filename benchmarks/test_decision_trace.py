@@ -2,6 +2,7 @@
 
 A run present on one side only is labelled ``GONE``/``NEW`` and does not
 fail the diff; a run present on both sides fails it only when it moved.
+A record's ``check_seconds`` is reported, never compared.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ def _write(tmp_path, name: str, traces: dict) -> str:
 
 
 def _verdicts(output: str) -> dict[str, str]:
-    lines = output.splitlines()[:-1]
-    return {line.split()[1]: line.split()[0] for line in lines}
+    rows = [line.split() for line in output.splitlines()]
+    return {row[1]: row[0] for row in rows if row[0] in {"same", "DIFF", "GONE", "NEW"}}
 
 
 def test_one_sided_runs_are_labelled_and_do_not_fail(tmp_path, capsys):
@@ -68,3 +69,24 @@ def test_a_moved_run_on_both_sides_fails(tmp_path, capsys, moved):
     assert status == 1
     assert _verdicts(output)["a/index"] == "DIFF"
     assert ", 1 differing, 0 gone, 0 new " in output.splitlines()[-1]
+
+
+def test_check_seconds_is_reported_and_never_compared(tmp_path, capsys):
+    parent = {"a/index": _run("d1", [*CHECK, 0.020], [*CHECK, 0.031])}
+    change = {"a/index": _run("d1", [*CHECK, 0.004], [*CHECK, 0.005])}
+    status = diff(_write(tmp_path, "parent.json", parent), _write(tmp_path, "change.json", change))
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert _verdicts("\n".join(lines)) == {"a/index": "same"}
+    assert lines[-2] == (
+        "slowest check: parent 31.0 ms (a/index, check at 400 events); "
+        "change 5.0 ms (a/index, check at 400 events)"
+    )
+
+
+def test_a_trace_without_check_seconds_says_so(tmp_path, capsys):
+    change = {"a/index": _run("d1", [*CHECK, 0.004])}
+    status = diff(_write(tmp_path, "parent.json", PARENT), _write(tmp_path, "change.json", change))
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert lines[-2].startswith("slowest check: parent not recorded; change 4.0 ms")

@@ -15,15 +15,23 @@ the attribute-selectivity measures A1 and A2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 from repro.core.domains import DiscreteDomain, Domain, IntegerDomain
 from repro.core.errors import PredicateError, ProfileError
 from repro.core.intervals import Interval, sweep_intervals
-from repro.core.profiles import Profile, ProfileSet
+from repro.core.predicates import Predicate, RangePredicate
+from repro.core.profiles import ProfileSet
 from repro.core.schema import Attribute
 
-__all__ = ["Subrange", "AttributePartition", "build_partition", "build_partitions"]
+__all__ = [
+    "Subrange",
+    "AttributePartition",
+    "build_partition",
+    "build_partitions",
+    "predicate_partition",
+]
 
 
 @dataclass(frozen=True)
@@ -145,31 +153,31 @@ class AttributePartition:
         return len(self.subranges)
 
 
-def _discrete_partition(
-    attribute: Attribute,
-    constraining: Sequence[Profile],
-    dont_care_ids: frozenset[str],
-) -> AttributePartition:
+#: Distinct constraining predicates mapped to the ids of the profiles
+#: carrying each one (empty when only the sub-ranges are wanted).
+_Owners = Mapping[Predicate, Sequence[str]]
+
+
+def _discrete_subranges(attribute: Attribute, owners: _Owners) -> list[Subrange]:
     domain = attribute.domain
     value_to_profiles: dict[object, set[str]] = {}
-    for prof in constraining:
-        predicate = prof.predicate(attribute.name)
+    for predicate, profile_ids in owners.items():
         try:
             accepted = predicate.accepted_values(domain)
         except PredicateError as exc:
+            carrier = f"profile {profile_ids[0]!r}: " if profile_ids else ""
             raise ProfileError(
-                f"profile {prof.profile_id!r}: predicate {predicate.describe()} is "
+                f"{carrier}predicate {predicate.describe()} is "
                 f"incompatible with discrete attribute {attribute.name!r}"
             ) from exc
         for value in accepted:
-            value_to_profiles.setdefault(value, set()).add(prof.profile_id)
+            value_to_profiles.setdefault(value, set()).update(profile_ids)
 
     if isinstance(domain, DiscreteDomain):
         ordered_values = [v for v in domain.values() if v in value_to_profiles]
     else:
         ordered_values = sorted(value_to_profiles)
-
-    subranges = tuple(
+    return [
         Subrange(
             index=i,
             interval=None,
@@ -178,52 +186,62 @@ def _discrete_partition(
             measure=1.0,
         )
         for i, value in enumerate(ordered_values)
-    )
+    ]
+
+
+def _ordered_subranges(attribute: Attribute, owners: _Owners) -> list[Subrange]:
+    domain = attribute.domain
+    owner_ids: list[Sequence[str]] = []
+    intervals: list[Interval] = []
+    for predicate, profile_ids in owners.items():
+        for interval in predicate.accepted_intervals(domain):
+            clamped = domain.clamp(interval)
+            if clamped is not None:
+                owner_ids.append(profile_ids)
+                intervals.append(clamped)
+
+    # Without owner ids (predicate_partition) the owner sets are skipped:
+    # collecting them costs O(output), the sweep itself O(p log p).
+    owned = any(owner_ids)
+    subranges = []
+    for i, (piece, active) in enumerate(sweep_intervals(intervals)):
+        carriers = chain.from_iterable(map(owner_ids.__getitem__, active)) if owned else ()
+        subranges.append(
+            Subrange(
+                index=i,
+                interval=piece,
+                value=None,
+                profile_ids=frozenset(carriers),
+                measure=domain.measure(piece),
+            )
+        )
+    return subranges
+
+
+def _partition(
+    attribute: Attribute, owners: _Owners, dont_care_ids: frozenset[str], free: bool
+) -> AttributePartition:
+    """Decompose one attribute's domain from its distinct predicates.
+
+    Each distinct predicate's accepted subset is computed once.  Integer
+    domains with only equality/one-of constraints partition into discrete
+    values; with any range constraint they partition into intervals.
+    Using intervals uniformly keeps the natural order exact, but
+    single-value partitions print more readably, so the discrete
+    decomposition is preferred when no range predicate is present.
+    """
+    domain = attribute.domain
+    ranged = any(isinstance(predicate, RangePredicate) for predicate in owners)
+    if isinstance(domain, DiscreteDomain) or (isinstance(domain, IntegerDomain) and not ranged):
+        subranges = _discrete_subranges(attribute, owners)
+    else:
+        subranges = _ordered_subranges(attribute, owners)
+    covered = sum(s.measure for s in subranges)
     # Values never referenced by a constraining profile form the
     # zero-subdomain D_0 — unless some profile leaves the attribute
     # unconstrained, in which case every value can still contribute to a
     # match and D_0 is empty (the paper's Example 3: d_0 = 0 for radiation).
-    zero_size = 0.0 if dont_care_ids else domain.size - len(subranges)
-    return AttributePartition(
-        attribute=attribute,
-        subranges=subranges,
-        domain_size=domain.size,
-        zero_size=zero_size,
-        dont_care_profile_ids=dont_care_ids,
-    )
-
-
-def _ordered_partition(
-    attribute: Attribute,
-    constraining: Sequence[Profile],
-    dont_care_ids: frozenset[str],
-) -> AttributePartition:
-    domain = attribute.domain
-    owner_ids: list[str] = []
-    intervals: list[Interval] = []
-    for prof in constraining:
-        predicate = prof.predicate(attribute.name)
-        for interval in predicate.accepted_intervals(domain):
-            clamped = domain.clamp(interval)
-            if clamped is not None:
-                owner_ids.append(prof.profile_id)
-                intervals.append(clamped)
-
-    owner_of = owner_ids.__getitem__
-    subranges = [
-        Subrange(
-            index=i,
-            interval=piece,
-            value=None,
-            profile_ids=frozenset(map(owner_of, owners)),
-            measure=domain.measure(piece),
-        )
-        for i, (piece, owners) in enumerate(sweep_intervals(intervals))
-    ]
-
-    covered = sum(s.measure for s in subranges)
-    # See the discrete case above: don't-care profiles make D_0 empty.
-    zero_size = 0.0 if dont_care_ids else max(0.0, domain.size - covered)
+    zero_size = 0.0 if free else max(0.0, domain.size - covered)
     return AttributePartition(
         attribute=attribute,
         subranges=tuple(subranges),
@@ -236,26 +254,14 @@ def _ordered_partition(
 def build_partition(profiles: ProfileSet, attribute_name: str) -> AttributePartition:
     """Build the sub-range decomposition of one attribute for ``profiles``."""
     attribute = profiles.schema.attribute(attribute_name)
-    constraining = [p for p in profiles if p.constrains(attribute_name)]
-    dont_care_ids = frozenset(
-        p.profile_id for p in profiles if not p.constrains(attribute_name)
-    )
-    if isinstance(attribute.domain, DiscreteDomain):
-        return _discrete_partition(attribute, constraining, dont_care_ids)
-    # Integer domains with only equality/one-of constraints partition into
-    # discrete values; with any range constraint they partition into
-    # intervals.  Using intervals uniformly keeps the natural order exact,
-    # but single-value partitions print more readably, so prefer the discrete
-    # decomposition when no range predicate is present.
-    if isinstance(attribute.domain, IntegerDomain):
-        from repro.core.predicates import RangePredicate
-
-        has_range = any(
-            isinstance(p.predicate(attribute_name), RangePredicate) for p in constraining
-        )
-        if not has_range:
-            return _discrete_partition(attribute, constraining, dont_care_ids)
-    return _ordered_partition(attribute, constraining, dont_care_ids)
+    owners: dict[Predicate, list[str]] = {}
+    dont_care_ids: list[str] = []
+    for prof in profiles:
+        if prof.constrains(attribute_name):
+            owners.setdefault(prof.predicate(attribute_name), []).append(prof.profile_id)
+        else:
+            dont_care_ids.append(prof.profile_id)
+    return _partition(attribute, owners, frozenset(dont_care_ids), bool(dont_care_ids))
 
 
 def build_partitions(profiles: ProfileSet) -> dict[str, AttributePartition]:
@@ -264,3 +270,18 @@ def build_partitions(profiles: ProfileSet) -> dict[str, AttributePartition]:
         attribute.name: build_partition(profiles, attribute.name)
         for attribute in profiles.schema
     }
+
+
+def predicate_partition(
+    attribute: Attribute, predicates: Iterable[Predicate], free: bool
+) -> AttributePartition:
+    """Build an attribute's sub-ranges and ``D_0`` from its distinct predicates alone.
+
+    ``free`` says whether some profile leaves the attribute unconstrained.
+    The sub-ranges, their measures and ``zero_size`` equal
+    :func:`build_partition`'s; the sub-ranges carry no owner profiles and
+    ``dont_care_profile_ids`` is empty, because the attribute measures
+    A1 and A2 read neither.
+    """
+    return _partition(attribute, dict.fromkeys(predicates, ()), frozenset(), free)
+

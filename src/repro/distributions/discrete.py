@@ -54,28 +54,50 @@ class DiscreteDistribution(Distribution):
                 raise DistributionError(f"value {value!r} is outside the domain")
             if weight > 0:
                 cleaned[value] = float(weight) / total
+        self._install(domain, cleaned)
+
+    @classmethod
+    def _of_counts(cls, domain: Domain, counts: Mapping[object, int]) -> "DiscreteDistribution":
+        """Build the distribution of positive counts the caller already checked.
+
+        The unchecked half of the constructor, as
+        :meth:`~repro.distributions.estimation.FrequencyCounter._add` is of
+        ``record``: a frequency counter only ever holds positive counts of
+        values it admitted into ``domain``, so no weight or membership is
+        checked again.  The result equals ``DiscreteDistribution(domain,
+        counts)`` field by field.
+        """
+        total = float(sum(counts.values()))
+        distribution = cls.__new__(cls)
+        distribution._install(
+            domain, {value: float(count) / total for value, count in counts.items()}
+        )
+        return distribution
+
+    def _install(self, domain: Domain, pmf: dict[object, float]) -> None:
+        """Adopt a checked, normalised ``pmf`` and build the prefix-sum tables.
+
+        The support is ordered the domain's natural way: by value on an
+        IntegerDomain, by natural-order index on a DiscreteDomain (sorting
+        the indexes of the support, not scanning the whole domain).
+        Sampling bisects ``_cumulative`` (deterministic given a seeded
+        random.Random) and interval queries difference it.
+        """
         self.domain = domain
-        self._pmf = cleaned
-        # Pre-compute the prefix-sum tables in the domain's natural order:
-        # sampling bisects ``_cumulative`` (deterministic given a seeded
-        # random.Random) and interval queries difference it.
-        self._values = self._ordered_values()
+        self._pmf = pmf
         #: Sorted positions the interval queries bisect: the values
         #: themselves on an IntegerDomain, their natural-order indexes on
         #: a DiscreteDomain (whose intervals range over indexes).
-        self._positions: Sequence = (
-            [domain.index_of(value) for value in self._values]
-            if isinstance(domain, DiscreteDomain)
-            else self._values
-        )
-        self._cumulative = list(accumulate(self._pmf[value] for value in self._values))
+        self._positions: Sequence
+        if isinstance(domain, DiscreteDomain):
+            self._positions = sorted(map(domain.index_of, pmf))
+            ordered = domain.ordered_values
+            self._values = [ordered[position] for position in self._positions]
+        else:
+            self._values = self._positions = sorted(pmf)
+        self._cumulative = list(accumulate(pmf[value] for value in self._values))
 
     # -- helpers ---------------------------------------------------------------
-    def _ordered_values(self) -> list:
-        if isinstance(self.domain, DiscreteDomain):
-            return [v for v in self.domain.values() if v in self._pmf]
-        return sorted(self._pmf)
-
     def support(self) -> list:
         """Return the values carrying positive probability, in natural order."""
         return list(self._values)
@@ -111,6 +133,32 @@ class DiscreteDistribution(Distribution):
             return 0.0
         cumulative = self._cumulative
         return cumulative[stop - 1] - (cumulative[first - 1] if first else 0.0)
+
+    def slab_masses(self, boundaries: Sequence[float]) -> tuple[list[float], list[float]]:
+        """Return the masses of the slabs that sorted ``boundaries`` cut the line into.
+
+        ``gaps[j]`` is the mass strictly between boundaries ``j - 1`` and
+        ``j`` (gap 0 and gap ``n`` are unbounded on their outer side) and
+        ``points[i]`` the mass at boundary ``i``: bit for bit what
+        :meth:`probability_of_interval` answers for that open gap or
+        point, from one ``bisect_left`` / ``bisect_right`` pair per
+        boundary and no interval object.  (The prefix table gains a
+        leading ``0.0`` so an empty run is ``x - x`` and a run from the
+        first entry ``x - 0.0``, both exactly what the query returns.)
+        """
+        positions = self._positions
+        below = [bisect.bisect_left(positions, boundary) for boundary in boundaries]
+        through = [
+            bisect.bisect_right(positions, boundary, first)
+            for boundary, first in zip(boundaries, below)
+        ]
+        prefix = [0.0, *self._cumulative]
+        points = [prefix[stop] - prefix[first] for first, stop in zip(below, through)]
+        gaps = [
+            prefix[stop] - prefix[first]
+            for first, stop in zip([0, *through], [*below, len(positions)])
+        ]
+        return gaps, points
 
     def sample(self, rng: random.Random) -> object:
         u = rng.random()

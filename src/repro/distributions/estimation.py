@@ -143,7 +143,10 @@ class FrequencyCounter:
         if self._total == 0:
             raise DistributionError("cannot build a distribution from an empty counter")
         if isinstance(self._domain, (DiscreteDomain, IntegerDomain)):
-            return DiscreteDistribution(self._domain, dict(self._counts))
+            # The counts were checked on the way in (by ``record`` /
+            # ``set_count``, or by whoever called ``_add`` / ``_add_counts``)
+            # and are all positive.
+            return DiscreteDistribution._of_counts(self._domain, self._counts)
         from repro.distributions.continuous import PiecewiseConstantDistribution
 
         full = self._domain.full_interval()

@@ -312,6 +312,19 @@ class IntervalBucket:
         """Number of live range entries: each holds two endpoint references."""
         return sum(self._endpoint_refs.values()) // 2
 
+    @property
+    def boundaries(self) -> Sequence[float]:
+        """The sorted slab boundaries, stale ones included (read-only)."""
+        return self._boundaries
+
+    def covers(self) -> tuple[Sequence[tuple[int, ...]], Sequence[tuple[int, ...]]]:
+        """Return the gap covers and the point covers, in slab order (read-only).
+
+        Gap ``j`` lies between boundaries ``j - 1`` and ``j``; point ``i``
+        is boundary ``i``.
+        """
+        return self._gap_cover, self._point_cover
+
     def slabs(self) -> Iterator[tuple[Interval | None, tuple[int, ...]]]:
         """Iterate over ``(slab_interval, entry_ids)`` pairs.
 

@@ -580,7 +580,7 @@ class PredicateIndexMatcher:
             state.adopt(plan)
         states = self._states
         self._probe_order = tuple(
-            name for name in planner.probe_order(self.profiles) if name in states
+            name for name in planner.probe_order(schema, self._constraints()) if name in states
         )
         self._probed = set(self._probe_order)
         #: Precompiled (attribute, state) pairs — the hot loop iterates
@@ -588,6 +588,23 @@ class PredicateIndexMatcher:
         self._probe_states = tuple((name, states[name]) for name in self._probe_order)
         self._plan = IndexPlan(attributes=plans, probe_order=self._probe_order)
         self._replan_pending = False
+
+    def _constraints(self) -> dict[str, tuple[Iterable[Predicate], bool]]:
+        """Return what the planner's attribute measures read of the profiles.
+
+        Per schema attribute: its distinct live predicates (the entries)
+        and whether some live profile leaves it unconstrained (a non-empty
+        free mask).  Nothing per profile, and nothing kept.
+        """
+        any_live = bool(self._live)
+        constraints: dict[str, tuple[Iterable[Predicate], bool]] = {}
+        for name in self.profiles.schema.names:
+            state = self._states.get(name)
+            if state is None:
+                constraints[name] = ((), any_live)
+            else:
+                constraints[name] = (state.entries, bool(state.free))
+        return constraints
 
     @property
     def plan(self) -> IndexPlan:

@@ -32,13 +32,16 @@ short as soon as a fully-constrained attribute yields no hit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.domains import Domain
 from repro.core.errors import ReproError, SelectivityError
-from repro.core.predicates import Equals, OneOf, RangePredicate
-from repro.core.subranges import build_partitions
+from repro.core.predicates import Equals, OneOf, Predicate, RangePredicate
+from repro.core.schema import Schema
+from repro.core.subranges import predicate_partition
 from repro.distributions.base import Distribution, project_onto_partition
+from repro.distributions.discrete import DiscreteDistribution
 from repro.selectivity.attribute_measures import AttributeMeasure, attribute_selectivities
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
@@ -194,12 +197,32 @@ class IndexPlanner:
     def expected_interval_hits(
         self, attribute: str, domain: Domain, bucket: "IntervalBucket"
     ) -> float:
-        """Return ``E[hits]`` of an interval bucket under ``P_e``."""
+        """Return ``E[hits]`` of an interval bucket under ``P_e``.
+
+        The sum of ``P_e(slab) * |cover|`` over the covered slabs, gaps
+        first and then points (the order of :meth:`IntervalBucket.slabs`).
+        Under a :class:`DiscreteDistribution` — every history estimate on a
+        finite domain — the slab masses come from one bisect pair per
+        boundary (:meth:`DiscreteDistribution.slab_masses`): O(boundaries ·
+        log support), and no interval is built.  Other distributions and
+        the uniform assumption price each covered slab as an interval.
+        """
+        distribution = self.event_distributions.get(attribute)
+        if not isinstance(distribution, DiscreteDistribution):
+            expected = 0.0
+            for slab, entry_ids in bucket.slabs():
+                if slab is not None and entry_ids:
+                    expected += self._interval_probability(attribute, domain, slab) * len(entry_ids)
+            return expected
+        gap_masses, point_masses = distribution.slab_masses(bucket.boundaries)
+        gap_covers, point_covers = bucket.covers()
         expected = 0.0
-        for slab, entry_ids in bucket.slabs():
-            if slab is None or not entry_ids:
-                continue
-            expected += self._interval_probability(attribute, domain, slab) * len(entry_ids)
+        # A cover-less slab adds nothing, and the two slabs ``slabs()``
+        # skips while covered — points at an infinite boundary — have no
+        # mass, so this sum is the slab walk's, term by term.
+        for mass, cover in chain(zip(gap_masses, gap_covers), zip(point_masses, point_covers)):
+            if cover:
+                expected += mass * len(cover)
         return expected
 
     def plan_attribute(
@@ -347,22 +370,32 @@ class IndexPlanner:
         return plans
 
     # -- attribute ordering -----------------------------------------------------
-    def rejection_scores(self, profiles: "ProfileSet") -> dict[str, float]:
+    def rejection_scores(
+        self, schema: Schema, constraints: Mapping[str, tuple[Iterable[Predicate], bool]]
+    ) -> dict[str, float]:
         """Return the per-attribute rejection power under the configured measure.
 
-        Higher scores mean an event value is more likely to satisfy *no*
-        entry of the attribute: Measure A2 (zero-subdomain size weighted
-        by its event probability) when the event distributions are
-        available, degrading to Measure A1 (relative zero-subdomain size)
-        without them.  Returns ``{}`` for ``NATURAL`` (no ranking) and for
-        workloads the partition builder cannot model — callers fall back
-        to schema order either way.
+        ``constraints`` maps every schema attribute to its distinct
+        constraining predicates and whether some profile leaves it
+        unconstrained — all the measures read of a profile set, and what
+        the index matcher keeps as its entries and free masks — so each
+        predicate's accepted subset is computed once, not once per
+        profile.  Higher scores mean an event value is more likely
+        to satisfy *no* entry of the attribute: Measure A2 (zero-subdomain
+        size weighted by its event probability) when the event
+        distributions are available, degrading to Measure A1 (relative
+        zero-subdomain size) without them.  Returns ``{}`` for ``NATURAL``
+        (no ranking) and for workloads the partition builder cannot model —
+        callers fall back to schema order either way.
         """
         measure = self.attribute_measure
         if measure is AttributeMeasure.NATURAL:
             return {}
         try:
-            partitions = build_partitions(profiles)
+            partitions = {
+                name: predicate_partition(schema.attribute(name), *constraints[name])
+                for name in schema.names
+            }
             projected = None
             if measure is AttributeMeasure.A2_ZERO_PROBABILITY and self.event_distributions:
                 candidate = {
@@ -383,15 +416,17 @@ class IndexPlanner:
             # (e.g. exotic predicate mixes) fall back to schema order.
             return {}
 
-    def probe_order(self, profiles: "ProfileSet") -> tuple[str, ...]:
+    def probe_order(
+        self, schema: Schema, constraints: Mapping[str, tuple[Iterable[Predicate], bool]]
+    ) -> tuple[str, ...]:
         """Return the attribute probe order, most selective first.
 
         Ranks by :meth:`rejection_scores`; ``NATURAL``, unknown attributes
         and unmodellable workloads keep the schema order.  Ties keep the
         schema order.
         """
-        names = list(profiles.schema.names)
-        scores = self.rejection_scores(profiles)
+        names = list(schema.names)
+        scores = self.rejection_scores(schema, constraints)
         if not scores:
             return tuple(names)
         position = {name: index for index, name in enumerate(names)}

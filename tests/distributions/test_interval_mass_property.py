@@ -1,4 +1,5 @@
-"""``DiscreteDistribution.probability_of_interval`` ≡ a support scan.
+"""``DiscreteDistribution.probability_of_interval`` ≡ a support scan,
+and ``slab_masses`` ≡ ``probability_of_interval`` per slab.
 
 The implementation answers interval queries with two bisects over the
 sorted support and a prefix-sum difference; the oracle
@@ -109,6 +110,25 @@ class TestIntervalMassMatchesSupportScan:
     def test_discrete_domain_uses_index_semantics(self, data, distribution):
         interval = data.draw(intervals_over(0, distribution.domain.size - 1))
         assert_matches_scan(distribution, interval)
+
+    @given(st.data(), st.one_of(integer_distributions(), discrete_distributions()))
+    @settings(max_examples=300, deadline=None)
+    def test_slab_masses_are_the_interval_queries_exactly(self, data, distribution):
+        """One bisect pair per boundary gives each open gap and each point
+        the very float ``probability_of_interval`` gives it."""
+        boundaries = sorted(set(data.draw(st.lists(bounds(-45, 105), max_size=12))))
+        gaps, points = distribution.slab_masses(boundaries)
+        edges = [-math.inf, *boundaries, math.inf]
+        assert gaps == [
+            distribution.probability_of_interval(Interval(low, high, False, False))
+            if low < high
+            else 0.0
+            for low, high in zip(edges, edges[1:])
+        ]
+        assert points == [
+            distribution.probability_of_interval(Interval.point(boundary))
+            for boundary in boundaries
+        ]
 
     @pytest.mark.parametrize("low_closed,high_closed", CLOSURES)
     def test_bounds_on_support_values_honour_each_closure(self, low_closed, high_closed):

@@ -171,6 +171,54 @@ class TestFrequencyCounter:
         ) == pytest.approx(0.75)
 
 
+COUNTER_DOMAINS = [IntegerDomain(0, 30), DiscreteDomain([f"s{i}" for i in (7, 2, 9, 0, 5, 3, 8)])]
+
+
+@st.composite
+def counter_operations(draw):
+    """A domain and a sequence of counter edits over (part of) it."""
+    domain = draw(st.sampled_from(COUNTER_DOMAINS))
+    value = st.sampled_from(list(domain.values()))
+    operation = st.one_of(
+        st.tuples(st.just("record"), value, st.integers(1, 5)),
+        st.tuples(st.just("forget"), value, st.integers(1, 5)),
+        st.tuples(st.just("set_count"), value, st.integers(0, 9)),
+        st.tuples(st.just("_add_counts"), st.dictionaries(value, st.integers(1, 4), max_size=4)),
+    )
+    return domain, draw(st.lists(operation, min_size=1, max_size=30))
+
+
+class TestCounterDistribution:
+    """``to_distribution`` builds through the constructor's unchecked half."""
+
+    @given(counter_operations())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_checked_constructor_field_by_field(self, data):
+        domain, operations = data
+        counter = FrequencyCounter(domain)
+        for name, *arguments in operations:
+            getattr(counter, name)(*arguments)
+            if counter.total == 0:
+                continue
+            fast = counter.to_distribution()
+            checked = DiscreteDistribution(domain, counter.counts())
+            assert fast.domain is checked.domain
+            assert list(fast.pmf().items()) == list(checked.pmf().items())
+            assert fast.support() == checked.support()
+            assert fast._positions == checked._positions
+            assert fast._cumulative == checked._cumulative
+
+    def test_discrete_support_follows_the_natural_order_not_the_labels(self):
+        domain = DiscreteDomain(["c", "a", "b"])
+        counter = FrequencyCounter(domain)
+        for value in ["b", "a", "c", "b"]:
+            counter.record(value)
+        distribution = counter.to_distribution()
+        assert distribution.support() == ["c", "a", "b"]
+        assert list(distribution.pmf()) == ["b", "a", "c"]
+        assert distribution._cumulative == [0.25, 0.5, 1.0]
+
+
 class TestEventHistory:
     def make_history(self, max_length=100):
         return EventHistory(two_attribute_schema(), max_length=max_length)

@@ -6,6 +6,7 @@ ranges, degenerate point intervals and unbounded (``>=`` / ``<=``) ranges.
 """
 
 import pytest
+from scan_reference import attribute_constraints
 
 from repro.core.domains import ContinuousDomain, DiscreteDomain, IntegerDomain
 from repro.core.errors import SelectivityError
@@ -291,8 +292,9 @@ class TestIndexPlanner:
             get_profile("stock-ticker").spec.with_counts(profile_count=40, event_count=10)
         )
         planner = IndexPlanner(dict(workload.event_distributions))
-        scores = planner.rejection_scores(workload.profiles)
-        order = planner.probe_order(workload.profiles)
+        constraints = attribute_constraints(workload.profiles)
+        scores = planner.rejection_scores(workload.schema, constraints)
+        order = planner.probe_order(workload.schema, constraints)
         assert scores, "A2 scoring produced no rejection scores"
         assert set(order) == set(workload.schema.names)
         assert scores[order[0]] == max(scores.values())
@@ -307,4 +309,4 @@ class TestIndexPlanner:
         schema = Schema([Attribute("a", IntegerDomain(0, 9)), Attribute("b", IntegerDomain(0, 9))])
         profiles = ProfileSet(schema, [Profile("p", {"b": Equals(1)})])
         planner = IndexPlanner(attribute_measure=AttributeMeasure.NATURAL)
-        assert planner.probe_order(profiles) == ("a", "b")
+        assert planner.probe_order(schema, attribute_constraints(profiles)) == ("a", "b")
