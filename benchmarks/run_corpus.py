@@ -17,6 +17,10 @@ Typical invocations::
     # one profile, full event streams, with wall-clock
     PYTHONPATH=src python benchmarks/run_corpus.py \\
         --profiles aml-transactions --timing --events 0
+
+    # the headline events/s sweep (index, hybrid, auto); writes no history
+    PYTHONPATH=src python benchmarks/run_corpus.py --sweep \\
+        --profiles aml-transactions mixed-structure
 """
 
 from __future__ import annotations
@@ -26,14 +30,25 @@ import os
 import subprocess
 import sys
 import time
+from statistics import median
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SRC = os.path.join(_REPO_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.api import FilterService  # noqa: E402
 from repro.experiments.corpus import append_history, run_profile  # noqa: E402
+from repro.workloads import build_workload  # noqa: E402
 from repro.workloads.profiles import get_profile, list_profiles  # noqa: E402
+
+#: The headline sweep: per profile and engine, subscribe the population,
+#: publish one warm-up batch, then time one batch of the next events;
+#: every engine sees the same events, and each cell is a median of runs.
+SWEEP_ENGINES = ("index", "hybrid", "auto")
+SWEEP_WARMUP_EVENTS = 500
+SWEEP_TIMED_EVENTS = 1_500
+SWEEP_RUNS = 3
 
 
 def _git_revision() -> str | None:
@@ -47,6 +62,37 @@ def _git_revision() -> str | None:
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return None
+
+
+def sweep_events_per_s(profile, engine: str, workload) -> float:
+    """Return the events/s of one timed batch after one warm-up batch."""
+    events = list(workload.events)
+    warmup, timed = events[:SWEEP_WARMUP_EVENTS], events[SWEEP_WARMUP_EVENTS:]
+    with FilterService.from_profile(profile, engine=engine) as service:
+        service.subscribe_all(workload.profiles)
+        service.publish_batch(warmup)
+        started = time.perf_counter()
+        service.publish_batch(timed)
+        return len(timed) / (time.perf_counter() - started)
+
+
+def sweep(names: list[str]) -> None:
+    """Print the headline events/s table of ``names`` (no history written)."""
+    print(f"| Profile | {' | '.join(SWEEP_ENGINES)} | auto ÷ best |")
+    print(f"|---|{'---:|' * (len(SWEEP_ENGINES) + 1)}")
+    for name in names:
+        profile = get_profile(name)
+        spec = profile.spec.with_counts(event_count=SWEEP_WARMUP_EVENTS + SWEEP_TIMED_EVENTS)
+        workload = build_workload(spec)
+        rates = {
+            engine: median(
+                sweep_events_per_s(profile, engine, workload) for _ in range(SWEEP_RUNS)
+            )
+            for engine in SWEEP_ENGINES
+        }
+        best = max(rate for engine, rate in rates.items() if engine != "auto")
+        cells = " | ".join(f"{rates[engine]:,.0f}" for engine in SWEEP_ENGINES)
+        print(f"| `{name}` | {cells} | {rates['auto'] / best:.2f} |", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,6 +129,13 @@ def main(argv: list[str] | None = None) -> int:
         help="record wall-clock seconds per run (informational, never gated)",
     )
     parser.add_argument(
+        "--sweep",
+        action="store_true",
+        help=f"print events/s of {', '.join(SWEEP_ENGINES)} per profile: one "
+        f"{SWEEP_WARMUP_EVENTS}-event warm-up batch, one timed {SWEEP_TIMED_EVENTS}-event "
+        f"batch, median of {SWEEP_RUNS} (informational; writes no history)",
+    )
+    parser.add_argument(
         "--dry-run",
         action="store_true",
         help="print the records without appending to the history file",
@@ -90,6 +143,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     names = args.profiles if args.profiles else list(list_profiles())
+    if args.sweep:
+        sweep(names)
+        return 0
     cap = None if args.events == 0 else args.events
     records = []
     for name in names:

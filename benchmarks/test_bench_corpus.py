@@ -115,6 +115,22 @@ def test_history_records_round_trip(tmp_path):
     assert all(r["profile"] == "single-attribute" for r in replayed)
 
 
+def test_sweep_prints_a_table_and_writes_no_history(tmp_path, monkeypatch, capsys):
+    """``run_corpus.py --sweep``, shrunk: one row of events/s per profile."""
+    import run_corpus
+
+    monkeypatch.setattr(run_corpus, "SWEEP_WARMUP_EVENTS", 20)
+    monkeypatch.setattr(run_corpus, "SWEEP_TIMED_EVENTS", 40)
+    monkeypatch.setattr(run_corpus, "SWEEP_RUNS", 1)
+    history = tmp_path / "history.jsonl"
+    argv = ["--sweep", "--profiles", "single-attribute", "--history", str(history)]
+    assert run_corpus.main(argv) == 0
+    header, _, row = capsys.readouterr().out.splitlines()
+    assert header == "| Profile | index | hybrid | auto | auto ÷ best |"
+    assert row.startswith("| `single-attribute` | ") and row.count("|") == 6
+    assert not history.exists()
+
+
 def test_committed_history_is_well_formed_and_covers_the_corpus():
     """BENCH_history.jsonl parses and carries one record per profile x family."""
     if not os.path.exists(_HISTORY):

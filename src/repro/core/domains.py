@@ -99,7 +99,8 @@ class ContinuousDomain(Domain):
     def __contains__(self, value: object) -> bool:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             return False
-        return self.low <= float(value) <= self.high
+        # Exact: float() would overflow on a huge int, and NaN compares false.
+        return self.low <= value <= self.high
 
     def full_interval(self) -> Interval:
         return Interval.closed(self.low, self.high)

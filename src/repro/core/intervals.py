@@ -72,8 +72,12 @@ class Interval:
         return float(self.high - self.low)
 
     def contains(self, value: float) -> bool:
-        """Return ``True`` when ``value`` lies inside the interval."""
-        if value < self.low or value > self.high:
+        """Return ``True`` when ``value`` lies inside the interval.
+
+        The comparisons are exact (an ``int`` is never rounded to a
+        ``float``), and NaN lies inside no interval.
+        """
+        if not self.low <= value <= self.high:
             return False
         if value == self.low and not self.low_closed:
             return False

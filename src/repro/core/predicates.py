@@ -151,9 +151,15 @@ class RangePredicate(Predicate):
         return cls(Interval(cls._UNBOUNDED_LOW, high, True, False))
 
     def matches(self, value: object) -> bool:
+        """Accept an ``int`` or ``float`` (never a ``bool``) inside the interval.
+
+        The value is compared exactly, as the slab index compares it: an
+        ``int`` beyond the ``float`` range or above ``2**53`` is not
+        rounded, and NaN matches no range.
+        """
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             return False
-        return self.interval.contains(float(value))
+        return self.interval.contains(value)
 
     def _clamped(self, domain: Domain) -> Interval | None:
         if isinstance(domain, DiscreteDomain):

@@ -15,7 +15,9 @@ per-batch memo per probed attribute:
   event carrying the value, and the bitmask of profiles that survive the
   attribute — ``probe mask | free mask`` (see
   :mod:`repro.matching.index.matcher` for the bitmask layout).  Every later
-  event carrying the value costs one dict lookup and one ``&``.
+  event carrying the value costs one dict lookup, a class check and one
+  ``&``; an equal value of another class (``True`` after ``1``) probes
+  again, since a range accepts ``1`` but no ``bool``.
 * **Exact early rejection.**  ``keep == 0`` happens exactly when every
   live profile constrains the attribute and the probe hits nothing — the
   per-event loop's rejection — so the event stops there with the same
@@ -124,8 +126,9 @@ def match_batch_columnar(
     if not events:
         return []
     #: Per probed attribute: its state, the batch's value memo
-    #: ``{value: (operations, keep mask)}`` and the slab covers already
-    #: resolved this batch.
+    #: ``{value: (operations, keep mask, value class)}`` (a hit of another
+    #: class probes again, see the module doc) and the slab covers
+    #: already resolved this batch.
     columns = [(attribute, state, {}, set()) for attribute, state in matcher._probe_states]
     live = matcher._live
     profile_ids = matcher._profile_ids
@@ -144,9 +147,9 @@ def match_batch_columnar(
                 matched &= state.free
                 continue
             probe = memo.get(value)
-            if probe is None:
+            if probe is None or probe[2] is not value.__class__:
                 cost, mask, cover = state.probe(value)
-                probe = memo[value] = (cost, mask | state.free)
+                probe = memo[value] = (cost, mask | state.free, value.__class__)
                 distinct += 1
                 executed += cost
                 if cover:

@@ -41,6 +41,22 @@ The probe is written once, as ``_AttributeState.probe``:
 and the columnar kernel (:mod:`repro.matching.index.kernel`) once per
 distinct value of a batch, so both charge the same operations.
 
+The compiled scan
+-----------------
+What the probe scans — the residual entries, and the entries of a
+structure the plan does not index — is compiled by
+``_AttributeState.refresh_view`` whenever a plan is adopted or an entry
+is created or dropped.  An exact :class:`RangePredicate` compiles to a
+``(low, high, low_closed, high_closed, entry)`` tuple, which the probe
+compares inline: one type check per probe, then a few comparisons per
+range, instead of a ``matches`` and an ``Interval.contains`` call per
+range.  Any other scanned kind keeps its
+``matches``.  The probe charges the scanned count in one addition and
+reads each ``entry.mask`` live, so a subscribe or cancel that only edits
+masks recompiles nothing.  Every path applies one containment rule: a
+range accepts an ``int`` or ``float`` (never a ``bool``), compared
+exactly, and no NaN.
+
 Incremental maintenance
 -----------------------
 :meth:`add_profile` / :meth:`remove_profile` apply **postings deltas**: the
@@ -142,7 +158,9 @@ class _AttributeState:
         "use_interval",
         "view_hash",
         "view_interval",
-        "view_scan",
+        "scan_ranges",
+        "scan_other",
+        "scan_count",
         "free",
         "cover_masks",
     )
@@ -161,14 +179,13 @@ class _AttributeState:
         #: scans, or vice versa.
         self.use_hash = False
         self.use_interval = False
-        #: Probe view: when the planner picks an indexed strategy for a
-        #: structure these expose its bucket's table (or the slab bucket)
-        #: plus the residual scan entries; a demoted structure's entries
-        #: join ``view_scan`` instead, so one probe shape serves every
-        #: strategy mix without a per-event branch.
+        #: Probe view, compiled by :meth:`refresh_view` (see "The
+        #: compiled scan" in the module doc).
         self.view_hash: Mapping[object, tuple[int, ...]] | None = None
         self.view_interval: IntervalBucket | None = None
-        self.view_scan: Iterable[_Entry] = self.scan_entries
+        self.scan_ranges: tuple[tuple[float, float, bool, bool, _Entry], ...] = ()
+        self.scan_other: tuple[_Entry, ...] = ()
+        self.scan_count = 0
         #: Live profiles not constraining the attribute.  Empty means every
         #: live profile constrains it, so a zero-hit probe rejects the
         #: event outright.
@@ -202,29 +219,36 @@ class _AttributeState:
         self.refresh_view()
 
     def refresh_view(self) -> None:
-        """Recompile the probe view after a strategy or bucket change.
+        """Recompile the probe view after a strategy change or an entry's
+        creation or drop (:meth:`adopt`, ``_create_entry``, ``_drop_entry``).
 
-        In the homogeneous cases ``view_scan`` aliases live containers
-        (``scan_entries`` or the ``entries`` dict view), so posting edits
-        need no refresh — only bucket creation/teardown and strategy
-        flips do.  A *mixed* plan (one structure indexed, the other
-        demoted to scan) materialises the demoted entries into a list;
-        entry creation/removal re-lands here, so the list stays exact.
+        The scanned entries are the residual ones (``NotEquals``-style)
+        plus those of a structure the plan does not index.  The compiled
+        tuples hold entries, not masks, so a mask-only edit needs no
+        refresh.
         """
         hash_bucket = self.hash_bucket if self.use_hash else None
         self.view_hash = hash_bucket.table if hash_bucket is not None else None
         self.view_interval = self.interval_bucket if self.use_interval else None
+        scanned: Iterable[_Entry]
         if self.use_hash and self.use_interval:
-            self.view_scan = self.scan_entries
-        elif not self.use_hash and not self.use_interval:
-            self.view_scan = self.entries.values()
+            scanned = self.scan_entries
+        elif self.use_hash or self.use_interval:
+            indexed = _HASH if self.use_hash else _RANGE
+            scanned = [entry for entry in self.entries.values() if entry.kind != indexed]
         else:
-            demoted = _RANGE if self.use_hash else _HASH
-            self.view_scan = [
-                entry
-                for entry in self.entries.values()
-                if entry.kind == _SCAN or entry.kind == demoted
-            ]
+            scanned = self.entries.values()
+        ranges = []
+        other = []
+        for entry in scanned:
+            if type(entry.predicate) is RangePredicate:
+                iv = entry.predicate.interval
+                ranges.append((iv.low, iv.high, iv.low_closed, iv.high_closed, entry))
+            else:
+                other.append(entry)
+        self.scan_ranges = tuple(ranges)
+        self.scan_other = tuple(other)
+        self.scan_count = len(ranges) + len(other)
 
     def cover_mask(self, entry_ids: tuple[int, ...]) -> int:
         """Return (and memoise) the OR of the entry masks of ``entry_ids``."""
@@ -263,12 +287,19 @@ class _AttributeState:
             if cover:
                 operations += len(cover)
                 mask |= self.cover_masks.get(id(cover)) or self.cover_mask(cover)
-        # With both structures indexed this scans the residual
-        # (NotEquals-style) entries only; in scan mode view_scan is every
-        # entry of the attribute (the planner judged a probe more
-        # expensive than evaluating each predicate once).
-        for entry in self.view_scan:
-            operations += 1
+        # The compiled scan: one operation per scanned entry.  A range
+        # accepts what RangePredicate.matches accepts, so NaN matches none.
+        operations += self.scan_count
+        ranges = self.scan_ranges
+        if ranges and isinstance(value, (int, float)) and not isinstance(value, bool):
+            for low, high, low_closed, high_closed, entry in ranges:
+                if (
+                    low < value < high
+                    or (low_closed and value == low)
+                    or (high_closed and value == high)
+                ):
+                    mask |= entry.mask
+        for entry in self.scan_other:
             if entry.predicate.matches(value):
                 mask |= entry.mask
         return operations, mask, cover

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.errors import ProfileError, ServiceError, SubscriptionError
+from repro.core.errors import EventError, ProfileError, ServiceError, SubscriptionError
 from repro.core.profiles import Profile, ProfileSet
 from repro.core.predicates import Equals
 from repro.api import (
@@ -160,6 +160,25 @@ class TestPublishing:
         assert [o.match_result.matched_profile_ids for o in outcomes_a] == [
             o.match_result.matched_profile_ids for o in outcomes_b
         ]
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["publish", "publish_batch"])
+    @pytest.mark.parametrize(
+        "value", [10**400, -(10**400), float("nan")], ids=["huge", "-huge", "nan"]
+    )
+    def test_a_value_outside_a_continuous_domain_raises_event_error(self, value, batched):
+        # 10**400 is beyond the float range: the domain check used to
+        # convert it with float() and raise OverflowError instead.
+        service = make_service()
+        service.subscribe(where("temperature").at_least(40), subscriber="a")
+        event = example_event()
+        values = {name: event[name] for name in event.attributes()}
+        values["temperature"] = value
+        with pytest.raises(EventError, match="outside the domain of attribute 'temperature'"):
+            if batched:
+                service.publish_batch([example_event(), values])
+            else:
+                service.publish(values)
+        assert service.stats().events == 0
 
     def test_sink_receives_notifications(self):
         received = []

@@ -20,6 +20,9 @@ class TestContinuousDomain:
         assert 100.1 not in domain
         assert "high" not in domain
         assert True not in domain  # booleans are not numeric values
+        assert float("nan") not in domain
+        assert 10**400 not in domain  # compared exactly: float() overflows
+        assert -(10**400) not in domain
 
     def test_invalid_bounds(self):
         with pytest.raises(DomainError):

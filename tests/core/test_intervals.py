@@ -48,6 +48,19 @@ class TestIntervalConstruction:
         with pytest.raises(DomainError):
             Interval(float("nan"), 1)
 
+    def test_nan_lies_in_no_interval(self):
+        nan = float("nan")
+        for interval in (Interval.closed(0, 1), Interval.open(0, 1), Interval.point(0)):
+            assert nan not in interval
+        assert nan not in Interval.closed(float("-inf"), float("inf"))
+
+    def test_containment_compares_ints_exactly(self):
+        top = float(2**53)
+        assert 2**53 in Interval.closed(0, top)
+        assert 2**53 + 1 not in Interval.closed(0, top)
+        assert 10**400 in Interval.closed(0, float("inf"))
+        assert 10**400 not in Interval.closed(0, 1e308)
+
     def test_str_rendering_matches_paper_notation(self):
         assert str(Interval.closed_open(30, 35)) == "[30, 35)"
         assert str(Interval.closed(-30, -20)) == "[-30, -20]"

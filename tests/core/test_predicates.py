@@ -60,6 +60,15 @@ class TestRangePredicate:
     def test_non_numeric_value_does_not_match(self):
         assert not RangePredicate.between(0, 10).matches("five")
 
+    def test_values_are_compared_exactly(self):
+        # float() would round 2**53 + 1 down onto the bound, overflow on
+        # 10**400, and NaN used to fall inside every interval.
+        assert not RangePredicate.at_most(float(2**53)).matches(2**53 + 1)
+        assert RangePredicate.at_least(0).matches(10**400)
+        assert not RangePredicate.between(0, 10).matches(10**400)
+        assert not RangePredicate.between(0, 10).matches(float("nan"))
+        assert not RangePredicate.between(0, 10).matches(True)
+
     def test_accepted_intervals_clamped_to_domain(self):
         domain = ContinuousDomain(-30, 50)
         intervals = RangePredicate.at_least(35).accepted_intervals(domain)

@@ -33,6 +33,8 @@ from repro.distributions.discrete import DiscreteDistribution, uniform_discrete
 from repro.distributions.estimation import EventHistory
 from repro.matching.index import IndexPlanner, PredicateIndexMatcher
 from repro.matching.index.buckets import IntervalBucket
+from repro.matching.index.matcher import _AttributeState
+from repro.matching.naive import NaiveMatcher
 from repro.workloads import build_workload
 from repro.workloads.profiles import get_profile, list_profiles
 
@@ -154,6 +156,62 @@ def test_recost_makes_no_per_value_containment_probes(monkeypatch):
 
     assert set(recosted) == {"metric", "region"}
     assert calls <= 1_000
+
+
+def test_scanned_ranges_are_compared_inline(monkeypatch):
+    """Complexity guard: pinned ``hybrid`` on ``aml-transactions`` scans the
+    129 ``amount`` ranges, and each scanned range was a ``matches`` call
+    plus an ``Interval.contains`` call per probed value."""
+    workload = build_workload(get_profile("aml-transactions").spec)
+    profiles = ProfileSet(workload.schema, workload.profiles)
+    matcher = PredicateIndexMatcher(profiles, planner=IndexPlanner(hybrid=True))
+    matcher.replan(workload.event_distributions)
+    assert len(matcher._states["amount"].scan_ranges) == 129
+    events = list(workload.events[:500])
+    expected = [result.matched_profile_ids for result in NaiveMatcher(profiles).match_batch(events)]
+
+    calls = {"matches": 0, "contains": 0}
+    matches, contains = RangePredicate.matches, Interval.contains
+
+    def counting_matches(self, value):
+        calls["matches"] += 1
+        return matches(self, value)
+
+    def counting_contains(self, value):
+        calls["contains"] += 1
+        return contains(self, value)
+
+    monkeypatch.setattr(RangePredicate, "matches", counting_matches)
+    monkeypatch.setattr(Interval, "contains", counting_contains)
+    results = matcher.match_batch(events)
+
+    assert [result.matched_profile_ids for result in results] == expected
+    assert calls == {"matches": 0, "contains": 0}
+
+
+def test_a_mask_only_subscribe_or_cancel_recompiles_no_view(monkeypatch):
+    """A profile whose predicates all have entries already only edits
+    masks, and the compiled view holds entries, not masks."""
+    workload = build_workload(get_profile("aml-transactions").spec)
+    matcher = PredicateIndexMatcher(ProfileSet(workload.schema, workload.profiles))
+    refreshes = 0
+    refresh_view = _AttributeState.refresh_view
+
+    def counting_refresh_view(self):
+        nonlocal refreshes
+        refreshes += 1
+        refresh_view(self)
+
+    monkeypatch.setattr(_AttributeState, "refresh_view", counting_refresh_view)
+    template = next(iter(workload.profiles))
+    matcher.add_profile(Profile("twin", template.predicates))
+    matcher.remove_profile("twin")
+    assert refreshes == 0
+
+    # The counter sees an entry created and dropped.
+    matcher.add_profile(Profile("fresh", {"amount": RangePredicate.between(0.5, 1.5)}))
+    matcher.remove_profile("fresh")
+    assert refreshes == 2
 
 
 def test_recost_builds_no_interval_per_slab(monkeypatch):
