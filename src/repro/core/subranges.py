@@ -59,7 +59,9 @@ class Subrange:
             return self.interval.contains(domain.index_of(event_value))
         if not isinstance(event_value, (int, float)) or isinstance(event_value, bool):
             return False
-        return self.interval.contains(float(event_value))
+        # Unconverted: ``Interval.contains`` compares exactly, so an int
+        # beyond float range or past 2**53 is neither an error nor rounded.
+        return self.interval.contains(event_value)
 
     def label(self) -> str:
         """Return the display label used when printing trees (Fig. 1 style)."""

@@ -10,13 +10,15 @@ Every distinct ``(attribute, predicate)`` pair becomes one *entry* shared
 by all subscribing profiles.  Per attribute the entries are split by
 operator into:
 
-* a **hash bucket** (``Equals``, ``OneOf``) — ``{event value -> entries}``;
-  one dict probe per event returns exactly the satisfied equality entries,
+* a **hash bucket** (``Equals``, ``OneOf``) — ``{event value -> entries}``
+  plus each value's subscriber mask; one dict probe per event resolves
+  exactly the satisfied equality entries,
 * an **interval bucket** (``RangePredicate``) — the overlapping ranges are
   decomposed into sorted *slabs* (point slabs at each distinct endpoint,
-  open gap slabs between them), each carrying the entries that cover it;
-  one ``bisect`` probe over the slab boundaries returns every satisfied
-  range entry with exact open/closed-bound semantics,
+  open gap slabs between them), each carrying the number of entries that
+  cover it and the XOR of their subscriber masks; one ``bisect`` probe
+  over the slab boundaries resolves every satisfied range entry with exact
+  open/closed-bound semantics,
 * a **scan fallback** (``NotEquals`` and anything without a natural index)
   — entry objects inside the matcher, evaluated one by one like the
   counting baseline's general index.

@@ -5,10 +5,10 @@ resolving every *distinct* ``(attribute, value)`` probe only once.  Both
 this kernel and the per-event loop of
 :meth:`~repro.matching.index.matcher.PredicateIndexMatcher.match` resolve a
 value with the attribute's one probe, ``_AttributeState.probe`` (bucket
-lookup, cover mask, scan evaluations).  The per-event loop pays it once per
-event; real batches carry massive value redundancy (a 1500-event
-stock-ticker batch observes ~40 distinct symbols), so the kernel keeps a
-per-batch memo per probed attribute:
+lookup, the hit's or slab's stored mask, scan evaluations).  The
+per-event loop pays it once per event; real batches carry massive value
+redundancy (a 1500-event stock-ticker batch observes ~40 distinct
+symbols), so the kernel keeps a per-batch memo per probed attribute:
 
 * **Probe dedup.**  The first event carrying a value probes it once into
   ``(operations, keep)``: the operations the per-event loop charges any
@@ -31,9 +31,12 @@ Results are identical to per-event :meth:`match` — same matched ids, same
 order, same operation accounting (operations are *charged* per event as
 if each event had probed alone; the dedup shrinks the work actually
 *executed*, reported separately via :class:`KernelStats`: each distinct
-probe's operations once, less the entries of a slab cover that an earlier
-distinct value of the batch already resolved — the probe returns its
-cover so the kernel can tell).
+probe's operations once, less the entries covering a slab that an earlier
+distinct value of the batch already resolved — the probe returns the
+value's slab number so the kernel can tell).  The dedup is per slab:
+slabs that hold equal counts and masks, as the three slabs of a freshly
+split gap do, are distinct slabs and each is counted when first
+resolved.
 
 :meth:`PredicateIndexMatcher.match_batch` routes batches of at least
 :data:`MIN_COLUMNAR_BATCH` events here; smaller batches keep the
@@ -78,8 +81,8 @@ class KernelStats:
     charged_operations: int = 0
     #: Comparison operations actually executed: each distinct
     #: (attribute, value) probe of the batch counted once, and the
-    #: entries of an interval-slab cover shared by several distinct
-    #: values counted once per cover.
+    #: entries covering an interval slab shared by several distinct
+    #: values counted once per slab.
     executed_operations: int = 0
     #: Distinct probes resolved (memo misses) vs probes the per-event
     #: loop would have issued.
@@ -127,8 +130,8 @@ def match_batch_columnar(
         return []
     #: Per probed attribute: its state, the batch's value memo
     #: ``{value: (operations, keep mask, value class)}`` (a hit of another
-    #: class probes again, see the module doc) and the slab covers
-    #: already resolved this batch.
+    #: class probes again, see the module doc) and the numbers of the
+    #: slabs already resolved this batch.
     columns = [(attribute, state, {}, set()) for attribute, state in matcher._probe_states]
     live = matcher._live
     profile_ids = matcher._profile_ids
@@ -141,26 +144,25 @@ def match_batch_columnar(
         values = event.values
         matched = live
         operations = 0
-        for attribute, state, memo, seen_covers in columns:
+        for attribute, state, memo, seen_slabs in columns:
             value = values.get(attribute, _MISSING)
             if value is _MISSING:
                 matched &= state.free
                 continue
             probe = memo.get(value)
             if probe is None or probe[2] is not value.__class__:
-                cost, mask, cover = state.probe(value)
+                cost, mask, slab = state.probe(value)
                 probe = memo[value] = (cost, mask | state.free, value.__class__)
                 distinct += 1
                 executed += cost
-                if cover:
+                if slab >= 0:
                     # Range-heavy columns map many distinct values onto
-                    # few slab covers, and the cover-mask cache resolves
-                    # each once; the bucket cannot change during a batch,
-                    # so the cover's id names it.
-                    if id(cover) in seen_covers:
-                        executed -= len(cover)
+                    # few slabs; the bucket cannot change during a batch,
+                    # so a slab number names one slab throughout.
+                    if slab in seen_slabs:
+                        executed -= state.view_interval.counts[slab]
                     else:
-                        seen_covers.add(id(cover))
+                        seen_slabs.add(slab)
             operations += probe[0]
             keep = probe[1]
             if not keep:

@@ -24,17 +24,19 @@ A set of profiles is one Python ``int`` whose bit *d* stands for dense id
 * ``_Entry.mask`` — the subscribers of one entry;
 * ``_AttributeState.free`` — the live profiles that do **not** constrain
   the attribute (don't-care there, including the always-match profiles);
-* ``_AttributeState.cover_masks`` — the OR of the entry masks of one
-  hash-bucket hit or slab cover, memoised per entry-id tuple; maintenance
-  rebinds the cache to ``{}``.
+* each hash value's and each slab's mask in the buckets — the XOR of the
+  masks of the entries it satisfies.  A profile carries at most one
+  predicate per attribute, so one attribute's entry masks are disjoint
+  and that XOR is their OR: the probe reads a hash hit's or a slab's mask
+  as it is stored, and every edit is one XOR (see
+  :mod:`repro.matching.index.buckets`).
 
 A probe of ``(attribute, value)`` resolves to the OR of its satisfied
 entry masks, and an event's matches are the AND, over the probed
 attributes, of ``probe mask | free mask`` (an attribute the event does
-not carry contributes ``free`` alone).  A profile carries at most one
-predicate per attribute, so the entry masks OR-ed by one probe are
-disjoint.  Matched ids are read out of the final mask in dense-id order
-and, once churn has recycled an id, sorted by ``_order_pos``.
+not carry contributes ``free`` alone).  Matched ids are read out of the
+final mask in dense-id order and, once churn has recycled an id, sorted
+by ``_order_pos``.
 
 The probe is written once, as ``_AttributeState.probe``:
 :meth:`~PredicateIndexMatcher.match` calls it per event and attribute,
@@ -52,10 +54,10 @@ compares inline: one type check per probe, then a few comparisons per
 range, instead of a ``matches`` and an ``Interval.contains`` call per
 range.  Any other scanned kind keeps its
 ``matches``.  The probe charges the scanned count in one addition and
-reads each ``entry.mask`` live, so a subscribe or cancel that only edits
-masks recompiles nothing.  Every path applies one containment rule: a
-range accepts an ``int`` or ``float`` (never a ``bool``), compared
-exactly, and no NaN.
+reads each scanned ``entry.mask`` live, so a subscribe or cancel that
+only edits masks recompiles nothing.  Every path applies one containment
+rule: a range accepts an ``int`` or ``float`` (never a ``bool``),
+compared exactly, and no NaN.
 
 Incremental maintenance
 -----------------------
@@ -63,10 +65,11 @@ Incremental maintenance
 profile's entries are spliced into (or out of) the hash, slab and scan
 buckets in place (slab buckets splice endpoints via ``bisect.insort``-style
 edits, see :class:`~repro.matching.index.buckets.IntervalBucket`) and its
-bit is set in (or cleared from) the entry masks and every attribute's free
-mask, which makes the cost of one churn operation proportional to the
-profile's own predicates plus one mask edit per attribute — not to the
-total predicate population.  Strategy decisions (index-vs-scan per
+bit is set in (or cleared from) the entry masks, the bucket masks over
+each entry's values or slab span, and every attribute's free mask, which
+makes the cost of one churn operation proportional to the profile's own
+predicates and the slabs they span plus one mask edit per attribute — not
+to the total predicate population.  Strategy decisions (index-vs-scan per
 attribute, the probe order) are *not* recomputed per churn op; maintenance
 merely raises a deferred-replan flag and the planner recosts lazily the
 next time :attr:`plan` (or an estimated cost) is asked for.  A full
@@ -136,19 +139,13 @@ class _AttributeState:
     registers a predicate.
 
     ``free`` is the bitmask of live profiles that do not constrain the
-    attribute.  ``cover_masks`` maps an entry-id tuple (a hash-bucket hit
-    or a slab cover) to the OR of its entries' masks, keyed by the tuple's
-    ``id()``: a slab cover can list hundreds of entries, and hashing the
-    tuple on every probe would cost more than the mask lookup saves.  The
-    buckets own the tuples and only replace them during maintenance,
-    which rebinds the cache to ``{}``, so a cached id always names the
-    live tuple it was computed for; :meth:`probe` rebuilds each tuple's
-    mask once on its next probe.
+    attribute.  The buckets keep every hash value's and slab's mask up to
+    date (:meth:`flip` for a subscriber joining or leaving an existing
+    entry), so :meth:`probe` combines no entry masks for an indexed hit.
     """
 
     __slots__ = (
         "entries",
-        "entry_by_id",
         "next_entry_id",
         "hash_bucket",
         "interval_bucket",
@@ -157,17 +154,16 @@ class _AttributeState:
         "use_hash",
         "use_interval",
         "view_hash",
+        "view_hash_masks",
         "view_interval",
         "scan_ranges",
         "scan_other",
         "scan_count",
         "free",
-        "cover_masks",
     )
 
     def __init__(self, free: int = 0) -> None:
         self.entries: dict[Predicate, _Entry] = {}
-        self.entry_by_id: dict[int, _Entry] = {}
         self.next_entry_id = 0
         self.hash_bucket: HashBucket | None = None
         self.interval_bucket: IntervalBucket | None = None
@@ -182,6 +178,7 @@ class _AttributeState:
         #: Probe view, compiled by :meth:`refresh_view` (see "The
         #: compiled scan" in the module doc).
         self.view_hash: Mapping[object, tuple[int, ...]] | None = None
+        self.view_hash_masks: Mapping[object, int] = {}
         self.view_interval: IntervalBucket | None = None
         self.scan_ranges: tuple[tuple[float, float, bool, bool, _Entry], ...] = ()
         self.scan_other: tuple[_Entry, ...] = ()
@@ -190,14 +187,12 @@ class _AttributeState:
         #: live profile constrains it, so a zero-hit probe rejects the
         #: event outright.
         self.free = free
-        self.cover_masks: dict[int, int] = {}
 
     def new_entry(self, predicate: Predicate) -> _Entry:
         """Register a new entry for ``predicate`` (bucket edits are the caller's)."""
         entry = _Entry(self.next_entry_id, predicate, _classify(predicate))
         self.next_entry_id += 1
         self.entries[predicate] = entry
-        self.entry_by_id[entry.entry_id] = entry
         if entry.kind == _SCAN:
             self.scan_entries.append(entry)
         return entry
@@ -229,6 +224,7 @@ class _AttributeState:
         """
         hash_bucket = self.hash_bucket if self.use_hash else None
         self.view_hash = hash_bucket.table if hash_bucket is not None else None
+        self.view_hash_masks = hash_bucket.masks if hash_bucket is not None else {}
         self.view_interval = self.interval_bucket if self.use_interval else None
         scanned: Iterable[_Entry]
         if self.use_hash and self.use_interval:
@@ -250,43 +246,52 @@ class _AttributeState:
         self.scan_other = tuple(other)
         self.scan_count = len(ranges) + len(other)
 
-    def cover_mask(self, entry_ids: tuple[int, ...]) -> int:
-        """Return (and memoise) the OR of the entry masks of ``entry_ids``."""
-        mask = 0
-        by_id = self.entry_by_id
-        for entry_id in entry_ids:
-            mask |= by_id[entry_id].mask
-        self.cover_masks[id(entry_ids)] = mask
-        return mask
+    def flip(self, entry: _Entry, bit: int) -> None:
+        """XOR ``bit`` into the bucket masks of the live ``entry``: one
+        subscriber joining or leaving it (``entry.mask`` is the caller's).
 
-    def probe(self, value: object) -> tuple[int, int, tuple[int, ...]]:
+        A hash entry flips each value it is registered under — one dict
+        XOR for an ``Equals`` — and a range entry every slab of its span.
+        A scanned entry has no bucket mask: the probe reads its mask live.
+        """
+        kind = entry.kind
+        if kind == _HASH:
+            masks = self.hash_bucket.masks
+            predicate = entry.predicate
+            if isinstance(predicate, Equals):
+                masks[predicate.value] ^= bit
+            else:
+                for value in predicate.values:
+                    masks[value] ^= bit
+        elif kind == _RANGE:
+            self.interval_bucket.flip(entry.predicate.interval, bit)
+
+    def probe(self, value: object) -> tuple[int, int, int]:
         """Resolve one event value against the attribute's probe view.
 
-        Returns ``(operations, mask, cover)``.  ``operations`` is the
+        Returns ``(operations, mask, slab)``.  ``operations`` is the
         suite's accounting for one event carrying ``value``: one for the
         hash lookup plus one per hit, the bisect depth plus one per entry
-        of the slab cover, and one per scanned entry.  ``mask`` is the OR
-        of the satisfied hash hit, slab cover and scan entries.  ``cover``
-        is the slab cover itself (``()`` without one), so the batch kernel
-        can count a cover shared by several values once.
+        covering the slab, and one per scanned entry.  ``mask`` is the OR
+        of the satisfied hash hit, slab and scan entries.  ``slab`` is the
+        interval bucket's slab number of ``value`` (``-1`` without one), so
+        the batch kernel can count a slab shared by several values once.
         """
         operations = 0
         mask = 0
-        cover: tuple[int, ...] = ()
+        slab = -1
         hash_table = self.view_hash
         if hash_table is not None:
             operations += 1
             entry_ids = hash_table.get(value)
             if entry_ids:
                 operations += len(entry_ids)
-                mask = self.cover_masks.get(id(entry_ids)) or self.cover_mask(entry_ids)
+                mask = self.view_hash_masks[value]
         interval_bucket = self.view_interval
         if interval_bucket is not None:
-            operations += interval_bucket.probe_cost
-            cover = interval_bucket.lookup(value)
-            if cover:
-                operations += len(cover)
-                mask |= self.cover_masks.get(id(cover)) or self.cover_mask(cover)
+            slab, count, slab_mask = interval_bucket.lookup(value)
+            operations += interval_bucket.probe_cost + count
+            mask |= slab_mask
         # The compiled scan: one operation per scanned entry.  A range
         # accepts what RangePredicate.matches accepts, so NaN matches none.
         operations += self.scan_count
@@ -302,7 +307,7 @@ class _AttributeState:
         for entry in self.scan_other:
             if entry.predicate.matches(value):
                 mask |= entry.mask
-        return operations, mask, cover
+        return operations, mask, slab
 
 
 def _hash_values(predicate: Equals | OneOf) -> Iterable[object]:
@@ -435,47 +440,50 @@ class PredicateIndexMatcher:
             state.free = self._live ^ _mask_of(ids, width)
 
         for state in self._states.values():
-            hash_items: dict[object, list[int]] = {}
+            hash_items: dict[object, list[tuple[int, int]]] = {}
             interval_items = []
             for predicate, entry in state.entries.items():
                 if entry.kind == _HASH:
                     for value in _hash_values(predicate):
-                        hash_items.setdefault(value, []).append(entry.entry_id)
+                        hash_items.setdefault(value, []).append((entry.entry_id, entry.mask))
                 elif entry.kind == _RANGE:
-                    interval_items.append((predicate.interval, entry.entry_id))
+                    interval_items.append((predicate.interval, entry.mask))
             state.hash_bucket = HashBucket(hash_items) if hash_items else None
             state.interval_bucket = IntervalBucket(interval_items) if interval_items else None
             state.range_entry_count = len(interval_items)
         self._recompute_plan()
 
-    def _create_entry(self, state: _AttributeState, predicate: Predicate) -> _Entry:
+    def _create_entry(self, state: _AttributeState, predicate: Predicate, bit: int) -> None:
+        """Register ``predicate``'s entry with its first subscriber ``bit``."""
         entry = state.new_entry(predicate)
+        entry.mask = bit
         if entry.kind == _HASH:
             bucket = state.hash_bucket
             if bucket is None:
                 bucket = state.hash_bucket = HashBucket({})
             for value in _hash_values(predicate):
-                bucket.add_entry(value, entry.entry_id)
+                bucket.add_entry(value, entry.entry_id, bit)
         elif entry.kind == _RANGE:
             bucket = state.interval_bucket
             if bucket is None:
                 bucket = state.interval_bucket = IntervalBucket([])
-            bucket.add(predicate.interval, entry.entry_id)
+            bucket.add(predicate.interval, bit)
             state.range_entry_count += 1
         state.refresh_view()
-        return entry
 
-    def _drop_entry(self, state: _AttributeState, predicate: Predicate, entry: _Entry) -> None:
+    def _drop_entry(
+        self, state: _AttributeState, predicate: Predicate, entry: _Entry, bit: int
+    ) -> None:
+        """Unregister ``entry`` after its last subscriber ``bit`` left."""
         del state.entries[predicate]
-        del state.entry_by_id[entry.entry_id]
         if entry.kind == _HASH:
             bucket = state.hash_bucket
             for value in _hash_values(predicate):
-                bucket.discard_entry(value, entry.entry_id)
+                bucket.discard_entry(value, entry.entry_id, bit)
             if len(bucket) == 0:
                 state.hash_bucket = None
         elif entry.kind == _RANGE:
-            state.interval_bucket.remove(predicate.interval, entry.entry_id)
+            state.interval_bucket.remove(predicate.interval, bit)
             state.range_entry_count -= 1
             if state.range_entry_count == 0:
                 # Dropping the empty bucket sheds its stale boundaries.
@@ -507,9 +515,14 @@ class PredicateIndexMatcher:
                 new_attributes.append(attribute)
             entry = state.entries.get(predicate)
             if entry is None:
-                entry = self._create_entry(state, predicate)
-            entry.mask |= bit
-            state.cover_masks = {}
+                self._create_entry(state, predicate, bit)
+            else:
+                entry.mask |= bit
+                if predicate.__class__ is Equals:
+                    # ``flip``'s commonest case, inline: one dict XOR.
+                    state.hash_bucket.masks[predicate.value] ^= bit
+                else:
+                    state.flip(entry, bit)
             constrained.append(state)
         for state in states.values():
             if state not in constrained:
@@ -546,7 +559,7 @@ class PredicateIndexMatcher:
         comparable in size to the live population falls back to one full
         :meth:`_rebuild`, whose O(k log k) slab sweep beats k incremental
         endpoint splices when the ranges overlap heavily (bulk loads of
-        overlapping ranges otherwise degrade to per-slab cover rebuilds).
+        overlapping ranges otherwise degrade to per-slab edits per profile).
         """
         batch = list(profiles)
         if len(batch) * 4 >= len(self.profiles) + len(batch):
@@ -581,8 +594,11 @@ class PredicateIndexMatcher:
             entry = state.entries[predicate]
             entry.mask ^= bit
             if not entry.mask:
-                self._drop_entry(state, predicate, entry)
-            state.cover_masks = {}
+                self._drop_entry(state, predicate, entry, bit)
+            elif predicate.__class__ is Equals:
+                state.hash_bucket.masks[predicate.value] ^= bit
+            else:
+                state.flip(entry, bit)
         keep = ~bit
         for state in states.values():
             state.free &= keep

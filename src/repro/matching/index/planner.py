@@ -199,8 +199,9 @@ class IndexPlanner:
     ) -> float:
         """Return ``E[hits]`` of an interval bucket under ``P_e``.
 
-        The sum of ``P_e(slab) * |cover|`` over the covered slabs, gaps
-        first and then points (the order of :meth:`IntervalBucket.slabs`).
+        The sum of ``P_e(slab) * count`` over the covered slabs, gaps
+        first and then points (the order of :meth:`IntervalBucket.slabs`),
+        where a slab's count is the number of entries covering it.
         Under a :class:`DiscreteDistribution` — every history estimate on a
         finite domain — the slab masses come from one bisect pair per
         boundary (:meth:`DiscreteDistribution.slab_masses`): O(boundaries ·
@@ -210,19 +211,19 @@ class IndexPlanner:
         distribution = self.event_distributions.get(attribute)
         if not isinstance(distribution, DiscreteDistribution):
             expected = 0.0
-            for slab, entry_ids in bucket.slabs():
-                if slab is not None and entry_ids:
-                    expected += self._interval_probability(attribute, domain, slab) * len(entry_ids)
+            for slab, count, _ in bucket.slabs():
+                if slab is not None and count:
+                    expected += self._interval_probability(attribute, domain, slab) * count
             return expected
         gap_masses, point_masses = distribution.slab_masses(bucket.boundaries)
-        gap_covers, point_covers = bucket.covers()
+        counts = bucket.counts
         expected = 0.0
-        # A cover-less slab adds nothing, and the two slabs ``slabs()``
+        # An uncovered slab adds nothing, and the two slabs ``slabs()``
         # skips while covered — points at an infinite boundary — have no
         # mass, so this sum is the slab walk's, term by term.
-        for mass, cover in chain(zip(gap_masses, gap_covers), zip(point_masses, point_covers)):
-            if cover:
-                expected += mass * len(cover)
+        for mass, count in chain(zip(gap_masses, counts[0::2]), zip(point_masses, counts[1::2])):
+            if count:
+                expected += mass * count
         return expected
 
     def plan_attribute(

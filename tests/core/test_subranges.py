@@ -1,12 +1,15 @@
 """Tests for the per-attribute sub-range decomposition."""
 
+import math
+
 import pytest
 
-from repro.core.domains import DiscreteDomain, IntegerDomain
+from repro.core.domains import ContinuousDomain, DiscreteDomain, IntegerDomain
+from repro.core.intervals import Interval
 from repro.core.predicates import OneOf, RangePredicate
 from repro.core.profiles import ProfileSet, profile
 from repro.core.schema import Attribute, Schema
-from repro.core.subranges import build_partition, build_partitions
+from repro.core.subranges import Subrange, build_partition, build_partitions
 from repro.workloads.toy import environmental_profiles
 
 
@@ -57,6 +60,24 @@ class TestToyExamplePartitions:
         assert partition.natural_rank(0) == 1  # in the gap after [-30, -20]
         assert partition.natural_rank(40) == 2
         assert partition.natural_rank(-29.5) == 0
+
+
+def test_interval_subranges_compare_ints_exactly():
+    """An ``int`` reaches ``Interval.contains`` as it is: ``10**400`` is no
+    ``OverflowError`` and ``2**53 + 1`` is not rounded onto ``2**53``."""
+    domain = ContinuousDomain(-1e20, 1e20)
+    top = float(2**53)
+
+    def subrange(interval):
+        return Subrange(0, interval, None, frozenset({"P"}), 1.0)
+
+    above = subrange(Interval(top, math.inf, False, True))
+    up_to = subrange(Interval(0.0, top, True, True))
+    assert above.contains(2**53 + 1, domain)
+    assert not up_to.contains(2**53 + 1, domain)
+    assert up_to.contains(2**53, domain) and not above.contains(2**53, domain)
+    assert above.contains(10**400, domain) and not up_to.contains(10**400, domain)
+    assert not above.contains(-(10**400), domain)
 
 
 class TestDiscretePartitions:

@@ -18,6 +18,7 @@ import functools
 import itertools
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -236,7 +237,7 @@ def event_batches(draw):
 def reference_operations(matcher: PredicateIndexMatcher, event: Event) -> int:
     """Charge ``event`` from the plan's verdicts and the buckets, deciding
     satisfied entries by ``predicate.matches`` and scanning nothing compiled:
-    one per hash lookup and hit, the bisect depth plus the slab cover, one
+    one per hash lookup and hit, the bisect depth plus the slab's count, one
     per entry of a structure the plan does not index, and one per residual
     entry, attribute by attribute until one rejects."""
     operations = 0
@@ -253,10 +254,12 @@ def reference_operations(matcher: PredicateIndexMatcher, event: Event) -> int:
             if entry.predicate.matches(value):
                 satisfied |= entry.mask
         if state.use_hash and state.hash_bucket is not None:
-            operations += 1 + len(state.hash_bucket.lookup(value))
+            entry_ids, _ = state.hash_bucket.lookup(value)
+            operations += 1 + len(entry_ids)
         if state.use_interval and state.interval_bucket is not None:
             bucket = state.interval_bucket
-            operations += bucket.probe_cost + len(bucket.lookup(value))
+            _, count, _ = bucket.lookup(value)
+            operations += bucket.probe_cost + count
         if not satisfied | state.free:
             break
     return operations
@@ -340,4 +343,71 @@ def test_every_mix_equals_the_slab_and_the_oracle_under_churn(
             add(step)
         elif live:
             remove(live[step % len(live)])
+        check()
+
+
+# -- pinned index and hybrid under range churn with mask-only edits -----------
+@st.composite
+def range_profiles(draw):
+    """A range on ``x`` and, mostly, an equality on ``y``: profiles drawn
+    from a few bounds share entries, so joins and leaves edit masks only."""
+    predicates = {"x": draw(ranges())}
+    if draw(st.integers(0, 3)):
+        predicates["y"] = Equals(draw(st.sampled_from(BOUNDS[:3])))
+    return predicates
+
+
+#: A churn step: a drawn profile joins, a twin of a live profile joins
+#: (masks only), a live profile leaves, or the deferred replan runs.
+CHURN_STEPS = st.tuples(st.sampled_from(["join", "twin", "leave", "plan"]), st.integers(0, 50))
+
+
+@pytest.mark.parametrize("hybrid", [False, True], ids=["index", "hybrid"])
+@given(
+    population=st.lists(range_profiles(), min_size=1, max_size=8),
+    churn=st.lists(st.tuples(CHURN_STEPS, range_profiles()), max_size=12),
+    batch=event_batches(),
+)
+@settings(max_examples=40, deadline=None)
+def test_pinned_families_equal_the_oracle_under_range_churn(hybrid, population, churn, batch):
+    """After every step of range churn — entries created and dropped,
+    subscribers joining and leaving shared entries, which only XOR a bit
+    into the stored slab and hash masks — ``match`` and ``match_batch``
+    give the naive oracle's ids in its order and charge what
+    :func:`reference_operations` charges from the slab counts."""
+    schema = make_schema()
+    initial = [Profile(f"P{i}", predicates) for i, predicates in enumerate(population)]
+    naive = NaiveMatcher(ProfileSet(schema, initial))
+    matcher = PredicateIndexMatcher(
+        ProfileSet(schema, initial), planner=IndexPlanner(hybrid=hybrid)
+    )
+    live = [profile.profile_id for profile in initial]
+    predicates_of = {profile.profile_id: profile.predicates for profile in initial}
+    serial = itertools.count()
+
+    def check():
+        expected = [ids(naive.match(event)) for event in batch]
+        sequential = [matcher.match(event) for event in batch]
+        batched = matcher.match_batch(batch)
+        assert [ids(r) for r in sequential] == [ids(r) for r in batched] == expected
+        for event, one, columnar in zip(batch, sequential, batched):
+            operations = reference_operations(matcher, event)
+            assert one.operations == columnar.operations == operations, event
+
+    check()
+    for (kind, pick), drawn in churn:
+        if kind == "plan":
+            matcher.plan  # the deferred recost adopts fresh verdicts
+        elif kind == "leave" and live:
+            profile_id = live.pop(pick % len(live))
+            naive.remove_profile(profile_id)
+            matcher.remove_profile(profile_id)
+        else:
+            if kind == "twin" and live:
+                drawn = predicates_of[live[pick % len(live)]]
+            profile = Profile(f"C{next(serial)}", dict(drawn))
+            naive.add_profile(profile)
+            matcher.add_profile(profile)
+            live.append(profile.profile_id)
+            predicates_of[profile.profile_id] = profile.predicates
         check()

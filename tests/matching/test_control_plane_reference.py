@@ -5,7 +5,9 @@ order and the rejection scores computed through the bisect /
 endpoint-sweep / per-boundary code under ``src/`` must equal what the
 brute-force references of :mod:`scan_reference` produce when patched in
 its place — and a recost must neither probe ``Interval.contains`` per
-support value nor build an ``Interval`` per slab.
+support value nor build an ``Interval`` per slab.  The work guards at the
+end also hold the slab buckets to building no tuple per slab and the
+probe to reading no entry's mask for an indexed hit.
 """
 
 import math
@@ -333,15 +335,15 @@ def churned_buckets(draw):
     """A slab bucket built from a few intervals, then churned: removals
     leave stale boundaries (and past half of them, compact the bucket)."""
     live = dict(enumerate(draw(st.lists(bucket_intervals(), max_size=8))))
-    bucket = IntervalBucket([(interval, entry) for entry, interval in live.items()])
+    bucket = IntervalBucket([(interval, 1 << entry) for entry, interval in live.items()])
     next_entry = len(live)
     for remove in draw(st.lists(st.booleans(), max_size=16)):
         if remove and live:
             entry = draw(st.sampled_from(sorted(live)))
-            bucket.remove(live.pop(entry), entry)
+            bucket.remove(live.pop(entry), 1 << entry)
         else:
             live[next_entry] = draw(bucket_intervals())
-            bucket.add(live[next_entry], next_entry)
+            bucket.add(live[next_entry], 1 << next_entry)
             next_entry += 1
     return bucket
 
@@ -525,3 +527,89 @@ def test_entry_scores_through_the_named_churn_cases(distributions):
     # Steps 7 and 8 add and drop the unmodelled predicate: no scores, so
     # both sides keep schema order, and scores return once it has left.
     assert [bool(step["scores"]) for step in steps[6:9]] == [True, False, True]
+
+
+# -- slabs carry their count and mask: no per-slab tuple, no per-entry read ------
+
+
+def wide_range_churn():
+    """The ``wide-range`` population, and two subscriptions: a twin of a
+    live profile (it joins existing entries, masks only) and a fresh range
+    between boundaries (a new entry splitting slabs) with a live region."""
+    workload = build_workload(get_profile("wide-range").spec)
+    template = next(iter(workload.profiles))
+    fresh = {**template.predicates, "metric": RangePredicate.between(1234.5, 7654.5)}
+    churn = [Profile("twin", dict(template.predicates)), Profile("fresh", fresh)]
+    return workload, churn
+
+
+def test_slab_build_and_range_churn_build_no_per_slab_tuple(monkeypatch):
+    """Complexity guard: a slab once held the sorted tuple of its covering
+    entry ids — one ``sorted`` and one ``tuple`` call per slab at the build
+    (3 985 slabs on ``wide-range``), and one per covered slab at every
+    range subscribe and cancel.  A slab now holds two ints."""
+    from repro.matching.index import buckets
+
+    workload, churn = wide_range_churn()
+    calls = 0
+
+    def counting(builtin):
+        def count(*args):
+            nonlocal calls
+            calls += 1
+            return builtin(*args)
+
+        return count
+
+    monkeypatch.setattr(buckets, "tuple", counting(tuple), raising=False)
+    monkeypatch.setattr(buckets, "sorted", counting(sorted), raising=False)
+    matcher = PredicateIndexMatcher(ProfileSet(workload.spec.schema, workload.profiles))
+    metric = matcher._states["metric"].interval_bucket
+    region = matcher._states["region"].hash_bucket
+    assert 2 * len(metric) + 1 > 3_000
+    # One sort of the boundaries, and each hash value's entry-id tuple.
+    assert calls == 1 + len(region)
+
+    calls = 0
+    for profile in churn:
+        matcher.add_profile(profile)
+    for profile in churn:
+        matcher.remove_profile(profile.profile_id)
+    assert calls == 0
+    assert {type(count) for count in metric.counts} == {int}
+
+
+def test_a_probe_after_churn_reads_no_entry_mask(monkeypatch):
+    """Complexity guard: a subscribe or cancel once emptied the cover-mask
+    memo, so the next probe of each slab or hash hit ORed the masks of all
+    its entries (about 630 per slab on ``wide-range``).  The stored masks
+    are the probe's answer; no scanned entry is read on this plan."""
+    from repro.matching.index.matcher import _Entry
+
+    workload, churn = wide_range_churn()
+    schema = workload.spec.schema
+    matcher = PredicateIndexMatcher(ProfileSet(schema, workload.profiles))
+    naive = NaiveMatcher(ProfileSet(schema, workload.profiles))
+    assert all(state.scan_count == 0 for state in matcher._states.values())
+    events = list(workload.events[:300])
+
+    reads = 0
+    slot = _Entry.__dict__["mask"]
+
+    def read(entry):
+        nonlocal reads
+        reads += 1
+        return slot.__get__(entry, _Entry)
+
+    monkeypatch.setattr(_Entry, "mask", property(read, slot.__set__))
+    steps = [("add_profile", profile) for profile in churn]
+    steps += [("remove_profile", profile.profile_id) for profile in churn]
+    for edit, argument in steps:
+        getattr(matcher, edit)(argument)
+        getattr(naive, edit)(argument)
+        expected = [result.matched_profile_ids for result in naive.match_batch(events)]
+        reads = 0
+        per_event = [matcher.match(event).matched_profile_ids for event in events]
+        batched = [result.matched_profile_ids for result in matcher.match_batch(events)]
+        assert reads == 0
+        assert per_event == batched == expected

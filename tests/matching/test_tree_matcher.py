@@ -115,6 +115,31 @@ class TestAgainstNaiveOracle:
             )
 
 
+def test_pinned_tree_agrees_with_the_oracle_on_huge_and_unrounded_ints():
+    """The tree's sub-ranges compare an event's ``int`` exactly, as the
+    oracle's predicates do: ``2**53 + 1`` lies above ``2**53``, and a value
+    beyond float range lies outside the domain (the tree's zero
+    sub-domain), not in an ``OverflowError``."""
+    from repro.core.domains import ContinuousDomain
+
+    top = float(2**53)
+    schema = Schema([Attribute("x", ContinuousDomain(-1e20, 1e20))])
+    profiles = ProfileSet(schema)
+    profiles.add(profile("up-to", x=RangePredicate.between(0.0, top)))
+    profiles.add(profile("above", x=RangePredicate.greater_than(top)))
+    profiles.add(profile("below", x=RangePredicate.less_than(0.0)))
+    naive = NaiveMatcher(profiles)
+    for search in (SearchStrategy.LINEAR, SearchStrategy.BINARY):
+        tree = TreeMatcher(profiles, TreeConfiguration(("x",), {}, search, "test"))
+        for value in (2**53 + 1, 2**53, 2**53 - 1, 10**19 + 1, -(10**19) - 1):
+            event = Event({"x": value})
+            expected = naive.match(event).matched_profile_ids
+            assert sorted(tree.match(event).matched_profile_ids) == sorted(expected), value
+        for value in (10**400, -(10**400)):
+            assert tree.match(Event({"x": value})).matched_profile_ids == ()
+    assert naive.match(Event({"x": 2**53 + 1})).matched_profile_ids == ("above",)
+
+
 class TestReconfiguration:
     def single_attribute_profiles(self):
         schema = Schema([Attribute("v", IntegerDomain(0, 99))])

@@ -11,11 +11,15 @@ here, unoptimised, as the oracle its replacement is compared against:
 * ``E[hits]`` of an interval bucket priced every slab as an ``Interval``
   through ``probability_of_interval`` (now one bisect pair per boundary);
 * the rejection scores built every attribute's partition from the whole
-  profile set (now from each attribute's distinct predicates).
+  profile set (now from each attribute's distinct predicates);
+* a slab of an interval bucket held the sorted tuple of its covering
+  entry ids (now its count and the XOR of the entries' masks):
+  :class:`TupleIntervalBucket`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.domains import DiscreteDomain
@@ -27,9 +31,11 @@ from repro.core.schema import Attribute
 from repro.core.subranges import AttributePartition, Subrange, build_partitions
 from repro.distributions.base import project_onto_partition
 from repro.distributions.discrete import DiscreteDistribution
+from repro.matching.index.buckets import STALE_COMPACTION_FRACTION
 from repro.selectivity.attribute_measures import AttributeMeasure, attribute_selectivities
 
 __all__ = [
+    "TupleIntervalBucket",
     "attribute_constraints",
     "partition_probe_order",
     "partition_rejection_scores",
@@ -162,10 +168,10 @@ def slab_sum_expected_interval_hits(planner, attribute: str, domain, bucket) -> 
     """``E[hits]`` of an interval bucket: every covered slab priced as an
     ``Interval`` (clamped to the domain) through ``probability_of_interval``."""
     expected = 0.0
-    for slab, entry_ids in bucket.slabs():
-        if slab is None or not entry_ids:
+    for slab, count, _ in bucket.slabs():
+        if slab is None or not count:
             continue
-        expected += planner._interval_probability(attribute, domain, slab) * len(entry_ids)
+        expected += planner._interval_probability(attribute, domain, slab) * count
     return expected
 
 
@@ -214,3 +220,212 @@ def attribute_constraints(profiles: ProfileSet) -> dict[str, tuple[list[Predicat
                 free = True
         constraints[name] = (list(predicates), free)
     return constraints
+
+
+class TupleIntervalBucket:
+    """The slab bucket as it was when each slab held the sorted tuple of
+    its covering entry ids, rebuilt on every edit.
+
+    Same boundaries, stale-boundary bookkeeping and compaction rule as
+    :class:`~repro.matching.index.buckets.IntervalBucket`, so the two have
+    the same slabs after any edit sequence.
+
+    The constructor decomposes the input intervals into point slabs (one per
+    distinct endpoint) and gap slabs (the open interval between consecutive
+    endpoints).  Duplicate boundaries collapse into a single point slab, and
+    open/closed endpoints are honoured exactly: an entry's interval covers
+    its endpoint's point slab only when that side is closed.
+    """
+
+    __slots__ = (
+        "_boundaries",
+        "_point_cover",
+        "_gap_cover",
+        "_endpoint_refs",
+        "_stale_boundaries",
+        "probe_cost",
+    )
+
+    def __init__(self, items: Sequence[tuple[Interval, int]]) -> None:
+        boundaries = sorted({b for interval, _ in items for b in (interval.low, interval.high)})
+        self._boundaries = boundaries
+        #: Live endpoint reference counts per boundary value; a boundary
+        #: whose count drops to zero is *stale* (see ``remove``).
+        refs: dict[float, int] = {}
+        for interval, _ in items:
+            refs[interval.low] = refs.get(interval.low, 0) + 1
+            refs[interval.high] = refs.get(interval.high, 0) + 1
+        self._endpoint_refs = refs
+        self._stale_boundaries = 0
+        # One sweep over the slab sequence gap_0, point_0, gap_1, ...,
+        # point_{n-1}, gap_n (slab position 2j for gap j, 2i+1 for point i)
+        # builds every cover in O(k log k): each interval covers a single
+        # contiguous slab range determined by its endpoints' openness, so a
+        # start/stop event diff plus an insertion-ordered active set gives
+        # the exact cover without any per-slab containment probing.
+        boundary_index = {value: index for index, value in enumerate(boundaries)}
+        slab_count = 2 * len(boundaries) + 1
+        starts: list[list[int]] = [[] for _ in range(slab_count + 1)]
+        stops: list[list[int]] = [[] for _ in range(slab_count + 1)]
+        for interval, entry_id in items:
+            low_index = boundary_index[interval.low]
+            high_index = boundary_index[interval.high]
+            first = 2 * low_index + 1 if interval.low_closed else 2 * low_index + 2
+            last = 2 * high_index + 1 if interval.high_closed else 2 * high_index
+            starts[first].append(entry_id)
+            stops[last + 1].append(entry_id)
+        active: dict[int, None] = {}
+        covers: list[tuple[int, ...]] = []
+        for position in range(slab_count):
+            for entry_id in stops[position]:
+                del active[entry_id]
+            for entry_id in starts[position]:
+                active[entry_id] = None
+            covers.append(tuple(sorted(active)))
+        self._gap_cover = covers[0::2]
+        self._point_cover = covers[1::2]
+        #: Comparisons charged per bisect probe: the depth of the binary
+        #: search over the boundary list.
+        self.probe_cost = max(1, len(boundaries).bit_length())
+
+    def lookup(self, value: object) -> tuple[int, ...]:
+        """Return the entry ids whose interval contains ``value``."""
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            return ()
+        boundaries = self._boundaries
+        position = bisect_left(boundaries, value)
+        if position < len(boundaries) and boundaries[position] == value:
+            return self._point_cover[position]
+        return self._gap_cover[position]
+
+    # -- incremental maintenance ----------------------------------------------
+    def _ensure_boundary(self, value: float) -> bool:
+        """Splice ``value`` into the boundary list if it is not one yet.
+
+        Inserting a boundary splits its enclosing gap slab into
+        gap/point/gap.  The new point slab and both gap halves inherit the
+        old gap's cover: the value was strictly inside the open gap, so
+        exactly the intervals covering the gap cover it.  Returns whether
+        the boundary was freshly inserted.
+        """
+        boundaries = self._boundaries
+        position = bisect_left(boundaries, value)
+        if position < len(boundaries) and boundaries[position] == value:
+            return False
+        boundaries.insert(position, value)
+        split_cover = self._gap_cover[position]
+        self._point_cover.insert(position, split_cover)
+        self._gap_cover.insert(position + 1, split_cover)
+        self.probe_cost = max(1, len(boundaries).bit_length())
+        return True
+
+    def _register_endpoint(self, value: float) -> None:
+        """Ensure ``value`` is a boundary and count one live endpoint on it.
+
+        Bumping a pre-existing boundary whose reference count had dropped
+        to zero revives a stale boundary.
+        """
+        inserted = self._ensure_boundary(value)
+        refs = self._endpoint_refs
+        count = refs.get(value, 0)
+        refs[value] = count + 1
+        if not inserted and count == 0:
+            self._stale_boundaries -= 1
+
+    def _slab_span(self, interval: Interval) -> tuple[int, int]:
+        """Return the first/last covered slab positions of ``interval``.
+
+        Positions follow the sweep numbering of the constructor: ``2j`` is
+        gap ``j`` and ``2i + 1`` is point ``i``.  Both endpoints must
+        already be boundaries.
+        """
+        boundaries = self._boundaries
+        low_index = bisect_left(boundaries, interval.low)
+        high_index = bisect_left(boundaries, interval.high)
+        first = 2 * low_index + 1 if interval.low_closed else 2 * low_index + 2
+        last = 2 * high_index + 1 if interval.high_closed else 2 * high_index
+        return first, last
+
+    def add(self, interval: Interval, entry_id: int) -> None:
+        """Add one range entry in place (incremental maintenance)."""
+        self._register_endpoint(interval.low)
+        self._register_endpoint(interval.high)
+        first, last = self._slab_span(interval)
+        point_cover, gap_cover = self._point_cover, self._gap_cover
+        for position in range(first, last + 1):
+            index, is_point = divmod(position, 2)
+            cover = point_cover[index] if is_point else gap_cover[index]
+            updated = tuple(sorted(cover + (entry_id,)))
+            if is_point:
+                point_cover[index] = updated
+            else:
+                gap_cover[index] = updated
+
+    def remove(self, interval: Interval, entry_id: int) -> None:
+        """Remove one range entry from its covered slabs.
+
+        The entry's endpoints usually stay in the boundary list (a stale
+        boundary is semantically invisible); once more than
+        :data:`STALE_COMPACTION_FRACTION` of the boundaries are stale the
+        slab structure is compacted in place, so heavy churn keeps the
+        probe depth and slab count proportional to the *live* entries.
+        """
+        first, last = self._slab_span(interval)
+        point_cover, gap_cover = self._point_cover, self._gap_cover
+        for position in range(first, last + 1):
+            index, is_point = divmod(position, 2)
+            cover = point_cover[index] if is_point else gap_cover[index]
+            updated = tuple(e for e in cover if e != entry_id)
+            if is_point:
+                point_cover[index] = updated
+            else:
+                gap_cover[index] = updated
+        refs = self._endpoint_refs
+        for value in (interval.low, interval.high):
+            count = refs.get(value, 0) - 1
+            if count > 0:
+                refs[value] = count
+            elif count == 0:
+                refs[value] = 0
+                self._stale_boundaries += 1
+        if self._stale_boundaries > STALE_COMPACTION_FRACTION * len(self._boundaries):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop every stale boundary and merge its slabs in place.
+
+        A stale boundary carries no live endpoint, so every live interval
+        covering any of its three adjacent slabs (gap, point, gap) covers
+        all of them — the covers are equal and collapse into one gap slab
+        without changing any lookup result.
+        """
+        refs = self._endpoint_refs
+        boundaries = self._boundaries
+        point_cover, gap_cover = self._point_cover, self._gap_cover
+        kept_boundaries: list[float] = []
+        kept_points: list[tuple[int, ...]] = []
+        kept_gaps: list[tuple[int, ...]] = [gap_cover[0]]
+        for index, value in enumerate(boundaries):
+            if refs.get(value, 0) > 0:
+                kept_boundaries.append(value)
+                kept_points.append(point_cover[index])
+                kept_gaps.append(gap_cover[index + 1])
+            else:
+                # Stale: its point cover equals both neighbouring gap
+                # covers, so skipping the boundary keeps the (identical)
+                # gap already recorded.
+                refs.pop(value, None)
+        self._boundaries = kept_boundaries
+        self._point_cover = kept_points
+        self._gap_cover = kept_gaps
+        self._stale_boundaries = 0
+        self.probe_cost = max(1, len(kept_boundaries).bit_length())
+
+    def covers(self) -> list[tuple[int, ...]]:
+        """Every slab's cover, in the order ``IntervalBucket.slabs()`` walks:
+        every gap, then every point."""
+        return self._gap_cover + self._point_cover
+
+    @property
+    def boundaries(self) -> list[float]:
+        return self._boundaries
