@@ -17,15 +17,19 @@ symbols), so the kernel keeps a per-batch memo per probed attribute:
   :mod:`repro.matching.index.matcher` for the bitmask layout).  Every later
   event carrying the value costs one dict lookup, a class check and one
   ``&``; an equal value of another class (``True`` after ``1``) probes
-  again, since a range accepts ``1`` but no ``bool``.
+  again, since a range accepts ``1`` but no ``bool``.  A value the memo
+  cannot hash (a list) is probed for every event that carries it, so the
+  batch returns, or raises, what the per-event loop does.
 * **Exact early rejection.**  ``keep == 0`` happens exactly when every
   live profile constrains the attribute and the probe hits nothing — the
   per-event loop's rejection — so the event stops there with the same
   charged operations.
 * **Shared results.**  Events with the same surviving mask, operations and
   attribute count produce equal results; :class:`MatchResult` is an
-  immutable value object, so one instance (and one id read-out) serves
-  them all.
+  immutable value object, so one instance serves them all.  Its ids come
+  from the matcher's one read-out, which :meth:`match` uses too: a mask
+  is decoded once for the matcher's life, not once per batch (see
+  :mod:`repro.matching.index.matcher`).
 
 Results are identical to per-event :meth:`match` — same matched ids, same
 order, same operation accounting (operations are *charged* per event as
@@ -149,10 +153,17 @@ def match_batch_columnar(
             if value is _MISSING:
                 matched &= state.free
                 continue
-            probe = memo.get(value)
+            try:
+                probe = memo.get(value)
+            except TypeError:
+                probe = None  # unhashable: probed below and never memoised
             if probe is None or probe[2] is not value.__class__:
                 cost, mask, slab = state.probe(value)
-                probe = memo[value] = (cost, mask | state.free, value.__class__)
+                probe = (cost, mask | state.free, value.__class__)
+                try:
+                    memo[value] = probe
+                except TypeError:
+                    pass
                 distinct += 1
                 executed += cost
                 if slab >= 0:

@@ -34,9 +34,24 @@ A set of profiles is one Python ``int`` whose bit *d* stands for dense id
 A probe of ``(attribute, value)`` resolves to the OR of its satisfied
 entry masks, and an event's matches are the AND, over the probed
 attributes, of ``probe mask | free mask`` (an attribute the event does
-not carry contributes ``free`` alone).  Matched ids are read out of the
-final mask in dense-id order and, once churn has recycled an id, sorted
-by ``_order_pos``.
+not carry contributes ``free`` alone).
+
+The read-out turns that final mask into profile ids, and
+:meth:`~PredicateIndexMatcher.match` and the kernel share it.  A mask
+with one bit is read directly.  A mask with more bits is decoded by
+``_dense_ids`` once and kept: the memo ``_readouts`` maps it to its
+dense ids and an :func:`operator.itemgetter` over them, which reads the
+ids' current owners out of ``_pid_of``.  Dense ids are bit
+positions, so an entry never goes stale: subscribe, cancel, a recycled
+id, :meth:`~PredicateIndexMatcher.replan` and ``_rebuild`` change which
+profile owns a bit, never which bits a mask has, and the owners are
+looked up on every read.  Once churn has recycled an id, dense-id order
+is no longer insertion order, and the read-out sorts the memoised ids by
+``_order_pos`` first.  The memo is emptied when it reaches the size of
+the index at that moment — live profiles plus slabs plus hash values —
+so it stays proportional to the index it reads.  Each read-out builds a
+fresh tuple of profile ids: no tuple is shared between read-outs (see
+the index family in ``docs/engines.md`` for why).
 
 The probe is written once, as ``_AttributeState.probe``:
 :meth:`~PredicateIndexMatcher.match` calls it per event and attribute,
@@ -88,7 +103,8 @@ can match and the event stops there.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping
 
 from repro.core.errors import MatchingError
 from repro.core.events import Event
@@ -373,6 +389,12 @@ class PredicateIndexMatcher:
         #: this matcher instance has run (survives incremental maintenance
         #: and in-place :meth:`replan` rebuilds).
         self.kernel_stats = kernel.KernelStats()
+        #: The read-out memo: a multi-bit mask's dense ids and a getter of
+        #: their owners (see "Dense-id bitmasks" in the module doc).  It
+        #: holds at most ``_readout_bound`` masks and outlives every
+        #: rebuild.
+        self._readouts: dict[int, tuple[tuple[int, ...], Callable]] = {}
+        self._readout_bound = 0
         self._rebuild()
 
     # -- dense-id allocation ----------------------------------------------------
@@ -746,13 +768,38 @@ class PredicateIndexMatcher:
 
     def _profile_ids(self, mask: int) -> tuple[str, ...]:
         """Return the profile ids of ``mask`` in profile-set insertion order."""
-        if not mask:
-            return ()
-        matched = _dense_ids(mask)
+        readout = self._readouts.get(mask)
+        if readout is None:
+            if not mask & (mask - 1):
+                # No bit or one bit: nothing to decode or to sort.
+                return (self._pid_of[mask.bit_length() - 1],) if mask else ()
+            readout = self._decode(mask)
+        ids, getter = readout
         if self._recycled:
-            matched.sort(key=self._order_pos.__getitem__)
-        pid_of = self._pid_of
-        return tuple([pid_of[dense] for dense in matched])
+            pid_of = self._pid_of
+            return tuple([pid_of[dense] for dense in sorted(ids, key=self._order_pos.__getitem__)])
+        return getter(self._pid_of)
+
+    def _decode(self, mask: int) -> tuple[tuple[int, ...], Callable]:
+        """Decode a multi-bit ``mask`` into the read-out memo and return its entry."""
+        readouts = self._readouts
+        if len(readouts) >= self._readout_bound:
+            self._readout_bound = self._index_size()
+            if len(readouts) >= self._readout_bound:
+                readouts.clear()
+        ids = tuple(_dense_ids(mask))
+        readout = readouts[mask] = (ids, itemgetter(*ids))
+        return readout
+
+    def _index_size(self) -> int:
+        """Return the live profiles plus every bucket's slabs and hash values."""
+        size = len(self._id_of)
+        for state in self._states.values():
+            if state.hash_bucket is not None:
+                size += len(state.hash_bucket)
+            if state.interval_bucket is not None:
+                size += len(state.interval_bucket.counts)
+        return size
 
     def match_batch(self, events: Iterable[Event]) -> list[MatchResult]:
         """Filter a sequence of events, batch-size-aware.

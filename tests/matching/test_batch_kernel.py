@@ -180,6 +180,40 @@ def test_always_match_profiles_in_batches():
     assert results[1].matched_profile_ids == ("all",)
 
 
+def test_unhashable_value_returns_what_match_returns():
+    """A list lies in no slab, so only ``p2`` (free on ``b``) matches; the
+    kernel's value memo cannot hash it and probes it per event instead."""
+    schema = Schema([Attribute(name, IntegerDomain(0, 8)) for name in ATTRIBUTES])
+    matcher = PredicateIndexMatcher(
+        ProfileSet(
+            schema,
+            [
+                Profile("p1", {"a": Equals(1), "b": RangePredicate.between(0, 3)}),
+                Profile("p2", {"a": Equals(2)}),
+            ],
+        )
+    )
+    events = [Event({"a": 2, "b": [1]})] * kernel.MIN_COLUMNAR_BATCH
+    expected = matcher.match(events[0])
+    assert expected.matched_profile_ids == ("p2",)
+    assert matcher.match_batch(events) == [expected] * len(events)
+
+
+def test_unhashable_value_raises_what_match_raises():
+    """Against a hash bucket the probe itself cannot hash the value: the
+    batch raises the per-event loop's error."""
+    schema = Schema([Attribute(name, IntegerDomain(0, 8)) for name in ATTRIBUTES])
+    profiles = [Profile(f"p{value}", {"b": Equals(value)}) for value in range(3)]
+    matcher = PredicateIndexMatcher(ProfileSet(schema, profiles))
+    assert matcher._states["b"].use_hash
+    events = [Event({"a": 0, "b": [1]})] * kernel.MIN_COLUMNAR_BATCH
+    with pytest.raises(TypeError) as single:
+        matcher.match(events[0])
+    with pytest.raises(TypeError) as batched:
+        matcher.match_batch(events)
+    assert str(batched.value) == str(single.value)
+
+
 def test_kernel_after_churn_matches_fresh_build():
     """Maintenance (including cover-mask cache invalidation) keeps the
     kernel equivalent to a freshly built matcher."""
