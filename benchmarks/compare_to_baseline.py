@@ -44,7 +44,6 @@ SECTIONS = (
     "batch",
     "delivery",
     "durability",
-    "hybrid",
     "routing",
     "corpus",
 )

@@ -29,7 +29,6 @@ _CHURN_SUMMARY: dict[str, dict[str, float]] = {}
 _BATCH_SUMMARY: dict[str, dict[str, float]] = {}
 _DELIVERY_SUMMARY: dict[str, dict[str, float]] = {}
 _DURABILITY_SUMMARY: dict[str, dict[str, float]] = {}
-_HYBRID_SUMMARY: dict[str, dict[str, float]] = {}
 _ROUTING_SUMMARY: dict[str, dict[str, float]] = {}
 _CORPUS_SUMMARY: dict[str, dict[str, float]] = {}
 
@@ -157,31 +156,6 @@ def record_durability():
 
 
 @pytest.fixture
-def record_hybrid():
-    """Record one mixed-workload engine run for the summary dump.
-
-    Per engine family the charged ops/event and matches/event are exact
-    under the fixed workload seeds (the calibrated ``auto`` run included:
-    arbitration reads deterministic op counters, never the clock), so the
-    regression gate can hold the hybrid-plan win ratios stable.  Extra
-    numeric keys carry the calibration trajectory; timing runs add
-    ``wall_clock_seconds``, gated loosely and only when both summaries
-    carry them.
-    """
-
-    def _record(engine_name: str, statistics, **extra: float) -> None:
-        entry = {
-            "mean_operations_per_event": statistics.average_operations_per_event(),
-            "mean_matches_per_event": statistics.average_matches_per_event(),
-            "events": float(statistics.events),
-        }
-        entry.update(extra)
-        _HYBRID_SUMMARY[engine_name] = entry
-
-    return _record
-
-
-@pytest.fixture
 def record_routing():
     """Record one broker-overlay scenario for the summary dump.
 
@@ -262,7 +236,6 @@ def pytest_sessionfinish(session, exitstatus):
         _BATCH_SUMMARY,
         _DELIVERY_SUMMARY,
         _DURABILITY_SUMMARY,
-        _HYBRID_SUMMARY,
         _ROUTING_SUMMARY,
         _CORPUS_SUMMARY,
     )
@@ -279,7 +252,6 @@ def pytest_sessionfinish(session, exitstatus):
         "batch": dict(sorted(_BATCH_SUMMARY.items())),
         "delivery": dict(sorted(_DELIVERY_SUMMARY.items())),
         "durability": dict(sorted(_DURABILITY_SUMMARY.items())),
-        "hybrid": dict(sorted(_HYBRID_SUMMARY.items())),
         "routing": dict(sorted(_ROUTING_SUMMARY.items())),
         "corpus": dict(sorted(_CORPUS_SUMMARY.items())),
     }

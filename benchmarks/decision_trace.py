@@ -8,13 +8,13 @@ ids as they were.  Run the script from each checkout's root, then diff::
     python benchmarks/decision_trace.py --diff /tmp/parent.json /tmp/change.json
 
 Covers every corpus profile x every pinned family it declares, plus
-``engine="auto"`` (which arbitrates between ``index`` and ``hybrid``) on
+``engine="auto"`` (the ``index`` family under its default name) on
 every corpus profile at 100 subscriptions.  Those runs publish in the
 profile's batches; one more pinned-``index`` run per profile (``<name>/index/one-by-one``)
 publishes the same events one ``publish`` call at a time, so the
 per-event path into the event history is traced too.  One rule for every
-run: the decision fields (``event_count``, ``engine``, ``applied``,
-``suppressed``) and the matched-id digest compare exactly, the two predicted
+run: the decision fields (``event_count``, ``engine``, ``applied``) and
+the matched-id digest compare exactly, the two predicted
 costs within :data:`COST_REL_TOL` relative — cost models may sum in a
 different order (the tree is costed per distinct node), a decision may not
 move.  A run present in only one file (a family added or deleted) is
@@ -26,7 +26,9 @@ Each record also carries the check's own stall,
 ``AdaptationRecord.check_seconds``.  ``--diff`` never compares it — it is a
 clock, not a decision — but prints the slowest check of each side on the
 line before the tail line ("not recorded" for a trace written before the
-field was).
+field was).  A trace written while records still carried a fourth
+decision field, the boolean ``suppressed`` of the retired family-switch
+cooldown, is read without it.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ def trace(profile, engine: str, *, one_by_one: bool = False) -> dict:
                 r.event_count,
                 r.engine,
                 r.applied,
-                r.suppressed,
                 r.predicted_current,
                 r.predicted_candidate,
                 r.check_seconds,
@@ -73,6 +74,14 @@ def trace(profile, engine: str, *, one_by_one: bool = False) -> dict:
             for r in records
         ],
     }
+
+
+def _records(run: dict) -> list[list]:
+    """Return a run's records, each without a retired ``suppressed`` field."""
+    return [
+        record[:3] + record[4:] if len(record) > 3 and isinstance(record[3], bool) else record
+        for record in run["records"]
+    ]
 
 
 def collect() -> dict:
@@ -94,8 +103,8 @@ def cost_deviation(before: dict, after: dict) -> float:
     return max(
         (
             abs(x - y) / max(abs(x), abs(y))
-            for a, b in zip(before["records"], after["records"])
-            for x, y in zip(a[4:6], b[4:6])
+            for a, b in zip(_records(before), _records(after))
+            for x, y in zip(a[3:5], b[3:5])
             if x != y
         ),
         default=0.0,
@@ -106,7 +115,7 @@ def same_run(before: dict, after: dict) -> bool:
     return (
         before["matched"] == after["matched"]
         and len(before["records"]) == len(after["records"])
-        and all(a[:4] == b[:4] for a, b in zip(before["records"], after["records"]))
+        and all(a[:3] == b[:3] for a, b in zip(_records(before), _records(after)))
         and cost_deviation(before, after) <= COST_REL_TOL
     )
 
@@ -114,10 +123,10 @@ def same_run(before: dict, after: dict) -> bool:
 def slowest_check(traces: dict) -> str:
     """Describe the slowest recorded check of one side's traces."""
     timed = [
-        (record[6], key, record[0])
+        (record[5], key, record[0])
         for key, run in traces.items()
-        for record in run["records"]
-        if len(record) > 6 and record[6] is not None
+        for record in _records(run)
+        if len(record) > 5 and record[5] is not None
     ]
     if not timed:
         return "not recorded"

@@ -18,7 +18,7 @@ Typical invocations::
     PYTHONPATH=src python benchmarks/run_corpus.py \\
         --profiles aml-transactions --timing --events 0
 
-    # the headline events/s sweep (index, hybrid, auto); writes no history
+    # the headline events/s sweep (index, auto); writes no history
     PYTHONPATH=src python benchmarks/run_corpus.py --sweep \\
         --profiles aml-transactions mixed-structure
 """
@@ -45,7 +45,7 @@ from repro.workloads.profiles import get_profile, list_profiles  # noqa: E402
 #: The headline sweep: per profile and engine, subscribe the population,
 #: publish one warm-up batch, then time one batch of the next events;
 #: every engine sees the same events, and each cell is a median of runs.
-SWEEP_ENGINES = ("index", "hybrid", "auto")
+SWEEP_ENGINES = ("index", "auto")
 SWEEP_WARMUP_EVENTS = 500
 SWEEP_TIMED_EVENTS = 1_500
 SWEEP_RUNS = 3
@@ -78,7 +78,7 @@ def sweep_events_per_s(profile, engine: str, workload) -> float:
 
 def sweep(names: list[str]) -> None:
     """Print the headline events/s table of ``names`` (no history written)."""
-    print(f"| Profile | {' | '.join(SWEEP_ENGINES)} | auto ÷ best |")
+    print(f"| Profile | {' | '.join(SWEEP_ENGINES)} | auto ÷ index |")
     print(f"|---|{'---:|' * (len(SWEEP_ENGINES) + 1)}")
     for name in names:
         profile = get_profile(name)
@@ -90,9 +90,8 @@ def sweep(names: list[str]) -> None:
             )
             for engine in SWEEP_ENGINES
         }
-        best = max(rate for engine, rate in rates.items() if engine != "auto")
         cells = " | ".join(f"{rates[engine]:,.0f}" for engine in SWEEP_ENGINES)
-        print(f"| `{name}` | {cells} | {rates['auto'] / best:.2f} |", flush=True)
+        print(f"| `{name}` | {cells} | {rates['auto'] / rates['index']:.2f} |", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,8 +8,8 @@ batch of events, exercising the maintenance path of every engine family:
 * ``counting`` / ``tree`` — rebuild their shared structures per change;
 * ``index`` — applies postings deltas (dense-id recycling, slab endpoint
   splicing) and defers replanning;
-* ``auto`` — the adaptive roster entry, churning through whichever family
-  the arbitration currently runs.
+* ``auto`` — the index family under its default name, replanning itself
+  while it churns.
 
 Wall-clock per churn op is printed and timed via pytest-benchmark; the
 deterministic matching statistics feed ``BENCH_summary.json`` through the

@@ -13,7 +13,7 @@ bit-stable, so:
   ``compare_to_baseline.py`` — a regression names the scenario that
   moved;
 * the *win coverage* is asserted outright: each production family
-  (tree / index / hybrid) must achieve the minimum ops/event
+  (tree / index) must achieve the minimum ops/event
   on at least one corpus scenario, i.e. the corpus genuinely spans the
   space where the families disagree.
 
@@ -32,12 +32,12 @@ from repro.experiments.corpus import append_history, iter_history, run_profile
 from repro.workloads.profiles import get_profile, list_profiles
 
 #: CI-sized event cap: large enough that pinned replans (aml-transactions
-#: applies its hybrid replan at event 400) land inside the stream, small
+#: applies its replan at event 400) land inside the stream, small
 #: enough that the full matrix stays in benchmark-smoke budget.
 CI_EVENT_CAP = 600
 
 #: Families whose corpus win the gate demands (the production roster).
-REQUIRED_WINNERS = ("tree", "index", "hybrid")
+REQUIRED_WINNERS = ("tree", "index")
 
 _HISTORY = os.path.join(os.path.dirname(os.path.dirname(__file__)), "BENCH_history.jsonl")
 
@@ -126,8 +126,8 @@ def test_sweep_prints_a_table_and_writes_no_history(tmp_path, monkeypatch, capsy
     argv = ["--sweep", "--profiles", "single-attribute", "--history", str(history)]
     assert run_corpus.main(argv) == 0
     header, _, row = capsys.readouterr().out.splitlines()
-    assert header == "| Profile | index | hybrid | auto | auto ÷ best |"
-    assert row.startswith("| `single-attribute` | ") and row.count("|") == 6
+    assert header == "| Profile | index | auto | auto ÷ index |"
+    assert row.startswith("| `single-attribute` | ") and row.count("|") == 5
     assert not history.exists()
 
 

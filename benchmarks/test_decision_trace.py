@@ -2,7 +2,8 @@
 
 A run present on one side only is labelled ``GONE``/``NEW`` and does not
 fail the diff; a run present on both sides fails it only when it moved.
-A record's ``check_seconds`` is reported, never compared.
+A record's ``check_seconds`` is reported, never compared, and a record
+that still carries the retired ``suppressed`` field is read without it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ def _run(matched: str, *records: list) -> dict:
     return {"matched": matched, "records": [list(record) for record in records]}
 
 
-CHECK = [400, "index", False, False, 10.0, 12.0]
+CHECK = [400, "index", False, 10.0, 12.0]
 PARENT = {
     "a/index": _run("d1", CHECK),
     "a/retired": _run("d2", CHECK, CHECK),
@@ -38,7 +39,7 @@ def _verdicts(output: str) -> dict[str, str]:
 
 
 def test_one_sided_runs_are_labelled_and_do_not_fail(tmp_path, capsys):
-    change = {"a/index": PARENT["a/index"], "b/tree": PARENT["b/tree"], "c/hybrid": _run("d4")}
+    change = {"a/index": PARENT["a/index"], "b/tree": PARENT["b/tree"], "c/added": _run("d4")}
     status = diff(_write(tmp_path, "parent.json", PARENT), _write(tmp_path, "change.json", change))
     output = capsys.readouterr().out
     assert status == 0
@@ -46,7 +47,7 @@ def test_one_sided_runs_are_labelled_and_do_not_fail(tmp_path, capsys):
         "a/index": "same",
         "a/retired": "GONE",
         "b/tree": "same",
-        "c/hybrid": "NEW",
+        "c/added": "NEW",
     }
     assert output.splitlines()[-1] == (
         "3 runs, 1 checks, 0 differing, 1 gone, 1 new (worst relative cost deviation 0.0e+00)"
@@ -57,8 +58,8 @@ def test_one_sided_runs_are_labelled_and_do_not_fail(tmp_path, capsys):
     "moved",
     [
         _run("other-digest", CHECK),
-        _run("d1", [400, "tree", True, False, 10.0, 12.0]),
-        _run("d1", [400, "index", False, False, 10.0, 13.0]),
+        _run("d1", [400, "tree", True, 10.0, 12.0]),
+        _run("d1", [400, "index", False, 10.0, 13.0]),
     ],
     ids=["digest", "decision", "cost"],
 )
@@ -90,3 +91,13 @@ def test_a_trace_without_check_seconds_says_so(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert status == 0
     assert lines[-2].startswith("slowest check: parent not recorded; change 4.0 ms")
+
+
+def test_a_record_with_the_retired_suppressed_field_is_read_without_it(tmp_path, capsys):
+    parent = {"a/index": _run("d1", [400, "index", False, False, 10.0, 12.0, 0.020])}
+    change = {"a/index": _run("d1", [*CHECK, 0.004])}
+    status = diff(_write(tmp_path, "parent.json", parent), _write(tmp_path, "change.json", change))
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert _verdicts("\n".join(lines)) == {"a/index": "same"}
+    assert lines[-2].startswith("slowest check: parent 20.0 ms (a/index, check at 400 events)")

@@ -10,7 +10,7 @@ possible.  This example
   Gauss/uniform sensor readings),
 * runs it through the :class:`~repro.api.FilterService` facade with a
   fluent-builder catastrophe alarm wired to a notification sink,
-* compares the fixed engine families (tree, index, hybrid) on the same
+* compares the fixed engine families (tree, index) on the same
   batch, operation-for-operation, and
 * compares natural order, the distribution-based reordering (V1 + A2)
   and binary search on the same event stream.
@@ -66,7 +66,7 @@ def main() -> None:
     # filtering structure differs.
     print("engine families on the same 3000-event batch (fixed, no adaptation):")
     matched_reference: list[tuple[str, ...]] | None = None
-    for engine in ("tree", "index", "hybrid"):
+    for engine in ("tree", "index"):
         with FilterService(workload.schema, engine=engine, adaptive=False) as fixed:
             fixed.subscribe_all(list(workload.profiles))
             outcomes = fixed.publish_batch(list(workload.events))

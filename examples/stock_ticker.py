@@ -3,10 +3,10 @@
 The paper's first motivating application is a stock ticker where "users are
 mainly interested in a small range of values for certain shares".  This
 example generates such a workload, serves it through a
-:class:`~repro.api.FilterService` per engine family — tree, index, and the
-``auto`` arbitration — and compares comparison operations and wall-clock
-throughput, publishing in batches so the index family's columnar batch
-kernel (per-batch probe dedup) gets to work.  The merged
+:class:`~repro.api.FilterService` per engine — tree, index, and ``auto``
+(the index family replanning itself) — and compares comparison
+operations and wall-clock throughput, publishing in batches so the index
+family's columnar batch kernel (per-batch probe dedup) gets to work.  The merged
 :meth:`~repro.api.FilterService.stats` snapshot reports the kernel's
 executed-work accounting and the adaptive engine's decisions alongside
 the paper's ops/event metric.
@@ -57,14 +57,14 @@ def main() -> None:
 
     run("profile tree", "tree", workload, events)
     run("predicate index", "index", workload, events)
-    run("auto arbitration", "auto", workload, events)
+    run("auto (index, replanning)", "auto", workload, events)
 
     print()
     print(
         "The index family touches ~1-2 predicates per tick and its columnar\n"
         "kernel executes each distinct (symbol, price) probe once per batch,\n"
-        "so the executed work shrinks by the dedup factor; 'auto' converges\n"
-        "on whichever family the observed tick distribution favours."
+        "so the executed work shrinks by the dedup factor; 'auto' is the\n"
+        "index family, replanned from the observed tick distribution."
     )
 
 

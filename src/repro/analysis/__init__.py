@@ -1,10 +1,5 @@
 """Analytical cost model (Eq. 2) and reproduction of the worked examples."""
 
-from repro.analysis.calibration import (
-    CalibrationSample,
-    CalibrationSnapshot,
-    CostCalibrator,
-)
 from repro.analysis.cost_model import (
     AttributeCost,
     TreeCost,
@@ -26,9 +21,6 @@ from repro.analysis.paper_examples import (
 
 __all__ = [
     "AttributeCost",
-    "CalibrationSample",
-    "CalibrationSnapshot",
-    "CostCalibrator",
     "Example2Result",
     "Example3Result",
     "Example4Result",

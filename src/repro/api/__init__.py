@@ -11,9 +11,9 @@ API tour
 --------
 
 **1. Build a service.**  One :class:`FilterService` per schema; pick an
-engine family by registry name (``"tree"``, ``"index"``) or let
-``"auto"`` arbitrate from the observed event distributions (the
-default)::
+engine family by registry name (``"tree"``, ``"index"``) or keep the
+default ``"auto"``, the index family replanning itself from the observed
+event distributions::
 
     from repro.api import FilterService, where
     from repro.workloads import environmental_schema
@@ -111,11 +111,6 @@ see ``docs/routing.md``::
     net.stats().suppression_rate
 """
 
-from repro.analysis.calibration import (
-    CalibrationSample,
-    CalibrationSnapshot,
-    CostCalibrator,
-)
 from repro.core.builder import AttributeClause, ProfileBuilder, build_profiles, where
 from repro.core.events import Event
 from repro.core.profiles import Profile
@@ -153,9 +148,6 @@ __all__ = [
     "Attribute",
     "AttributeClause",
     "BrokerStats",
-    "CalibrationSample",
-    "CalibrationSnapshot",
-    "CostCalibrator",
     "DeliveryStats",
     "DurabilityStats",
     "EngineRegistry",

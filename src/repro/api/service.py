@@ -11,10 +11,10 @@ maintenance path — subscription churn never rebuilds the filter.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.analysis.calibration import CalibrationSnapshot
 from repro.core.builder import ProfileBuilder, ProfileCompiler
 from repro.core.errors import ProfileError, SubscriptionError
 from repro.core.events import Event, as_event
@@ -89,10 +89,6 @@ class ServiceStats:
     #: snapshots taken, records replayed at boot (``None`` when the
     #: service runs without a store).
     durability: DurabilityStats | None = None
-    #: Measured-vs-predicted cost-calibration state of the adaptive
-    #: engine — per-family correction factors and the most recent paired
-    #: samples (``None`` until the first subscription builds an engine).
-    calibration: CalibrationSnapshot | None = None
 
     @property
     def batch_dedup_factor(self) -> float:
@@ -108,7 +104,7 @@ class ServiceStats:
 class SubscriptionHandle:
     """Durable handle of one subscription (returned by ``subscribe``).
 
-    The handle outlives engine replans and family switches: pause,
+    The handle outlives engine replans and restructures: pause,
     resume, modify and cancel all route through the broker's incremental
     maintenance, so the filter structures and the adaptation history
     survive any amount of handle churn.  Handles are idempotent where it
@@ -256,7 +252,7 @@ class FilterService:
     events or batches, read one merged :meth:`stats` snapshot.  The
     engine roster is the pluggable registry of
     :mod:`repro.matching.registry`; pick a family (or ``"auto"``) by
-    name, or carry a custom registry on the policy.
+    name.
     """
 
     def __init__(
@@ -320,14 +316,14 @@ class FilterService:
             store=store,
         )
         self._handles: dict[str, SubscriptionHandle] = {}
+        self._closed = False
         self._compiler = ProfileCompiler(self._broker.subscriptions.has_profile_id)
         # A store replayed subscriptions into the broker before we got
         # here: resume a durable handle for each, in original order.
         for subscription in self._broker.subscriptions:
-            handle = SubscriptionHandle(self, subscription)
+            handle = self._remember(subscription)
             if self._broker.is_paused(subscription.subscription_id):
                 handle._state = _PAUSED
-            self._handles[subscription.subscription_id] = handle
 
     @classmethod
     def from_profile(cls, name_or_path, *, engine: str | None = None, **overrides):
@@ -396,6 +392,18 @@ class FilterService:
                 f"unknown subscription id {subscription_id!r}"
             ) from exc
 
+    def _remember(self, subscription: Subscription) -> SubscriptionHandle:
+        """Create and keep the handle of a new subscription.
+
+        A closed service's handles reach it through a weak proxy (see
+        :meth:`close`).
+        """
+        owner = weakref.proxy(self) if self._closed else self
+        handle = self._handles[subscription.subscription_id] = SubscriptionHandle(
+            owner, subscription
+        )
+        return handle
+
     def _forget(self, subscription_id: str) -> None:
         self._handles.pop(subscription_id, None)
 
@@ -424,9 +432,7 @@ class FilterService:
         subscription = self._broker.subscribe(
             compiled, subscriber, sink=sink, delivery=delivery
         )
-        handle = SubscriptionHandle(self, subscription)
-        self._handles[subscription.subscription_id] = handle
-        return handle
+        return self._remember(subscription)
 
     def subscribe_all(
         self,
@@ -437,12 +443,7 @@ class FilterService:
         """Subscribe many profiles/builders (one engine build, atomic)."""
         compiled = [self._compiler.compile(profile, None, subscriber) for profile in profiles]
         subscriptions = self._broker.subscribe_all(compiled, subscriber)
-        handles = []
-        for subscription in subscriptions:
-            handle = SubscriptionHandle(self, subscription)
-            self._handles[subscription.subscription_id] = handle
-            handles.append(handle)
-        return handles
+        return [self._remember(subscription) for subscription in subscriptions]
 
     # -- publishing ------------------------------------------------------------
     def publish(self, event: Event | Mapping[str, object]) -> PublishOutcome:
@@ -484,8 +485,19 @@ class FilterService:
         closed service rejects further publishing with
         :class:`~repro.core.errors.DeliveryError`; statistics and
         handles stay readable.
+
+        Closing also re-points every handle at a weak proxy of the
+        service, which breaks the service ↔ handle reference cycle: a
+        closed service is freed by reference counting as soon as its
+        last outside reference goes, without waiting for the cycle
+        collector.  A handle used after that raises ``ReferenceError``.
         """
         self._broker.close(drain=drain)
+        if not self._closed:
+            self._closed = True
+            owner = weakref.proxy(self)
+            for handle in self._handles.values():
+                handle._service = owner
 
     def __enter__(self) -> "FilterService":
         return self
@@ -500,13 +512,11 @@ class FilterService:
         """Return one merged observability snapshot (see :class:`ServiceStats`)."""
         statistics: FilterStatistics = self._broker.statistics
         events = statistics.events
-        calibration = None
         if self._broker.has_engine:
             engine = self._broker.engine
             kernel = engine.kernel_stats()
             adaptations = tuple(engine.adaptations())
             engine_family = engine.engine_family
-            calibration = engine.calibration()
         else:
             kernel = KernelStats()
             adaptations = ()
@@ -531,7 +541,6 @@ class FilterService:
             adaptations=adaptations,
             delivery=self._broker.delivery_stats(),
             durability=self._broker.durability_stats(),
-            calibration=calibration,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - display helper

@@ -16,7 +16,7 @@ API ``match_batch``) and the same comparison-operation accounting:
 
 The families the adaptive service can drive are declared in the
 **engine registry** (:mod:`repro.matching.registry`): each registers a
-factory and a cost estimator for the ``auto`` arbitration, and
+factory and a cost estimator for its periodic re-optimisation, and
 third-party families become selectable by registering an
 :class:`~repro.matching.registry.EngineSpec` of their own.
 """

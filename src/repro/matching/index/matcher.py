@@ -185,10 +185,9 @@ class _AttributeState:
         self.interval_bucket: IntervalBucket | None = None
         self.range_entry_count = 0
         self.scan_entries: list[_Entry] = []
-        #: Per-structure verdicts (see :class:`AttributePlan`): a binary
-        #: planner couples both to its ``use_index``; a hybrid planner may
-        #: route the hash side through its bucket while the interval side
-        #: scans, or vice versa.
+        #: Per-structure verdicts (see :class:`AttributePlan`): the hash
+        #: side may probe its bucket while the interval side scans, or
+        #: vice versa.
         self.use_hash = False
         self.use_interval = False
         #: Probe view, compiled by :meth:`refresh_view` (see "The
@@ -700,7 +699,6 @@ class PredicateIndexMatcher:
         self._planner = IndexPlanner(
             event_distributions,
             attribute_measure=self._planner.attribute_measure,
-            hybrid=self._planner.hybrid,
         )
         self._rebuild()
 
@@ -734,7 +732,6 @@ class PredicateIndexMatcher:
         planner = IndexPlanner(
             event_distributions,
             attribute_measure=self._planner.attribute_measure,
-            hybrid=self._planner.hybrid,
         )
         schema = self.profiles.schema
         return {

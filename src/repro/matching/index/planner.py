@@ -1,14 +1,15 @@
 """Selectivity-aware index planning.
 
-The :class:`IndexPlanner` decides, per attribute, whether the
-:class:`~repro.matching.index.matcher.PredicateIndexMatcher` should answer
-that attribute through its hash/interval buckets or fall back to a linear
-predicate scan.  The decision compares two expected per-event costs in the
-suite's common currency (comparison operations, see
+The :class:`IndexPlanner` decides, per attribute and per structure,
+whether the :class:`~repro.matching.index.matcher.PredicateIndexMatcher`
+should answer the attribute's equality entries through its hash bucket
+and its range entries through its interval bucket, or scan either kind
+linearly.  Each structure's decision compares two expected per-event
+costs in the suite's common currency (comparison operations, see
 :mod:`repro.matching.interfaces`):
 
 * ``scan_cost`` — the counting baseline's strategy: evaluate each of the
-  ``k`` distinct predicates on the attribute once per event, i.e. ``k``
+  structure's ``k`` distinct predicates once per event, i.e. ``k``
   comparisons regardless of the event value.
 * ``index_cost = probe_cost + E[hits]`` — one probe (hash lookup, or the
   bisect depth over the slab boundaries) plus the expected number of
@@ -58,22 +59,18 @@ class AttributePlan:
     The verdict is *per structure*, not just per attribute: the hash side
     (``Equals``/``OneOf`` entries) and the interval side (``RangePredicate``
     entries, answered by the sorted slab decomposition) are costed and
-    chosen independently.  A binary (non-hybrid) planner couples both
-    flags to the aggregate ``use_index`` decision, which reproduces the
-    historical all-or-nothing behaviour exactly.
+    chosen independently, so one attribute may probe its hash bucket and
+    scan its ranges, or the other way round.
     """
 
     attribute: str
-    #: ``True`` when the aggregate indexed strategy beats a full scan —
-    #: the historical binary verdict, still used by non-hybrid planners.
-    use_index: bool
-    #: Expected comparisons for the indexed strategy (probe + E[hits]).
+    #: Expected comparisons with both structures indexed (probe + E[hits]).
     index_cost: float
     #: Expected comparisons for the scan strategy (distinct predicate count).
     scan_cost: float
     #: Number of distinct predicate entries on the attribute.
     entry_count: int
-    #: Per-structure verdicts (a binary planner sets both to ``use_index``).
+    #: Per-structure verdicts: probe the structure (``True``) or scan it.
     use_hash: bool
     use_interval: bool
     #: Component costs.  ``*_index_cost`` is probe + E[hits] for that
@@ -93,11 +90,6 @@ class AttributePlan:
             self.interval_index_cost if self.use_interval else self.interval_scan_cost
         )
         return hash_part + interval_part + self.residual_scan_cost
-
-    @property
-    def is_hybrid(self) -> bool:
-        """True when the two structure verdicts disagree (a mixed plan)."""
-        return self.use_hash != self.use_interval
 
 
 @dataclass(frozen=True)
@@ -146,7 +138,6 @@ class IndexPlanner:
         event_distributions: Mapping[str, Distribution] | None = None,
         *,
         attribute_measure: AttributeMeasure = AttributeMeasure.A2_ZERO_PROBABILITY,
-        hybrid: bool = False,
     ) -> None:
         if attribute_measure not in self.SUPPORTED_MEASURES:
             raise SelectivityError(
@@ -155,18 +146,6 @@ class IndexPlanner:
             )
         self.event_distributions = dict(event_distributions) if event_distributions else {}
         self.attribute_measure = attribute_measure
-        #: Hybrid planners choose hash-vs-scan and interval-vs-scan
-        #: independently per attribute; binary planners couple both to the
-        #: aggregate use_index verdict (the historical behaviour).
-        self.hybrid = hybrid
-
-    def _decide(
-        self, *, use_index: bool, indexable: int, index_cost: float, scan_cost: float
-    ) -> bool:
-        """Per-structure verdict: independent when hybrid, coupled otherwise."""
-        if not self.hybrid:
-            return use_index
-        return indexable > 0 and index_cost < scan_cost
 
     # -- probability estimation -------------------------------------------------
     def _value_probability(self, attribute: str, domain: Domain, value: object) -> float:
@@ -278,29 +257,19 @@ class IndexPlanner:
         interval_index_cost: float,
         scan_entries: int,
     ) -> AttributePlan:
-        """Fold component costs into aggregate + per-structure verdicts."""
+        """Fold component costs into aggregate costs and per-structure verdicts.
+
+        Each structure is indexed when it has entries and its probe plus
+        expected hits undercut scanning its distinct entries.
+        """
         indexable = hash_entries + range_entries
-        scan_cost = float(indexable + scan_entries)
-        index_cost = hash_index_cost + interval_index_cost + float(scan_entries)
-        use_index = indexable > 0 and index_cost < scan_cost
         return AttributePlan(
             attribute=attribute,
-            use_index=use_index,
-            index_cost=index_cost,
-            scan_cost=scan_cost,
+            index_cost=hash_index_cost + interval_index_cost + float(scan_entries),
+            scan_cost=float(indexable + scan_entries),
             entry_count=indexable + scan_entries,
-            use_hash=self._decide(
-                use_index=use_index,
-                indexable=hash_entries,
-                index_cost=hash_index_cost,
-                scan_cost=float(hash_entries),
-            ),
-            use_interval=self._decide(
-                use_index=use_index,
-                indexable=range_entries,
-                index_cost=interval_index_cost,
-                scan_cost=float(range_entries),
-            ),
+            use_hash=hash_entries > 0 and hash_index_cost < hash_entries,
+            use_interval=range_entries > 0 and interval_index_cost < range_entries,
             hash_index_cost=hash_index_cost,
             hash_scan_cost=float(hash_entries),
             interval_index_cost=interval_index_cost,
@@ -315,9 +284,9 @@ class IndexPlanner:
         buckets: ``E[hits]`` is the sum over distinct entries of their
         satisfaction probability, which both the hash table (per-value
         registration counts) and the slab decomposition (per-slab covers)
-        preserve exactly.  The adaptive ``auto`` engine uses this to
-        estimate the index family's cost while running the tree family,
-        without paying a full index build per re-optimisation.
+        preserve exactly, and a cost of the slab probe from the distinct
+        boundaries.  A check costs the running matcher's live buckets
+        instead (:meth:`PredicateIndexMatcher.recost_plans`).
         """
         schema = profiles.schema
         per_attribute: dict[str, dict] = {}

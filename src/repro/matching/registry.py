@@ -11,22 +11,18 @@ matcher family registers one :class:`EngineSpec` bundling
   family's best candidate — predicted comparisons/event, the running
   matcher's predicted cost and an install closure — under given event
   distributions.  It is the only costing hook: every re-optimisation
-  check of :class:`~repro.service.adaptive.AdaptiveFilterEngine`
-  compares the candidates of its roster — every ranked family under
-  ``engine="auto"``, else the one pinned family, whose candidate is its
-  own tree restructure or index replan.  The running family is asked
-  first, then the rest in ``auto_rank`` order; a family may abstain from
-  a check by returning ``None``.
+  check of :class:`~repro.service.adaptive.AdaptiveFilterEngine` asks
+  the running family for its candidate, a tree restructure or an index
+  replan, and the family may abstain from a check by returning ``None``.
 
-``"auto"`` is not a family: it is the reserved arbitration mode that
-pits every ranked family's candidate against the current matcher.
-:func:`default_registry` returns the process-wide registry, pre-populated
-with the built-in ``tree``, ``index`` and ``hybrid`` families and the
-``naive`` baseline.  ``auto`` arbitrates between ``index`` and ``hybrid``:
-the tree (the paper's adaptive filter) restructures itself only when
-pinned by name, and the baseline carries no cost estimator.  Third-party
-engines become selectable by registering a spec — no change to
-``repro.service`` required::
+:func:`default_registry` returns the process-wide registry,
+pre-populated with the built-in ``tree`` and ``index`` families and the
+``naive`` baseline.  ``"auto"`` is not a family: it is the reserved name
+of the ``index`` family, the ``FilterService`` default, which replans
+itself from the observed distributions; the tree (the paper's adaptive filter)
+restructures itself when pinned by name, and the baseline carries no
+cost estimator.  Third-party engines become selectable by registering a
+spec — no change to ``repro.service`` required::
 
     from repro.matching.registry import EngineSpec, default_registry
 
@@ -65,8 +61,8 @@ __all__ = [
     "default_registry",
 ]
 
-#: Reserved engine name selecting cross-family arbitration instead of one
-#: fixed family.  Not registrable.
+#: Reserved engine name of the ``index`` family, the ``FilterService``
+#: default.  Not registrable.
 AUTO_ENGINE = "auto"
 
 
@@ -90,13 +86,13 @@ class EngineCandidate:
     """One family's best candidate under given event distributions.
 
     ``install()`` makes the candidate the live matcher — mutating the
-    current matcher in place (same-family replan/restructure) or building
-    a new one (family switch) — and returns it.  Costing must therefore
+    current matcher in place (a replan or restructure) or building a new
+    one — and returns it.  Costing must therefore
     be side-effect free until ``install`` runs.
     """
 
-    #: Informational only: decisions are recorded and calibrated under
-    #: the name of the :class:`EngineSpec` that produced the candidate.
+    #: Informational only: decisions are recorded under the name of the
+    #: :class:`EngineSpec` that produced the candidate.
     family: str
     #: Predicted comparison operations per event (the paper's currency).
     cost: float
@@ -119,14 +115,13 @@ class EngineSpec:
     #: Build a fresh matcher over ``ctx.profiles``.
     factory: Callable[[EngineContext], "Matcher"]
     #: ``isinstance``-style ownership test mapping a live matcher back to
-    #: its family (used by the arbitration to know what is running).
+    #: its family (``ServiceStats.engine_family`` reports it).
     owns: Callable[["Matcher"], bool] | None = None
     #: Attribute measures the family can rank by (``None`` = any).
     supported_measures: tuple["AttributeMeasure", ...] | None = None
     #: Cost the family's best candidate under distributions, given the
     #: running matcher (``None``: the family filters without periodic
-    #: restructuring and never arbitrates).  May return ``None`` to
-    #: abstain from one check.
+    #: restructuring).  May return ``None`` to abstain from one check.
     candidate: (
         Callable[
             [EngineContext, "Matcher | None", Mapping[str, "Distribution"]],
@@ -134,15 +129,6 @@ class EngineSpec:
         ]
         | None
     ) = None
-    #: Family whose learned calibration factor corrects this family's
-    #: costs until it has been measured itself (``None``: the neutral
-    #: 1.0).  For a family sharing another's cost model and executor.
-    calibration_prior: str | None = None
-    #: Tie-break and start preference of the ``auto`` arbitration: lower
-    #: ranks are preferred on equal cost and chosen as the warmup family.
-    #: ``None`` keeps the family out of ``auto`` (it still re-optimises
-    #: when pinned by name).
-    auto_rank: int | None = 100
     description: str = ""
 
     def matcher_owned(self, matcher: "Matcher") -> bool:
@@ -163,7 +149,7 @@ class EngineRegistry:
         """Add a family; ``replace=True`` overrides an existing entry."""
         if spec.name == AUTO_ENGINE:
             raise MatchingError(
-                f"{AUTO_ENGINE!r} is the reserved arbitration mode, not a registrable family"
+                f"{AUTO_ENGINE!r} is reserved: it names the index family"
             )
         if not replace and spec.name in self._specs:
             raise MatchingError(
@@ -181,19 +167,17 @@ class EngineRegistry:
 
     # -- lookup -----------------------------------------------------------------
     def spec(self, name: str) -> EngineSpec:
-        """Return the spec for ``name`` (helpful error on a miss)."""
+        """Return the spec for ``name`` (``"auto"``: the ``index`` family).
+
+        A miss raises with the selectable names listed.
+        """
         try:
-            return self._specs[name]
+            return self._specs["index" if name == AUTO_ENGINE else name]
         except KeyError as exc:
             raise MatchingError(
                 f"unknown engine {name!r}; registered engines: "
                 f"{', '.join(self.engine_names())}"
             ) from exc
-
-    def validate_engine(self, name: str) -> None:
-        """Raise unless ``name`` is a registered family or ``"auto"``."""
-        if name != AUTO_ENGINE:
-            self.spec(name)
 
     def names(self) -> tuple[str, ...]:
         """Return the registered family names, in registration order."""
@@ -211,27 +195,6 @@ class EngineRegistry:
 
     def __len__(self) -> int:
         return len(self._specs)
-
-    # -- arbitration support ----------------------------------------------------
-    def arbitrating_specs(self) -> list[EngineSpec]:
-        """Return the ``auto`` roster: ranked families that cost candidates."""
-        specs = [
-            spec
-            for spec in self._specs.values()
-            if spec.candidate is not None and spec.auto_rank is not None
-        ]
-        specs.sort(key=lambda spec: spec.auto_rank)
-        return specs
-
-    def auto_start(self) -> EngineSpec:
-        """Return the family ``engine="auto"`` starts on (cheapest build)."""
-        specs = self.arbitrating_specs()
-        if not specs:
-            raise MatchingError(
-                "the auto engine needs at least one registered family with a cost "
-                f"estimator and an auto_rank; registered: {', '.join(self.names()) or '(none)'}"
-            )
-        return specs[0]
 
     def owner_of(self, matcher: "Matcher") -> EngineSpec | None:
         """Return the spec whose family owns ``matcher`` (``None``: unknown)."""
@@ -265,10 +228,9 @@ def _tree_candidate(
 ) -> EngineCandidate | None:
     """Cost the optimizer's restructure of a running tree under ``distributions``.
 
-    Only a running tree is priced (``None`` for any other matcher): the
-    tree is off ``auto``'s roster, so it restructures itself only when
-    pinned.  The built tree travels with the candidate so an applied
-    decision adopts it instead of rebuilding.
+    Only a running tree is priced (``None`` for any other matcher).  The
+    built tree travels with the candidate so an applied decision adopts
+    it instead of rebuilding.
     """
     from repro.analysis.cost_model import expected_tree_cost
     from repro.core.errors import ReproError
@@ -309,72 +271,41 @@ def _tree_candidate(
     )
 
 
-def _predicate_index_spec(
-    name: str,
-    *,
-    hybrid: bool,
-    auto_rank: int,
-    calibration_prior: str | None,
-    description: str,
-) -> EngineSpec:
-    """Build the spec of a :class:`PredicateIndexMatcher` family.
-
-    ``index`` and ``hybrid`` are one matcher class and one cost model;
-    they differ in the planner's ``hybrid`` flag (all-or-nothing plans vs
-    hash/interval/scan chosen per structure), which is also what tells
-    their running matchers apart.
-    """
+def _index_factory(ctx: EngineContext) -> "Matcher":
     from repro.matching.index.matcher import PredicateIndexMatcher
     from repro.matching.index.planner import IndexPlanner
 
-    def planner(ctx: EngineContext, distributions=None) -> IndexPlanner:
-        return IndexPlanner(
-            distributions, attribute_measure=ctx.attribute_measure, hybrid=hybrid
-        )
+    planner = IndexPlanner(attribute_measure=ctx.attribute_measure)
+    return PredicateIndexMatcher(ctx.profiles, planner=planner)
 
-    def build(ctx: EngineContext, distributions=None) -> "Matcher":
-        return PredicateIndexMatcher(ctx.profiles, planner=planner(ctx, distributions))
 
-    def owns(matcher: "Matcher") -> bool:
-        return isinstance(matcher, PredicateIndexMatcher) and matcher.planner.hybrid == hybrid
+def _index_owns(matcher: "Matcher") -> bool:
+    from repro.matching.index.matcher import PredicateIndexMatcher
 
-    def candidate(
-        ctx: EngineContext, matcher: "Matcher | None", distributions
-    ) -> EngineCandidate | None:
-        if owns(matcher):
-            # A cheap recost of the live buckets prices both sides; an
-            # applied decision replans (rebuilds) in place, keeping the
-            # matcher object and its stats.
-            recosted = matcher.recost_plans(distributions)
-            predicted_current = matcher.plan.cost_under(recosted)
-            cost = sum(plan.chosen_cost for plan in recosted.values())
+    return isinstance(matcher, PredicateIndexMatcher)
 
-            def install() -> "Matcher":
-                matcher.replan(distributions)
-                return matcher
 
-        else:
-            # Bucket-free estimate: cost the family without building it.
-            predicted_current = None
-            plans = planner(ctx, distributions).plan_profiles(ctx.profiles)
-            cost = sum(plan.chosen_cost for plan in plans.values())
+def _index_candidate(
+    ctx: EngineContext, matcher: "Matcher | None", distributions
+) -> EngineCandidate | None:
+    """Cost a replan of a running index matcher under ``distributions``.
 
-            def install() -> "Matcher":
-                return build(ctx, distributions)
+    Only a running index matcher is priced (``None`` for any other).  A
+    recost of the live buckets prices both sides; an applied decision
+    replans (rebuilds) in place, keeping the matcher object and its
+    stats.
+    """
+    if not _index_owns(matcher):
+        return None
+    recosted = matcher.recost_plans(distributions)
+    cost = sum(plan.chosen_cost for plan in recosted.values())
 
-        return EngineCandidate(
-            name, cost, f"{name}[P_e estimated]", install, predicted_current
-        )
+    def install() -> "Matcher":
+        matcher.replan(distributions)
+        return matcher
 
-    return EngineSpec(
-        name=name,
-        factory=build,
-        owns=owns,
-        supported_measures=tuple(IndexPlanner.SUPPORTED_MEASURES),
-        candidate=candidate,
-        calibration_prior=calibration_prior,
-        auto_rank=auto_rank,
-        description=description,
+    return EngineCandidate(
+        "index", cost, "index[P_e estimated]", install, matcher.plan.cost_under(recosted)
     )
 
 
@@ -392,58 +323,38 @@ def _naive_owns(matcher: "Matcher") -> bool:
 
 def builtin_specs() -> tuple[EngineSpec, ...]:
     """Return the built-in specs, built fresh on every call."""
+    from repro.matching.index.planner import IndexPlanner
+
     tree = EngineSpec(
         name="tree",
         factory=_tree_factory,
         owns=_tree_owns,
         supported_measures=None,
         candidate=_tree_candidate,
-        # Off the ``auto`` roster: it loses to ``index`` in seconds on
-        # every committed profile, so ``auto`` never prices it.  Pinned by
-        # name it still restructures itself at every check.
-        auto_rank=None,
         description="the paper's profile tree, restructured via the TreeOptimizer",
     )
-    index = _predicate_index_spec(
-        "index",
-        hybrid=False,
-        # ``auto`` starts on the index matcher (the cheaper build) and
-        # prefers it on equal predicted cost.
-        auto_rank=0,
-        calibration_prior=None,
-        description="predicate-index counting matcher, replanned via the IndexPlanner",
-    )
-    hybrid = _predicate_index_spec(
-        "hybrid",
-        hybrid=True,
-        # Arbitrates after index: on workloads where a homogeneous plan
-        # is already optimal the hybrid ties, and the tie goes to the
-        # established family.
-        auto_rank=2,
-        # Same cost model and executor as the index family, so until a
-        # hybrid interval has been measured the index family's learned
-        # correction is the best estimate.  A never-run hybrid at the
-        # neutral 1.0 would win arbitrations against an honestly
-        # calibrated index plan it cannot beat (the two plan identically
-        # on homogeneous workloads).
-        calibration_prior="index",
+    index = EngineSpec(
+        name="index",
+        factory=_index_factory,
+        owns=_index_owns,
+        supported_measures=tuple(IndexPlanner.SUPPORTED_MEASURES),
+        candidate=_index_candidate,
         description=(
-            "predicate-index matcher with per-attribute hybrid plans "
-            "(hash/interval/scan chosen independently)"
+            "predicate-index counting matcher, replanned per structure "
+            "(hash/interval/scan) via the IndexPlanner"
         ),
     )
     # The sequential-scan baseline, registered so the end-to-end
     # benchmark's verifier replays every workload through the same
     # ``AdaptationPolicy(engine=...)`` switch.  It carries no cost
-    # estimator: it never arbitrates and never restructures periodically.
+    # estimator: it never restructures periodically.
     naive = EngineSpec(
         name="naive",
         factory=_naive_factory,
         owns=_naive_owns,
-        auto_rank=None,
         description="sequential per-profile scan baseline",
     )
-    return (tree, index, hybrid, naive)
+    return (tree, index, naive)
 
 
 _DEFAULT: EngineRegistry | None = None

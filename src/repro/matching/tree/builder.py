@@ -96,19 +96,12 @@ def build_tree(
     configuration: TreeConfiguration | None = None,
     *,
     partitions: Mapping[str, AttributePartition] | None = None,
-    levels: int | None = None,
 ) -> ProfileTree:
     """Build the profile tree for ``profiles`` under ``configuration``.
 
     ``partitions`` may be supplied to avoid recomputing the per-attribute
     sub-range decompositions when the same profile set is rebuilt under many
     configurations (as the reordering experiments do).
-
-    ``levels`` cuts the tree after that many levels: each subtree below the
-    cut becomes a leaf holding its candidates.  Such a tree is for costing
-    only — :func:`~repro.analysis.cost_model.expected_tree_cost` prices its
-    levels exactly as those of the full tree, and every level the cut drops
-    would add a non-negative term — never for matching.
     """
     schema = profiles.schema
     if configuration is None:
@@ -129,7 +122,7 @@ def build_tree(
     if not all_ids:
         return ProfileTree(schema, configuration, dict(partitions), TreeLeaf(tuple()), 0)
 
-    attribute_order = configuration.attribute_order[:levels]
+    attribute_order = configuration.attribute_order
     value_orders = {
         name: configuration.value_order_for(name, partitions[name])
         for name in attribute_order

@@ -8,9 +8,8 @@ tree for certain applications based on the data distributions".
 
 :class:`AdaptiveFilterEngine` drives one matcher from the **engine
 registry** (:mod:`repro.matching.registry`; the built-in families are
-``tree``, ``index``, ``hybrid`` and the ``naive`` baseline,
-``"auto"`` arbitrates between every ranked family)
-and
+``tree``, ``index`` and the ``naive`` baseline, and ``"auto"`` names the
+``index`` family) and
 
 * records every filtered event in a bounded
   :class:`~repro.distributions.estimation.EventHistory`, which counts
@@ -21,15 +20,15 @@ and
   itself and calls their unchecked halves instead,
 * periodically (every ``reoptimize_interval`` events) estimates the current
   per-attribute event distributions from the history,
-* asks every :class:`~repro.matching.registry.EngineSpec` on its roster
-  — the one pinned family, or (``auto``) every ranked family — for a
-  candidate under the shared comparison-count cost currency: a
-  restructured tree, a replanned index, another family altogether — and
-* restructures/replans/switches when the analytical model predicts at
-  least ``improvement_threshold`` relative improvement over the current
+* asks its family's :class:`~repro.matching.registry.EngineSpec` for a
+  candidate under the comparison-count cost currency — a restructured
+  tree or a replanned index — and
+* restructures/replans when the analytical model predicts at least
+  ``improvement_threshold`` relative improvement over the current
   matcher (restructuring has a cost, so marginal gains are ignored — the
   paper recommends reordering only "for systems with stable
-  distributions").
+  distributions").  The engine never switches families: one family
+  re-optimises one structure, as the paper's adaptive filter does.
 
 Profile maintenance delegates to the wrapped matcher's incremental
 ``add_profile`` / ``remove_profile``, so subscription churn keeps the
@@ -43,7 +42,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.analysis.calibration import CalibrationSnapshot, CostCalibrator
 from repro.core.errors import EventError, MatchingError, ServiceError
 from repro.core.events import Event, column_counts
 from repro.core.profiles import Profile, ProfileSet
@@ -70,15 +68,6 @@ __all__ = [
     "resolve_policy_engine",
 ]
 
-#: Hysteresis of the ``auto`` arbitration: after an applied family
-#: switch, further switches are suppressed for this many re-optimisation
-#: checks, so an alternating workload does not thrash expensive family
-#: rebuilds every interval.  Suppressed decisions are still recorded
-#: (``AdaptationRecord.suppressed``); same-family restructures/replans
-#: are never held back.
-SWITCH_COOLDOWN_INTERVALS = 2
-
-
 @dataclass(frozen=True)
 class AdaptationPolicy:
     """Tuning knobs of the adaptive filter component."""
@@ -104,29 +93,22 @@ class AdaptationPolicy:
     #: with the engine registry — the built-ins are ``"tree"`` (the
     #: paper's profile tree, restructured via the TreeOptimizer),
     #: ``"index"`` (the predicate-index matcher, replanned via the
-    #: IndexPlanner), ``"hybrid"`` and the ``"naive"``
-    #: baseline — or ``"auto"`` (starts on the registry's
-    #: preferred family and, at every re-optimisation, switches to
-    #: whichever ranked family the cost models predict to be cheapest
-    #: under the current history distributions).
+    #: IndexPlanner, hash, interval and scan chosen per structure) and the
+    #: ``"naive"`` baseline — or ``"auto"``, the ``FilterService``
+    #: default, which names the ``index`` family.
     engine: str = "tree"
 
     def __post_init__(self) -> None:
-        roster = self.engine_registry
-        try:
-            roster.validate_engine(self.engine)
-        except MatchingError as exc:
-            raise ServiceError(str(exc)) from exc
-        for spec in self._roster():
-            if (
-                spec.supported_measures is not None
-                and self.attribute_measure not in spec.supported_measures
-            ):
-                raise ServiceError(
-                    f"the {self.engine} engine cannot rank by measure "
-                    f"{self.attribute_measure.value!r}; the {spec.name} family "
-                    f"supports: {[m.value for m in spec.supported_measures]}"
-                )
+        spec = self._engine_spec()
+        if (
+            spec.supported_measures is not None
+            and self.attribute_measure not in spec.supported_measures
+        ):
+            raise ServiceError(
+                f"the {self.engine} engine cannot rank by measure "
+                f"{self.attribute_measure.value!r}; the {spec.name} family "
+                f"supports: {[m.value for m in spec.supported_measures]}"
+            )
         if self.reoptimize_interval <= 0:
             raise ServiceError("reoptimize_interval must be positive")
         if self.warmup_events < 0:
@@ -142,13 +124,12 @@ class AdaptationPolicy:
         the process-wide :func:`~repro.matching.registry.default_registry`."""
         return default_registry()
 
-    def _roster(self) -> list[EngineSpec]:
-        """Return the families a re-optimisation check arbitrates between:
-        every ranked family for ``auto``, else the one pinned family."""
-        roster = self.engine_registry
-        if self.engine == AUTO_ENGINE:
-            return roster.arbitrating_specs()
-        return [roster.spec(self.engine)]
+    def _engine_spec(self) -> EngineSpec:
+        """Return the spec of the family :attr:`engine` names."""
+        try:
+            return self.engine_registry.spec(self.engine)
+        except MatchingError as exc:
+            raise ServiceError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -160,16 +141,9 @@ class AdaptationRecord:
     predicted_candidate: float
     applied: bool
     configuration_label: str
-    #: Matcher family the decision selected (a registry name, e.g.
-    #: ``"tree"`` or ``"index"``).  For the fixed engines this is simply
-    #: the engine itself; for ``engine="auto"`` it exposes which family
-    #: the arbitration chose (``applied`` says whether a
-    #: switch/restructure actually happened).
+    #: Matcher family that priced the decision (a registry name, e.g.
+    #: ``"tree"`` or ``"index"``; ``engine="auto"`` records ``"index"``).
     engine: str = ""
-    #: ``True`` when the arbitration *wanted* to switch matcher families
-    #: but the switch cooldown held it back (``applied`` is then False);
-    #: see :data:`SWITCH_COOLDOWN_INTERVALS`.
-    suppressed: bool = False
     #: Comparison operations per event actually *measured* over the
     #: interval that ended at this check (``None`` when the interval saw
     #: no events).  Pairs with the *previous* record's predicted cost:
@@ -178,12 +152,8 @@ class AdaptationRecord:
     #: Wall-clock seconds the interval took (optional observability;
     #: decisions use the deterministic operation currency above).
     measured_wall_seconds: float | None = None
-    #: Calibration factor of the selected family when the decision was
-    #: taken (``1.0``: the model was taken as-is); see
-    #: :class:`~repro.analysis.calibration.CostCalibrator`.
-    correction_factor: float = 1.0
     #: Wall-clock seconds the re-optimisation check itself took — history
-    #: estimation, costing, arbitration and any applied rebuild: the time
+    #: estimation, costing and any applied rebuild: the time
     #: the triggering ``publish`` stalled (``None`` on hand-built records).
     check_seconds: float | None = None
 
@@ -204,10 +174,8 @@ class AdaptationRecord:
             "applied": self.applied,
             "configuration_label": self.configuration_label,
             "engine": self.engine,
-            "suppressed": self.suppressed,
             "measured_ops_per_event": self.measured_ops_per_event,
             "measured_wall_seconds": self.measured_wall_seconds,
-            "correction_factor": self.correction_factor,
             "check_seconds": self.check_seconds,
         }
 
@@ -232,34 +200,20 @@ class AdaptiveFilterEngine:
             value_measure=self.policy.value_measure,
             search=self.policy.search,
         )
-        if self.policy.engine == AUTO_ENGINE:
-            # ``auto`` starts on the registry's preferred family (the
-            # cheaper build; the built-in roster starts on the index
-            # matcher) and lets the first re-optimisation arbitrate the
-            # families from history.
-            spec = self._registry.auto_start()
-        else:
-            spec = self._registry.spec(self.policy.engine)
-        self._matcher: Matcher = spec.factory(self._context)
+        #: The one family this engine runs and re-optimises.
+        self._spec = self.policy._engine_spec()
+        self._matcher: Matcher = self._spec.factory(self._context)
         self._history = EventHistory(profiles.schema, max_length=self.policy.history_length)
         self._events_filtered = 0
         self._events_at_last_check = 0
         self._adaptations: list[AdaptationRecord] = []
-        #: Re-optimisation checks left before the auto arbitration may
-        #: switch matcher families again (hysteresis).
-        self._switch_cooldown = 0
-        #: Measured-cost feedback: cumulative charged operations (and the
-        #: interval markers) pair each check's *measured* ops/event with
-        #: the cost the previous check *predicted* for the same interval.
-        self._calibrator = CostCalibrator()
+        #: Cumulative charged operations and the interval markers: each
+        #: check records the ops/event and seconds *measured* over the
+        #: interval the previous check's prediction covered.
         self._operations_filtered = 0
         self._ops_at_last_check = 0
         self._wall_at_last_check = time.perf_counter()
-        #: ``(family, raw predicted ops/event)`` of whichever configuration
-        #: the last check left running; consumed — observed against the
-        #: measured interval cost — at the next check.
-        self._pending_prediction: tuple[str, float] | None = None
-        #: Kernel stats of matcher instances retired by replans/switches;
+        #: Kernel stats of matcher instances a candidate replaced;
         #: :meth:`kernel_stats` folds the live matcher's stats on top.
         self._retired_kernel_stats = KernelStats()
 
@@ -300,15 +254,6 @@ class AdaptiveFilterEngine:
                 f"the {self.engine_family} engine has no tree configuration"
             )
         return self._matcher.configuration
-
-    @property
-    def calibrator(self) -> CostCalibrator:
-        """Return the live cost calibrator (measured-vs-predicted EWMA)."""
-        return self._calibrator
-
-    def calibration(self) -> CalibrationSnapshot:
-        """Return an immutable snapshot of the calibration state."""
-        return self._calibrator.snapshot()
 
     def adaptations(self) -> list[AdaptationRecord]:
         """Return every re-optimisation decision taken so far."""
@@ -462,13 +407,6 @@ class AdaptiveFilterEngine:
         self._ops_at_last_check = self._operations_filtered
         self._wall_at_last_check = now
         measured_ops = ops_delta / events_delta if events_delta > 0 else None
-        # Close the feedback loop before any early return: the prediction
-        # the previous check left pending is scored against the interval
-        # that just elapsed, whatever this check goes on to decide.
-        pending, self._pending_prediction = self._pending_prediction, None
-        if pending is not None and measured_ops is not None:
-            family, predicted = pending
-            self._calibrator.observe(family, predicted, measured_ops)
         if len(self.profiles) == 0:
             # Nothing to optimise (every subscription is paused); the
             # engine keeps filtering and recording history.
@@ -477,22 +415,14 @@ class AdaptiveFilterEngine:
             distributions = self.estimated_event_distributions()
         except ServiceError:
             return
-        self._arbitrate(
+        self._check(
             distributions,
             measured_ops_per_event=measured_ops,
             measured_wall_seconds=wall_delta,
             check_started=now,
         )
 
-    def _correction(self, spec: EngineSpec) -> float:
-        """Return the calibration factor applied to ``spec``'s predictions:
-        its own once measured, until then its ``calibration_prior``'s."""
-        family = spec.name
-        if spec.calibration_prior is not None and not self._calibrator.has_observed(family):
-            family = spec.calibration_prior
-        return self._calibrator.factor(family)
-
-    def _arbitrate(
+    def _check(
         self,
         distributions: Mapping[str, Distribution],
         *,
@@ -500,121 +430,51 @@ class AdaptiveFilterEngine:
         measured_wall_seconds: float,
         check_started: float,
     ) -> None:
-        """Take one re-optimisation decision over the policy's roster.
+        """Take one re-optimisation decision for the running family.
 
-        The roster is every ranked family under ``engine="auto"`` and the
-        one pinned family otherwise: a pinned engine is ``auto`` over a
-        roster of one, where the only possible outcome is a same-family
-        restructure/replan.  Every roster spec costs its best candidate in
-        the paper's common currency (expected comparison operations per
-        event) under the current history distributions — the index side
-        through the :class:`~repro.matching.index.planner.IndexPlanner`
-        estimate, a pinned tree through
+        The family's spec costs its best candidate in the paper's common
+        currency (expected comparison operations per event) under the
+        current history distributions — an index replan through the
+        :class:`~repro.matching.index.planner.IndexPlanner`'s recost of
+        the live buckets, a tree restructure through
         :func:`repro.analysis.cost_model.expected_tree_cost` of the
         :class:`~repro.selectivity.optimizer.TreeOptimizer`'s candidate
-        configuration — and the cheapest is adopted when it improves on
-        the running matcher's predicted cost (the
-        :attr:`~repro.matching.registry.EngineCandidate.predicted_current`
-        of the running family's own candidate) by at least
-        ``improvement_threshold``.  The running family's candidate is
-        costed first (it is always needed for the incumbent's cost), then
-        the others in roster order, and the winner is the least
-        ``(calibrated cost, roster position)``: ties fall to the lower
-        :attr:`~repro.matching.registry.EngineSpec.auto_rank` (the index
-        family, on the built-in roster) whatever the evaluation order.  A
-        family may abstain from a check by returning ``None``.  The chosen
-        family is exposed as :attr:`AdaptationRecord.engine`.
-
-        **Calibration.**  Candidates are ranked by corrected cost — raw
-        model cost times the family's :meth:`_correction` — which closes
-        the loop on systematic model bias (e.g. the counting family
-        charging nothing for counter bookkeeping).  A winner from another
-        family is compared against the corrected incumbent; when the
-        winner is the running family the factor would multiply both
-        sides, so the raw costs are compared (exact cancellation: what a
-        pinned engine decides never depends on calibration).  The record
-        keeps the *raw* predictions so the bias stays observable:
-        :attr:`AdaptationRecord.correction_factor` is the winner's factor.
-
-        **Hysteresis.**  An applied family switch arms a cooldown of
-        :data:`SWITCH_COOLDOWN_INTERVALS` further checks
-        during which another switch is suppressed (recorded with
-        ``suppressed=True``), so a workload oscillating around the
-        cost-model break-even point does not rebuild a family per
-        interval.  Same-family improvements (an index replan or a tree
-        restructure) stay available throughout.
+        configuration — and the candidate is installed when it improves
+        on the running matcher's predicted cost (its
+        :attr:`~repro.matching.registry.EngineCandidate.predicted_current`)
+        by at least ``improvement_threshold``.  A family without a cost
+        estimator, or one abstaining from this check, records nothing.
         """
-        matcher = self._matcher
-        cooldown_active = self._switch_cooldown > 0
-        if cooldown_active:
-            # This check elapses one cooldown interval (but is itself
-            # still suppressed: arming N suppresses exactly N checks).
-            self._switch_cooldown -= 1
-
-        current_spec = self._registry.owner_of(matcher)
-        best = None
-        best_spec = None
-        best_key = None
-        # An unknown (or cost-less) incumbent cannot be compared, so any
-        # finite candidate is treated as an improvement.
-        predicted_current = float("inf")
-        # The incumbent first (its candidate carries ``predicted_current``
-        # and is always needed), then the rest in roster order; the sort
-        # is stable.
-        for position, spec in sorted(
-            enumerate(self.policy._roster()), key=lambda item: item[1] is not current_spec
-        ):
-            if spec.candidate is None:
-                # The pinned family opted out of periodic restructuring
-                # (the baselines, most third-party engines).
-                continue
-            candidate = spec.candidate(self._context, matcher, distributions)
-            if candidate is None:
-                continue
-            if spec is current_spec and candidate.predicted_current is not None:
-                predicted_current = candidate.predicted_current
-            key = (candidate.cost * self._correction(spec), position)
-            if best_key is None or key < best_key:
-                best, best_spec, best_key = candidate, spec, key
-        if best is None:
+        spec = self._spec
+        if spec.candidate is None:
+            # The family opted out of periodic restructuring (the
+            # baselines, most third-party engines).
             return
-        best_calibrated = best_key[0]
-
-        is_switch = best_spec is not current_spec
-        candidate_cost, incumbent_cost = best.cost, predicted_current
-        if is_switch and current_spec is not None:
-            candidate_cost = best_calibrated
-            incumbent_cost *= self._correction(current_spec)
-        improvement = 1.0 - candidate_cost / incumbent_cost if incumbent_cost > 0 else 0.0
+        candidate = spec.candidate(self._context, self._matcher, distributions)
+        if candidate is None:
+            return
+        # An incumbent the family cannot price cannot be compared, so any
+        # finite candidate counts as an improvement.
+        predicted_current = candidate.predicted_current
+        if predicted_current is None:
+            predicted_current = float("inf")
+        improvement = 1.0 - candidate.cost / predicted_current if predicted_current > 0 else 0.0
         applied = improvement >= self.policy.improvement_threshold
-        suppressed = False
-        if applied and is_switch and cooldown_active:
-            applied = False
-            suppressed = True
-        # Leave the raw prediction for whichever configuration runs the
-        # next interval; the next check scores it against measurement.
         if applied:
-            self._adopt_matcher(best.install())
-            if is_switch:
-                self._switch_cooldown = SWITCH_COOLDOWN_INTERVALS
-            self._pending_prediction = (best_spec.name, best.cost)
-        elif predicted_current < float("inf"):
-            self._pending_prediction = (current_spec.name, predicted_current)
-        label = best.label
+            self._adopt_matcher(candidate.install())
+        label = candidate.label
         if self.policy.engine == AUTO_ENGINE:
             label = f"auto:{label}"
         self._adaptations.append(
             AdaptationRecord(
                 event_count=self._events_filtered,
                 predicted_current=predicted_current,
-                predicted_candidate=best.cost,
+                predicted_candidate=candidate.cost,
                 applied=applied,
                 configuration_label=label,
-                engine=best_spec.name,
-                suppressed=suppressed,
+                engine=spec.name,
                 measured_ops_per_event=measured_ops_per_event,
                 measured_wall_seconds=measured_wall_seconds,
-                correction_factor=best_calibrated / best.cost if best.cost > 0 else 1.0,
                 check_seconds=time.perf_counter() - check_started,
             )
         )

@@ -3,7 +3,7 @@
 Every :class:`OverlayBroker` hosts a full
 :class:`~repro.service.broker.Broker` for its local subscribers — any
 engine family of the :class:`~repro.matching.registry.EngineRegistry`
-(``tree`` / ``index`` / ``hybrid`` / ``auto``…), per-broker
+(``tree`` / ``index`` / ``auto``…), per-broker
 choice, with statistics, notification log and the delivery pipeline —
 plus, per overlay link, two routing structures:
 

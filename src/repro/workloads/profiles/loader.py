@@ -22,7 +22,7 @@ Profiles are TOML (or YAML, when PyYAML is importable) documents::
 
     [engine]
     engine = "index"
-    families = ["tree", "index", "hybrid"]
+    families = ["tree", "index"]
 
 Every key is validated on load and failures raise
 :class:`~repro.core.errors.WorkloadSpecError` carrying the dotted path of

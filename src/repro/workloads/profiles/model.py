@@ -27,7 +27,7 @@ __all__ = ["EngineHints", "RunShape", "ScenarioProfile"]
 #: Engine families a corpus profile runs through unless it names its own
 #: roster.  The ``naive`` baseline stays out: its op metrics are a
 #: documented lower bound, not a comparable production cost.
-DEFAULT_FAMILIES = ("tree", "index", "hybrid")
+DEFAULT_FAMILIES = ("tree", "index")
 
 _DELIVERY_MODES = ("inline", "threadpool")
 

@@ -40,8 +40,9 @@ class AttributeSpec:
         the drawn value — or ``"mixed"``, where each generated predicate
         is independently an equality with probability
         ``mixed_equality_probability`` and a range otherwise.  Mixed
-        attributes are the natural habitat of hybrid per-attribute plans:
-        selective equalities next to broad ranges on the same attribute.
+        attributes are the natural habitat of the index planner's
+        per-structure verdicts: selective equalities next to broad ranges
+        on the same attribute.
     range_width_fraction:
         Width of generated range predicates relative to the domain size.
     mixed_equality_probability:

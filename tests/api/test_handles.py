@@ -7,7 +7,9 @@ throughout — also while adaptive replanning keeps restructuring the
 matcher underneath.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -251,3 +253,49 @@ class TestBrokerLifecycleStrictness:
         # The failed modify left everything consistent.
         assert first.profile.profile_id == "a"
         assert service.publish(example_event()).delivered == 2
+
+
+class TestClosedServiceIsFreed:
+    """``close()`` breaks the service ↔ handle reference cycle, so a
+    closed service (its broker, engine and notification log with it) is
+    freed by reference counting alone, without the cycle collector."""
+
+    @pytest.mark.parametrize("delivery", ["inline", "threadpool"])
+    def test_a_closed_and_deleted_service_dies_without_gc(self, delivery):
+        gc.collect()
+        gc.disable()
+        try:
+            service = FilterService(environmental_schema(), delivery=delivery)
+            service.subscribe_all([where("temperature").at_least(t) for t in (10, 20, 30)])
+            received = []
+            service.subscribe(where("temperature").at_least(0), sink=received.append)
+            service.publish_batch([example_event()] * 20)
+            service.close()
+            assert len(received) == 20
+            alive = weakref.ref(service), weakref.ref(service.broker)
+            del service
+            assert [ref() is None for ref in alive] == [True, True]
+        finally:
+            gc.enable()
+
+    def test_handles_keep_working_while_the_closed_service_lives(self):
+        service = alarm_service()
+        handle = service.subscribe(where("temperature").at_least(20))
+        service.close()
+        handle.pause()
+        handle.modify(where("temperature").at_least(50))
+        handle.resume()
+        late = service.subscribe(where("temperature").at_least(30))
+        assert [h.state for h in service.handles()] == ["active", "active"]
+        late.cancel()
+        handle.cancel()
+        assert service.handles() == []
+        assert service.stats().subscriptions == 0
+
+    def test_a_handle_outliving_its_closed_service_raises(self):
+        service = alarm_service()
+        handle = service.subscribe(where("temperature").at_least(20))
+        service.close()
+        del service
+        with pytest.raises(ReferenceError):
+            handle.pause()

@@ -29,19 +29,17 @@ class TestConstruction:
     def test_defaults_to_the_auto_engine(self):
         service = make_service()
         assert service.policy.engine == "auto"
-        assert service.engines() == (
-            "tree",
-            "index",
-            "hybrid",
-            "naive",
-            "auto",
-        )
+        assert service.engines() == ("tree", "index", "naive", "auto")
 
-    def test_engine_name_is_resolved_through_the_registry(self):
+    @pytest.mark.parametrize("name", ["quantum", "hybrid"])
+    def test_engine_name_is_resolved_through_the_registry(self, name):
         service = make_service(engine="index")
         assert service.policy.engine == "index"
-        with pytest.raises(ServiceError, match="unknown engine"):
-            make_service(engine="quantum")
+        with pytest.raises(
+            ServiceError,
+            match=f"unknown engine '{name}'; registered engines: tree, index, naive, auto",
+        ):
+            make_service(engine=name)
 
     def test_policy_and_engine_must_agree(self):
         with pytest.raises(ServiceError, match="conflicting engine"):
@@ -56,8 +54,7 @@ class TestConstruction:
 
 
 def _retired_knob_owners():
-    from repro.analysis.calibration import CostCalibrator
-    from repro.matching.index import PredicateIndexMatcher
+    from repro.matching.index import IndexPlanner, PredicateIndexMatcher
     from repro.matching.registry import EngineContext, EngineSpec
     from repro.matching.tree.config import SearchStrategy
     from repro.selectivity import AttributeMeasure, ValueMeasure
@@ -75,7 +72,7 @@ def _retired_knob_owners():
         "EngineSpec": lambda **kwargs: EngineSpec(
             name="x", factory=lambda ctx: None, **kwargs
         ),
-        "CostCalibrator": CostCalibrator,
+        "IndexPlanner": IndexPlanner,
         "PredicateIndexMatcher": lambda **kwargs: PredicateIndexMatcher(
             environmental_profiles(environmental_schema()), **kwargs
         ),
@@ -109,8 +106,9 @@ def _retired_knob_owners():
         ("FilterService", "retry_backoff", 0.01),
         ("EngineSpec", "capabilities", None),
         ("EngineSpec", "min_columnar_batch", 4),
-        ("CostCalibrator", "smoothing", 0.5),
-        ("CostCalibrator", "window", 4),
+        ("EngineSpec", "calibration_prior", "index"),
+        ("EngineSpec", "auto_rank", 0),
+        ("IndexPlanner", "hybrid", True),
         ("PredicateIndexMatcher", "min_columnar_batch", 4),
         ("FilterService", "quenching", True),
         ("FilterService", "overflow", "raise"),
@@ -225,7 +223,7 @@ class TestSubscribing:
         with pytest.raises(ProfileError, match="Profile or ProfileBuilder"):
             service.subscribe({"temperature": Equals(20)})
 
-    @pytest.mark.parametrize("engine", ["auto", "index", "hybrid", "tree", "naive"])
+    @pytest.mark.parametrize("engine", ["auto", "index", "tree", "naive"])
     def test_subscribe_validates_each_profile_once(self, engine, monkeypatch):
         """The registry's schema check is the only one: the filter side
         registers the already-validated profile unchecked."""
@@ -285,7 +283,7 @@ class TestStats:
         assert snapshot.events == 3
         assert snapshot.matched_events == 3
         assert snapshot.notifications == 6
-        assert snapshot.engine_family == "index"  # auto starts on index
+        assert snapshot.engine_family == "index"  # auto is the index family
         assert snapshot.average_matches_per_event == pytest.approx(2.0)
         assert snapshot.operations > 0
         assert snapshot.subscriptions == 5
@@ -325,7 +323,8 @@ class TestStats:
         assert snapshot.applied_adaptations == sum(
             1 for r in snapshot.adaptations if r.applied
         )
-        assert all(r.engine in ("tree", "index") for r in snapshot.adaptations)
+        assert [r.engine for r in snapshot.adaptations] == ["index"] * 5
+        assert snapshot.engine_family == "index"
 
     def test_events_no_subscription_matches_are_still_counted(self):
         service = make_service()

@@ -25,7 +25,7 @@ from repro.core.events import Event
 from repro.core.predicates import Equals, NotEquals, OneOf, RangePredicate
 from repro.core.profiles import Profile, ProfileSet
 from repro.core.schema import Attribute, Schema
-from repro.matching.index import IndexPlanner, PredicateIndexMatcher, kernel
+from repro.matching.index import PredicateIndexMatcher, kernel
 from repro.matching.naive import NaiveMatcher
 from repro.workloads import build_workload, get_profile
 
@@ -84,14 +84,6 @@ def workloads(draw):
     return profiles, events
 
 
-#: The binary planner probes or scans an attribute as a whole; the hybrid
-#: planner also mixes (one structure probed, the other scanned), so the
-#: one probe runs on homogeneous, all-scan and mixed views.
-PLANNERS = pytest.mark.parametrize(
-    "planner", [IndexPlanner(), IndexPlanner(hybrid=True)], ids=["binary", "hybrid"]
-)
-
-
 def assert_results_equal(actual, expected):
     assert [r.matched_profile_ids for r in actual] == [
         r.matched_profile_ids for r in expected
@@ -100,12 +92,13 @@ def assert_results_equal(actual, expected):
     assert [r.visited_levels for r in actual] == [r.visited_levels for r in expected]
 
 
-@PLANNERS
 @given(data=workloads())
 @settings(max_examples=150, deadline=None)
-def test_columnar_kernel_equals_match_and_naive_oracle(planner, data):
+def test_columnar_kernel_equals_match_and_naive_oracle(data):
+    """The planner probes or scans each structure on its own, so the one
+    probe runs on homogeneous, all-scan and mixed views."""
     profiles, events = data
-    matcher = PredicateIndexMatcher(profiles, planner=planner)
+    matcher = PredicateIndexMatcher(profiles)
     naive = NaiveMatcher(profiles)
     sequential = [matcher.match(event) for event in events]
     for result, event in zip(sequential, events):
@@ -114,14 +107,13 @@ def test_columnar_kernel_equals_match_and_naive_oracle(planner, data):
     assert_results_equal(columnar, sequential)
 
 
-@PLANNERS
 @given(data=workloads())
 @settings(max_examples=100, deadline=None)
-def test_kernel_stats_charge_what_match_charges(planner, data):
+def test_kernel_stats_charge_what_match_charges(data):
     """Charged operations are the per-event loop's; executed operations
     never exceed them, and each distinct probe resolves once."""
     profiles, events = data
-    matcher = PredicateIndexMatcher(profiles, planner=planner)
+    matcher = PredicateIndexMatcher(profiles)
     sequential = [matcher.match(event) for event in events]
     stats = kernel.KernelStats()
     kernel.match_batch_columnar(matcher, events, stats=stats)

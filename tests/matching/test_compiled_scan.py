@@ -18,7 +18,6 @@ import functools
 import itertools
 from dataclasses import replace
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +26,7 @@ from repro.core.events import Event
 from repro.core.predicates import Equals, NotEquals, OneOf, RangePredicate
 from repro.core.profiles import Profile, ProfileSet
 from repro.core.schema import Attribute, Schema
-from repro.matching.index import IndexPlanner, PredicateIndexMatcher, kernel
+from repro.matching.index import PredicateIndexMatcher, kernel
 from repro.matching.naive import NaiveMatcher
 
 INF = float("inf")
@@ -153,11 +152,11 @@ def odd_matchers():
         "slab": force(PredicateIndexMatcher(fresh()), SLAB),
         "scan": force(PredicateIndexMatcher(fresh()), SCAN),
         "demoted": force(PredicateIndexMatcher(fresh()), DEMOTED),
-        "hybrid": PredicateIndexMatcher(fresh(), planner=IndexPlanner(hybrid=True)),
+        "planned": PredicateIndexMatcher(fresh()),
     }
 
 
-def test_slab_scan_hybrid_and_naive_agree_on_odd_values():
+def test_slab_scan_planned_and_naive_agree_on_odd_values():
     # Before one rule held, a scanned attribute matched NaN against every
     # range (the slab none) and raised OverflowError on 10**400, and
     # 2**53 + 1 was rounded onto the bound 2**53 by float().
@@ -346,7 +345,7 @@ def test_every_mix_equals_the_slab_and_the_oracle_under_churn(
         check()
 
 
-# -- pinned index and hybrid under range churn with mask-only edits -----------
+# -- the pinned index under range churn with mask-only edits ------------------
 @st.composite
 def range_profiles(draw):
     """A range on ``x`` and, mostly, an equality on ``y``: profiles drawn
@@ -362,14 +361,13 @@ def range_profiles(draw):
 CHURN_STEPS = st.tuples(st.sampled_from(["join", "twin", "leave", "plan"]), st.integers(0, 50))
 
 
-@pytest.mark.parametrize("hybrid", [False, True], ids=["index", "hybrid"])
 @given(
     population=st.lists(range_profiles(), min_size=1, max_size=8),
     churn=st.lists(st.tuples(CHURN_STEPS, range_profiles()), max_size=12),
     batch=event_batches(),
 )
 @settings(max_examples=40, deadline=None)
-def test_pinned_families_equal_the_oracle_under_range_churn(hybrid, population, churn, batch):
+def test_pinned_index_equals_the_oracle_under_range_churn(population, churn, batch):
     """After every step of range churn — entries created and dropped,
     subscribers joining and leaving shared entries, which only XOR a bit
     into the stored slab and hash masks — ``match`` and ``match_batch``
@@ -378,9 +376,7 @@ def test_pinned_families_equal_the_oracle_under_range_churn(hybrid, population, 
     schema = make_schema()
     initial = [Profile(f"P{i}", predicates) for i, predicates in enumerate(population)]
     naive = NaiveMatcher(ProfileSet(schema, initial))
-    matcher = PredicateIndexMatcher(
-        ProfileSet(schema, initial), planner=IndexPlanner(hybrid=hybrid)
-    )
+    matcher = PredicateIndexMatcher(ProfileSet(schema, initial))
     live = [profile.profile_id for profile in initial]
     predicates_of = {profile.profile_id: profile.predicates for profile in initial}
     serial = itertools.count()

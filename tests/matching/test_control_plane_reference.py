@@ -55,7 +55,7 @@ COST_FIELDS = (
     "interval_scan_cost",
     "residual_scan_cost",
 )
-VERDICT_FIELDS = ("use_index", "use_hash", "use_interval", "entry_count")
+VERDICT_FIELDS = ("use_hash", "use_interval", "entry_count")
 
 
 def approx(value):
@@ -69,12 +69,12 @@ def history_distributions(schema, events):
     return {a.name: history.counter(a.name).to_distribution() for a in schema}
 
 
-def control_plane(workload, hybrid, profiles):
+def control_plane(workload, profiles):
     """Everything the planner decides for ``workload``, as plain data."""
     schema = workload.spec.schema
     first = history_distributions(schema, workload.events[:HISTORY_EVENTS])
     second = history_distributions(schema, workload.events[HISTORY_EVENTS:])
-    planner = IndexPlanner(first, hybrid=hybrid)
+    planner = IndexPlanner(first)
     matcher = PredicateIndexMatcher(profiles, planner=planner)
     return {
         "plan": dict(matcher.plan.attributes),
@@ -94,16 +94,15 @@ def assert_same_plans(actual, expected):
             assert getattr(plan, name) == approx(getattr(reference, name)), (attribute, name)
 
 
-@pytest.mark.parametrize("hybrid", [False, True], ids=["binary", "hybrid"])
 @pytest.mark.parametrize("name", list_profiles())
-def test_corpus_plans_match_the_brute_force_reference(name, hybrid, monkeypatch):
+def test_corpus_plans_match_the_brute_force_reference(name, monkeypatch):
     spec = get_profile(name).spec
     workload = build_workload(
         spec.with_counts(
             profile_count=min(spec.profile_count, PROFILE_CAP), event_count=2 * HISTORY_EVENTS
         )
     )
-    actual = control_plane(workload, hybrid, ProfileSet(workload.spec.schema, workload.profiles))
+    actual = control_plane(workload, ProfileSet(workload.spec.schema, workload.profiles))
 
     profiles = ProfileSet(workload.spec.schema, workload.profiles)
     monkeypatch.setattr(
@@ -116,7 +115,7 @@ def test_corpus_plans_match_the_brute_force_reference(name, hybrid, monkeypatch)
         "rejection_scores",
         lambda planner, schema, constraints: partition_rejection_scores(planner, profiles),
     )
-    expected = control_plane(workload, hybrid, profiles)
+    expected = control_plane(workload, profiles)
 
     assert_same_plans(actual["plan"], expected["plan"])
     assert_same_plans(actual["recost"], expected["recost"])
@@ -161,12 +160,12 @@ def test_recost_makes_no_per_value_containment_probes(monkeypatch):
 
 
 def test_scanned_ranges_are_compared_inline(monkeypatch):
-    """Complexity guard: pinned ``hybrid`` on ``aml-transactions`` scans the
+    """Complexity guard: pinned ``index`` on ``aml-transactions`` scans the
     129 ``amount`` ranges, and each scanned range was a ``matches`` call
     plus an ``Interval.contains`` call per probed value."""
     workload = build_workload(get_profile("aml-transactions").spec)
     profiles = ProfileSet(workload.schema, workload.profiles)
-    matcher = PredicateIndexMatcher(profiles, planner=IndexPlanner(hybrid=True))
+    matcher = PredicateIndexMatcher(profiles)
     matcher.replan(workload.event_distributions)
     assert len(matcher._states["amount"].scan_ranges) == 129
     events = list(workload.events[:500])

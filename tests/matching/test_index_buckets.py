@@ -346,7 +346,7 @@ class TestIndexPlanner:
         plan = IndexPlanner().plan_attribute(
             "symbol", domain, hash_bucket=bucket, interval_bucket=None
         )
-        assert plan.use_index
+        assert plan.use_hash
         assert plan.index_cost < plan.scan_cost
         assert plan.scan_cost == 50.0
 
@@ -358,7 +358,7 @@ class TestIndexPlanner:
         plan = IndexPlanner().plan_attribute(
             "load", domain, hash_bucket=None, interval_bucket=bucket
         )
-        assert not plan.use_index
+        assert not plan.use_interval
         assert plan.scan_cost == 1.0
 
     def test_distribution_shifts_the_decision(self):
@@ -391,18 +391,14 @@ class TestIndexPlanner:
         bucket = hash_bucket({value: [0] for value in range(10)})
         plan = IndexPlanner().plan_attribute("a", domain, hash_bucket=bucket, interval_bucket=None)
         assert plan.scan_cost == 1.0
-        assert not plan.use_index
+        assert not plan.use_hash
 
     def test_unsupported_measure_rejected(self):
         with pytest.raises(SelectivityError):
             IndexPlanner(attribute_measure=AttributeMeasure.A3_CONDITIONAL)
 
     def test_plan_profiles_matches_bucket_based_costing(self):
-        """The bucket-free estimator must reproduce the built-bucket plan.
-
-        ``engine="auto"`` relies on this equivalence to cost the index
-        family without building it.
-        """
+        """The bucket-free estimator must reproduce the built-bucket plan."""
         from repro.matching.index import PredicateIndexMatcher
         from repro.workloads import build_workload, get_profile
 
@@ -418,7 +414,7 @@ class TestIndexPlanner:
         assert set(estimated) == set(built.attributes)
         for attribute, plan in estimated.items():
             exact = built.plan_for(attribute)
-            assert plan.use_index == exact.use_index
+            assert (plan.use_hash, plan.use_interval) == (exact.use_hash, exact.use_interval)
             assert plan.entry_count == exact.entry_count
             assert plan.index_cost == pytest.approx(exact.index_cost)
             assert plan.scan_cost == pytest.approx(exact.scan_cost)

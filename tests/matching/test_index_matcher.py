@@ -96,7 +96,7 @@ def test_scan_only_planner_is_still_identical(data):
     class ScanPlanner(IndexPlanner):
         def plan_attribute(self, attribute, domain, **kwargs):
             plan = super().plan_attribute(attribute, domain, **kwargs)
-            return replace(plan, use_index=False, use_hash=False, use_interval=False)
+            return replace(plan, use_hash=False, use_interval=False)
 
     profiles, events = data
     naive = NaiveMatcher(profiles)

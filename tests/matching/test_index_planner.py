@@ -1,13 +1,14 @@
-"""The hybrid per-attribute plans: mixed-plan units + property equivalence.
+"""The index planner's per-structure verdicts.
 
-The hybrid planner decides hash-vs-scan and interval-vs-scan
-*independently* per attribute, so one attribute can keep its selective
-hash probes while its broad overlapping ranges are demoted to scanning —
-a plan the binary planner cannot express.  Whatever mix is chosen, the
-matcher must stay bit-identical to the binary index family and the naive
-oracle: same matched ids, same order, across arbitrary profiles, events
-and subscription churn, on the per-event and the columnar batch path
-alike (with identical per-event operation accounting between the two).
+The planner decides hash-vs-scan and interval-vs-scan *independently* per
+attribute, so one attribute can keep its selective hash probes while its
+broad overlapping ranges are demoted to scanning.  Each verdict is its
+structure's own cost comparison, and the chosen mix costs no more than
+either all-or-nothing plan.  Whatever mix is chosen, the matcher must
+stay bit-identical to the naive oracle: same matched ids, same order,
+across arbitrary profiles, events and subscription churn, on the
+per-event and the columnar batch path alike (with identical per-event
+operation accounting between the two).
 """
 
 import pytest
@@ -19,7 +20,7 @@ from repro.core.events import Event
 from repro.core.predicates import Equals, NotEquals, OneOf, RangePredicate
 from repro.core.profiles import Profile, ProfileSet
 from repro.core.schema import Attribute, Schema
-from repro.matching.index import IndexPlanner, PredicateIndexMatcher, kernel
+from repro.matching.index import PredicateIndexMatcher, kernel
 from repro.matching.naive import NaiveMatcher
 
 DOMAIN_SIZE = 12
@@ -28,10 +29,6 @@ ATTRIBUTES = ("a", "b")
 
 def make_schema(size: int = DOMAIN_SIZE) -> Schema:
     return Schema([Attribute(name, IntegerDomain(0, size - 1)) for name in ATTRIBUTES])
-
-
-def hybrid_matcher(profiles: ProfileSet) -> PredicateIndexMatcher:
-    return PredicateIndexMatcher(profiles, planner=IndexPlanner(hybrid=True))
 
 
 # -- mixed-plan units ---------------------------------------------------------
@@ -48,56 +45,43 @@ def mixed_profiles() -> ProfileSet:
     return profiles
 
 
+def assert_matches_the_oracle(matcher, profiles, values=range(100)):
+    naive = NaiveMatcher(profiles)
+    for value in values:
+        event = Event({"a": value})
+        assert matcher.match(event).matched_profile_ids == naive.match(event).matched_profile_ids
+
+
 class TestMixedPlans:
-    def test_hybrid_planner_demotes_broad_ranges_but_keeps_the_hash(self):
-        matcher = hybrid_matcher(mixed_profiles())
+    def test_planner_demotes_broad_ranges_but_keeps_the_hash(self):
+        matcher = PredicateIndexMatcher(mixed_profiles())
         plan = matcher.plan.plan_for("a")
         assert plan.use_hash and not plan.use_interval
-        assert plan.is_hybrid
         # The mixed plan is strictly cheaper than either pure strategy.
         pure_index = plan.hash_index_cost + plan.interval_index_cost
         pure_scan = plan.hash_scan_cost + plan.interval_scan_cost
         assert plan.chosen_cost < min(pure_index, pure_scan)
 
-    def test_binary_planner_couples_both_structures(self):
+    def test_mixed_plan_matches_the_oracle(self):
+        profiles = mixed_profiles()
+        assert_matches_the_oracle(PredicateIndexMatcher(profiles), profiles)
+
+    def test_estimated_cost_is_the_mixed_structure_choice(self):
         matcher = PredicateIndexMatcher(mixed_profiles())
         plan = matcher.plan.plan_for("a")
-        assert plan.use_hash == plan.use_interval == plan.use_index
-        assert not plan.is_hybrid
-
-    def test_mixed_plan_matches_like_the_binary_matcher(self):
-        profiles = mixed_profiles()
-        hybrid = hybrid_matcher(profiles)
-        binary = PredicateIndexMatcher(profiles)
-        for value in range(100):
-            event = Event({"a": value})
-            assert (
-                hybrid.match(event).matched_profile_ids
-                == binary.match(event).matched_profile_ids
-            )
-
-    def test_estimated_cost_reflects_the_mixed_structure_choice(self):
-        hybrid = hybrid_matcher(mixed_profiles())
-        binary = PredicateIndexMatcher(mixed_profiles())
-        assert hybrid.estimated_cost({}) < binary.estimated_cost({})
+        assert matcher.estimated_cost({}) == pytest.approx(plan.chosen_cost)
+        assert matcher.estimated_cost({}) < plan.index_cost
 
     def test_churn_maintains_the_mixed_plan_views_exactly(self):
         """Entry creation/removal on a demoted structure keeps the scan
         view exact — membership changes rebuild it, postings stay live."""
         profiles = mixed_profiles()
-        hybrid = hybrid_matcher(profiles)
-        binary = PredicateIndexMatcher(mixed_profiles())
-        for matcher in (hybrid, binary):
-            matcher.add_profile(Profile("R9", {"a": RangePredicate.between(10, 20)}))
-            matcher.remove_profile("R0")
-            matcher.add_profile(Profile("E9", {"a": OneOf((7, 8))}))
-            matcher.remove_profile("E1")
-        for value in range(100):
-            event = Event({"a": value})
-            assert (
-                hybrid.match(event).matched_profile_ids
-                == binary.match(event).matched_profile_ids
-            )
+        matcher = PredicateIndexMatcher(profiles)
+        matcher.add_profile(Profile("R9", {"a": RangePredicate.between(10, 20)}))
+        matcher.remove_profile("R0")
+        matcher.add_profile(Profile("E9", {"a": OneOf((7, 8))}))
+        matcher.remove_profile("E1")
+        assert_matches_the_oracle(matcher, profiles)
 
 
 # -- property equivalence -----------------------------------------------------
@@ -146,19 +130,30 @@ def workloads(draw):
     return initial, added, removed, events
 
 
-def _assert_agree(hybrid, binary, naive, events):
+def _assert_agree(matcher, naive, events):
     for event in events:
-        expected = binary.match(event)
-        actual = hybrid.match(event)
-        # Bit-identical to the binary index family: ids AND order.
-        assert actual.matched_profile_ids == expected.matched_profile_ids
-        oracle = sorted(naive.match(event).matched_profile_ids)
-        assert sorted(actual.matched_profile_ids) == oracle
+        # Bit-identical to the oracle: ids AND order.
+        assert matcher.match(event).matched_profile_ids == naive.match(event).matched_profile_ids
+
+
+def _assert_verdicts_are_per_structure(matcher):
+    """Each structure is indexed exactly when it has entries and its probe
+    undercuts scanning them, so the mix never costs more than either
+    all-or-nothing plan."""
+    for plan in matcher.plan.attributes.values():
+        assert plan.use_hash == (
+            plan.hash_scan_cost > 0 and plan.hash_index_cost < plan.hash_scan_cost
+        )
+        assert plan.use_interval == (
+            plan.interval_scan_cost > 0 and plan.interval_index_cost < plan.interval_scan_cost
+        )
+        assert plan.chosen_cost <= plan.index_cost + 1e-12
+        assert plan.chosen_cost <= plan.scan_cost
 
 
 @given(workloads())
 @settings(max_examples=80, deadline=None)
-def test_hybrid_binary_and_naive_agree_under_churn(data):
+def test_planned_matcher_and_naive_agree_under_churn(data):
     initial, added, removed, events = data
     schema = make_schema()
 
@@ -168,25 +163,26 @@ def test_hybrid_binary_and_naive_agree_under_churn(data):
             profiles.add(profile)
         return profiles
 
-    hybrid = hybrid_matcher(fresh_profiles())
-    binary = PredicateIndexMatcher(fresh_profiles())
+    matcher = PredicateIndexMatcher(fresh_profiles())
     naive = NaiveMatcher(fresh_profiles())
-    matchers = (hybrid, binary, naive)
 
-    _assert_agree(hybrid, binary, naive, events)
+    _assert_verdicts_are_per_structure(matcher)
+    _assert_agree(matcher, naive, events)
     for profile in added:
-        for matcher in matchers:
-            matcher.add_profile(profile)
-    _assert_agree(hybrid, binary, naive, events)
+        for each in (matcher, naive):
+            each.add_profile(profile)
+    _assert_verdicts_are_per_structure(matcher)
+    _assert_agree(matcher, naive, events)
     for profile_id in removed:
-        for matcher in matchers:
-            matcher.remove_profile(profile_id)
-    _assert_agree(hybrid, binary, naive, events)
+        for each in (matcher, naive):
+            each.remove_profile(profile_id)
+    _assert_verdicts_are_per_structure(matcher)
+    _assert_agree(matcher, naive, events)
 
 
 @given(workloads())
 @settings(max_examples=60, deadline=None)
-def test_hybrid_batch_path_equals_per_event_path(data):
+def test_batch_path_equals_per_event_path(data):
     """The columnar kernel executes mixed plans through the same views:
     identical ids, order and per-event operation accounting."""
     initial, added, removed, events = data
@@ -194,7 +190,7 @@ def test_hybrid_batch_path_equals_per_event_path(data):
     profiles = ProfileSet(schema)
     for profile in initial:
         profiles.add(profile)
-    matcher = hybrid_matcher(profiles)
+    matcher = PredicateIndexMatcher(profiles)
     sequential = [matcher.match(event) for event in events]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernel, "MIN_COLUMNAR_BATCH", 1)

@@ -1,7 +1,6 @@
 """Cross-family maintenance contract tests.
 
-Every matcher family — naive, counting, tree, predicate index, hybrid
-index — plus the adaptive engine wrapper over each registered family must
+Every matcher family — naive, counting, tree, predicate index — plus the adaptive engine wrapper over each registered family must
 behave identically at the maintenance surface: removing an unknown profile
 id raises :class:`~repro.core.errors.MatchingError`, adding a duplicate id
 raises :class:`~repro.core.errors.ProfileError`, and a successful remove
@@ -18,7 +17,6 @@ from repro.core.profiles import ProfileSet, profile
 from repro.core.schema import Attribute, Schema
 from repro.matching import (
     CountingMatcher,
-    IndexPlanner,
     NaiveMatcher,
     PredicateIndexMatcher,
     TreeMatcher,
@@ -31,21 +29,16 @@ def make_profiles() -> ProfileSet:
     return ProfileSet(schema, [profile("P1", v=10), profile("P2", v=20)])
 
 
-def hybrid_matcher(profiles: ProfileSet) -> PredicateIndexMatcher:
-    return PredicateIndexMatcher(profiles, planner=IndexPlanner(hybrid=True))
-
-
 def adaptive(engine: str):
     return lambda profiles: AdaptiveFilterEngine(profiles, policy=AdaptationPolicy(engine=engine))
 
 
-ADAPTIVE_ENGINES = ("tree", "index", "hybrid", "naive", "auto")
+ADAPTIVE_ENGINES = ("tree", "index", "naive", "auto")
 FAMILIES = [
     NaiveMatcher,
     CountingMatcher,
     TreeMatcher,
     PredicateIndexMatcher,
-    hybrid_matcher,
     *(adaptive(engine) for engine in ADAPTIVE_ENGINES),
 ]
 FAMILY_IDS = [
@@ -53,7 +46,6 @@ FAMILY_IDS = [
     "counting",
     "tree",
     "index",
-    "hybrid",
     *(f"adaptive-{engine}" for engine in ADAPTIVE_ENGINES),
 ]
 
@@ -109,8 +101,8 @@ def test_add_profiles_batch_equals_sequential(factory):
 
 @pytest.mark.parametrize(
     "factory",
-    [PredicateIndexMatcher, hybrid_matcher, adaptive("index"), adaptive("hybrid")],
-    ids=["index", "hybrid", "adaptive-index", "adaptive-hybrid"],
+    [PredicateIndexMatcher, adaptive("index"), adaptive("auto")],
+    ids=["index", "adaptive-index", "adaptive-auto"],
 )
 def test_readded_profile_sorts_by_its_new_position(factory):
     schema = Schema([Attribute("v", IntegerDomain(0, 99))])

@@ -36,35 +36,50 @@ def small_profiles() -> ProfileSet:
 class TestDefaultRegistry:
     def test_builtin_roster(self):
         registry = default_registry()
-        assert registry.names() == ("tree", "index", "hybrid", "naive")
-        assert registry.engine_names() == ("tree", "index", "hybrid", "naive", "auto")
-        assert "tree" in registry and "index" in registry and "hybrid" in registry
-        assert "naive" in registry
+        assert registry.names() == ("tree", "index", "naive")
+        assert registry.engine_names() == ("tree", "index", "naive", "auto")
+        assert "tree" in registry and "index" in registry and "naive" in registry
         assert "counting" not in registry and "sharded" not in registry
-        assert len(registry) == 4
+        assert "hybrid" not in registry
+        assert len(registry) == 3
 
-    def test_auto_starts_on_the_index_family(self):
-        assert default_registry().auto_start().name == "index"
+    def test_auto_names_the_index_family(self):
+        """``auto`` is no family of its own: the engine runs, prices and
+        records the index family under it."""
+        registry = default_registry()
+        assert registry.spec("auto") is registry.spec("index")
+        engine = AdaptiveFilterEngine(
+            small_profiles(),
+            policy=AdaptationPolicy(engine="auto", reoptimize_interval=20, warmup_events=20),
+        )
+        assert type(engine.matcher) is PredicateIndexMatcher
+        assert engine.engine_family == "index"
+        rng = random.Random(2)
+        for _ in range(60):
+            engine.match(Event({"v": rng.randint(0, 99)}))
+        records = engine.adaptations()
+        assert len(records) == 3
+        assert all(record.engine == "index" for record in records)
+        assert all(
+            record.configuration_label == "auto:index[P_e estimated]" for record in records
+        )
 
     def test_owner_of_maps_matchers_to_families(self):
-        from repro.matching.index.planner import IndexPlanner
-
         registry = default_registry()
         profiles = small_profiles()
         assert registry.owner_of(TreeMatcher(profiles)).name == "tree"
         assert registry.owner_of(PredicateIndexMatcher(profiles)).name == "index"
-        # Same class, hybrid planner mode: a different family.
-        hybrid = PredicateIndexMatcher(profiles, planner=IndexPlanner(hybrid=True))
-        assert registry.owner_of(hybrid).name == "hybrid"
         # The counting matcher is a test oracle, not a registered family.
         assert registry.owner_of(CountingMatcher(profiles)) is None
         assert registry.owner_of(NaiveMatcher(profiles)).name == "naive"
 
-    def test_unknown_engine_error_lists_registered_names(self):
+    @pytest.mark.parametrize("name", ["quantum", "hybrid"])
+    def test_unknown_engine_error_lists_registered_names(self, name):
         with pytest.raises(
-            MatchingError, match="tree, index, hybrid, naive, auto"
+            MatchingError,
+            match=f"unknown engine '{name}'; registered engines: tree, index, naive, auto",
         ):
-            default_registry().spec("quantum")
+            default_registry().spec(name)
 
     def test_auto_is_reserved(self):
         registry = EngineRegistry()
@@ -105,14 +120,13 @@ class TestBaselineFamilies:
         assert engine.engine_family == "naive"
         assert engine.match(Event({"v": 40})).matched_profile_ids == ("P40",)
 
-    def test_no_participation_in_auto_arbitration(self):
-        """No cost estimator: the baseline never arbitrates, and auto still
-        starts on the index family.  The tree is off the roster too."""
+    def test_the_baseline_carries_no_cost_estimator(self):
+        """No cost estimator: the baseline never re-optimises, and ``auto``
+        names the index family, never the baseline or the tree."""
         registry = default_registry()
-        assert [spec.name for spec in registry.arbitrating_specs()] == ["index", "hybrid"]
-        assert registry.spec("naive").auto_rank is None
-        assert registry.spec("tree").auto_rank is None
-        assert registry.auto_start().name == "index"
+        assert registry.spec("naive").candidate is None
+        assert registry.spec("tree").candidate is not None
+        assert registry.spec("auto").name == "index"
 
     def test_no_periodic_restructuring(self):
         policy = AdaptationPolicy(
@@ -153,11 +167,11 @@ class TestBaselineFamilies:
                 reference = matched
             assert matched == reference, name
 
-    @pytest.mark.parametrize("name", ["counting", "sharded"])
+    @pytest.mark.parametrize("name", ["counting", "sharded", "hybrid"])
     def test_retired_family_is_not_selectable_by_name(self, name):
         with pytest.raises(
             ServiceError,
-            match=f"unknown engine '{name}'; registered engines: tree, index, hybrid, naive, auto",
+            match=f"unknown engine '{name}'; registered engines: tree, index, naive, auto",
         ):
             FilterService(small_profiles().schema, engine=name)
 
@@ -231,11 +245,13 @@ class TestThirdPartyEngines:
         assert [n.profile_id for n in outcome.notifications] == ["P30"]
         assert isinstance(broker.engine.matcher, _ScanSpy)
 
-    def test_policy_rejects_unknown_engine_with_roster_listing(self):
+    @pytest.mark.parametrize("name", ["quantum", "hybrid"])
+    def test_policy_rejects_unknown_engine_with_roster_listing(self, name):
         with pytest.raises(
-            ServiceError, match="tree, index, hybrid, naive, auto"
+            ServiceError,
+            match=f"unknown engine '{name}'; registered engines: tree, index, naive, auto",
         ):
-            AdaptationPolicy(engine="quantum")
+            AdaptationPolicy(engine=name)
 
     def test_the_swapped_roster_is_restored(self, roster, monkeypatch):
         """The fixture swaps the process roster through ``monkeypatch``,
@@ -244,25 +260,26 @@ class TestThirdPartyEngines:
         monkeypatch.undo()
         assert default_registry() is not roster
         assert "scan" not in default_registry()
-        assert default_registry().names() == ("tree", "index", "hybrid", "naive")
+        assert default_registry().names() == ("tree", "index", "naive")
 
 
-class TestAutoArbitrationOverRegistry:
-    def test_auto_consults_every_candidate_spec(self, engine_roster):
-        """A custom family whose candidate is always cheapest wins the
-        arbitration and gets installed."""
+class TestCandidateHooks:
+    def test_a_pinned_family_with_a_candidate_is_consulted_and_installed(self, engine_roster):
+        """A third-party family's candidate is asked at every check of an
+        engine pinned to it; an improving candidate is installed, and a
+        new matcher object replaces the running one."""
+        from repro.matching.registry import EngineCandidate
+
         calls = []
 
         def cheap_candidate(ctx, matcher, distributions):
-            from repro.matching.registry import EngineCandidate
-
             calls.append(type(matcher).__name__)
             return EngineCandidate(
                 "scan",
                 0.0,
                 "scan[flat]",
                 lambda: _ScanSpy(ctx.profiles),
-                predicted_current=0.0,
+                predicted_current=1.0,
             )
 
         engine_roster(
@@ -273,33 +290,25 @@ class TestAutoArbitrationOverRegistry:
                     factory=lambda ctx: _ScanSpy(ctx.profiles),
                     owns=lambda matcher: isinstance(matcher, _ScanSpy),
                     candidate=cheap_candidate,
-                    auto_rank=-1,
                 ),
             ]
         )
-        policy = AdaptationPolicy(
-            engine="auto",
-            reoptimize_interval=50,
-            warmup_events=50,
-            improvement_threshold=0.0,
-        )
+        policy = AdaptationPolicy(engine="scan", reoptimize_interval=50, warmup_events=50)
         engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
-        # auto_rank -1 also makes the custom family the warmup start.
-        assert isinstance(engine.matcher, _ScanSpy)
+        first = engine.matcher
         rng = random.Random(5)
         for _ in range(120):
             engine.match(Event({"v": rng.randint(0, 99)}))
-        assert calls, "the custom candidate was never consulted"
+        assert calls == ["_ScanSpy", "_ScanSpy"]
         records = engine.adaptations()
-        assert records and all(record.engine == "scan" for record in records)
-        assert all(
-            record.configuration_label == "auto:scan[flat]" for record in records
-        )
+        assert [record.applied for record in records] == [True, True]
+        assert all(record.engine == "scan" for record in records)
+        assert all(record.configuration_label == "scan[flat]" for record in records)
+        assert isinstance(engine.matcher, _ScanSpy) and engine.matcher is not first
 
     def test_decisions_are_recorded_under_the_spec_name(self, engine_roster):
         """A candidate's free-form ``family`` string is informational: a
-        mistyped one must not send the record, or the calibrator's
-        feedback, to a family that never runs."""
+        mistyped one must not send the record to a family that never runs."""
         from repro.matching.registry import EngineCandidate
 
         def mislabelled(ctx, matcher, distributions):
@@ -327,14 +336,12 @@ class TestAutoArbitrationOverRegistry:
         for _ in range(80):
             engine.match(Event({"v": rng.randint(0, 99)}))
         records = engine.adaptations()
-        assert records and all(record.engine == "scan" for record in records)
-        calibration = engine.calibration()
-        assert calibration.observations == len(records) - 1 > 0
-        assert set(calibration.factors) == {"scan"}
+        assert len(records) == 4
+        assert all(record.engine == "scan" and not record.applied for record in records)
 
     def test_an_abstaining_family_is_skipped(self, engine_roster):
         """A candidate hook returning ``None`` sits that check out: it is
-        asked at every check, and every decision goes to another family."""
+        asked at every check, and no decision is recorded."""
         asked = []
 
         def abstaining(ctx, matcher, distributions):
@@ -348,43 +355,45 @@ class TestAutoArbitrationOverRegistry:
                     name="scan",
                     factory=lambda ctx: _ScanSpy(ctx.profiles),
                     candidate=abstaining,
-                    auto_rank=5,
                 ),
             ]
         )
-        policy = AdaptationPolicy(engine="auto", reoptimize_interval=50, warmup_events=50)
+        policy = AdaptationPolicy(engine="scan", reoptimize_interval=50, warmup_events=50)
         engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
         rng = random.Random(9)
         for _ in range(150):
             engine.match(Event({"v": rng.randint(0, 99)}))
-        records = engine.adaptations()
-        assert len(records) == len(asked) == 3
-        assert {record.engine for record in records} <= {"index", "hybrid"}
-        assert not isinstance(engine.matcher, _ScanSpy)
-
-    def test_min_columnar_batch_controls_the_kernel_cutover(self, monkeypatch):
-        """Batches at or above ``kernel.MIN_COLUMNAR_BATCH`` (read at call
-        time) run the columnar kernel (visible through the matcher's
-        accumulated KernelStats)."""
-        from repro.matching.index import kernel
-
-        profiles = small_profiles()
-        events = [Event({"v": v}) for v in (0, 10, 20, 30, 40, 50)]
-        default = PredicateIndexMatcher(profiles)
-        default.match_batch(events)
-        assert default.kernel_stats.events == 0  # below MIN_COLUMNAR_BATCH=16
-        lowered = PredicateIndexMatcher(profiles)
-        monkeypatch.setattr(kernel, "MIN_COLUMNAR_BATCH", 4)
-        results = lowered.match_batch(events)
-        assert lowered.kernel_stats.events == len(events)
-        assert [r.matched_profile_ids for r in results] == [
-            (f"P{event['v']}",) for event in events
-        ]
+        assert len(asked) == 3
+        assert engine.adaptations() == []
+        assert isinstance(engine.matcher, _ScanSpy)
 
 
-def test_the_tree_candidate_prices_only_a_running_tree():
-    """Off the ``auto`` roster the tree family is never asked to price a
-    switch to itself: its candidate abstains unless a tree is running."""
+
+def test_min_columnar_batch_controls_the_kernel_cutover(monkeypatch):
+    """Batches at or above ``kernel.MIN_COLUMNAR_BATCH`` (read at call
+    time) run the columnar kernel (visible through the matcher's
+    accumulated KernelStats)."""
+    from repro.matching.index import kernel
+
+    profiles = small_profiles()
+    events = [Event({"v": v}) for v in (0, 10, 20, 30, 40, 50)]
+    default = PredicateIndexMatcher(profiles)
+    default.match_batch(events)
+    assert default.kernel_stats.events == 0  # below MIN_COLUMNAR_BATCH=16
+    lowered = PredicateIndexMatcher(profiles)
+    monkeypatch.setattr(kernel, "MIN_COLUMNAR_BATCH", 4)
+    results = lowered.match_batch(events)
+    assert lowered.kernel_stats.events == len(events)
+    assert [r.matched_profile_ids for r in results] == [
+        (f"P{event['v']}",) for event in events
+    ]
+
+
+@pytest.mark.parametrize("family, running", [("tree", TreeMatcher), ("index", PredicateIndexMatcher)])
+def test_a_candidate_prices_only_its_own_running_matcher(family, running):
+    """No family prices a switch to itself: each candidate abstains
+    unless a matcher of its own family is running, and installs into the
+    running matcher."""
     from repro.workloads import example3_event_distributions
 
     profiles = environmental_profiles()
@@ -396,13 +405,15 @@ def test_the_tree_candidate_prices_only_a_running_tree():
         search=policy.search,
     )
     distributions = example3_event_distributions()
-    candidate = default_registry().spec("tree").candidate
+    candidate = default_registry().spec(family).candidate
     assert candidate(context, None, distributions) is None
-    assert candidate(context, PredicateIndexMatcher(profiles), distributions) is None
-    running = TreeMatcher(profiles)
-    priced = candidate(context, running, distributions)
-    assert priced.family == "tree" and priced.predicted_current is not None
-    assert priced.install() is running
+    for other in (TreeMatcher, PredicateIndexMatcher, NaiveMatcher):
+        if other is not running:
+            assert candidate(context, other(profiles), distributions) is None
+    matcher = running(profiles)
+    priced = candidate(context, matcher, distributions)
+    assert priced.family == family and priced.predicted_current is not None
+    assert priced.install() is matcher
 
 
 def test_a_converged_pinned_tree_check_builds_nothing(monkeypatch):

@@ -151,27 +151,6 @@ def test_shared_tree_equals_the_unfolded_reference(workload):
     assert_same_tree(*workload)
 
 
-@given(workloads())
-@settings(max_examples=150, deadline=None)
-def test_root_level_cost_is_an_exact_lower_bound(workload):
-    """The tree cut after level 0 costs exactly the full tree's first
-    level (bit for bit: the root is summed first either way), and no more
-    than the full tree.  Don't-care profiles give the root a residual
-    edge; the configurations search LINEAR and BINARY."""
-    profiles, configuration, distributions, _ = workload
-    partitions = build_partitions(profiles)
-    full = expected_tree_cost(
-        build_tree(profiles, configuration, partitions=partitions), distributions
-    )
-    root = expected_tree_cost(
-        build_tree(profiles, configuration, partitions=partitions, levels=1), distributions
-    ).operations_per_event
-    assert root == full.per_level[0]
-    assert root <= full.operations_per_event
-    reference = reference_build_tree(profiles, configuration, partitions=partitions)
-    assert root == approx(reference_expected_tree_cost(reference, distributions).per_level[0])
-
-
 @pytest.mark.parametrize(
     "reverse, search, profile_count",
     # The reversed level order unfolds several times larger (the reference

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.matching.registry as registry_module
 import repro.matching.tree.builder as tree_builder
 from repro.api import FilterService
 from repro.core.domains import IntegerDomain
@@ -18,7 +17,6 @@ from repro.core.profiles import Profile, ProfileSet, profile
 from repro.core.schema import Attribute, Schema
 from repro.matching import NaiveMatcher, PredicateIndexMatcher, TreeMatcher
 from repro.matching.index import kernel
-from repro.matching.registry import EngineRegistry, builtin_specs
 from repro.matching.tree.config import SearchStrategy
 from repro.service.adaptive import AdaptationPolicy, AdaptiveFilterEngine
 from repro.selectivity.value_measures import ValueMeasure
@@ -44,41 +42,6 @@ def count_tree_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(tree_builder, "build_tree", counting_build_tree)
     return calls
-
-
-def flipping_auto_engine(engine_roster) -> AdaptiveFilterEngine:
-    """An auto engine whose cost models always favour the *other* family.
-
-    The deterministic costs are injected through a swapped process roster
-    (the ``engine_roster`` fixture): the built-in ``index`` and ``hybrid``
-    specs keep their real factories and install paths (so matching
-    semantics stay honest) but their cost estimators report whichever
-    family is *running* as expensive (10.0, on both the candidate and its
-    ``predicted_current``) and the other family's candidate as cheap
-    (1.0), so every check predicts a 10x payoff from switching — the worst
-    case the cooldown exists for.
-    """
-
-    def flipping(spec):
-        def candidate(ctx, matcher, distributions):
-            built = spec.candidate(ctx, matcher, distributions)
-            if spec.matcher_owned(matcher):
-                return replace(built, cost=10.0, predicted_current=10.0)
-            return replace(built, cost=1.0)
-
-        return replace(spec, candidate=candidate)
-
-    specs = builtin_specs()
-    engine_roster([flipping(spec) if spec.name in ("index", "hybrid") else spec for spec in specs])
-    return AdaptiveFilterEngine(
-        single_attribute_profiles(),
-        policy=AdaptationPolicy(
-            engine="auto",
-            reoptimize_interval=100,
-            warmup_events=100,
-            improvement_threshold=0.0,
-        ),
-    )
 
 
 def peaked_events(count: int, seed: int = 1) -> list[Event]:
@@ -204,7 +167,7 @@ class TestAdaptiveFilterEngine:
         engine.remove_profile("extra")
         assert not engine.match(Event({"v": 33})).is_match
 
-    @pytest.mark.parametrize("engine_kind", ["index", "hybrid", "naive"])
+    @pytest.mark.parametrize("engine_kind", ["index", "naive"])
     def test_configuration_error_names_the_running_family(self, engine_kind):
         engine = self.make_engine(engine=engine_kind)
         with pytest.raises(
@@ -212,24 +175,26 @@ class TestAdaptiveFilterEngine:
         ):
             engine.configuration
 
-    @pytest.mark.parametrize("engine_kind", ["tree", "index", "hybrid"])
-    def test_pinned_engines_feed_the_calibrator(self, engine_kind):
-        """One decision path means one feedback loop: every check after
-        the first scores the previous prediction against measurement."""
+    @pytest.mark.parametrize("engine_kind", ["tree", "index", "auto"])
+    def test_records_carry_the_measured_interval(self, engine_kind):
+        """Every check records the ops/event charged and the seconds spent
+        over the interval that ended at it — the interval the previous
+        check's prediction covered."""
         engine = self.make_engine(engine=engine_kind, reoptimize_interval=100)
-        for event in peaked_events(500):
-            engine.match(event)
+        events = peaked_events(500)
+        charged = [engine.match(event).operations for event in events]
         records = engine.adaptations()
-        calibration = engine.calibration()
-        assert calibration.observations == len(records) - 1 > 0
-        assert {sample.family for sample in calibration.recent} == {engine_kind}
-        assert records[-1].correction_factor == pytest.approx(
-            calibration.factor(engine_kind)
-        )
+        assert [record.event_count for record in records] == [100, 200, 300, 400, 500]
+        start = 0
+        for record in records:
+            interval = charged[start : record.event_count]
+            assert record.measured_ops_per_event == pytest.approx(sum(interval) / len(interval))
+            assert record.measured_wall_seconds > 0.0
+            start = record.event_count
 
 
 class TestAutoEngine:
-    """The ``engine="auto"`` roster entry: index-vs-hybrid arbitration."""
+    """``engine="auto"``: the index family, replanning itself."""
 
     @staticmethod
     def sparse_equality_profiles() -> ProfileSet:
@@ -297,12 +262,12 @@ class TestAutoEngine:
         )
         self.run(engine, events)
         records = engine.adaptations()
-        assert records, "auto never arbitrated"
+        assert records, "auto never checked"
         assert all(record.engine == "index" for record in records)
         assert isinstance(engine.matcher, PredicateIndexMatcher)
 
     def test_auto_costs_the_running_index_once_per_check(self, monkeypatch):
-        """Both sides of the arbitration — the index candidate and the
+        """Both sides of the check — the index candidate and the
         incumbent's current cost — come from one recosting pass."""
         recosts = []
         recost_plans = PredicateIndexMatcher.recost_plans
@@ -325,8 +290,8 @@ class TestAutoEngine:
 
     def test_auto_builds_no_tree_for_broad_ranges(self, monkeypatch):
         """Nested broad ranges are where the tree wins the paper's metric;
-        ``auto`` still neither builds nor installs one: the tree is off
-        its roster."""
+        ``auto`` still neither builds nor installs one: it is the index
+        family."""
         builds = count_tree_builds(monkeypatch)
         rng = random.Random(2)
         events = [Event({"v": rng.randint(300, 700)}) for _ in range(600)]
@@ -336,7 +301,7 @@ class TestAutoEngine:
         )
         self.run(engine, events)
         records = engine.adaptations()
-        assert records and {record.engine for record in records} <= {"index", "hybrid"}
+        assert records and {record.engine for record in records} == {"index"}
         assert not isinstance(engine.matcher, TreeMatcher)
         assert builds == []
 
@@ -364,23 +329,6 @@ class TestAutoEngine:
             ("tree", False),
         ]
         assert isinstance(engine.matcher, TreeMatcher)
-
-    def test_auto_switch_preserves_matching_semantics_both_ways(self, engine_roster):
-        """Drive one engine index -> hybrid -> index and keep checking the
-        oracle; maintenance keeps working on whichever family is active."""
-        engine = flipping_auto_engine(engine_roster)
-        rng = random.Random(3)
-        for family, events in (("hybrid", 150), ("index", 250)):
-            self.run(engine, [Event({"v": rng.randint(0, 99)}) for _ in range(events)])
-            assert engine.engine_family == family
-            engine.add_profile(Profile("late", {"v": Equals(50)}))
-            assert "late" in engine.match(Event({"v": 50}))
-            engine.remove_profile("late")
-            assert "late" not in engine.match(Event({"v": 50}))
-        assert [(r.engine, r.applied) for r in engine.adaptations() if r.applied] == [
-            ("hybrid", True),
-            ("index", True),
-        ]
 
     def test_auto_policy_validates_measures_like_index(self):
         from repro.selectivity import AttributeMeasure
@@ -472,47 +420,7 @@ class TestBatchFiltering:
         ]
 
 
-class TestAutoSwitchHysteresis:
-    """The switch cooldown: no index<->hybrid thrash on alternating costs."""
-
-    @staticmethod
-    def drive(engine: AdaptiveFilterEngine, count: int, seed: int = 9) -> None:
-        rng = random.Random(seed)
-        for _ in range(count):
-            engine.match(Event({"v": rng.randint(0, 99)}))
-
-    def test_cooldown_suppresses_immediate_switch_back(self, engine_roster):
-        engine = flipping_auto_engine(engine_roster)
-        self.drive(engine, 400)
-        records = engine.adaptations()
-        assert [(r.engine, r.applied, r.suppressed) for r in records] == [
-            ("hybrid", True, False),  # first check: switch index -> hybrid
-            ("index", False, True),  # wants to flip back: cooldown holds it
-            ("index", False, True),  # still cooling down
-            ("index", True, False),  # cooldown elapsed: switch allowed again
-        ]
-        # The suppressed decisions are observable but changed nothing.
-        assert isinstance(engine.matcher, PredicateIndexMatcher)
-
-    def test_cooldown_does_not_block_same_family_improvements(self):
-        """An index-engine replan is not a family switch; the cooldown
-        never suppresses the fixed engines' decisions."""
-        engine = AdaptiveFilterEngine(
-            single_attribute_profiles(),
-            policy=AdaptationPolicy(
-                engine="index",
-                reoptimize_interval=100,
-                warmup_events=100,
-                improvement_threshold=0.0,
-            ),
-        )
-        self.drive(engine, 400)
-        records = engine.adaptations()
-        assert records
-        assert all(not r.suppressed for r in records)
-
-
-# -- the design invariant: a pinned engine is auto over a roster of one ---------
+# -- the design invariant: auto is the pinned index family ----------------------
 
 ROSTER_DOMAIN = 12
 
@@ -564,34 +472,25 @@ def decision(record):
     )
 
 
-@pytest.mark.parametrize("family", ["tree", "index", "hybrid"])
 @given(run=churned_runs(), threshold=st.sampled_from([0.0, 0.05]))
 @settings(max_examples=25, deadline=None)
-def test_pinned_engine_is_auto_over_a_roster_of_one(family, run, threshold):
+def test_auto_is_the_pinned_index_family(run, threshold):
     pool, script = run
     schema = Schema(
         [Attribute(name, IntegerDomain(0, ROSTER_DOMAIN - 1)) for name in ("a", "b")]
     )
     knobs = dict(reoptimize_interval=8, warmup_events=8, improvement_threshold=threshold)
-    spec = next(spec for spec in builtin_specs() if spec.name == family)
-    if spec.auto_rank is None:
-        # The tree is off the built-in ``auto`` roster; a rank puts it on
-        # this roster of one.
-        spec = replace(spec, auto_rank=1)
-    # The process roster holds the one family for the whole example (the
-    # ``engine_roster`` fixture's swap, scoped per hypothesis example), and
-    # short bursts reach the columnar kernel too.
+    # Short bursts reach the columnar kernel too.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(registry_module, "_DEFAULT", EngineRegistry([spec]))
         patch.setattr(kernel, "MIN_COLUMNAR_BATCH", 4)
         pinned = AdaptiveFilterEngine(
-            ProfileSet(schema, pool[::2]), policy=AdaptationPolicy(engine=family, **knobs)
+            ProfileSet(schema, pool[::2]), policy=AdaptationPolicy(engine="index", **knobs)
         )
         auto = AdaptiveFilterEngine(
             ProfileSet(schema, pool[::2]), policy=AdaptationPolicy(engine="auto", **knobs)
         )
         assert drive_script(pinned, pool, script) == drive_script(auto, pool, script)
-    assert auto.engine_family == family
+    assert auto.engine_family == "index"
     assert [decision(r) for r in auto.adaptations()] == [
         decision(r) for r in pinned.adaptations()
     ]

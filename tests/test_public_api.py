@@ -112,10 +112,8 @@ API_SURFACE = {
         "applied",
         "configuration_label",
         "engine",
-        "suppressed",
         "measured_ops_per_event",
         "measured_wall_seconds",
-        "correction_factor",
         "check_seconds",
     ),
     "Attribute": ("name", "domain", "unit", "description"),
@@ -134,9 +132,6 @@ API_SURFACE = {
         "events_forwarded",
         "events_suppressed",
     ),
-    "CalibrationSample": ("family", "predicted", "calibrated", "measured"),
-    "CalibrationSnapshot": ("factors", "observations", "recent"),
-    "CostCalibrator": (),
     "EngineRegistry": ("specs",),
     "EngineSpec": (
         "name",
@@ -144,8 +139,6 @@ API_SURFACE = {
         "owns",
         "supported_measures",
         "candidate",
-        "calibration_prior",
-        "auto_rank",
         "description",
     ),
     "DeliveryStats": (
@@ -232,7 +225,6 @@ API_SURFACE = {
         "adaptations",
         "delivery",
         "durability",
-        "calibration",
     ),
     "SubscriptionHandle": ("service", "subscription"),
     "SubscriptionStore": ("snapshot_every",),
@@ -357,15 +349,12 @@ def test_api_methods_are_locked(class_name):
 # removing one is an explicit diff here.
 
 REGISTRY_METHODS = (
-    "arbitrating_specs",
-    "auto_start",
     "engine_names",
     "names",
     "owner_of",
     "register",
     "spec",
     "unregister",
-    "validate_engine",
 )
 
 TREE_MATCHER_METHODS = (
@@ -396,6 +385,58 @@ def test_registry_and_tree_matcher_surfaces_are_locked():
     for spec in builtin_specs():
         if spec.candidate is not None:
             assert _parameter_names(spec.candidate) == ("ctx", "matcher", "distributions")
+
+
+# -- the index planner's knobs and the retired names --------------------------
+#
+# The planner has one mode (per-structure verdicts), so its constructor is
+# pinned, and every name deleted with the binary mode, the ``hybrid``
+# family, the cost calibrator and the family-switch cooldown is listed
+# here (the planner's ``hybrid=`` flag by the constructor lock): re-adding
+# one is an explicit diff.
+
+INDEX_PLANNER_PARAMETERS = ("event_distributions", "attribute_measure")
+
+RETIRED = {
+    ("repro.analysis", None): ("CalibrationSample", "CalibrationSnapshot", "CostCalibrator"),
+    ("repro.service.adaptive", None): ("SWITCH_COOLDOWN_INTERVALS",),
+    ("repro.service.adaptive", "AdaptationRecord"): ("suppressed", "correction_factor"),
+    ("repro.service.adaptive", "AdaptiveFilterEngine"): ("calibration", "calibrator"),
+    ("repro.api", "ServiceStats"): ("calibration",),
+    ("repro.matching.registry", "EngineSpec"): ("calibration_prior", "auto_rank"),
+    ("repro.matching.registry", "EngineRegistry"): (
+        "arbitrating_specs",
+        "auto_start",
+        "validate_engine",
+    ),
+    ("repro.matching.index", "AttributePlan"): ("use_index", "is_hybrid"),
+}
+
+
+def test_index_planner_has_one_mode():
+    from repro.matching.index import IndexPlanner
+
+    assert _parameter_names(IndexPlanner) == INDEX_PLANNER_PARAMETERS
+
+
+@pytest.mark.parametrize(
+    ("owner", "names"),
+    RETIRED.items(),
+    ids=[".".join(filter(None, owner)) for owner in RETIRED],
+)
+def test_retired_names_stay_gone(owner, names):
+    module_name, class_name = owner
+    owner_object = importlib.import_module(module_name)
+    if class_name is not None:
+        owner_object = getattr(owner_object, class_name)
+    fields = getattr(owner_object, "__dataclass_fields__", {})
+    for name in names:
+        assert not hasattr(owner_object, name) and name not in fields, (owner, name)
+
+
+def test_the_calibration_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.analysis.calibration")
 
 
 # -- repro.workloads.profiles surface lock ------------------------------------

@@ -144,6 +144,8 @@ class TestValidation:
         [
             ("shard_count = 4", "engine.shard_count", "unknown key"),
             ('families = ["sharded"]', "engine.families", "unknown engine 'sharded'"),
+            ('families = ["index", "hybrid"]', "engine.families", "unknown engine 'hybrid'"),
+            ('engine = "hybrid"', "engine.engine", "unknown engine 'hybrid'"),
             ('families = ["tree", "indx"]', "engine.families", "unknown engine 'indx'"),
             ('engine = "sharded"', "engine.engine", "unknown engine 'sharded'"),
             ("min_columnar_batch = 4", "engine.min_columnar_batch", "unknown key"),
@@ -158,6 +160,8 @@ class TestValidation:
         ids=[
             "leftover-knob",
             "retired-family",
+            "retired-hybrid-family",
+            "retired-hybrid-engine",
             "typo-family",
             "retired-engine",
             "retired-knob",
@@ -344,7 +348,7 @@ class TestFromProfile:
 
         hints = get_profile("aml-transactions").engine
         with FilterService.from_profile("aml-transactions") as service:
-            assert service.stats().engine == "hybrid"
+            assert service.stats().engine == "index"
             policy = service.policy
             assert policy.reoptimize_interval == hints.reoptimize_interval
             assert policy.warmup_events == hints.warmup_events
