@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from repro.core.events import Event
 from repro.core.predicates import Equals, NotEquals, OneOf, RangePredicate
 from repro.core.profiles import Profile, ProfileSet
 from repro.core.schema import Attribute, Schema
+from repro.distributions.discrete import DiscreteDistribution
 from repro.matching.index import PredicateIndexMatcher, kernel
 from repro.matching.naive import NaiveMatcher
 from repro.workloads import build_workload, get_profile
@@ -127,6 +129,40 @@ def test_kernel_stats_charge_what_match_charges(data):
         if name in event.values
     }
     assert stats.distinct_probes <= len(distinct_values)
+
+
+def observed_distributions(events):
+    """The batch's own value frequencies, per attribute it carries."""
+    schema = make_schema()
+    counts = {}
+    for event in events:
+        for name, value in event.values.items():
+            counts.setdefault(name, Counter())[value] += 1
+    return {
+        name: DiscreteDistribution(schema.domain(name), dict(counted))
+        for name, counted in counts.items()
+    }
+
+
+@given(data=workloads())
+@settings(max_examples=100, deadline=None)
+def test_columnar_kernel_equals_match_after_a_replan(data):
+    """Replanned on the batch's own distribution, hot values make probes
+    dearer and cold ones cheaper than under the uniform assumption, so a
+    verdict may flip either way; the kernel still charges and answers what
+    ``match`` does."""
+    profiles, events = data
+    matcher = PredicateIndexMatcher(profiles)
+    matcher.replan(observed_distributions(events))
+    naive = NaiveMatcher(profiles)
+    sequential = [matcher.match(event) for event in events]
+    for result, event in zip(sequential, events):
+        assert result.matched_profile_ids == naive.match(event).matched_profile_ids
+    stats = kernel.KernelStats()
+    columnar = kernel.match_batch_columnar(matcher, events, stats=stats)
+    assert_results_equal(columnar, sequential)
+    assert stats.charged_operations == sum(r.operations for r in sequential)
+    assert 0 <= stats.executed_operations <= stats.charged_operations
 
 
 @given(data=workloads())

@@ -69,12 +69,17 @@ def history_distributions(schema, events):
     return {a.name: history.counter(a.name).to_distribution() for a in schema}
 
 
-def control_plane(workload, profiles):
-    """Everything the planner decides for ``workload``, as plain data."""
+def control_plane(workload, profiles, uniform_prior=False):
+    """Everything the planner decides for ``workload``, as plain data.
+
+    The plan is costed under the first half's history, or under the
+    uniform assumption (no estimate yet) with ``uniform_prior``; the
+    recost always reads the second half's history.
+    """
     schema = workload.spec.schema
     first = history_distributions(schema, workload.events[:HISTORY_EVENTS])
     second = history_distributions(schema, workload.events[HISTORY_EVENTS:])
-    planner = IndexPlanner(first)
+    planner = IndexPlanner(None if uniform_prior else first)
     matcher = PredicateIndexMatcher(profiles, planner=planner)
     return {
         "plan": dict(matcher.plan.attributes),
@@ -94,15 +99,16 @@ def assert_same_plans(actual, expected):
             assert getattr(plan, name) == approx(getattr(reference, name)), (attribute, name)
 
 
-@pytest.mark.parametrize("name", list_profiles())
-def test_corpus_plans_match_the_brute_force_reference(name, monkeypatch):
+def assert_corpus_plans_match_the_reference(name, monkeypatch, uniform_prior):
     spec = get_profile(name).spec
     workload = build_workload(
         spec.with_counts(
             profile_count=min(spec.profile_count, PROFILE_CAP), event_count=2 * HISTORY_EVENTS
         )
     )
-    actual = control_plane(workload, ProfileSet(workload.spec.schema, workload.profiles))
+    actual = control_plane(
+        workload, ProfileSet(workload.spec.schema, workload.profiles), uniform_prior
+    )
 
     profiles = ProfileSet(workload.spec.schema, workload.profiles)
     monkeypatch.setattr(
@@ -115,12 +121,25 @@ def test_corpus_plans_match_the_brute_force_reference(name, monkeypatch):
         "rejection_scores",
         lambda planner, schema, constraints: partition_rejection_scores(planner, profiles),
     )
-    expected = control_plane(workload, profiles)
+    expected = control_plane(workload, profiles, uniform_prior)
 
     assert_same_plans(actual["plan"], expected["plan"])
     assert_same_plans(actual["recost"], expected["recost"])
     assert actual["probe_order"] == expected["probe_order"]
     assert actual["rejection_scores"] == approx(expected["rejection_scores"])
+
+
+@pytest.mark.parametrize("name", list_profiles())
+def test_corpus_plans_match_the_brute_force_reference(name, monkeypatch):
+    assert_corpus_plans_match_the_reference(name, monkeypatch, uniform_prior=False)
+
+
+@pytest.mark.parametrize("name", list_profiles())
+def test_uniform_prior_plans_match_the_brute_force_reference(name, monkeypatch):
+    """Before any history the planner prices each slab by its share of the
+    domain and ranks attributes by zero fraction; the recost then moves
+    every verdict onto history.  Both must equal the references."""
+    assert_corpus_plans_match_the_reference(name, monkeypatch, uniform_prior=True)
 
 
 def wide_range_recost():

@@ -8,7 +8,8 @@ either all-or-nothing plan.  Whatever mix is chosen, the matcher must
 stay bit-identical to the naive oracle: same matched ids, same order,
 across arbitrary profiles, events and subscription churn, on the
 per-event and the columnar batch path alike (with identical per-event
-operation accounting between the two).
+operation accounting between the two), and on every corpus scenario
+replanned on its own distributions.
 """
 
 import pytest
@@ -22,6 +23,8 @@ from repro.core.profiles import Profile, ProfileSet
 from repro.core.schema import Attribute, Schema
 from repro.matching.index import PredicateIndexMatcher, kernel
 from repro.matching.naive import NaiveMatcher
+from repro.workloads import build_workload
+from repro.workloads.profiles import get_profile, list_profiles
 
 DOMAIN_SIZE = 12
 ATTRIBUTES = ("a", "b")
@@ -191,6 +194,45 @@ def test_batch_path_equals_per_event_path(data):
     for profile in initial:
         profiles.add(profile)
     matcher = PredicateIndexMatcher(profiles)
+    sequential = [matcher.match(event) for event in events]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "MIN_COLUMNAR_BATCH", 1)
+        batched = matcher.match_batch(events)
+    assert [r.matched_profile_ids for r in batched] == [
+        r.matched_profile_ids for r in sequential
+    ]
+    assert [r.operations for r in batched] == [r.operations for r in sequential]
+
+
+# -- the corpus ---------------------------------------------------------------
+
+#: Small enough to run the whole corpus in a few seconds; at this size
+#: ``aml-transactions`` and ``mixed-structure`` still plan a mixed
+#: attribute (hash probed, ranges scanned).
+CORPUS_PROFILE_CAP = 300
+CORPUS_EVENTS = 300
+
+
+@pytest.mark.parametrize("name", list_profiles())
+def test_corpus_replans_keep_per_structure_verdicts_and_the_oracle(name):
+    """Replanned on a scenario's own event distributions, every attribute
+    installs the verdicts its plan reports, each one its structure's own
+    cost comparison, and both paths still answer like the oracle."""
+    spec = get_profile(name).spec
+    workload = build_workload(
+        spec.with_counts(
+            profile_count=min(spec.profile_count, CORPUS_PROFILE_CAP), event_count=CORPUS_EVENTS
+        )
+    )
+    profiles = ProfileSet(workload.spec.schema, workload.profiles)
+    matcher = PredicateIndexMatcher(profiles)
+    matcher.replan(workload.event_distributions)
+    _assert_verdicts_are_per_structure(matcher)
+    for attribute, plan in matcher.plan.attributes.items():
+        state = matcher._states[attribute]
+        assert (state.use_hash, state.use_interval) == (plan.use_hash, plan.use_interval)
+    events = list(workload.events)
+    _assert_agree(matcher, NaiveMatcher(profiles), events)
     sequential = [matcher.match(event) for event in events]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernel, "MIN_COLUMNAR_BATCH", 1)

@@ -1,6 +1,8 @@
 """Cross-family maintenance contract tests.
 
-Every matcher family — naive, counting, tree, predicate index — plus the adaptive engine wrapper over each registered family must
+Every matcher family — naive, counting, tree, predicate index (probing
+its buckets, and scanning them when the planner finds no probe worth it)
+— plus the adaptive engine wrapper over each registered family must
 behave identically at the maintenance surface: removing an unknown profile
 id raises :class:`~repro.core.errors.MatchingError`, adding a duplicate id
 raises :class:`~repro.core.errors.ProfileError`, and a successful remove
@@ -15,8 +17,10 @@ from repro.core.errors import MatchingError, ProfileError
 from repro.core.events import Event
 from repro.core.profiles import ProfileSet, profile
 from repro.core.schema import Attribute, Schema
+from repro.distributions.discrete import DiscreteDistribution
 from repro.matching import (
     CountingMatcher,
+    IndexPlanner,
     NaiveMatcher,
     PredicateIndexMatcher,
     TreeMatcher,
@@ -29,6 +33,17 @@ def make_profiles() -> ProfileSet:
     return ProfileSet(schema, [profile("P1", v=10), profile("P2", v=20)])
 
 
+def scanned_index(profiles: ProfileSet) -> PredicateIndexMatcher:
+    """The index family planned under events that always hit a subscribed
+    value: a probe then costs no less than scanning the entries, so the
+    planner scans ``v``."""
+    domain = profiles.schema.domain("v")
+    hot = DiscreteDistribution(domain, {10: 1, 20: 1})
+    matcher = PredicateIndexMatcher(profiles, planner=IndexPlanner({"v": hot}))
+    assert not matcher.plan.plan_for("v").use_hash
+    return matcher
+
+
 def adaptive(engine: str):
     return lambda profiles: AdaptiveFilterEngine(profiles, policy=AdaptationPolicy(engine=engine))
 
@@ -39,6 +54,7 @@ FAMILIES = [
     CountingMatcher,
     TreeMatcher,
     PredicateIndexMatcher,
+    scanned_index,
     *(adaptive(engine) for engine in ADAPTIVE_ENGINES),
 ]
 FAMILY_IDS = [
@@ -46,6 +62,7 @@ FAMILY_IDS = [
     "counting",
     "tree",
     "index",
+    "index-scanned",
     *(f"adaptive-{engine}" for engine in ADAPTIVE_ENGINES),
 ]
 
@@ -101,8 +118,8 @@ def test_add_profiles_batch_equals_sequential(factory):
 
 @pytest.mark.parametrize(
     "factory",
-    [PredicateIndexMatcher, adaptive("index"), adaptive("auto")],
-    ids=["index", "adaptive-index", "adaptive-auto"],
+    [PredicateIndexMatcher, scanned_index, adaptive("index"), adaptive("auto")],
+    ids=["index", "index-scanned", "adaptive-index", "adaptive-auto"],
 )
 def test_readded_profile_sorts_by_its_new_position(factory):
     schema = Schema([Attribute("v", IntegerDomain(0, 99))])

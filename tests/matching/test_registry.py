@@ -175,10 +175,11 @@ class TestBaselineFamilies:
         ):
             FilterService(small_profiles().schema, engine=name)
 
-    @pytest.mark.parametrize("name", default_registry().names())
+    @pytest.mark.parametrize("name", default_registry().engine_names())
     def test_counting_oracle_agrees_with_each_family(self, name):
         """``CountingMatcher`` left the roster but stays the oracle every
-        registered family must agree with."""
+        selectable engine (each registered family, and ``auto``) must
+        agree with."""
         events = [Event({"v": v}) for v in (0, 15, 30, 30, 80, 99)]
         oracle = CountingMatcher(small_profiles())
         engine = AdaptiveFilterEngine(small_profiles(), policy=AdaptationPolicy(engine=name))
@@ -389,7 +390,9 @@ def test_min_columnar_batch_controls_the_kernel_cutover(monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("family, running", [("tree", TreeMatcher), ("index", PredicateIndexMatcher)])
+@pytest.mark.parametrize(
+    "family, running", [("tree", TreeMatcher), ("index", PredicateIndexMatcher)]
+)
 def test_a_candidate_prices_only_its_own_running_matcher(family, running):
     """No family prices a switch to itself: each candidate abstains
     unless a matcher of its own family is running, and installs into the

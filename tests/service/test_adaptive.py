@@ -175,6 +175,13 @@ class TestAdaptiveFilterEngine:
         ):
             engine.configuration
 
+    def test_auto_configuration_error_names_the_index_family(self):
+        """``auto`` is a name for the index family, not a family of its
+        own: the error names the family that runs."""
+        engine = self.make_engine(engine="auto")
+        with pytest.raises(ServiceError, match="the index engine has no tree configuration"):
+            engine.configuration
+
     @pytest.mark.parametrize("engine_kind", ["tree", "index", "auto"])
     def test_records_carry_the_measured_interval(self, engine_kind):
         """Every check records the ops/event charged and the seconds spent
