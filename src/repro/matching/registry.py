@@ -114,9 +114,6 @@ class EngineSpec:
     name: str
     #: Build a fresh matcher over ``ctx.profiles``.
     factory: Callable[[EngineContext], "Matcher"]
-    #: ``isinstance``-style ownership test mapping a live matcher back to
-    #: its family (``ServiceStats.engine_family`` reports it).
-    owns: Callable[["Matcher"], bool] | None = None
     #: Attribute measures the family can rank by (``None`` = any).
     supported_measures: tuple["AttributeMeasure", ...] | None = None
     #: Cost the family's best candidate under distributions, given the
@@ -130,10 +127,6 @@ class EngineSpec:
         | None
     ) = None
     description: str = ""
-
-    def matcher_owned(self, matcher: "Matcher") -> bool:
-        """Return ``True`` when ``matcher`` belongs to this family."""
-        return self.owns is not None and self.owns(matcher)
 
 
 class EngineRegistry:
@@ -196,13 +189,6 @@ class EngineRegistry:
     def __len__(self) -> int:
         return len(self._specs)
 
-    def owner_of(self, matcher: "Matcher") -> EngineSpec | None:
-        """Return the spec whose family owns ``matcher`` (``None``: unknown)."""
-        for spec in self._specs.values():
-            if spec.matcher_owned(matcher):
-                return spec
-        return None
-
 
 # -- built-in families -----------------------------------------------------------
 #
@@ -215,12 +201,6 @@ def _tree_factory(ctx: EngineContext) -> "Matcher":
     from repro.matching.tree.matcher import TreeMatcher
 
     return TreeMatcher(ctx.profiles)
-
-
-def _tree_owns(matcher: "Matcher") -> bool:
-    from repro.matching.tree.matcher import TreeMatcher
-
-    return isinstance(matcher, TreeMatcher)
 
 
 def _tree_candidate(
@@ -279,12 +259,6 @@ def _index_factory(ctx: EngineContext) -> "Matcher":
     return PredicateIndexMatcher(ctx.profiles, planner=planner)
 
 
-def _index_owns(matcher: "Matcher") -> bool:
-    from repro.matching.index.matcher import PredicateIndexMatcher
-
-    return isinstance(matcher, PredicateIndexMatcher)
-
-
 def _index_candidate(
     ctx: EngineContext, matcher: "Matcher | None", distributions
 ) -> EngineCandidate | None:
@@ -295,7 +269,9 @@ def _index_candidate(
     replans (rebuilds) in place, keeping the matcher object and its
     stats.
     """
-    if not _index_owns(matcher):
+    from repro.matching.index.matcher import PredicateIndexMatcher
+
+    if not isinstance(matcher, PredicateIndexMatcher):
         return None
     recosted = matcher.recost_plans(distributions)
     cost = sum(plan.chosen_cost for plan in recosted.values())
@@ -315,12 +291,6 @@ def _naive_factory(ctx: EngineContext) -> "Matcher":
     return NaiveMatcher(ctx.profiles)
 
 
-def _naive_owns(matcher: "Matcher") -> bool:
-    from repro.matching.naive import NaiveMatcher
-
-    return type(matcher) is NaiveMatcher
-
-
 def builtin_specs() -> tuple[EngineSpec, ...]:
     """Return the built-in specs, built fresh on every call."""
     from repro.matching.index.planner import IndexPlanner
@@ -328,7 +298,6 @@ def builtin_specs() -> tuple[EngineSpec, ...]:
     tree = EngineSpec(
         name="tree",
         factory=_tree_factory,
-        owns=_tree_owns,
         supported_measures=None,
         candidate=_tree_candidate,
         description="the paper's profile tree, restructured via the TreeOptimizer",
@@ -336,7 +305,6 @@ def builtin_specs() -> tuple[EngineSpec, ...]:
     index = EngineSpec(
         name="index",
         factory=_index_factory,
-        owns=_index_owns,
         supported_measures=tuple(IndexPlanner.SUPPORTED_MEASURES),
         candidate=_index_candidate,
         description=(
@@ -351,7 +319,6 @@ def builtin_specs() -> tuple[EngineSpec, ...]:
     naive = EngineSpec(
         name="naive",
         factory=_naive_factory,
-        owns=_naive_owns,
         description="sequential per-profile scan baseline",
     )
     return (tree, index, naive)

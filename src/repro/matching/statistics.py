@@ -37,6 +37,13 @@ class FilterStatistics:
     squared operations, notifications — so folding a batch costs a few
     additions per result, the order of recording changes nothing, and
     each mean is one correctly rounded division at read time.
+
+    A matched event is one ``[count, operations]`` entry keyed by its
+    matched-id tuple; the entries fold into the per-profile counters per
+    distinct tuple, in first-seen order (a :meth:`record` loop's
+    first-notified order, so every per-profile average is exactly a
+    per-event fold's), before each per-profile read and whenever they
+    reach the folded counters' size (at least one).
     """
 
     def __init__(self) -> None:
@@ -47,6 +54,10 @@ class FilterStatistics:
         self._total_notifications = 0
         self._per_profile_notifications: Counter = Counter()
         self._per_profile_operations: Counter = Counter()
+        #: Matched-id tuple -> [events, operations charged], first-seen order.
+        self._pending: dict[tuple[str, ...], list[int]] = {}
+        #: Pending entries that trigger a fold: the folded counters' size.
+        self._fold_bound = 1
 
     # -- recording ---------------------------------------------------------------
     def record(self, result: MatchResult) -> None:
@@ -56,14 +67,12 @@ class FilterStatistics:
     def record_all(self, results: Sequence[MatchResult]) -> int:
         """Record the outcomes of filtering a batch of events, in order.
 
-        The integer totals are updated once per batch, and the
-        per-profile counters once per distinct notified profile (in
-        first-notified order, so their insertion order is a :meth:`record`
-        loop's too).  Returns the number of notifications recorded.
+        The integer totals are updated once per batch; each matched event
+        adds its operations to the pending entry of its matched-id tuple.
+        Returns the number of notifications recorded.
         """
         operations = squared = matched_events = notifications = 0
-        # Per profile: [notifications, operations charged], first-notified order.
-        notified: dict[str, list[int]] = {}
+        pending = self._pending
         for result in results:
             charged = result.operations
             operations += charged
@@ -75,25 +84,31 @@ class FilterStatistics:
                 # The operations spent on the event are attributed to every
                 # profile it notifies; per-profile averages therefore measure
                 # how quickly *this* profile's notifications are produced.
-                for profile_id in profile_ids:
-                    tally = notified.get(profile_id)
-                    if tally is None:
-                        notified[profile_id] = [1, charged]
-                    else:
-                        tally[0] += 1
-                        tally[1] += charged
+                entry = pending.get(profile_ids)
+                if entry is None:
+                    pending[profile_ids] = [1, charged]
+                    if len(pending) >= self._fold_bound:
+                        self._fold()
+                else:
+                    entry[0] += 1
+                    entry[1] += charged
         self._events += len(results)
         self._total_operations += operations
         self._squared_operations += squared
-        if notifications:
-            self._matched_events += matched_events
-            self._total_notifications += notifications
-            per_profile_notifications = self._per_profile_notifications
-            per_profile_operations = self._per_profile_operations
-            for profile_id, (count, charged) in notified.items():
+        self._matched_events += matched_events
+        self._total_notifications += notifications
+        return notifications
+
+    def _fold(self) -> None:
+        """Add the pending entries to the per-profile counters."""
+        per_profile_notifications = self._per_profile_notifications
+        per_profile_operations = self._per_profile_operations
+        for profile_ids, (count, charged) in self._pending.items():
+            for profile_id in profile_ids:
                 per_profile_notifications[profile_id] += count
                 per_profile_operations[profile_id] += charged
-        return notifications
+        self._pending.clear()
+        self._fold_bound = max(1, len(per_profile_notifications))
 
     # -- aggregate metrics ----------------------------------------------------------
     @property
@@ -134,6 +149,7 @@ class FilterStatistics:
 
     def average_operations_per_profile(self, profile_id: str) -> float:
         """Return the average operations per notification of one profile."""
+        self._fold()
         notifications = self._per_profile_notifications.get(profile_id, 0)
         if notifications == 0:
             raise MatchingError(f"profile {profile_id!r} received no notifications")
@@ -142,6 +158,7 @@ class FilterStatistics:
     def average_operations_over_profiles(self) -> float:
         """Return the Fig. 5(b) metric: the per-profile averages, averaged
         over all profiles that received at least one notification."""
+        self._fold()
         values = [
             self._per_profile_operations[pid] / count
             for pid, count in self._per_profile_notifications.items()
@@ -164,10 +181,12 @@ class FilterStatistics:
 
     def notifications_of(self, profile_id: str) -> int:
         """Return how many notifications a profile received."""
+        self._fold()
         return self._per_profile_notifications.get(profile_id, 0)
 
     def per_profile_notification_counts(self) -> Mapping[str, int]:
         """Return a copy of the per-profile notification counters."""
+        self._fold()
         return dict(self._per_profile_notifications)
 
     # -- stopping rule ----------------------------------------------------------------

@@ -237,10 +237,14 @@ class AdaptiveFilterEngine:
         return self._registry
 
     @property
-    def engine_family(self) -> str | None:
-        """Return the registry name of the running matcher's family."""
-        spec = self._registry.owner_of(self._matcher)
-        return spec.name if spec is not None else None
+    def engine_family(self) -> str:
+        """Return the registry name of the family this engine runs.
+
+        The spec resolved at construction (``auto`` is the ``index``
+        family): an engine re-optimises within its family and never
+        switches to another.
+        """
+        return self._spec.name
 
     @property
     def history(self) -> EventHistory:

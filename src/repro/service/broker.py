@@ -22,11 +22,11 @@ Engine selection goes through the engine registry
 
 Notification delivery is decoupled from matching through
 :mod:`repro.service.delivery`.  A publish call is the unit of
-notification bookkeeping: one settle pass records the statistics,
-resolves each matched profile's subscription once, bulk-records the
-notifications in the log and produces one ``DeliveryPlan`` — the
-fan-out of the whole ``publish`` / ``publish_batch`` call — and the
-broker's dispatcher hands each executor its share of it as one list:
+notification bookkeeping, settled in columns: one pass records the
+statistics (folded per distinct match), resolves each matched profile's
+subscription once, builds each notification once, bulk-records them in
+the log and produces one ``DeliveryPlan`` (a subscription and a
+notification column) that the dispatcher hands to the executors:
 ``inline`` (default), ``threadpool`` or ``webhook`` —
 selected per broker (``Broker(delivery="threadpool")``) or pinned per
 subscription — with per-subscription FIFO ordering, bounded
@@ -65,7 +65,6 @@ from repro.service.delivery import (
     DeliveryDispatcher,
     DeliveryPlan,
     DeliveryStats,
-    DeliveryTask,
     WebhookConfig,
     WebhookSink,
     validate_delivery_mode,
@@ -510,7 +509,7 @@ class Broker:
         The one settle path of both :meth:`publish` (a batch of one) and
         :meth:`publish_batch`.  Statistics (one
         :meth:`~repro.matching.statistics.FilterStatistics.record_all`
-        fold) and the notification log (one bulk append) are settled
+        call) and the notification log (one bulk append) are settled
         *here*, synchronously, for the whole call — they are bit-identical
         whatever executor runs the sinks.  Each matched profile's
         subscription is resolved once per call.  Sink invocation is
@@ -520,59 +519,44 @@ class Broker:
         the historical synchronous semantics, while ``threadpool`` /
         ``webhook`` deliveries complete in the background (await them
         with :meth:`drain_deliveries` / :meth:`close`).  A call that notifies
-        nobody skips that pass (:meth:`_notify`).  Returns the notifications
-        of each result; the callers build the outcomes after the dispatch,
-        so an inline sink never waits for them.
+        nobody skips the rest.  Returns the notifications of each result;
+        the callers build the outcomes after the dispatch, so an inline
+        sink never waits for them.
         """
         produced: list[tuple[Notification, ...]] = [()] * len(results)
-        if self._statistics.record_all(results):
-            self._notify(events, results, clocks, produced)
-        return produced
-
-    def _notify(
-        self,
-        events: Sequence[Event],
-        results: Sequence[MatchResult],
-        clocks: Sequence[float],
-        produced: list[tuple[Notification, ...]],
-    ) -> None:
-        """Build, log and dispatch the notifications of one publish call.
-
-        ``produced[i]`` receives the notifications of ``results[i]``.
-        """
+        if not self._statistics.record_all(results):
+            return produced
         broker_id = self.broker_id
-        subscriptions: dict[str, Subscription] = {}
+        by_profile_id = self._registry.by_profile_id
+        new = tuple.__new__  # Notification._make's path, without its __new__
+        resolved: dict[str, Subscription] = {}
+        default_only = True
+        subscriptions: list[Subscription] = []
         notifications: list[Notification] = []
-        tasks: list[DeliveryTask] = []
+        add_subscription, add_notification = subscriptions.append, notifications.append
         for index, result in enumerate(results):
-            if not result.matched_profile_ids:
+            profile_ids = result.matched_profile_ids
+            if not profile_ids:
                 continue
-            event, clock = events[index], clocks[index]
-            notes = []
-            for profile_id in result.matched_profile_ids:
-                subscription = subscriptions.get(profile_id)
+            event, clock, operations = events[index], clocks[index], result.operations
+            start = len(notifications)
+            for profile_id in profile_ids:
+                subscription = resolved.get(profile_id)
                 if subscription is None:
-                    subscription = subscriptions[profile_id] = self._registry.by_profile_id(
-                        profile_id
+                    subscription = resolved[profile_id] = by_profile_id(profile_id)
+                    if subscription.sink is None or subscription.delivery is not None:
+                        default_only = False
+                add_subscription(subscription)
+                add_notification(
+                    new(
+                        Notification,
+                        (event, profile_id, subscription.subscriber, broker_id, clock, operations),
                     )
-                notification = Notification(
-                    event, profile_id, subscription.subscriber, broker_id, clock, result.operations
                 )
-                notes.append(notification)
-                if subscription.sink is not None:
-                    tasks.append(
-                        DeliveryTask(
-                            subscription.subscription_id,
-                            subscription.sink,
-                            notification,
-                            subscription.delivery,
-                        )
-                    )
-            notifications.extend(notes)
-            produced[index] = tuple(notes)
+            produced[index] = tuple(notifications[start:])
         self._log.deliver_all(notifications)
-        if tasks:
-            self._delivery.dispatch(DeliveryPlan(tuple(tasks)))
+        self._delivery.dispatch(DeliveryPlan(subscriptions, notifications, default_only))
+        return produced
 
     def publish_batch(
         self,

@@ -1,11 +1,10 @@
 """``repro.service.delivery`` — pluggable notification-delivery executors.
 
 The broker's matching path produces one
-:class:`~repro.service.delivery.base.DeliveryPlan` per publish call (the
-fan-out of every matched event of a ``publish`` or ``publish_batch``)
-and hands it to the :class:`DeliveryDispatcher`, which submits it in
-plan order, each run of consecutive same-mode tasks as one list
-(``DeliveryExecutor.submit_all``), to one of three executors:
+:class:`~repro.service.delivery.base.DeliveryPlan` per publish call (a
+subscription and a notification column) and hands it to the
+:class:`DeliveryDispatcher`, which submits it in plan order
+(``DeliveryExecutor.submit_all``) to one of three executors:
 
 * :class:`~repro.service.delivery.inline.InlineExecutor` — run the sink
   synchronously on the publishing thread (the historical default; sink
@@ -41,7 +40,6 @@ from repro.service.delivery.base import (
     DELIVERY_MODES,
     DeliveryExecutor,
     DeliveryPlan,
-    DeliveryTask,
     validate_delivery_mode,
 )
 from repro.service.delivery.inline import InlineExecutor
@@ -62,7 +60,6 @@ __all__ = [
     "DeliveryExecutor",
     "DeliveryPlan",
     "DeliveryStats",
-    "DeliveryTask",
     "InlineExecutor",
     "ThreadPoolDeliveryExecutor",
     "WebhookConfig",
@@ -79,8 +76,8 @@ class DeliveryDispatcher:
     each executor with its *own*
     :class:`~repro.service.delivery.stats.DeliveryCounters` (so an
     executor's ``stats()`` reports exactly its own work) and fans the
-    tasks of a plan out by their pinned mode, one list per run of
-    same-mode tasks;
+    tasks of a plan out by their subscriptions' pinned modes, one call
+    per run of same-mode tasks;
     :meth:`stats` aggregates the per-executor snapshots into one
     service-level view.
     """
@@ -142,26 +139,35 @@ class DeliveryDispatcher:
 
     # -- dispatch ---------------------------------------------------------------
     def dispatch(self, plan: DeliveryPlan) -> None:
-        """Submit a plan in order, one list per run of same-mode tasks.
+        """Submit a plan in order, one call per run of same-mode tasks.
 
-        Consecutive tasks bound for the same (pinned or default) executor
-        go to it as one ``submit_all`` — a plan whose subscriptions all
-        ride the default is one call.  An executor that raises (a closed
-        executor, an ``inline`` sink error) stops the dispatch there:
-        every task before the failing one in plan order was submitted,
-        none after it is.
+        A ``default_only`` plan is one ``submit_all`` of both columns.
+        Otherwise sink-less subscriptions are skipped, and consecutive
+        tasks bound for the same (pinned or default) executor go to it as
+        one call.  An executor that raises (a closed executor, an
+        ``inline`` sink error) stops the dispatch there: every task
+        before the failing one in plan order was submitted, none after
+        it is.
         """
-        tasks = plan.tasks
+        subscriptions, notifications = plan.subscriptions, plan.notifications
+        if plan.default_only:
+            if subscriptions:
+                self.executor_for(None).submit_all(subscriptions, notifications)
+            return
         default = self._default_mode
-        start, run_mode = 0, None
-        for index, task in enumerate(tasks):
-            mode = default if task.delivery is None else task.delivery
+        run_mode, run_subscriptions, run_notifications = None, [], []
+        for subscription, notification in zip(subscriptions, notifications):
+            if subscription.sink is None:
+                continue
+            mode = default if subscription.delivery is None else subscription.delivery
             if mode != run_mode:
-                if index:
-                    self.executor_for(run_mode).submit_all(tasks[start:index])
-                start, run_mode = index, mode
-        if tasks:
-            self.executor_for(run_mode).submit_all(tasks[start:])
+                if run_subscriptions:
+                    self.executor_for(run_mode).submit_all(run_subscriptions, run_notifications)
+                run_mode, run_subscriptions, run_notifications = mode, [], []
+            run_subscriptions.append(subscription)
+            run_notifications.append(notification)
+        if run_subscriptions:
+            self.executor_for(run_mode).submit_all(run_subscriptions, run_notifications)
 
     # -- life-cycle -------------------------------------------------------------
     # drain, close and stats walk a copy of the roster: a publisher may

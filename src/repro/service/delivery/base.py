@@ -1,19 +1,19 @@
 """Delivery-subsystem value objects and the executor protocol.
 
 The matching hot path produces a :class:`DeliveryPlan` — the pure *what*
-of one publish call's fan-out (which sink receives which notification,
-in what per-subscription order) — and hands it to a
-:class:`~repro.service.delivery.DeliveryDispatcher`, which walks the
-plan's tasks (:class:`DeliveryTask`) in order and hands each run of
-consecutive tasks bound for one :class:`DeliveryExecutor` (the *how*:
-inline, bounded thread pool or webhook lanes) to it
-as one list through :meth:`DeliveryExecutor.submit_all`.  The split is
+of one publish call's fan-out, as two columns: each notification and
+the resolved subscription (id, sink, delivery pin) it goes to — and
+hands it to a :class:`~repro.service.delivery.DeliveryDispatcher`,
+which submits it through :meth:`DeliveryExecutor.submit_all` (the
+*how*: inline, bounded thread pool or webhook lanes).  The split is
 the seam the ROADMAP called out on ``FilterService.publish_batch``:
 matching never waits on a sink, and a slow subscriber stalls at most
 its own delivery lane.
 
 Executor contract
 -----------------
+
+A *task* is one ``(subscription, notification)`` entry of the columns.
 
 * **Per-subscription FIFO** — for one subscription id, sinks observe
   notifications in submission order (list order within one
@@ -27,7 +27,7 @@ Executor contract
 * **Bounded backpressure** — asynchronous executors bound each delivery
   lane at ``queue_capacity`` tasks; a publisher that finds a lane full
   waits for space.  The bound applies per task, in list order, even when
-  a whole list is submitted (:func:`enqueue_in_order`).
+  whole columns are submitted (:func:`enqueue_in_order`).
 * **Prefix acceptance** — a submission that fails part-way (closed
   executor, closed while waiting for space, an inline sink error) leaves
   exactly the tasks *before* the failing one accepted, in list order,
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
-    NamedTuple,
+    Iterable,
     Protocol,
     Sequence,
     TypeVar,
@@ -58,12 +58,15 @@ from repro.core.errors import DeliveryError
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.service.delivery.stats import DeliveryCounters, DeliveryStats
     from repro.service.notifications import Notification, NotificationSink
+    from repro.service.subscriptions import Subscription
+
+    #: One queued delivery: a subscription (with a sink) and its notification.
+    Task = tuple[Subscription, Notification]
 
 __all__ = [
     "DELIVERY_MODES",
     "DeliveryExecutor",
     "DeliveryPlan",
-    "DeliveryTask",
     "enqueue_in_order",
     "invoke_sink",
     "validate_delivery_mode",
@@ -87,40 +90,23 @@ def validate_delivery_mode(mode: str) -> str:
     return mode
 
 
-class DeliveryTask(NamedTuple):
-    """One sink invocation: deliver ``notification`` to ``sink``.
-
-    ``delivery`` carries the subscription's pinned executor mode
-    (``None``: the service default) so one dispatcher can fan a single
-    event out across several executors.  A named tuple, like
-    :class:`~repro.service.notifications.Notification` (one task per
-    notification with a sink): immutable, equal to a plain tuple of the
-    same values, indexable and unpackable, and changed with
-    ``task._replace(...)``, not ``dataclasses.replace``.
-    """
-
-    subscription_id: str
-    sink: "NotificationSink"
-    notification: "Notification"
-    delivery: str | None = None
-
-
 @dataclass(frozen=True)
 class DeliveryPlan:
     """The complete fan-out of one publish call, in delivery order.
 
     Built by the broker once per ``publish`` / ``publish_batch`` call,
-    *after* matching, statistics recording and the notification log;
-    tasks appear event by event, and within an event in matched-profile
-    order.  Everything concurrency-sensitive starts downstream of this
-    object, so matching results are bit-identical whatever executor
-    consumes it.  (Each matched event lives on its tasks' notifications.)
+    *after* matching, statistics recording and the notification log:
+    ``notifications[i]`` goes to ``subscriptions[i]``'s sink, event by
+    event and within an event in matched-profile order, sink-less
+    subscriptions included.  ``default_only``: every subscription has a
+    sink and no delivery pin.  Everything concurrency-sensitive starts
+    downstream of this object, so matching results are bit-identical
+    whatever executor consumes it.
     """
 
-    tasks: tuple[DeliveryTask, ...]
-
-    def __len__(self) -> int:
-        return len(self.tasks)
+    subscriptions: Sequence[Subscription]
+    notifications: Sequence[Notification]
+    default_only: bool = False
 
 
 @runtime_checkable
@@ -130,12 +116,14 @@ class DeliveryExecutor(Protocol):
     #: Executor mode name (one of :data:`DELIVERY_MODES`).
     name: str
 
-    def submit_all(self, tasks: Sequence[DeliveryTask]) -> None:
-        """Accept tasks for delivery, in list order (raises once closed).
+    def submit_all(
+        self, subscriptions: Sequence[Subscription], notifications: Sequence[Notification]
+    ) -> None:
+        """Deliver ``notifications[i]`` to ``subscriptions[i]``'s sink
+        (it has one), in list order (raises once closed).
 
-        The dispatcher's entry point: one call per run of same-mode tasks
-        of a :class:`DeliveryPlan`.  Capacity applies per task exactly as
-        if each were submitted alone.  An error (closed executor, an
+        The dispatcher's entry point.  Capacity applies per task exactly
+        as if each were submitted alone.  An error (closed executor, an
         inline sink) propagates:
         the tasks before the failing one in list order stay accepted,
         whatever lane they ride, and no task after it is submitted.
@@ -156,16 +144,19 @@ class DeliveryExecutor(Protocol):
 
 
 def enqueue_in_order(
-    tasks: Sequence[DeliveryTask],
+    tasks: Iterable[Task],
     lanes: Sequence[Lane],
     *,
     condition_of: Callable[[Lane], threading.Condition],
-    offer: Callable[[Lane, DeliveryTask], bool],
+    offer: Callable[[Lane, Task], bool],
     is_closed: Callable[[], bool],
     counters: "DeliveryCounters",
     name: str,
 ) -> None:
-    """Queue ``tasks[i]`` on ``lanes[i]``, in list order, as one submission.
+    """Queue the i-th task on ``lanes[i]``, in list order, as one submission.
+
+    A task is a ``(subscription, notification)`` pair; the walk stops
+    with the lanes.
 
     The shared publisher side of the queueing executors.  Every lock the
     list touches (``condition_of`` of each lane, deduplicated) is taken
@@ -179,7 +170,7 @@ def enqueue_in_order(
     never run behind a worker.  A failure leaves exactly the tasks
     before the failing one queued, whatever their lanes.
     """
-    if not tasks:
+    if not lanes:
         return
     held = sorted({condition_of(lane) for lane in dict.fromkeys(lanes)}, key=id)
     for condition in held:
@@ -274,7 +265,13 @@ def invoke_sink(sink: "NotificationSink", notification: "Notification") -> None:
     """
     result = sink(notification)
     # A plain sink returns None: skip the awaitable probe for it.
-    if result is not None and inspect.isawaitable(result):
+    if result is not None:
+        settle_sink_result(result)
+
+
+def settle_sink_result(result: object) -> None:
+    """:func:`invoke_sink`'s async bridge for what a sink returned."""
+    if inspect.isawaitable(result):
         try:
             asyncio.get_running_loop()
         except RuntimeError:

@@ -1,7 +1,9 @@
 """Synchronous in-publisher-thread delivery (the historical default).
 
-``submit_all`` runs the sinks in list order before returning, on the
-publishing thread, so ``publish()`` keeps today's semantics exactly:
+``submit_all`` calls the sinks in list order before returning, on the
+publishing thread — directly, through the async bridge only when a sink
+returns something other than ``None`` — so ``publish()`` keeps today's
+semantics exactly:
 when it returns, every sink has observed its notification, and a sink
 exception propagates to the publisher (asynchronous executors instead
 swallow and count sink failures — a subscriber bug must not kill a
@@ -11,11 +13,15 @@ counted as dispatched.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.errors import DeliveryError
-from repro.service.delivery.base import DeliveryTask, invoke_sink
+from repro.service.delivery.base import settle_sink_result
 from repro.service.delivery.stats import DeliveryCounters, DeliveryStats
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.service.notifications import Notification
+    from repro.service.subscriptions import Subscription
 
 __all__ = ["InlineExecutor"]
 
@@ -29,25 +35,27 @@ class InlineExecutor:
         self._counters = counters if counters is not None else DeliveryCounters()
         self._closed = False
 
-    def submit_all(self, tasks: Sequence[DeliveryTask]) -> None:
+    def submit_all(
+        self, subscriptions: Sequence[Subscription], notifications: Sequence[Notification]
+    ) -> None:
         if self._closed:
             raise DeliveryError("the inline delivery executor is closed")
         delivered = 0
-        ok = False
         try:
-            for task in tasks:
-                invoke_sink(task.sink, task.notification)
-                delivered += 1
-            ok = True
-        finally:
-            # try/finally so even a BaseException-raising sink (e.g.
-            # sys.exit) is settled as failed; inline semantics: the
-            # publisher sees the sink error.  Nothing stays pending, so
-            # both counts land together.
-            failed = 0 if ok else 1
-            if delivered or failed:
-                self._counters.accepted(delivered + failed)
-                self._counters.executed(delivered, failed)
+            for delivered, subscription in enumerate(subscriptions):
+                result = subscription.sink(notifications[delivered])
+                if result is not None:
+                    settle_sink_result(result)
+        except BaseException:
+            # Even a BaseException-raising sink (e.g. sys.exit) is settled
+            # as failed; inline semantics: the publisher sees the sink
+            # error.  Nothing stays pending, so both counts land together.
+            self._counters.accepted(delivered + 1)
+            self._counters.executed(delivered, 1)
+            raise
+        if subscriptions:
+            self._counters.accepted(len(subscriptions))
+            self._counters.executed(len(subscriptions), 0)
 
     def drain(self) -> None:
         """Nothing is ever pending: ``submit_all`` already ran the sinks."""

@@ -8,8 +8,9 @@ with no cross-lane synchronisation on the delivery path.  A worker
 executes its subscriptions' tasks in arrival order (one shared run
 queue per worker).
 
-``submit_all`` queues a whole list with one acquisition of each lane
-lock it touches, one ``accepted(n)`` and one wake-up per lane
+``submit_all`` queues whole columns as ``(subscription, notification)``
+pairs with one acquisition of each lane lock it touches, one
+``accepted(n)`` and one wake-up per lane
 (:func:`~repro.service.delivery.base.enqueue_in_order`).  A worker pops
 one task at a time — a task it has not started stays on the queue,
 where a non-draining ``close`` can discard it — and counts it on its
@@ -34,16 +35,20 @@ from __future__ import annotations
 
 import threading
 from collections import Counter, deque
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.errors import DeliveryError
 from repro.service.delivery.base import (
-    DeliveryTask,
     close_bridge_loop,
     enqueue_in_order,
     invoke_sink,
 )
 from repro.service.delivery.stats import DeliveryCounters, DeliveryStats
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.service.delivery.base import Task
+    from repro.service.notifications import Notification
+    from repro.service.subscriptions import Subscription
 
 __all__ = ["ThreadPoolDeliveryExecutor"]
 
@@ -56,7 +61,7 @@ class _Lane:
     def __init__(self) -> None:
         self.condition = threading.Condition()
         #: Tasks in arrival order across the worker's subscriptions.
-        self.queue: deque[DeliveryTask] = deque()
+        self.queue: deque[Task] = deque()
         #: Queued tasks per subscription (the capacity unit).
         self.queued_per_subscription: Counter = Counter()
 
@@ -98,13 +103,15 @@ class ThreadPoolDeliveryExecutor:
             worker.start()
 
     # -- publisher side ---------------------------------------------------------
-    def submit_all(self, tasks: Sequence[DeliveryTask]) -> None:
+    def submit_all(
+        self, subscriptions: Sequence[Subscription], notifications: Sequence[Notification]
+    ) -> None:
         lanes = self._lanes
         # Stable within the process is all FIFO needs; hash() is stable
         # per run (per-subscription ordering never crosses processes).
         enqueue_in_order(
-            tasks,
-            [lanes[hash(task.subscription_id) % len(lanes)] for task in tasks],
+            zip(subscriptions, notifications),
+            [lanes[hash(s.subscription_id) % len(lanes)] for s in subscriptions],
             condition_of=_condition_of,
             offer=self._offer,
             is_closed=self._is_closed,
@@ -115,14 +122,15 @@ class ThreadPoolDeliveryExecutor:
     def _is_closed(self) -> bool:
         return self._closed
 
-    def _offer(self, lane: _Lane, task: DeliveryTask) -> bool:
+    def _offer(self, lane: _Lane, task: Task) -> bool:
         """Queue ``task`` unless its subscription is full (lock held)."""
         queued = lane.queued_per_subscription
-        count = queued.get(task.subscription_id, 0)
+        subscription_id = task[0].subscription_id
+        count = queued.get(subscription_id, 0)
         if count >= self._capacity:
             return False
         lane.queue.append(task)
-        queued[task.subscription_id] = count + 1
+        queued[subscription_id] = count + 1
         return True
 
     # -- worker side ------------------------------------------------------------
@@ -144,18 +152,19 @@ class ThreadPoolDeliveryExecutor:
                     lane.condition.wait()
                 if not lane.queue:
                     return  # closed and fully drained
-                task = lane.queue.popleft()
-                remaining = queued[task.subscription_id] - 1
+                subscription, notification = lane.queue.popleft()
+                subscription_id = subscription.subscription_id
+                remaining = queued[subscription_id] - 1
                 if remaining > 0:
-                    queued[task.subscription_id] = remaining
+                    queued[subscription_id] = remaining
                 else:
-                    del queued[task.subscription_id]
+                    del queued[subscription_id]
                 if remaining == capacity - 1:
                     # The subscription was full: a publisher may be
                     # blocked on it (no one waits on any other).
                     lane.condition.notify_all()
             try:
-                invoke_sink(task.sink, task.notification)
+                invoke_sink(subscription.sink, notification)
             except BaseException:
                 # BaseException included: a sink calling sys.exit must
                 # neither kill the worker (orphaning its lane) nor leak

@@ -40,15 +40,17 @@ import random
 import threading
 import urllib.request
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.errors import DeliveryError
-from repro.service.delivery.base import DeliveryTask, enqueue_in_order
+from repro.service.delivery.base import enqueue_in_order
 from repro.service.delivery.stats import DeliveryCounters, DeliveryStats
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.service.delivery.base import Task
     from repro.service.notifications import Notification
+    from repro.service.subscriptions import Subscription
 
 __all__ = [
     "DeadLetter",
@@ -212,7 +214,7 @@ class _EndpointLane:
 
     def __init__(self, breaker: _CircuitBreaker) -> None:
         self.condition = threading.Condition()
-        self.queue: deque[DeliveryTask] = deque()
+        self.queue: deque[Task] = deque()
         self.breaker = breaker
         self.worker: threading.Thread | None = None
 
@@ -275,21 +277,23 @@ class WebhookDeliveryExecutor:
                 lane.worker.start()
             return lane
 
-    def submit_all(self, tasks: Sequence[DeliveryTask]) -> None:
-        """Queue ``tasks`` on their endpoints' lanes, in list order.
+    def submit_all(
+        self, subscriptions: Sequence[Subscription], notifications: Sequence[Notification]
+    ) -> None:
+        """Queue each task on its endpoint's lane, in list order.
 
         Tasks before a non-webhook sink are queued; that task raises and
         the rest are not submitted, exactly as one task at a time.
         """
         lanes: list[_EndpointLane] = []
         rejected = None
-        for task in tasks:
-            if not isinstance(task.sink, WebhookSink):
-                rejected = task
+        for subscription in subscriptions:
+            if not isinstance(subscription.sink, WebhookSink):
+                rejected = subscription
                 break
-            lanes.append(self._lane_for(task.sink.endpoint))
+            lanes.append(self._lane_for(subscription.sink.endpoint))
         enqueue_in_order(
-            tasks[: len(lanes)],
+            zip(subscriptions, notifications),  # stops with the lanes
             lanes,
             condition_of=_condition_of,
             offer=self._offer,
@@ -307,7 +311,7 @@ class WebhookDeliveryExecutor:
     def _is_closed(self) -> bool:
         return self._closed
 
-    def _offer(self, lane: _EndpointLane, task: DeliveryTask) -> bool:
+    def _offer(self, lane: _EndpointLane, task: Task) -> bool:
         """Queue ``task`` unless its endpoint's lane is full (lock held)."""
         if len(lane.queue) >= self._capacity:
             return False
@@ -326,7 +330,7 @@ class WebhookDeliveryExecutor:
                 lane.condition.notify_all()
             self._deliver(endpoint, lane, task)
 
-    def _deliver(self, endpoint: str, lane: _EndpointLane, task: DeliveryTask) -> None:
+    def _deliver(self, endpoint: str, lane: _EndpointLane, task: Task) -> None:
         gate = lane.breaker.allow()
         if gate == "open":
             self._dead_letter(task, endpoint, "circuit-open", attempts=0)
@@ -334,7 +338,7 @@ class WebhookDeliveryExecutor:
         # A half-open probe risks exactly one attempt: the endpoint has
         # to earn its retry budget back by surviving the probe.
         budget = 1 if gate == "probe" else self._config.max_attempts
-        payload = notification_payload(task.notification)
+        payload = notification_payload(task[1])
         attempt = 0
         while True:
             attempt += 1
@@ -361,14 +365,13 @@ class WebhookDeliveryExecutor:
             scale = 1.0 + self._config.jitter * self._rng.random()
         return delay * scale
 
-    def _dead_letter(
-        self, task: DeliveryTask, endpoint: str, reason: str, *, attempts: int
-    ) -> None:
+    def _dead_letter(self, task: Task, endpoint: str, reason: str, *, attempts: int) -> None:
+        subscription, notification = task
         self._dead.append(
             DeadLetter(
-                subscription_id=task.subscription_id,
+                subscription_id=subscription.subscription_id,
                 endpoint=endpoint,
-                notification=task.notification,
+                notification=notification,
                 reason=reason,
                 attempts=attempts,
             )

@@ -64,14 +64,21 @@ class TestDefaultRegistry:
             record.configuration_label == "auto:index[P_e estimated]" for record in records
         )
 
-    def test_owner_of_maps_matchers_to_families(self):
-        registry = default_registry()
-        profiles = small_profiles()
-        assert registry.owner_of(TreeMatcher(profiles)).name == "tree"
-        assert registry.owner_of(PredicateIndexMatcher(profiles)).name == "index"
-        # The counting matcher is a test oracle, not a registered family.
-        assert registry.owner_of(CountingMatcher(profiles)) is None
-        assert registry.owner_of(NaiveMatcher(profiles)).name == "naive"
+    @pytest.mark.parametrize(
+        ("name", "family", "matcher_type"),
+        [
+            ("tree", "tree", TreeMatcher),
+            ("index", "index", PredicateIndexMatcher),
+            ("auto", "index", PredicateIndexMatcher),
+            ("naive", "naive", NaiveMatcher),
+        ],
+    )
+    def test_engine_family_is_the_resolved_spec(self, name, family, matcher_type):
+        """An engine reports the spec it resolved at construction; it
+        re-optimises within that family and never switches."""
+        engine = AdaptiveFilterEngine(small_profiles(), policy=AdaptationPolicy(engine=name))
+        assert type(engine.matcher) is matcher_type
+        assert engine.engine_family == family
 
     @pytest.mark.parametrize("name", ["quantum", "hybrid"])
     def test_unknown_engine_error_lists_registered_names(self, name):
@@ -189,11 +196,15 @@ class TestBaselineFamilies:
                 == oracle.match(event).matched_profile_ids
             ), name
 
-    def test_ownership_is_exact_type(self):
-        """Subclasses (third-party families) are not claimed by the
-        baselines they derive from."""
-        registry = default_registry()
-        assert registry.owner_of(_ScanSpy(small_profiles())) is None
+    def test_a_subclass_family_reports_its_own_name(self, engine_roster):
+        """A third-party family deriving from a baseline's matcher is
+        reported under its own spec's name, not the baseline's."""
+        engine_roster(
+            [*builtin_specs(), EngineSpec(name="scan", factory=lambda c: _ScanSpy(c.profiles))]
+        )
+        engine = AdaptiveFilterEngine(small_profiles(), policy=AdaptationPolicy(engine="scan"))
+        assert isinstance(engine.matcher, NaiveMatcher)
+        assert engine.engine_family == "scan"
 
 
 class _ScanSpy(NaiveMatcher):
@@ -209,7 +220,6 @@ class TestThirdPartyEngines:
                 EngineSpec(
                     name="scan",
                     factory=lambda ctx: _ScanSpy(ctx.profiles),
-                    owns=lambda matcher: isinstance(matcher, _ScanSpy),
                     description="sequential scan baseline",
                 ),
             ]
@@ -289,7 +299,6 @@ class TestCandidateHooks:
                 EngineSpec(
                     name="scan",
                     factory=lambda ctx: _ScanSpy(ctx.profiles),
-                    owns=lambda matcher: isinstance(matcher, _ScanSpy),
                     candidate=cheap_candidate,
                 ),
             ]
@@ -326,7 +335,6 @@ class TestCandidateHooks:
                 EngineSpec(
                     name="scan",
                     factory=lambda ctx: _ScanSpy(ctx.profiles),
-                    owns=lambda matcher: isinstance(matcher, _ScanSpy),
                     candidate=mislabelled,
                 )
             ]

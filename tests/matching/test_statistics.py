@@ -1,5 +1,7 @@
 """Tests for filter statistics and the 95 %-precision stopping rule."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -189,3 +191,157 @@ class TestFilterStatistics:
         assert summary["events"] == 4
         assert summary["avg_operations_per_event"] == pytest.approx(4.0)
         assert summary["match_rate"] == pytest.approx(0.75)
+
+
+# -- the per-distinct-match fold --------------------------------------------------
+
+#: A small profile universe, so the counters stay small and the fold
+#: bound (their size) is crossed often.
+UNIVERSE = [f"P{index}" for index in range(8)]
+
+
+class EagerReference:
+    """The per-event fold the statistics replaced: every notified
+    profile's counters are updated as its event is recorded."""
+
+    def __init__(self) -> None:
+        self.events = self.operations = self.notifications = self.matched = 0
+        self.counts: Counter = Counter()
+        self.charged: Counter = Counter()
+
+    def record(self, result: MatchResult) -> None:
+        self.events += 1
+        self.operations += result.operations
+        if result.matched_profile_ids:
+            self.matched += 1
+            self.notifications += len(result.matched_profile_ids)
+            for profile_id in result.matched_profile_ids:
+                self.counts[profile_id] += 1
+                self.charged[profile_id] += result.operations
+
+    def summary(self) -> dict:
+        """``FilterStatistics.summary`` as the eager fold computed it."""
+        if not self.notifications:
+            per_profile = per_pair = float("nan")
+        else:
+            values = [self.charged[pid] / count for pid, count in self.counts.items()]
+            per_profile = sum(values) / len(values)
+            per_pair = self.operations / self.notifications
+        return {
+            "events": float(self.events),
+            "avg_operations_per_event": self.operations / self.events,
+            "avg_matches_per_event": self.notifications / self.events,
+            "match_rate": self.matched / self.events,
+            "avg_operations_per_profile": per_profile,
+            "avg_operations_per_event_and_profile": per_pair,
+        }
+
+
+def _match_pool(size: int, seed: int) -> list[tuple[str, ...]]:
+    """``size`` matched-id tuples: prefixes of shuffles of the universe."""
+    rng = random.Random(seed)
+    return [tuple(rng.sample(UNIVERSE, rng.randint(1, len(UNIVERSE)))) for _ in range(size)]
+
+
+#: Three times as many match tuples as the universe has profiles, so the
+#: fold bound (at most the universe's size) is crossed.
+MATCH_POOL = _match_pool(24, seed=7)
+#: A recorded result: an index into the pool (-1: no match) and its operations.
+pooled_results = st.tuples(
+    st.integers(-1, len(MATCH_POOL) - 1), st.integers(0, 50) | st.integers(0, 10**18)
+)
+READS = ("counts", "notifications_of", "per_profile", "over_profiles", "summary")
+#: Interleavings of recording and reading; pool entries recur.
+interleavings = st.lists(
+    st.one_of(
+        st.tuples(st.just("record_all"), st.lists(pooled_results, max_size=8)),
+        st.tuples(st.just("record"), pooled_results),
+        st.tuples(st.just("read"), st.sampled_from(READS)),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def _same_floats(left: dict, right: dict) -> bool:
+    """Bit-identical floats, NaN equal to NaN."""
+    return {k: repr(v) for k, v in left.items()} == {k: repr(v) for k, v in right.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(interleavings, st.sampled_from(UNIVERSE))
+def test_the_tuple_keyed_fold_equals_the_eager_fold(steps, probe):
+    """Per-profile counts, operations, insertion order and every summary
+    float equal an eager per-event fold after any interleaving of
+    recording and reading; pending entries stay under the computed bound."""
+
+    def result(drawn) -> MatchResult:
+        index, operations = drawn
+        # Equal tuples are distinct objects, as a matcher returns them.
+        return MatchResult(tuple(list(MATCH_POOL[index])) if index >= 0 else (), operations)
+
+    stats, reference = FilterStatistics(), EagerReference()
+    for kind, argument in steps:
+        if kind == "record_all":
+            batch = [result(drawn) for drawn in argument]
+            assert stats.record_all(batch) == sum(len(r) for r in batch)
+            for item in batch:
+                reference.record(item)
+        elif kind == "record":
+            stats.record(result(argument))
+            reference.record(result(argument))
+        elif argument == "counts":
+            counts = stats.per_profile_notification_counts()
+            assert list(counts.items()) == list(reference.counts.items())
+        elif argument == "notifications_of":
+            assert stats.notifications_of(probe) == reference.counts.get(probe, 0)
+        elif argument == "per_profile":
+            if reference.counts.get(probe):
+                expected = reference.charged[probe] / reference.counts[probe]
+                assert repr(stats.average_operations_per_profile(probe)) == repr(expected)
+            else:
+                with pytest.raises(MatchingError):
+                    stats.average_operations_per_profile(probe)
+        elif argument == "over_profiles":
+            if reference.notifications:
+                expected = reference.summary()["avg_operations_per_profile"]
+                assert repr(stats.average_operations_over_profiles()) == repr(expected)
+            else:
+                with pytest.raises(MatchingError):
+                    stats.average_operations_over_profiles()
+        elif reference.events:
+            assert _same_floats(stats.summary(), reference.summary())
+        # The bound is the folded counters' size (at least one), and the
+        # pending entries always fold before they reach it.
+        folded = stats._per_profile_notifications
+        assert stats._fold_bound == max(1, len(folded))
+        assert len(stats._pending) < stats._fold_bound
+    assert (stats.events, stats.total_notifications) == (reference.events, reference.notifications)
+    assert stats.matched_events == reference.matched
+    stats.per_profile_notification_counts()  # a read folds everything
+    assert stats._pending == {}
+    assert list(stats._per_profile_notifications.items()) == list(reference.counts.items())
+    assert list(stats._per_profile_operations.items()) == list(reference.charged.items())
+
+
+def test_repeated_matches_fold_once_per_distinct_tuple():
+    """A stream of one recurring match keeps one pending entry."""
+    stats = FilterStatistics()
+    stats.record(MatchResult(("P1", "P2", "P3"), 1))  # folds: counters empty
+    assert stats._fold_bound == 3
+    stats.record_all([MatchResult(("P1", "P2", "P3"), ops) for ops in range(100)])
+    stats.record(MatchResult(("P2",), 7))
+    assert stats._pending == {("P1", "P2", "P3"): [100, 4950], ("P2",): [1, 7]}
+    assert stats.per_profile_notification_counts() == {"P1": 101, "P2": 102, "P3": 101}
+    assert stats.average_operations_per_profile("P2") == (1 + 4950 + 7) / 102
+
+
+def test_distinct_matches_fold_when_they_reach_the_bound():
+    stats = FilterStatistics()
+    stats.record(MatchResult(("P1", "P2"), 1))  # folds at once: the counters are empty
+    assert (stats._pending, stats._fold_bound) == ({}, 2)
+    stats.record(MatchResult(("P1",), 2))
+    assert stats._pending == {("P1",): [1, 2]}
+    stats.record(MatchResult(("P3",), 4))  # the second distinct tuple reaches the bound
+    assert (stats._pending, stats._fold_bound) == ({}, 3)
+    assert list(stats._per_profile_notifications.items()) == [("P1", 2), ("P2", 1), ("P3", 1)]

@@ -311,9 +311,11 @@ class TestThreadPoolSubscriptionIsolation:
 
     @staticmethod
     def _task(subscription_id, sink):
-        from repro.service.delivery import DeliveryTask
+        """One task as the two one-entry columns ``submit_all`` takes."""
+        from repro.service.subscriptions import Subscription
 
-        return DeliveryTask(subscription_id, sink, notification=None)
+        subscription = Subscription(subscription_id, profile(f"P-{subscription_id}"), "user", sink)
+        return [subscription], [None]
 
     class _GatedCounter:
         """Counts calls; the first call parks on a gate."""
@@ -333,20 +335,18 @@ class TestThreadPoolSubscriptionIsolation:
         quiet_calls = []
         executor = self._executor(queue_capacity=2)
         try:
-            executor.submit_all([self._task("hot", hot)])
+            executor.submit_all(*self._task("hot", hot))
             assert hot.started.wait(10)  # in flight; the worker is busy
-            executor.submit_all([self._task("hot", hot)])
-            executor.submit_all([self._task("hot", hot)])  # hot's lane is now full
-            blocked = threading.Thread(
-                target=executor.submit_all, args=([self._task("hot", hot)],)
-            )
+            executor.submit_all(*self._task("hot", hot))
+            executor.submit_all(*self._task("hot", hot))  # hot's lane is now full
+            blocked = threading.Thread(target=executor.submit_all, args=self._task("hot", hot))
             blocked.start()
             blocked.join(0.2)
             assert blocked.is_alive(), "hot's submission returned despite a full lane"
             # The quiet subscription shares the single worker but has its
             # own capacity: its submissions return while hot's blocks.
-            executor.submit_all([self._task("quiet", quiet_calls.append)])
-            executor.submit_all([self._task("quiet", quiet_calls.append)])
+            executor.submit_all(*self._task("quiet", quiet_calls.append))
+            executor.submit_all(*self._task("quiet", quiet_calls.append))
             assert blocked.is_alive()
             hot.gate.set()
             blocked.join(10)

@@ -49,7 +49,6 @@ from repro.core.profiles import profile
 from repro.core.schema import Attribute, Schema
 from repro.service.delivery import (
     DeliveryCounters,
-    DeliveryTask,
     ThreadPoolDeliveryExecutor,
     WebhookConfig,
     WebhookDeliveryExecutor,
@@ -57,6 +56,7 @@ from repro.service.delivery import (
     threadpool,
 )
 from repro.service.notifications import Notification
+from repro.service.subscriptions import Subscription
 
 SCHEMA = Schema([Attribute("price", IntegerDomain(0, 99))])
 
@@ -257,15 +257,25 @@ def on_lane(lane: int, prefix: str, lanes: int = 2) -> str:
     )
 
 
-def make_task(subscription_id: str, sink, price: int = 0) -> DeliveryTask:
+def make_task(subscription_id: str, sink, price: int = 0) -> tuple[Subscription, Notification]:
+    """One task: a subscription with ``sink`` and a notification for it."""
+    profile_id = f"P-{subscription_id}"
     notification = Notification(
         event=Event({"price": price}),
-        profile_id=f"P-{subscription_id}",
+        profile_id=profile_id,
         subscriber=None,
         broker_id="broker-test",
         delivered_at=0.0,
     )
-    return DeliveryTask(subscription_id, sink, notification)
+    subscription = Subscription(
+        subscription_id, profile(profile_id, price=RangePredicate.at_least(0)), "user", sink
+    )
+    return subscription, notification
+
+
+def columns(tasks):
+    """The two parallel columns ``submit_all`` takes."""
+    return [subscription for subscription, _ in tasks], [note for _, note in tasks]
 
 
 #: (subscription on lane 0 or 1, or the full subscription "F") in list
@@ -289,7 +299,7 @@ def block_then_close(executor, tasks, accepted: int, release: threading.Event) -
 
     def submit() -> None:
         try:
-            executor.submit_all(tasks)
+            executor.submit_all(*columns(tasks))
         except DeliveryError as error:
             failures.append(error)
 
@@ -327,13 +337,13 @@ def test_threadpool_raise_accepts_exactly_the_prefix(case, full_lane):
     try:
         # Park both workers, then fill the "full" subscription's one slot.
         for lane in (0, 1):
-            executor.submit_all([make_task(on_lane(lane, "gate"), gated)])
+            executor.submit_all(*columns([make_task(on_lane(lane, "gate"), gated)]))
         for _ in range(2):
             assert started.acquire(timeout=10)
         full = on_lane(full_lane, "full")
-        executor.submit_all([make_task(full, lambda n: None)])
+        executor.submit_all(*columns([make_task(full, lambda n: None)]))
 
-        def task_for(name: str) -> DeliveryTask:
+        def task_for(name: str) -> tuple[Subscription, Notification]:
             if name == "F":
                 return make_task(full, lambda n: None)
             return make_task(on_lane(int(name[-1]), name[0]), lambda n: received.append(name))
@@ -372,10 +382,10 @@ def test_webhook_raise_accepts_exactly_the_prefix(case):
     )
     try:
         # Park the full endpoint's worker, then fill its queue.
-        executor.submit_all([make_task("S", WebhookSink(full))])
+        executor.submit_all(*columns([make_task("S", WebhookSink(full))]))
         assert started.wait(10)
         for _ in range(4):
-            executor.submit_all([make_task("S", WebhookSink(full))])
+            executor.submit_all(*columns([make_task("S", WebhookSink(full))]))
         names = PREFIX_CASES[case]
         prefix = names[: names.index("F")]
         tasks = [make_task("S", WebhookSink(endpoint_of(name))) for name in names]
@@ -400,14 +410,14 @@ def test_a_blocked_publisher_lets_the_other_lanes_run():
     order: list[int] = []
     executor = ThreadPoolDeliveryExecutor(max_workers=2, queue_capacity=1)
     hot = on_lane(0, "hot")
-    executor.submit_all([make_task(on_lane(0, "gate"), gated)])
+    executor.submit_all(*columns([make_task(on_lane(0, "gate"), gated)]))
     assert started.wait(10)
     tasks = [
         make_task(on_lane(1, "other"), lambda n: other_ran.set()),
         make_task(hot, lambda n: order.append(n.event["price"]), 0),
         make_task(hot, lambda n: order.append(n.event["price"]), 1),  # blocks
     ]
-    publisher = threading.Thread(target=executor.submit_all, args=(tasks,))
+    publisher = threading.Thread(target=executor.submit_all, args=columns(tasks))
     publisher.start()
     try:
         assert other_ran.wait(10)  # lane 1 ran while the publisher waits

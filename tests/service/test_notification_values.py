@@ -1,14 +1,18 @@
-"""``Notification`` and ``DeliveryTask`` are named tuples.
+"""``Notification`` is a named tuple.
 
-The broker builds one of each per matched (event, profile) pair, so both
-are value types as cheap to construct as Python allows.  Pinned here:
-the field order and defaults (positional and keyword construction),
-equality and hashing by value, immutability, and that one publish call
-hands the *same* notification object to the sink, the notification log
-and the returned outcome.
+The broker builds one per matched (event, profile) pair, so it is a
+value type as cheap to construct as Python allows; nothing else is built
+per notification (the delivery plan is two columns, and the
+``DeliveryTask`` tuple is gone).  Pinned here: the field order and
+defaults (positional and keyword construction), equality and hashing by
+value, immutability, and that one publish call hands the *same*
+notification object to the sink, the notification log and the returned
+outcome.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -18,7 +22,8 @@ from repro.core.events import Event
 from repro.core.predicates import RangePredicate
 from repro.core.profiles import profile
 from repro.core.schema import Attribute, Schema
-from repro.service.delivery import DeliveryTask
+import repro.service.delivery as delivery_package
+from repro.service.delivery import base as delivery_base
 from repro.service.notifications import Notification
 
 EVENT = Event({"price": 1})
@@ -30,11 +35,6 @@ VALUE_TYPES = {
         Notification,
         {"event": EVENT, "profile_id": "P1"},
         {"subscriber": None, "broker_id": None, "delivered_at": 0.0, "filter_operations": 0},
-    ),
-    "DeliveryTask": (
-        DeliveryTask,
-        {"subscription_id": "sub-1", "sink": print, "notification": Notification(EVENT, "P1")},
-        {"delivery": None},
     ),
 }
 
@@ -113,3 +113,15 @@ def test_sink_log_and_outcome_share_one_notification(delivery):
     assert list(map(id, logged)) == list(map(id, returned))
     # Two threadpool lanes may interleave the subscriptions.
     assert sorted(map(id, received)) == sorted(map(id, returned))
+
+
+def test_no_task_type_is_built_per_notification():
+    """The delivery plan carries the resolved subscriptions next to the
+    notifications; the per-notification ``DeliveryTask`` is gone."""
+    for module in (delivery_package, delivery_base):
+        assert not hasattr(module, "DeliveryTask")
+    assert [field.name for field in dataclasses.fields(delivery_base.DeliveryPlan)] == [
+        "subscriptions",
+        "notifications",
+        "default_only",
+    ]

@@ -11,6 +11,7 @@ lane) and the close-raises-consistently satellite are pinned here too.
 
 from __future__ import annotations
 
+import dataclasses
 import http.server
 import json
 import threading
@@ -26,8 +27,8 @@ from repro.core.predicates import RangePredicate
 from repro.core.profiles import Profile, profile
 from repro.core.schema import Attribute, Schema
 from repro.service.delivery import WebhookDeliveryExecutor
-from repro.service.delivery.base import DeliveryTask
 from repro.service.notifications import Notification
+from repro.service.subscriptions import Subscription
 from repro.testing import FlakySink, InjectedFault, dead_transport
 
 PRICES = IntegerDomain(0, 9_999)
@@ -45,7 +46,8 @@ def make_service(**kwargs) -> FilterService:
     return FilterService(price_schema(), engine="index", adaptive=False, **kwargs)
 
 
-def make_task(subscription_id: str, endpoint: str, price: int = 1) -> DeliveryTask:
+def make_task(subscription_id: str, endpoint: str, price: int = 1):
+    """One task: a webhook subscription and a notification for it."""
     notification = Notification(
         profile_id=f"P-{subscription_id}",
         subscriber="alice",
@@ -53,11 +55,15 @@ def make_task(subscription_id: str, endpoint: str, price: int = 1) -> DeliveryTa
         broker_id="broker-test",
         delivered_at=0.0,
     )
-    return DeliveryTask(
-        subscription_id=subscription_id,
-        sink=WebhookSink(endpoint),
-        notification=notification,
+    subscription = Subscription(
+        subscription_id, match_all(f"P-{subscription_id}"), "alice", WebhookSink(endpoint)
     )
+    return subscription, notification
+
+
+def columns(tasks):
+    """The two parallel columns ``submit_all`` takes."""
+    return [subscription for subscription, _ in tasks], [note for _, note in tasks]
 
 
 class ManualClock:
@@ -95,8 +101,8 @@ class TestLanes:
             config=WebhookConfig(transport=recording_transport(posts))
         )
         for price in range(8):
-            executor.submit_all([make_task("sub-1", "https://a.test/hook", price)])
-            executor.submit_all([make_task("sub-2", "https://b.test/hook", price)])
+            executor.submit_all(*columns([make_task("sub-1", "https://a.test/hook", price)]))
+            executor.submit_all(*columns([make_task("sub-2", "https://b.test/hook", price)]))
         drain_close(executor)
         for endpoint in ("https://a.test/hook", "https://b.test/hook"):
             lane = [body["event"]["values"]["price"]
@@ -107,9 +113,10 @@ class TestLanes:
         executor = WebhookDeliveryExecutor(
             config=WebhookConfig(transport=lambda e, p, t: None)
         )
-        task = make_task("sub-1", "https://a.test/hook")._replace(sink=lambda n: None)
+        subscription, notification = make_task("sub-1", "https://a.test/hook")
+        task = (dataclasses.replace(subscription, sink=lambda n: None), notification)
         with pytest.raises(DeliveryError, match="WebhookSink"):
-            executor.submit_all([task])
+            executor.submit_all(*columns([task]))
         executor.close()
 
     @staticmethod
@@ -132,12 +139,13 @@ class TestLanes:
             config=WebhookConfig(transport=transport), queue_capacity=1
         )
         try:
-            executor.submit_all([make_task("sub-1", "https://a.test/hook", 0)])
+            executor.submit_all(*columns([make_task("sub-1", "https://a.test/hook", 0)]))
             assert started.wait(10)  # price 0 in flight, lane empty
-            executor.submit_all([make_task("sub-1", "https://a.test/hook", 1)])  # lane full
+            # Price 1 fills the lane.
+            executor.submit_all(*columns([make_task("sub-1", "https://a.test/hook", 1)]))
             publisher = threading.Thread(
                 target=executor.submit_all,
-                args=([make_task("sub-1", "https://a.test/hook", 2)],),
+                args=columns([make_task("sub-1", "https://a.test/hook", 2)]),
             )
             publisher.start()
             publisher.join(0.2)
@@ -158,7 +166,7 @@ class TestLanes:
         transport, started, gate = self._gated_transport(posted)
         executor = WebhookDeliveryExecutor(config=WebhookConfig(transport=transport))
         for price in range(5):
-            executor.submit_all([make_task("sub-1", "https://a.test/hook", price)])
+            executor.submit_all(*columns([make_task("sub-1", "https://a.test/hook", price)]))
         assert started.wait(10)  # price 0 in flight, 1-4 queued
         closer = threading.Thread(target=executor.close, kwargs={"drain": False})
         closer.start()
@@ -188,8 +196,8 @@ class TestLanes:
                                  breaker_threshold=3, breaker_cooldown=9e9)
         )
         for price in range(20):
-            executor.submit_all([make_task("dark", "https://dark.test/hook", price)])
-            executor.submit_all([make_task("ok", "https://ok.test/hook", price)])
+            executor.submit_all(*columns([make_task("dark", "https://dark.test/hook", price)]))
+            executor.submit_all(*columns([make_task("ok", "https://ok.test/hook", price)]))
         drain_close(executor)
         assert len(posts) == 20  # every healthy post landed
         stats = executor.stats()
@@ -213,8 +221,8 @@ class TestLanes:
                 finished.setdefault(endpoint, len(finished))
 
         executor = WebhookDeliveryExecutor(config=WebhookConfig(transport=gated))
-        executor.submit_all([make_task("slow", "https://slow.test/hook")])
-        executor.submit_all([make_task("fast", "https://fast.test/hook")])
+        executor.submit_all(*columns([make_task("slow", "https://slow.test/hook")]))
+        executor.submit_all(*columns([make_task("fast", "https://fast.test/hook")]))
         drain_close(executor)
         assert finished["https://fast.test/hook"] < finished["https://slow.test/hook"]
 
@@ -234,7 +242,7 @@ class TestRetries:
                                  backoff_base=0.1, jitter=0.0,
                                  sleep=delays.append)
         )
-        executor.submit_all([make_task("sub-1", "https://a.test/hook")])
+        executor.submit_all(*columns([make_task("sub-1", "https://a.test/hook")]))
         drain_close(executor)
         stats = executor.stats()
         assert stats.delivered == 1
@@ -255,7 +263,7 @@ class TestRetries:
                     jitter=0.5, seed=42, sleep=delays.append,
                 )
             )
-            executor.submit_all([make_task("sub-1", "https://a.test/hook")])
+            executor.submit_all(*columns([make_task("sub-1", "https://a.test/hook")]))
             drain_close(executor)
         assert delays_a == delays_b  # same seed, same schedule
         assert len(delays_a) == 5
@@ -270,7 +278,7 @@ class TestRetries:
                 max_attempts=2, backoff_base=0.0, jitter=0.0,
             )
         )
-        executor.submit_all([make_task("sub-1", "https://a.test/hook", price=7)])
+        executor.submit_all(*columns([make_task("sub-1", "https://a.test/hook", price=7)]))
         drain_close(executor)
         (letter,) = executor.dead_letters()
         assert letter.reason == "retries-exhausted"
@@ -287,7 +295,7 @@ class TestRetries:
             )
         )
         for price in range(5):
-            executor.submit_all([make_task("sub-1", "https://a.test/hook", price)])
+            executor.submit_all(*columns([make_task("sub-1", "https://a.test/hook", price)]))
         drain_close(executor)
         letters = executor.dead_letters()
         assert [l.notification.event["price"] for l in letters] == [2, 3, 4]
@@ -313,21 +321,21 @@ class TestCircuitBreaker:
         endpoint = "https://a.test/hook"
 
         for _ in range(2):  # threshold=2: second task failure opens it
-            executor.submit_all([make_task("sub-1", endpoint)])
+            executor.submit_all(*columns([make_task("sub-1", endpoint)]))
         executor.drain()
         assert executor.breaker_state(endpoint) == "open"
         assert [l.reason for l in executor.dead_letters()] == [
             "retries-exhausted", "retries-exhausted"
         ]
 
-        executor.submit_all([make_task("sub-1", endpoint)])  # inside the cooldown
+        executor.submit_all(*columns([make_task("sub-1", endpoint)]))  # inside the cooldown
         executor.drain()
         assert executor.dead_letters()[-1].reason == "circuit-open"
         assert executor.dead_letters()[-1].attempts == 0
 
         clock.now = 6.0      # past the cooldown: next task is the probe
         healthy.set()        # and the endpoint has healed
-        executor.submit_all([make_task("sub-1", endpoint)])
+        executor.submit_all(*columns([make_task("sub-1", endpoint)]))
         executor.drain()
         assert executor.breaker_state(endpoint) == "closed"
         stats = executor.stats()
@@ -341,17 +349,17 @@ class TestCircuitBreaker:
         executor = self.executor_with_switch(clock, healthy)
         endpoint = "https://a.test/hook"
         for _ in range(2):
-            executor.submit_all([make_task("sub-1", endpoint)])
+            executor.submit_all(*columns([make_task("sub-1", endpoint)]))
         executor.drain()
 
         clock.now = 6.0  # cooldown over: the probe runs — and fails
-        executor.submit_all([make_task("sub-1", endpoint)])
+        executor.submit_all(*columns([make_task("sub-1", endpoint)]))
         executor.drain()
         assert executor.breaker_state(endpoint) == "open"
         assert executor.dead_letters()[-1].reason == "retries-exhausted"
 
         clock.now = 10.0  # the *restarted* cooldown (6.0 + 5.0) not yet over
-        executor.submit_all([make_task("sub-1", endpoint)])
+        executor.submit_all(*columns([make_task("sub-1", endpoint)]))
         executor.drain()
         assert executor.dead_letters()[-1].reason == "circuit-open"
         executor.close()
@@ -363,8 +371,8 @@ class TestCircuitBreaker:
                 max_attempts=1, breaker_threshold=1, breaker_cooldown=9e9,
             )
         )
-        executor.submit_all([make_task("bad", "https://bad.test/1")])
-        executor.submit_all([make_task("good", "https://good.test/2")])
+        executor.submit_all(*columns([make_task("bad", "https://bad.test/1")]))
+        executor.submit_all(*columns([make_task("good", "https://good.test/2")]))
         drain_close(executor)
         assert executor.breaker_state("https://bad.test/1") == "open"
         assert executor.breaker_state("https://good.test/2") == "closed"

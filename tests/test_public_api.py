@@ -136,7 +136,6 @@ API_SURFACE = {
     "EngineSpec": (
         "name",
         "factory",
-        "owns",
         "supported_measures",
         "candidate",
         "description",
@@ -351,7 +350,6 @@ def test_api_methods_are_locked(class_name):
 REGISTRY_METHODS = (
     "engine_names",
     "names",
-    "owner_of",
     "register",
     "spec",
     "unregister",
@@ -392,7 +390,9 @@ def test_registry_and_tree_matcher_surfaces_are_locked():
 # The planner has one mode (per-structure verdicts), so its constructor is
 # pinned, and every name deleted with the binary mode, the ``hybrid``
 # family, the cost calibrator and the family-switch cooldown is listed
-# here (the planner's ``hybrid=`` flag by the constructor lock): re-adding
+# here (the planner's ``hybrid=`` flag by the constructor lock), as are the
+# registry's ownership tests (an engine reports the spec it resolved) and
+# the per-notification ``DeliveryTask`` (a plan is two columns): re-adding
 # one is an explicit diff.
 
 INDEX_PLANNER_PARAMETERS = ("event_distributions", "attribute_measure")
@@ -403,12 +403,21 @@ RETIRED = {
     ("repro.service.adaptive", "AdaptationRecord"): ("suppressed", "correction_factor"),
     ("repro.service.adaptive", "AdaptiveFilterEngine"): ("calibration", "calibrator"),
     ("repro.api", "ServiceStats"): ("calibration",),
-    ("repro.matching.registry", "EngineSpec"): ("calibration_prior", "auto_rank"),
+    ("repro.matching.registry", "EngineSpec"): (
+        "calibration_prior",
+        "auto_rank",
+        "owns",
+        "matcher_owned",
+    ),
     ("repro.matching.registry", "EngineRegistry"): (
         "arbitrating_specs",
         "auto_start",
         "validate_engine",
+        "owner_of",
     ),
+    ("repro.matching.registry", None): ("_tree_owns", "_index_owns", "_naive_owns"),
+    ("repro.service.delivery", None): ("DeliveryTask",),
+    ("repro.service.delivery.base", None): ("DeliveryTask",),
     ("repro.matching.index", "AttributePlan"): ("use_index", "is_hybrid"),
 }
 
