@@ -31,7 +31,7 @@ from repro.service.adaptive import (
 from repro.service.broker import Broker, PublishOutcome
 from repro.service.delivery import DeliveryStats, WebhookConfig
 from repro.service.durability.store import DurabilityStats, SubscriptionStore
-from repro.service.notifications import NotificationLog, NotificationSink
+from repro.service.notifications import NotificationSink
 from repro.service.subscriptions import KEEP_DELIVERY, Subscription
 
 __all__ = ["FilterService", "ServiceStats", "SubscriptionHandle"]
@@ -151,8 +151,7 @@ class SubscriptionHandle:
 
     def notifications_received(self) -> int:
         """Return how many notifications this handle's profile received."""
-        log: NotificationLog = self._service.broker.notification_log
-        return log.count_per_profile().get(self.profile.profile_id, 0)
+        return self._service.broker.statistics.notifications_of(self.profile.profile_id)
 
     # -- life-cycle ------------------------------------------------------------
     def _require_live(self, operation: str) -> None:

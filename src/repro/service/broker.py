@@ -631,16 +631,6 @@ class Broker:
             for event, result, notifications in zip(materialised, results, produced)
         ]
 
-    def publish_all(self, events: Iterable[Event]) -> list[PublishOutcome]:
-        """Publish events one by one (streaming semantics).
-
-        Consumes lazily and delivers each valid prefix event even when a
-        later event fails validation, exactly as repeated :meth:`publish`
-        calls would.  Use :meth:`publish_batch` for the atomic, batched
-        filter path.
-        """
-        return [self.publish(event) for event in events]
-
     # -- delivery life-cycle -----------------------------------------------------------
     @property
     def delivery(self) -> DeliveryDispatcher:

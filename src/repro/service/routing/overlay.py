@@ -168,7 +168,8 @@ class OverlayNetwork:
         self._brokers: dict[str, OverlayBroker] = {}
         self._adjacency: dict[str, set[str]] = {}
         self._latency = latency or ConstantLatency(1.0)
-        #: Home broker of every live profile id (network-wide unique).
+        #: Home broker of every registered profile id, paused ones
+        #: included (network-wide unique).
         self._homes: dict[str, str] = {}
         self._events_published = 0
         self._total_hops = 0
@@ -201,10 +202,10 @@ class OverlayNetwork:
         """Create a bidirectional overlay link between two brokers.
 
         Linking two components *after* subscriptions exist replays the
-        live interest across the new link: every profile homed on one
-        side floods into the other (in original subscription order, with
-        the usual covering pruning), so a grown topology routes exactly
-        like one built up front.
+        live interest across the new link: every live (not paused)
+        profile homed on one side floods into the other (in original
+        subscription order, with the usual covering pruning), so a grown
+        topology routes exactly like one built up front.
         """
         a, b = self.broker(first), self.broker(second)
         if first == second:
@@ -221,11 +222,14 @@ class OverlayNetwork:
         a.links[second] = LinkState(self._schema)
         b.links[first] = LinkState(self._schema)
         for pid, home in list(self._homes.items()):
-            profile = self._brokers[home].local.subscriptions.by_profile_id(pid).profile
+            local = self._brokers[home].local
+            subscription = local.subscriptions.by_profile_id(pid)
+            if local.is_paused(subscription.subscription_id):
+                continue
             if home in first_side:
-                self._flood_add(profile, deque([(second, first)]))
+                self._flood_add(subscription.profile, deque([(second, first)]))
             else:
-                self._flood_add(profile, deque([(first, second)]))
+                self._flood_add(subscription.profile, deque([(first, second)]))
 
     def _connected(self, first: str, second: str) -> bool:
         return second in self._component(first)
@@ -255,6 +259,10 @@ class OverlayNetwork:
         return sorted(self._adjacency[broker_id])
 
     # -- subscription churn -----------------------------------------------------
+    def has_profile(self, profile_id: str) -> bool:
+        """Return ``True`` while any subscription, live or paused, holds the id."""
+        return profile_id in self._homes
+
     def subscribe(
         self,
         broker_id: str,
@@ -266,11 +274,7 @@ class OverlayNetwork:
     ) -> Subscription:
         """Register a subscription at its home broker and propagate it."""
         pid = profile.profile_id
-        if pid in self._homes:
-            raise RoutingError(
-                f"profile id {pid!r} is already subscribed in the network "
-                f"(home broker {self._homes[pid]!r})"
-            )
+        self._require_free(pid)
         home = self.broker(broker_id)
         subscription = home.local.subscribe(
             profile, subscriber, sink=sink, delivery=delivery
@@ -285,14 +289,18 @@ class OverlayNetwork:
         subscription = home.local.subscriptions.get(subscription_id)
         pid = subscription.profile.profile_id
         removed = home.local.unsubscribe(subscription_id)
-        self._retract(broker_id, pid)
+        del self._homes[pid]
+        self._propagate_remove(broker_id, pid)
         return removed
 
     def pause(self, broker_id: str, subscription_id: str) -> Subscription:
-        """Pause delivery *and* withdraw the profile from routing tables."""
+        """Pause delivery *and* withdraw the profile from routing tables.
+
+        The profile id stays reserved for the paused subscription.
+        """
         home = self.broker(broker_id)
         subscription = home.local.pause_subscription(subscription_id)
-        self._retract(broker_id, subscription.profile.profile_id)
+        self._propagate_remove(broker_id, subscription.profile.profile_id)
         return subscription
 
     def resume(self, broker_id: str, subscription_id: str) -> Subscription:
@@ -300,7 +308,8 @@ class OverlayNetwork:
         home = self.broker(broker_id)
         subscription = home.local.resume_subscription(subscription_id)
         pid = subscription.profile.profile_id
-        self._homes[pid] = broker_id
+        # Re-queue the id last: connect replays in (re-)subscription order.
+        self._homes[pid] = self._homes.pop(pid)
         self._propagate_add(broker_id, subscription.profile)
         return subscription
 
@@ -309,18 +318,25 @@ class OverlayNetwork:
     ) -> Subscription:
         """Swap a subscription's profile; routing state follows the delta."""
         home = self.broker(broker_id)
-        old = home.local.subscriptions.get(subscription_id)
+        old_pid = home.local.subscriptions.get(subscription_id).profile.profile_id
+        if profile.profile_id != old_pid:
+            self._require_free(profile.profile_id)
         was_paused = home.local.is_paused(subscription_id)
         updated = home.local.modify_subscription(subscription_id, profile)
+        del self._homes[old_pid]
+        self._homes[profile.profile_id] = broker_id
         if not was_paused:
-            self._retract(broker_id, old.profile.profile_id)
-            self._homes[profile.profile_id] = broker_id
+            self._propagate_remove(broker_id, old_pid)
             self._propagate_add(broker_id, profile)
         return updated
 
-    def _retract(self, home_id: str, pid: str) -> None:
-        self._homes.pop(pid, None)
-        self._propagate_remove(home_id, pid)
+    def _require_free(self, pid: str) -> None:
+        """Raise unless ``pid`` is free network-wide (paused ids are not)."""
+        if pid in self._homes:
+            raise RoutingError(
+                f"profile id {pid!r} is already subscribed in the network "
+                f"(home broker {self._homes[pid]!r})"
+            )
 
     def _propagate_add(
         self, start_id: str, profile: Profile, *, exclude: str | None = None

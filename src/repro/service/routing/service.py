@@ -173,8 +173,8 @@ class NetworkSubscriptionHandle:
 
     def notifications_received(self) -> int:
         """Return how many notifications this profile received."""
-        log = self._service.network.broker(self._broker_id).local.notification_log
-        return log.count_per_profile().get(self.profile.profile_id, 0)
+        local = self._service.network.broker(self._broker_id).local
+        return local.statistics.notifications_of(self.profile.profile_id)
 
     # -- life-cycle ------------------------------------------------------------
     def _require_live(self, operation: str) -> None:
@@ -215,19 +215,14 @@ class NetworkSubscriptionHandle:
                 f"modify() needs a Profile or ProfileBuilder, got {type(profile).__name__}"
             )
         self._subscription = self._service._modify(
-            self._broker_id, self.subscription_id, profile, paused=self.is_paused
+            self._broker_id, self.subscription_id, profile
         )
         return self
 
     def cancel(self) -> Subscription:
         """Unsubscribe for good; further operations on the handle raise."""
         self._require_live("cancel")
-        subscription = self._service._cancel(
-            self._broker_id,
-            self.subscription_id,
-            paused=self.is_paused,
-            profile_id=self.profile.profile_id,
-        )
+        subscription = self._service._cancel(self._broker_id, self.subscription_id)
         self._state = _CANCELLED
         return subscription
 
@@ -261,10 +256,7 @@ class NetworkService:
         self._default_engine = engine
         self._default_delivery = delivery
         self._handles: dict[str, NetworkSubscriptionHandle] = {}
-        #: Every profile id registered anywhere (paused included) — the
-        #: network-wide uniqueness the central registry gives for free.
-        self._profile_ids: set[str] = set()
-        self._compiler = ProfileCompiler(self._profile_ids.__contains__)
+        self._compiler = ProfileCompiler(self._network.has_profile)
 
     # -- topology ----------------------------------------------------------------
     @property
@@ -320,14 +312,10 @@ class NetworkService:
         covers it.
         """
         compiled = self._compiler.compile(profile, profile_id, subscriber)
-        if compiled.profile_id in self._profile_ids:
-            raise SubscriptionError(
-                f"profile id {compiled.profile_id!r} is already subscribed"
-            )
+        self._require_free(compiled.profile_id)
         subscription = self._network.subscribe(
             at, compiled, subscriber, sink=sink, delivery=delivery
         )
-        self._profile_ids.add(compiled.profile_id)
         handle = NetworkSubscriptionHandle(self, at, subscription)
         self._handles[subscription.subscription_id] = handle
         return handle
@@ -344,36 +332,20 @@ class NetworkService:
                 f"unknown subscription id {subscription_id!r}"
             ) from exc
 
-    # Handle internals: keep the bookkeeping (profile-id set, handle map)
-    # next to the overlay mutations they mirror.
-    def _modify(
-        self, broker_id: str, subscription_id: str, profile: Profile, *, paused: bool
-    ) -> Subscription:
-        current = (
-            self._network.broker(broker_id).local.subscriptions.get(subscription_id)
-        )
-        old_pid = current.profile.profile_id
-        if profile.profile_id != old_pid and profile.profile_id in self._profile_ids:
-            raise SubscriptionError(
-                f"profile id {profile.profile_id!r} is already subscribed"
-            )
-        updated = self._network.modify(broker_id, subscription_id, profile)
-        self._profile_ids.discard(old_pid)
-        self._profile_ids.add(profile.profile_id)
-        return updated
+    # Handle internals.  Profile-id uniqueness is the overlay's: it holds
+    # every registered id, paused ones included.
+    def _require_free(self, profile_id: str) -> None:
+        if self._network.has_profile(profile_id):
+            raise SubscriptionError(f"profile id {profile_id!r} is already subscribed")
 
-    def _cancel(
-        self, broker_id: str, subscription_id: str, *, paused: bool, profile_id: str
-    ) -> Subscription:
-        if paused:
-            # A paused profile already left the routing tables; only the
-            # local registration remains.
-            subscription = self._network.broker(broker_id).local.unsubscribe(
-                subscription_id
-            )
-        else:
-            subscription = self._network.unsubscribe(broker_id, subscription_id)
-        self._profile_ids.discard(profile_id)
+    def _modify(self, broker_id: str, subscription_id: str, profile: Profile) -> Subscription:
+        current = self._network.broker(broker_id).local.subscriptions.get(subscription_id)
+        if profile.profile_id != current.profile.profile_id:
+            self._require_free(profile.profile_id)
+        return self._network.modify(broker_id, subscription_id, profile)
+
+    def _cancel(self, broker_id: str, subscription_id: str) -> Subscription:
+        subscription = self._network.unsubscribe(broker_id, subscription_id)
         self._handles.pop(subscription_id, None)
         return subscription
 
@@ -485,5 +457,5 @@ class NetworkService:
     def __repr__(self) -> str:  # pragma: no cover - display helper
         return (
             f"NetworkService(brokers={len(self._network.brokers())}, "
-            f"subscriptions={len(self._profile_ids)})"
+            f"subscriptions={len(self._handles)})"
         )

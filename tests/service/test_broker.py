@@ -167,7 +167,8 @@ class TestBroker:
             Event({"temperature": 40, "humidity": 95, "radiation": 40}),
             Event({"temperature": 0, "humidity": 50, "radiation": 10}),
         ]
-        broker.publish_all(events)
+        for event in events:
+            broker.publish(event)
         assert broker.statistics.events == 3
         assert broker.statistics.matched_events == 2
         assert broker.statistics.average_operations_per_event() > 0

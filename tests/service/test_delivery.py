@@ -482,7 +482,7 @@ class TestPerSubscriptionPinning:
             handle.deliver_to(None)
             service.publish(Event({"price": 9}))
             assert sink.prices == []
-            assert handle.notifications_received() == 1  # the log still counts
+            assert handle.notifications_received() == 1  # the statistics still count
 
     def test_broker_level_pinning(self):
         broker = Broker(price_schema(), delivery="inline")

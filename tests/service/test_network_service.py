@@ -298,6 +298,18 @@ class TestNetworkServiceFacade:
         with pytest.raises(SubscriptionError):
             service.subscribe(profile("p", price=Equals(2)), at="b")
 
+    def test_a_paused_profile_id_is_still_taken(self):
+        service = chain_service("a", "b")
+        paused = service.subscribe(profile("p", price=Equals(1)), at="a").pause()
+        with pytest.raises(SubscriptionError):
+            service.subscribe(profile("p", price=Equals(2)), at="b")
+        other = service.subscribe(profile("q", price=Equals(3)), at="b")
+        with pytest.raises(SubscriptionError):
+            other.modify(profile("p", price=Equals(3)))
+        paused.cancel()
+        service.subscribe(profile("p", price=Equals(2)), at="b")
+        assert service.publish({"price": 2}, at="a").total_notifications == 1
+
     def test_cancelled_handle_refuses_operations(self):
         service = chain_service("a", "b")
         handle = service.subscribe(profile("p", price=Equals(1)), at="a")
@@ -409,6 +421,33 @@ class TestOverlayNetworkDirect:
         assert report.total_notifications == 1
         network.unsubscribe("b", subscription.subscription_id)
         assert network.publish("a", Event({"price": 50})).total_notifications == 0
+
+    def test_a_paused_profile_id_stays_reserved(self):
+        network = OverlayNetwork(price_schema())
+        for broker_id in ("a", "b", "c"):
+            network.add_broker(broker_id, engine="index")
+        network.connect("a", "b")
+        held = network.subscribe("a", profile("P1", price=RangePredicate.at_least(10)), "ann")
+        network.pause("a", held.subscription_id)
+        with pytest.raises(RoutingError):
+            network.subscribe("b", profile("P1", price=RangePredicate.at_most(5)), "bob")
+        network.resume("a", held.subscription_id)
+        # The new component learns of a's P1 only through the replay.
+        network.connect("b", "c")
+        report = network.publish("c", Event({"price": 50}))
+        assert [n.profile_id for n in report.notifications["a"]] == ["P1"]
+
+    def test_connect_replays_only_live_profiles(self):
+        network = OverlayNetwork(price_schema())
+        network.add_broker("a", engine="index")
+        network.add_broker("b", engine="index")
+        held = network.subscribe("a", profile("P1", price=RangePredicate.at_least(10)), "ann")
+        network.pause("a", held.subscription_id)
+        network.connect("a", "b")
+        assert "P1" not in network.broker("b").link("a").table
+        assert network.publish("b", Event({"price": 50})).total_notifications == 0
+        network.resume("a", held.subscription_id)
+        assert network.publish("b", Event({"price": 50})).total_notifications == 1
 
 
 # -- hypothesis: the network delivers exactly like the central service --------

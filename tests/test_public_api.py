@@ -419,6 +419,7 @@ RETIRED = {
     ("repro.service.delivery", None): ("DeliveryTask",),
     ("repro.service.delivery.base", None): ("DeliveryTask",),
     ("repro.matching.index", "AttributePlan"): ("use_index", "is_hybrid"),
+    ("repro.service.broker", "Broker"): ("publish_all",),
 }
 
 
