@@ -61,7 +61,7 @@ class DiscreteDistribution(Distribution):
         """Build the distribution of positive counts the caller already checked.
 
         The unchecked half of the constructor, as
-        :meth:`~repro.distributions.estimation.FrequencyCounter._add` is of
+        :meth:`~repro.distributions.estimation.FrequencyCounter._add_counts` is of
         ``record``: a frequency counter only ever holds positive counts of
         values it admitted into ``domain``, so no weight or membership is
         checked again.  The result equals ``DiscreteDistribution(domain,

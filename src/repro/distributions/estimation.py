@@ -67,21 +67,17 @@ class FrequencyCounter:
             raise DistributionError(f"value {value!r} is outside the attribute domain")
         if weight <= 0:
             raise DistributionError("observation weight must be positive")
-        self._add(value, weight)
-
-    def _add(self, value: object, weight: int) -> None:
-        """Count ``weight`` observations of a value the caller already checked.
-
-        The unchecked half of :meth:`record`: :class:`EventHistory` validates
-        an event (or a whole batch, once per distinct value) against the
-        schema first and then counts it through here, so no value is
-        checked against its domain twice.
-        """
         self._counts[value] += weight
         self._total += weight
 
     def _add_counts(self, counts: Mapping[object, int]) -> None:
-        """Bulk :meth:`_add`: one call per batch column, values already checked."""
+        """Count the values of one column the caller already checked.
+
+        The unchecked, bulk half of :meth:`record`: :class:`EventHistory`
+        validates an event (or a whole batch, once per distinct value)
+        against the schema first and then counts each column through
+        here, so no value is checked against its domain twice.
+        """
         self._counts.update(counts)
         self._total += sum(counts.values())
 
@@ -144,7 +140,7 @@ class FrequencyCounter:
             raise DistributionError("cannot build a distribution from an empty counter")
         if isinstance(self._domain, (DiscreteDomain, IntegerDomain)):
             # The counts were checked on the way in (by ``record`` /
-            # ``set_count``, or by whoever called ``_add`` / ``_add_counts``)
+            # ``set_count``, or by whoever called ``_add_counts``)
             # and are all positive.
             return DiscreteDistribution._of_counts(self._domain, self._counts)
         from repro.distributions.continuous import PiecewiseConstantDistribution
@@ -165,23 +161,29 @@ class EventHistory:
     current event distribution ``P_e`` and decide whether the profile tree
     should be restructured.
 
-    Events are checked on the way in and counted on the way out.
-    :meth:`observe` validates one event, :meth:`observe_all` a batch
+    Events are checked on the way in and counted once.  :meth:`observe`
+    validates one event, :meth:`observe_all` a batch
     (:func:`~repro.core.events.column_counts`: one domain check per
     *distinct* value of each column, the per-event loop as the fallback);
     an admitted event then waits in a pending list until something reads
     the history — :meth:`counter`, :meth:`events`, ``len`` — or the next
-    :meth:`observe_all`, or until the list holds a full window.  Folding
-    it counts the pending events column by column (one
-    :class:`~collections.Counter` per attribute; partial events one value
-    at a time) and lets the overflow leave the window with one bulk
-    forget per attribute.  The state any read sees is the one a loop of
-    validate, append, count, evict-the-oldest per event would leave.
+    :meth:`observe_all`, or until the list holds a full window.
+
+    The window is a queue of admitted *chunks*, oldest first: each is
+    ``[events, column counts]``, the events of one counted batch (or of
+    one folded pending list) and the per-attribute
+    :class:`~collections.Counter` it was counted with.  A chunk that
+    leaves the window whole is forgotten with those same counts, one
+    bulk forget per attribute, so no event is counted twice.  Only the
+    chunk cut by the window edge is counted again: its expired head
+    when it is cut, its remainder when that leaves in turn.  The state
+    any read sees is the one a loop of validate, append, count,
+    evict-the-oldest per event would leave.
 
     A caller that has already validated its events against the schema —
     the broker admits every published event itself — hands them over
     through the unchecked :meth:`_admit` / :meth:`_admit_all`, the way
-    :meth:`FrequencyCounter._add` is the unchecked half of
+    :meth:`FrequencyCounter._add_counts` is the unchecked half of
     :meth:`FrequencyCounter.record`.
     """
 
@@ -190,7 +192,11 @@ class EventHistory:
             raise DistributionError("history length must be positive")
         self._schema = schema
         self._max_length = max_length
-        self._events: Deque[Event] = deque()
+        #: ``[events, counts]`` per admitted chunk, oldest first; ``counts``
+        #: is ``None`` for the remainder of a chunk the window edge cut.
+        self._chunks: Deque[list] = deque()
+        #: Events in the window (the chunks' total length).
+        self._length = 0
         #: Admitted events not counted yet, oldest first; folded as soon
         #: as it holds a full window.
         self._pending: list[Event] = []
@@ -200,7 +206,7 @@ class EventHistory:
 
     def __len__(self) -> int:
         self._fold()
-        return len(self._events)
+        return self._length
 
     @property
     def max_length(self) -> int:
@@ -230,7 +236,7 @@ class EventHistory:
         the :class:`~repro.core.errors.EventError` at the offending event
         with the valid prefix already admitted.
         """
-        events = events if isinstance(events, list) else list(events)
+        events = list(events)
         counts = column_counts(events, self._schema)
         if counts is None:
             for event in events:
@@ -242,9 +248,10 @@ class EventHistory:
         """Add a batch the caller already validated against the schema.
 
         ``counts`` is the batch's :func:`~repro.core.events.column_counts`
-        when the caller has it, in which case the batch is counted at
-        once; with ``None`` the events join the pending list and are
-        counted at the next fold.
+        when the caller has it, in which case the batch becomes one chunk
+        at once (the history keeps ``events`` itself: the caller hands
+        over a list it no longer changes); with ``None`` the events join
+        the pending list and are counted at the next fold.
         """
         if counts is None:
             self._pending.extend(events)
@@ -255,48 +262,55 @@ class EventHistory:
         self._count(events, counts)
 
     def _fold(self) -> None:
-        """Count the pending events into the window."""
+        """Count the pending events into the window as one chunk."""
         pending = self._pending
-        if not pending:
-            return
-        self._pending = []
+        if pending:
+            self._pending = []
+            self._count(pending, self._column_counts(pending))
+
+    def _column_counts(self, events: list[Event]) -> dict[str, Counter]:
+        """Return the per-attribute value counts of admitted ``events``."""
         names = self._schema.names
-        carried = [event.values for event in pending]
-        counts = None
+        carried = [event.values for event in events]
         if sum(map(len, carried)) == len(carried) * len(names):
             # Admitted events carry schema names only, so these are all
-            # complete: count them column by column.
-            counts = {name: Counter([values[name] for values in carried]) for name in names}
-        self._count(pending, counts)
+            # complete.
+            return {name: Counter([values[name] for values in carried]) for name in names}
+        return {
+            name: Counter([values[name] for values in carried if name in values])
+            for name in names
+        }
 
-    def _count(self, events: list[Event], counts: dict[str, Counter] | None) -> None:
-        """Append admitted ``events`` to the window, count them, evict the overflow.
+    def _count(self, events: list[Event], counts: dict[str, Counter]) -> None:
+        """Append admitted ``events`` as one chunk, count it, evict the overflow.
 
-        ``counts`` holds the events' per-attribute value counts, or
-        ``None`` to count them one value at a time (partial events).
+        ``counts`` holds the events' per-attribute value counts.  Every
+        count is added before anything is forgotten, so a value counted
+        again by this chunk never leaves its counter on the way.
         """
         counters = self._counters
-        window = self._events
-        window.extend(events)
-        if counts is None:
-            for event in events:
-                for name, value in event.values.items():
-                    counters[name]._add(value, 1)
-        else:
-            for name, counted in counts.items():
-                counters[name]._add_counts(counted)
-        overflow = len(window) - self._max_length
-        if overflow > 0:
-            expired = [window.popleft().values for _ in range(overflow)]
-            if sum(map(len, expired)) == overflow * len(counters):
-                # Every expired event is complete (names were checked on
-                # entry), so the slice leaves column by column as well.
-                for name, counter in counters.items():
-                    counter._forget_counts(Counter([values[name] for values in expired]))
+        for name, counted in counts.items():
+            counters[name]._add_counts(counted)
+        chunks = self._chunks
+        chunks.append([events, counts])
+        self._length += len(events)
+        overflow = self._length - self._max_length
+        if overflow <= 0:
+            return
+        self._length = self._max_length
+        while overflow:
+            chunk_events, expired = chunks[0]
+            if len(chunk_events) <= overflow:
+                chunks.popleft()
+                overflow -= len(chunk_events)
+                if expired is None:
+                    expired = self._column_counts(chunk_events)
             else:
-                for values in expired:
-                    for name, value in values.items():
-                        counters[name].forget(value)
+                expired = self._column_counts(chunk_events[:overflow])
+                chunks[0] = [chunk_events[overflow:], None]
+                overflow = 0
+            for name, counted in expired.items():
+                counters[name]._forget_counts(counted)
 
     def counter(self, attribute: str) -> FrequencyCounter:
         """Return the frequency counter of one attribute."""
@@ -309,12 +323,13 @@ class EventHistory:
     def events(self) -> list[Event]:
         """Return the retained events, oldest first."""
         self._fold()
-        return list(self._events)
+        return [event for chunk_events, _ in self._chunks for event in chunk_events]
 
     def clear(self) -> None:
         """Drop all retained events and counters."""
         self._pending = []
-        self._events.clear()
+        self._chunks.clear()
+        self._length = 0
         for attribute in self._schema:
             self._counters[attribute.name] = FrequencyCounter(attribute.domain)
 

@@ -43,7 +43,7 @@ class FilterStatistics:
     distinct tuple, in first-seen order (a :meth:`record` loop's
     first-notified order, so every per-profile average is exactly a
     per-event fold's), before each per-profile read and whenever they
-    reach the folded counters' size (at least one).
+    reach the number of per-profile counters ever folded (at least one).
     """
 
     def __init__(self) -> None:
@@ -56,7 +56,12 @@ class FilterStatistics:
         self._per_profile_operations: Counter = Counter()
         #: Matched-id tuple -> [events, operations charged], first-seen order.
         self._pending: dict[tuple[str, ...], list[int]] = {}
-        #: Pending entries that trigger a fold: the folded counters' size.
+        #: Per-profile counters dropped by :meth:`forget_profile`.  They
+        #: still count towards the fold bound, so churn does not make the
+        #: folds on the record path more frequent.
+        self._forgotten = 0
+        #: Pending entries that trigger a fold: the per-profile counters
+        #: ever folded, forgotten ones included.
         self._fold_bound = 1
 
     # -- recording ---------------------------------------------------------------
@@ -108,7 +113,23 @@ class FilterStatistics:
                 per_profile_notifications[profile_id] += count
                 per_profile_operations[profile_id] += charged
         self._pending.clear()
-        self._fold_bound = max(1, len(per_profile_notifications))
+        self._fold_bound = max(1, len(per_profile_notifications) + self._forgotten)
+
+    def forget_profile(self, profile_id: str) -> None:
+        """Drop one profile's per-profile counters (its subscription is gone).
+
+        The pending entries are folded first, so the counters of every
+        other profile keep what they received; the aggregates are
+        untouched.  A profile that subscribes again under the same id
+        starts from zero.
+        """
+        if self._pending:
+            self._fold()
+        # The fold fills both counters together, so one lookup says
+        # whether the profile has any; the fold bound stays as it is.
+        if self._per_profile_notifications.pop(profile_id, None) is not None:
+            del self._per_profile_operations[profile_id]
+            self._forgotten += 1
 
     # -- aggregate metrics ----------------------------------------------------------
     @property

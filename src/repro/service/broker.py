@@ -47,8 +47,8 @@ must be re-attached after recovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import replace
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.core.errors import ServiceError, StoreError, SubscriptionError
 from repro.core.events import Event, column_counts
@@ -84,9 +84,17 @@ from repro.service.subscriptions import (
 __all__ = ["Broker", "PublishOutcome"]
 
 
-@dataclass(frozen=True)
-class PublishOutcome:
-    """Result of publishing one event to a broker."""
+class PublishOutcome(NamedTuple):
+    """Result of publishing one event to a broker.
+
+    A named tuple, like :class:`~repro.service.notifications.Notification`:
+    the broker builds one per published event, and a tuple costs a
+    fraction of a frozen dataclass to construct and holds no
+    ``__dict__``.  Fields are read by name; an outcome is immutable,
+    equals (and hashes like) the plain tuple ``(event, match_result,
+    notifications)``, can be indexed and unpacked, and is changed with
+    ``outcome._replace(...)``, not ``dataclasses.replace``.
+    """
 
     event: Event
     match_result: MatchResult | None
@@ -397,9 +405,12 @@ class Broker:
         The engine (with its history and adaptation state) survives as
         long as any subscription — live or paused — remains registered;
         removing the very last one tears it down (the historical
-        no-subscription contract).
+        no-subscription contract).  The profile's per-profile statistics
+        go with it (a pause keeps them), so a cancelled profile costs no
+        memory and a new subscription under its id counts from zero.
         """
         subscription = self._registry.unsubscribe(subscription_id)
+        self._statistics.forget_profile(subscription.profile.profile_id)
         keep_engine = len(self._registry) > 0
         if subscription_id in self._paused:
             # A paused subscription's profile is already out of the filter.
@@ -626,10 +637,8 @@ class Broker:
             return [PublishOutcome(event, None, ()) for event in materialised]
         results = self._engine._match_batch_admitted(materialised, counts)
         produced = self._settle(materialised, results, clocks)
-        return [
-            PublishOutcome(event, result, notifications)
-            for event, result, notifications in zip(materialised, results, produced)
-        ]
+        new = tuple.__new__  # PublishOutcome._make's path, without its __new__
+        return [new(PublishOutcome, fields) for fields in zip(materialised, results, produced)]
 
     # -- delivery life-cycle -----------------------------------------------------------
     @property

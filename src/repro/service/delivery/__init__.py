@@ -142,12 +142,13 @@ class DeliveryDispatcher:
         """Submit a plan in order, one call per run of same-mode tasks.
 
         A ``default_only`` plan is one ``submit_all`` of both columns.
-        Otherwise sink-less subscriptions are skipped, and consecutive
-        tasks bound for the same (pinned or default) executor go to it as
-        one call.  An executor that raises (a closed executor, an
-        ``inline`` sink error) stops the dispatch there: every task
-        before the failing one in plan order was submitted, none after
-        it is.
+        Otherwise one pass over the subscription column finds where the
+        mode changes (sink-less subscriptions are a run that is skipped),
+        and each run bound for one (pinned or default) executor goes to
+        it as one slice of both columns.  An executor that raises (a
+        closed executor, an ``inline`` sink error) stops the dispatch
+        there: every task before the failing one in plan order was
+        submitted, none after it is.
         """
         subscriptions, notifications = plan.subscriptions, plan.notifications
         if plan.default_only:
@@ -155,19 +156,24 @@ class DeliveryDispatcher:
                 self.executor_for(None).submit_all(subscriptions, notifications)
             return
         default = self._default_mode
-        run_mode, run_subscriptions, run_notifications = None, [], []
-        for subscription, notification in zip(subscriptions, notifications):
+        run_mode, run_start = None, 0
+        for position, subscription in enumerate(subscriptions):
             if subscription.sink is None:
-                continue
-            mode = default if subscription.delivery is None else subscription.delivery
+                mode = None
+            elif subscription.delivery is None:
+                mode = default
+            else:
+                mode = subscription.delivery
             if mode != run_mode:
-                if run_subscriptions:
-                    self.executor_for(run_mode).submit_all(run_subscriptions, run_notifications)
-                run_mode, run_subscriptions, run_notifications = mode, [], []
-            run_subscriptions.append(subscription)
-            run_notifications.append(notification)
-        if run_subscriptions:
-            self.executor_for(run_mode).submit_all(run_subscriptions, run_notifications)
+                if run_mode is not None:
+                    self.executor_for(run_mode).submit_all(
+                        subscriptions[run_start:position], notifications[run_start:position]
+                    )
+                run_mode, run_start = mode, position
+        if run_mode is not None:
+            self.executor_for(run_mode).submit_all(
+                subscriptions[run_start:], notifications[run_start:]
+            )
 
     # -- life-cycle -------------------------------------------------------------
     # drain, close and stats walk a copy of the roster: a publisher may

@@ -107,6 +107,18 @@ class TestLifecycle:
             service.publish(example_event())
         assert handle.notifications_received() == 3
 
+    def test_a_new_handle_on_a_cancelled_profile_id_counts_from_zero(self):
+        service = alarm_service()
+        first = service.subscribe(where("temperature").at_least(20), profile_id="P1")
+        service.publish(example_event())
+        service.publish(example_event())
+        assert first.notifications_received() == 2
+        first.cancel()
+        second = service.subscribe(where("temperature").at_least(20), profile_id="P1")
+        assert second.notifications_received() == 0
+        service.publish(example_event())
+        assert second.notifications_received() == 1
+
 
 class TestLifecycleUnderReplanning:
     """Handle churn while the adaptive engine keeps restructuring."""

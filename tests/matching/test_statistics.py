@@ -219,6 +219,10 @@ class EagerReference:
                 self.counts[profile_id] += 1
                 self.charged[profile_id] += result.operations
 
+    def forget(self, profile_id: str) -> None:
+        self.counts.pop(profile_id, None)
+        self.charged.pop(profile_id, None)
+
     def summary(self) -> dict:
         """``FilterStatistics.summary`` as the eager fold computed it."""
         if not self.notifications:
@@ -257,6 +261,7 @@ interleavings = st.lists(
         st.tuples(st.just("record_all"), st.lists(pooled_results, max_size=8)),
         st.tuples(st.just("record"), pooled_results),
         st.tuples(st.just("read"), st.sampled_from(READS)),
+        st.tuples(st.just("forget"), st.sampled_from(UNIVERSE)),
     ),
     min_size=1,
     max_size=25,
@@ -273,7 +278,8 @@ def _same_floats(left: dict, right: dict) -> bool:
 def test_the_tuple_keyed_fold_equals_the_eager_fold(steps, probe):
     """Per-profile counts, operations, insertion order and every summary
     float equal an eager per-event fold after any interleaving of
-    recording and reading; pending entries stay under the computed bound."""
+    recording, reading and forgetting a profile; pending entries stay
+    under the computed bound."""
 
     def result(drawn) -> MatchResult:
         index, operations = drawn
@@ -290,6 +296,9 @@ def test_the_tuple_keyed_fold_equals_the_eager_fold(steps, probe):
         elif kind == "record":
             stats.record(result(argument))
             reference.record(result(argument))
+        elif kind == "forget":
+            stats.forget_profile(argument)
+            reference.forget(argument)
         elif argument == "counts":
             counts = stats.per_profile_notification_counts()
             assert list(counts.items()) == list(reference.counts.items())
@@ -311,10 +320,11 @@ def test_the_tuple_keyed_fold_equals_the_eager_fold(steps, probe):
                     stats.average_operations_over_profiles()
         elif reference.events:
             assert _same_floats(stats.summary(), reference.summary())
-        # The bound is the folded counters' size (at least one), and the
-        # pending entries always fold before they reach it.
+        # The bound is the number of counters ever folded, forgotten ones
+        # included (at least one), and the pending entries always fold
+        # before they reach it.
         folded = stats._per_profile_notifications
-        assert stats._fold_bound == max(1, len(folded))
+        assert stats._fold_bound == max(1, len(folded) + stats._forgotten)
         assert len(stats._pending) < stats._fold_bound
     assert (stats.events, stats.total_notifications) == (reference.events, reference.notifications)
     assert stats.matched_events == reference.matched

@@ -385,6 +385,51 @@ class TestIncrementalSubscriptionChurn:
                 a.match_result.matched_profile_ids == b.match_result.matched_profile_ids
             )
 
+    def test_cancelled_profiles_leave_no_statistics_behind(self):
+        broker = Broker(environmental_schema())
+        keeper = broker.subscribe(profile("keep", temperature=RangePredicate.at_least(0)), "ops")
+        current = broker.subscribe(
+            profile("churn-0", temperature=RangePredicate.at_least(0)), "ops"
+        )
+        for step in range(1, 1_001):
+            assert broker.publish(example_event()).delivered == 2
+            broker.unsubscribe(current.subscription_id)
+            current = broker.subscribe(
+                profile(f"churn-{step}", temperature=RangePredicate.at_least(0)), "ops"
+            )
+        assert broker.publish(example_event()).delivered == 2
+        counts = broker.statistics.per_profile_notification_counts()
+        assert len(counts) == len(broker.subscriptions) == 2
+        assert counts == {keeper.profile.profile_id: 1_001, "churn-1000": 1}
+        assert broker.statistics.total_notifications == 2_002
+        assert broker.statistics.events == 1_001
+
+    def test_a_resubscribed_profile_id_counts_from_zero(self):
+        broker = Broker(environmental_schema())
+        hot = profile("P1", temperature=RangePredicate.at_least(0))
+        first = broker.subscribe(hot, "ops")
+        broker.subscribe(profile("P2", temperature=RangePredicate.at_least(0)), "ops")
+        broker.publish(example_event())
+        broker.publish(example_event())
+        assert broker.statistics.notifications_of("P1") == 2
+        broker.unsubscribe(first.subscription_id)
+        broker.subscribe(hot, "ops")
+        assert broker.statistics.notifications_of("P1") == 0
+        assert broker.statistics.notifications_of("P2") == 2
+        broker.publish(example_event())
+        assert broker.statistics.notifications_of("P1") == 1
+
+    def test_a_paused_profile_keeps_its_statistics(self):
+        broker = Broker(environmental_schema())
+        hot = broker.subscribe(profile("P1", temperature=RangePredicate.at_least(0)), "ops")
+        broker.publish(example_event())
+        broker.pause_subscription(hot.subscription_id)
+        broker.publish(example_event())
+        assert broker.statistics.notifications_of("P1") == 1
+        broker.resume_subscription(hot.subscription_id)
+        broker.publish(example_event())
+        assert broker.statistics.notifications_of("P1") == 2
+
     def test_failed_subscribe_all_rolls_back_registry(self):
         broker = Broker(environmental_schema())
         keeper = broker.subscribe(

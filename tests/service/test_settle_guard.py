@@ -8,12 +8,13 @@ a sink and rides the default executor.  Pinned here, by counting calls:
 
 * one ``publish_batch`` of ``wide-range`` events with inline sinks on
   every subscription constructs exactly one ``Notification`` per
-  notification (no other named tuple either) and makes one
-  ``submit_all`` call;
+  notification and one ``PublishOutcome`` per event (no other named
+  tuple either) and makes one ``submit_all`` call;
 * one subscription pinned to ``threadpool`` in the middle of an event's
   matches splits that call into three same-mode runs, in plan order;
 * a subscription without a sink is skipped, and its notification still
-  reaches the log and the outcome.
+  reaches the log and the outcome; one in the middle of an event's
+  matches splits the call into the two runs around it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 import pytest
 
 from repro.api import FilterService
+from repro.service.broker import PublishOutcome
 from repro.service.delivery import (
     DeliveryDispatcher,
     InlineExecutor,
@@ -62,8 +64,8 @@ def count_tuple_constructions(publish):
 
     A named tuple is built through ``tuple.__new__`` whichever way it is
     constructed (its generated ``__new__``, ``_make`` or a direct call),
-    so this counts every ``Notification`` built, and any other named
-    tuple.
+    so this counts every ``Notification`` and ``PublishOutcome`` built,
+    and any other named tuple.
     """
     new, constructed = tuple.__new__, [0]
 
@@ -97,8 +99,12 @@ def test_one_batch_is_one_plan_one_submission_one_tuple_each(submissions, monkey
         returned = [n for outcome in outcomes for n in outcome.notifications]
         logged = service.broker.notification_log.all()
     assert len(returned) > 10 * len(events)  # hit-heavy: ~20 matches per event
-    assert constructed == len(returned)
+    # One tuple per notification and one per event's outcome, nothing else.
+    assert constructed == len(returned) + len(events)
     assert all(type(n) is Notification for n in returned)
+    assert len(outcomes) == len(events)
+    assert all(type(outcome) is PublishOutcome for outcome in outcomes)
+    assert not hasattr(outcomes[0], "__dict__")
     # One object per notification, shared by the sinks, the log and the outcomes.
     assert list(map(id, received)) == list(map(id, returned)) == list(map(id, logged))
     (plan,) = plans
@@ -142,3 +148,17 @@ def test_a_sinkless_subscription_is_skipped_but_logged(submissions):
         assert len(service.broker.notification_log) - logged_before == len(matched)
     assert len(outcome.notifications) == len(matched)
     assert submissions == [("inline", ids[1:])]
+
+
+def test_a_sinkless_subscription_in_the_middle_splits_the_plan_in_two(submissions):
+    with FilterService(WIDE_RANGE.schema, engine="index", adaptive=False) as service:
+        handles = {h.profile.profile_id: h for h in subscribed(service, lambda n: None)}
+        event = next(e for e in WIDE_RANGE.events if len(service.publish(e).notifications) >= 3)
+        matched = [n.profile_id for n in service.publish(event).notifications]
+        middle = len(matched) // 2
+        handles[matched[middle]].deliver_to(None)
+        ids = [handles[profile_id].subscription_id for profile_id in matched]
+        submissions.clear()
+        (outcome,) = service.publish_batch([event])
+    assert len(outcome.notifications) == len(matched)
+    assert submissions == [("inline", ids[:middle]), ("inline", ids[middle + 1 :])]
