@@ -282,8 +282,10 @@ class FilterService:
         :class:`~repro.service.delivery.WebhookSink` endpoints).  An
         ``async def`` sink runs to completion on whichever thread
         delivers it.  Asynchronous executors bound each delivery lane at
-        ``queue_capacity`` tasks; a publisher that finds a lane full
-        waits for space (backpressure).  Use the
+        ``queue_capacity`` waiting tasks; a publisher that finds a lane
+        full waits for space (backpressure).  A ``threadpool`` worker
+        takes its lane whole, so up to 2 × ``queue_capacity`` of a
+        subscription's tasks can be unstarted.  Use the
         service as a context manager — or call :meth:`close` — to drain
         in-flight deliveries on shutdown.
 

@@ -456,22 +456,25 @@ class Broker:
         one attached through the engine's incremental maintenance (the
         engine object, its history and its adaptation state survive); a
         paused subscription just records the new profile and attaches it
-        on resume.
+        on resume.  A new profile id starts its per-profile statistics from
+        zero and the old id's go, as on :meth:`unsubscribe`; under the same
+        id they carry on.
         """
         old = self._registry.get(subscription_id)
+        old_id = old.profile.profile_id
         updated = self._registry.replace_profile(subscription_id, profile)
-        if subscription_id in self._paused:
-            self._journal("modify", subscription_id, profile=profile)
-            return updated
-        self._detach_profile(old.profile.profile_id, keep_engine=True)
-        try:
-            self._attach_profile(profile)
-        except Exception:
-            # Restore the old registration and filter state before
-            # propagating, so registry and engine never desync.
-            self._registry.replace_profile(subscription_id, old.profile)
-            self._attach_profile(old.profile)
-            raise
+        if subscription_id not in self._paused:
+            self._detach_profile(old_id, keep_engine=True)
+            try:
+                self._attach_profile(profile)
+            except Exception:
+                # Restore the old registration and filter state before
+                # propagating, so registry and engine never desync.
+                self._registry.replace_profile(subscription_id, old.profile)
+                self._attach_profile(old.profile)
+                raise
+        if profile.profile_id != old_id:
+            self._statistics.forget_profile(old_id)
         self._journal("modify", subscription_id, profile=profile)
         return updated
 

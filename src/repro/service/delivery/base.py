@@ -25,9 +25,12 @@ A *task* is one ``(subscription, notification)`` entry of the columns.
   *attempt* a sink more than once before settling; extra attempts are
   counted in ``retried``.  The in-process executors attempt once.
 * **Bounded backpressure** — asynchronous executors bound each delivery
-  lane at ``queue_capacity`` tasks; a publisher that finds a lane full
-  waits for space.  The bound applies per task, in list order, even when
-  whole columns are submitted (:func:`enqueue_in_order`).
+  lane at ``queue_capacity`` waiting tasks; a publisher that finds a lane
+  full waits for space.  The bound applies per task, in list order, even
+  when whole columns are submitted (:func:`enqueue_in_order`).  It counts
+  the tasks still waiting, not the ones a worker took: a threadpool
+  worker takes its whole lane at once, so up to 2 × ``queue_capacity``
+  of a subscription's tasks can be unstarted.
 * **Prefix acceptance** — a submission that fails part-way (closed
   executor, closed while waiting for space, an inline sink error) leaves
   exactly the tasks *before* the failing one accepted, in list order,

@@ -11,19 +11,27 @@ queue per worker).
 ``submit_all`` queues whole columns as ``(subscription, notification)``
 pairs with one acquisition of each lane lock it touches, one
 ``accepted(n)`` and one wake-up per lane
-(:func:`~repro.service.delivery.base.enqueue_in_order`).  A worker pops
-one task at a time — a task it has not started stays on the queue,
-where a non-draining ``close`` can discard it — and counts it on its
-own lock-free :class:`~repro.service.delivery.stats.WorkerTally` the
-moment the sink returns, so ``pending`` counts exactly the tasks queued
-or in flight without a counters round trip per task.
+(:func:`~repro.service.delivery.base.enqueue_in_order`).  A worker takes
+its lane's whole queue in one lock round trip: it moves the queue into
+the lane's *hand* and pops the hand task by task without the lock.  It
+counts each task on its own lock-free
+:class:`~repro.service.delivery.stats.WorkerTally` the moment the sink
+returns, so ``pending`` counts exactly the tasks queued or in flight
+without a counters round trip per task.  A non-draining ``close`` pops
+the hand too, one task at a time from the other end; each pop is atomic,
+so each task is popped exactly once — started by its worker or dropped
+by ``close`` — and exactly the unstarted tasks are dropped.  The started
+tasks stay a prefix of the hand: a subscriber never sees a task after
+one that was dropped.
 
 Capacity is **per subscription**: each subscription may have at most
-``queue_capacity`` tasks queued (not yet started).  A full subscription
-lane parks the publisher at submit time, task by task, until the worker
-frees a slot — backpressure on that subscription alone, never on others
-sharing the worker (the matcher is throttled by delivery, never blocked
-*inside* a sink).
+``queue_capacity`` tasks waiting on its lane (not yet taken by the
+worker).  The hand holds at most one lane's worth more, so at most
+2 × ``queue_capacity`` of a subscription's tasks are unstarted.  A full
+subscription lane parks the publisher at submit time, task by task,
+until the worker takes the lane — backpressure on that subscription
+alone, never on others sharing the worker (the matcher is throttled by
+delivery, never blocked *inside* a sink).
 
 Each task is attempted once.  Sink exceptions are swallowed and counted
 (``failed``): a broken subscriber must not take down a worker shared
@@ -54,9 +62,10 @@ __all__ = ["ThreadPoolDeliveryExecutor"]
 
 
 class _Lane:
-    """One worker's run queue, per-subscription occupancy and wakeup."""
+    """One worker's run queue, the hand it took, per-subscription occupancy
+    and wakeup."""
 
-    __slots__ = ("condition", "queue", "queued_per_subscription")
+    __slots__ = ("condition", "queue", "queued_per_subscription", "hand")
 
     def __init__(self) -> None:
         self.condition = threading.Condition()
@@ -64,10 +73,29 @@ class _Lane:
         self.queue: deque[Task] = deque()
         #: Queued tasks per subscription (the capacity unit).
         self.queued_per_subscription: Counter = Counter()
+        #: Tasks the worker took off ``queue`` and has not started.
+        self.hand: deque[Task] = deque()
 
 
 def _condition_of(lane: _Lane) -> threading.Condition:
     return lane.condition
+
+
+def _empty(hand: deque) -> int:
+    """Pop ``hand`` empty from the right; return how many were popped.
+
+    Its worker pops the left end without the lane lock, so the length is
+    never read ahead: each ``pop`` either wins a task or finds the hand
+    empty.  Popping the other end from the worker keeps the tasks it
+    started a prefix of the hand.
+    """
+    popped = 0
+    while True:
+        try:
+            hand.pop()
+        except IndexError:
+            return popped
+        popped += 1
 
 
 class ThreadPoolDeliveryExecutor:
@@ -141,37 +169,38 @@ class ThreadPoolDeliveryExecutor:
             close_bridge_loop()  # async-sink bridge loop dies with the thread
 
     def _serve(self, lane: _Lane) -> None:
-        queued = lane.queued_per_subscription
-        capacity = self._capacity
+        condition, queue, hand = lane.condition, lane.queue, lane.hand
+        take = hand.popleft
         tally = self._counters.tally()
         while True:
-            with lane.condition:
-                if not lane.queue:
+            with condition:
+                if not queue:
                     self._counters.worker_idle()  # drain() may be waiting
-                while not lane.queue and not self._closed:
-                    lane.condition.wait()
-                if not lane.queue:
+                while not queue and not self._closed:
+                    condition.wait()
+                if not queue:
                     return  # closed and fully drained
-                subscription, notification = lane.queue.popleft()
-                subscription_id = subscription.subscription_id
-                remaining = queued[subscription_id] - 1
-                if remaining > 0:
-                    queued[subscription_id] = remaining
+                # Take the whole lane: every subscription has room again,
+                # and a publisher blocked on a full one may go on.
+                hand.extend(queue)
+                queue.clear()
+                lane.queued_per_subscription.clear()
+                condition.notify_all()
+            while True:
+                try:
+                    # Atomic: a task close() pops is never started here.
+                    subscription, notification = take()
+                except IndexError:
+                    break
+                try:
+                    invoke_sink(subscription.sink, notification)
+                except BaseException:
+                    # BaseException included: a sink calling sys.exit must
+                    # neither kill the worker (orphaning its lane) nor leak
+                    # the pending count (hanging every later drain()).
+                    tally.failed += 1
                 else:
-                    del queued[subscription_id]
-                if remaining == capacity - 1:
-                    # The subscription was full: a publisher may be
-                    # blocked on it (no one waits on any other).
-                    lane.condition.notify_all()
-            try:
-                invoke_sink(subscription.sink, notification)
-            except BaseException:
-                # BaseException included: a sink calling sys.exit must
-                # neither kill the worker (orphaning its lane) nor leak
-                # the pending count (hanging every later drain()).
-                tally.failed += 1
-            else:
-                tally.delivered += 1
+                    tally.delivered += 1
 
     # -- life-cycle -------------------------------------------------------------
     def drain(self) -> None:
@@ -185,7 +214,7 @@ class ThreadPoolDeliveryExecutor:
         for lane in self._lanes:
             with lane.condition:
                 if not drain:
-                    self._counters.discarded(len(lane.queue))
+                    self._counters.discarded(len(lane.queue) + _empty(lane.hand))
                     lane.queue.clear()
                     lane.queued_per_subscription.clear()
                 self._closed = True

@@ -430,6 +430,66 @@ class TestIncrementalSubscriptionChurn:
         broker.publish(example_event())
         assert broker.statistics.notifications_of("P1") == 2
 
+    @pytest.mark.parametrize("paused", [False, True], ids=["live", "paused"])
+    def test_modifying_to_new_profile_ids_leaves_no_statistics_behind(self, paused):
+        broker = Broker(environmental_schema())
+        keeper = broker.subscribe(profile("keep", temperature=RangePredicate.at_least(0)), "ops")
+        current = broker.subscribe(profile("step-0", temperature=RangePredicate.at_least(0)), "ops")
+        for step in range(1, 101):
+            assert broker.publish(example_event()).delivered == 2
+            if paused:
+                broker.pause_subscription(current.subscription_id)
+            broker.modify_subscription(
+                current.subscription_id,
+                profile(f"step-{step}", temperature=RangePredicate.at_least(0)),
+            )
+            if paused:
+                broker.resume_subscription(current.subscription_id)
+        assert broker.publish(example_event()).delivered == 2
+        statistics = broker.statistics
+        counts = statistics.per_profile_notification_counts()
+        assert len(counts) == len(broker.subscriptions) == 2
+        assert counts == {keeper.profile.profile_id: 101, "step-100": 1}
+        assert len(statistics._per_profile_operations) == 2
+        assert statistics.total_notifications == 202
+
+    def test_modifying_under_the_same_profile_id_keeps_its_counts(self):
+        broker = Broker(environmental_schema())
+        hot = broker.subscribe(profile("P1", temperature=RangePredicate.at_least(0)), "ops")
+        broker.publish(example_event())
+        broker.publish(example_event())
+        broker.modify_subscription(
+            hot.subscription_id, profile("P1", humidity=RangePredicate.at_least(0))
+        )
+        assert broker.statistics.notifications_of("P1") == 2
+        broker.publish(example_event())
+        assert broker.statistics.notifications_of("P1") == 3
+
+    def test_a_failed_modify_keeps_the_old_counts(self, monkeypatch):
+        broker = Broker(environmental_schema())
+        hot = broker.subscribe(profile("P1", temperature=RangePredicate.at_least(0)), "ops")
+        broker.publish(example_event())
+        engine = broker.engine
+        add_admitted = engine._add_admitted
+        attached: list[str] = []
+
+        def fail_first_attach(item):
+            attached.append(item.profile_id)
+            if len(attached) == 1:
+                raise RuntimeError("attach failed")
+            add_admitted(item)
+
+        monkeypatch.setattr(engine, "_add_admitted", fail_first_attach)
+        with pytest.raises(RuntimeError, match="attach failed"):
+            broker.modify_subscription(
+                hot.subscription_id, profile("P2", temperature=RangePredicate.at_least(0))
+            )
+        assert attached == ["P2", "P1"]  # the restore path re-attached P1
+        assert broker.subscriptions.get(hot.subscription_id).profile.profile_id == "P1"
+        assert broker.statistics.notifications_of("P1") == 1
+        assert broker.publish(example_event()).delivered == 1
+        assert broker.statistics.notifications_of("P1") == 2
+
     def test_failed_subscribe_all_rolls_back_registry(self):
         broker = Broker(environmental_schema())
         keeper = broker.subscribe(

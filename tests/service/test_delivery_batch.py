@@ -26,6 +26,13 @@ its share of the plan as one list.  Pinned here:
   and a tiny switch interval, every concurrent snapshot conserves tasks.
 * **Non-draining close after a batch** drops exactly the tasks no worker
   has started.
+* **The worker takes its lane whole** (no clock): N tasks queued behind
+  a parked worker cost it O(1) acquisitions of its lane lock; a
+  non-draining close drops the worker's hand and its lane; and
+  ``queue_capacity`` bounds what waits on the lane, not the hand.
+* **A non-draining close racing the workers' hands** (stress) starts or
+  drops each task exactly once, and each subscription's started tasks
+  are a prefix of what it was sent.
 """
 
 from __future__ import annotations
@@ -609,3 +616,158 @@ def test_close_without_drain_after_a_batch_drops_exactly_the_unstarted_tasks():
     assert gated_calls == [0]
     assert other.received == []
     assert (stats.dispatched, stats.delivered, stats.dropped, stats.pending) == (12, 1, 11, 0)
+
+
+# -- the worker takes its lane whole ------------------------------------------------------
+
+
+def parked_worker(executor, queued) -> tuple[threading.Event, list[int]]:
+    """Submit a gated task together with ``queued`` (one submission) and
+    wait until the worker runs the gated sink: it took the whole
+    submission off its lane, so ``queued`` sits in its hand.  Return the
+    gate and, in a list, the worker's thread id."""
+    started, gate, worker = threading.Event(), threading.Event(), []
+
+    def gated(notification):
+        worker.append(threading.get_ident())
+        started.set()
+        assert gate.wait(10), "test gate never released"
+
+    executor.submit_all(*columns([make_task("gate", gated), *queued]))
+    assert started.wait(10)
+    return gate, worker
+
+
+def test_a_worker_takes_its_queued_tasks_in_one_lock_round_trip(monkeypatch):
+    """N tasks queued behind a parked worker cost the worker O(1)
+    acquisitions of its lane lock once it is free (one per task took
+    N + 1)."""
+    monkeypatch.setattr(threadpool, "_Lane", CountingLane)
+    monkeypatch.setattr(CountingCondition, "owner", 0)
+    monkeypatch.setattr(CountingCondition, "acquisitions", 0)
+    tasks = 200
+    received = Recorder()
+    executor = ThreadPoolDeliveryExecutor(max_workers=1)
+    gate, worker = parked_worker(executor, [])
+    try:
+        executor.submit_all(
+            *columns([make_task(f"S{n % 4}", received, n % 100) for n in range(tasks)])
+        )
+        CountingCondition.owner = worker[0]  # the publisher's locks are not counted
+        gate.set()
+        executor.drain()
+        acquisitions = CountingCondition.acquisitions
+        delivered = executor.stats().delivered
+    finally:
+        gate.set()
+        executor.close()
+    # One take of the whole lane, and the look that found it empty.
+    assert 1 <= acquisitions <= 2
+    assert delivered == tasks + 1
+    assert [n.event["price"] for n in received.received] == [n % 100 for n in range(tasks)]
+
+
+def test_close_without_drain_drops_the_hand_and_the_lane():
+    """Behind a gated in-flight sink, the worker's hand holds 5 tasks and
+    its lane 3 more: a non-draining close drops all 8 before the gate
+    opens, and only the in-flight task is delivered."""
+    received = Recorder()
+    executor = ThreadPoolDeliveryExecutor(max_workers=1, queue_capacity=8)
+    lane = executor._lanes[0]
+    gate, _ = parked_worker(executor, [make_task("S", received, n) for n in range(5)])
+    closer = threading.Thread(target=executor.close, kwargs={"drain": False})
+    try:
+        executor.submit_all(*columns([make_task("S", received, n) for n in range(5, 8)]))
+        assert (len(lane.hand), len(lane.queue)) == (5, 3)
+        closer.start()
+        deadline = time.monotonic() + 10
+        while executor.stats().dropped < 8:
+            assert time.monotonic() < deadline, "close never dropped the hand and the lane"
+            time.sleep(0.001)
+        assert closer.is_alive()  # still waiting for the in-flight sink
+    finally:
+        gate.set()
+        if closer.is_alive():
+            closer.join(10)
+        executor.close()
+    assert not closer.is_alive()
+    stats = executor.stats()
+    assert received.received == []
+    assert (stats.dispatched, stats.delivered, stats.dropped, stats.pending) == (9, 1, 8, 0)
+    assert stats.dispatched == stats.delivered + stats.dropped
+
+
+def test_capacity_bounds_the_lane_not_the_hand():
+    """With ``queue_capacity`` tasks of a subscription in the worker's
+    hand, the publisher queues ``queue_capacity`` more and blocks on the
+    next; another subscription on the same worker still gets in."""
+    capacity = 4
+    received: dict[str, list[int]] = {"S": [], "O": []}
+
+    def task(subscription_id: str, price: int):
+        return make_task(
+            subscription_id, lambda n: received[subscription_id].append(n.event["price"]), price
+        )
+
+    executor = ThreadPoolDeliveryExecutor(max_workers=1, queue_capacity=capacity)
+    gate, _ = parked_worker(executor, [task("S", n) for n in range(capacity)])
+    blocked = threading.Thread(target=executor.submit_all, args=columns([task("S", 2 * capacity)]))
+    other = threading.Thread(target=executor.submit_all, args=columns([task("O", 0)]))
+    try:
+        executor.submit_all(*columns([task("S", n) for n in range(capacity, 2 * capacity)]))
+        assert executor.stats().dispatched == 1 + 2 * capacity
+        blocked.start()
+        blocked.join(0.1)
+        assert blocked.is_alive()  # S's lane is full
+        other.start()
+        other.join(10)
+        assert not other.is_alive()
+        assert executor.stats().dispatched == 1 + 2 * capacity + 1
+        assert blocked.is_alive()
+    finally:
+        gate.set()
+        for thread in (blocked, other):
+            if thread.is_alive():
+                thread.join(10)
+        executor.drain()
+        executor.close()
+    assert not blocked.is_alive()
+    assert received == {"S": list(range(2 * capacity + 1)), "O": [0]}
+    stats = executor.stats()
+    total = 2 * capacity + 3  # the gate, S twice over plus one, and O
+    assert (stats.dispatched, stats.delivered, stats.pending) == (total, total, 0)
+
+
+def test_a_racing_non_draining_close_starts_or_drops_each_task_once():
+    """More workers than cores and a tiny switch interval: a close that
+    races the workers through their hands leaves every task delivered or
+    dropped, never both, and each subscription's delivered tasks are a
+    prefix of what it was sent."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            received: dict[str, list[int]] = {f"S{n}": [] for n in range(8)}
+            running = threading.Event()
+
+            def sink_for(subscription_id: str):
+                def sink(notification):
+                    running.set()
+                    time.sleep(0)  # let the closer in mid-hand
+                    received[subscription_id].append(notification.event["price"])
+
+                return sink
+
+            executor = ThreadPoolDeliveryExecutor(max_workers=4, queue_capacity=64)
+            tasks = [make_task(sid, sink_for(sid), p) for p in range(50) for sid in received]
+            executor.submit_all(*columns(tasks))
+            assert running.wait(10)
+            executor.close(drain=False)
+            stats = executor.stats()
+            delivered = sum(map(len, received.values()))
+            assert (stats.dispatched, stats.pending, stats.delivered) == (400, 0, delivered)
+            assert stats.delivered + stats.dropped == 400
+            for prices in received.values():
+                assert prices == list(range(len(prices)))
+    finally:
+        sys.setswitchinterval(interval)
