@@ -5,7 +5,7 @@ resolving every *distinct* ``(attribute, value)`` probe only once.  Both
 this kernel and the per-event loop of
 :meth:`~repro.matching.index.matcher.PredicateIndexMatcher.match` resolve a
 value with the attribute's one probe, ``_AttributeState.probe`` (bucket
-lookup, the hit's or slab's stored mask, scan evaluations).  The
+lookup, the hit's or slab's stored mask, the scanned entries).  The
 per-event loop pays it once per event; real batches carry massive value
 redundancy (a 1500-event stock-ticker batch observes ~40 distinct
 symbols), so the kernel keeps a per-batch memo per probed attribute:
@@ -75,18 +75,18 @@ class KernelStats:
 
     ``charged_operations`` is what the per-event cost model bills — the
     sum of the returned ``MatchResult.operations``, identical to the
-    per-event loop by construction.  ``executed_operations`` counts each
-    distinct probe once (the work the kernel actually performs after
-    dedup), so ``charged / executed`` is the deterministic batch-dedup
-    factor the benchmarks gate on.
+    per-event loop by construction.  ``executed_operations`` is the same
+    model counted once per distinct probe, so ``charged / executed`` is
+    the deterministic batch-dedup factor the benchmarks gate on.
     """
 
     events: int = 0
     charged_operations: int = 0
-    #: Comparison operations actually executed: each distinct
-    #: (attribute, value) probe of the batch counted once, and the
-    #: entries covering an interval slab shared by several distinct
-    #: values counted once per slab.
+    #: The charged model counted once per distinct probe, not a count of
+    #: Python comparisons: each distinct (attribute, value) probe of the
+    #: batch counted once, less the entries covering an indexed slab an
+    #: earlier distinct value already resolved.  A scanned range counts
+    #: on every distinct probe, though a slab lookup resolves it.
     executed_operations: int = 0
     #: Distinct probes resolved (memo misses) vs probes the per-event
     #: loop would have issued.

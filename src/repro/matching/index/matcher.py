@@ -58,20 +58,21 @@ The probe is written once, as ``_AttributeState.probe``:
 and the columnar kernel (:mod:`repro.matching.index.kernel`) once per
 distinct value of a batch, so both charge the same operations.
 
-The compiled scan
------------------
+The scanned ranges
+------------------
 What the probe scans — the residual entries, and the entries of a
-structure the plan does not index — is compiled by
+structure the plan does not index — is gathered by
 ``_AttributeState.refresh_view`` whenever a plan is adopted or an entry
-is created or dropped.  An exact :class:`RangePredicate` compiles to a
-``(low, high, low_closed, high_closed, entry)`` tuple, which the probe
-compares inline: one type check per probe, then a few comparisons per
-range, instead of a ``matches`` and an ``Interval.contains`` call per
-range.  Any other scanned kind keeps its
-``matches``.  The probe charges the scanned count in one addition and
-reads each scanned ``entry.mask`` live, so a subscribe or cancel that
-only edits masks recompiles nothing.  Every path applies one containment
-rule: a range accepts an ``int`` or ``float`` (never a ``bool``),
+is created or dropped.  Every range entry sits in the attribute's
+:class:`~repro.matching.index.buckets.IntervalBucket` whatever the
+verdict, so the interval verdict sets only what a probe is charged: a
+scanned range costs one operation, but all of them are resolved by the
+bucket's one slab lookup (slab number ``-1``, so the kernel counts them
+as executed like any scanned entry).  Every other scanned entry keeps
+its ``matches``: an unhashable value answers through ``matches`` but
+would raise through a dict lookup.  Masks are read live, so a subscribe
+or cancel that only edits masks refreshes nothing.  One containment rule
+holds: a range accepts an ``int`` or ``float`` (never a ``bool``),
 compared exactly, and no NaN.
 
 Incremental maintenance
@@ -172,7 +173,7 @@ class _AttributeState:
         "view_hash",
         "view_hash_masks",
         "view_interval",
-        "scan_ranges",
+        "scan_interval",
         "scan_other",
         "scan_count",
         "free",
@@ -190,12 +191,12 @@ class _AttributeState:
         #: vice versa.
         self.use_hash = False
         self.use_interval = False
-        #: Probe view, compiled by :meth:`refresh_view` (see "The
-        #: compiled scan" in the module doc).
+        #: Probe view, set by :meth:`refresh_view` (see "The scanned
+        #: ranges" in the module doc).
         self.view_hash: Mapping[object, tuple[int, ...]] | None = None
         self.view_hash_masks: Mapping[object, int] = {}
         self.view_interval: IntervalBucket | None = None
-        self.scan_ranges: tuple[tuple[float, float, bool, bool, _Entry], ...] = ()
+        self.scan_interval: IntervalBucket | None = None
         self.scan_other: tuple[_Entry, ...] = ()
         self.scan_count = 0
         #: Live profiles not constraining the attribute.  Empty means every
@@ -233,33 +234,25 @@ class _AttributeState:
         creation or drop (:meth:`adopt`, ``_create_entry``, ``_drop_entry``).
 
         The scanned entries are the residual ones (``NotEquals``-style)
-        plus those of a structure the plan does not index.  The compiled
-        tuples hold entries, not masks, so a mask-only edit needs no
-        refresh.
+        plus those of a structure the plan does not index; scanned ranges
+        are resolved through the interval bucket.  Entries and buckets are
+        held, not masks, so a mask-only edit needs no refresh.
         """
         hash_bucket = self.hash_bucket if self.use_hash else None
         self.view_hash = hash_bucket.table if hash_bucket is not None else None
         self.view_hash_masks = hash_bucket.masks if hash_bucket is not None else {}
-        self.view_interval = self.interval_bucket if self.use_interval else None
-        scanned: Iterable[_Entry]
-        if self.use_hash and self.use_interval:
-            scanned = self.scan_entries
-        elif self.use_hash or self.use_interval:
-            indexed = _HASH if self.use_hash else _RANGE
-            scanned = [entry for entry in self.entries.values() if entry.kind != indexed]
+        if self.use_interval:
+            self.view_interval, self.scan_interval = self.interval_bucket, None
+            scanned_ranges = 0
         else:
-            scanned = self.entries.values()
-        ranges = []
-        other = []
-        for entry in scanned:
-            if type(entry.predicate) is RangePredicate:
-                iv = entry.predicate.interval
-                ranges.append((iv.low, iv.high, iv.low_closed, iv.high_closed, entry))
-            else:
-                other.append(entry)
-        self.scan_ranges = tuple(ranges)
+            self.view_interval, self.scan_interval = None, self.interval_bucket
+            scanned_ranges = self.range_entry_count
+        if self.use_hash:
+            other = self.scan_entries
+        else:
+            other = [entry for entry in self.entries.values() if entry.kind != _RANGE]
         self.scan_other = tuple(other)
-        self.scan_count = len(ranges) + len(other)
+        self.scan_count = scanned_ranges + len(other)
 
     def flip(self, entry: _Entry, bit: int) -> None:
         """XOR ``bit`` into the bucket masks of the live ``entry``: one
@@ -307,18 +300,12 @@ class _AttributeState:
             slab, count, slab_mask = interval_bucket.lookup(value)
             operations += interval_bucket.probe_cost + count
             mask |= slab_mask
-        # The compiled scan: one operation per scanned entry.  A range
-        # accepts what RangePredicate.matches accepts, so NaN matches none.
+        # One operation per scanned entry; scanned ranges are resolved by
+        # their slab, whose number is not reported.
         operations += self.scan_count
-        ranges = self.scan_ranges
-        if ranges and isinstance(value, (int, float)) and not isinstance(value, bool):
-            for low, high, low_closed, high_closed, entry in ranges:
-                if (
-                    low < value < high
-                    or (low_closed and value == low)
-                    or (high_closed and value == high)
-                ):
-                    mask |= entry.mask
+        scan_interval = self.scan_interval
+        if scan_interval is not None:
+            mask |= scan_interval.lookup(value)[2]
         for entry in self.scan_other:
             if entry.predicate.matches(value):
                 mask |= entry.mask

@@ -239,7 +239,13 @@ class FilterStatistics:
         return scaled_spread <= scaled_mean
 
     def summary(self) -> dict[str, float]:
-        """Return the headline metrics as a plain dictionary."""
+        """Return the headline metrics as a plain dictionary.
+
+        A field with nothing to average over reads NaN: the per-pair one
+        before any notification, the per-profile one also once every
+        notified profile has been forgotten.
+        """
+        self._fold()
         return {
             "events": float(self._events),
             "avg_operations_per_event": self.average_operations_per_event(),
@@ -247,7 +253,7 @@ class FilterStatistics:
             "match_rate": self.match_rate(),
             "avg_operations_per_profile": (
                 self.average_operations_over_profiles()
-                if self._total_notifications
+                if self._per_profile_notifications
                 else float("nan")
             ),
             "avg_operations_per_event_and_profile": (

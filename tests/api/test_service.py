@@ -1,10 +1,15 @@
 """The FilterService facade: construction, publishing, merged stats."""
 
+import math
+
 import pytest
 
+from repro.core.domains import IntegerDomain
 from repro.core.errors import EventError, ProfileError, ServiceError, SubscriptionError
+from repro.core.events import Event
 from repro.core.profiles import Profile, ProfileSet
 from repro.core.predicates import Equals
+from repro.core.schema import Attribute, Schema
 from repro.api import (
     AdaptationPolicy,
     FilterService,
@@ -288,6 +293,19 @@ class TestStats:
         assert snapshot.operations > 0
         assert snapshot.subscriptions == 5
         assert snapshot.match_rate == pytest.approx(1.0)
+
+    def test_summary_after_every_notified_profile_is_cancelled(self):
+        """The per-profile average has nothing left to average over once
+        the only notified profile is gone, and reads NaN."""
+        schema = Schema([Attribute("x", IntegerDomain(0, 9))])
+        service = FilterService(schema, delivery="inline")
+        handle = service.subscribe(Profile("P1", {"x": Equals(3)}))
+        service.publish(Event({"x": 3}))
+        handle.cancel()
+        summary = service.broker.statistics.summary()
+        assert math.isnan(summary["avg_operations_per_profile"])
+        assert summary["events"] == 1.0 and summary["match_rate"] == 1.0
+        assert summary["avg_operations_per_event_and_profile"] > 0
 
     def test_snapshot_merges_kernel_stats_from_batches(self):
         workload = build_workload(

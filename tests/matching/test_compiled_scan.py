@@ -1,15 +1,16 @@
-"""The index family's compiled scan and its one containment rule.
+"""The index family's scanned ranges and its one containment rule.
 
-An attribute's scanned entries are compiled when its probe view is
-refreshed: an exact ``RangePredicate`` becomes its bounds, compared inline
-by ``_AttributeState.probe``.  Whatever the plan indexes or scans, a
-value must satisfy the same ranges: an ``int`` or ``float`` (never a
-``bool``) inside the interval, compared exactly, so NaN satisfies none.
-These tests force each strategy mix through ``_AttributeState.adopt`` and
-hold every mix to the slab-indexed matcher and the naive oracle.  The odd
-values are built without numpy (CI does not install it): ``Real`` is a
-``float`` subclass like ``numpy.float64``, and ``IntLike`` an integer
-that is no ``int`` like ``numpy.int64``.
+A range entry sits in its attribute's slab bucket whatever the plan
+decides: a scanned range is charged one operation per probe but resolved
+by the bucket's slab lookup, as an indexed one is.  Whatever the plan
+indexes or scans, a value must satisfy the same ranges: an ``int`` or
+``float`` (never a ``bool``) inside the interval, compared exactly, so NaN
+satisfies none.  These tests force each strategy mix through
+``_AttributeState.adopt`` and hold every mix to the slab-indexed matcher
+and the naive oracle, and the kernel's work accounting to a reference
+that scans.  The odd values are built without numpy (CI does not install
+it): ``Real`` is a ``float`` subclass like ``numpy.float64``, and
+``IntLike`` an integer that is no ``int`` like ``numpy.int64``.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def test_the_odd_values_keep_their_answers():
     assert matched(-INF) & ranges_only == {"P8", "P9", "P10", "P12"}
 
 
-# -- the compiled scan under churn --------------------------------------------
+# -- the scanned mixes under churn --------------------------------------------
 #: Finite bounds (``2**53`` among them, next to the values ``2**53 ± 1``);
 #: ``-inf`` is drawn only as a low bound and ``inf`` only as a high one.
 BOUNDS = (-2.5, -1, 0, 1, 2.5, TOP)
@@ -342,6 +343,78 @@ def test_every_mix_equals_the_slab_and_the_oracle_under_churn(
             add(step)
         elif live:
             remove(live[step % len(live)])
+        check()
+
+
+def reference_kernel_stats(matcher: PredicateIndexMatcher, batch: list[Event]) -> tuple:
+    """``(charged, executed, distinct probes)`` of one kernel run of
+    ``batch`` on a plan that scans every range, from
+    :func:`reference_operations`: each event charged as it alone would be,
+    and each distinct probe of the batch executed once.  A probe is
+    distinct per attribute by value and class (``True`` after ``1`` probes
+    again), and nothing is deducted for a shared slab: a scanned range
+    reports none."""
+    charged = sum(reference_operations(matcher, event) for event in batch)
+    executed = distinct = 0
+    memos = {attribute: {} for attribute, _ in matcher._probe_states}
+    for event in batch:
+        for attribute, state in matcher._probe_states:
+            if attribute not in event.values:
+                continue
+            value = event.values[attribute]
+            memo = memos[attribute]
+            if memo.get(value) is not value.__class__:
+                memo[value] = value.__class__
+                distinct += 1
+                executed += reference_operations(matcher, Event({attribute: value}))
+            satisfied = 0
+            for entry in state.entries.values():
+                if entry.predicate.matches(value):
+                    satisfied |= entry.mask
+            if not satisfied | state.free:
+                break
+    return charged, executed, distinct
+
+
+@given(
+    mix=st.sampled_from([SCAN, DEMOTED]),
+    population=st.lists(predicate_maps(), min_size=1, max_size=8),
+    churn=st.lists(st.one_of(predicate_maps(), st.integers(0, 20)), max_size=4),
+    batch=event_batches(),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_scanned_range_moves_no_kernel_counter(mix, population, churn, batch):
+    """On the mixes that scan ranges, after every churn step, the batch
+    kernel's three work counters equal :func:`reference_kernel_stats`:
+    resolving a scanned range by its slab changes what runs, not what is
+    charged or counted as executed."""
+    schema = make_schema()
+    anchor = Profile("anchor", {"x": RangePredicate.at_least(0), "y": Equals(0)})
+    initial = [anchor] + [Profile(f"P{i}", p) for i, p in enumerate(population)]
+    matcher = force(PredicateIndexMatcher(ProfileSet(schema, initial)), mix)
+    live = [profile.profile_id for profile in initial[1:]]
+    serial = itertools.count()
+
+    def check():
+        assert matcher._states["x"].scan_interval is matcher._states["x"].interval_bucket
+        before = replace(matcher.kernel_stats)
+        matcher.match_batch(batch)
+        after = matcher.kernel_stats
+        assert after.events - before.events == len(batch)
+        assert (
+            after.charged_operations - before.charged_operations,
+            after.executed_operations - before.executed_operations,
+            after.distinct_probes - before.distinct_probes,
+        ) == reference_kernel_stats(matcher, batch)
+
+    check()
+    for step in churn:
+        if isinstance(step, dict):
+            profile = Profile(f"C{next(serial)}", step)
+            matcher.add_profile(profile)
+            live.append(profile.profile_id)
+        elif live:
+            matcher.remove_profile(live.pop(step % len(live)))
         check()
 
 

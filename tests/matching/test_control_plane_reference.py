@@ -178,20 +178,27 @@ def test_recost_makes_no_per_value_containment_probes(monkeypatch):
     assert calls <= 1_000
 
 
-def test_scanned_ranges_are_compared_inline(monkeypatch):
+def test_scanned_ranges_are_resolved_by_their_slab(monkeypatch):
     """Complexity guard: pinned ``index`` on ``aml-transactions`` scans the
-    129 ``amount`` ranges, and each scanned range was a ``matches`` call
-    plus an ``Interval.contains`` call per probed value."""
+    129 ``amount`` ranges.  Each probe is still charged 129 operations for
+    them, but resolves them with one slab lookup: a per-range loop, a
+    ``matches`` call or an ``Interval.contains`` call per range and probed
+    value is gone, through ``match`` and the batch kernel alike."""
     workload = build_workload(get_profile("aml-transactions").spec)
     profiles = ProfileSet(workload.schema, workload.profiles)
     matcher = PredicateIndexMatcher(profiles)
     matcher.replan(workload.event_distributions)
-    assert len(matcher._states["amount"].scan_ranges) == 129
+    state = matcher._states["amount"]
+    bucket = state.interval_bucket
+    assert not state.use_interval and state.view_interval is None
+    assert (state.range_entry_count, state.scan_count) == (129, 129)
     events = list(workload.events[:500])
     expected = [result.matched_profile_ids for result in NaiveMatcher(profiles).match_batch(events)]
 
-    calls = {"matches": 0, "contains": 0}
+    calls = {"matches": 0, "contains": 0, "lookup": 0}
+    probed = []
     matches, contains = RangePredicate.matches, Interval.contains
+    lookup, probe = IntervalBucket.lookup, _AttributeState.probe
 
     def counting_matches(self, value):
         calls["matches"] += 1
@@ -201,12 +208,40 @@ def test_scanned_ranges_are_compared_inline(monkeypatch):
         calls["contains"] += 1
         return contains(self, value)
 
+    def counting_lookup(self, value):
+        if self is bucket:
+            calls["lookup"] += 1
+        return lookup(self, value)
+
+    def recording_probe(self, value):
+        if self is state:
+            probed.append(value)
+        return probe(self, value)
+
     monkeypatch.setattr(RangePredicate, "matches", counting_matches)
     monkeypatch.setattr(Interval, "contains", counting_contains)
-    results = matcher.match_batch(events)
+    monkeypatch.setattr(IntervalBucket, "lookup", counting_lookup)
+    monkeypatch.setattr(_AttributeState, "probe", recording_probe)
 
+    results = [matcher.match(event) for event in events]
     assert [result.matched_profile_ids for result in results] == expected
-    assert calls == {"matches": 0, "contains": 0}
+    # One lookup per event whose probe reaches the amount attribute.
+    assert len(probed) > 0
+    assert calls == {"matches": 0, "contains": 0, "lookup": len(probed)}
+    # The charge: the hash lookup and its hits, plus every scanned range.
+    hashed = state.view_hash
+    for value in probed[:50]:
+        assert probe(state, value)[0] == 1 + len(hashed.get(value, ())) + 129
+
+    calls.update(matches=0, contains=0, lookup=0)
+    probed.clear()
+    batched = matcher.match_batch(events)
+    assert [result.matched_profile_ids for result in batched] == expected
+    assert [result.operations for result in batched] == [r.operations for r in results]
+    # The kernel probes each distinct amount value of the batch once.
+    distinct = {(value, value.__class__) for value in probed}
+    assert len(probed) == len(distinct) > 0
+    assert calls == {"matches": 0, "contains": 0, "lookup": len(distinct)}
 
 
 def test_a_mask_only_subscribe_or_cancel_recompiles_no_view(monkeypatch):

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import MatchingError
@@ -224,12 +224,15 @@ class EagerReference:
         self.charged.pop(profile_id, None)
 
     def summary(self) -> dict:
-        """``FilterStatistics.summary`` as the eager fold computed it."""
-        if not self.notifications:
-            per_profile = per_pair = float("nan")
-        else:
+        """``FilterStatistics.summary`` as the eager fold computed it.
+
+        The per-profile average is over the live counters, so it reads NaN
+        once every notified profile is forgotten."""
+        per_profile = per_pair = float("nan")
+        if self.counts:
             values = [self.charged[pid] / count for pid, count in self.counts.items()]
             per_profile = sum(values) / len(values)
+        if self.notifications:
             per_pair = self.operations / self.notifications
         return {
             "events": float(self.events),
@@ -275,6 +278,10 @@ def _same_floats(left: dict, right: dict) -> bool:
 
 @settings(max_examples=300, deadline=None)
 @given(interleavings, st.sampled_from(UNIVERSE))
+# Pool entry 3 is ("P1",): once it is forgotten, no live profile has a
+# notification to average over.
+@example([("record_all", [(3, 0)]), ("forget", "P1"), ("read", "summary")], "P0")
+@example([("record_all", [(3, 0)]), ("forget", "P1"), ("read", "over_profiles")], "P0")
 def test_the_tuple_keyed_fold_equals_the_eager_fold(steps, probe):
     """Per-profile counts, operations, insertion order and every summary
     float equal an eager per-event fold after any interleaving of
@@ -312,7 +319,7 @@ def test_the_tuple_keyed_fold_equals_the_eager_fold(steps, probe):
                 with pytest.raises(MatchingError):
                     stats.average_operations_per_profile(probe)
         elif argument == "over_profiles":
-            if reference.notifications:
+            if reference.counts:
                 expected = reference.summary()["avg_operations_per_profile"]
                 assert repr(stats.average_operations_over_profiles()) == repr(expected)
             else:
