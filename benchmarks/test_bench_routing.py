@@ -27,8 +27,7 @@ import pytest
 
 from repro.core.predicates import Equals, RangePredicate
 from repro.core.profiles import profile
-from repro.service.routing import NetworkService
-from repro.simulation import build_topology, run_fanout_scenario
+from repro.service.routing import NetworkService, build_topology
 from repro.workloads import build_workload, get_profile
 
 _BROKERS = 10
@@ -152,7 +151,7 @@ def test_churn_cost_under_cover_heavy_load(record_routing):
         service.subscribe(
             profile(f"narrow-{i}", price=Equals(60 + (i % 130))), at=home
         )
-    checks_start, hits_start = service.network.cover_counters()
+    checks_start = service.stats().cover_checks
 
     churn_ops = 0
     start = time.perf_counter()
@@ -164,7 +163,7 @@ def test_churn_cost_under_cover_heavy_load(record_routing):
         handle.cancel()
         churn_ops += 2
     elapsed = time.perf_counter() - start
-    checks_churn, hits_churn = service.network.cover_counters()
+    checks_churn = service.stats().cover_checks
     churn_checks = checks_churn - checks_start
 
     # Isolated removals: profiles nothing covers and that cover nothing.
@@ -172,10 +171,10 @@ def test_churn_cost_under_cover_heavy_load(record_routing):
         service.subscribe(profile(f"iso-{i}", volume=Equals(i)), at=home)
         for i in range(20)
     ]
-    checks_before_cancel, _ = service.network.cover_counters()
+    checks_before_cancel = service.stats().cover_checks
     for handle in isolated:
         handle.cancel()
-    checks_after_cancel, _ = service.network.cover_counters()
+    checks_after_cancel = service.stats().cover_checks
 
     record_routing(
         "churn[cover-heavy]",
@@ -194,36 +193,6 @@ def test_churn_cost_under_cover_heavy_load(record_routing):
     assert churn_checks / churn_ops <= 8 * (_BROKERS - 1)
     # The ISSUE's isolated-removal criterion, network-wide.
     assert checks_after_cancel == checks_before_cancel
-
-
-def test_fanout_scenario_smoke(record_routing):
-    """The simulation driver end to end: 10 brokers, simulated time,
-    churn interleaved with batches (CI-sized knobs)."""
-    report = run_fanout_scenario(
-        brokers=_BROKERS,
-        subscriptions=200,
-        event_batches=5,
-        batch_size=40,
-        churn_operations=60,
-        topology="chain",
-        seed=23,
-    )
-    assert report.events_published == 200
-    assert report.churn_operations > 0
-    assert report.network.suppression_rate > 0.5
-    record_routing(
-        "fanout-scenario[chain]",
-        mean_matches_per_event=report.notifications / report.events_published,
-        suppression_rate=report.network.suppression_rate,
-        simulated_time=report.simulated_time,
-        churn_operations=float(report.churn_operations),
-        cover_hit_rate=report.network.cover_hit_rate,
-    )
-    print(
-        f"\nfanout scenario: {report.notifications} notifications, "
-        f"suppression {report.network.suppression_rate:.3f}, "
-        f"simulated time {report.simulated_time:.1f}"
-    )
 
 
 @pytest.mark.parametrize("engine", ["tree", "index"])

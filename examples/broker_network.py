@@ -7,7 +7,7 @@ overlay of five brokers — each hosting a full engine from the registry —
 spreads facility-management subscriptions across them (the generated
 workload mix plus fluent-builder alarm profiles wired the same way
 :class:`~repro.api.FilterService` clients write them), publishes sensor
-events at the edge brokers through a simulated network with per-hop
+events at the edge brokers through a network with random per-link
 latency, and reports how the incrementally maintained covering tables
 limit both the hops an event travels and the subscription state forwarded
 upstream.  A final check publishes the same events through one central
@@ -21,7 +21,7 @@ import random
 from collections import Counter
 
 from repro.api import FilterService, NetworkService, build_profiles, where
-from repro.simulation import SimulationEngine, UniformLatency
+from repro.service.routing import UniformLatency
 from repro.workloads import build_workload, get_profile
 
 
@@ -73,15 +73,14 @@ def main() -> None:
         )
     print()
 
-    # Publish events at the sensor brokers on simulated time, one shared
-    # clock across the run.
-    engine = SimulationEngine()
+    # Publish events at the sensor brokers; each publish starts at the
+    # network's clock, which ends at the latest arrival.
     hops_counter: Counter = Counter()
     delivered = 0
     overlay_matches: list[frozenset] = []
     for index, event in enumerate(workload.events):
         origin = "sensors-a" if index % 2 == 0 else "sensors-b"
-        report = network.publish(event, at=origin, simulation=engine)
+        report = network.publish(event, at=origin)
         hops_counter[report.max_hops] += 1
         delivered += report.total_notifications
         overlay_matches.append(
@@ -104,7 +103,7 @@ def main() -> None:
         f"(suppression rate {stats.suppression_rate:.2f}, "
         f"cover hit rate {stats.cover_hit_rate:.2f})"
     )
-    print(f"simulated clock at the end of the run: {engine.clock.now:.1f} time units")
+    print(f"network clock at the end of the run: {network.network.clock:.1f} time units")
     print()
 
     # --- The overlay delivers exactly what one central service would ---------

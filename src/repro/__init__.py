@@ -19,13 +19,11 @@ Sub-packages
     The analytical cost model (Eq. 2) and the paper's worked examples.
 ``repro.service``
     The event notification service: broker, subscriptions, adaptive
-    re-optimisation and a multi-broker routing overlay.
+    re-optimisation and a multi-broker routing overlay with link latency.
 ``repro.api``
     The stable client facade: :class:`~repro.api.FilterService`, durable
     subscription handles, the fluent profile builder (``where``) and the
     pluggable engine registry.
-``repro.simulation``
-    Discrete-event simulation used by the distributed examples.
 ``repro.workloads``
     Workload specs, generators and the paper's application scenarios.
 ``repro.experiments``

@@ -22,7 +22,6 @@ from repro.core.errors import (
     SchemaError,
     SelectivityError,
     ServiceError,
-    SimulationError,
     SubscriptionError,
     TreeConstructionError,
     WorkloadError,
@@ -80,7 +79,6 @@ __all__ = [
     "SchemaError",
     "SelectivityError",
     "ServiceError",
-    "SimulationError",
     "Subrange",
     "SubscriptionError",
     "TreeConstructionError",

@@ -24,7 +24,6 @@ __all__ = [
     "StoreError",
     "StoreCorruptionError",
     "RoutingError",
-    "SimulationError",
     "WorkloadError",
     "WorkloadSpecError",
     "ExperimentError",
@@ -98,10 +97,6 @@ class StoreCorruptionError(StoreError):
 
 class RoutingError(ServiceError):
     """A broker-network routing operation failed."""
-
-
-class SimulationError(ReproError):
-    """The discrete-event simulation was driven incorrectly."""
 
 
 class WorkloadError(ReproError):

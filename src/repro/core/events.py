@@ -3,7 +3,7 @@
 An event is "the occurrence of a state transition at a certain point in
 time", described as a collection of ``(attribute, value)`` pairs (Section 3
 of the paper).  Events are immutable value objects; the optional timestamp
-and source fields support the service and simulation layers.
+and source fields support the service and routing layers.
 """
 
 from __future__ import annotations

@@ -602,8 +602,9 @@ class Broker:
 
         ``timestamps`` stamps each event's notifications with an
         externally supplied clock (one value per event) instead of the
-        broker's internal tick — the broker-overlay substrate uses this
-        to carry *simulated* delivery times across hops.
+        broker's internal tick — the broker overlay uses this to stamp
+        each hop's arrival time on the network's clock (link latency
+        included).
 
         The batch is settled as one unit: statistics and the notification
         log record every event of the batch, then one

@@ -4,10 +4,12 @@
 full engine from the registry, covering relations are maintained
 **incrementally** under churn (with correct uncovering on removal),
 per-link interest is an indexed matcher, and events are forwarded in
-batches through the columnar kernel.  See ``docs/routing.md``.
+batches through the columnar kernel on the network's own clock, each
+link delayed by a :class:`LatencyModel`.  See ``docs/routing.md``.
 """
 
 from repro.service.routing.covering import minimal_cover, predicate_covers, profile_covers
+from repro.service.routing.latency import ConstantLatency, LatencyModel, UniformLatency
 from repro.service.routing.overlay import (
     LinkState,
     NetworkDeliveryReport,
@@ -19,6 +21,7 @@ from repro.service.routing.service import (
     NetworkService,
     NetworkStats,
     NetworkSubscriptionHandle,
+    build_topology,
 )
 from repro.service.routing.table import (
     AddOutcome,
@@ -30,7 +33,9 @@ from repro.service.routing.table import (
 __all__ = [
     "AddOutcome",
     "BrokerStats",
+    "ConstantLatency",
     "CoveringTable",
+    "LatencyModel",
     "LinkState",
     "NetworkDeliveryReport",
     "NetworkService",
@@ -40,6 +45,8 @@ __all__ = [
     "OverlayNetwork",
     "RemoveOutcome",
     "TableEntry",
+    "UniformLatency",
+    "build_topology",
     "minimal_cover",
     "predicate_covers",
     "profile_covers",

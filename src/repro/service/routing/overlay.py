@@ -23,9 +23,10 @@ arbitrarily long chains are fine), delivers locally through each broker's
 ``publish_batch`` (columnar kernel) and forwards to each neighbour only
 the subset of the batch its interest matcher accepts — early rejection
 as close to the publisher as possible, the paper's idea "used for a
-distributed service".  An optional
-:class:`~repro.simulation.engine.SimulationEngine` plus latency model
-runs the same traversal on simulated time.
+distributed service".  Every forwarded batch arrives after the link's
+latency (:mod:`~repro.service.routing.latency`) on the network's own
+:attr:`OverlayNetwork.clock`: a publish starts at the clock, and the clock
+then moves to the batch's latest arrival.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ from repro.matching.index.matcher import PredicateIndexMatcher
 from repro.service.adaptive import AdaptationPolicy, resolve_policy_engine
 from repro.service.broker import Broker
 from repro.service.notifications import Notification, NotificationSink
+from repro.service.routing.latency import ConstantLatency, LatencyModel
 from repro.service.routing.table import CoveringTable
 from repro.service.subscriptions import Subscription
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.latency import ConstantLatency, LatencyModel
 
 __all__ = ["LinkState", "NetworkDeliveryReport", "OverlayBroker", "OverlayNetwork"]
 
@@ -174,6 +174,7 @@ class OverlayNetwork:
         self._events_published = 0
         self._total_hops = 0
         self._total_link_transfers = 0
+        self._clock = 0.0
 
     # -- topology ---------------------------------------------------------------
     @property
@@ -409,31 +410,22 @@ class OverlayNetwork:
                         frontier.append((neighbour, broker_id))
 
     # -- event routing ----------------------------------------------------------
-    def publish(
-        self,
-        broker_id: str,
-        event: Event,
-        *,
-        simulation: SimulationEngine | None = None,
-    ) -> NetworkDeliveryReport:
+    def publish(self, broker_id: str, event: Event) -> NetworkDeliveryReport:
         """Publish a single event (a batch of one)."""
-        return self.publish_batch(broker_id, [event], simulation=simulation)
+        return self.publish_batch(broker_id, [event])
 
     def publish_batch(
-        self,
-        broker_id: str,
-        events: Iterable[Event],
-        *,
-        simulation: SimulationEngine | None = None,
+        self, broker_id: str, events: Iterable[Event]
     ) -> NetworkDeliveryReport:
         """Publish a batch at ``broker_id`` and route it to all subscribers.
 
         The batch stays together per link: each broker delivers locally
         via its engine's ``publish_batch`` and forwards to a neighbour
         exactly the subset its interest matcher accepts.  Partial events
-        are accepted, matching the central service's semantics.  With
-        ``simulation`` the hop traversal runs on simulated time under the
-        network's latency model (the call drains the engine's queue).
+        are accepted, matching the central service's semantics.  The
+        batch enters at :attr:`clock`; each link adds the latency model's
+        delay to the delivery stamps behind it, and the clock ends at the
+        latest arrival.
         """
         batch = list(events)
         for event in batch:
@@ -443,15 +435,15 @@ class OverlayNetwork:
         event_hops = [0] * len(batch)
         hops = 0
         link_transfers = 0
-
-        def handle(
-            broker: OverlayBroker,
-            came_from: str | None,
-            indices: Sequence[int],
-            depth: int,
-            timestamp: float,
-        ) -> None:
-            nonlocal hops, link_transfers
+        clock = self._clock
+        self._events_published += len(batch)
+        # Iterative breadth-first traversal: an explicit frontier deque,
+        # one entry per (broker, incoming link, event subset) — chain
+        # length never touches the Python stack.
+        frontier: deque[tuple[OverlayBroker, str | None, Sequence[int], int, float]]
+        frontier = deque([(origin, None, range(len(batch)), 0, clock)])
+        while frontier:
+            broker, came_from, indices, depth, timestamp = frontier.popleft()
             broker.events_in += len(indices)
             sub_batch = [batch[i] for i in indices]
             outcomes = broker.local.publish_batch(
@@ -481,36 +473,12 @@ class OverlayNetwork:
                 link_transfers += 1
                 for index in forward:
                     event_hops[index] = max(event_hops[index], depth + 1)
-                delay = self._latency.delay(broker.broker_id, neighbour)
-                target = self._brokers[neighbour]
-                if simulation is None:
-                    frontier.append(
-                        (target, broker.broker_id, forward, depth + 1, timestamp + delay)
-                    )
-                else:
-                    simulation.schedule_after(
-                        delay,
-                        lambda eng, t=target, c=broker.broker_id, f=forward, d=depth + 1: handle(
-                            t, c, f, d, eng.clock.now
-                        ),
-                        description=f"forward {len(forward)} events to {neighbour}",
-                    )
-
-        self._events_published += len(batch)
-        start_time = simulation.clock.now if simulation is not None else 0.0
-        if simulation is None:
-            # Iterative breadth-first traversal: an explicit frontier
-            # deque, one entry per (broker, incoming link, event subset) —
-            # chain length never touches the Python stack.
-            frontier: deque[tuple[OverlayBroker, str | None, Sequence[int], int, float]]
-            frontier = deque([(origin, None, range(len(batch)), 0, start_time)])
-            while frontier:
-                frontier_entry = frontier.popleft()
-                handle(*frontier_entry)
-        else:
-            frontier = deque()  # unused: the simulation queue is the frontier
-            handle(origin, None, range(len(batch)), 0, start_time)
-            simulation.run()
+                arrival = timestamp + self._latency.delay(broker.broker_id, neighbour)
+                clock = max(clock, arrival)
+                frontier.append(
+                    (self._brokers[neighbour], broker.broker_id, forward, depth + 1, arrival)
+                )
+        self._clock = clock
         self._total_hops += hops
         self._total_link_transfers += link_transfers
         return NetworkDeliveryReport(
@@ -526,6 +494,11 @@ class OverlayNetwork:
         )
 
     # -- accounting -------------------------------------------------------------
+    @property
+    def clock(self) -> float:
+        """Return the network time: the latest arrival of any publish so far."""
+        return self._clock
+
     @property
     def events_published(self) -> int:
         return self._events_published
@@ -547,15 +520,6 @@ class OverlayNetwork:
             for link in broker.links.values():
                 total.merge(link.interest.kernel_stats)
         return total
-
-    def cover_counters(self) -> tuple[int, int]:
-        """Return network-wide ``(cover_checks, cover_hits)``."""
-        checks = hits = 0
-        for broker in self._brokers.values():
-            for link in broker.links.values():
-                checks += link.table.cover_checks
-                hits += link.table.cover_hits
-        return checks, hits
 
     def routing_table_entries(self) -> int:
         return sum(b.routing_table_size() for b in self._brokers.values())

@@ -18,27 +18,27 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.core.builder import ProfileBuilder, ProfileCompiler
-from repro.core.errors import ProfileError, SubscriptionError
+from repro.core.errors import ProfileError, RoutingError, SubscriptionError
 from repro.core.events import Event, as_event
 from repro.core.profiles import Profile
 from repro.core.schema import Schema
 from repro.matching.index.kernel import KernelStats
 from repro.service.adaptive import AdaptationPolicy
 from repro.service.notifications import NotificationSink
+from repro.service.routing.latency import LatencyModel
 from repro.service.routing.overlay import (
     NetworkDeliveryReport,
     OverlayBroker,
     OverlayNetwork,
 )
 from repro.service.subscriptions import Subscription
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.latency import LatencyModel
 
 __all__ = [
     "BrokerStats",
     "NetworkService",
     "NetworkStats",
     "NetworkSubscriptionHandle",
+    "build_topology",
 ]
 
 #: States of a network subscription handle.
@@ -249,8 +249,9 @@ class NetworkService:
 
         ``engine`` is the default engine family for brokers added without
         an explicit choice (``None`` resolves to ``"auto"`` per broker);
-        ``latency`` feeds simulated-time publishing; ``delivery`` is the
-        default notification executor of every broker's local engine.
+        ``latency`` delays every link crossing on the network's clock;
+        ``delivery`` is the default notification executor of every
+        broker's local engine.
         """
         self._network = OverlayNetwork(schema, latency=latency)
         self._default_engine = engine
@@ -351,28 +352,16 @@ class NetworkService:
 
     # -- publishing --------------------------------------------------------------
     def publish(
-        self,
-        event: Event | Mapping[str, object],
-        *,
-        at: str,
-        simulation: SimulationEngine | None = None,
+        self, event: Event | Mapping[str, object], *, at: str
     ) -> NetworkDeliveryReport:
         """Publish one event at broker ``at`` (mappings are wrapped)."""
-        return self._network.publish(at, as_event(event), simulation=simulation)
+        return self._network.publish(at, as_event(event))
 
     def publish_batch(
-        self,
-        events: Iterable[Event | Mapping[str, object]],
-        *,
-        at: str,
-        simulation: SimulationEngine | None = None,
+        self, events: Iterable[Event | Mapping[str, object]], *, at: str
     ) -> NetworkDeliveryReport:
         """Publish a batch at ``at``; it rides ``publish_batch`` end to end."""
-        return self._network.publish_batch(
-            at,
-            [as_event(event) for event in events],
-            simulation=simulation,
-        )
+        return self._network.publish_batch(at, [as_event(event) for event in events])
 
     # -- observability -----------------------------------------------------------
     def broker_stats(self, broker_id: str) -> BrokerStats:
@@ -459,3 +448,36 @@ class NetworkService:
             f"NetworkService(brokers={len(self._network.brokers())}, "
             f"subscriptions={len(self._handles)})"
         )
+
+
+_TOPOLOGIES = ("chain", "star", "tree")
+
+
+def build_topology(
+    service: NetworkService,
+    *,
+    brokers: int,
+    topology: str = "chain",
+    engine: str | None = None,
+) -> list[str]:
+    """Create ``brokers`` nodes named ``b0..bN-1`` and link them.
+
+    ``"chain"`` is the worst case for hop counts (and the benchmark's
+    shape), ``"star"`` routes everything through ``b0``, ``"tree"`` is a
+    balanced binary tree rooted at ``b0``.
+    """
+    if topology not in _TOPOLOGIES:
+        raise RoutingError(f"unknown topology {topology!r}; pick one of {_TOPOLOGIES}")
+    if brokers < 1:
+        raise RoutingError("need at least one broker")
+    names = [f"b{i}" for i in range(brokers)]
+    for name in names:
+        service.add_broker(name, engine=engine)
+    for i in range(1, brokers):
+        if topology == "chain":
+            service.connect(names[i - 1], names[i])
+        elif topology == "star":
+            service.connect(names[0], names[i])
+        else:  # balanced binary tree
+            service.connect(names[(i - 1) // 2], names[i])
+    return names

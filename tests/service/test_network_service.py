@@ -20,8 +20,12 @@ from repro.core.events import Event
 from repro.core.predicates import Equals, RangePredicate
 from repro.core.profiles import profile
 from repro.core.schema import Attribute, Schema
-from repro.service.routing import OverlayNetwork
-from repro.simulation import ConstantLatency, SimulationEngine
+from repro.service.routing import (
+    ConstantLatency,
+    OverlayNetwork,
+    UniformLatency,
+    build_topology,
+)
 
 
 def price_schema() -> Schema:
@@ -260,9 +264,9 @@ class TestChurnCost:
         for i in range(40):
             service.subscribe(profile(f"p{i}", price=Equals(2 * i)), at="b")
         victim = service.subscribe(profile("victim", price=Equals(199)), at="b")
-        checks_before, _ = service.network.cover_counters()
+        checks_before = service.stats().cover_checks
         victim.cancel()
-        checks_after, _ = service.network.cover_counters()
+        checks_after = service.stats().cover_checks
         assert checks_after == checks_before
 
     def test_removal_cost_scales_with_covered_set(self):
@@ -392,20 +396,101 @@ class TestNetworkServiceFacade:
         # After close the local delivery executors are shut down.
         assert service.stats().notifications == 1
 
-    def test_simulated_time_accumulates_latency(self):
+    def test_network_clock_accumulates_latency(self):
         service = NetworkService(price_schema(), latency=ConstantLatency(2.0))
         for b in ("a", "b", "c"):
             service.add_broker(b)
         service.connect("a", "b")
         service.connect("b", "c")
         service.subscribe(profile("p", price=RangePredicate.at_least(100)), at="c")
-        simulation = SimulationEngine()
-        report = service.publish({"price": 150}, at="a", simulation=simulation)
+        report = service.publish({"price": 150}, at="a")
         assert report.total_notifications == 1
-        # Two hops at 2.0 each on the simulated clock.
-        assert simulation.clock.now == pytest.approx(4.0)
+        # Two hops at 2.0 each on the network's clock.
+        assert service.network.clock == pytest.approx(4.0)
         notification = report.notifications["c"][0]
         assert notification.delivered_at == pytest.approx(4.0)
+
+    def test_each_publish_starts_at_the_network_clock(self):
+        service = NetworkService(price_schema(), latency=ConstantLatency(2.0))
+        service.add_broker("a")
+        service.add_broker("b")
+        service.connect("a", "b")
+        service.subscribe(profile("pa", price=RangePredicate.at_least(100)), at="a")
+        service.subscribe(profile("pb", price=RangePredicate.at_least(100)), at="b")
+        stamps = []
+        for _ in range(3):
+            report = service.publish({"price": 150}, at="a")
+            stamps.append(
+                {
+                    broker: batch[0].delivered_at
+                    for broker, batch in report.notifications.items()
+                }
+            )
+        assert stamps == [
+            {"a": 0.0, "b": 2.0},
+            {"a": 2.0, "b": 4.0},
+            {"a": 4.0, "b": 6.0},
+        ]
+        assert service.network.clock == 6.0
+
+    def test_a_suppressed_publish_leaves_the_clock_alone(self):
+        service = NetworkService(price_schema(), latency=ConstantLatency(2.0))
+        service.add_broker("a")
+        service.add_broker("b")
+        service.connect("a", "b")
+        service.subscribe(profile("pb", price=RangePredicate.at_least(100)), at="b")
+        service.publish({"price": 150}, at="a")
+        report = service.publish({"price": 5}, at="a")
+        assert report.hops == 0
+        assert service.network.clock == 2.0
+
+
+class TestLatencyModels:
+    def test_constant(self):
+        assert ConstantLatency(3.0).delay("a", "b") == 3.0
+        with pytest.raises(RoutingError):
+            ConstantLatency(-1)
+
+    def test_uniform_is_seeded_and_bounded(self):
+        first = UniformLatency(1, 2, seed=5)
+        second = UniformLatency(1, 2, seed=5)
+        values = [first.delay("a", "b") for _ in range(20)]
+        assert values == [second.delay("a", "b") for _ in range(20)]
+        assert all(1 <= v <= 2 for v in values)
+        with pytest.raises(RoutingError):
+            UniformLatency(3, 1)
+        with pytest.raises(RoutingError):
+            UniformLatency(-1, 1)
+
+
+class TestBuildTopology:
+    def test_chain_links_consecutive_brokers(self):
+        service = NetworkService(price_schema())
+        names = build_topology(service, brokers=5, topology="chain")
+        assert names == ["b0", "b1", "b2", "b3", "b4"]
+        assert service.neighbours("b0") == ["b1"]
+        assert service.neighbours("b2") == ["b1", "b3"]
+        assert service.stats().links == 4
+
+    def test_star_routes_through_the_hub(self):
+        service = NetworkService(price_schema())
+        build_topology(service, brokers=5, topology="star")
+        assert service.neighbours("b0") == ["b1", "b2", "b3", "b4"]
+        assert service.neighbours("b3") == ["b0"]
+
+    def test_tree_is_balanced_and_acyclic(self):
+        service = NetworkService(price_schema())
+        build_topology(service, brokers=7, topology="tree")
+        assert service.neighbours("b0") == ["b1", "b2"]
+        assert service.neighbours("b1") == ["b0", "b3", "b4"]
+        assert service.neighbours("b2") == ["b0", "b5", "b6"]
+
+    def test_unknown_topology_rejected(self):
+        service = NetworkService(price_schema())
+        with pytest.raises(RoutingError):
+            build_topology(service, brokers=3, topology="ring")
+        with pytest.raises(RoutingError):
+            build_topology(service, brokers=0, topology="chain")
 
 
 class TestOverlayNetworkDirect:

@@ -38,7 +38,6 @@ PACKAGES = [
     "repro.service",
     "repro.service.durability",
     "repro.service.routing",
-    "repro.simulation",
     "repro.testing",
     "repro.workloads",
     "repro.experiments",
@@ -277,8 +276,8 @@ API_METHODS = {
         "brokers": (),
         "neighbours": ("broker_id",),
         "subscribe": ("profile", "at", "subscriber", "profile_id", "sink", "delivery"),
-        "publish": ("event", "at", "simulation"),
-        "publish_batch": ("events", "at", "simulation"),
+        "publish": ("event", "at"),
+        "publish_batch": ("events", "at"),
         "stats": (),
         "broker_stats": ("broker_id",),
         "handle": ("subscription_id",),
@@ -391,9 +390,11 @@ def test_registry_and_tree_matcher_surfaces_are_locked():
 # pinned, and every name deleted with the binary mode, the ``hybrid``
 # family, the cost calibrator and the family-switch cooldown is listed
 # here (the planner's ``hybrid=`` flag by the constructor lock), as are the
-# registry's ownership tests (an engine reports the spec it resolved) and
-# the per-notification ``DeliveryTask`` (a plan is two columns): re-adding
-# one is an explicit diff.
+# registry's ownership tests (an engine reports the spec it resolved), the
+# per-notification ``DeliveryTask`` (a plan is two columns), the
+# discrete-event simulator (the overlay keeps its own clock) and the
+# overlay's ``cover_counters`` (``NetworkService.stats`` sums the same
+# counters): re-adding one is an explicit diff.
 
 INDEX_PLANNER_PARAMETERS = ("event_distributions", "attribute_measure")
 
@@ -420,6 +421,11 @@ RETIRED = {
     ("repro.service.delivery.base", None): ("DeliveryTask",),
     ("repro.matching.index", "AttributePlan"): ("use_index", "is_hybrid"),
     ("repro.service.broker", "Broker"): ("publish_all",),
+    ("repro.core", None): ("SimulationError",),
+    ("repro.core.errors", None): ("SimulationError",),
+    ("repro.service.routing", None): ("PerHopLatency",),
+    ("repro.service.routing.latency", None): ("PerHopLatency",),
+    ("repro.service.routing", "OverlayNetwork"): ("cover_counters",),
 }
 
 
@@ -447,6 +453,11 @@ def test_retired_names_stay_gone(owner, names):
 def test_the_calibration_module_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.analysis.calibration")
+
+
+def test_the_simulation_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.simulation")
 
 
 # -- repro.workloads.profiles surface lock ------------------------------------
