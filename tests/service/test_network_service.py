@@ -22,6 +22,7 @@ from repro.core.profiles import profile
 from repro.core.schema import Attribute, Schema
 from repro.service.routing import (
     ConstantLatency,
+    LatencyModel,
     OverlayNetwork,
     UniformLatency,
     build_topology,
@@ -445,6 +446,132 @@ class TestNetworkServiceFacade:
         assert service.network.clock == 2.0
 
 
+class LinkLatency(LatencyModel):
+    """Per-direction delays; records every ``(source, destination)`` asked."""
+
+    def __init__(self, delays: dict[tuple[str, str], float], default: float = 1.0):
+        self.delays = delays
+        self.default = default
+        self.asked: list[tuple[str, str]] = []
+
+    def delay(self, source: str, destination: str) -> float:
+        self.asked.append((source, destination))
+        return self.delays.get((source, destination), self.default)
+
+
+def delivery_stamps(report) -> list[tuple[str, str, float]]:
+    return sorted(
+        (broker, n.profile_id, n.delivered_at)
+        for broker, batch in report.notifications.items()
+        for n in batch
+    )
+
+
+class TestNetworkClock:
+    def test_a_fresh_network_starts_at_zero(self):
+        service = chain_service("a", "b")
+        assert service.network.clock == 0.0
+        service.subscribe(profile("pa", price=Equals(1)), at="a")
+        report = service.publish({"price": 1}, at="a")
+        assert report.notifications["a"][0].delivered_at == 0.0
+        assert service.network.clock == 0.0
+
+    def test_the_clock_is_read_only(self):
+        network = OverlayNetwork(price_schema())
+        with pytest.raises(AttributeError):
+            network.clock = 5.0
+        assert network.clock == 0.0
+
+    def test_a_batch_moves_the_clock_once(self):
+        service = NetworkService(price_schema(), latency=ConstantLatency(2.0))
+        service.add_broker("a")
+        service.add_broker("b")
+        service.connect("a", "b")
+        service.subscribe(profile("pb", price=RangePredicate.at_least(100)), at="b")
+        events = [Event({"price": p}) for p in (150, 160, 170)]
+        first = service.publish_batch(events, at="a")
+        assert [n.delivered_at for n in first.notifications["b"]] == [2.0, 2.0, 2.0]
+        assert first.link_transfers == 1
+        assert service.network.clock == 2.0
+        second = service.publish_batch(events, at="a")
+        assert [n.delivered_at for n in second.notifications["b"]] == [4.0, 4.0, 4.0]
+        assert service.network.clock == 4.0
+
+    def test_the_clock_ends_at_the_latest_arrival_not_the_last_visited(self):
+        # The frontier visits b before c, but c's link is the faster one:
+        # the clock must take the slow branch's arrival.
+        latency = LinkLatency({("a", "b"): 5.0, ("a", "c"): 1.0})
+        service = NetworkService(price_schema(), latency=latency)
+        for broker_id in ("a", "b", "c"):
+            service.add_broker(broker_id)
+        service.connect("a", "b")
+        service.connect("a", "c")
+        service.subscribe(profile("pb", price=RangePredicate.at_least(100)), at="b")
+        service.subscribe(profile("pc", price=RangePredicate.at_least(100)), at="c")
+        report = service.publish({"price": 150}, at="a")
+        assert delivery_stamps(report) == [("b", "pb", 5.0), ("c", "pc", 1.0)]
+        assert service.network.clock == 5.0
+        report = service.publish({"price": 150}, at="a")
+        assert delivery_stamps(report) == [("b", "pb", 10.0), ("c", "pc", 6.0)]
+        assert service.network.clock == 10.0
+
+    def test_a_local_only_publish_stamps_the_clock_and_leaves_it(self):
+        service = NetworkService(price_schema(), latency=ConstantLatency(2.0))
+        service.add_broker("a")
+        service.add_broker("b")
+        service.connect("a", "b")
+        service.subscribe(profile("pb", price=RangePredicate.at_least(100)), at="b")
+        service.publish({"price": 150}, at="a")
+        report = service.publish({"price": 150}, at="b")
+        assert report.hops == 0
+        assert report.notifications["b"][0].delivered_at == 2.0
+        assert service.network.clock == 2.0
+
+    def test_delivery_time_is_hops_times_latency_on_a_chain(self):
+        service = NetworkService(price_schema(), latency=ConstantLatency(3.0))
+        names = build_topology(service, brokers=4, topology="chain")
+        for name in names:
+            service.subscribe(
+                profile(f"at-{name}", price=RangePredicate.at_least(0)), at=name
+            )
+        report = service.publish({"price": 10}, at=names[0])
+        assert report.max_hops == 3
+        assert delivery_stamps(report) == [
+            (name, f"at-{name}", 3.0 * hop) for hop, name in enumerate(names)
+        ]
+        assert service.network.clock == pytest.approx(9.0)
+
+    def test_seeded_uniform_latency_repeats_exactly(self):
+        def run() -> tuple[list, list[float]]:
+            service = NetworkService(
+                price_schema(), engine="index", latency=UniformLatency(1, 2, seed=7)
+            )
+            names = build_topology(service, brokers=5, topology="tree")
+            rng = random.Random(3)
+            for i in range(30):
+                low = rng.randrange(0, 180)
+                service.subscribe(
+                    profile(f"p{i}", price=RangePredicate.between(low, low + 20)),
+                    at=names[i % len(names)],
+                )
+            stamps, clocks = [], []
+            for round_ in range(3):
+                events = [Event({"price": rng.randrange(0, 200)}) for _ in range(20)]
+                report = service.publish_batch(events, at=names[round_ % len(names)])
+                stamps.append((delivery_stamps(report), report.hops, report.event_hops))
+                clocks.append(service.network.clock)
+            return stamps, clocks
+
+        first_stamps, first_clocks = run()
+        second_stamps, second_clocks = run()
+        assert first_stamps == second_stamps
+        assert first_clocks == second_clocks
+        assert first_clocks == sorted(first_clocks)
+        assert first_clocks[-1] > 0.0
+        for (stamps, _, _), clock in zip(first_stamps, first_clocks):
+            assert all(stamp <= clock for _, _, stamp in stamps)
+
+
 class TestLatencyModels:
     def test_constant(self):
         assert ConstantLatency(3.0).delay("a", "b") == 3.0
@@ -461,6 +588,31 @@ class TestLatencyModels:
             UniformLatency(3, 1)
         with pytest.raises(RoutingError):
             UniformLatency(-1, 1)
+
+    def test_a_model_is_asked_once_per_link_transfer_and_direction(self):
+        latency = LinkLatency({("a", "b"): 5.0, ("c", "b"): 0.5})
+        service = NetworkService(price_schema(), latency=latency)
+        for broker_id in ("a", "b", "c"):
+            service.add_broker(broker_id)
+        service.connect("a", "b")
+        service.connect("b", "c")
+        service.subscribe(profile("pa", price=RangePredicate.at_least(100)), at="a")
+        service.subscribe(profile("pc", price=RangePredicate.at_least(100)), at="c")
+        events = [Event({"price": p}) for p in (150, 160)]
+        report = service.publish_batch(events, at="a")
+        assert latency.asked == [("a", "b"), ("b", "c")]
+        assert report.notifications["c"][0].delivered_at == 6.0
+        latency.asked.clear()
+        report = service.publish_batch(events, at="c")
+        assert latency.asked == [("c", "b"), ("b", "a")]
+        assert report.notifications["a"][0].delivered_at == 6.0 + 1.5
+
+    def test_the_default_is_one_unit_per_link(self):
+        service = chain_service("a", "b", "c")
+        service.subscribe(profile("pc", price=RangePredicate.at_least(100)), at="c")
+        report = service.publish({"price": 150}, at="a")
+        assert report.notifications["c"][0].delivered_at == 2.0
+        assert service.network.clock == 2.0
 
 
 class TestBuildTopology:
@@ -492,6 +644,20 @@ class TestBuildTopology:
         with pytest.raises(RoutingError):
             build_topology(service, brokers=0, topology="chain")
 
+    def test_a_single_broker_has_no_links(self):
+        service = NetworkService(price_schema())
+        assert build_topology(service, brokers=1, topology="star") == ["b0"]
+        assert service.neighbours("b0") == []
+        assert service.stats().links == 0
+
+    def test_the_engine_is_set_on_every_broker(self):
+        service = NetworkService(price_schema(), engine="index")
+        names = build_topology(service, brokers=3, topology="tree", engine="tree")
+        for name in names:
+            service.subscribe(profile(f"p-{name}", price=Equals(1)), at=name)
+        service.publish({"price": 1, "volume": 0}, at="b0")
+        assert {service.broker_stats(name).engine_family for name in names} == {"tree"}
+
 
 class TestOverlayNetworkDirect:
     def test_overlay_is_usable_without_the_facade(self):
@@ -506,6 +672,19 @@ class TestOverlayNetworkDirect:
         assert report.total_notifications == 1
         network.unsubscribe("b", subscription.subscription_id)
         assert network.publish("a", Event({"price": 50})).total_notifications == 0
+
+    def test_the_overlay_keeps_its_clock_without_the_facade(self):
+        network = OverlayNetwork(price_schema(), latency=ConstantLatency(0.5))
+        network.add_broker("a", engine="index")
+        network.add_broker("b", engine="index")
+        network.connect("a", "b")
+        network.subscribe("b", profile("p", price=RangePredicate.at_least(10)), "bob")
+        stamps = [
+            network.publish("a", Event({"price": 50})).notifications["b"][0].delivered_at
+            for _ in range(3)
+        ]
+        assert stamps == [0.5, 1.0, 1.5]
+        assert network.clock == 1.5
 
     def test_a_paused_profile_id_stays_reserved(self):
         network = OverlayNetwork(price_schema())
