@@ -44,11 +44,14 @@ from repro.workloads.profiles import get_profile, list_profiles  # noqa: E402
 
 #: The headline sweep: per profile and engine, subscribe the population,
 #: publish one warm-up batch, then time one batch of the next events;
-#: every engine sees the same events, and each cell is a median of runs.
+#: every engine sees the same events.  Each round times every engine once,
+#: back to back (the first engine alternates between rounds), so a slow
+#: spell of the host lands on both sides of a round's ratio; a cell is the
+#: median over rounds, and ``auto ÷ index`` the median of per-round ratios.
 SWEEP_ENGINES = ("index", "auto")
 SWEEP_WARMUP_EVENTS = 500
 SWEEP_TIMED_EVENTS = 1_500
-SWEEP_RUNS = 3
+SWEEP_RUNS = 7
 
 
 def _git_revision() -> str | None:
@@ -84,14 +87,17 @@ def sweep(names: list[str]) -> None:
         profile = get_profile(name)
         spec = profile.spec.with_counts(event_count=SWEEP_WARMUP_EVENTS + SWEEP_TIMED_EVENTS)
         workload = build_workload(spec)
-        rates = {
-            engine: median(
-                sweep_events_per_s(profile, engine, workload) for _ in range(SWEEP_RUNS)
+        rounds = []
+        for number in range(SWEEP_RUNS):
+            order = SWEEP_ENGINES if number % 2 == 0 else SWEEP_ENGINES[::-1]
+            rounds.append(
+                {engine: sweep_events_per_s(profile, engine, workload) for engine in order}
             )
-            for engine in SWEEP_ENGINES
-        }
-        cells = " | ".join(f"{rates[engine]:,.0f}" for engine in SWEEP_ENGINES)
-        print(f"| `{name}` | {cells} | {rates['auto'] / rates['index']:.2f} |", flush=True)
+        cells = " | ".join(
+            f"{median(rates[engine] for rates in rounds):,.0f}" for engine in SWEEP_ENGINES
+        )
+        ratio = median(rates["auto"] / rates["index"] for rates in rounds)
+        print(f"| `{name}` | {cells} | {ratio:.2f} |", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -132,7 +138,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help=f"print events/s of {', '.join(SWEEP_ENGINES)} per profile: one "
         f"{SWEEP_WARMUP_EVENTS}-event warm-up batch, one timed {SWEEP_TIMED_EVENTS}-event "
-        f"batch, median of {SWEEP_RUNS} (informational; writes no history)",
+        f"batch, median of {SWEEP_RUNS} alternating rounds, auto ÷ index the median "
+        "of per-round ratios (informational; writes no history)",
     )
     parser.add_argument(
         "--dry-run",

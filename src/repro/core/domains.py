@@ -13,6 +13,15 @@ Both are modelled here behind the common :class:`Domain` interface.  The
 domain size is the interval length for continuous domains and the number of
 elements for discrete domains; it feeds the attribute-selectivity measures
 A1 and A2 of the paper (``s_att = d_0 / d`` and ``s_att = d_0 * P_e(D_0) / d``).
+
+Each domain builds its :meth:`~Domain.full_interval` once, and
+``Interval.intersect`` hands back an operand whose two ends both survive,
+so clamping or measuring an interval that already lies inside the domain
+builds no interval.  The index planner prices an interval bucket under
+the uniform assumption from :meth:`Domain.slab_measures`: the size of
+every slab between sorted boundaries, computed from the boundaries
+themselves.  It builds no interval per slab, and it never converts a
+boundary to ``float``, so an ``int`` bound past the float range is fine.
 """
 
 from __future__ import annotations
@@ -45,6 +54,9 @@ class Domain:
     #: ``True`` when the domain consists of finitely many enumerable values.
     is_discrete: bool = False
 
+    #: The whole domain as one closed interval, built once by each domain.
+    _full: Interval
+
     @property
     def size(self) -> float:
         """Return the domain size ``d_j`` used by the selectivity measures."""
@@ -54,12 +66,35 @@ class Domain:
         raise NotImplementedError
 
     def full_interval(self) -> Interval:
-        """Return an interval covering the whole domain."""
-        raise NotImplementedError
+        """Return an interval covering the whole domain (built once)."""
+        return self._full
 
     def measure(self, interval: Interval) -> float:
         """Return the size of ``interval`` restricted to this domain."""
+        return self._measure(interval.low, interval.high, interval.low_closed, interval.high_closed)
+
+    def _measure(self, low, high, low_closed: bool, high_closed: bool) -> float:
+        """:meth:`measure` of the interval with these ends, which need not
+        make a valid :class:`Interval`: an empty one measures ``0.0``."""
         raise NotImplementedError
+
+    def slab_measures(self, boundaries: Sequence[float]) -> tuple[list[float], list[float]]:
+        """Return the sizes of the slabs that sorted ``boundaries`` cut the line into.
+
+        The uniform counterpart of
+        :meth:`~repro.distributions.discrete.DiscreteDistribution.slab_masses`:
+        ``gaps[j]`` is the size of the open gap between boundaries ``j - 1``
+        and ``j`` (gap 0 and gap ``n`` are unbounded on their outer side)
+        and ``points[i]`` the size of boundary ``i``, each bit for bit
+        ``measure(clamp(slab))``.  An empty clamp — a gap outside the
+        domain, a point at an infinite boundary — measures ``0.0``.  No
+        interval is built and no boundary is converted to ``float``.
+        """
+        measure = self._measure
+        edges = [-math.inf, *boundaries, math.inf]
+        gaps = [measure(low, high, False, False) for low, high in zip(edges, edges[1:])]
+        points = [measure(value, value, True, True) for value in boundaries]
+        return gaps, points
 
     def clamp(self, interval: Interval) -> Interval | None:
         """Intersect ``interval`` with the domain, or ``None`` when empty."""
@@ -69,6 +104,29 @@ class Domain:
         """Raise :class:`DomainError` when ``value`` is not in the domain."""
         if value not in self:
             raise DomainError(f"value {value!r} is outside domain {self!r}")
+
+
+def _clip(low, high, low_closed: bool, high_closed: bool, floor, ceiling) -> tuple | None:
+    """Return the ends of ``(low, high)`` clamped to ``[floor, ceiling]``,
+    picked as ``Interval.intersect`` picks them, or ``None`` when empty."""
+    if floor > low:
+        low, low_closed = floor, True
+    if ceiling < high:
+        high, high_closed = ceiling, True
+    if low > high or (low == high and not (low_closed and high_closed)):
+        return None
+    return low, high, low_closed, high_closed
+
+
+def _count_integers(low, high, low_closed: bool, high_closed: bool, floor, ceiling) -> float:
+    """Return how many integers of ``[floor, ceiling]`` the ends enclose."""
+    clipped = _clip(low, high, low_closed, high_closed, floor, ceiling)
+    if clipped is None:
+        return 0.0
+    low, high, low_closed, high_closed = clipped
+    first = math.ceil(low) if low_closed else math.floor(low) + 1
+    last = math.floor(high) if high_closed else math.ceil(high) - 1
+    return float(max(0, last - first + 1))
 
 
 @dataclass(frozen=True)
@@ -81,6 +139,7 @@ class ContinuousDomain(Domain):
 
     low: float
     high: float
+    _full: Interval = field(init=False, repr=False, compare=False)
 
     is_discrete = False
 
@@ -91,6 +150,7 @@ class ContinuousDomain(Domain):
             raise DomainError(
                 f"continuous domain requires low < high, got [{self.low}, {self.high}]"
             )
+        object.__setattr__(self, "_full", Interval.closed(self.low, self.high))
 
     @property
     def size(self) -> float:
@@ -102,14 +162,11 @@ class ContinuousDomain(Domain):
         # Exact: float() would overflow on a huge int, and NaN compares false.
         return self.low <= value <= self.high
 
-    def full_interval(self) -> Interval:
-        return Interval.closed(self.low, self.high)
-
-    def measure(self, interval: Interval) -> float:
-        clipped = self.full_interval().intersect(interval)
+    def _measure(self, low, high, low_closed: bool, high_closed: bool) -> float:
+        clipped = _clip(low, high, low_closed, high_closed, self.low, self.high)
         if clipped is None:
             return 0.0
-        return float(clipped.high - clipped.low)
+        return float(clipped[1] - clipped[0])
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"ContinuousDomain([{self.low}, {self.high}])"
@@ -121,6 +178,7 @@ class IntegerDomain(Domain):
 
     low: int
     high: int
+    _full: Interval = field(init=False, repr=False, compare=False)
 
     is_discrete = True
 
@@ -129,6 +187,7 @@ class IntegerDomain(Domain):
             raise DomainError(
                 f"integer domain requires low <= high, got [{self.low}, {self.high}]"
             )
+        object.__setattr__(self, "_full", Interval.closed(self.low, self.high))
 
     @property
     def size(self) -> float:
@@ -139,20 +198,12 @@ class IntegerDomain(Domain):
             return False
         return self.low <= value <= self.high
 
-    def full_interval(self) -> Interval:
-        return Interval.closed(self.low, self.high)
-
     def values(self) -> range:
         """Return the domain values in their natural ascending order."""
         return range(self.low, self.high + 1)
 
-    def measure(self, interval: Interval) -> float:
-        clipped = self.full_interval().intersect(interval)
-        if clipped is None:
-            return 0.0
-        lo = math.ceil(clipped.low) if clipped.low_closed else math.floor(clipped.low) + 1
-        hi = math.floor(clipped.high) if clipped.high_closed else math.ceil(clipped.high) - 1
-        return float(max(0, hi - lo + 1))
+    def _measure(self, low, high, low_closed: bool, high_closed: bool) -> float:
+        return _count_integers(low, high, low_closed, high_closed, self.low, self.high)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"IntegerDomain([{self.low}, {self.high}])"
@@ -169,6 +220,7 @@ class DiscreteDomain(Domain):
     """
 
     ordered_values: tuple = field(default_factory=tuple)
+    _full: Interval = field(init=False, repr=False, compare=False)
 
     is_discrete = True
 
@@ -180,6 +232,7 @@ class DiscreteDomain(Domain):
             raise DomainError("discrete domain values must be unique")
         object.__setattr__(self, "ordered_values", ordered)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(ordered)})
+        object.__setattr__(self, "_full", Interval.closed(0, len(ordered) - 1))
 
     @property
     def size(self) -> float:
@@ -203,17 +256,10 @@ class DiscreteDomain(Domain):
     def values(self) -> Sequence:
         return self.ordered_values
 
-    def full_interval(self) -> Interval:
-        return Interval.closed(0, len(self.ordered_values) - 1)
-
-    def measure(self, interval: Interval) -> float:
-        """Measure an interval of *indexes* into the natural order."""
-        clipped = self.full_interval().intersect(interval)
-        if clipped is None:
-            return 0.0
-        lo = math.ceil(clipped.low) if clipped.low_closed else math.floor(clipped.low) + 1
-        hi = math.floor(clipped.high) if clipped.high_closed else math.ceil(clipped.high) - 1
-        return float(max(0, hi - lo + 1))
+    def _measure(self, low, high, low_closed: bool, high_closed: bool) -> float:
+        # Intervals over a discrete domain are over *indexes* into the
+        # natural order.
+        return _count_integers(low, high, low_closed, high_closed, 0, len(self.ordered_values) - 1)
 
     def measure_values(self, values: Iterable) -> float:
         """Return the number of ``values`` that belong to the domain."""

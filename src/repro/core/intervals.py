@@ -10,7 +10,6 @@ Fig. 1 contains both ``[30, 35)`` and ``[35, 50]``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -29,7 +28,9 @@ class Interval:
     high_closed: bool = True
 
     def __post_init__(self) -> None:
-        if math.isnan(self.low) or math.isnan(self.high):
+        # ``x != x`` is NaN's test without a float conversion, which would
+        # overflow on an ``int`` bound past the float range.
+        if self.low != self.low or self.high != self.high:
             raise DomainError("interval bounds must not be NaN")
         if self.low > self.high:
             raise DomainError(f"interval low {self.low} exceeds high {self.high}")
@@ -103,15 +104,24 @@ class Interval:
 
     # -- set operations ----------------------------------------------------
     def intersect(self, other: "Interval") -> "Interval | None":
-        """Return the intersection of two intervals, or ``None`` when empty."""
+        """Return the intersection of two intervals, or ``None`` when empty.
+
+        When both ends come from one operand the intersection *is* that
+        operand, and it is returned as it is: clamping an interval that
+        already lies inside a domain builds nothing.
+        """
         if self.low > other.low or (self.low == other.low and not self.low_closed):
-            low, low_closed = self.low, self.low_closed
+            low_side = self
         else:
-            low, low_closed = other.low, other.low_closed
+            low_side = other
         if self.high < other.high or (self.high == other.high and not self.high_closed):
-            high, high_closed = self.high, self.high_closed
+            high_side = self
         else:
-            high, high_closed = other.high, other.high_closed
+            high_side = other
+        if low_side is high_side:
+            return low_side
+        low, low_closed = low_side.low, low_side.low_closed
+        high, high_closed = high_side.high, high_side.high_closed
         if low > high:
             return None
         if low == high and not (low_closed and high_closed):
@@ -139,6 +149,10 @@ class Interval:
 
 
 def _fmt(value: float) -> str:
+    # An ``int`` prints as itself: ``float()`` would overflow past the
+    # float range.
+    if isinstance(value, int):
+        return str(value)
     if float(value).is_integer():
         return str(int(value))
     return f"{value:g}"

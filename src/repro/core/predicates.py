@@ -164,7 +164,7 @@ class RangePredicate(Predicate):
     def _clamped(self, domain: Domain) -> Interval | None:
         if isinstance(domain, DiscreteDomain):
             raise PredicateError("range predicates require an ordered domain")
-        return domain.full_interval().intersect(self.interval)
+        return domain.clamp(self.interval)
 
     def accepted_intervals(self, domain: Domain) -> list[Interval]:
         clamped = self._clamped(domain)

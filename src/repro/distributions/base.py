@@ -15,6 +15,7 @@ obtained by projecting a distribution onto an
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -58,6 +59,31 @@ class Distribution:
         raise NotImplementedError
 
     # -- derived helpers -----------------------------------------------------
+    def slab_masses(self, boundaries: Sequence[float]) -> tuple[list[float], list[float]]:
+        """Return the masses of the slabs that sorted ``boundaries`` cut the line into.
+
+        ``gaps[j]`` is the mass strictly between boundaries ``j - 1`` and
+        ``j`` (gap 0 and gap ``n`` are unbounded on their outer side) and
+        ``points[i]`` the mass at boundary ``i``.  This default prices
+        each slab as an :class:`Interval` clamped to the domain through
+        :meth:`probability_of_interval`; an empty clamp and a point at an
+        infinite boundary have no mass.  A distribution that can read the
+        masses off the boundaries directly overrides it
+        (:meth:`DiscreteDistribution.slab_masses
+        <repro.distributions.discrete.DiscreteDistribution.slab_masses>`).
+        """
+        edges = [-math.inf, *boundaries, math.inf]
+        gaps = [
+            self._clamped_mass(Interval(low, high, False, False)) if low < high else 0.0
+            for low, high in zip(edges, edges[1:])
+        ]
+        points = [self._clamped_mass(Interval.point(value)) for value in boundaries]
+        return gaps, points
+
+    def _clamped_mass(self, interval: Interval) -> float:
+        clamped = self.domain.clamp(interval)
+        return 0.0 if clamped is None else self.probability_of_interval(clamped)
+
     def probability_of_subrange(self, subrange: Subrange) -> float:
         """Return the probability mass of one defined sub-range."""
         if subrange.value is not None:

@@ -400,7 +400,9 @@ class IntervalBucket:
                     yield None, counts[slab], masks[slab]
         for index, value in enumerate(boundaries):
             slab = 2 * index + 1
-            if math.isinf(value):
+            # Compared, not ``math.isinf``: an ``int`` boundary past the
+            # float range would overflow.
+            if not -math.inf < value < math.inf:
                 yield None, counts[slab], masks[slab]
             else:
                 yield Interval.point(value), counts[slab], masks[slab]

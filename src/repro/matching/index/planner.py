@@ -22,7 +22,11 @@ costs in the suite's common currency (comparison operations, see
 ``E[hits]`` is taken under the attribute's event distribution ``P_e`` when
 one is supplied — the same distributions the selectivity measures V1-V3 /
 A1-A3 of :mod:`repro.selectivity` consume — and under a uniform assumption
-otherwise.  The planner also ranks attributes by their estimated rejection
+otherwise.  An interval bucket is priced from its slab boundaries, not
+slab by slab: the per-boundary masses of ``P_e``
+(``Distribution.slab_masses``) or, under the uniform assumption, the
+domain's per-boundary sizes (``Domain.slab_measures``), times each slab's
+entry count.  The planner also ranks attributes by their estimated rejection
 power (the probability that an event value satisfies *no* entry, weighted
 like Measure A2's zero-subdomain probability via
 :func:`repro.selectivity.attribute_measures.attribute_selectivities`), so
@@ -42,7 +46,6 @@ from repro.core.predicates import Equals, OneOf, Predicate, RangePredicate
 from repro.core.schema import Schema
 from repro.core.subranges import predicate_partition
 from repro.distributions.base import Distribution, project_onto_partition
-from repro.distributions.discrete import DiscreteDistribution
 from repro.selectivity.attribute_measures import AttributeMeasure, attribute_selectivities
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
@@ -178,23 +181,29 @@ class IndexPlanner:
     ) -> float:
         """Return ``E[hits]`` of an interval bucket under ``P_e``.
 
-        The sum of ``P_e(slab) * count`` over the covered slabs, gaps
-        first and then points (the order of :meth:`IntervalBucket.slabs`),
-        where a slab's count is the number of entries covering it.
-        Under a :class:`DiscreteDistribution` — every history estimate on a
-        finite domain — the slab masses come from one bisect pair per
-        boundary (:meth:`DiscreteDistribution.slab_masses`): O(boundaries ·
-        log support), and no interval is built.  Other distributions and
-        the uniform assumption price each covered slab as an interval.
+        The sum of ``mass * count`` over the covered slabs, gaps first and
+        then points (the order of :meth:`IntervalBucket.slabs`), where a
+        slab's count is the number of entries covering it.  The masses
+        come per boundary, never per slab interval: from
+        ``P_e.slab_masses`` (one bisect pair per boundary under a
+        :class:`~repro.distributions.discrete.DiscreteDistribution`, every
+        history estimate on a finite domain), or, without a ``P_e``, from
+        the domain's :meth:`~repro.core.domains.Domain.slab_measures`
+        divided by its size.  Only a ``P_e`` with no per-boundary masses
+        (the continuous histogram) still prices each slab as an interval,
+        inside its ``slab_masses``.  The floats are those of pricing each
+        clamped slab interval; under the uniform assumption the 3 985
+        ``wide-range`` slabs price in ≈ 3 ms and build no interval.
         """
         distribution = self.event_distributions.get(attribute)
-        if not isinstance(distribution, DiscreteDistribution):
-            expected = 0.0
-            for slab, count, _ in bucket.slabs():
-                if slab is not None and count:
-                    expected += self._interval_probability(attribute, domain, slab) * count
-            return expected
-        gap_masses, point_masses = distribution.slab_masses(bucket.boundaries)
+        boundaries = bucket.boundaries
+        if distribution is not None:
+            gap_masses, point_masses = distribution.slab_masses(boundaries)
+        else:
+            size = domain.size
+            gaps, points = domain.slab_measures(boundaries)
+            gap_masses = [measure / size for measure in gaps]
+            point_masses = [measure / size for measure in points]
         counts = bucket.counts
         expected = 0.0
         # An uncovered slab adds nothing, and the two slabs ``slabs()``

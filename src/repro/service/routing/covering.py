@@ -63,8 +63,8 @@ def predicate_covers(general: Predicate, specific: Predicate, domain: Domain) ->
         if isinstance(specific, OneOf):
             return all(general.matches(v) for v in specific.values)
         if isinstance(specific, RangePredicate):
-            general_clamped = domain.full_interval().intersect(general.interval)
-            specific_clamped = domain.full_interval().intersect(specific.interval)
+            general_clamped = domain.clamp(general.interval)
+            specific_clamped = domain.clamp(specific.interval)
             if specific_clamped is None:
                 return True
             if general_clamped is None:

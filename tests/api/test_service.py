@@ -4,11 +4,17 @@ import math
 
 import pytest
 
-from repro.core.domains import IntegerDomain
-from repro.core.errors import EventError, ProfileError, ServiceError, SubscriptionError
+from repro.core.domains import ContinuousDomain, IntegerDomain
+from repro.core.errors import (
+    DomainError,
+    EventError,
+    ProfileError,
+    ServiceError,
+    SubscriptionError,
+)
 from repro.core.events import Event
 from repro.core.profiles import Profile, ProfileSet
-from repro.core.predicates import Equals
+from repro.core.predicates import Equals, RangePredicate
 from repro.core.schema import Attribute, Schema
 from repro.api import (
     AdaptationPolicy,
@@ -17,6 +23,7 @@ from repro.api import (
     where,
 )
 from repro.matching.index import PredicateIndexMatcher
+from repro.matching.naive import NaiveMatcher
 from repro.workloads import (
     build_workload,
     environmental_profiles,
@@ -192,6 +199,59 @@ class TestPublishing:
         service.publish(example_event())
         assert len(received) == 1
         assert received[0].subscriber == "a"
+
+
+class TestRangeBoundsPastTheFloatRange:
+    """A range bound past the float range is a plain bound: it used to
+    raise a bare ``OverflowError`` wherever something converted it to
+    ``float`` (the NaN check, the slab walk, the interval display)."""
+
+    HUGE = 10**400
+
+    def huge_profiles(self) -> list[Profile]:
+        return [
+            Profile("at-most", {"x": RangePredicate.at_most(self.HUGE)}),
+            Profile("at-least", {"x": RangePredicate.at_least(-self.HUGE)}),
+            Profile("both", {"x": RangePredicate.between(-self.HUGE, self.HUGE)}),
+            Profile("low-half", {"x": RangePredicate.between(-self.HUGE, 50)}),
+            Profile("middle", {"x": RangePredicate.between(10, 20, high_closed=False)}),
+        ]
+
+    @pytest.mark.parametrize("domain", [IntegerDomain(0, 99), ContinuousDomain(0.0, 99.0)])
+    @pytest.mark.parametrize("engine", ["index", "tree", "naive", "auto"])
+    def test_every_engine_matches_what_the_oracle_matches(self, engine, domain):
+        schema = Schema([Attribute("x", domain)])
+        profiles = self.huge_profiles()
+        oracle = NaiveMatcher(ProfileSet(schema, profiles))
+        # Enough events for the columnar batch kernel; the continuous
+        # domain gets ints and floats.
+        if isinstance(domain, IntegerDomain):
+            values = list(range(100))
+        else:
+            values = [v if v % 3 else float(v) for v in range(100)]
+        events = [Event({"x": value}) for value in values]
+        expected = [oracle.match(event).matched_profile_ids for event in events]
+        assert all(expected) and any(len(ids) < len(profiles) for ids in expected)
+        for batched in (False, True):
+            with FilterService(schema, engine=engine) as service:
+                for subscription in profiles:
+                    service.subscribe(subscription)
+                if batched:
+                    outcomes = service.publish_batch(events)
+                else:
+                    outcomes = [service.publish(event) for event in events]
+                matched = [outcome.match_result.matched_profile_ids for outcome in outcomes]
+            assert matched == expected, (engine, batched)
+
+    def test_describe_prints_the_bound(self):
+        assert RangePredicate.at_most(self.HUGE).describe() == f"in [-inf, {self.HUGE}]"
+        assert RangePredicate.at_least(-self.HUGE).describe() == f"in [{-self.HUGE}, inf]"
+
+    def test_a_nan_bound_still_raises_domain_error(self):
+        with pytest.raises(DomainError, match="NaN"):
+            RangePredicate.at_most(float("nan"))
+        with pytest.raises(DomainError, match="NaN"):
+            RangePredicate.at_least(float("nan"))
 
 
 class TestSubscribing:

@@ -1,6 +1,10 @@
 """Tests for attribute domains."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.domains import ContinuousDomain, DiscreteDomain, IntegerDomain
 from repro.core.errors import DomainError
@@ -108,3 +112,52 @@ class TestDiscreteDomain:
     def test_measure_values(self):
         domain = DiscreteDomain(["a", "b", "c"])
         assert domain.measure_values(["a", "z", "c"]) == 2
+
+
+SLAB_BOUNDS = st.one_of(
+    st.integers(min_value=-3, max_value=23),
+    st.integers(min_value=-3, max_value=23).map(lambda v: v + 0.5),
+    st.sampled_from([-math.inf, math.inf, -(10**400), 10**400]),
+)
+
+
+def brute_measure(domain, interval: Interval) -> float:
+    """The size of ``interval`` in ``domain``, without ``Domain.measure``."""
+    clamped = domain.clamp(interval)
+    if clamped is None:
+        return 0.0
+    if isinstance(domain, IntegerDomain):
+        return float(sum(1 for value in domain.values() if clamped.contains(value)))
+    return clamped.length
+
+
+class TestSlabMeasures:
+    @given(
+        st.sampled_from(
+            [
+                IntegerDomain(0, 20),
+                IntegerDomain(4, 4),
+                ContinuousDomain(0, 20),
+                ContinuousDomain(2.5, 17.5),
+            ]
+        ),
+        st.sets(SLAB_BOUNDS, max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_slab_measures_what_its_clamped_interval_measures(self, domain, bounds):
+        boundaries = sorted(bounds)
+        gaps, points = domain.slab_measures(boundaries)
+        edges = [-math.inf, *boundaries, math.inf]
+        assert len(gaps) == len(boundaries) + 1 and len(points) == len(boundaries)
+        for (low, high), size in zip(zip(edges, edges[1:]), gaps):
+            slab = Interval(low, high, False, False) if low < high else None
+            assert size == (brute_measure(domain, slab) if slab else 0.0), (low, high)
+        for value, size in zip(boundaries, points):
+            assert size == brute_measure(domain, Interval.point(value)), value
+
+    def test_bounds_past_the_float_range_are_compared_exactly(self):
+        domain = IntegerDomain(0, 9)
+        gaps, points = domain.slab_measures([-(10**400), 3, 10**400])
+        assert gaps == [0.0, 3.0, 6.0, 0.0]
+        assert points == [0.0, 1.0, 0.0]
+        assert ContinuousDomain(0, 9).slab_measures([10**400]) == ([9.0, 0.0], [0.0])

@@ -25,12 +25,13 @@ from scan_reference import (
     slab_sum_expected_interval_hits,
 )
 
-from repro.core.domains import DiscreteDomain, IntegerDomain
+from repro.core.domains import ContinuousDomain, DiscreteDomain, IntegerDomain
 from repro.core.errors import PredicateError
 from repro.core.intervals import Interval
 from repro.core.predicates import Equals, NotEquals, OneOf, RangePredicate
 from repro.core.profiles import Profile, ProfileSet
 from repro.core.schema import Attribute, Schema
+from repro.distributions.continuous import PiecewiseConstantDistribution
 from repro.distributions.discrete import DiscreteDistribution, uniform_discrete
 from repro.distributions.estimation import EventHistory
 from repro.matching.index import IndexPlanner, PredicateIndexMatcher
@@ -291,6 +292,68 @@ def test_recost_builds_no_interval_per_slab(monkeypatch):
     assert built == 0
 
 
+def count_intervals(monkeypatch) -> dict[str, int]:
+    """Count every ``Interval`` built from now on, in ``counter["built"]``."""
+    counter = {"built": 0}
+    post_init = Interval.__post_init__
+
+    def counting_post_init(self):
+        counter["built"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Interval, "__post_init__", counting_post_init)
+    return counter
+
+
+def test_the_uniform_prior_builds_no_interval_per_slab(monkeypatch):
+    """Complexity guard: with no ``P_e`` every covered slab was built,
+    clamped and measured as five ``Interval`` objects (19 915 on
+    ``wide-range``); the domain's per-boundary sizes build none."""
+    matcher, _ = wide_range_recost()
+    domain = matcher.profiles.schema.domain("metric")
+    bucket = matcher._states["metric"].interval_bucket
+    counter = count_intervals(monkeypatch)
+
+    expected = IndexPlanner().expected_interval_hits("metric", domain, bucket)
+
+    assert expected > 0
+    assert counter["built"] == 0
+
+
+def test_an_index_build_builds_fewer_intervals_than_slabs(monkeypatch):
+    """Complexity guard: a ``wide-range`` build priced its 3 985 slabs as
+    intervals and clamped every in-domain range through a fresh
+    full-domain interval: 31 741 ``Interval`` objects.  What is left is
+    about one per covered sub-range of the probe-order partition."""
+    workload = build_workload(get_profile("wide-range").spec)
+    profiles = ProfileSet(workload.spec.schema, workload.profiles)
+    counter = count_intervals(monkeypatch)
+
+    matcher = PredicateIndexMatcher(profiles)
+
+    slabs = len(matcher._states["metric"].interval_bucket.counts)
+    assert slabs > 3_000
+    assert counter["built"] < slabs
+
+
+@pytest.mark.parametrize("domain", [IntegerDomain(0, 99), ContinuousDomain(-30.0, 50.0)])
+def test_clamping_inside_the_domain_builds_nothing(domain, monkeypatch):
+    """A domain builds its full interval once, and clamping an interval
+    that lies inside it hands that interval back."""
+    assert domain.full_interval() is domain.full_interval()
+    inside = Interval(10, 20, False, True)
+    everything = Interval(-math.inf, math.inf)
+    counter = count_intervals(monkeypatch)
+
+    assert domain.clamp(inside) is inside
+    assert domain.clamp(domain.full_interval()) is domain.full_interval()
+    assert domain.clamp(everything) is domain.full_interval()
+    (accepted,) = RangePredicate(inside).accepted_intervals(domain)
+    assert accepted is inside
+    assert domain.measure(inside) > 0
+    assert counter["built"] == 0
+
+
 def churned_flash_crowd():
     """A ``flash-crowd`` index matcher after one cancel + subscribe per two
     events' worth of churn, with its deferred replan still pending."""
@@ -421,6 +484,43 @@ def finite_distributions(draw):
 def test_boundary_bisect_sum_is_the_slab_sum_exactly(bucket, distribution):
     planner = IndexPlanner({"x": distribution})
     domain = distribution.domain
+    expected = slab_sum_expected_interval_hits(planner, "x", domain, bucket)
+    assert planner.expected_interval_hits("x", domain, bucket) == expected
+
+
+#: Ordered domains over the span of ``BUCKET_BOUNDS``: bucket boundaries
+#: fall inside, outside and on their ends, integral or not, or are infinite.
+ORDERED_DOMAINS = st.sampled_from(
+    [
+        IntegerDomain(0, 20),
+        IntegerDomain(5, 5),
+        IntegerDomain(-2, 7),
+        ContinuousDomain(0.0, 20.0),
+        ContinuousDomain(0, 20),
+        ContinuousDomain(2.5, 17.5),
+    ]
+)
+
+
+@given(churned_buckets(), ORDERED_DOMAINS)
+@settings(max_examples=300, deadline=None)
+def test_uniform_boundary_sum_is_the_slab_sum_exactly(bucket, domain):
+    planner = IndexPlanner()
+    expected = slab_sum_expected_interval_hits(planner, "x", domain, bucket)
+    assert planner.expected_interval_hits("x", domain, bucket) == expected
+
+
+@given(
+    churned_buckets(),
+    st.lists(st.integers(0, 9), min_size=1, max_size=8).filter(any),
+    st.sampled_from([ContinuousDomain(0.0, 20.0), ContinuousDomain(2.5, 17.5)]),
+)
+@settings(max_examples=200, deadline=None)
+def test_histogram_slab_masses_are_the_slab_sum_exactly(bucket, weights, domain):
+    """A continuous histogram has no per-boundary masses: the
+    ``Distribution.slab_masses`` default prices each slab as an interval,
+    which must still be the slab walk's sum."""
+    planner = IndexPlanner({"x": PiecewiseConstantDistribution(domain, weights)})
     expected = slab_sum_expected_interval_hits(planner, "x", domain, bucket)
     assert planner.expected_interval_hits("x", domain, bucket) == expected
 
