@@ -26,6 +26,7 @@ Typical invocations::
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import subprocess
 import sys
@@ -43,11 +44,13 @@ from repro.workloads import build_workload  # noqa: E402
 from repro.workloads.profiles import get_profile, list_profiles  # noqa: E402
 
 #: The headline sweep: per profile and engine, subscribe the population,
-#: publish one warm-up batch, then time one batch of the next events;
-#: every engine sees the same events.  Each round times every engine once,
-#: back to back (the first engine alternates between rounds), so a slow
-#: spell of the host lands on both sides of a round's ratio; a cell is the
-#: median over rounds, and ``auto ÷ index`` the median of per-round ratios.
+#: publish one warm-up batch, collect garbage, then time one batch of the
+#: next events; every engine sees the same events.  The collection keeps
+#: the previous engine's discarded service out of the timed batch.  Each
+#: round times every engine once, back to back (the first engine
+#: alternates between rounds), so a slow spell of the host lands on both
+#: sides of a round's ratio; a cell is the median over rounds, and
+#: ``auto ÷ index`` the median of per-round ratios.
 SWEEP_ENGINES = ("index", "auto")
 SWEEP_WARMUP_EVENTS = 500
 SWEEP_TIMED_EVENTS = 1_500
@@ -68,12 +71,17 @@ def _git_revision() -> str | None:
 
 
 def sweep_events_per_s(profile, engine: str, workload) -> float:
-    """Return the events/s of one timed batch after one warm-up batch."""
+    """Return the events/s of one timed batch after one warm-up batch.
+
+    A full collection runs between the two, so the garbage of earlier
+    services is not collected inside the timed batch.
+    """
     events = list(workload.events)
     warmup, timed = events[:SWEEP_WARMUP_EVENTS], events[SWEEP_WARMUP_EVENTS:]
     with FilterService.from_profile(profile, engine=engine) as service:
         service.subscribe_all(workload.profiles)
         service.publish_batch(warmup)
+        gc.collect()
         started = time.perf_counter()
         service.publish_batch(timed)
         return len(timed) / (time.perf_counter() - started)

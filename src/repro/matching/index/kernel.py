@@ -28,7 +28,9 @@ symbols), so the kernel keeps a per-batch memo per probed attribute:
   attribute count produce equal results; :class:`MatchResult` is an
   immutable value object, so one instance serves them all.  Its ids come
   from the matcher's one read-out, which :meth:`match` uses too: a mask
-  is decoded once for the matcher's life, not once per batch (see
+  is decoded once for the matcher's life, and its id tuple is built once
+  and shared by every result of the mask, across batches, until one of
+  its dense ids gets a new owner (see "Dense-id bitmasks" in
   :mod:`repro.matching.index.matcher`).
 
 Results are identical to per-event :meth:`match` — same matched ids, same
@@ -186,9 +188,7 @@ def match_batch_columnar(
         key = (matched, operations, len(values))
         result = shared.get(key)
         if result is None:
-            result = shared[key] = MatchResult(
-                profile_ids(matched), operations, visited_levels=len(values)
-            )
+            result = shared[key] = MatchResult(profile_ids(matched), operations, len(values))
         results.append(result)
     if stats is not None:
         stats.events += len(events)

@@ -40,18 +40,24 @@ The read-out turns that final mask into profile ids, and
 :meth:`~PredicateIndexMatcher.match` and the kernel share it.  A mask
 with one bit is read directly.  A mask with more bits is decoded by
 ``_dense_ids`` once and kept: the memo ``_readouts`` maps it to its
-dense ids and an :func:`operator.itemgetter` over them, which reads the
-ids' current owners out of ``_pid_of``.  Dense ids are bit
-positions, so an entry never goes stale: subscribe, cancel, a recycled
-id, :meth:`~PredicateIndexMatcher.replan` and ``_rebuild`` change which
-profile owns a bit, never which bits a mask has, and the owners are
-looked up on every read.  Once churn has recycled an id, dense-id order
-is no longer insertion order, and the read-out sorts the memoised ids by
-``_order_pos`` first.  The memo is emptied when it reaches the size of
-the index at that moment — live profiles plus slabs plus hash values —
-so it stays proportional to the index it reads.  Each read-out builds a
-fresh tuple of profile ids: no tuple is shared between read-outs (see
-the index family in ``docs/engines.md`` for why).
+dense ids, an :func:`operator.itemgetter` over them, the tuple of
+profile ids it last read and the epoch (``_epoch``) that tuple was read
+under.  A read in the current epoch returns the stored tuple, so every
+result of one mask shares it; a read in a stale epoch reads the ids'
+current owners out of ``_pid_of`` again and re-stamps the entry.  Dense
+ids are bit positions, so a mask's ids never go stale, only their
+owners, and the epoch moves whenever a bit may get a new owner: when
+``_allocate_id`` pops a recycled id, and in ``_rebuild``, which
+reassigns every id (:meth:`~PredicateIndexMatcher.replan` and a bulk
+:meth:`~PredicateIndexMatcher.add_profiles`).  A cancel moves nothing:
+its bit leaves ``_live``, every entry mask and every free mask, so no
+later read produces a mask that holds it until the id is reused.  A
+fresh id moves nothing either: its bit lies above every memoised mask.
+Once churn has recycled an id, dense-id order is no longer insertion
+order, and the read-out sorts the memoised ids by ``_order_pos`` first.
+The memo is emptied when it reaches the size of the index at that
+moment — live profiles plus slabs plus hash values — so it stays
+proportional to the index it reads.
 
 The probe is written once, as ``_AttributeState.probe``:
 :meth:`~PredicateIndexMatcher.match` calls it per event and attribute,
@@ -375,12 +381,15 @@ class PredicateIndexMatcher:
         #: this matcher instance has run (survives incremental maintenance
         #: and in-place :meth:`replan` rebuilds).
         self.kernel_stats = kernel.KernelStats()
-        #: The read-out memo: a multi-bit mask's dense ids and a getter of
-        #: their owners (see "Dense-id bitmasks" in the module doc).  It
+        #: The read-out memo: a multi-bit mask's dense ids, a getter of
+        #: their owners, the profile-id tuple last read and the epoch it
+        #: was read under (see "Dense-id bitmasks" in the module doc).  It
         #: holds at most ``_readout_bound`` masks and outlives every
         #: rebuild.
-        self._readouts: dict[int, tuple[tuple[int, ...], Callable]] = {}
+        self._readouts: dict[int, tuple[tuple[int, ...], Callable, tuple[str, ...], int]] = {}
         self._readout_bound = 0
+        #: Moves whenever a dense id gets a new owner.
+        self._epoch = 0
         self._rebuild()
 
     # -- dense-id allocation ----------------------------------------------------
@@ -390,6 +399,7 @@ class PredicateIndexMatcher:
             self._pid_of[dense] = profile_id
             self._order_pos[dense] = self._order_counter
             self._recycled = True
+            self._epoch += 1
         else:
             dense = len(self._pid_of)
             self._pid_of.append(profile_id)
@@ -421,6 +431,7 @@ class PredicateIndexMatcher:
         self._probe_states: tuple[tuple[str, _AttributeState], ...] = ()
         self._probed: set[str] = set()
         self._replan_pending = True
+        self._epoch += 1
 
         postings: dict[_Entry, list[int]] = {}
         constrainers: dict[_AttributeState, list[int]] = {}
@@ -746,9 +757,9 @@ class PredicateIndexMatcher:
             if not keep:
                 # Every live profile constrains the attribute and none is
                 # satisfied: no profile can match.
-                return MatchResult((), operations, visited_levels=len(values))
+                return MatchResult((), operations, len(values))
             matched &= keep
-        return MatchResult(self._profile_ids(matched), operations, visited_levels=len(values))
+        return MatchResult(self._profile_ids(matched), operations, len(values))
 
     def _profile_ids(self, mask: int) -> tuple[str, ...]:
         """Return the profile ids of ``mask`` in profile-set insertion order."""
@@ -757,23 +768,32 @@ class PredicateIndexMatcher:
             if not mask & (mask - 1):
                 # No bit or one bit: nothing to decode or to sort.
                 return (self._pid_of[mask.bit_length() - 1],) if mask else ()
-            readout = self._decode(mask)
-        ids, getter = readout
+            ids, getter = self._decode(mask)
+        elif readout[3] == self._epoch:
+            return readout[2]
+        else:
+            ids, getter = readout[0], readout[1]
         if self._recycled:
             pid_of = self._pid_of
-            return tuple([pid_of[dense] for dense in sorted(ids, key=self._order_pos.__getitem__)])
-        return getter(self._pid_of)
+            order = sorted(ids, key=self._order_pos.__getitem__)
+            profile_ids = tuple([pid_of[dense] for dense in order])
+        else:
+            profile_ids = getter(self._pid_of)
+        self._readouts[mask] = (ids, getter, profile_ids, self._epoch)
+        return profile_ids
 
     def _decode(self, mask: int) -> tuple[tuple[int, ...], Callable]:
-        """Decode a multi-bit ``mask`` into the read-out memo and return its entry."""
+        """Decode a multi-bit ``mask``: its dense ids and a getter of their owners.
+
+        Makes room in the read-out memo for the caller's new entry.
+        """
         readouts = self._readouts
         if len(readouts) >= self._readout_bound:
             self._readout_bound = self._index_size()
             if len(readouts) >= self._readout_bound:
                 readouts.clear()
         ids = tuple(_dense_ids(mask))
-        readout = readouts[mask] = (ids, itemgetter(*ids))
-        return readout
+        return ids, itemgetter(*ids)
 
     def _index_size(self) -> int:
         """Return the live profiles plus every bucket's slabs and hash values."""

@@ -1,12 +1,15 @@
 """Tests for the index family's read-out memo.
 
 The read-out turns a match mask into profile ids.  A multi-bit mask is
-decoded once for the matcher's life (``_readouts``), and the ids' owners
-are read from ``_pid_of`` on every call, so the memo needs no
-invalidation: subscribe, cancel, recycled ids, ``replan`` and bulk
-rebuilds only change who owns a bit.  The memo is emptied when it
+decoded once for the matcher's life (``_readouts``), and its tuple of
+profile ids is built once per epoch and shared by every result of the
+mask.  The epoch moves when a bit gets a new owner: a subscribe onto a
+recycled id, and every rebuild (``replan``, a bulk ``add_profiles``).  A
+cancel and a fresh id leave it alone.  The memo is emptied when it
 reaches the index's size (live profiles + slabs + hash values).
 """
+
+from operator import itemgetter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +44,23 @@ def count_decodes(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(matcher_module, "_dense_ids", counting)
     return decoded
+
+
+def count_tuple_builds(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the dense ids of every id tuple built through a memo getter."""
+    built: list[tuple[int, ...]] = []
+
+    def counting_itemgetter(*ids):
+        getter = itemgetter(*ids)
+
+        def read(pid_of):
+            built.append(ids)
+            return getter(pid_of)
+
+        return read
+
+    monkeypatch.setattr(matcher_module, "itemgetter", counting_itemgetter)
+    return built
 
 
 def mask_of(matcher: PredicateIndexMatcher, profile_ids) -> int:
@@ -204,3 +224,148 @@ def test_single_bit_masks_skip_the_memo(monkeypatch):
     assert [r.matched_profile_ids for r in results] == expected
     assert decoded == []
     assert matcher._readouts == {}
+
+
+@given(churn_scripts())
+@settings(max_examples=60, deadline=None)
+def test_results_of_earlier_steps_keep_their_ids_through_churn(data):
+    """Every step's results still read what the oracle said at that step
+    once the whole script, and every reuse of their masks, has run."""
+    pool, script = data
+    schema = make_schema()
+    matcher = PredicateIndexMatcher(ProfileSet(schema))
+    batch = _batch()
+    kept = []
+    for action, argument in script:
+        live = {profile.profile_id for profile in matcher.profiles}
+        if action == "toggle":
+            profile = pool[argument]
+            if profile.profile_id in live:
+                matcher.remove_profile(profile.profile_id)
+            else:
+                matcher.add_profile(profile)
+        elif action == "replan":
+            domain = schema.domain("a")
+            weights = {value: 10.0 if value == argument else 1.0 for value in range(DOMAIN_SIZE)}
+            skewed = DiscreteDistribution(domain, weights)
+            matcher.replan({name: skewed for name in ATTRIBUTES})
+        else:
+            matcher.add_profiles([p for p in pool if p.profile_id not in live])
+        oracle = NaiveMatcher(ProfileSet(schema, list(matcher.profiles)))
+        expected = [oracle.match(event).matched_profile_ids for event in batch]
+        results = matcher.match_batch(batch) + [matcher.match(event) for event in batch]
+        assert [r.matched_profile_ids for r in results] == expected + expected
+        kept.append((results, expected + expected))
+    for results, expected in kept:
+        assert [tuple(r.matched_profile_ids) for r in results] == expected
+
+
+EVERYTHING = RangePredicate.at_least(0)
+
+
+def _three_and_an_outsider() -> PredicateIndexMatcher:
+    """``P0``–``P2`` match every event; ``P3`` only events with ``b == 1``."""
+    profiles = [Profile(f"P{n}", {"a": EVERYTHING}) for n in range(3)]
+    profiles.append(Profile("P3", {"a": EVERYTHING, "b": Equals(1)}))
+    return PredicateIndexMatcher(ProfileSet(make_schema(), profiles))
+
+
+def _oracle_ids(matcher: PredicateIndexMatcher, event: Event) -> tuple[str, ...]:
+    profiles = ProfileSet(matcher.profiles.schema, list(matcher.profiles))
+    return NaiveMatcher(profiles).match(event).matched_profile_ids
+
+
+def test_one_tuple_per_mask_across_match_and_batches():
+    matcher = _three_and_an_outsider()
+    events = [Event({"a": value, "b": 0}) for value in range(DOMAIN_SIZE)]
+    events += [Event({"a": value}) for value in range(DOMAIN_SIZE)]
+    first = matcher.match(events[0]).matched_profile_ids
+    assert first == ("P0", "P1", "P2")
+    results = [matcher.match(event) for event in events]
+    for _ in range(3):
+        results += matcher.match_batch(events * 2)
+    assert all(r.matched_profile_ids is first for r in results)
+
+
+def test_a_cancel_or_a_fresh_id_outside_the_mask_keeps_its_tuple():
+    matcher = _three_and_an_outsider()
+    event = Event({"a": 2, "b": 0})
+    shared = matcher.match(event).matched_profile_ids
+    # A fresh id: its bit lies above every memoised mask.
+    matcher.add_profile(Profile("P4", {"b": Equals(5)}))
+    assert matcher.match(event).matched_profile_ids is shared
+    matcher.remove_profile("P3")
+    assert matcher.match(event).matched_profile_ids is shared
+    assert matcher.match_batch([event] * 16)[0].matched_profile_ids is shared
+
+
+def test_a_recycled_id_gives_its_mask_a_new_tuple():
+    matcher = _three_and_an_outsider()
+    event = Event({"a": 2, "b": 0})
+    before = [matcher.match(event), matcher.match_batch([event] * 16)[0]]
+    mask = mask_of(matcher, ("P0", "P1", "P2"))
+    matcher.remove_profile("P1")
+    matcher.add_profile(Profile("P5", {"a": EVERYTHING}))
+    # P5 took P1's dense id, so the event's mask is the memoised one.
+    assert mask_of(matcher, ("P0", "P2", "P5")) == mask
+    expected = _oracle_ids(matcher, event)
+    assert expected == ("P0", "P2", "P5")
+    assert matcher.match(event).matched_profile_ids == expected
+    assert matcher.match_batch([event] * 16)[0].matched_profile_ids == expected
+    assert [tuple(r.matched_profile_ids) for r in before] == [("P0", "P1", "P2")] * 2
+
+
+def _distribution() -> dict[str, DiscreteDistribution]:
+    domain = make_schema().domain("a")
+    skewed = DiscreteDistribution(domain, {v: 1.0 + v for v in range(DOMAIN_SIZE)})
+    return {name: skewed for name in ATTRIBUTES}
+
+
+def test_a_replan_gives_a_memoised_mask_its_new_owners():
+    _check_rebuild(lambda matcher: matcher.replan(_distribution()))
+
+
+def test_a_bulk_load_gives_a_memoised_mask_its_new_owners():
+    def bulk(matcher):
+        extra = [Profile(f"Q{n}", {"b": Equals(7)}) for n in range(2)]
+        assert len(extra) * 4 >= len(matcher.profiles) + len(extra)  # rebuilds
+        matcher.add_profiles(extra)
+
+    _check_rebuild(bulk)
+
+
+def _check_rebuild(rebuild) -> None:
+    """Memoise ``P0 P1 P2`` as dense ids 0–2, cancel ``P1`` and rebuild:
+    the compacted ids make ``P0 P2 P3`` the same mask."""
+    matcher = _three_and_an_outsider()
+    outside, inside = Event({"a": 2, "b": 0}), Event({"a": 2, "b": 1})
+    before = [matcher.match(outside), matcher.match_batch([outside] * 16)[0]]
+    mask = mask_of(matcher, ("P0", "P1", "P2"))
+    assert mask in matcher._readouts
+    matcher.remove_profile("P1")
+    rebuild(matcher)
+    assert mask_of(matcher, ("P0", "P2", "P3")) == mask
+    expected = _oracle_ids(matcher, inside)
+    assert expected == ("P0", "P2", "P3")
+    assert matcher.match(inside).matched_profile_ids == expected
+    assert matcher.match_batch([inside] * 16)[0].matched_profile_ids == expected
+    assert [tuple(r.matched_profile_ids) for r in before] == [("P0", "P1", "P2")] * 2
+
+
+def test_each_distinct_mask_builds_one_id_tuple_across_batches(monkeypatch):
+    """A clock-free guard of the read-out's work: repeated batches build
+    one id tuple per distinct multi-bit mask, not one per result."""
+    workload = build_workload(get_profile("wide-range").spec.with_counts(event_count=1024))
+    matcher = PredicateIndexMatcher(workload.profiles)
+    events = list(workload.events)
+    built = count_tuple_builds(monkeypatch)
+    results = []
+    for _ in range(2):
+        for start in range(0, len(events), 256):
+            results += matcher.match_batch(events[start : start + 256])
+    multi_bit = {
+        mask_of(matcher, r.matched_profile_ids) for r in results if len(r.matched_profile_ids) > 1
+    }
+    assert len(multi_bit) > 100
+    assert len(built) == len(multi_bit)
+    assert {mask_of(matcher, [matcher._pid_of[d] for d in ids]) for ids in built} == multi_bit
