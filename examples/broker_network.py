@@ -3,7 +3,7 @@
 The paper positions its filter inside distributed event notification
 services (Siena, Elvin): "unnecessary event information is rejected as early
 as possible".  This example builds a :class:`~repro.api.NetworkService`
-overlay of five brokers — each hosting a full engine from the registry —
+overlay of five brokers — each hosting a full engine of its own choice —
 spreads facility-management subscriptions across them (the generated
 workload mix plus fluent-builder alarm profiles wired the same way
 :class:`~repro.api.FilterService` clients write them), publishes sensor

@@ -23,7 +23,7 @@ Sub-packages
 ``repro.api``
     The stable client facade: :class:`~repro.api.FilterService`, durable
     subscription handles, the fluent profile builder (``where``) and the
-    pluggable engine registry.
+    engine roster (``tree``, ``index``, ``naive``, ``auto``).
 ``repro.workloads``
     Workload specs, generators and the paper's application scenarios.
 ``repro.experiments``

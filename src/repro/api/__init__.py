@@ -11,7 +11,7 @@ API tour
 --------
 
 **1. Build a service.**  One :class:`FilterService` per schema; pick an
-engine family by registry name (``"tree"``, ``"index"``) or keep the
+engine family by name (``"tree"``, ``"index"``, ``"naive"``) or keep the
 default ``"auto"``, the index family replanning itself from the observed
 event distributions::
 
@@ -83,20 +83,7 @@ exponential backoff, circuit breaker, dead-letter queue::
     service = FilterService(schema, store=JsonlWalStore("state/subscriptions"))
     service.stats().durability            # seq/snapshots/replayed/...
 
-**8. Plug in an engine.**  Matcher families live in the engine registry
-(:mod:`repro.matching.registry`); registering an
-:class:`~repro.matching.registry.EngineSpec` makes a third-party family
-selectable by name through :func:`default_registry` — without touching
-``repro.service``::
-
-    from repro.api import AdaptationPolicy, EngineSpec, default_registry
-
-    default_registry().register(
-        EngineSpec(name="bitmap", factory=lambda ctx: BitmapMatcher(ctx.profiles))
-    )
-    service = FilterService(schema, engine="bitmap")
-
-**9. Go distributed.**  :class:`NetworkService` is the same facade over
+**8. Go distributed.**  :class:`NetworkService` is the same facade over
 a Siena-style broker overlay: subscribe at a *home* broker, publish
 anywhere, and covering-reduced routing tables (maintained incrementally
 under churn) suppress events as close to the publisher as possible —
@@ -115,11 +102,6 @@ from repro.core.builder import AttributeClause, ProfileBuilder, build_profiles, 
 from repro.core.events import Event
 from repro.core.profiles import Profile
 from repro.core.schema import Attribute, Schema
-from repro.matching.registry import (
-    EngineRegistry,
-    EngineSpec,
-    default_registry,
-)
 from repro.service.adaptive import AdaptationPolicy, AdaptationRecord
 from repro.service.broker import PublishOutcome
 from repro.service.delivery import (
@@ -150,8 +132,6 @@ __all__ = [
     "BrokerStats",
     "DeliveryStats",
     "DurabilityStats",
-    "EngineRegistry",
-    "EngineSpec",
     "Event",
     "FilterService",
     "InMemorySubscriptionStore",
@@ -170,6 +150,5 @@ __all__ = [
     "WebhookConfig",
     "WebhookSink",
     "build_profiles",
-    "default_registry",
     "where",
 ]

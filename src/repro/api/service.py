@@ -21,7 +21,7 @@ from repro.core.events import Event, as_event
 from repro.core.profiles import Profile
 from repro.core.schema import Schema
 from repro.matching.index.kernel import KernelStats
-from repro.matching.registry import EngineRegistry
+from repro.matching.registry import ENGINES
 from repro.matching.statistics import FilterStatistics
 from repro.service.adaptive import (
     AdaptationPolicy,
@@ -71,7 +71,7 @@ class ServiceStats:
     subscriptions: int
     #: Subscriptions currently paused.
     paused_subscriptions: int
-    #: Engine the policy selects (a registry name or ``"auto"``).
+    #: Engine the policy selects (a family name or ``"auto"``).
     engine: str
     #: Family of the matcher currently running (``None`` until the first
     #: subscription builds an engine).
@@ -249,9 +249,8 @@ class FilterService:
     One object bundles what previously took four (broker, registry,
     engine, statistics): subscribe and get a durable handle, publish
     events or batches, read one merged :meth:`stats` snapshot.  The
-    engine roster is the pluggable registry of
-    :mod:`repro.matching.registry`; pick a family (or ``"auto"``) by
-    name.
+    engine roster is the closed table of :mod:`repro.matching.registry`;
+    pick a family (or ``"auto"``) by name.
     """
 
     def __init__(
@@ -269,7 +268,8 @@ class FilterService:
     ) -> None:
         """Create a service over ``schema``.
 
-        ``engine`` names any registered matcher family or ``"auto"``
+        ``engine`` names a matcher family (``"tree"``, ``"index"``,
+        ``"naive"``) or ``"auto"``
         (the default when no policy is given: the facade serves the
         paper's adaptive-service framing).  ``policy`` carries the full
         adaptation knobs and must agree with ``engine`` when both are
@@ -297,7 +297,7 @@ class FilterService:
         operation journals to the
         :class:`~repro.api.SubscriptionStore` before returning, and a
         service booted over a non-empty store replays snapshot + tail
-        into the engine registry and resumes the durable handles —
+        into the engine and resumes the durable handles —
         ``service.handle("sub-7")`` works after a restart (webhook
         sinks reconstructed; in-process sinks must be re-attached via
         :meth:`SubscriptionHandle.deliver_to`).
@@ -338,8 +338,10 @@ class FilterService:
         generated :class:`~repro.service.adaptive.AdaptationPolicy`),
         delivery mode from the run shape — so examples, benchmarks and
         the corpus runner stop duplicating setup code.  ``engine``
-        overrides the hinted family (the corpus runner sweeps it);
-        any other constructor keyword can be overridden too.
+        overrides the hinted family (the corpus runner sweeps it), and
+        so does an overriding ``policy`` (an explicit ``engine`` must
+        then agree with it); any other constructor keyword can be
+        overridden too.
         """
         from repro.workloads.profiles import ScenarioProfile, load_profile
 
@@ -348,11 +350,13 @@ class FilterService:
         else:
             profile = load_profile(name_or_path)
         hints = profile.engine
-        kwargs: dict = {"engine": engine if engine is not None else hints.engine}
+        policy = overrides.get("policy")
+        if engine is None and policy is None:
+            engine = hints.engine
+        kwargs: dict = {"engine": engine, "delivery": profile.run.delivery}
         pinned = hints.policy_overrides()
-        if pinned and "policy" not in overrides:
-            kwargs["policy"] = AdaptationPolicy(engine=kwargs["engine"], **pinned)
-        kwargs["delivery"] = profile.run.delivery
+        if pinned and policy is None:
+            kwargs["policy"] = AdaptationPolicy(engine=engine, **pinned)
         kwargs.update(overrides)
         return cls(profile.spec.schema, **kwargs)
 
@@ -371,14 +375,9 @@ class FilterService:
         """Return the resolved adaptation policy."""
         return self._broker.adaptation_policy
 
-    @property
-    def registry(self) -> EngineRegistry:
-        """Return the engine roster this service resolves families against."""
-        return self.policy.engine_registry
-
     def engines(self) -> tuple[str, ...]:
         """Return every selectable engine name (families + ``"auto"``)."""
-        return self.registry.engine_names()
+        return ENGINES
 
     def handles(self) -> list[SubscriptionHandle]:
         """Return the live (non-cancelled) handles, oldest first."""

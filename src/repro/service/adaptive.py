@@ -6,10 +6,9 @@ maintain a history of events in order to determine the event distribution";
 Section 1 promises "an adaptive filter component that optimizes the profile
 tree for certain applications based on the data distributions".
 
-:class:`AdaptiveFilterEngine` drives one matcher from the **engine
-registry** (:mod:`repro.matching.registry`; the built-in families are
-``tree``, ``index`` and the ``naive`` baseline, and ``"auto"`` names the
-``index`` family) and
+:class:`AdaptiveFilterEngine` drives one matcher of the closed family
+roster (:mod:`repro.matching.registry`: ``tree``, ``index`` and the
+``naive`` baseline; ``"auto"`` names the ``index`` family) and
 
 * records every filtered event in a bounded
   :class:`~repro.distributions.estimation.EventHistory`, which counts
@@ -20,15 +19,17 @@ registry** (:mod:`repro.matching.registry`; the built-in families are
   itself and calls their unchecked halves instead,
 * periodically (every ``reoptimize_interval`` events) estimates the current
   per-attribute event distributions from the history,
-* asks its family's :class:`~repro.matching.registry.EngineSpec` for a
-  candidate under the comparison-count cost currency — a restructured
-  tree or a replanned index — and
+* asks its family's re-optimisation function for a candidate under the
+  comparison-count cost currency — a restructured tree or a replanned
+  index — and
 * restructures/replans when the analytical model predicts at least
   ``improvement_threshold`` relative improvement over the current
   matcher (restructuring has a cost, so marginal gains are ignored — the
   paper recommends reordering only "for systems with stable
   distributions").  The engine never switches families: one family
-  re-optimises one structure, as the paper's adaptive filter does.
+  re-optimises one structure, as the paper's adaptive filter does.  A
+  family without a re-optimisation function (``naive``) schedules no
+  checks at all.
 
 Profile maintenance delegates to the wrapped matcher's incremental
 ``add_profile`` / ``remove_profile``, so subscription churn keeps the
@@ -48,14 +49,9 @@ from repro.core.profiles import Profile, ProfileSet
 from repro.distributions.base import Distribution
 from repro.distributions.estimation import EventHistory
 from repro.matching.index.kernel import KernelStats
+from repro.matching.index.planner import IndexPlanner
 from repro.matching.interfaces import Matcher, MatchResult
-from repro.matching.registry import (
-    AUTO_ENGINE,
-    EngineContext,
-    EngineRegistry,
-    EngineSpec,
-    default_registry,
-)
+from repro.matching.registry import AUTO_ENGINE, BUILDERS, REOPTIMISERS, engine_family
 from repro.matching.tree.config import SearchStrategy, TreeConfiguration
 from repro.matching.tree.matcher import TreeMatcher
 from repro.selectivity.attribute_measures import AttributeMeasure
@@ -76,8 +72,7 @@ class AdaptationPolicy:
     value_measure: ValueMeasure = ValueMeasure.V1_EVENT
     #: Attribute-selectivity measure used when re-optimising.  The tree
     #: engine accepts any measure; the index engine ranks its probe order
-    #: with it and supports NATURAL/A1/A2 (A3 is a whole-tree measure) —
-    #: each family declares its supported measures on its registry spec.
+    #: with it and supports NATURAL/A1/A2 (A3 is a whole-tree measure).
     attribute_measure: AttributeMeasure = AttributeMeasure.A2_ZERO_PROBABILITY
     #: Node search strategy of the rebuilt tree (tree engine only).
     search: SearchStrategy = SearchStrategy.LINEAR
@@ -89,25 +84,23 @@ class AdaptationPolicy:
     improvement_threshold: float = 0.05
     #: Length of the sliding event history window.
     history_length: int = 10_000
-    #: Which matcher the engine drives: the name of any family registered
-    #: with the engine registry — the built-ins are ``"tree"`` (the
-    #: paper's profile tree, restructured via the TreeOptimizer),
-    #: ``"index"`` (the predicate-index matcher, replanned via the
-    #: IndexPlanner, hash, interval and scan chosen per structure) and the
-    #: ``"naive"`` baseline — or ``"auto"``, the ``FilterService``
-    #: default, which names the ``index`` family.
+    #: Which matcher the engine drives: ``"tree"`` (the paper's profile
+    #: tree, restructured via the TreeOptimizer), ``"index"`` (the
+    #: predicate-index matcher, replanned via the IndexPlanner, hash,
+    #: interval and scan chosen per structure), the ``"naive"`` baseline,
+    #: or ``"auto"``, the ``FilterService`` default, which names the
+    #: ``index`` family.
     engine: str = "tree"
 
     def __post_init__(self) -> None:
-        spec = self._engine_spec()
         if (
-            spec.supported_measures is not None
-            and self.attribute_measure not in spec.supported_measures
+            self._engine_family() == "index"
+            and self.attribute_measure not in IndexPlanner.SUPPORTED_MEASURES
         ):
             raise ServiceError(
                 f"the {self.engine} engine cannot rank by measure "
-                f"{self.attribute_measure.value!r}; the {spec.name} family "
-                f"supports: {[m.value for m in spec.supported_measures]}"
+                f"{self.attribute_measure.value!r}; the index family "
+                f"supports: {[m.value for m in IndexPlanner.SUPPORTED_MEASURES]}"
             )
         if self.reoptimize_interval <= 0:
             raise ServiceError("reoptimize_interval must be positive")
@@ -118,16 +111,10 @@ class AdaptationPolicy:
         if self.history_length <= 0:
             raise ServiceError("history_length must be positive")
 
-    @property
-    def engine_registry(self) -> EngineRegistry:
-        """Return the roster this policy resolves engine names against:
-        the process-wide :func:`~repro.matching.registry.default_registry`."""
-        return default_registry()
-
-    def _engine_spec(self) -> EngineSpec:
-        """Return the spec of the family :attr:`engine` names."""
+    def _engine_family(self) -> str:
+        """Return the family :attr:`engine` names."""
         try:
-            return self.engine_registry.spec(self.engine)
+            return engine_family(self.engine)
         except MatchingError as exc:
             raise ServiceError(str(exc)) from exc
 
@@ -141,8 +128,8 @@ class AdaptationRecord:
     predicted_candidate: float
     applied: bool
     configuration_label: str
-    #: Matcher family that priced the decision (a registry name, e.g.
-    #: ``"tree"`` or ``"index"``; ``engine="auto"`` records ``"index"``).
+    #: Matcher family that priced the decision (``"tree"`` or
+    #: ``"index"``; ``engine="auto"`` records ``"index"``).
     engine: str = ""
     #: Comparison operations per event actually *measured* over the
     #: interval that ended at this check (``None`` when the interval saw
@@ -181,7 +168,7 @@ class AdaptationRecord:
 
 
 class AdaptiveFilterEngine:
-    """A registry-driven matcher that restructures itself from history."""
+    """A matcher of one family that restructures itself from history."""
 
     def __init__(
         self,
@@ -191,18 +178,11 @@ class AdaptiveFilterEngine:
     ) -> None:
         self.policy = policy or AdaptationPolicy()
         self.profiles = profiles
-        self._registry = self.policy.engine_registry
-        #: What every spec callback gets; the profile set is shared, so
-        #: one context stays current under subscription churn.
-        self._context = EngineContext(
-            profiles=profiles,
-            attribute_measure=self.policy.attribute_measure,
-            value_measure=self.policy.value_measure,
-            search=self.policy.search,
-        )
-        #: The one family this engine runs and re-optimises.
-        self._spec = self.policy._engine_spec()
-        self._matcher: Matcher = self._spec.factory(self._context)
+        #: The one family this engine runs and re-optimises, and its
+        #: re-optimisation function (``None``: no checks are scheduled).
+        self._family = self.policy._engine_family()
+        self._reoptimise = REOPTIMISERS.get(self._family)
+        self._matcher: Matcher = BUILDERS[self._family](profiles, self.policy)
         self._history = EventHistory(profiles.schema, max_length=self.policy.history_length)
         self._events_filtered = 0
         self._events_at_last_check = 0
@@ -213,17 +193,6 @@ class AdaptiveFilterEngine:
         self._operations_filtered = 0
         self._ops_at_last_check = 0
         self._wall_at_last_check = time.perf_counter()
-        #: Kernel stats of matcher instances a candidate replaced;
-        #: :meth:`kernel_stats` folds the live matcher's stats on top.
-        self._retired_kernel_stats = KernelStats()
-
-    def _adopt_matcher(self, matcher: Matcher) -> None:
-        """Install a (possibly new) matcher, preserving kernel accounting."""
-        if matcher is not self._matcher:
-            stats = getattr(self._matcher, "kernel_stats", None)
-            if stats is not None:
-                self._retired_kernel_stats.merge(stats)
-            self._matcher = matcher
 
     # -- delegation ---------------------------------------------------------------
     @property
@@ -232,19 +201,14 @@ class AdaptiveFilterEngine:
         return self._matcher
 
     @property
-    def registry(self) -> EngineRegistry:
-        """Return the engine roster this engine resolves families against."""
-        return self._registry
-
-    @property
     def engine_family(self) -> str:
-        """Return the registry name of the family this engine runs.
+        """Return the name of the family this engine runs.
 
-        The spec resolved at construction (``auto`` is the ``index``
-        family): an engine re-optimises within its family and never
-        switches to another.
+        Resolved at construction (``auto`` is the ``index`` family): an
+        engine re-optimises within its family and never switches to
+        another.
         """
-        return self._spec.name
+        return self._family
 
     @property
     def history(self) -> EventHistory:
@@ -264,9 +228,10 @@ class AdaptiveFilterEngine:
         return list(self._adaptations)
 
     def kernel_stats(self) -> KernelStats:
-        """Return executed-work batch-kernel accounting across the engine's
-        whole life, including matcher instances retired by replanning."""
-        total = KernelStats().merge(self._retired_kernel_stats)
+        """Return a copy of the batch kernel's executed-work accounting
+        across the engine's whole life (an index replan keeps the
+        matcher and its stats; all-zero for the other families)."""
+        total = KernelStats()
         live = getattr(self._matcher, "kernel_stats", None)
         if live is not None:
             total.merge(live)
@@ -277,24 +242,16 @@ class AdaptiveFilterEngine:
         self._matcher.add_profile(profile)
 
     def _add_admitted(self, profile: Profile) -> None:
-        """Register a profile the caller has already validated.
-
-        The built-in families skip their profile set's schema check; a
-        family without the unchecked path validates through
-        ``add_profile``.
-        """
-        add = getattr(self._matcher, "_add_admitted", None)
-        if add is None:
-            self._matcher.add_profile(profile)
-        else:
-            add(profile)
+        """Register a profile the caller has already validated (every
+        family skips its profile set's schema check on this path)."""
+        self._matcher._add_admitted(profile)
 
     def add_profiles(self, profiles: Iterable[Profile]) -> None:
         """Register a batch of profiles via the matcher's batch path.
 
-        One structure rebuild for the rebuild-style families (tree,
-        counting) instead of one per profile; the index family applies its
-        per-profile postings deltas either way.
+        One tree rebuild for the batch instead of one per profile; the
+        index family applies its per-profile postings deltas either way,
+        and the naive scan just appends.
         """
         self._matcher.add_profiles(profiles)
 
@@ -362,14 +319,18 @@ class AdaptiveFilterEngine:
         results: list[MatchResult] = []
         position = 0
         while position < len(events):
-            # The next check can only fire once the filtered-event count
-            # reaches both the warmup and the interval since the last
-            # check, so everything before that point is one safe chunk.
-            next_due = max(
-                self.policy.warmup_events,
-                self._events_at_last_check + self.policy.reoptimize_interval,
-            )
-            take = max(1, next_due - self._events_filtered)
+            if self._reoptimise is None:
+                take = len(events)
+            else:
+                # The next check can only fire once the filtered-event
+                # count reaches both the warmup and the interval since the
+                # last check, so everything before that point is one safe
+                # chunk.
+                next_due = max(
+                    self.policy.warmup_events,
+                    self._events_at_last_check + self.policy.reoptimize_interval,
+                )
+                take = max(1, next_due - self._events_filtered)
             chunk = events[position : position + take]
             chunk_results = self._matcher.match_batch(chunk)
             results.extend(chunk_results)
@@ -382,7 +343,7 @@ class AdaptiveFilterEngine:
         return results
 
     def _reoptimisation_due(self) -> bool:
-        if self._events_filtered < self.policy.warmup_events:
+        if self._reoptimise is None or self._events_filtered < self.policy.warmup_events:
             return False
         return (
             self._events_filtered - self._events_at_last_check
@@ -436,36 +397,26 @@ class AdaptiveFilterEngine:
     ) -> None:
         """Take one re-optimisation decision for the running family.
 
-        The family's spec costs its best candidate in the paper's common
-        currency (expected comparison operations per event) under the
-        current history distributions — an index replan through the
-        :class:`~repro.matching.index.planner.IndexPlanner`'s recost of
-        the live buckets, a tree restructure through
+        The family's re-optimisation function costs its candidate in the
+        paper's common currency (expected comparison operations per event)
+        under the current history distributions — an index replan through
+        the :class:`~repro.matching.index.planner.IndexPlanner`'s recost
+        of the live buckets, a tree restructure through
         :func:`repro.analysis.cost_model.expected_tree_cost` of the
         :class:`~repro.selectivity.optimizer.TreeOptimizer`'s candidate
-        configuration — and the candidate is installed when it improves
-        on the running matcher's predicted cost (its
-        :attr:`~repro.matching.registry.EngineCandidate.predicted_current`)
-        by at least ``improvement_threshold``.  A family without a cost
-        estimator, or one abstaining from this check, records nothing.
+        configuration — and the candidate is applied when it improves on
+        the running matcher's predicted cost by at least
+        ``improvement_threshold``.  A tree the model cannot express skips
+        the check and records nothing.
         """
-        spec = self._spec
-        if spec.candidate is None:
-            # The family opted out of periodic restructuring (the
-            # baselines, most third-party engines).
-            return
-        candidate = spec.candidate(self._context, self._matcher, distributions)
+        candidate = self._reoptimise(self._matcher, self.policy, distributions)
         if candidate is None:
             return
-        # An incumbent the family cannot price cannot be compared, so any
-        # finite candidate counts as an improvement.
         predicted_current = candidate.predicted_current
-        if predicted_current is None:
-            predicted_current = float("inf")
         improvement = 1.0 - candidate.cost / predicted_current if predicted_current > 0 else 0.0
         applied = improvement >= self.policy.improvement_threshold
         if applied:
-            self._adopt_matcher(candidate.install())
+            candidate.apply()
         label = candidate.label
         if self.policy.engine == AUTO_ENGINE:
             label = f"auto:{label}"
@@ -476,7 +427,7 @@ class AdaptiveFilterEngine:
                 predicted_candidate=candidate.cost,
                 applied=applied,
                 configuration_label=label,
-                engine=spec.name,
+                engine=self._family,
                 measured_ops_per_event=measured_ops_per_event,
                 measured_wall_seconds=measured_wall_seconds,
                 check_seconds=time.perf_counter() - check_started,
@@ -494,7 +445,7 @@ def resolve_policy_engine(
     :class:`~repro.service.routing.overlay.OverlayBroker`): raises on a
     conflict, otherwise
     returns a policy whose ``engine`` is the requested one — validation
-    happens in the policy's ``__post_init__`` (the single registry
+    happens in the policy's ``__post_init__`` (the single roster
     lookup).
     """
     if engine is not None and policy is not None and policy.engine != engine:

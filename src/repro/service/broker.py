@@ -15,7 +15,7 @@ path backs the pause/resume/modify life-cycle
 (:meth:`Broker.pause_subscription` and friends) that
 :class:`repro.api.SubscriptionHandle` rides on.
 
-Engine selection goes through the engine registry
+Engine selection goes through the closed engine roster
 (:mod:`repro.matching.registry`) via the
 :class:`~repro.service.adaptive.AdaptationPolicy`
 (``Broker(adaptation_policy=AdaptationPolicy(engine="index"))``).

@@ -13,7 +13,7 @@ its call returns** (subject to the backend's sync policy; ``flush()``
 and ``close()`` are always durable points).  Recovery materialises
 snapshot + tail into an ordered list of :class:`SubscriptionEntry`
 objects that ``FilterService(store=...)`` replays into any engine
-family through the registry, resuming durable handles by id.
+family, resuming durable handles by id.
 
 Two backends ship: :class:`InMemorySubscriptionStore` (tests, and the
 protocol's reference semantics) and the crash-safe JSONL write-ahead log

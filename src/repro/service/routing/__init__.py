@@ -1,7 +1,7 @@
 """Distributed broker-overlay routing (Siena-style, with covering).
 
 :class:`OverlayNetwork` / :class:`NetworkService`: every broker hosts a
-full engine from the registry, covering relations are maintained
+full engine of its own choice, covering relations are maintained
 **incrementally** under churn (with correct uncovering on removal),
 per-link interest is an indexed matcher, and events are forwarded in
 batches through the columnar kernel on the network's own clock, each

@@ -2,8 +2,8 @@
 
 Every :class:`OverlayBroker` hosts a full
 :class:`~repro.service.broker.Broker` for its local subscribers — any
-engine family of the :class:`~repro.matching.registry.EngineRegistry`
-(``tree`` / ``index`` / ``auto``…), per-broker
+engine of the closed roster in :mod:`repro.matching.registry`
+(``tree`` / ``index`` / ``naive`` / ``auto``), per-broker
 choice, with statistics, notification log and the delivery pipeline —
 plus, per overlay link, two routing structures:
 

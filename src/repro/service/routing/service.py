@@ -50,7 +50,7 @@ class BrokerStats:
     """Observability snapshot of one overlay broker."""
 
     broker_id: str
-    #: Engine name the broker's policy selects (registry name or ``"auto"``).
+    #: Engine name the broker's policy selects (a family name or ``"auto"``).
     engine: str
     #: Family of the local matcher currently running (``None`` until the
     #: first local subscription builds an engine).

@@ -67,6 +67,7 @@ from repro.core.domains import ContinuousDomain, DiscreteDomain, Domain, Integer
 from repro.core.errors import (
     DistributionError,
     DomainError,
+    MatchingError,
     SchemaError,
     ServiceError,
     WorkloadError,
@@ -74,7 +75,7 @@ from repro.core.errors import (
 )
 from repro.core.schema import Attribute, Schema
 from repro.distributions.library import make_distribution
-from repro.matching.registry import default_registry
+from repro.matching.registry import engine_family
 from repro.workloads.profiles.model import (
     DEFAULT_FAMILIES,
     EngineHints,
@@ -135,11 +136,10 @@ def _check_string(value: Any, path: str) -> str:
 
 def _check_engine_name(value: Any, path: str) -> str:
     name = _check_string(value, path)
-    engines = default_registry().engine_names()
-    if name not in engines:
-        raise WorkloadSpecError(
-            path, f"unknown engine {name!r}; registered engines: {', '.join(engines)}"
-        )
+    try:
+        engine_family(name)
+    except MatchingError as exc:
+        raise WorkloadSpecError(path, str(exc)) from exc
     return name
 
 

@@ -62,7 +62,7 @@ class EngineHints:
     """Engine selection and pinned adaptation knobs of a profile.
 
     ``engine`` is the family ``FilterService.from_profile`` constructs by
-    default (any registry name or ``"auto"``); ``families`` is the roster
+    default (a family name or ``"auto"``); ``families`` is the roster
     the corpus runner sweeps — a profile whose structure is pathological
     for a family (e.g. broad ranges exploding the tree's subrange
     decomposition) narrows it and documents why in the file.  The

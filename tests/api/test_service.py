@@ -67,9 +67,6 @@ class TestConstruction:
 
 def _retired_knob_owners():
     from repro.matching.index import IndexPlanner, PredicateIndexMatcher
-    from repro.matching.registry import EngineContext, EngineSpec
-    from repro.matching.tree.config import SearchStrategy
-    from repro.selectivity import AttributeMeasure, ValueMeasure
     from repro.service.adaptive import AdaptiveFilterEngine
     from repro.service.broker import Broker
     from repro.service.delivery import (
@@ -81,9 +78,6 @@ def _retired_knob_owners():
     return {
         "AdaptationPolicy": AdaptationPolicy,
         "FilterService": make_service,
-        "EngineSpec": lambda **kwargs: EngineSpec(
-            name="x", factory=lambda ctx: None, **kwargs
-        ),
         "IndexPlanner": IndexPlanner,
         "PredicateIndexMatcher": lambda **kwargs: PredicateIndexMatcher(
             environmental_profiles(environmental_schema()), **kwargs
@@ -91,13 +85,6 @@ def _retired_knob_owners():
         "Broker": lambda **kwargs: Broker(environmental_schema(), **kwargs),
         "AdaptiveFilterEngine": lambda **kwargs: AdaptiveFilterEngine(
             environmental_profiles(environmental_schema()), **kwargs
-        ),
-        "EngineContext": lambda **kwargs: EngineContext(
-            environmental_profiles(environmental_schema()),
-            AttributeMeasure.A2_ZERO_PROBABILITY,
-            ValueMeasure.V1_EVENT,
-            SearchStrategy.LINEAR,
-            **kwargs,
         ),
         "DeliveryDispatcher": DeliveryDispatcher,
         "ThreadPoolDeliveryExecutor": ThreadPoolDeliveryExecutor,
@@ -116,10 +103,6 @@ def _retired_knob_owners():
         ("FilterService", "service_id", "svc"),
         ("FilterService", "retry_attempts", 3),
         ("FilterService", "retry_backoff", 0.01),
-        ("EngineSpec", "capabilities", None),
-        ("EngineSpec", "min_columnar_batch", 4),
-        ("EngineSpec", "calibration_prior", "index"),
-        ("EngineSpec", "auto_rank", 0),
         ("IndexPlanner", "hybrid", True),
         ("PredicateIndexMatcher", "min_columnar_batch", 4),
         ("FilterService", "quenching", True),
@@ -128,7 +111,6 @@ def _retired_knob_owners():
         ("Broker", "overflow", "drop_oldest"),
         ("Broker", "configuration", None),
         ("AdaptiveFilterEngine", "initial_configuration", None),
-        ("EngineContext", "initial_configuration", None),
         ("DeliveryDispatcher", "overflow", "raise"),
         ("ThreadPoolDeliveryExecutor", "overflow", "raise"),
         ("WebhookDeliveryExecutor", "overflow", "raise"),
@@ -354,6 +336,22 @@ class TestStats:
         assert snapshot.subscriptions == 5
         assert snapshot.match_rate == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        ("engine", "family"),
+        [("tree", "tree"), ("index", "index"), ("naive", "naive"), ("auto", "index")],
+    )
+    def test_every_engine_reports_the_family_it_runs(self, engine, family):
+        """Each name on the closed roster is selectable, matches, and
+        reports its family; ``engines()`` lists the same roster."""
+        service = make_service(engine=engine)
+        service.subscribe_all(list(environmental_profiles(service.schema)))
+        outcome = service.publish(example_event())
+        assert sorted(outcome.match_result.matched_profile_ids) == ["P2", "P5"]
+        snapshot = service.stats()
+        assert snapshot.engine == engine
+        assert snapshot.engine_family == family
+        assert service.engines() == ("tree", "index", "naive", "auto")
+
     def test_summary_after_every_notified_profile_is_cancelled(self):
         """The per-profile average has nothing left to average over once
         the only notified profile is gone, and reads NaN."""
@@ -382,6 +380,30 @@ class TestStats:
         assert snapshot.kernel.events == 200
         assert snapshot.kernel.charged_operations == snapshot.operations
         assert snapshot.batch_dedup_factor > 1.0
+
+    def test_kernel_stats_count_every_event_across_an_applied_replan(self):
+        """An index replan keeps the matcher and its kernel stats, so the
+        batch kernel's event count stays whole across applied decisions,
+        and a snapshot is a copy that later publishes leave alone."""
+        workload = build_workload(
+            get_profile("aml-transactions").spec.with_counts(profile_count=200, event_count=400)
+        )
+        service = FilterService(
+            workload.schema,
+            policy=AdaptationPolicy(engine="auto", reoptimize_interval=100, warmup_events=100),
+        )
+        service.subscribe_all(list(workload.profiles))
+        events = list(workload.events)
+        service.publish_batch(events[:100])
+        first = service.stats().kernel
+        for start in range(100, 400, 100):
+            service.publish_batch(events[start : start + 100])
+        snapshot = service.stats()
+        assert snapshot.applied_adaptations >= 1
+        assert snapshot.kernel.events == snapshot.events == 400
+        assert first.events == 100
+        engine = service.broker.engine
+        assert engine.kernel_stats() is not engine.matcher.kernel_stats
 
     def test_snapshot_merges_adaptation_history(self):
         workload = build_workload(

@@ -1,4 +1,4 @@
-"""The pluggable engine registry (matching families roster)."""
+"""The closed engine roster (matching families)."""
 
 import random
 
@@ -17,11 +17,12 @@ from repro.matching import (
     TreeMatcher,
 )
 from repro.matching.registry import (
-    EngineContext,
-    EngineRegistry,
-    EngineSpec,
-    builtin_specs,
-    default_registry,
+    AUTO_ENGINE,
+    BUILDERS,
+    ENGINES,
+    REOPTIMISERS,
+    Candidate,
+    engine_family,
 )
 from repro.service.adaptive import AdaptationPolicy, AdaptiveFilterEngine
 from repro.service.broker import Broker
@@ -35,19 +36,16 @@ def small_profiles() -> ProfileSet:
 
 class TestDefaultRegistry:
     def test_builtin_roster(self):
-        registry = default_registry()
-        assert registry.names() == ("tree", "index", "naive")
-        assert registry.engine_names() == ("tree", "index", "naive", "auto")
-        assert "tree" in registry and "index" in registry and "naive" in registry
-        assert "counting" not in registry and "sharded" not in registry
-        assert "hybrid" not in registry
-        assert len(registry) == 3
+        assert ENGINES == ("tree", "index", "naive", "auto")
+        assert tuple(BUILDERS) == ("tree", "index", "naive")
+        assert tuple(REOPTIMISERS) == ("tree", "index")
+        for retired in ("counting", "sharded", "hybrid"):
+            assert retired not in ENGINES
 
     def test_auto_names_the_index_family(self):
         """``auto`` is no family of its own: the engine runs, prices and
         records the index family under it."""
-        registry = default_registry()
-        assert registry.spec("auto") is registry.spec("index")
+        assert engine_family("auto") == "index"
         engine = AdaptiveFilterEngine(
             small_profiles(),
             policy=AdaptationPolicy(engine="auto", reoptimize_interval=20, warmup_events=20),
@@ -63,6 +61,13 @@ class TestDefaultRegistry:
         assert all(
             record.configuration_label == "auto:index[P_e estimated]" for record in records
         )
+
+    def test_auto_is_not_a_family(self):
+        """``auto`` is selectable but has no build or re-optimisation
+        function of its own."""
+        assert AUTO_ENGINE == "auto" and AUTO_ENGINE in ENGINES
+        assert AUTO_ENGINE not in BUILDERS
+        assert AUTO_ENGINE not in REOPTIMISERS
 
     @pytest.mark.parametrize(
         ("name", "family", "matcher_type"),
@@ -86,39 +91,26 @@ class TestDefaultRegistry:
             MatchingError,
             match=f"unknown engine '{name}'; registered engines: tree, index, naive, auto",
         ):
-            default_registry().spec(name)
+            engine_family(name)
 
-    def test_auto_is_reserved(self):
-        registry = EngineRegistry()
-        with pytest.raises(MatchingError, match="reserved"):
-            registry.register(EngineSpec(name="auto", factory=lambda ctx: None))
-
-    def test_duplicate_registration_needs_replace(self):
-        registry = EngineRegistry(builtin_specs())
-        with pytest.raises(MatchingError, match="already registered"):
-            registry.register(EngineSpec(name="tree", factory=lambda ctx: None))
-        registry.register(
-            EngineSpec(name="tree", factory=lambda ctx: None), replace=True
-        )
-        assert registry.spec("tree").candidate is None
+    @pytest.mark.parametrize("name", ["quantum", "hybrid"])
+    def test_policy_rejects_unknown_engine_with_roster_listing(self, name):
+        with pytest.raises(
+            ServiceError,
+            match=f"unknown engine '{name}'; registered engines: tree, index, naive, auto",
+        ):
+            AdaptationPolicy(engine=name)
 
     def test_factories_build_the_right_families(self):
-        registry = default_registry()
         profiles = small_profiles()
         policy = AdaptationPolicy()
-        context = EngineContext(
-            profiles=profiles,
-            attribute_measure=policy.attribute_measure,
-            value_measure=policy.value_measure,
-            search=policy.search,
-        )
-        assert isinstance(registry.spec("tree").factory(context), TreeMatcher)
-        assert isinstance(registry.spec("index").factory(context), PredicateIndexMatcher)
-        assert isinstance(registry.spec("naive").factory(context), NaiveMatcher)
+        assert isinstance(BUILDERS["tree"](profiles, policy), TreeMatcher)
+        assert isinstance(BUILDERS["index"](profiles, policy), PredicateIndexMatcher)
+        assert isinstance(BUILDERS["naive"](profiles, policy), NaiveMatcher)
 
 
 class TestBaselineFamilies:
-    """The naive baseline as a first-class registry family."""
+    """The naive baseline as a first-class family."""
 
     def test_selectable_through_the_policy(self):
         policy = AdaptationPolicy(engine="naive")
@@ -128,12 +120,12 @@ class TestBaselineFamilies:
         assert engine.match(Event({"v": 40})).matched_profile_ids == ("P40",)
 
     def test_the_baseline_carries_no_cost_estimator(self):
-        """No cost estimator: the baseline never re-optimises, and ``auto``
-        names the index family, never the baseline or the tree."""
-        registry = default_registry()
-        assert registry.spec("naive").candidate is None
-        assert registry.spec("tree").candidate is not None
-        assert registry.spec("auto").name == "index"
+        """No re-optimisation function: the baseline never re-optimises,
+        and ``auto`` names the index family, never the baseline or the
+        tree."""
+        assert "naive" not in REOPTIMISERS
+        assert "tree" in REOPTIMISERS
+        assert engine_family("auto") == "index"
 
     def test_no_periodic_restructuring(self):
         policy = AdaptationPolicy(
@@ -182,10 +174,10 @@ class TestBaselineFamilies:
         ):
             FilterService(small_profiles().schema, engine=name)
 
-    @pytest.mark.parametrize("name", default_registry().engine_names())
+    @pytest.mark.parametrize("name", ENGINES)
     def test_counting_oracle_agrees_with_each_family(self, name):
         """``CountingMatcher`` left the roster but stays the oracle every
-        selectable engine (each registered family, and ``auto``) must
+        selectable engine (each family, and ``auto``) must
         agree with."""
         events = [Event({"v": v}) for v in (0, 15, 30, 30, 80, 99)]
         oracle = CountingMatcher(small_profiles())
@@ -196,186 +188,92 @@ class TestBaselineFamilies:
                 == oracle.match(event).matched_profile_ids
             ), name
 
-    def test_a_subclass_family_reports_its_own_name(self, engine_roster):
-        """A third-party family deriving from a baseline's matcher is
-        reported under its own spec's name, not the baseline's."""
-        engine_roster(
-            [*builtin_specs(), EngineSpec(name="scan", factory=lambda c: _ScanSpy(c.profiles))]
-        )
-        engine = AdaptiveFilterEngine(small_profiles(), policy=AdaptationPolicy(engine="scan"))
-        assert isinstance(engine.matcher, NaiveMatcher)
-        assert engine.engine_family == "scan"
 
-
-class _ScanSpy(NaiveMatcher):
-    """A third-party family: the naive scan, registered under a new name."""
-
-
-class TestThirdPartyEngines:
-    @pytest.fixture
-    def roster(self, engine_roster) -> EngineRegistry:
-        return engine_roster(
-            [
-                *builtin_specs(),
-                EngineSpec(
-                    name="scan",
-                    factory=lambda ctx: _ScanSpy(ctx.profiles),
-                    description="sequential scan baseline",
-                ),
-            ]
-        )
-
-    def test_registered_engine_is_selectable_through_the_policy(self, roster):
-        policy = AdaptationPolicy(engine="scan")
-        engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
-        assert isinstance(engine.matcher, _ScanSpy)
-        assert engine.engine_family == "scan"
-        assert engine.match(Event({"v": 40})).matched_profile_ids == ("P40",)
-
-    def test_reoptimisation_is_skipped_without_a_hook(self, roster):
-        """A family without a candidate hook filters indefinitely."""
-        policy = AdaptationPolicy(engine="scan", reoptimize_interval=10, warmup_events=10)
-        engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
-        rng = random.Random(4)
-        for _ in range(100):
-            engine.match(Event({"v": rng.randint(0, 99)}))
-        assert engine.adaptations() == []
-        assert isinstance(engine.matcher, _ScanSpy)
-
-    def test_third_party_engine_reaches_the_broker(self, roster):
-        """The broker consults the registry via the policy — no service
-        changes needed for a new family."""
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_every_engine_reaches_the_broker_by_name(self, name):
         profiles = small_profiles()
-        broker = Broker(
-            profiles.schema,
-            adaptation_policy=AdaptationPolicy(engine="scan"),
-        )
+        broker = Broker(profiles.schema, adaptation_policy=AdaptationPolicy(engine=name))
         for item in profiles:
             broker.subscribe(item, "user")
+        assert broker.engine.engine_family == engine_family(name)
         outcome = broker.publish(Event({"v": 30}))
         assert [n.profile_id for n in outcome.notifications] == ["P30"]
-        assert isinstance(broker.engine.matcher, _ScanSpy)
-
-    @pytest.mark.parametrize("name", ["quantum", "hybrid"])
-    def test_policy_rejects_unknown_engine_with_roster_listing(self, name):
-        with pytest.raises(
-            ServiceError,
-            match=f"unknown engine '{name}'; registered engines: tree, index, naive, auto",
-        ):
-            AdaptationPolicy(engine=name)
-
-    def test_the_swapped_roster_is_restored(self, roster, monkeypatch):
-        """The fixture swaps the process roster through ``monkeypatch``,
-        so undoing it brings the built-in roster back."""
-        assert default_registry() is roster
-        monkeypatch.undo()
-        assert default_registry() is not roster
-        assert "scan" not in default_registry()
-        assert default_registry().names() == ("tree", "index", "naive")
+        broker.unsubscribe(broker.subscriptions.by_profile_id("P30").subscription_id)
+        assert broker.publish(Event({"v": 30})).notifications == ()
 
 
-class TestCandidateHooks:
-    def test_a_pinned_family_with_a_candidate_is_consulted_and_installed(self, engine_roster):
-        """A third-party family's candidate is asked at every check of an
-        engine pinned to it; an improving candidate is installed, and a
-        new matcher object replaces the running one."""
-        from repro.matching.registry import EngineCandidate
+def _drive(engine: AdaptiveFilterEngine, count: int) -> None:
+    rng = random.Random(5)
+    for _ in range(count):
+        engine.match(Event({"v": rng.randint(0, 99)}))
 
+
+class TestReoptimisers:
+    """How an engine uses its family's re-optimisation function.
+
+    The engine looks the function up at construction, so each test
+    patches :data:`REOPTIMISERS` before building the engine.
+    """
+
+    @pytest.mark.parametrize("family", ["tree", "index"])
+    def test_a_pinned_family_consults_its_function_at_every_check(self, monkeypatch, family):
         calls = []
+        reoptimise = REOPTIMISERS[family]
 
-        def cheap_candidate(ctx, matcher, distributions):
-            calls.append(type(matcher).__name__)
-            return EngineCandidate(
-                "scan",
-                0.0,
-                "scan[flat]",
-                lambda: _ScanSpy(ctx.profiles),
-                predicted_current=1.0,
-            )
+        def spy(matcher, policy, distributions):
+            calls.append(matcher)
+            return reoptimise(matcher, policy, distributions)
 
-        engine_roster(
-            [
-                *builtin_specs(),
-                EngineSpec(
-                    name="scan",
-                    factory=lambda ctx: _ScanSpy(ctx.profiles),
-                    candidate=cheap_candidate,
-                ),
-            ]
-        )
-        policy = AdaptationPolicy(engine="scan", reoptimize_interval=50, warmup_events=50)
+        monkeypatch.setitem(REOPTIMISERS, family, spy)
+        policy = AdaptationPolicy(engine=family, reoptimize_interval=20, warmup_events=20)
         engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
-        first = engine.matcher
-        rng = random.Random(5)
-        for _ in range(120):
-            engine.match(Event({"v": rng.randint(0, 99)}))
-        assert calls == ["_ScanSpy", "_ScanSpy"]
+        _drive(engine, 60)
+        assert len(calls) == 3
+        assert all(matcher is engine.matcher for matcher in calls)
         records = engine.adaptations()
-        assert [record.applied for record in records] == [True, True]
-        assert all(record.engine == "scan" for record in records)
-        assert all(record.configuration_label == "scan[flat]" for record in records)
-        assert isinstance(engine.matcher, _ScanSpy) and engine.matcher is not first
-
-    def test_decisions_are_recorded_under_the_spec_name(self, engine_roster):
-        """A candidate's free-form ``family`` string is informational: a
-        mistyped one must not send the record to a family that never runs."""
-        from repro.matching.registry import EngineCandidate
-
-        def mislabelled(ctx, matcher, distributions):
-            return EngineCandidate(
-                "scna",
-                1.0,
-                "scan[flat]",
-                lambda: _ScanSpy(ctx.profiles),
-                predicted_current=1.0,
-            )
-
-        engine_roster(
-            [
-                EngineSpec(
-                    name="scan",
-                    factory=lambda ctx: _ScanSpy(ctx.profiles),
-                    candidate=mislabelled,
-                )
-            ]
+        assert [record.event_count for record in records] == [20, 40, 60]
+        assert all(record.engine == family for record in records)
+        assert all(
+            record.configuration_label.startswith(f"{family}[") for record in records
         )
-        policy = AdaptationPolicy(engine="scan", reoptimize_interval=20, warmup_events=20)
+
+    def test_an_abstaining_function_records_nothing(self, monkeypatch):
+        """A check whose function returns ``None`` is skipped: no record,
+        no change to the matcher, and the history still grows."""
+        monkeypatch.setitem(REOPTIMISERS, "tree", lambda matcher, policy, distributions: None)
+        policy = AdaptationPolicy(engine="tree", reoptimize_interval=20, warmup_events=20)
         engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
-        rng = random.Random(6)
-        for _ in range(80):
-            engine.match(Event({"v": rng.randint(0, 99)}))
-        records = engine.adaptations()
-        assert len(records) == 4
-        assert all(record.engine == "scan" and not record.applied for record in records)
-
-    def test_an_abstaining_family_is_skipped(self, engine_roster):
-        """A candidate hook returning ``None`` sits that check out: it is
-        asked at every check, and no decision is recorded."""
-        asked = []
-
-        def abstaining(ctx, matcher, distributions):
-            asked.append(type(matcher).__name__)
-            return None
-
-        engine_roster(
-            [
-                *builtin_specs(),
-                EngineSpec(
-                    name="scan",
-                    factory=lambda ctx: _ScanSpy(ctx.profiles),
-                    candidate=abstaining,
-                ),
-            ]
-        )
-        policy = AdaptationPolicy(engine="scan", reoptimize_interval=50, warmup_events=50)
-        engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
-        rng = random.Random(9)
-        for _ in range(150):
-            engine.match(Event({"v": rng.randint(0, 99)}))
-        assert len(asked) == 3
+        tree = engine.matcher.tree
+        _drive(engine, 60)
         assert engine.adaptations() == []
-        assert isinstance(engine.matcher, _ScanSpy)
+        assert engine.matcher.tree is tree
+        assert len(engine.history) == 60
 
+    @pytest.mark.parametrize(
+        ("cost", "applied"), [(5.0, True), (9.5, False)], ids=["cheaper", "within-threshold"]
+    )
+    def test_a_candidate_is_applied_only_past_the_threshold(self, monkeypatch, cost, applied):
+        applies = []
+        monkeypatch.setitem(
+            REOPTIMISERS,
+            "index",
+            lambda matcher, policy, distributions: Candidate(
+                10.0, cost, "index[fake]", lambda: applies.append(matcher)
+            ),
+        )
+        policy = AdaptationPolicy(
+            engine="index",
+            reoptimize_interval=20,
+            warmup_events=20,
+            improvement_threshold=0.1,
+        )
+        engine = AdaptiveFilterEngine(small_profiles(), policy=policy)
+        _drive(engine, 20)
+        (record,) = engine.adaptations()
+        assert record.applied is applied
+        assert record.predicted_current == 10.0 and record.predicted_candidate == cost
+        assert record.configuration_label == "index[fake]"
+        assert applies == ([engine.matcher] if applied else [])
 
 
 def test_min_columnar_batch_controls_the_kernel_cutover(monkeypatch):
@@ -401,30 +299,25 @@ def test_min_columnar_batch_controls_the_kernel_cutover(monkeypatch):
 @pytest.mark.parametrize(
     "family, running", [("tree", TreeMatcher), ("index", PredicateIndexMatcher)]
 )
-def test_a_candidate_prices_only_its_own_running_matcher(family, running):
-    """No family prices a switch to itself: each candidate abstains
-    unless a matcher of its own family is running, and installs into the
-    running matcher."""
+def test_a_reoptimisation_edits_the_running_matcher(family, running):
+    """Pricing leaves the running matcher alone; ``apply()`` edits that
+    same matcher (an index replan keeps its kernel stats object)."""
     from repro.workloads import example3_event_distributions
 
     profiles = environmental_profiles()
     policy = AdaptationPolicy()
-    context = EngineContext(
-        profiles=profiles,
-        attribute_measure=policy.attribute_measure,
-        value_measure=policy.value_measure,
-        search=policy.search,
-    )
     distributions = example3_event_distributions()
-    candidate = default_registry().spec(family).candidate
-    assert candidate(context, None, distributions) is None
-    for other in (TreeMatcher, PredicateIndexMatcher, NaiveMatcher):
-        if other is not running:
-            assert candidate(context, other(profiles), distributions) is None
     matcher = running(profiles)
-    priced = candidate(context, matcher, distributions)
-    assert priced.family == family and priced.predicted_current is not None
-    assert priced.install() is matcher
+    structure = matcher.tree if family == "tree" else matcher.plan
+    stats = getattr(matcher, "kernel_stats", None)
+    candidate = REOPTIMISERS[family](matcher, policy, distributions)
+    assert candidate.predicted_current > 0 and candidate.cost > 0
+    assert candidate.label.startswith(f"{family}[")
+    assert (matcher.tree if family == "tree" else matcher.plan) is structure
+    assert candidate.apply() is None
+    assert getattr(matcher, "kernel_stats", None) is stats
+    if family == "tree":
+        assert candidate.label == f"tree[{matcher.configuration.label}]"
 
 
 def test_a_converged_pinned_tree_check_builds_nothing(monkeypatch):
@@ -440,7 +333,7 @@ def test_a_converged_pinned_tree_check_builds_nothing(monkeypatch):
         builds.append(args)
         return build_tree(*args, **kwargs)
 
-    # ``_tree_candidate`` looks the builder up by name at every check.
+    # ``_reoptimise_tree`` looks the builder up by name at every check.
     monkeypatch.setattr(builder, "build_tree", counting_build_tree)
     policy = AdaptationPolicy(engine="tree", reoptimize_interval=100, warmup_events=50)
     engine = AdaptiveFilterEngine(environmental_profiles(), policy=policy)

@@ -427,6 +427,44 @@ class TestBatchFiltering:
         ]
 
 
+class TestNoReoptimisationFamily:
+    """A family without a re-optimisation function schedules no checks."""
+
+    @pytest.mark.parametrize(("engine_kind", "checks"), [("naive", 0), ("index", 20)])
+    def test_checks_and_match_batch_calls_per_publish_batch(self, monkeypatch, engine_kind, checks):
+        from repro.distributions.estimation import FrequencyCounter
+
+        schema = Schema([Attribute("a", IntegerDomain(0, 9)), Attribute("b", IntegerDomain(0, 9))])
+        service = FilterService(
+            schema,
+            policy=AdaptationPolicy(engine=engine_kind, reoptimize_interval=50, warmup_events=50),
+        )
+        service.subscribe_all([profile(f"P{v}", a=v) for v in range(10)])
+        estimates, batches = [], []
+        to_distribution = FrequencyCounter.to_distribution
+        matcher_type = type(service.broker.engine.matcher)
+        match_batch = matcher_type.match_batch
+
+        def counting_to_distribution(counter, *args, **kwargs):
+            estimates.append(counter)
+            return to_distribution(counter, *args, **kwargs)
+
+        def counting_match_batch(matcher, events):
+            batches.append(len(events))
+            return match_batch(matcher, events)
+
+        monkeypatch.setattr(FrequencyCounter, "to_distribution", counting_to_distribution)
+        monkeypatch.setattr(matcher_type, "match_batch", counting_match_batch)
+        rng = random.Random(11)
+        events = [Event({"a": rng.randint(0, 9), "b": rng.randint(0, 9)}) for _ in range(1000)]
+        service.publish_batch(events)
+        engine = service.broker.engine
+        assert len(estimates) == 2 * checks
+        assert len(engine.adaptations()) == checks
+        assert batches == ([1000] if checks == 0 else [50] * checks)
+        assert engine.history.events() == events
+
+
 # -- the design invariant: auto is the pinned index family ----------------------
 
 ROSTER_DOMAIN = 12

@@ -131,14 +131,6 @@ API_SURFACE = {
         "events_forwarded",
         "events_suppressed",
     ),
-    "EngineRegistry": ("specs",),
-    "EngineSpec": (
-        "name",
-        "factory",
-        "supported_measures",
-        "candidate",
-        "description",
-    ),
     "DeliveryStats": (
         "mode",
         "dispatched",
@@ -242,7 +234,6 @@ API_SURFACE = {
     ),
     "WebhookSink": ("endpoint", "timeout"),
     "build_profiles": ("builders", "id_prefix", "subscriber"),
-    "default_registry": (),
     "where": ("attribute",),
 }
 
@@ -340,18 +331,20 @@ def test_api_methods_are_locked(class_name):
         )
 
 
-# -- engine registry and tree matcher surface lock -----------------------------
+# -- engine roster and tree matcher surface lock -------------------------------
 #
-# Third-party families plug in through the registry, and the tree matcher is
-# the paper's filter; their public methods are pinned by name, so adding or
-# removing one is an explicit diff here.
+# The engine roster is a closed table, and the tree matcher is the paper's
+# filter; the roster's names and function signatures and the tree
+# matcher's public methods are pinned, so adding or removing one is an
+# explicit diff here.
 
-REGISTRY_METHODS = (
-    "engine_names",
-    "names",
-    "register",
-    "spec",
-    "unregister",
+REGISTRY_ALL = (
+    "AUTO_ENGINE",
+    "BUILDERS",
+    "Candidate",
+    "ENGINES",
+    "REOPTIMISERS",
+    "engine_family",
 )
 
 TREE_MATCHER_METHODS = (
@@ -373,15 +366,21 @@ def _public_members(cls) -> tuple:
 
 
 def test_registry_and_tree_matcher_surfaces_are_locked():
-    from repro.matching.registry import EngineRegistry, builtin_specs
+    from repro.matching import registry
 
-    assert _public_members(EngineRegistry) == REGISTRY_METHODS
+    assert tuple(sorted(registry.__all__)) == REGISTRY_ALL
+    assert registry.ENGINES == ("tree", "index", "naive", "auto")
     assert _public_members(TreeMatcher) == TREE_MATCHER_METHODS
-    assert _parameter_names(builtin_specs) == ()
-    # ``EngineSpec.candidate`` takes ``(ctx, matcher, distributions)``.
-    for spec in builtin_specs():
-        if spec.candidate is not None:
-            assert _parameter_names(spec.candidate) == ("ctx", "matcher", "distributions")
+    assert _parameter_names(registry.Candidate) == (
+        "predicted_current",
+        "cost",
+        "label",
+        "apply",
+    )
+    for build in registry.BUILDERS.values():
+        assert _parameter_names(build) == ("profiles", "policy")
+    for reoptimise in registry.REOPTIMISERS.values():
+        assert _parameter_names(reoptimise) == ("matcher", "policy", "distributions")
 
 
 # -- the index planner's knobs and the retired names --------------------------
@@ -391,6 +390,7 @@ def test_registry_and_tree_matcher_surfaces_are_locked():
 # family, the cost calibrator and the family-switch cooldown is listed
 # here (the planner's ``hybrid=`` flag by the constructor lock), as are the
 # registry's ownership tests (an engine reports the spec it resolved), the
+# plug-in engine registry itself (the roster is a closed table), the
 # per-notification ``DeliveryTask`` (a plan is two columns), the
 # discrete-event simulator (the overlay keeps its own clock) and the
 # overlay's ``cover_counters`` (``NetworkService.stats`` sums the same
@@ -402,21 +402,34 @@ RETIRED = {
     ("repro.analysis", None): ("CalibrationSample", "CalibrationSnapshot", "CostCalibrator"),
     ("repro.service.adaptive", None): ("SWITCH_COOLDOWN_INTERVALS",),
     ("repro.service.adaptive", "AdaptationRecord"): ("suppressed", "correction_factor"),
-    ("repro.service.adaptive", "AdaptiveFilterEngine"): ("calibration", "calibrator"),
+    ("repro.service.adaptive", "AdaptationPolicy"): ("engine_registry",),
+    ("repro.service.adaptive", "AdaptiveFilterEngine"): (
+        "calibration",
+        "calibrator",
+        "registry",
+        "_adopt_matcher",
+    ),
+    ("repro.api", None): ("EngineRegistry", "EngineSpec", "default_registry"),
+    ("repro.api", "FilterService"): ("registry",),
     ("repro.api", "ServiceStats"): ("calibration",),
-    ("repro.matching.registry", "EngineSpec"): (
-        "calibration_prior",
-        "auto_rank",
-        "owns",
-        "matcher_owned",
+    ("repro.matching", None): (
+        "EngineCandidate",
+        "EngineContext",
+        "EngineRegistry",
+        "EngineSpec",
+        "default_registry",
     ),
-    ("repro.matching.registry", "EngineRegistry"): (
-        "arbitrating_specs",
-        "auto_start",
-        "validate_engine",
-        "owner_of",
+    ("repro.matching.registry", None): (
+        "EngineCandidate",
+        "EngineContext",
+        "EngineRegistry",
+        "EngineSpec",
+        "builtin_specs",
+        "default_registry",
+        "_tree_owns",
+        "_index_owns",
+        "_naive_owns",
     ),
-    ("repro.matching.registry", None): ("_tree_owns", "_index_owns", "_naive_owns"),
     ("repro.service.delivery", None): ("DeliveryTask",),
     ("repro.service.delivery.base", None): ("DeliveryTask",),
     ("repro.matching.index", "AttributePlan"): ("use_index", "is_hybrid"),

@@ -343,6 +343,21 @@ class TestFromProfile:
         with FilterService.from_profile(profile, engine="index") as service:
             assert service.stats().engine == "index"
 
+    def test_an_overriding_policy_outranks_the_hinted_engine(self):
+        """The hinted engine yields to an overriding ``policy``; an
+        explicit ``engine=`` that contradicts the policy still raises."""
+        from repro.api import AdaptationPolicy, FilterService
+        from repro.core.errors import ServiceError
+
+        for name in ("stock-ticker", "aml-transactions"):
+            policy = AdaptationPolicy(engine="tree")
+            with FilterService.from_profile(name, policy=policy) as service:
+                assert service.policy is policy
+        with pytest.raises(ServiceError, match="conflicting engine choice"):
+            FilterService.from_profile(
+                "stock-ticker", engine="index", policy=AdaptationPolicy(engine="tree")
+            )
+
     def test_pinned_policy_knobs_reach_the_policy(self):
         from repro.api import FilterService
 
