@@ -18,7 +18,7 @@ Typical invocations::
     PYTHONPATH=src python benchmarks/run_corpus.py \\
         --profiles aml-transactions --timing --events 0
 
-    # the headline events/s sweep (index, auto); writes no history
+    # the headline events/s sweep of the index family; writes no history
     PYTHONPATH=src python benchmarks/run_corpus.py --sweep \\
         --profiles aml-transactions mixed-structure
 """
@@ -43,15 +43,12 @@ from repro.experiments.corpus import append_history, run_profile  # noqa: E402
 from repro.workloads import build_workload  # noqa: E402
 from repro.workloads.profiles import get_profile, list_profiles  # noqa: E402
 
-#: The headline sweep: per profile and engine, subscribe the population,
+#: The headline sweep: per profile, subscribe the population to the
+#: ``index`` family (``auto`` is the same family under another name),
 #: publish one warm-up batch, collect garbage, then time one batch of the
-#: next events; every engine sees the same events.  The collection keeps
-#: the previous engine's discarded service out of the timed batch.  Each
-#: round times every engine once, back to back (the first engine
-#: alternates between rounds), so a slow spell of the host lands on both
-#: sides of a round's ratio; a cell is the median over rounds, and
-#: ``auto ÷ index`` the median of per-round ratios.
-SWEEP_ENGINES = ("index", "auto")
+#: next events.  The collection keeps the previous run's discarded service
+#: out of the timed batch.  A cell is the median over the runs.
+SWEEP_ENGINE = "index"
 SWEEP_WARMUP_EVENTS = 500
 SWEEP_TIMED_EVENTS = 1_500
 SWEEP_RUNS = 7
@@ -70,7 +67,7 @@ def _git_revision() -> str | None:
         return None
 
 
-def sweep_events_per_s(profile, engine: str, workload) -> float:
+def sweep_events_per_s(profile, workload) -> float:
     """Return the events/s of one timed batch after one warm-up batch.
 
     A full collection runs between the two, so the garbage of earlier
@@ -78,7 +75,7 @@ def sweep_events_per_s(profile, engine: str, workload) -> float:
     """
     events = list(workload.events)
     warmup, timed = events[:SWEEP_WARMUP_EVENTS], events[SWEEP_WARMUP_EVENTS:]
-    with FilterService.from_profile(profile, engine=engine) as service:
+    with FilterService.from_profile(profile, engine=SWEEP_ENGINE) as service:
         service.subscribe_all(workload.profiles)
         service.publish_batch(warmup)
         gc.collect()
@@ -89,23 +86,14 @@ def sweep_events_per_s(profile, engine: str, workload) -> float:
 
 def sweep(names: list[str]) -> None:
     """Print the headline events/s table of ``names`` (no history written)."""
-    print(f"| Profile | {' | '.join(SWEEP_ENGINES)} | auto ÷ index |")
-    print(f"|---|{'---:|' * (len(SWEEP_ENGINES) + 1)}")
+    print(f"| Profile | {SWEEP_ENGINE} |")
+    print("|---|---:|")
     for name in names:
         profile = get_profile(name)
         spec = profile.spec.with_counts(event_count=SWEEP_WARMUP_EVENTS + SWEEP_TIMED_EVENTS)
         workload = build_workload(spec)
-        rounds = []
-        for number in range(SWEEP_RUNS):
-            order = SWEEP_ENGINES if number % 2 == 0 else SWEEP_ENGINES[::-1]
-            rounds.append(
-                {engine: sweep_events_per_s(profile, engine, workload) for engine in order}
-            )
-        cells = " | ".join(
-            f"{median(rates[engine] for rates in rounds):,.0f}" for engine in SWEEP_ENGINES
-        )
-        ratio = median(rates["auto"] / rates["index"] for rates in rounds)
-        print(f"| `{name}` | {cells} | {ratio:.2f} |", flush=True)
+        rate = median(sweep_events_per_s(profile, workload) for _ in range(SWEEP_RUNS))
+        print(f"| `{name}` | {rate:,.0f} |", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -144,10 +132,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--sweep",
         action="store_true",
-        help=f"print events/s of {', '.join(SWEEP_ENGINES)} per profile: one "
+        help=f"print events/s of {SWEEP_ENGINE} per profile: one "
         f"{SWEEP_WARMUP_EVENTS}-event warm-up batch, one timed {SWEEP_TIMED_EVENTS}-event "
-        f"batch, median of {SWEEP_RUNS} alternating rounds, auto ÷ index the median "
-        "of per-round ratios (informational; writes no history)",
+        f"batch, median of {SWEEP_RUNS} runs (informational; writes no history)",
     )
     parser.add_argument(
         "--dry-run",

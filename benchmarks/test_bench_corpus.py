@@ -126,8 +126,8 @@ def test_sweep_prints_a_table_and_writes_no_history(tmp_path, monkeypatch, capsy
     argv = ["--sweep", "--profiles", "single-attribute", "--history", str(history)]
     assert run_corpus.main(argv) == 0
     header, _, row = capsys.readouterr().out.splitlines()
-    assert header == "| Profile | index | auto | auto ÷ index |"
-    assert row.startswith("| `single-attribute` | ") and row.count("|") == 5
+    assert header == "| Profile | index |"
+    assert row.startswith("| `single-attribute` | ") and row.count("|") == 3
     assert not history.exists()
 
 

@@ -26,8 +26,10 @@ operator into:
 The :class:`IndexPlanner` compares, per attribute, the expected cost of a
 probe (``probe + E[hits]`` under the event distribution ``P_e``, mirroring
 the ``E(X) + R_0`` decomposition of the paper's Eq. 2) against the cost of
-scanning all entries, and demotes an attribute's buckets to the scan path
-when the probe would not pay off.  It also ranks attributes by rejection
+scanning all entries, and charges a structure as scanned when the probe
+would not pay off; the matcher still reads that structure's answer from
+its bucket, so a verdict sets the charge, never the result.  It also
+ranks attributes by rejection
 power (Measures A1/A2 of :mod:`repro.selectivity`) so the matcher probes
 the most selective attribute first and can stop as soon as a
 fully-constrained attribute yields no hit.

@@ -18,11 +18,11 @@ into a first-class data structure):
 
 ``NotEquals`` and any predicate kind without a natural index fall back to
 a linear scan (one evaluation per distinct entry, like the counting
-baseline's general index); the
-:class:`~repro.matching.index.planner.IndexPlanner` also demotes hash and
-range entries to that scan path when its cost model says a probe would not
-pay off.  The scan path lives inside the matcher — it needs no bucket
-structure.
+baseline's general index).  The scan path lives inside the matcher — it
+needs no bucket structure.  When the
+:class:`~repro.matching.index.planner.IndexPlanner` decides that probing a
+bucket would not pay off, the matcher charges that bucket's entries as
+scanned but still reads its answer from the bucket.
 
 What a bucket stores per value
 ------------------------------
@@ -62,7 +62,7 @@ never rebuilds a bucket from scratch:
   of the boundaries are dead, :meth:`IntervalBucket.remove` compacts in
   place — dropping the dead boundaries and keeping one of their (provably
   equal) slabs — so heavy churn cannot grow the slab structure without
-  bound between full rebuilds (a planner-driven replan still compacts too).
+  bound, and no replan needs to rebuild the bucket.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ __all__ = ["HashBucket", "IntervalBucket", "STALE_COMPACTION_FRACTION"]
 
 #: When removals leave more than this fraction of an interval bucket's
 #: boundaries without any live referencing endpoint, :meth:`IntervalBucket.remove`
-#: compacts the slab structure in place instead of waiting for a replan.
+#: compacts the slab structure in place.
 STALE_COMPACTION_FRACTION = 0.5
 
 #: :meth:`IntervalBucket.lookup` of a value no range accepts by type.
@@ -91,14 +91,17 @@ class HashBucket:
     entries registered under it and each entry's subscriber mask.
     """
 
-    __slots__ = ("_table", "masks")
+    __slots__ = ("table", "masks")
 
     #: A hash probe costs one comparison, like the counting baseline's
     #: equality fast path.
     probe_cost = 1
 
     def __init__(self, table: Mapping[object, Iterable[tuple[int, int]]]) -> None:
-        self._table: dict[object, tuple[int, ...]] = {}
+        #: Live value-to-entry-ids mapping.  The matcher's probe reads it
+        #: directly; treat it as read-only outside :meth:`add_entry` /
+        #: :meth:`discard_entry`.
+        self.table: dict[object, tuple[int, ...]] = {}
         #: Live value-to-mask mapping, with the same keys as :attr:`table`.
         #: The matcher's probe reads it directly, and a subscriber joining
         #: or leaving an existing entry XORs its bit into each of the
@@ -111,49 +114,43 @@ class HashBucket:
             for entry_id, entry_mask in entries:
                 entry_ids.append(entry_id)
                 mask ^= entry_mask
-            self._table[value] = tuple(entry_ids)
+            self.table[value] = tuple(entry_ids)
             self.masks[value] = mask
 
     def lookup(self, value: object) -> tuple[tuple[int, ...], int]:
         """Return the entry ids satisfied by ``value`` and their mask."""
-        return self._table.get(value, ()), self.masks.get(value, 0)
-
-    @property
-    def table(self) -> Mapping[object, tuple[int, ...]]:
-        """Live value-to-entry-ids mapping (the matcher's hot loop probes
-        this directly to skip a method call; treat it as read-only)."""
-        return self._table
+        return self.table.get(value, ()), self.masks.get(value, 0)
 
     def add_entry(self, value: object, entry_id: int, mask: int) -> None:
         """Register ``entry_id`` with subscriber ``mask`` under ``value``."""
-        existing = self._table.get(value)
+        existing = self.table.get(value)
         if existing is None:
-            self._table[value] = (entry_id,)
+            self.table[value] = (entry_id,)
             self.masks[value] = mask
         else:
-            self._table[value] = existing + (entry_id,)
+            self.table[value] = existing + (entry_id,)
             self.masks[value] ^= mask
 
     def discard_entry(self, value: object, entry_id: int, mask: int) -> None:
         """Unregister ``entry_id``, whose subscriber mask is ``mask``, from
         ``value``; drops empty value rows."""
-        existing = self._table.get(value)
+        existing = self.table.get(value)
         if existing is None or entry_id not in existing:
             return
         remaining = tuple(e for e in existing if e != entry_id)
         if remaining:
-            self._table[value] = remaining
+            self.table[value] = remaining
             self.masks[value] ^= mask
         else:
-            del self._table[value]
+            del self.table[value]
             del self.masks[value]
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self.table)
 
     def items(self) -> Iterator[tuple[object, tuple[int, ...]]]:
         """Iterate over ``(value, entry_ids)`` pairs (for cost estimation)."""
-        return iter(self._table.items())
+        return iter(self.table.items())
 
 
 class IntervalBucket:

@@ -5,7 +5,7 @@ resolving every *distinct* ``(attribute, value)`` probe only once.  Both
 this kernel and the per-event loop of
 :meth:`~repro.matching.index.matcher.PredicateIndexMatcher.match` resolve a
 value with the attribute's one probe, ``_AttributeState.probe`` (bucket
-lookup, the hit's or slab's stored mask, the scanned entries).  The
+lookups, the hit's and slab's stored masks, the residual entries).  The
 per-event loop pays it once per event; real batches carry massive value
 redundancy (a 1500-event stock-ticker batch observes ~40 distinct
 symbols), so the kernel keeps a per-batch memo per probed attribute:
@@ -87,8 +87,8 @@ class KernelStats:
     #: The charged model counted once per distinct probe, not a count of
     #: Python comparisons: each distinct (attribute, value) probe of the
     #: batch counted once, less the entries covering an indexed slab an
-    #: earlier distinct value already resolved.  A scanned range counts
-    #: on every distinct probe, though a slab lookup resolves it.
+    #: earlier distinct value already resolved.  A scanned entry counts
+    #: on every distinct probe, though its bucket resolves it.
     executed_operations: int = 0
     #: Distinct probes resolved (memo misses) vs probes the per-event
     #: loop would have issued.
@@ -104,8 +104,8 @@ class KernelStats:
     def merge(self, other: "KernelStats") -> "KernelStats":
         """Fold another accounting into this one (in place) and return it.
 
-        Used by the service layer to aggregate executed-work stats across
-        matcher instances retired by adaptive replanning.
+        Used by the routing overlay to aggregate executed-work stats
+        across its links' matchers.
         """
         self.events += other.events
         self.charged_operations += other.charged_operations
@@ -173,7 +173,7 @@ def match_batch_columnar(
                     # few slabs; the bucket cannot change during a batch,
                     # so a slab number names one slab throughout.
                     if slab in seen_slabs:
-                        executed -= state.view_interval.counts[slab]
+                        executed -= state.interval_bucket.counts[slab]
                     else:
                         seen_slabs.add(slab)
             operations += probe[0]

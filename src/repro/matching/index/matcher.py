@@ -48,8 +48,9 @@ current owners out of ``_pid_of`` again and re-stamps the entry.  Dense
 ids are bit positions, so a mask's ids never go stale, only their
 owners, and the epoch moves whenever a bit may get a new owner: when
 ``_allocate_id`` pops a recycled id, and in ``_rebuild``, which
-reassigns every id (:meth:`~PredicateIndexMatcher.replan` and a bulk
-:meth:`~PredicateIndexMatcher.add_profiles`).  A cancel moves nothing:
+reassigns every id (a bulk :meth:`~PredicateIndexMatcher.add_profiles`).
+A :meth:`~PredicateIndexMatcher.replan` keeps every id and moves
+nothing.  A cancel moves nothing:
 its bit leaves ``_live``, every entry mask and every free mask, so no
 later read produces a mask that holds it until the id is reused.  A
 fresh id moves nothing either: its bit lies above every memoised mask.
@@ -64,22 +65,23 @@ The probe is written once, as ``_AttributeState.probe``:
 and the columnar kernel (:mod:`repro.matching.index.kernel`) once per
 distinct value of a batch, so both charge the same operations.
 
-The scanned ranges
-------------------
-What the probe scans — the residual entries, and the entries of a
-structure the plan does not index — is gathered by
-``_AttributeState.refresh_view`` whenever a plan is adopted or an entry
-is created or dropped.  Every range entry sits in the attribute's
-:class:`~repro.matching.index.buckets.IntervalBucket` whatever the
-verdict, so the interval verdict sets only what a probe is charged: a
-scanned range costs one operation, but all of them are resolved by the
-bucket's one slab lookup (slab number ``-1``, so the kernel counts them
-as executed like any scanned entry).  Every other scanned entry keeps
-its ``matches``: an unhashable value answers through ``matches`` but
-would raise through a dict lookup.  Masks are read live, so a subscribe
-or cancel that only edits masks refreshes nothing.  One containment rule
-holds: a range accepts an ``int`` or ``float`` (never a ``bool``),
-compared exactly, and no NaN.
+The scanned structures
+----------------------
+Every equality entry sits in the attribute's
+:class:`~repro.matching.index.buckets.HashBucket` and every range entry
+in its :class:`~repro.matching.index.buckets.IntervalBucket`, whatever
+the plan decides, so a per-structure verdict sets only what a probe is
+charged.  The probe always reads the value's hash mask and its slab's
+mask, and calls ``matches`` on the residual (``NotEquals``-style)
+entries alone.  An indexed structure is charged its lookup and hits; a
+scanned one one operation per entry, counted into
+``_AttributeState.scan_charge`` whenever a plan is adopted or an entry
+is created or dropped.  A scanned range reports slab number ``-1``, so
+the kernel counts it as executed like any scanned entry.  Masks are read
+live, so a subscribe or cancel that only edits masks recounts nothing.
+A value the hash bucket cannot hash (a list) raises ``TypeError`` on
+either verdict.  One containment rule holds: a range accepts an ``int``
+or ``float`` (never a ``bool``), compared exactly, and no NaN.
 
 Incremental maintenance
 -----------------------
@@ -94,8 +96,9 @@ predicates and the slabs they span plus one mask edit per attribute — not
 to the total predicate population.  Strategy decisions (index-vs-scan per
 attribute, the probe order) are *not* recomputed per churn op; maintenance
 merely raises a deferred-replan flag and the planner recosts lazily the
-next time :attr:`plan` (or an estimated cost) is asked for.  A full
-:meth:`replan` rebuild also compacts ids and stale slab boundaries.
+next time :attr:`plan` (or an estimated cost) is asked for, and a
+:meth:`replan` re-plans the same buckets under a new planner.  Stale slab
+boundaries are compacted by the interval bucket itself.
 
 Maintenance must go through the matcher's own methods; mutating the wrapped
 :class:`~repro.core.profiles.ProfileSet` directly desynchronises the index.
@@ -164,7 +167,7 @@ class _AttributeState:
     ``free`` is the bitmask of live profiles that do not constrain the
     attribute.  The buckets keep every hash value's and slab's mask up to
     date (:meth:`flip` for a subscriber joining or leaving an existing
-    entry), so :meth:`probe` combines no entry masks for an indexed hit.
+    entry), so :meth:`probe` combines no entry masks but the residual ones.
     """
 
     __slots__ = (
@@ -173,15 +176,10 @@ class _AttributeState:
         "hash_bucket",
         "interval_bucket",
         "range_entry_count",
-        "scan_entries",
+        "residual",
         "use_hash",
         "use_interval",
-        "view_hash",
-        "view_hash_masks",
-        "view_interval",
-        "scan_interval",
-        "scan_other",
-        "scan_count",
+        "scan_charge",
         "free",
     )
 
@@ -191,20 +189,17 @@ class _AttributeState:
         self.hash_bucket: HashBucket | None = None
         self.interval_bucket: IntervalBucket | None = None
         self.range_entry_count = 0
-        self.scan_entries: list[_Entry] = []
+        #: The entries no bucket holds (``NotEquals``-style): the probe
+        #: calls their ``matches``.
+        self.residual: tuple[_Entry, ...] = ()
         #: Per-structure verdicts (see :class:`AttributePlan`): the hash
-        #: side may probe its bucket while the interval side scans, or
-        #: vice versa.
+        #: side may be charged as indexed while the interval side is
+        #: charged as scanned, or vice versa.
         self.use_hash = False
         self.use_interval = False
-        #: Probe view, set by :meth:`refresh_view` (see "The scanned
-        #: ranges" in the module doc).
-        self.view_hash: Mapping[object, tuple[int, ...]] | None = None
-        self.view_hash_masks: Mapping[object, int] = {}
-        self.view_interval: IntervalBucket | None = None
-        self.scan_interval: IntervalBucket | None = None
-        self.scan_other: tuple[_Entry, ...] = ()
-        self.scan_count = 0
+        #: Operations a probe is charged for the scanned entries, set by
+        #: :meth:`recharge` (see "The scanned structures" in the module doc).
+        self.scan_charge = 0
         #: Live profiles not constraining the attribute.  Empty means every
         #: live profile constrains it, so a zero-hit probe rejects the
         #: event outright.
@@ -216,7 +211,7 @@ class _AttributeState:
         self.next_entry_id += 1
         self.entries[predicate] = entry
         if entry.kind == _SCAN:
-            self.scan_entries.append(entry)
+            self.residual += (entry,)
         return entry
 
     def plan(self, planner: IndexPlanner, attribute: str, schema: Schema) -> AttributePlan:
@@ -226,39 +221,26 @@ class _AttributeState:
             schema.domain(attribute),
             hash_bucket=self.hash_bucket,
             interval_bucket=self.interval_bucket,
-            scan_entry_count=len(self.scan_entries),
+            scan_entry_count=len(self.residual),
         )
 
     def adopt(self, plan: AttributePlan) -> None:
-        """Install one plan's strategy verdicts and recompile the view."""
+        """Install one plan's strategy verdicts and their scan charge."""
         self.use_hash = bool(plan.use_hash)
         self.use_interval = bool(plan.use_interval)
-        self.refresh_view()
+        self.recharge()
 
-    def refresh_view(self) -> None:
-        """Recompile the probe view after a strategy change or an entry's
-        creation or drop (:meth:`adopt`, ``_create_entry``, ``_drop_entry``).
-
-        The scanned entries are the residual ones (``NotEquals``-style)
-        plus those of a structure the plan does not index; scanned ranges
-        are resolved through the interval bucket.  Entries and buckets are
-        held, not masks, so a mask-only edit needs no refresh.
-        """
-        hash_bucket = self.hash_bucket if self.use_hash else None
-        self.view_hash = hash_bucket.table if hash_bucket is not None else None
-        self.view_hash_masks = hash_bucket.masks if hash_bucket is not None else {}
-        if self.use_interval:
-            self.view_interval, self.scan_interval = self.interval_bucket, None
-            scanned_ranges = 0
-        else:
-            self.view_interval, self.scan_interval = None, self.interval_bucket
-            scanned_ranges = self.range_entry_count
-        if self.use_hash:
-            other = self.scan_entries
-        else:
-            other = [entry for entry in self.entries.values() if entry.kind != _RANGE]
-        self.scan_other = tuple(other)
-        self.scan_count = scanned_ranges + len(other)
+    def recharge(self) -> None:
+        """Recount :attr:`scan_charge` after a verdict change or an entry's
+        creation or drop (:meth:`adopt`, ``_create_entry``, ``_drop_entry``):
+        one operation per residual entry and per entry of a structure the
+        plan does not index.  A mask-only edit changes no count."""
+        scanned = len(self.residual)
+        if not self.use_interval:
+            scanned += self.range_entry_count
+        if not self.use_hash:
+            scanned += len(self.entries) - self.range_entry_count - len(self.residual)
+        self.scan_charge = scanned
 
     def flip(self, entry: _Entry, bit: int) -> None:
         """XOR ``bit`` into the bucket masks of the live ``entry``: one
@@ -266,7 +248,7 @@ class _AttributeState:
 
         A hash entry flips each value it is registered under — one dict
         XOR for an ``Equals`` — and a range entry every slab of its span.
-        A scanned entry has no bucket mask: the probe reads its mask live.
+        A residual entry has no bucket mask: the probe reads its mask live.
         """
         kind = entry.kind
         if kind == _HASH:
@@ -281,38 +263,38 @@ class _AttributeState:
             self.interval_bucket.flip(entry.predicate.interval, bit)
 
     def probe(self, value: object) -> tuple[int, int, int]:
-        """Resolve one event value against the attribute's probe view.
+        """Resolve one event value against the attribute's buckets.
 
         Returns ``(operations, mask, slab)``.  ``operations`` is the
-        suite's accounting for one event carrying ``value``: one for the
-        hash lookup plus one per hit, the bisect depth plus one per entry
-        covering the slab, and one per scanned entry.  ``mask`` is the OR
-        of the satisfied hash hit, slab and scan entries.  ``slab`` is the
-        interval bucket's slab number of ``value`` (``-1`` without one), so
+        suite's accounting for one event carrying ``value``: for an
+        indexed hash side one for the lookup plus one per hit, for an
+        indexed interval side the bisect depth plus one per entry covering
+        the slab, and :attr:`scan_charge` for the scanned entries.
+        ``mask`` is the OR of the hash hit's mask, the slab's mask and the
+        satisfied residual entries' masks.  ``slab`` is the slab number of
+        ``value`` when the interval side is indexed (``-1`` otherwise), so
         the batch kernel can count a slab shared by several values once.
         """
-        operations = 0
+        operations = self.scan_charge
         mask = 0
         slab = -1
-        hash_table = self.view_hash
-        if hash_table is not None:
-            operations += 1
-            entry_ids = hash_table.get(value)
+        hash_bucket = self.hash_bucket
+        if hash_bucket is not None:
+            entry_ids = hash_bucket.table.get(value)
             if entry_ids:
-                operations += len(entry_ids)
-                mask = self.view_hash_masks[value]
-        interval_bucket = self.view_interval
+                mask = hash_bucket.masks[value]
+                if self.use_hash:
+                    operations += 1 + len(entry_ids)
+            elif self.use_hash:
+                operations += 1
+        interval_bucket = self.interval_bucket
         if interval_bucket is not None:
-            slab, count, slab_mask = interval_bucket.lookup(value)
-            operations += interval_bucket.probe_cost + count
+            found, count, slab_mask = interval_bucket.lookup(value)
             mask |= slab_mask
-        # One operation per scanned entry; scanned ranges are resolved by
-        # their slab, whose number is not reported.
-        operations += self.scan_count
-        scan_interval = self.scan_interval
-        if scan_interval is not None:
-            mask |= scan_interval.lookup(value)[2]
-        for entry in self.scan_other:
+            if self.use_interval:
+                slab = found
+                operations += interval_bucket.probe_cost + count
+        for entry in self.residual:
             if entry.predicate.matches(value):
                 mask |= entry.mask
         return operations, mask, slab
@@ -378,8 +360,8 @@ class PredicateIndexMatcher:
         self.profiles = profiles
         self._planner = planner if planner is not None else IndexPlanner()
         #: Executed-work accounting accumulated over every columnar batch
-        #: this matcher instance has run (survives incremental maintenance
-        #: and in-place :meth:`replan` rebuilds).
+        #: this matcher instance has run (survives incremental maintenance,
+        #: :meth:`replan` and a bulk :meth:`add_profiles`).
         self.kernel_stats = kernel.KernelStats()
         #: The read-out memo: a multi-bit mask's dense ids, a getter of
         #: their owners, the profile-id tuple last read and the epoch it
@@ -412,11 +394,11 @@ class PredicateIndexMatcher:
     def _rebuild(self) -> None:
         """Batch-(re)build every structure from the profile set.
 
-        Used at construction and by :meth:`replan`; ordinary churn goes
-        through the postings-delta path instead.  The batch path builds the
-        slab buckets with the O(k log k) endpoint sweep, every mask in one
-        pass over its ids, and compacts the dense-id space and any stale
-        slab boundaries.
+        Used at construction and by a bulk :meth:`add_profiles`; ordinary
+        churn goes through the postings-delta path instead, and
+        :meth:`replan` re-plans the live buckets.  The batch path builds
+        the slab buckets with the O(k log k) endpoint sweep and every mask
+        in one pass over its ids, and numbers the dense ids afresh.
         """
         self._states: dict[str, _AttributeState] = {}
         self._id_of: dict[str, int] = {}
@@ -488,7 +470,7 @@ class PredicateIndexMatcher:
                 bucket = state.interval_bucket = IntervalBucket([])
             bucket.add(predicate.interval, bit)
             state.range_entry_count += 1
-        state.refresh_view()
+        state.recharge()
 
     def _drop_entry(
         self, state: _AttributeState, predicate: Predicate, entry: _Entry, bit: int
@@ -508,8 +490,8 @@ class PredicateIndexMatcher:
                 # Dropping the empty bucket sheds its stale boundaries.
                 state.interval_bucket = None
         else:
-            state.scan_entries.remove(entry)
-        state.refresh_view()
+            state.residual = tuple(other for other in state.residual if other is not entry)
+        state.recharge()
 
     def _insert_profile(self, profile: Profile) -> None:
         """Apply the postings delta of one added profile."""
@@ -689,16 +671,17 @@ class PredicateIndexMatcher:
         return self._planner
 
     def replan(self, event_distributions: Mapping[str, Distribution]) -> None:
-        """Rebuild the indexes with distribution-aware planning.
+        """Re-plan the live buckets with distribution-aware planning.
 
-        The full rebuild also compacts the dense-id space and any slab
-        boundaries left stale by incremental removals.
+        The buckets, entries and dense ids do not depend on the plan, so
+        they are kept as they are: only the verdicts, the scan charges and
+        the probe order change.
         """
         self._planner = IndexPlanner(
             event_distributions,
             attribute_measure=self._planner.attribute_measure,
         )
-        self._rebuild()
+        self._recompute_plan()
 
     def estimated_cost(
         self, event_distributions: Mapping[str, Distribution] | None = None

@@ -88,9 +88,14 @@ class AttributePlan:
     @property
     def chosen_cost(self) -> float:
         """Return the expected cost of the chosen per-structure mix."""
-        hash_part = self.hash_index_cost if self.use_hash else self.hash_scan_cost
+        return self.cost_of(self)
+
+    def cost_of(self, verdicts: "AttributePlan") -> float:
+        """Return the expected cost of ``verdicts``' per-structure mix at
+        this plan's component costs."""
+        hash_part = self.hash_index_cost if verdicts.use_hash else self.hash_scan_cost
         interval_part = (
-            self.interval_index_cost if self.use_interval else self.interval_scan_cost
+            self.interval_index_cost if verdicts.use_interval else self.interval_scan_cost
         )
         return hash_part + interval_part + self.residual_scan_cost
 
@@ -115,14 +120,13 @@ class IndexPlan:
         """Return the cost of *this* plan's strategy choices at the
         component costs of ``recosted`` (the same buckets costed under
         other distributions); attributes this plan has no verdict for yet
-        take the recosted verdict."""
-        total = 0.0
-        for attribute, costs in recosted.items():
-            current = self.attributes.get(attribute) or costs
-            total += costs.hash_index_cost if current.use_hash else costs.hash_scan_cost
-            total += costs.interval_index_cost if current.use_interval else costs.interval_scan_cost
-            total += costs.residual_scan_cost
-        return total
+        take the recosted verdict.  Summed as
+        ``sum(plan.chosen_cost for plan in recosted.values())`` is, so
+        equal verdicts price to exactly equal totals."""
+        return sum(
+            costs.cost_of(self.attributes.get(attribute) or costs)
+            for attribute, costs in recosted.items()
+        )
 
 
 class IndexPlanner:

@@ -157,8 +157,8 @@ def _reoptimise_index(
     """Cost a replan of a running index matcher under ``distributions``.
 
     A recost of the live buckets prices both sides; an applied decision
-    replans (rebuilds) in place, keeping the matcher object and its
-    kernel stats.
+    re-plans those buckets in place, keeping the matcher object, its
+    dense ids and its kernel stats.
     """
     recosted = matcher.recost_plans(distributions)
     cost = sum(plan.chosen_cost for plan in recosted.values())

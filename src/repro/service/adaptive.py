@@ -22,9 +22,10 @@ roster (:mod:`repro.matching.registry`: ``tree``, ``index`` and the
 * asks its family's re-optimisation function for a candidate under the
   comparison-count cost currency — a restructured tree or a replanned
   index — and
-* restructures/replans when the analytical model predicts at least
-  ``improvement_threshold`` relative improvement over the current
-  matcher (restructuring has a cost, so marginal gains are ignored — the
+* restructures/replans when the analytical model predicts a positive
+  relative improvement over the current matcher of at least
+  ``improvement_threshold`` (restructuring has a cost, so marginal gains
+  are ignored, and a candidate that gains nothing never applies — the
   paper recommends reordering only "for systems with stable
   distributions").  The engine never switches families: one family
   re-optimises one structure, as the paper's adaptive filter does.  A
@@ -80,7 +81,8 @@ class AdaptationPolicy:
     reoptimize_interval: int = 1000
     #: Minimum number of observed events before the first re-optimisation.
     warmup_events: int = 200
-    #: Minimum relative improvement (predicted) required to restructure.
+    #: Minimum relative improvement (predicted) required to restructure;
+    #: a predicted improvement of zero never restructures.
     improvement_threshold: float = 0.05
     #: Length of the sliding event history window.
     history_length: int = 10_000
@@ -405,7 +407,7 @@ class AdaptiveFilterEngine:
         :func:`repro.analysis.cost_model.expected_tree_cost` of the
         :class:`~repro.selectivity.optimizer.TreeOptimizer`'s candidate
         configuration — and the candidate is applied when it improves on
-        the running matcher's predicted cost by at least
+        the running matcher's predicted cost, by at least
         ``improvement_threshold``.  A tree the model cannot express skips
         the check and records nothing.
         """
@@ -414,7 +416,7 @@ class AdaptiveFilterEngine:
             return
         predicted_current = candidate.predicted_current
         improvement = 1.0 - candidate.cost / predicted_current if predicted_current > 0 else 0.0
-        applied = improvement >= self.policy.improvement_threshold
+        applied = improvement > 0.0 and improvement >= self.policy.improvement_threshold
         if applied:
             candidate.apply()
         label = candidate.label

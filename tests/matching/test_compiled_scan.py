@@ -1,8 +1,9 @@
-"""The index family's scanned ranges and its one containment rule.
+"""The index family's scanned structures and its one containment rule.
 
-A range entry sits in its attribute's slab bucket whatever the plan
-decides: a scanned range is charged one operation per probe but resolved
-by the bucket's slab lookup, as an indexed one is.  Whatever the plan
+A range entry sits in its attribute's slab bucket, and an equality in its
+hash bucket, whatever the plan decides: a scanned entry is charged one
+operation per probe but resolved by its bucket's lookup, as an indexed
+one is.  Whatever the plan
 indexes or scans, a value must satisfy the same ranges: an ``int`` or
 ``float`` (never a ``bool``) inside the interval, compared exactly, so NaN
 satisfies none.  These tests force each strategy mix through
@@ -19,6 +20,7 @@ import functools
 import itertools
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -191,6 +193,33 @@ def test_the_odd_values_keep_their_answers():
     assert matched(-0.0) & ranges_only == {"P0", "P3", "P4", "P6", "P8", "P10", "P12"}
     assert matched(INF) & ranges_only == {"P6", "P7", "P11", "P12"}
     assert matched(-INF) & ranges_only == {"P8", "P9", "P10", "P12"}
+
+
+def test_an_unhashable_value_raises_whatever_the_hash_verdict():
+    """The probe reads the hash bucket on every verdict, so a value it
+    cannot hash raises the same ``TypeError`` through ``match`` and the
+    batch kernel whether the plan indexes or scans the hash side; it once
+    answered through ``matches`` when the hash side was scanned."""
+    schema = make_schema()
+    profiles = [
+        Profile("P0", {"x": Equals(1)}),
+        Profile("P1", {"x": RangePredicate.at_least(0)}),
+        Profile("P2", {"x": NotEquals(1)}),
+    ]
+    event = Event({"x": [1], "y": 1})
+    errors = set()
+    for mix in itertools.product((True, False), repeat=2):
+        matcher = force(PredicateIndexMatcher(ProfileSet(schema, profiles)), mix)
+        assert matcher._states["x"].use_hash is mix[0]
+        calls = (
+            lambda: matcher.match(event),
+            lambda: matcher.match_batch([event] * kernel.MIN_COLUMNAR_BATCH),
+        )
+        for call in calls:
+            with pytest.raises(TypeError) as raised:
+                call()
+            errors.add(str(raised.value))
+    assert errors == {"unhashable type: 'list'"}
 
 
 # -- the scanned mixes under churn --------------------------------------------
@@ -396,7 +425,7 @@ def test_a_scanned_range_moves_no_kernel_counter(mix, population, churn, batch):
     serial = itertools.count()
 
     def check():
-        assert matcher._states["x"].scan_interval is matcher._states["x"].interval_bucket
+        assert not matcher._states["x"].use_interval
         before = replace(matcher.kernel_stats)
         matcher.match_batch(batch)
         after = matcher.kernel_stats

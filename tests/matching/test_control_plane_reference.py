@@ -191,8 +191,8 @@ def test_scanned_ranges_are_resolved_by_their_slab(monkeypatch):
     matcher.replan(workload.event_distributions)
     state = matcher._states["amount"]
     bucket = state.interval_bucket
-    assert not state.use_interval and state.view_interval is None
-    assert (state.range_entry_count, state.scan_count) == (129, 129)
+    assert not state.use_interval
+    assert (state.range_entry_count, state.scan_charge) == (129, 129)
     events = list(workload.events[:500])
     expected = [result.matched_profile_ids for result in NaiveMatcher(profiles).match_batch(events)]
 
@@ -230,7 +230,8 @@ def test_scanned_ranges_are_resolved_by_their_slab(monkeypatch):
     assert len(probed) > 0
     assert calls == {"matches": 0, "contains": 0, "lookup": len(probed)}
     # The charge: the hash lookup and its hits, plus every scanned range.
-    hashed = state.view_hash
+    assert state.use_hash
+    hashed = state.hash_bucket.table
     for value in probed[:50]:
         assert probe(state, value)[0] == 1 + len(hashed.get(value, ())) + 129
 
@@ -247,18 +248,18 @@ def test_scanned_ranges_are_resolved_by_their_slab(monkeypatch):
 
 def test_a_mask_only_subscribe_or_cancel_recompiles_no_view(monkeypatch):
     """A profile whose predicates all have entries already only edits
-    masks, and the compiled view holds entries, not masks."""
+    masks, and the scan charge counts entries, not masks."""
     workload = build_workload(get_profile("aml-transactions").spec)
     matcher = PredicateIndexMatcher(ProfileSet(workload.schema, workload.profiles))
     refreshes = 0
-    refresh_view = _AttributeState.refresh_view
+    recharge = _AttributeState.recharge
 
-    def counting_refresh_view(self):
+    def counting_recharge(self):
         nonlocal refreshes
         refreshes += 1
-        refresh_view(self)
+        recharge(self)
 
-    monkeypatch.setattr(_AttributeState, "refresh_view", counting_refresh_view)
+    monkeypatch.setattr(_AttributeState, "recharge", counting_recharge)
     template = next(iter(workload.profiles))
     matcher.add_profile(Profile("twin", template.predicates))
     matcher.remove_profile("twin")
@@ -743,7 +744,7 @@ def test_a_probe_after_churn_reads_no_entry_mask(monkeypatch):
     schema = workload.spec.schema
     matcher = PredicateIndexMatcher(ProfileSet(schema, workload.profiles))
     naive = NaiveMatcher(ProfileSet(schema, workload.profiles))
-    assert all(state.scan_count == 0 for state in matcher._states.values())
+    assert all(state.scan_charge == 0 for state in matcher._states.values())
     events = list(workload.events[:300])
 
     reads = 0

@@ -4,9 +4,10 @@ The read-out turns a match mask into profile ids.  A multi-bit mask is
 decoded once for the matcher's life (``_readouts``), and its tuple of
 profile ids is built once per epoch and shared by every result of the
 mask.  The epoch moves when a bit gets a new owner: a subscribe onto a
-recycled id, and every rebuild (``replan``, a bulk ``add_profiles``).  A
-cancel and a fresh id leave it alone.  The memo is emptied when it
-reaches the index's size (live profiles + slabs + hash values).
+recycled id, and a rebuild (a bulk ``add_profiles``).  A cancel, a
+fresh id and a ``replan``, which keeps every structure and id, leave it
+alone.  The memo is emptied when it reaches the index's size (live
+profiles + slabs + hash values).
 """
 
 from operator import itemgetter
@@ -321,8 +322,35 @@ def _distribution() -> dict[str, DiscreteDistribution]:
     return {name: skewed for name in ATTRIBUTES}
 
 
-def test_a_replan_gives_a_memoised_mask_its_new_owners():
-    _check_rebuild(lambda matcher: matcher.replan(_distribution()))
+def test_a_replan_keeps_every_structure_id_and_shared_tuple():
+    """A replan re-plans the buckets it has: after churn (a cancel, a
+    recycled id, a residual entry), every attribute state, bucket and
+    entry object, the epoch, the dense ids and a memoised mask's shared
+    id tuple survive it."""
+    matcher = _three_and_an_outsider()
+    matcher.remove_profile("P1")
+    matcher.add_profile(Profile("P5", {"a": EVERYTHING}))  # takes P1's dense id
+    matcher.add_profile(Profile("P6", {"a": RangePredicate.between(1, 3), "b": NotEquals(4)}))
+    event = Event({"a": 2, "b": 0})
+    shared = matcher.match(event).matched_profile_ids
+    assert shared == _oracle_ids(matcher, event) == ("P0", "P2", "P5", "P6")
+    states = dict(matcher._states)
+    buckets = {name: (s.hash_bucket, s.interval_bucket) for name, s in states.items()}
+    entries = {name: dict(s.entries) for name, s in states.items()}
+    epoch, id_of = matcher._epoch, dict(matcher._id_of)
+
+    matcher.replan(_distribution())
+
+    assert matcher._states.keys() == states.keys()
+    for name, state in matcher._states.items():
+        assert state is states[name]
+        hash_bucket, interval_bucket = buckets[name]
+        assert state.hash_bucket is hash_bucket and state.interval_bucket is interval_bucket
+        assert state.entries.keys() == entries[name].keys()
+        assert all(state.entries[p] is entry for p, entry in entries[name].items())
+    assert (matcher._epoch, matcher._id_of) == (epoch, id_of)
+    assert matcher.match(event).matched_profile_ids is shared
+    assert matcher.match_batch([event] * 16)[0].matched_profile_ids is shared
 
 
 def test_a_bulk_load_gives_a_memoised_mask_its_new_owners():

@@ -295,6 +295,36 @@ class TestAutoEngine:
             engine.matcher.estimated_cost(recosts[-1])
         )
 
+    def test_a_candidate_that_gains_nothing_is_not_applied(self, monkeypatch):
+        """With ``improvement_threshold=0.0`` every check on a stable
+        ``stock-ticker`` population prices its candidate at exactly the
+        running plan's cost, and none may apply: each would replan for a
+        predicted gain of nothing."""
+        replans = []
+        replan = PredicateIndexMatcher.replan
+
+        def counting_replan(matcher, distributions):
+            replans.append(distributions)
+            replan(matcher, distributions)
+
+        monkeypatch.setattr(PredicateIndexMatcher, "replan", counting_replan)
+        scenario = get_profile("stock-ticker")
+        workload = build_workload(scenario.spec.with_counts(profile_count=60, event_count=600))
+        policy = AdaptationPolicy(
+            engine="auto", reoptimize_interval=100, warmup_events=100, improvement_threshold=0.0
+        )
+        events = list(workload.events)
+        with FilterService(workload.spec.schema, policy=policy, delivery="inline") as service:
+            service.subscribe_all(workload.profiles)
+            for start in range(0, len(events), 100):
+                service.publish_batch(events[start : start + 100])
+            records = service.broker.engine.adaptations()
+        assert len(records) == 6
+        assert all(r.predicted_candidate == r.predicted_current for r in records)
+        assert all(r.predicted_improvement == 0.0 for r in records)
+        assert not any(r.applied for r in records)
+        assert replans == []
+
     def test_auto_builds_no_tree_for_broad_ranges(self, monkeypatch):
         """Nested broad ranges are where the tree wins the paper's metric;
         ``auto`` still neither builds nor installs one: it is the index
