@@ -22,6 +22,14 @@ labelled ``NEW`` or ``GONE`` and counted apart; only runs on both sides
 that differ make ``--diff`` exit non-zero.  The tail line reports the worst
 relative cost deviation seen.
 
+Each run also records its charge: ``operations``, the total of every
+``MatchResult.operations`` it published, and, for the index family, the
+running matcher's final ``plan.probe_order``.  A probe-order change moves
+the charge but no match, so the digest alone would not see it.  Both
+compare exactly when both sides recorded them; the line before the
+slowest-check line counts the runs compared ("not recorded" when no run
+on both sides carries them, as on a trace written before they were).
+
 Each record also carries the check's own stall,
 ``AdaptationRecord.check_seconds``.  ``--diff`` never compares it — it is a
 clock, not a decision — but prints the slowest check of each side on the
@@ -44,12 +52,14 @@ COST_REL_TOL = 1e-9
 
 def trace(profile, engine: str, *, one_by_one: bool = False) -> dict:
     from repro.api import FilterService
+    from repro.matching.index import PredicateIndexMatcher
     from repro.workloads.generators import build_workload
 
     workload = build_workload(profile.spec)
     events = list(workload.events)
     size = 1 if one_by_one else profile.run.batch_size
     digest = hashlib.sha256()
+    operations = 0
     with FilterService.from_profile(profile, engine=engine, delivery="inline") as service:
         service.subscribe_all(workload.profiles)
         for start in range(0, len(events), size):
@@ -59,21 +69,26 @@ def trace(profile, engine: str, *, one_by_one: bool = False) -> dict:
                 outcomes = service.publish_batch(events[start : start + size])
             for outcome in outcomes:
                 digest.update(repr(outcome.match_result.matched_profile_ids).encode())
-        records = service.broker.engine.adaptations()
-    return {
-        "matched": digest.hexdigest(),
-        "records": [
-            [
-                r.event_count,
-                r.engine,
-                r.applied,
-                r.predicted_current,
-                r.predicted_candidate,
-                r.check_seconds,
-            ]
-            for r in records
-        ],
-    }
+                operations += outcome.match_result.operations
+        adaptive = service.broker.engine
+        run = {
+            "matched": digest.hexdigest(),
+            "operations": operations,
+            "records": [
+                [
+                    r.event_count,
+                    r.engine,
+                    r.applied,
+                    r.predicted_current,
+                    r.predicted_candidate,
+                    r.check_seconds,
+                ]
+                for r in adaptive.adaptations()
+            ],
+        }
+        if isinstance(adaptive.matcher, PredicateIndexMatcher):
+            run["probe_order"] = list(adaptive.matcher.plan.probe_order)
+    return run
 
 
 def _records(run: dict) -> list[list]:
@@ -111,13 +126,35 @@ def cost_deviation(before: dict, after: dict) -> float:
     )
 
 
+#: Fields a run may lack (a trace written before they were recorded, or a
+#: family without a probe order); compared only when both sides have them.
+CHARGE_FIELDS = ("operations", "probe_order")
+
+
 def same_run(before: dict, after: dict) -> bool:
     return (
         before["matched"] == after["matched"]
         and len(before["records"]) == len(after["records"])
         and all(a[:3] == b[:3] for a, b in zip(_records(before), _records(after)))
         and cost_deviation(before, after) <= COST_REL_TOL
+        and all(
+            before[field] == after[field]
+            for field in CHARGE_FIELDS
+            if field in before and field in after
+        )
     )
+
+
+def charges_compared(parent: dict, change: dict) -> str:
+    """Describe how many runs on both sides had each charge field compared."""
+    shared = parent.keys() & change.keys()
+    counts = {
+        field: sum(1 for key in shared if field in parent[key] and field in change[key])
+        for field in CHARGE_FIELDS
+    }
+    if not any(counts.values()):
+        return "not recorded"
+    return f"{counts['operations']} operation totals, {counts['probe_order']} probe orders"
 
 
 def slowest_check(traces: dict) -> str:
@@ -155,6 +192,7 @@ def diff(parent_path: str, change_path: str) -> int:
         applied = sum(1 for record in records if record[2])
         print(f"{verdict:4}  {key:32} {len(records):3} checks, {applied} applied")
     checks = sum(len(run["records"]) for run in change.values())
+    print(f"charges compared: {charges_compared(parent, change)}")
     print(f"slowest check: parent {slowest_check(parent)}; change {slowest_check(change)}")
     print(
         f"{len(change)} runs, {checks} checks, {counts['DIFF']} differing, "

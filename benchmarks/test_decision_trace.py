@@ -2,8 +2,10 @@
 
 A run present on one side only is labelled ``GONE``/``NEW`` and does not
 fail the diff; a run present on both sides fails it only when it moved.
-A record's ``check_seconds`` is reported, never compared, and a record
-that still carries the retired ``suppressed`` field is read without it.
+A run's charge (its operation total and probe order) compares exactly
+when both sides recorded it.  A record's ``check_seconds`` is reported,
+never compared, and a record that still carries the retired
+``suppressed`` field is read without it.
 """
 
 from __future__ import annotations
@@ -70,6 +72,46 @@ def test_a_moved_run_on_both_sides_fails(tmp_path, capsys, moved):
     assert status == 1
     assert _verdicts(output)["a/index"] == "DIFF"
     assert ", 1 differing, 0 gone, 0 new " in output.splitlines()[-1]
+
+
+def _charged(run: dict, operations: int, probe_order: list[str] | None = None) -> dict:
+    charged = {**run, "operations": operations}
+    if probe_order is not None:
+        charged["probe_order"] = probe_order
+    return charged
+
+
+@pytest.mark.parametrize(
+    "moved",
+    [_charged(PARENT["a/index"], 1001, ["x", "y"]), _charged(PARENT["a/index"], 1000, ["y", "x"])],
+    ids=["operations", "probe-order"],
+)
+def test_a_moved_charge_fails_with_the_same_matches(tmp_path, capsys, moved):
+    parent = {**PARENT, "a/index": _charged(PARENT["a/index"], 1000, ["x", "y"])}
+    change = {**PARENT, "a/index": moved}
+    status = diff(_write(tmp_path, "parent.json", parent), _write(tmp_path, "change.json", change))
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 1
+    assert _verdicts("\n".join(lines)) == {"a/index": "DIFF", "a/retired": "same", "b/tree": "same"}
+    assert lines[-3] == "charges compared: 1 operation totals, 1 probe orders"
+
+
+def test_charges_compare_only_where_both_sides_recorded_them(tmp_path, capsys):
+    parent = {**PARENT, "b/tree": _charged(PARENT["b/tree"], 50)}
+    change = {
+        "a/index": _charged(PARENT["a/index"], 999, ["y", "x"]),
+        "a/retired": PARENT["a/retired"],
+        "b/tree": _charged(PARENT["b/tree"], 50),
+    }
+    status = diff(_write(tmp_path, "parent.json", parent), _write(tmp_path, "change.json", change))
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert lines[-3] == "charges compared: 1 operation totals, 0 probe orders"
+
+    status = diff(_write(tmp_path, "parent.json", PARENT), _write(tmp_path, "change.json", change))
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    assert lines[-3] == "charges compared: not recorded"
 
 
 def test_check_seconds_is_reported_and_never_compared(tmp_path, capsys):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.core.domains import DiscreteDomain, Domain, IntegerDomain
 from repro.core.errors import PredicateError, ProfileError
@@ -30,7 +30,6 @@ __all__ = [
     "AttributePartition",
     "build_partition",
     "build_partitions",
-    "predicate_partition",
 ]
 
 
@@ -156,7 +155,7 @@ class AttributePartition:
 
 
 #: Distinct constraining predicates mapped to the ids of the profiles
-#: carrying each one (empty when only the sub-ranges are wanted).
+#: carrying each one.
 _Owners = Mapping[Predicate, Sequence[str]]
 
 
@@ -167,9 +166,8 @@ def _discrete_subranges(attribute: Attribute, owners: _Owners) -> list[Subrange]
         try:
             accepted = predicate.accepted_values(domain)
         except PredicateError as exc:
-            carrier = f"profile {profile_ids[0]!r}: " if profile_ids else ""
             raise ProfileError(
-                f"{carrier}predicate {predicate.describe()} is "
+                f"profile {profile_ids[0]!r}: predicate {predicate.describe()} is "
                 f"incompatible with discrete attribute {attribute.name!r}"
             ) from exc
         for value in accepted:
@@ -202,36 +200,38 @@ def _ordered_subranges(attribute: Attribute, owners: _Owners) -> list[Subrange]:
                 owner_ids.append(profile_ids)
                 intervals.append(clamped)
 
-    # Without owner ids (predicate_partition) the owner sets are skipped:
-    # collecting them costs O(output), the sweep itself O(p log p).
-    owned = any(owner_ids)
-    subranges = []
-    for i, (piece, active) in enumerate(sweep_intervals(intervals)):
-        carriers = chain.from_iterable(map(owner_ids.__getitem__, active)) if owned else ()
-        subranges.append(
-            Subrange(
-                index=i,
-                interval=piece,
-                value=None,
-                profile_ids=frozenset(carriers),
-                measure=domain.measure(piece),
-            )
+    # Collecting the owner sets costs O(output), the sweep itself O(p log p).
+    return [
+        Subrange(
+            index=i,
+            interval=piece,
+            value=None,
+            profile_ids=frozenset(chain.from_iterable(map(owner_ids.__getitem__, active))),
+            measure=domain.measure(piece),
         )
-    return subranges
+        for i, (piece, active) in enumerate(sweep_intervals(intervals))
+    ]
 
 
-def _partition(
-    attribute: Attribute, owners: _Owners, dont_care_ids: frozenset[str], free: bool
-) -> AttributePartition:
-    """Decompose one attribute's domain from its distinct predicates.
+def build_partition(profiles: ProfileSet, attribute_name: str) -> AttributePartition:
+    """Build the sub-range decomposition of one attribute for ``profiles``.
 
-    Each distinct predicate's accepted subset is computed once.  Integer
-    domains with only equality/one-of constraints partition into discrete
-    values; with any range constraint they partition into intervals.
-    Using intervals uniformly keeps the natural order exact, but
-    single-value partitions print more readably, so the discrete
-    decomposition is preferred when no range predicate is present.
+    Each distinct predicate's accepted subset is computed once, and its
+    owners are handed on as a group.  Integer domains with only
+    equality/one-of constraints partition into discrete values; with any
+    range constraint they partition into intervals.  Using intervals
+    uniformly keeps the natural order exact, but single-value partitions
+    print more readably, so the discrete decomposition is preferred when
+    no range predicate is present.
     """
+    attribute = profiles.schema.attribute(attribute_name)
+    owners: dict[Predicate, list[str]] = {}
+    dont_care_ids: list[str] = []
+    for prof in profiles:
+        if prof.constrains(attribute_name):
+            owners.setdefault(prof.predicate(attribute_name), []).append(prof.profile_id)
+        else:
+            dont_care_ids.append(prof.profile_id)
     domain = attribute.domain
     ranged = any(isinstance(predicate, RangePredicate) for predicate in owners)
     if isinstance(domain, DiscreteDomain) or (isinstance(domain, IntegerDomain) and not ranged):
@@ -243,27 +243,14 @@ def _partition(
     # zero-subdomain D_0 — unless some profile leaves the attribute
     # unconstrained, in which case every value can still contribute to a
     # match and D_0 is empty (the paper's Example 3: d_0 = 0 for radiation).
-    zero_size = 0.0 if free else max(0.0, domain.size - covered)
+    zero_size = 0.0 if dont_care_ids else max(0.0, domain.size - covered)
     return AttributePartition(
         attribute=attribute,
         subranges=tuple(subranges),
         domain_size=domain.size,
         zero_size=zero_size,
-        dont_care_profile_ids=dont_care_ids,
+        dont_care_profile_ids=frozenset(dont_care_ids),
     )
-
-
-def build_partition(profiles: ProfileSet, attribute_name: str) -> AttributePartition:
-    """Build the sub-range decomposition of one attribute for ``profiles``."""
-    attribute = profiles.schema.attribute(attribute_name)
-    owners: dict[Predicate, list[str]] = {}
-    dont_care_ids: list[str] = []
-    for prof in profiles:
-        if prof.constrains(attribute_name):
-            owners.setdefault(prof.predicate(attribute_name), []).append(prof.profile_id)
-        else:
-            dont_care_ids.append(prof.profile_id)
-    return _partition(attribute, owners, frozenset(dont_care_ids), bool(dont_care_ids))
 
 
 def build_partitions(profiles: ProfileSet) -> dict[str, AttributePartition]:
@@ -272,18 +259,4 @@ def build_partitions(profiles: ProfileSet) -> dict[str, AttributePartition]:
         attribute.name: build_partition(profiles, attribute.name)
         for attribute in profiles.schema
     }
-
-
-def predicate_partition(
-    attribute: Attribute, predicates: Iterable[Predicate], free: bool
-) -> AttributePartition:
-    """Build an attribute's sub-ranges and ``D_0`` from its distinct predicates alone.
-
-    ``free`` says whether some profile leaves the attribute unconstrained.
-    The sub-ranges, their measures and ``zero_size`` equal
-    :func:`build_partition`'s; the sub-ranges carry no owner profiles and
-    ``dont_care_profile_ids`` is empty, because the attribute measures
-    A1 and A2 read neither.
-    """
-    return _partition(attribute, dict.fromkeys(predicates, ()), frozenset(), free)
 

@@ -74,14 +74,20 @@ class Distribution:
         """
         edges = [-math.inf, *boundaries, math.inf]
         gaps = [
-            self._clamped_mass(Interval(low, high, False, False)) if low < high else 0.0
+            self._mass(low, high, False, False) if low < high else 0.0
             for low, high in zip(edges, edges[1:])
         ]
-        points = [self._clamped_mass(Interval.point(value)) for value in boundaries]
+        points = [self._mass(value, value, True, True) for value in boundaries]
         return gaps, points
 
-    def _clamped_mass(self, interval: Interval) -> float:
-        clamped = self.domain.clamp(interval)
+    def _mass(self, low, high, low_closed: bool, high_closed: bool) -> float:
+        """Return the mass of the interval with these ends, clamped to the
+        domain: what :meth:`probability_of_interval` answers for the clamped
+        interval, and ``0.0`` when the clamp is empty.  This default builds
+        the interval; a distribution that can read the mass off the ends
+        overrides it (:class:`~repro.distributions.discrete.DiscreteDistribution`).
+        """
+        clamped = self.domain.clamp(Interval(low, high, low_closed, high_closed))
         return 0.0 if clamped is None else self.probability_of_interval(clamped)
 
     def probability_of_subrange(self, subrange: Subrange) -> float:

@@ -111,23 +111,25 @@ class DiscreteDistribution(Distribution):
         return self._pmf.get(value, 0.0)
 
     def probability_of_interval(self, interval: Interval) -> float:
-        """Return the mass inside ``interval`` in O(log n).
+        """Return the mass inside ``interval`` in O(log n)."""
+        return self._mass(interval.low, interval.high, interval.low_closed, interval.high_closed)
 
-        Two bisects over the sorted support positions pick the half-open
-        run of support entries the interval contains — a closed bound
-        keeps a position equal to it, an open bound drops it — and the
-        run's mass is a prefix-sum difference.
-        """
+    def _mass(self, low, high, low_closed: bool, high_closed: bool) -> float:
+        """Two bisects over the sorted support positions pick the half-open
+        run of support entries the ends enclose — a closed bound keeps a
+        position equal to it, an open bound drops it — and the run's mass
+        is a prefix-sum difference.  No interval is built, and none is
+        clamped: every position lies in the domain."""
         positions = self._positions
         first = (
-            bisect.bisect_left(positions, interval.low)
-            if interval.low_closed
-            else bisect.bisect_right(positions, interval.low)
+            bisect.bisect_left(positions, low)
+            if low_closed
+            else bisect.bisect_right(positions, low)
         )
         stop = (
-            bisect.bisect_right(positions, interval.high)
-            if interval.high_closed
-            else bisect.bisect_left(positions, interval.high)
+            bisect.bisect_right(positions, high)
+            if high_closed
+            else bisect.bisect_left(positions, high)
         )
         if stop <= first:
             return 0.0

@@ -375,6 +375,11 @@ class IntervalBucket:
         at ``2j``, point ``i`` at ``2i + 1``."""
         return self._counts
 
+    @property
+    def masks(self) -> Sequence[int]:
+        """Every slab's mask, by slab number (read-only), as :attr:`counts`."""
+        return self._masks
+
     def slabs(self) -> Iterator[tuple[Interval | None, int, int]]:
         """Iterate over ``(slab_interval, count, mask)`` triples, every gap
         slab first and then every point slab.

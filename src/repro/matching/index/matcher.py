@@ -98,7 +98,8 @@ attribute, the probe order) are *not* recomputed per churn op; maintenance
 merely raises a deferred-replan flag and the planner recosts lazily the
 next time :attr:`plan` (or an estimated cost) is asked for, and a
 :meth:`replan` re-plans the same buckets under a new planner.  Stale slab
-boundaries are compacted by the interval bucket itself.
+boundaries are compacted by the interval bucket itself, and the probe
+order is ranked off the same live buckets (``IndexPlanner.rejection_scores``).
 
 Maintenance must go through the matcher's own methods; mutating the wrapped
 :class:`~repro.core.profiles.ProfileSet` directly desynchronises the index.
@@ -627,8 +628,14 @@ class PredicateIndexMatcher:
             plan = plans[attribute] = state.plan(planner, attribute, schema)
             state.adopt(plan)
         states = self._states
+        # An attribute no live profile constrains has no state, and is free
+        # while any profile is live.
+        indexes = dict.fromkeys(schema.names, (None, None, (), bool(self._live)))
+        for name, state in states.items():
+            residual = [entry.predicate for entry in state.residual]
+            indexes[name] = (state.hash_bucket, state.interval_bucket, residual, bool(state.free))
         self._probe_order = tuple(
-            name for name in planner.probe_order(schema, self._constraints()) if name in states
+            name for name in planner.probe_order(schema, indexes) if name in states
         )
         self._probed = set(self._probe_order)
         #: Precompiled (attribute, state) pairs — the hot loop iterates
@@ -636,23 +643,6 @@ class PredicateIndexMatcher:
         self._probe_states = tuple((name, states[name]) for name in self._probe_order)
         self._plan = IndexPlan(attributes=plans, probe_order=self._probe_order)
         self._replan_pending = False
-
-    def _constraints(self) -> dict[str, tuple[Iterable[Predicate], bool]]:
-        """Return what the planner's attribute measures read of the profiles.
-
-        Per schema attribute: its distinct live predicates (the entries)
-        and whether some live profile leaves it unconstrained (a non-empty
-        free mask).  Nothing per profile, and nothing kept.
-        """
-        any_live = bool(self._live)
-        constraints: dict[str, tuple[Iterable[Predicate], bool]] = {}
-        for name in self.profiles.schema.names:
-            state = self._states.get(name)
-            if state is None:
-                constraints[name] = ((), any_live)
-            else:
-                constraints[name] = (state.entries, bool(state.free))
-        return constraints
 
     @property
     def plan(self) -> IndexPlan:

@@ -26,33 +26,38 @@ otherwise.  An interval bucket is priced from its slab boundaries, not
 slab by slab: the per-boundary masses of ``P_e``
 (``Distribution.slab_masses``) or, under the uniform assumption, the
 domain's per-boundary sizes (``Domain.slab_measures``), times each slab's
-entry count.  The planner also ranks attributes by their estimated rejection
-power (the probability that an event value satisfies *no* entry, weighted
-like Measure A2's zero-subdomain probability via
-:func:`repro.selectivity.attribute_measures.attribute_selectivities`), so
-the matcher can probe highly selective attributes first and cut matching
-short as soon as a fully-constrained attribute yields no hit.
+entry count.  The planner also ranks attributes by their rejection power
+(Measures A1/A2 over the zero-subdomain ``D_0``, read off the same
+buckets), so the matcher can probe highly selective attributes first and
+cut matching short as soon as a fully-constrained attribute yields no hit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from repro.core.domains import Domain
+from repro.core.domains import DiscreteDomain, Domain, IntegerDomain
 from repro.core.errors import ReproError, SelectivityError
+from repro.core.intervals import Interval
 from repro.core.predicates import Equals, OneOf, Predicate, RangePredicate
 from repro.core.schema import Schema
-from repro.core.subranges import predicate_partition
-from repro.distributions.base import Distribution, project_onto_partition
-from repro.selectivity.attribute_measures import AttributeMeasure, attribute_selectivities
+from repro.distributions.base import Distribution
+from repro.matching.index.buckets import HashBucket, IntervalBucket
+from repro.selectivity.attribute_measures import AttributeMeasure
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.core.profiles import ProfileSet
-    from repro.matching.index.buckets import HashBucket, IntervalBucket
 
-__all__ = ["AttributePlan", "IndexPlan", "IndexPlanner"]
+__all__ = ["AttributeIndex", "AttributePlan", "IndexPlan", "IndexPlanner"]
+
+#: What the attribute measures read of one attribute of an index: its hash
+#: bucket and its interval bucket (``None`` while it has no such entry),
+#: its residual (``NotEquals``-style) predicates, and whether some live
+#: profile leaves it free.
+AttributeIndex = tuple["HashBucket | None", "IntervalBucket | None", Sequence[Predicate], bool]
 
 
 @dataclass(frozen=True)
@@ -354,54 +359,44 @@ class IndexPlanner:
 
     # -- attribute ordering -----------------------------------------------------
     def rejection_scores(
-        self, schema: Schema, constraints: Mapping[str, tuple[Iterable[Predicate], bool]]
+        self, schema: Schema, indexes: Mapping[str, AttributeIndex]
     ) -> dict[str, float]:
         """Return the per-attribute rejection power under the configured measure.
 
-        ``constraints`` maps every schema attribute to its distinct
-        constraining predicates and whether some profile leaves it
-        unconstrained — all the measures read of a profile set, and what
-        the index matcher keeps as its entries and free masks — so each
-        predicate's accepted subset is computed once, not once per
-        profile.  Higher scores mean an event value is more likely
-        to satisfy *no* entry of the attribute: Measure A2 (zero-subdomain
-        size weighted by its event probability) when the event
-        distributions are available, degrading to Measure A1 (relative
-        zero-subdomain size) without them.  Returns ``{}`` for ``NATURAL``
-        (no ranking) and for workloads the partition builder cannot model —
-        callers fall back to schema order either way.
+        ``indexes`` maps every schema attribute to its :data:`AttributeIndex`.
+        Higher scores mean an event value is more likely to satisfy *no*
+        entry of the attribute: Measure A2 (``d_0 * P_e(D_0) / d``) when
+        every attribute has an event distribution, else Measure A1
+        (``d_0 / d``), with ``D_0`` read off the buckets
+        (:func:`_zero_subdomain`).  Returns ``{}`` for ``NATURAL`` (no
+        ranking) and when a residual predicate has no accepted-subset
+        model — callers fall back to schema order either way.
         """
         measure = self.attribute_measure
         if measure is AttributeMeasure.NATURAL:
             return {}
+        distributions = self.event_distributions
+        if measure is not AttributeMeasure.A2_ZERO_PROBABILITY or not all(
+            name in distributions for name in schema.names
+        ):
+            distributions = {}
+        scores: dict[str, float] = {}
         try:
-            partitions = {
-                name: predicate_partition(schema.attribute(name), *constraints[name])
-                for name in schema.names
-            }
-            projected = None
-            if measure is AttributeMeasure.A2_ZERO_PROBABILITY and self.event_distributions:
-                candidate = {
-                    name: project_onto_partition(self.event_distributions[name], partition)
-                    for name, partition in partitions.items()
-                    if name in self.event_distributions
-                }
-                if len(candidate) == len(partitions):
-                    projected = candidate
-            if projected is not None:
-                return dict(attribute_selectivities(measure, partitions, projected))
-            return dict(
-                attribute_selectivities(AttributeMeasure.A1_ZERO_FRACTION, partitions)
-            )
+            for name in schema.names:
+                domain = schema.domain(name)
+                zero_size, zero_mass = _zero_subdomain(
+                    domain, *indexes[name], distributions.get(name)
+                )
+                # Without P_e the mass is 1.0, and A1 is the fraction itself.
+                scores[name] = zero_size / domain.size * zero_mass
         except ReproError:
             # Selectivity scoring is an optimisation, not a correctness
-            # requirement: workloads the partition builder cannot model
-            # (e.g. exotic predicate mixes) fall back to schema order.
+            # requirement: a residual predicate without an accepted-subset
+            # model falls back to schema order.
             return {}
+        return scores
 
-    def probe_order(
-        self, schema: Schema, constraints: Mapping[str, tuple[Iterable[Predicate], bool]]
-    ) -> tuple[str, ...]:
+    def probe_order(self, schema: Schema, indexes: Mapping[str, AttributeIndex]) -> tuple[str, ...]:
         """Return the attribute probe order, most selective first.
 
         Ranks by :meth:`rejection_scores`; ``NATURAL``, unknown attributes
@@ -409,8 +404,111 @@ class IndexPlanner:
         schema order.
         """
         names = list(schema.names)
-        scores = self.rejection_scores(schema, constraints)
+        scores = self.rejection_scores(schema, indexes)
         if not scores:
             return tuple(names)
         position = {name: index for index, name in enumerate(names)}
         return tuple(sorted(names, key=lambda n: (-scores.get(n, 0.0), position[n])))
+
+
+def _zero_subdomain(
+    domain: Domain,
+    hash_bucket: "HashBucket | None",
+    interval_bucket: "IntervalBucket | None",
+    residual: Sequence[Predicate],
+    free: bool,
+    distribution: Distribution | None,
+) -> tuple[float, float]:
+    """Return ``d_0`` and ``P_e(D_0)`` (``1.0`` without a ``P_e``) of one
+    attribute: the floats of a partition of its predicates, up to rounding
+    of a continuous ``d_0``.
+
+    ``D_0`` is what no hash key, covered slab or residual predicate
+    accepts; it is empty on a ``free`` attribute, whose residual predicates
+    are still asked, so an unmodellable one raises either way.  A finite
+    domain with no range entry is covered value by value.  Otherwise
+    ``d_0`` is the measure of the uncovered slabs and ``P_e(D_0)`` is
+    ``1 -`` the masses of the covered pieces in ascending order.  A piece
+    is a maximal run of slabs with one mask, cut at hash keys and residual
+    bounds: entry masks are disjoint, so it is one region of the sweep.
+    """
+    keys = hash_bucket.table if hash_bucket is not None else ()
+    if isinstance(domain, DiscreteDomain) or (
+        isinstance(domain, IntegerDomain) and interval_bucket is None
+    ):
+        accepted = [value for predicate in residual for value in predicate.accepted_values(domain)]
+        if free:
+            return 0.0, 0.0
+        covered = {value for value in chain(keys, accepted) if value in domain}
+        if distribution is None:
+            return domain.size - len(covered), 1.0
+        natural = domain.index_of if isinstance(domain, DiscreteDomain) else None
+        covered_mass = sum(
+            max(0.0, distribution.probability_of_value(value))
+            for value in sorted(covered, key=natural)
+        )
+        return domain.size - len(covered), max(0.0, 1.0 - covered_mass)
+
+    intervals = [
+        clamped
+        for predicate in residual
+        for interval in predicate.accepted_intervals(domain)
+        if (clamped := domain.clamp(interval)) is not None
+    ]
+    if free:
+        return 0.0, 0.0
+    boundaries: Sequence = ()
+    signatures: Sequence[int] = (0,)
+    if interval_bucket is not None:
+        boundaries, signatures = interval_bucket.boundaries, interval_bucket.masks
+    if keys or intervals:
+        # One bucket of the covered runs, the keys (one shared bit above
+        # every mask: no two keys share a slab) and the residual intervals
+        # (one bit each): its slab masks are the cut signatures.
+        key_bit = 1 << max(signatures).bit_length()
+        items = [
+            (Interval(*_span(boundaries, first, last)), signatures[first])
+            for first, last in _runs(signatures)
+        ]
+        items += [(Interval.point(float(key)), key_bit) for key in keys]
+        items += [(interval, key_bit << n) for n, interval in enumerate(intervals, 1)]
+        cut = IntervalBucket(items)
+        boundaries, signatures = cut.boundaries, cut.masks
+    zero_size = sum(
+        domain._measure(*_span(boundaries, slab, slab))
+        for slab, signature in enumerate(signatures)
+        if not signature
+    )
+    if distribution is None:
+        return zero_size, 1.0
+    covered_mass = sum(
+        max(0.0, distribution._mass(*_span(boundaries, first, last)))
+        for first, last in _runs(signatures)
+    )
+    return zero_size, max(0.0, 1.0 - covered_mass)
+
+
+def _runs(signatures: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Yield the first and last slab of every maximal run of one non-zero
+    signature, in ascending order (the last slab, above every boundary, is
+    never covered)."""
+    first = 0
+    for slab, signature in enumerate(signatures):
+        if signature != signatures[first]:
+            if signatures[first]:
+                yield first, slab - 1
+            first = slab
+
+
+def _span(boundaries: Sequence, first: int, last: int) -> tuple:
+    """Return ``(low, high, low_closed, high_closed)`` of slabs ``first``
+    to ``last``: gap ``j`` at ``2j`` (open, unbounded outside the first and
+    last boundaries), point ``i`` at ``2i + 1``."""
+    low_index, low_closed = divmod(first, 2)
+    high_index, high_closed = divmod(last, 2)
+    if low_closed:
+        low = boundaries[low_index]
+    else:
+        low = boundaries[low_index - 1] if low_index else -math.inf
+    high = boundaries[high_index] if high_index < len(boundaries) else math.inf
+    return low, high, bool(low_closed), bool(high_closed)

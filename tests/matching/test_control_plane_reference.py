@@ -12,12 +12,13 @@ probe to reading no entry's mask for an indexed hit.
 
 import math
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scan_reference import (
-    attribute_constraints,
+    attribute_indexes,
     partition_probe_order,
     partition_rejection_scores,
     quadratic_ordered_subranges,
@@ -28,7 +29,7 @@ from scan_reference import (
 from repro.core.domains import ContinuousDomain, DiscreteDomain, IntegerDomain
 from repro.core.errors import PredicateError
 from repro.core.intervals import Interval
-from repro.core.predicates import Equals, NotEquals, OneOf, RangePredicate
+from repro.core.predicates import Equals, NotEquals, OneOf, Predicate, RangePredicate
 from repro.core.profiles import Profile, ProfileSet
 from repro.core.schema import Attribute, Schema
 from repro.distributions.continuous import PiecewiseConstantDistribution
@@ -86,7 +87,7 @@ def control_plane(workload, profiles, uniform_prior=False):
         "plan": dict(matcher.plan.attributes),
         "recost": matcher.recost_plans(second),
         "probe_order": matcher.plan.probe_order,
-        "rejection_scores": planner.rejection_scores(schema, attribute_constraints(profiles)),
+        "rejection_scores": planner.rejection_scores(schema, attribute_indexes(matcher)),
     }
 
 
@@ -120,7 +121,7 @@ def assert_corpus_plans_match_the_reference(name, monkeypatch, uniform_prior):
     monkeypatch.setattr(
         IndexPlanner,
         "rejection_scores",
-        lambda planner, schema, constraints: partition_rejection_scores(planner, profiles),
+        lambda planner, schema, indexes: partition_rejection_scores(planner, profiles),
     )
     expected = control_plane(workload, profiles, uniform_prior)
 
@@ -321,20 +322,42 @@ def test_the_uniform_prior_builds_no_interval_per_slab(monkeypatch):
     assert counter["built"] == 0
 
 
-def test_an_index_build_builds_fewer_intervals_than_slabs(monkeypatch):
+def test_an_index_build_builds_no_interval_subrange_or_sweep(monkeypatch):
     """Complexity guard: a ``wide-range`` build priced its 3 985 slabs as
     intervals and clamped every in-domain range through a fresh
-    full-domain interval: 31 741 ``Interval`` objects.  What is left is
-    about one per covered sub-range of the probe-order partition."""
+    full-domain interval: 31 741 ``Interval`` objects.  With the slabs
+    priced per boundary, the probe order still swept the predicates into a
+    second partition: 2 078 ``Interval`` and 2 110 ``Subrange`` objects
+    and one ``sweep_intervals`` call.  The zero-subdomain is now read off
+    the slabs, and with no ``P_e`` a build makes none of them."""
+    from repro.core import intervals, subranges
+
     workload = build_workload(get_profile("wide-range").spec)
     profiles = ProfileSet(workload.spec.schema, workload.profiles)
     counter = count_intervals(monkeypatch)
+    counter.update(subranges=0, sweeps=0)
+    subrange_init, sweep = subranges.Subrange.__init__, intervals.sweep_intervals
+
+    def counting_subrange(self, *args, **kwargs):
+        counter["subranges"] += 1
+        subrange_init(self, *args, **kwargs)
+
+    def counting_sweep(*args):
+        counter["sweeps"] += 1
+        return sweep(*args)
+
+    monkeypatch.setattr(subranges.Subrange, "__init__", counting_subrange)
+    monkeypatch.setattr(intervals, "sweep_intervals", counting_sweep)
+    monkeypatch.setattr(subranges, "sweep_intervals", counting_sweep)
 
     matcher = PredicateIndexMatcher(profiles)
+    counted = dict(counter)
 
-    slabs = len(matcher._states["metric"].interval_bucket.counts)
-    assert slabs > 3_000
-    assert counter["built"] < slabs
+    assert len(matcher._states["metric"].interval_bucket.counts) > 3_000
+    assert counted == {"built": 0, "subranges": 0, "sweeps": 0}
+    # The reference sweeps the partition, and the counters see it.
+    assert matcher.plan.probe_order == partition_probe_order(matcher.planner, profiles)
+    assert counter["subranges"] > 2_000 and counter["sweeps"] == 1
 
 
 @pytest.mark.parametrize("domain", [IntegerDomain(0, 99), ContinuousDomain(-30.0, 50.0)])
@@ -379,11 +402,16 @@ def index_check(matcher, distributions) -> float:
     return matcher.plan.cost_under(matcher.recost_plans(distributions))
 
 
-def test_churned_check_asks_each_distinct_predicate_once(monkeypatch):
+def test_churned_check_asks_each_residual_predicate_once(monkeypatch):
     """Complexity guard: the rejection scores once built every attribute's
     partition from the whole profile set — one ``accepted_values`` /
-    ``accepted_intervals`` call per constraining profile and attribute."""
+    ``accepted_intervals`` call per constraining profile and attribute —
+    and then from the distinct predicates, one call each.  The buckets
+    answer for the hash and range entries; only a residual entry (here
+    one ``NotEquals``) is asked for its accepted subset."""
     matcher, distributions = churned_flash_crowd()
+    symbol = matcher.profiles.schema.domain("symbol").values()[0]
+    matcher.add_profile(Profile("not-one-symbol", {"symbol": NotEquals(symbol)}))
     calls = 0
 
     def counting(method):
@@ -399,35 +427,33 @@ def test_churned_check_asks_each_distinct_predicate_once(monkeypatch):
         monkeypatch.setattr(kind, "accepted_intervals", counting(kind.accepted_intervals))
     index_check(matcher, distributions)
 
+    residual = sum(len(state.residual) for state in matcher._states.values())
     distinct = sum(len(state.entries) for state in matcher._states.values())
     constraining = sum(len(profile.constrained_attributes()) for profile in matcher.profiles)
-    assert 0 < calls <= distinct < constraining
+    assert 0 < calls <= residual < distinct < constraining
 
 
-def test_no_partition_outlives_a_check(monkeypatch):
-    """Memory guard: a check builds its partitions, scores them and drops
-    them.  Kept between checks, partitions with owner sets hold memory in
-    proportion to sub-ranges x profiles for the life of the matcher."""
-    import gc
-    import weakref
+def test_a_check_builds_no_partition(monkeypatch):
+    """Memory guard: a check once built every attribute's partition,
+    scored it and dropped it (kept between checks, partitions with owner
+    sets would hold memory in proportion to sub-ranges x profiles).  The
+    scores are now read off the buckets: a check builds no partition."""
+    from repro.core.subranges import AttributePartition
 
-    from repro.core import subranges
+    created = 0
+    partition_init = AttributePartition.__init__
 
-    created = []
+    def counting(self, *args, **kwargs):
+        nonlocal created
+        created += 1
+        partition_init(self, *args, **kwargs)
 
-    class Tracked(subranges.AttributePartition):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            created.append(weakref.ref(self))
-
-    monkeypatch.setattr(subranges, "AttributePartition", Tracked)
     matcher, distributions = churned_flash_crowd()
-    created.clear()
+    monkeypatch.setattr(AttributePartition, "__init__", counting)
     index_check(matcher, distributions)
-    gc.collect()
 
-    assert created
-    assert [ref for ref in created if ref() is not None] == []
+    assert matcher.plan.probe_order
+    assert created == 0
 
 
 # -- E[hits] of a churned bucket: per boundary ≡ per slab, exactly --------------------
@@ -529,12 +555,35 @@ def test_histogram_slab_masses_are_the_slab_sum_exactly(bucket, weights, domain)
 # -- rejection scores from the entries ≡ from build_partitions, under churn ------------
 
 
-class Unmodelled(Equals):
-    """An equality test whose accepted values the partition builder cannot
-    list: every measure over its attribute falls back to schema order."""
+@dataclass(frozen=True)
+class Unmodelled(Predicate):
+    """A residual equality test whose accepted subset has no model: every
+    measure over its attribute falls back to schema order."""
+
+    value: object
+
+    def matches(self, value):
+        return value == self.value
 
     def accepted_values(self, domain):
         raise PredicateError("no accepted-value model")
+
+    def accepted_intervals(self, domain):
+        raise PredicateError("no accepted-interval model")
+
+    def describe(self):
+        return f"unmodelled = {self.value!r}"
+
+
+class UnlistedEquals(Equals):
+    """An equality test that cannot list its accepted subset either; the
+    hash bucket holds it by its key all the same."""
+
+    def accepted_values(self, domain):
+        raise PredicateError("no accepted-value model")
+
+    def accepted_intervals(self, domain):
+        raise PredicateError("no accepted-interval model")
 
 
 SYMBOLS = ("a", "b", "c", "d", "e")
@@ -611,7 +660,7 @@ def score_churn(draw):
 def assert_scores_follow_the_profiles(matcher):
     planner = matcher.planner
     expected = partition_rejection_scores(planner, matcher.profiles)
-    assert planner.rejection_scores(SCORE_SCHEMA, matcher._constraints()) == expected
+    assert planner.rejection_scores(SCORE_SCHEMA, attribute_indexes(matcher)) == expected
     plan = matcher.plan
     reference = partition_probe_order(planner, matcher.profiles)
     assert plan.probe_order == tuple(name for name in reference if name in plan.attributes)
@@ -641,6 +690,14 @@ def test_entry_scores_equal_partition_scores_after_every_churn_step(data):
         pass
 
 
+def score_history():
+    return {
+        "x": DiscreteDistribution(IntegerDomain(0, 8), {v: v + 1 for v in range(9)}),
+        "s": DiscreteDistribution(DiscreteDomain(SYMBOLS), {"a": 5, "c": 1, "e": 2}),
+        "z": DiscreteDistribution(IntegerDomain(0, 3), {0: 1, 2: 3}),
+    }
+
+
 @pytest.mark.parametrize("distributions", [None, "history"], ids=["A1", "A2"])
 def test_entry_scores_through_the_named_churn_cases(distributions):
     """One script through the four cases the entry-based scores must get
@@ -655,11 +712,7 @@ def test_entry_scores_through_the_named_churn_cases(distributions):
         Profile("unmodelled", {"x": Equals(1), "s": Unmodelled("e")}),
     ]
     if distributions == "history":
-        distributions = {
-            "x": DiscreteDistribution(IntegerDomain(0, 8), {v: v + 1 for v in range(9)}),
-            "s": DiscreteDistribution(DiscreteDomain(SYMBOLS), {"a": 5, "c": 1, "e": 2}),
-            "z": DiscreteDistribution(IntegerDomain(0, 3), {0: 1, 2: 3}),
-        }
+        distributions = score_history()
     script = [0, 1, 2, 1, 2, 3, 3, 4, 4]
     steps = []
     for matcher, scores in score_churn_steps(pool, script, distributions):
@@ -681,6 +734,31 @@ def test_entry_scores_through_the_named_churn_cases(distributions):
     # Steps 7 and 8 add and drop the unmodelled predicate: no scores, so
     # both sides keep schema order, and scores return once it has left.
     assert [bool(step["scores"]) for step in steps[6:9]] == [True, False, True]
+
+
+@pytest.mark.parametrize("distributions", [None, "history"], ids=["A1", "A2"])
+def test_an_equals_subclass_without_an_accepted_model_is_ranked_by_its_key(distributions):
+    """The hash bucket holds an equality entry by its key, so the scores
+    never ask it for its accepted subset: an ``Equals`` subclass that
+    cannot list it ranks as the plain ``Equals`` of the same key."""
+    planner = IndexPlanner(score_history() if distributions else None)
+
+    def ranked(s_predicate):
+        profiles = ProfileSet(
+            SCORE_SCHEMA,
+            [
+                Profile("p", {"x": RangePredicate.at_least(6), "s": s_predicate}),
+                Profile("q", {"x": Equals(2), "s": Equals("b"), "z": Equals(1)}),
+            ],
+        )
+        matcher = PredicateIndexMatcher(profiles, planner=planner)
+        return planner.rejection_scores(SCORE_SCHEMA, attribute_indexes(matcher)), matcher
+
+    unlisted, matcher = ranked(UnlistedEquals("e"))
+    plain, reference = ranked(Equals("e"))
+    assert unlisted == plain == partition_rejection_scores(planner, reference.profiles)
+    assert unlisted["s"] > 0
+    assert matcher.plan.probe_order == reference.plan.probe_order
 
 
 # -- slabs carry their count and mask: no per-slab tuple, no per-entry read ------

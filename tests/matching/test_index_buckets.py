@@ -15,7 +15,7 @@ from bisect import bisect_left
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from scan_reference import TupleIntervalBucket, attribute_constraints
+from scan_reference import TupleIntervalBucket, attribute_indexes
 
 from repro.core.domains import ContinuousDomain, DiscreteDomain, IntegerDomain
 from repro.core.errors import SelectivityError
@@ -428,21 +428,23 @@ class TestIndexPlanner:
             get_profile("stock-ticker").spec.with_counts(profile_count=40, event_count=10)
         )
         planner = IndexPlanner(dict(workload.event_distributions))
-        constraints = attribute_constraints(workload.profiles)
-        scores = planner.rejection_scores(workload.schema, constraints)
-        order = planner.probe_order(workload.schema, constraints)
+        matcher = PredicateIndexMatcher(workload.profiles, planner=planner)
+        indexes = attribute_indexes(matcher)
+        scores = planner.rejection_scores(workload.schema, indexes)
+        order = planner.probe_order(workload.schema, indexes)
         assert scores, "A2 scoring produced no rejection scores"
         assert set(order) == set(workload.schema.names)
         assert scores[order[0]] == max(scores.values())
-        matcher = PredicateIndexMatcher(workload.profiles, planner=planner)
         assert matcher.plan.probe_order[0] == order[0]
 
     def test_natural_measure_keeps_schema_order(self):
         from repro.core.predicates import Equals
         from repro.core.profiles import Profile, ProfileSet
         from repro.core.schema import Attribute, Schema
+        from repro.matching.index import PredicateIndexMatcher
 
         schema = Schema([Attribute("a", IntegerDomain(0, 9)), Attribute("b", IntegerDomain(0, 9))])
         profiles = ProfileSet(schema, [Profile("p", {"b": Equals(1)})])
         planner = IndexPlanner(attribute_measure=AttributeMeasure.NATURAL)
-        assert planner.probe_order(schema, attribute_constraints(profiles)) == ("a", "b")
+        matcher = PredicateIndexMatcher(profiles, planner=planner)
+        assert planner.probe_order(schema, attribute_indexes(matcher)) == ("a", "b")

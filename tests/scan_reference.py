@@ -11,7 +11,7 @@ here, unoptimised, as the oracle its replacement is compared against:
 * ``E[hits]`` of an interval bucket priced every slab as an ``Interval``
   through ``probability_of_interval`` (now one bisect pair per boundary);
 * the rejection scores built every attribute's partition from the whole
-  profile set (now from each attribute's distinct predicates);
+  profile set (now read off the index's buckets);
 * a slab of an interval bucket held the sorted tuple of its covering
   entry ids (now its count and the XOR of the entries' masks):
   :class:`TupleIntervalBucket`.
@@ -36,7 +36,7 @@ from repro.selectivity.attribute_measures import AttributeMeasure, attribute_sel
 
 __all__ = [
     "TupleIntervalBucket",
-    "attribute_constraints",
+    "attribute_indexes",
     "partition_probe_order",
     "partition_rejection_scores",
     "quadratic_decompose_intervals",
@@ -205,21 +205,19 @@ def partition_probe_order(planner, profiles: ProfileSet) -> tuple[str, ...]:
     return tuple(sorted(names, key=lambda n: (-scores.get(n, 0.0), names.index(n))))
 
 
-def attribute_constraints(profiles: ProfileSet) -> dict[str, tuple[list[Predicate], bool]]:
-    """What the planner's attribute measures read of ``profiles``, as the
-    index matcher keeps it: per schema attribute, the distinct constraining
-    predicates and whether some profile leaves the attribute unconstrained."""
-    constraints: dict[str, tuple[list[Predicate], bool]] = {}
-    for name in profiles.schema.names:
-        predicates: dict[Predicate, None] = {}
-        free = False
-        for prof in profiles:
-            if prof.constrains(name):
-                predicates[prof.predicate(name)] = None
-            else:
-                free = True
-        constraints[name] = (list(predicates), free)
-    return constraints
+def attribute_indexes(matcher) -> dict[str, tuple]:
+    """What the planner's attribute measures read of an index matcher: per
+    schema attribute, its hash and interval buckets, its residual
+    predicates and whether some live profile leaves it free."""
+    indexes: dict[str, tuple] = {}
+    for name in matcher.profiles.schema.names:
+        state = matcher._states.get(name)
+        if state is None:
+            indexes[name] = (None, None, (), bool(matcher._live))
+        else:
+            residual = [entry.predicate for entry in state.residual]
+            indexes[name] = (state.hash_bucket, state.interval_bucket, residual, bool(state.free))
+    return indexes
 
 
 class TupleIntervalBucket:
