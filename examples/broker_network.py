@@ -103,7 +103,7 @@ def main() -> None:
         f"(suppression rate {stats.suppression_rate:.2f}, "
         f"cover hit rate {stats.cover_hit_rate:.2f})"
     )
-    print(f"network clock at the end of the run: {network.network.clock:.1f} time units")
+    print(f"network clock at the end of the run: {network.clock:.1f} time units")
     print()
 
     # --- The overlay delivers exactly what one central service would ---------

@@ -87,7 +87,9 @@ exponential backoff, circuit breaker, dead-letter queue::
 a Siena-style broker overlay: subscribe at a *home* broker, publish
 anywhere, and covering-reduced routing tables (maintained incrementally
 under churn) suppress events as close to the publisher as possible —
-see ``docs/routing.md``::
+see ``docs/routing.md``.  It hands out the same
+:class:`SubscriptionHandle`; a network subscription is its home broker
+plus that broker's subscription id::
 
     net = NetworkService(schema)
     for b in ("edge", "core", "hub"):
@@ -95,6 +97,7 @@ see ``docs/routing.md``::
     net.connect("edge", "core"); net.connect("core", "hub")
     alarm = net.subscribe(where("temperature").at_least(40), at="hub")
     net.publish({"temperature": 45, ...}, at="edge")
+    net.handle(alarm.subscription_id, at=alarm.home_broker).pause()
     net.stats().suppression_rate
 """
 
@@ -120,7 +123,6 @@ from repro.service.routing import (
     NetworkDeliveryReport,
     NetworkService,
     NetworkStats,
-    NetworkSubscriptionHandle,
 )
 from repro.api.service import FilterService, ServiceStats, SubscriptionHandle
 
@@ -139,7 +141,6 @@ __all__ = [
     "NetworkDeliveryReport",
     "NetworkService",
     "NetworkStats",
-    "NetworkSubscriptionHandle",
     "Profile",
     "ProfileBuilder",
     "PublishOutcome",

@@ -1,22 +1,21 @@
-"""The :class:`FilterService` facade and its subscription handles.
+"""The :class:`FilterService` facade.
 
 This module is the implementation behind :mod:`repro.api`; see the
 package docstring for the API tour.  The facade owns one
 :class:`~repro.service.broker.Broker` (and through it the adaptive
 engine) and exposes the paper's *service* framing: users subscribe
-profiles and receive durable :class:`SubscriptionHandle` objects whose
+profiles and receive durable :class:`SubscriptionHandle` views whose
 pause/resume/modify/cancel life-cycle rides the engine's incremental
 maintenance path — subscription churn never rebuilds the filter.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.core.builder import ProfileBuilder, ProfileCompiler
-from repro.core.errors import ProfileError, SubscriptionError
+from repro.core.errors import SubscriptionError
 from repro.core.events import Event, as_event
 from repro.core.profiles import Profile
 from repro.core.schema import Schema
@@ -32,12 +31,9 @@ from repro.service.broker import Broker, PublishOutcome
 from repro.service.delivery import DeliveryStats, WebhookConfig
 from repro.service.durability.store import DurabilityStats, SubscriptionStore
 from repro.service.notifications import NotificationSink
-from repro.service.subscriptions import KEEP_DELIVERY, Subscription
+from repro.service.subscriptions import Subscription, SubscriptionHandle
 
 __all__ = ["FilterService", "ServiceStats", "SubscriptionHandle"]
-
-#: States of a subscription handle.
-_ACTIVE, _PAUSED, _CANCELLED = "active", "paused", "cancelled"
 
 
 @dataclass(frozen=True)
@@ -99,148 +95,6 @@ class ServiceStats:
     def applied_adaptations(self) -> int:
         """Return how many re-optimisation decisions were applied."""
         return sum(1 for record in self.adaptations if record.applied)
-
-
-class SubscriptionHandle:
-    """Durable handle of one subscription (returned by ``subscribe``).
-
-    The handle outlives engine replans and restructures: pause,
-    resume, modify and cancel all route through the broker's incremental
-    maintenance, so the filter structures and the adaptation history
-    survive any amount of handle churn.  Handles are idempotent where it
-    is safe (pausing a paused handle is a no-op) and strict where it is
-    not (anything on a cancelled handle raises
-    :class:`~repro.core.errors.SubscriptionError`).
-    """
-
-    def __init__(self, service: "FilterService", subscription: Subscription) -> None:
-        self._service = service
-        self._subscription = subscription
-        self._state = _ACTIVE
-
-    # -- introspection ---------------------------------------------------------
-    @property
-    def subscription_id(self) -> str:
-        return self._subscription.subscription_id
-
-    @property
-    def profile(self) -> Profile:
-        """Return the currently registered profile."""
-        return self._subscription.profile
-
-    @property
-    def subscriber(self) -> str:
-        return self._subscription.subscriber
-
-    @property
-    def state(self) -> str:
-        """Return ``"active"``, ``"paused"`` or ``"cancelled"``."""
-        return self._state
-
-    @property
-    def is_active(self) -> bool:
-        return self._state == _ACTIVE
-
-    @property
-    def is_paused(self) -> bool:
-        return self._state == _PAUSED
-
-    @property
-    def is_cancelled(self) -> bool:
-        return self._state == _CANCELLED
-
-    def notifications_received(self) -> int:
-        """Return how many notifications this handle's profile received."""
-        return self._service.broker.statistics.notifications_of(self.profile.profile_id)
-
-    # -- life-cycle ------------------------------------------------------------
-    def _require_live(self, operation: str) -> None:
-        if self._state == _CANCELLED:
-            raise SubscriptionError(
-                f"cannot {operation} subscription {self.subscription_id!r}: "
-                "the handle was cancelled"
-            )
-
-    def pause(self) -> "SubscriptionHandle":
-        """Stop deliveries (idempotent); the registration survives."""
-        self._require_live("pause")
-        if self._state != _PAUSED:
-            self._service.broker.pause_subscription(self.subscription_id)
-            self._state = _PAUSED
-        return self
-
-    def resume(self) -> "SubscriptionHandle":
-        """Re-enable deliveries (idempotent)."""
-        self._require_live("resume")
-        if self._state == _PAUSED:
-            self._service.broker.resume_subscription(self.subscription_id)
-            self._state = _ACTIVE
-        return self
-
-    def modify(self, profile: Profile | ProfileBuilder) -> "SubscriptionHandle":
-        """Replace the subscribed profile in place.
-
-        A :class:`~repro.core.builder.ProfileBuilder` compiles under the
-        *current* profile id (same subscription, new predicates); a
-        ready-made :class:`~repro.core.profiles.Profile` is registered
-        as given.  Works while paused — the new profile attaches on
-        resume.
-        """
-        self._require_live("modify")
-        if isinstance(profile, ProfileBuilder):
-            current = self._subscription.profile
-            profile = profile.build(
-                current.profile_id,
-                subscriber=current.subscriber,
-                priority=current.priority,
-            )
-        elif not isinstance(profile, Profile):
-            raise ProfileError(
-                f"modify() needs a Profile or ProfileBuilder, got {type(profile).__name__}"
-            )
-        self._subscription = self._service.broker.modify_subscription(
-            self.subscription_id, profile
-        )
-        return self
-
-    def deliver_to(
-        self,
-        sink: NotificationSink | None,
-        *,
-        delivery: object = KEEP_DELIVERY,
-    ) -> "SubscriptionHandle":
-        """Pin this subscription's sink (and, optionally, delivery mode).
-
-        ``sink=None`` detaches the sink (the notification log still
-        records matches).  ``delivery`` routes this subscription's
-        notifications through the named executor (``"inline"``,
-        ``"threadpool"``, ``"webhook"``); omitted, an existing pin is
-        kept, while an explicit ``None`` resets the subscription to the
-        service-default executor.  Notifications already queued for the
-        old sink still reach it — and when the re-pin *changes executor*,
-        new notifications may run before that backlog (FIFO holds per
-        (subscription, executor); call :meth:`FilterService.drain` first
-        for a clean handover).
-        """
-        self._require_live("redirect")
-        self._subscription = self._service.broker.set_subscription_sink(
-            self.subscription_id, sink, delivery=delivery
-        )
-        return self
-
-    def cancel(self) -> Subscription:
-        """Unsubscribe for good; further operations on the handle raise."""
-        self._require_live("cancel")
-        subscription = self._service.broker.unsubscribe(self.subscription_id)
-        self._state = _CANCELLED
-        self._service._forget(self.subscription_id)
-        return subscription
-
-    def __repr__(self) -> str:  # pragma: no cover - display helper
-        return (
-            f"SubscriptionHandle({self.subscription_id!r}, "
-            f"profile={self.profile.profile_id!r}, state={self._state!r})"
-        )
 
 
 class FilterService:
@@ -316,15 +170,7 @@ class FilterService:
             webhook=webhook,
             store=store,
         )
-        self._handles: dict[str, SubscriptionHandle] = {}
-        self._closed = False
         self._compiler = ProfileCompiler(self._broker.subscriptions.has_profile_id)
-        # A store replayed subscriptions into the broker before we got
-        # here: resume a durable handle for each, in original order.
-        for subscription in self._broker.subscriptions:
-            handle = self._remember(subscription)
-            if self._broker.is_paused(subscription.subscription_id):
-                handle._state = _PAUSED
 
     @classmethod
     def from_profile(cls, name_or_path, *, engine: str | None = None, **overrides):
@@ -380,32 +226,33 @@ class FilterService:
         return ENGINES
 
     def handles(self) -> list[SubscriptionHandle]:
-        """Return the live (non-cancelled) handles, oldest first."""
-        return list(self._handles.values())
+        """Return a handle of every live (non-cancelled) subscription, oldest first.
+
+        A store's replayed subscriptions are among them after a restart.
+        """
+        return [
+            SubscriptionHandle(self, self._broker, subscription.subscription_id)
+            for subscription in self._broker.subscriptions
+        ]
 
     def handle(self, subscription_id: str) -> SubscriptionHandle:
-        """Return the handle of a subscription id."""
-        try:
-            return self._handles[subscription_id]
-        except KeyError as exc:
-            raise SubscriptionError(
-                f"unknown subscription id {subscription_id!r}"
-            ) from exc
+        """Return the handle of a registered subscription id."""
+        if subscription_id not in self._broker.subscriptions:
+            raise SubscriptionError(f"unknown subscription id {subscription_id!r}")
+        return SubscriptionHandle(self, self._broker, subscription_id)
 
-    def _remember(self, subscription: Subscription) -> SubscriptionHandle:
-        """Create and keep the handle of a new subscription.
+    # Handle hooks: a handle's verbs land here as plain broker calls.
+    def _pause(self, broker: Broker, subscription_id: str) -> None:
+        broker.pause_subscription(subscription_id)
 
-        A closed service's handles reach it through a weak proxy (see
-        :meth:`close`).
-        """
-        owner = weakref.proxy(self) if self._closed else self
-        handle = self._handles[subscription.subscription_id] = SubscriptionHandle(
-            owner, subscription
-        )
-        return handle
+    def _resume(self, broker: Broker, subscription_id: str) -> None:
+        broker.resume_subscription(subscription_id)
 
-    def _forget(self, subscription_id: str) -> None:
-        self._handles.pop(subscription_id, None)
+    def _modify(self, broker: Broker, subscription_id: str, profile: Profile) -> None:
+        broker.modify_subscription(subscription_id, profile)
+
+    def _cancel(self, broker: Broker, subscription_id: str) -> Subscription:
+        return broker.unsubscribe(subscription_id)
 
     # -- subscribing -----------------------------------------------------------
     def subscribe(
@@ -432,7 +279,7 @@ class FilterService:
         subscription = self._broker.subscribe(
             compiled, subscriber, sink=sink, delivery=delivery
         )
-        return self._remember(subscription)
+        return SubscriptionHandle(self, self._broker, subscription.subscription_id)
 
     def subscribe_all(
         self,
@@ -443,7 +290,10 @@ class FilterService:
         """Subscribe many profiles/builders (one engine build, atomic)."""
         compiled = [self._compiler.compile(profile, None, subscriber) for profile in profiles]
         subscriptions = self._broker.subscribe_all(compiled, subscriber)
-        return [self._remember(subscription) for subscription in subscriptions]
+        return [
+            SubscriptionHandle(self, self._broker, subscription.subscription_id)
+            for subscription in subscriptions
+        ]
 
     # -- publishing ------------------------------------------------------------
     def publish(self, event: Event | Mapping[str, object]) -> PublishOutcome:
@@ -485,19 +335,8 @@ class FilterService:
         closed service rejects further publishing with
         :class:`~repro.core.errors.DeliveryError`; statistics and
         handles stay readable.
-
-        Closing also re-points every handle at a weak proxy of the
-        service, which breaks the service ↔ handle reference cycle: a
-        closed service is freed by reference counting as soon as its
-        last outside reference goes, without waiting for the cycle
-        collector.  A handle used after that raises ``ReferenceError``.
         """
         self._broker.close(drain=drain)
-        if not self._closed:
-            self._closed = True
-            owner = weakref.proxy(self)
-            for handle in self._handles.values():
-                handle._service = owner
 
     def __enter__(self) -> "FilterService":
         return self

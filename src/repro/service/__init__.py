@@ -14,9 +14,7 @@ from repro.service.routing import (
     NetworkDeliveryReport,
     NetworkService,
     NetworkStats,
-    NetworkSubscriptionHandle,
     OverlayBroker,
-    OverlayNetwork,
     minimal_cover,
     predicate_covers,
     profile_covers,
@@ -32,11 +30,9 @@ __all__ = [
     "NetworkDeliveryReport",
     "NetworkService",
     "NetworkStats",
-    "NetworkSubscriptionHandle",
     "Notification",
     "NotificationLog",
     "OverlayBroker",
-    "OverlayNetwork",
     "PublishOutcome",
     "Subscription",
     "SubscriptionRegistry",

@@ -1,11 +1,14 @@
 """Distributed broker-overlay routing (Siena-style, with covering).
 
-:class:`OverlayNetwork` / :class:`NetworkService`: every broker hosts a
-full engine of its own choice, covering relations are maintained
-**incrementally** under churn (with correct uncovering on removal),
-per-link interest is an indexed matcher, and events are forwarded in
-batches through the columnar kernel on the network's own clock, each
-link delayed by a :class:`LatencyModel`.  See ``docs/routing.md``.
+:class:`NetworkService` is the overlay and its facade in one: every
+broker hosts a full engine of its own choice, covering relations are
+maintained **incrementally** under churn (with correct uncovering on
+removal), per-link interest is an indexed matcher, and events are
+forwarded in batches through the columnar kernel on the network's own
+clock, each link delayed by a :class:`LatencyModel`.  Its subscriptions
+hand out the same
+:class:`~repro.service.subscriptions.SubscriptionHandle` as the central
+service.  See ``docs/routing.md``.
 """
 
 from repro.service.routing.covering import minimal_cover, predicate_covers, profile_covers
@@ -14,13 +17,11 @@ from repro.service.routing.overlay import (
     LinkState,
     NetworkDeliveryReport,
     OverlayBroker,
-    OverlayNetwork,
 )
 from repro.service.routing.service import (
     BrokerStats,
     NetworkService,
     NetworkStats,
-    NetworkSubscriptionHandle,
     build_topology,
 )
 from repro.service.routing.table import (
@@ -40,9 +41,7 @@ __all__ = [
     "NetworkDeliveryReport",
     "NetworkService",
     "NetworkStats",
-    "NetworkSubscriptionHandle",
     "OverlayBroker",
-    "OverlayNetwork",
     "RemoveOutcome",
     "TableEntry",
     "UniformLatency",

@@ -4,7 +4,7 @@ The paper evaluates a single-node filter; the "distributed" aspect of the
 venue (and of the cited Siena/Elvin systems) enters through broker networks
 where event routing crosses links with non-zero latency.  A model gives
 each forwarded batch its delay, and
-:class:`~repro.service.routing.overlay.OverlayNetwork` stamps deliveries
+:class:`~repro.service.routing.service.NetworkService` stamps deliveries
 on its own clock with it.  The models are deterministic (seeded) so runs
 repeat exactly.
 """

@@ -267,10 +267,11 @@ class TestBrokerLifecycleStrictness:
         assert service.publish(example_event()).delivered == 2
 
 
-class TestClosedServiceIsFreed:
-    """``close()`` breaks the service ↔ handle reference cycle, so a
-    closed service (its broker, engine and notification log with it) is
-    freed by reference counting alone, without the cycle collector."""
+class TestServiceIsFreed:
+    """A service keeps no table of its handles — a handle refers to the
+    service, never the other way round — so a service (its broker, engine
+    and notification log with it) is freed by reference counting alone,
+    without the cycle collector, closed or not."""
 
     @pytest.mark.parametrize("delivery", ["inline", "threadpool"])
     def test_a_closed_and_deleted_service_dies_without_gc(self, delivery):
@@ -304,10 +305,70 @@ class TestClosedServiceIsFreed:
         assert service.handles() == []
         assert service.stats().subscriptions == 0
 
-    def test_a_handle_outliving_its_closed_service_raises(self):
+    def test_an_unclosed_service_and_its_handles_die_without_gc(self):
+        gc.collect()
+        gc.disable()
+        try:
+            service = FilterService(environmental_schema())
+            handles = service.subscribe_all(
+                [where("temperature").at_least(t) for t in (10, 20, 30)]
+            )
+            handles[0].pause()
+            handles[1].cancel()
+            service.publish_batch([example_event()] * 20)
+            alive = weakref.ref(service), weakref.ref(service.broker)
+            del service, handles
+            assert [ref() is None for ref in alive] == [True, True]
+        finally:
+            gc.enable()
+
+
+class TestHandlesAreViews:
+    """A handle reads its state from the broker, so a change made through
+    ``service.broker`` shows on every handle and in ``handles()``."""
+
+    def test_a_broker_side_pause_shows_on_the_handle(self):
         service = alarm_service()
         handle = service.subscribe(where("temperature").at_least(20))
-        service.close()
-        del service
-        with pytest.raises(ReferenceError):
-            handle.pause()
+        service.broker.pause_subscription(handle.subscription_id)
+        assert handle.state == "paused" and handle.is_paused
+        assert [h.state for h in service.handles()] == ["paused"]
+        handle.pause()  # idempotent: already paused at the broker
+        handle.resume()
+        assert handle.state == "active"
+        assert service.publish(example_event()).delivered == 1
+
+    def test_a_broker_side_unsubscribe_shows_on_the_handle(self):
+        service = alarm_service()
+        handle = service.subscribe(where("temperature").at_least(20))
+        kept = service.subscribe(where("humidity").at_least(50))
+        service.broker.unsubscribe(handle.subscription_id)
+        assert handle.state == "cancelled" and handle.is_cancelled
+        assert service.handles() == [kept]
+        with pytest.raises(SubscriptionError, match="the handle was cancelled"):
+            handle.resume()
+        with pytest.raises(SubscriptionError):
+            service.handle(handle.subscription_id)
+
+    def test_two_views_of_one_subscription_agree(self):
+        service = alarm_service()
+        handle = service.subscribe(where("temperature").at_least(20), subscriber="a")
+        view = service.handle(handle.subscription_id)
+        assert view == handle and hash(view) == hash(handle)
+        view.modify(where("temperature").at_least(30))
+        assert handle.profile == view.profile
+        view.pause()
+        assert handle.is_paused
+        cancelled = handle.cancel()
+        assert view.is_cancelled
+        # The cancelling handle keeps the record its cancel returned.
+        assert handle.profile == cancelled.profile and handle.subscriber == "a"
+
+    def test_the_facade_keeps_no_handle_table(self):
+        service = alarm_service()
+        handle = service.subscribe(where("temperature").at_least(20))
+        assert not any(
+            isinstance(value, dict) and handle.subscription_id in value
+            for value in vars(service).values()
+        )
+

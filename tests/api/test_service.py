@@ -305,7 +305,7 @@ class TestSubscribing:
     def test_handle_lookup(self):
         service = make_service()
         handle = service.subscribe(where("temperature").eq(20))
-        assert service.handle(handle.subscription_id) is handle
+        assert service.handle(handle.subscription_id) == handle
         assert service.handles() == [handle]
         with pytest.raises(SubscriptionError):
             service.handle("nope")

@@ -46,6 +46,11 @@ def make_service(**kwargs) -> FilterService:
     return FilterService(price_schema(), engine="index", adaptive=False, **kwargs)
 
 
+def pinned_delivery(service, handle):
+    """Return the delivery pin the broker's registry holds for a handle."""
+    return service.broker.subscriptions.get(handle.subscription_id).delivery
+
+
 class Recorder:
     """A sink recording the observed event prices (list.append is
     atomic, and per-subscription calls are serial by contract)."""
@@ -113,7 +118,7 @@ class TestValidation:
             )
             with pytest.raises(DeliveryError, match="'asyncio'"):
                 handle.deliver_to(Recorder(), delivery="asyncio")
-            assert handle._subscription.delivery == "threadpool"
+            assert pinned_delivery(service, handle) == "threadpool"
             service.publish(Event({"price": 4}))
             service.drain()
             assert sink.prices == [4]
@@ -457,7 +462,7 @@ class TestPerSubscriptionPinning:
             handle = service.subscribe(match_all_profile("P1"), sink=first)
             service.publish(Event({"price": 1}))
             handle.deliver_to(second, delivery="threadpool")
-            assert handle._subscription.delivery == "threadpool"
+            assert pinned_delivery(service, handle) == "threadpool"
             service.publish(Event({"price": 2}))
             service.drain()
             assert first.prices == [1]
@@ -471,9 +476,9 @@ class TestPerSubscriptionPinning:
                 match_all_profile("P1"), sink=first, delivery="threadpool"
             )
             handle.deliver_to(second)  # swap the sink only
-            assert handle._subscription.delivery == "threadpool"  # pin survives
+            assert pinned_delivery(service, handle) == "threadpool"  # pin survives
             handle.deliver_to(second, delivery=None)  # explicit reset
-            assert handle._subscription.delivery is None
+            assert pinned_delivery(service, handle) is None
 
     def test_deliver_to_none_detaches_the_sink(self):
         with make_service() as service:

@@ -23,7 +23,6 @@ from repro.core.schema import Attribute, Schema
 from repro.service.routing import (
     ConstantLatency,
     LatencyModel,
-    OverlayNetwork,
     UniformLatency,
     build_topology,
 )
@@ -103,10 +102,10 @@ class TestRoutingPropagation:
         # The narrow profile is absorbed at b — the first broker where
         # the already-forwarded wide one covers it — and the flood stops
         # there: a only ever hears about wide.
-        at_b = service.network.broker("b").link("c")
+        at_b = service.broker("b").link("c")
         assert len(at_b.table) == 2
         assert [p.profile_id for p in at_b.table.active_profiles()] == ["wide"]
-        at_a = service.network.broker("a").link("b")
+        at_a = service.broker("a").link("b")
         assert [p.profile_id for p in at_a.table.profiles()] == ["wide"]
         stats = service.stats()
         assert stats.cover_hits > 0
@@ -189,7 +188,7 @@ class TestRoutingPropagation:
         service.subscribe(
             profile("narrow", price=RangePredicate.between(150, 180)), at="c"
         )
-        link = service.network.broker("a").link("b")
+        link = service.broker("a").link("b")
         assert [p.profile_id for p in link.table.active_profiles()] == ["wide"]
         coverer.cancel()
         # narrow was never forwarded past its cover point; the removal
@@ -207,7 +206,7 @@ class TestRoutingPropagation:
         )
         assert service.publish({"price": 150}, at="a").total_notifications == 1
         handle.pause()
-        assert "high" not in service.network.broker("a").link("b").table
+        assert "high" not in service.broker("a").link("b").table
         report = service.publish({"price": 150}, at="a")
         assert report.total_notifications == 0
         assert report.event_hops == (0,)
@@ -235,7 +234,7 @@ class TestRoutingPropagation:
             profile("higher", price=RangePredicate.at_least(150)), at="b"
         )
         service.connect("a", "b")
-        link = service.network.broker("a").link("b")
+        link = service.broker("a").link("b")
         # Replay floods in subscription order, covering included.
         assert [p.profile_id for p in link.table.active_profiles()] == ["high"]
         report = service.publish({"price": 180}, at="a")
@@ -279,7 +278,7 @@ class TestChurnCost:
             service.subscribe(profile(f"n{i}", price=Equals(150 + i)), at="b")
         for i in range(40):
             service.subscribe(profile(f"u{i}", volume=Equals(i)), at="b")
-        link = service.network.broker("a").link("b")
+        link = service.broker("a").link("b")
         outcome = link.table.remove("wide")
         # Manually driving the table: only wide's own cover set is
         # re-examined (5 orphans), not the 40 unrelated entries.
@@ -407,7 +406,7 @@ class TestNetworkServiceFacade:
         report = service.publish({"price": 150}, at="a")
         assert report.total_notifications == 1
         # Two hops at 2.0 each on the network's clock.
-        assert service.network.clock == pytest.approx(4.0)
+        assert service.clock == pytest.approx(4.0)
         notification = report.notifications["c"][0]
         assert notification.delivered_at == pytest.approx(4.0)
 
@@ -432,7 +431,7 @@ class TestNetworkServiceFacade:
             {"a": 2.0, "b": 4.0},
             {"a": 4.0, "b": 6.0},
         ]
-        assert service.network.clock == 6.0
+        assert service.clock == 6.0
 
     def test_a_suppressed_publish_leaves_the_clock_alone(self):
         service = NetworkService(price_schema(), latency=ConstantLatency(2.0))
@@ -443,7 +442,7 @@ class TestNetworkServiceFacade:
         service.publish({"price": 150}, at="a")
         report = service.publish({"price": 5}, at="a")
         assert report.hops == 0
-        assert service.network.clock == 2.0
+        assert service.clock == 2.0
 
 
 class LinkLatency(LatencyModel):
@@ -470,17 +469,17 @@ def delivery_stamps(report) -> list[tuple[str, str, float]]:
 class TestNetworkClock:
     def test_a_fresh_network_starts_at_zero(self):
         service = chain_service("a", "b")
-        assert service.network.clock == 0.0
+        assert service.clock == 0.0
         service.subscribe(profile("pa", price=Equals(1)), at="a")
         report = service.publish({"price": 1}, at="a")
         assert report.notifications["a"][0].delivered_at == 0.0
-        assert service.network.clock == 0.0
+        assert service.clock == 0.0
 
     def test_the_clock_is_read_only(self):
-        network = OverlayNetwork(price_schema())
+        service = NetworkService(price_schema())
         with pytest.raises(AttributeError):
-            network.clock = 5.0
-        assert network.clock == 0.0
+            service.clock = 5.0
+        assert service.clock == 0.0
 
     def test_a_batch_moves_the_clock_once(self):
         service = NetworkService(price_schema(), latency=ConstantLatency(2.0))
@@ -492,10 +491,10 @@ class TestNetworkClock:
         first = service.publish_batch(events, at="a")
         assert [n.delivered_at for n in first.notifications["b"]] == [2.0, 2.0, 2.0]
         assert first.link_transfers == 1
-        assert service.network.clock == 2.0
+        assert service.clock == 2.0
         second = service.publish_batch(events, at="a")
         assert [n.delivered_at for n in second.notifications["b"]] == [4.0, 4.0, 4.0]
-        assert service.network.clock == 4.0
+        assert service.clock == 4.0
 
     def test_the_clock_ends_at_the_latest_arrival_not_the_last_visited(self):
         # The frontier visits b before c, but c's link is the faster one:
@@ -510,10 +509,10 @@ class TestNetworkClock:
         service.subscribe(profile("pc", price=RangePredicate.at_least(100)), at="c")
         report = service.publish({"price": 150}, at="a")
         assert delivery_stamps(report) == [("b", "pb", 5.0), ("c", "pc", 1.0)]
-        assert service.network.clock == 5.0
+        assert service.clock == 5.0
         report = service.publish({"price": 150}, at="a")
         assert delivery_stamps(report) == [("b", "pb", 10.0), ("c", "pc", 6.0)]
-        assert service.network.clock == 10.0
+        assert service.clock == 10.0
 
     def test_a_local_only_publish_stamps_the_clock_and_leaves_it(self):
         service = NetworkService(price_schema(), latency=ConstantLatency(2.0))
@@ -525,7 +524,7 @@ class TestNetworkClock:
         report = service.publish({"price": 150}, at="b")
         assert report.hops == 0
         assert report.notifications["b"][0].delivered_at == 2.0
-        assert service.network.clock == 2.0
+        assert service.clock == 2.0
 
     def test_delivery_time_is_hops_times_latency_on_a_chain(self):
         service = NetworkService(price_schema(), latency=ConstantLatency(3.0))
@@ -539,7 +538,7 @@ class TestNetworkClock:
         assert delivery_stamps(report) == [
             (name, f"at-{name}", 3.0 * hop) for hop, name in enumerate(names)
         ]
-        assert service.network.clock == pytest.approx(9.0)
+        assert service.clock == pytest.approx(9.0)
 
     def test_seeded_uniform_latency_repeats_exactly(self):
         def run() -> tuple[list, list[float]]:
@@ -559,7 +558,7 @@ class TestNetworkClock:
                 events = [Event({"price": rng.randrange(0, 200)}) for _ in range(20)]
                 report = service.publish_batch(events, at=names[round_ % len(names)])
                 stamps.append((delivery_stamps(report), report.hops, report.event_hops))
-                clocks.append(service.network.clock)
+                clocks.append(service.clock)
             return stamps, clocks
 
         first_stamps, first_clocks = run()
@@ -612,7 +611,7 @@ class TestLatencyModels:
         service.subscribe(profile("pc", price=RangePredicate.at_least(100)), at="c")
         report = service.publish({"price": 150}, at="a")
         assert report.notifications["c"][0].delivered_at == 2.0
-        assert service.network.clock == 2.0
+        assert service.clock == 2.0
 
 
 class TestBuildTopology:
@@ -659,59 +658,97 @@ class TestBuildTopology:
         assert {service.broker_stats(name).engine_family for name in names} == {"tree"}
 
 
-class TestOverlayNetworkDirect:
-    def test_overlay_is_usable_without_the_facade(self):
-        network = OverlayNetwork(price_schema())
-        network.add_broker("a", engine="index")
-        network.add_broker("b", engine="index")
-        network.connect("a", "b")
-        subscription = network.subscribe(
-            "b", profile("p", price=RangePredicate.at_least(10)), "bob"
-        )
-        report = network.publish("a", Event({"price": 50}))
-        assert report.total_notifications == 1
-        network.unsubscribe("b", subscription.subscription_id)
-        assert network.publish("a", Event({"price": 50})).total_notifications == 0
-
-    def test_the_overlay_keeps_its_clock_without_the_facade(self):
-        network = OverlayNetwork(price_schema(), latency=ConstantLatency(0.5))
-        network.add_broker("a", engine="index")
-        network.add_broker("b", engine="index")
-        network.connect("a", "b")
-        network.subscribe("b", profile("p", price=RangePredicate.at_least(10)), "bob")
-        stamps = [
-            network.publish("a", Event({"price": 50})).notifications["b"][0].delivered_at
-            for _ in range(3)
-        ]
-        assert stamps == [0.5, 1.0, 1.5]
-        assert network.clock == 1.5
+class TestOverlayProtocol:
+    """Routing-state rules of the overlay that the facade tests above do
+    not reach: reserved ids of paused profiles and the connect replay."""
 
     def test_a_paused_profile_id_stays_reserved(self):
-        network = OverlayNetwork(price_schema())
+        service = NetworkService(price_schema(), engine="index")
         for broker_id in ("a", "b", "c"):
-            network.add_broker(broker_id, engine="index")
-        network.connect("a", "b")
-        held = network.subscribe("a", profile("P1", price=RangePredicate.at_least(10)), "ann")
-        network.pause("a", held.subscription_id)
-        with pytest.raises(RoutingError):
-            network.subscribe("b", profile("P1", price=RangePredicate.at_most(5)), "bob")
-        network.resume("a", held.subscription_id)
+            service.add_broker(broker_id)
+        service.connect("a", "b")
+        held = service.subscribe(
+            profile("P1", price=RangePredicate.at_least(10)), at="a", subscriber="ann"
+        )
+        held.pause()
+        with pytest.raises(SubscriptionError, match="home broker 'a'"):
+            service.subscribe(
+                profile("P1", price=RangePredicate.at_most(5)), at="b", subscriber="bob"
+            )
+        held.resume()
         # The new component learns of a's P1 only through the replay.
-        network.connect("b", "c")
-        report = network.publish("c", Event({"price": 50}))
+        service.connect("b", "c")
+        report = service.publish(Event({"price": 50}), at="c")
         assert [n.profile_id for n in report.notifications["a"]] == ["P1"]
 
     def test_connect_replays_only_live_profiles(self):
-        network = OverlayNetwork(price_schema())
-        network.add_broker("a", engine="index")
-        network.add_broker("b", engine="index")
-        held = network.subscribe("a", profile("P1", price=RangePredicate.at_least(10)), "ann")
-        network.pause("a", held.subscription_id)
-        network.connect("a", "b")
-        assert "P1" not in network.broker("b").link("a").table
-        assert network.publish("b", Event({"price": 50})).total_notifications == 0
-        network.resume("a", held.subscription_id)
-        assert network.publish("b", Event({"price": 50})).total_notifications == 1
+        service = NetworkService(price_schema(), engine="index")
+        service.add_broker("a")
+        service.add_broker("b")
+        held = service.subscribe(
+            profile("P1", price=RangePredicate.at_least(10)), at="a", subscriber="ann"
+        )
+        held.pause()
+        service.connect("a", "b")
+        assert "P1" not in service.broker("b").link("a").table
+        assert service.publish(Event({"price": 50}), at="b").total_notifications == 0
+        held.resume()
+        assert service.publish(Event({"price": 50}), at="b").total_notifications == 1
+
+
+class TestHandlesAcrossBrokers:
+    """Every broker numbers its own subscriptions, so two brokers both
+    hand out ``sub-1``: a network subscription is its home broker plus
+    that id, and the handles read each broker's own registry."""
+
+    def two_homes(self):
+        service = chain_service("b0", "b1")
+        first = service.subscribe(profile("p0", price=Equals(1)), at="b0")
+        second = service.subscribe(profile("p1", price=Equals(1)), at="b1")
+        assert first.subscription_id == second.subscription_id == "sub-1"
+        return service, first, second
+
+    def test_handles_lists_both_with_their_home(self):
+        service, first, second = self.two_homes()
+        assert [(h.home_broker, h.profile.profile_id) for h in service.handles()] == [
+            ("b0", "p0"),
+            ("b1", "p1"),
+        ]
+        assert service.handles() == [first, second]
+        assert first != second
+        assert service.stats().subscriptions == len(service.handles())
+
+    def test_cancelling_one_leaves_the_other_listed_and_active(self):
+        service, first, second = self.two_homes()
+        second.cancel()
+        assert service.handles() == [first]
+        assert first.state == "active"
+        assert second.state == "cancelled"
+        assert service.stats().subscriptions == len(service.handles()) == 1
+        assert service.publish({"price": 1}, at="b1").total_notifications == 1
+
+    def test_lookup_is_by_home_broker_and_id(self):
+        service, first, second = self.two_homes()
+        assert service.handle("sub-1", at="b0").home_broker == "b0"
+        assert service.handle("sub-1", at="b0") == first
+        assert service.handle("sub-1", at="b1").profile.profile_id == "p1"
+        with pytest.raises(SubscriptionError):
+            service.handle("sub-2", at="b0")
+        with pytest.raises(RoutingError):
+            service.handle("sub-1", at="ghost")
+
+    def test_a_view_sees_a_pause_made_through_another(self):
+        service, first, _ = self.two_homes()
+        service.handle("sub-1", at="b0").pause()
+        assert first.state == "paused"
+        first.resume()
+        assert service.publish({"price": 1}, at="b1").total_notifications == 2
+
+    def test_the_facade_keeps_no_handle_table(self):
+        service, _, _ = self.two_homes()
+        assert not any(
+            isinstance(value, dict) and "sub-1" in value for value in vars(service).values()
+        )
 
 
 # -- hypothesis: the network delivers exactly like the central service --------
@@ -841,7 +878,7 @@ def test_network_delivery_equals_central_service(script):
             )
             assert delivered_network == delivered_central
         elif net_handle is None or net_handle.is_cancelled:
-            continue
+            pass
         elif step == "pause":
             net_handle.pause()
             cen_handle.pause()
@@ -855,3 +892,9 @@ def test_network_delivery_equals_central_service(script):
             new_profile = profile(f"P{target}", **payload)
             net_handle.modify(new_profile)
             cen_handle.modify(new_profile)
+        assert _live_states(network) == _live_states(central)
+
+
+def _live_states(service) -> list[tuple[str, str]]:
+    """Return the sorted ``(profile id, state)`` of a service's handles."""
+    return sorted((handle.profile.profile_id, handle.state) for handle in service.handles())

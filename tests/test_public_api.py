@@ -194,7 +194,6 @@ API_SURFACE = {
         "cover_hit_rate",
         "interest_kernel",
     ),
-    "NetworkSubscriptionHandle": ("service", "broker_id", "subscription"),
     "Profile": ("profile_id", "predicates", "subscriber", "priority"),
     "ProfileBuilder": ("predicates",),
     "PublishOutcome": ("event", "match_result", "notifications"),
@@ -216,7 +215,7 @@ API_SURFACE = {
         "delivery",
         "durability",
     ),
-    "SubscriptionHandle": ("service", "subscription"),
+    "SubscriptionHandle": ("service", "broker", "subscription_id"),
     "SubscriptionStore": ("snapshot_every",),
     "WebhookConfig": (
         "timeout",
@@ -271,17 +270,11 @@ API_METHODS = {
         "publish_batch": ("events", "at"),
         "stats": (),
         "broker_stats": ("broker_id",),
-        "handle": ("subscription_id",),
+        "broker": ("broker_id",),
+        "handle": ("subscription_id", "at"),
         "handles": (),
         "drain": (),
         "close": ("drain",),
-    },
-    "NetworkSubscriptionHandle": {
-        "pause": (),
-        "resume": (),
-        "modify": ("profile",),
-        "cancel": (),
-        "notifications_received": (),
     },
     "SubscriptionStore": {
         "open": (),
@@ -299,6 +292,22 @@ API_METHODS = {
         "entries": (),
         "stats": (),
     },
+}
+
+
+# Read-only properties of the facade classes, locked by name.
+API_PROPERTIES = {
+    "SubscriptionHandle": (
+        "subscription_id",
+        "profile",
+        "subscriber",
+        "home_broker",
+        "state",
+        "is_active",
+        "is_paused",
+        "is_cancelled",
+    ),
+    "NetworkService": ("schema", "clock"),
 }
 
 
@@ -329,6 +338,13 @@ def test_api_methods_are_locked(class_name):
         assert _parameter_names(method) == expected, (
             f"signature of repro.api.{class_name}.{method_name} changed"
         )
+
+
+@pytest.mark.parametrize("class_name", sorted(API_PROPERTIES))
+def test_api_properties_are_locked(class_name):
+    cls = getattr(repro.api, class_name)
+    for name in API_PROPERTIES[class_name]:
+        assert isinstance(getattr(cls, name), property), f"repro.api.{class_name}.{name}"
 
 
 # -- engine roster and tree matcher surface lock -------------------------------
@@ -392,9 +408,11 @@ def test_registry_and_tree_matcher_surfaces_are_locked():
 # registry's ownership tests (an engine reports the spec it resolved), the
 # plug-in engine registry itself (the roster is a closed table), the
 # per-notification ``DeliveryTask`` (a plan is two columns), the
-# discrete-event simulator (the overlay keeps its own clock) and the
+# discrete-event simulator (the overlay keeps its own clock), the
 # overlay's ``cover_counters`` (``NetworkService.stats`` sums the same
-# counters): re-adding one is an explicit diff.
+# counters), and the second network class and handle (``NetworkService``
+# is the overlay, and hands out ``SubscriptionHandle`` views): re-adding
+# one is an explicit diff.
 
 INDEX_PLANNER_PARAMETERS = ("event_distributions", "attribute_measure")
 
@@ -409,7 +427,12 @@ RETIRED = {
         "registry",
         "_adopt_matcher",
     ),
-    ("repro.api", None): ("EngineRegistry", "EngineSpec", "default_registry"),
+    ("repro.api", None): (
+        "EngineRegistry",
+        "EngineSpec",
+        "default_registry",
+        "NetworkSubscriptionHandle",
+    ),
     ("repro.api", "FilterService"): ("registry",),
     ("repro.api", "ServiceStats"): ("calibration",),
     ("repro.matching", None): (
@@ -436,9 +459,16 @@ RETIRED = {
     ("repro.service.broker", "Broker"): ("publish_all",),
     ("repro.core", None): ("SimulationError",),
     ("repro.core.errors", None): ("SimulationError",),
-    ("repro.service.routing", None): ("PerHopLatency",),
+    ("repro.service", None): ("NetworkSubscriptionHandle", "OverlayNetwork"),
+    ("repro.service.routing", None): (
+        "PerHopLatency",
+        "NetworkSubscriptionHandle",
+        "OverlayNetwork",
+    ),
+    ("repro.service.routing.overlay", None): ("OverlayNetwork",),
+    ("repro.service.routing.service", None): ("NetworkSubscriptionHandle",),
     ("repro.service.routing.latency", None): ("PerHopLatency",),
-    ("repro.service.routing", "OverlayNetwork"): ("cover_counters",),
+    ("repro.service.routing", "NetworkService"): ("cover_counters", "network"),
 }
 
 
