@@ -10,9 +10,9 @@ Every distinct ``(attribute, predicate)`` pair becomes one *entry* shared
 by all subscribing profiles.  Per attribute the entries are split by
 operator into:
 
-* a **hash bucket** (``Equals``, ``OneOf``) — ``{event value -> entries}``
-  plus each value's subscriber mask; one dict probe per event resolves
-  exactly the satisfied equality entries,
+* a **hash bucket** (``Equals``, ``OneOf``) — per event value the number
+  of entries registered there and the XOR of their subscriber masks; one
+  dict probe per event resolves exactly the satisfied equality entries,
 * an **interval bucket** (``RangePredicate``) — the overlapping ranges are
   decomposed into sorted *slabs* (point slabs at each distinct endpoint,
   open gap slabs between them), each carrying the number of entries that
@@ -45,10 +45,11 @@ subscribers, an attribute's unconstraining profiles, an event's matches —
 one Python ``int`` with bit *d* for dense id *d*; an event's matches are
 one AND per probed attribute.  It maintains its buckets
 **incrementally**: ``add_profile`` / ``remove_profile`` apply postings
-deltas — splicing slab endpoints in place, with in-place slab compaction
-once churn leaves most boundaries stale, and flipping the profile's bit in
-the affected masks — instead of rebuilding, with planner recosting
-deferred to the next plan query.  See :mod:`repro.matching.index.matcher`
+deltas — splicing a slab endpoint in when its first entry arrives and out
+when its last one leaves, and flipping the profile's bit in the affected
+masks — instead of rebuilding, with planner recosting deferred to the
+next plan query.  A bucket holds only its live entries, so a churned
+index equals one built afresh over the same live profiles.  See :mod:`repro.matching.index.matcher`
 for the layout.
 
 Columnar batch execution

@@ -24,133 +24,113 @@ needs no bucket structure.  When the
 bucket would not pay off, the matcher charges that bucket's entries as
 scanned but still reads its answer from the bucket.
 
-What a bucket stores per value
-------------------------------
+What a bucket stores per key
+----------------------------
 Every entry carries a *mask*: the bitmask of its subscribing profiles
 (see :mod:`repro.matching.index.matcher`).  A profile has at most one
 predicate per attribute, so the masks of one attribute's entries are
 disjoint, and the OR of any set of them is their XOR.  A bucket therefore
-keeps, per hash value and per slab, the XOR of the masks of the entries
-it satisfies — the probe's answer, with nothing left to combine:
+keeps, per key — a hash value or a slab — exactly ``(count, mask)``: how
+many live entries the key satisfies (the operations a probe charges) and
+the XOR of their masks, the probe's answer with nothing left to combine.
+No key holds its entries' ids, and both buckets count their live entries
+in ``entry_count``.
 
-* a hash value stores its tuple of entry ids and that mask;
-* a slab stores only ``(count, mask)``: how many entries cover it (the
-  operations a probe charges) and the XOR of their masks.  No slab holds
-  its entries' ids.
+Every edit is exact and local.  The build sweep XORs an entry's mask in
+where its slab span starts and out where it stops; adding or removing an
+entry moves each of its keys' counts by one and XORs its mask into them;
+a subscriber joining or leaving an existing entry XORs its one bit into
+the same keys (``flip``).  Both buckets take the same three edits —
+``add``, ``remove`` and ``flip`` — so subscription churn never rebuilds a
+bucket from scratch.
 
-Every edit of that XOR is exact and local.  The build sweep XORs an
-entry's mask in where its slab span starts and out where it stops; adding
-or removing an entry moves each covered slab's count by one and XORs the
-entry's mask over its span; a subscriber joining or leaving an existing
-entry XORs its one bit over the same span (:meth:`IntervalBucket.flip`),
-or into each hash value the entry is registered under
-(:attr:`HashBucket.masks`).
-
-Both bucket kinds support *incremental maintenance* so subscription churn
-never rebuilds a bucket from scratch:
-
-* :meth:`HashBucket.add_entry` / :meth:`HashBucket.discard_entry` edit one
-  value's entry tuple and mask;
-* :meth:`IntervalBucket.add` splices any new endpoints into the sorted
-  boundary list (a :func:`bisect.insort`-style edit that splits the
-  enclosing gap slab into gap/point/gap, three copies of one slab) and then
-  adds the entry to every covered slab; :meth:`IntervalBucket.remove`
-  removes it from its covered slabs but normally leaves the boundaries in
-  place — a stale boundary is semantically invisible (its point slab equals
-  the merged neighbouring gap slabs).  The bucket tracks per-endpoint
-  reference counts, and once more than :data:`STALE_COMPACTION_FRACTION`
-  of the boundaries are dead, :meth:`IntervalBucket.remove` compacts in
-  place — dropping the dead boundaries and keeping one of their (provably
-  equal) slabs — so heavy churn cannot grow the slab structure without
-  bound, and no replan needs to rebuild the bucket.
+A bucket holds only its live entries.  A hash value leaves with its last
+entry.  :meth:`IntervalBucket.add` splices a new endpoint into the sorted
+boundary list (a :func:`bisect.insort`-style edit that splits the
+enclosing gap slab into gap/point/gap, three copies of one slab), and
+:meth:`IntervalBucket.remove` deletes a boundary as soon as its last
+endpoint leaves, together with its point slab and the gap above it: no
+live interval ends there, so both equal the gap below.  The boundaries
+are always the live entries' endpoints, and a churned bucket equals one
+built afresh from its live entries.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.intervals import Interval
 
-__all__ = ["HashBucket", "IntervalBucket", "STALE_COMPACTION_FRACTION"]
-
-#: When removals leave more than this fraction of an interval bucket's
-#: boundaries without any live referencing endpoint, :meth:`IntervalBucket.remove`
-#: compacts the slab structure in place.
-STALE_COMPACTION_FRACTION = 0.5
+__all__ = ["HashBucket", "IntervalBucket"]
 
 #: :meth:`IntervalBucket.lookup` of a value no range accepts by type.
 _NO_SLAB = (-1, 0, 0)
 
 
 class HashBucket:
-    """Hash index over equality-style entries of one attribute.
+    """Hash index over the equality-style entries of one attribute.
 
-    Built from ``{value: [(entry_id, entry_mask), ...]}``: per value, the
-    entries registered under it and each entry's subscriber mask.
+    Built from ``(values, entry_mask)`` pairs: per entry, the values it is
+    registered under and its subscriber mask.  Per value it keeps the
+    number of entries registered there and the XOR of their masks.
     """
 
-    __slots__ = ("table", "masks")
+    __slots__ = ("counts", "masks", "entry_count")
 
     #: A hash probe costs one comparison, like the counting baseline's
     #: equality fast path.
     probe_cost = 1
 
-    def __init__(self, table: Mapping[object, Iterable[tuple[int, int]]]) -> None:
-        #: Live value-to-entry-ids mapping.  The matcher's probe reads it
-        #: directly; treat it as read-only outside :meth:`add_entry` /
-        #: :meth:`discard_entry`.
-        self.table: dict[object, tuple[int, ...]] = {}
-        #: Live value-to-mask mapping, with the same keys as :attr:`table`.
-        #: The matcher's probe reads it directly, and a subscriber joining
-        #: or leaving an existing entry XORs its bit into each of the
-        #: entry's values here; any other edit goes through
-        #: :meth:`add_entry` / :meth:`discard_entry`.
+    def __init__(self, items: Iterable[tuple[Iterable[object], int]]) -> None:
+        #: Live value-to-entry-count and value-to-mask mappings, with the
+        #: same keys.  The matcher's probe reads both directly, and its
+        #: commonest edit, a subscriber joining or leaving an ``Equals``
+        #: entry, XORs its bit into :attr:`masks` in place; any other edit
+        #: goes through :meth:`add` / :meth:`remove` / :meth:`flip`.
+        self.counts: dict[object, int] = {}
         self.masks: dict[object, int] = {}
-        for value, entries in table.items():
-            entry_ids = []
-            mask = 0
-            for entry_id, entry_mask in entries:
-                entry_ids.append(entry_id)
-                mask ^= entry_mask
-            self.table[value] = tuple(entry_ids)
-            self.masks[value] = mask
+        #: Number of live entries (a ``OneOf`` entry counts once).
+        self.entry_count = 0
+        for values, mask in items:
+            self.add(values, mask)
 
-    def lookup(self, value: object) -> tuple[tuple[int, ...], int]:
-        """Return the entry ids satisfied by ``value`` and their mask."""
-        return self.table.get(value, ()), self.masks.get(value, 0)
+    def lookup(self, value: object) -> tuple[int, int]:
+        """Return ``(count, mask)`` of the entries registered under ``value``."""
+        return self.counts.get(value, 0), self.masks.get(value, 0)
 
-    def add_entry(self, value: object, entry_id: int, mask: int) -> None:
-        """Register ``entry_id`` with subscriber ``mask`` under ``value``."""
-        existing = self.table.get(value)
-        if existing is None:
-            self.table[value] = (entry_id,)
-            self.masks[value] = mask
-        else:
-            self.table[value] = existing + (entry_id,)
-            self.masks[value] ^= mask
+    def add(self, values: Iterable[object], mask: int) -> None:
+        """Add one entry with subscriber ``mask`` under each of ``values``."""
+        counts, masks = self.counts, self.masks
+        for value in values:
+            count = counts.get(value, 0)
+            counts[value] = count + 1
+            masks[value] = masks[value] ^ mask if count else mask
+        self.entry_count += 1
 
-    def discard_entry(self, value: object, entry_id: int, mask: int) -> None:
-        """Unregister ``entry_id``, whose subscriber mask is ``mask``, from
-        ``value``; drops empty value rows."""
-        existing = self.table.get(value)
-        if existing is None or entry_id not in existing:
-            return
-        remaining = tuple(e for e in existing if e != entry_id)
-        if remaining:
-            self.table[value] = remaining
-            self.masks[value] ^= mask
-        else:
-            del self.table[value]
-            del self.masks[value]
+    def flip(self, values: Iterable[object], bit: int) -> None:
+        """XOR ``bit`` into the live entry registered under ``values``: one
+        subscriber joining or leaving it (counts do not move)."""
+        masks = self.masks
+        for value in values:
+            masks[value] ^= bit
+
+    def remove(self, values: Iterable[object], mask: int) -> None:
+        """Remove one entry, whose subscriber mask is ``mask``; a value
+        leaves with its last entry."""
+        counts, masks = self.counts, self.masks
+        for value in values:
+            count = counts[value] - 1
+            if count:
+                counts[value] = count
+                masks[value] ^= mask
+            else:
+                del counts[value], masks[value]
+        self.entry_count -= 1
 
     def __len__(self) -> int:
-        return len(self.table)
-
-    def items(self) -> Iterator[tuple[object, tuple[int, ...]]]:
-        """Iterate over ``(value, entry_ids)`` pairs (for cost estimation)."""
-        return iter(self.table.items())
+        return len(self.counts)
 
 
 class IntervalBucket:
@@ -171,26 +151,19 @@ class IntervalBucket:
     entries and the XOR of their masks.
     """
 
-    __slots__ = (
-        "_boundaries",
-        "_counts",
-        "_masks",
-        "_endpoint_refs",
-        "_stale_boundaries",
-        "probe_cost",
-    )
+    __slots__ = ("_boundaries", "_counts", "_masks", "_endpoint_refs", "entry_count", "probe_cost")
 
     def __init__(self, items: Sequence[tuple[Interval, int]]) -> None:
         boundaries = sorted({b for interval, _ in items for b in (interval.low, interval.high)})
         self._boundaries = boundaries
-        #: Live endpoint reference counts per boundary value; a boundary
-        #: whose count drops to zero is *stale* (see ``remove``).
+        #: Live endpoints per boundary value; its keys are the boundaries.
         refs: dict[float, int] = {}
         for interval, _ in items:
             refs[interval.low] = refs.get(interval.low, 0) + 1
             refs[interval.high] = refs.get(interval.high, 0) + 1
         self._endpoint_refs = refs
-        self._stale_boundaries = 0
+        #: Number of live range entries.
+        self.entry_count = len(items)
         # One sweep over the slabs builds every slab in O(k + slabs): each
         # interval covers a contiguous slab run determined by its
         # endpoints' openness, so it adds one to the count and XORs its
@@ -241,38 +214,48 @@ class IntervalBucket:
         return slab, self._counts[slab], self._masks[slab]
 
     # -- incremental maintenance ----------------------------------------------
-    def _ensure_boundary(self, value: float) -> bool:
-        """Splice ``value`` into the boundary list if it is not one yet.
+    def _register_endpoint(self, value: float) -> None:
+        """Count one live endpoint on ``value``, splicing it into the
+        boundary list if it is not a boundary yet.
 
         Inserting a boundary splits its enclosing gap slab into
         gap/point/gap.  The new point slab and both gap halves copy the old
         gap: the value was strictly inside the open gap, so exactly the
-        intervals covering the gap cover it.  Returns whether the boundary
-        was freshly inserted.
+        intervals covering the gap cover it.
         """
+        refs = self._endpoint_refs
+        count = refs.get(value, 0)
+        refs[value] = count + 1
+        if count:
+            return
         boundaries = self._boundaries
         position = bisect_left(boundaries, value)
-        if position < len(boundaries) and boundaries[position] == value:
-            return False
         boundaries.insert(position, value)
         gap = 2 * position
         for column in (self._counts, self._masks):
             column[gap:gap] = (column[gap], column[gap])
         self.probe_cost = max(1, len(boundaries).bit_length())
-        return True
 
-    def _register_endpoint(self, value: float) -> None:
-        """Ensure ``value`` is a boundary and count one live endpoint on it.
+    def _release_endpoint(self, value: float) -> None:
+        """Drop one live endpoint from ``value``, deleting the boundary
+        with its last one.
 
-        Bumping a pre-existing boundary whose reference count had dropped
-        to zero revives a stale boundary.
+        No live interval then ends at the boundary, so each covers its
+        point slab and the gaps on both sides alike: the point slab and the
+        gap above it go, and the gap below stands for all three.
         """
-        inserted = self._ensure_boundary(value)
         refs = self._endpoint_refs
-        count = refs.get(value, 0)
-        refs[value] = count + 1
-        if not inserted and count == 0:
-            self._stale_boundaries -= 1
+        count = refs[value] - 1
+        if count:
+            refs[value] = count
+            return
+        del refs[value]
+        boundaries = self._boundaries
+        position = bisect_left(boundaries, value)
+        del boundaries[position]
+        point = 2 * position + 1
+        del self._counts[point : point + 2], self._masks[point : point + 2]
+        self.probe_cost = max(1, len(boundaries).bit_length())
 
     def _slab_span(self, interval: Interval) -> tuple[int, int]:
         """Return the first covered slab of ``interval`` and the slab just
@@ -299,6 +282,7 @@ class IntervalBucket:
         self._register_endpoint(interval.low)
         self._register_endpoint(interval.high)
         self._edit(interval, 1, mask)
+        self.entry_count += 1
 
     def flip(self, interval: Interval, bit: int) -> None:
         """XOR ``bit`` over the slabs of the live entry on ``interval``: one
@@ -306,67 +290,19 @@ class IntervalBucket:
         self._edit(interval, 0, bit)
 
     def remove(self, interval: Interval, mask: int) -> None:
-        """Remove one range entry, whose subscriber mask is ``mask``.
-
-        The entry's endpoints usually stay in the boundary list (a stale
-        boundary is semantically invisible); once more than
-        :data:`STALE_COMPACTION_FRACTION` of the boundaries are stale the
-        slab structure is compacted in place, so heavy churn keeps the
-        probe depth and slab count proportional to the *live* entries.
-        """
+        """Remove one range entry, whose subscriber mask is ``mask``, and
+        every boundary that held only its endpoints."""
         self._edit(interval, -1, mask)
-        refs = self._endpoint_refs
-        for value in (interval.low, interval.high):
-            count = refs.get(value, 0) - 1
-            if count > 0:
-                refs[value] = count
-            elif count == 0:
-                refs[value] = 0
-                self._stale_boundaries += 1
-        if self._stale_boundaries > STALE_COMPACTION_FRACTION * len(self._boundaries):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every stale boundary and merge its slabs in place.
-
-        A stale boundary carries no live endpoint, so every live interval
-        covering any of its three adjacent slabs (gap, point, gap) covers
-        all of them — the slabs are equal and collapse into one gap slab
-        without changing any lookup result.
-        """
-        refs = self._endpoint_refs
-        counts, masks = self._counts, self._masks
-        kept_boundaries: list[float] = []
-        kept_counts = [counts[0]]
-        kept_masks = [masks[0]]
-        for index, value in enumerate(self._boundaries):
-            if refs.get(value, 0) > 0:
-                kept_boundaries.append(value)
-                point = 2 * index + 1
-                kept_counts += counts[point : point + 2]
-                kept_masks += masks[point : point + 2]
-            else:
-                # Stale: its point slab equals both neighbouring gaps, so
-                # skipping the boundary keeps the (identical) gap already
-                # recorded.
-                refs.pop(value, None)
-        self._boundaries = kept_boundaries
-        self._counts = kept_counts
-        self._masks = kept_masks
-        self._stale_boundaries = 0
-        self.probe_cost = max(1, len(kept_boundaries).bit_length())
+        self._release_endpoint(interval.low)
+        self._release_endpoint(interval.high)
+        self.entry_count -= 1
 
     def __len__(self) -> int:
         return len(self._boundaries)
 
     @property
-    def entry_count(self) -> int:
-        """Number of live range entries: each holds two endpoint references."""
-        return sum(self._endpoint_refs.values()) // 2
-
-    @property
     def boundaries(self) -> Sequence[float]:
-        """The sorted slab boundaries, stale ones included (read-only)."""
+        """The sorted slab boundaries: the live entries' endpoints (read-only)."""
         return self._boundaries
 
     @property

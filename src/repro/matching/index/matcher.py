@@ -97,9 +97,11 @@ to the total predicate population.  Strategy decisions (index-vs-scan per
 attribute, the probe order) are *not* recomputed per churn op; maintenance
 merely raises a deferred-replan flag and the planner recosts lazily the
 next time :attr:`plan` (or an estimated cost) is asked for, and a
-:meth:`replan` re-plans the same buckets under a new planner.  Stale slab
-boundaries are compacted by the interval bucket itself, and the probe
-order is ranked off the same live buckets (``IndexPlanner.rejection_scores``).
+:meth:`replan` re-plans the same buckets under a new planner.  A bucket
+holds only its live entries — a slab boundary leaves with its last
+endpoint, a hash value with its last entry — so a churned matcher plans,
+ranks its probe order (``IndexPlanner.rejection_scores``) and charges
+exactly as one built afresh over the same live profiles.
 
 Maintenance must go through the matcher's own methods; mutating the wrapped
 :class:`~repro.core.profiles.ProfileSet` directly desynchronises the index.
@@ -145,10 +147,9 @@ def _classify(predicate: Predicate) -> int:
 class _Entry:
     """One distinct ``(attribute, predicate)`` pair and its subscribers."""
 
-    __slots__ = ("entry_id", "predicate", "kind", "mask")
+    __slots__ = ("predicate", "kind", "mask")
 
-    def __init__(self, entry_id: int, predicate: Predicate, kind: int) -> None:
-        self.entry_id = entry_id
+    def __init__(self, predicate: Predicate, kind: int) -> None:
         self.predicate = predicate
         self.kind = kind
         #: Bitmask of the subscribing profiles' dense ids.
@@ -173,10 +174,8 @@ class _AttributeState:
 
     __slots__ = (
         "entries",
-        "next_entry_id",
         "hash_bucket",
         "interval_bucket",
-        "range_entry_count",
         "residual",
         "use_hash",
         "use_interval",
@@ -186,10 +185,8 @@ class _AttributeState:
 
     def __init__(self, free: int = 0) -> None:
         self.entries: dict[Predicate, _Entry] = {}
-        self.next_entry_id = 0
         self.hash_bucket: HashBucket | None = None
         self.interval_bucket: IntervalBucket | None = None
-        self.range_entry_count = 0
         #: The entries no bucket holds (``NotEquals``-style): the probe
         #: calls their ``matches``.
         self.residual: tuple[_Entry, ...] = ()
@@ -208,9 +205,7 @@ class _AttributeState:
 
     def new_entry(self, predicate: Predicate) -> _Entry:
         """Register a new entry for ``predicate`` (bucket edits are the caller's)."""
-        entry = _Entry(self.next_entry_id, predicate, _classify(predicate))
-        self.next_entry_id += 1
-        self.entries[predicate] = entry
+        entry = self.entries[predicate] = _Entry(predicate, _classify(predicate))
         if entry.kind == _SCAN:
             self.residual += (entry,)
         return entry
@@ -237,29 +232,23 @@ class _AttributeState:
         one operation per residual entry and per entry of a structure the
         plan does not index.  A mask-only edit changes no count."""
         scanned = len(self.residual)
-        if not self.use_interval:
-            scanned += self.range_entry_count
-        if not self.use_hash:
-            scanned += len(self.entries) - self.range_entry_count - len(self.residual)
+        if not self.use_hash and self.hash_bucket is not None:
+            scanned += self.hash_bucket.entry_count
+        if not self.use_interval and self.interval_bucket is not None:
+            scanned += self.interval_bucket.entry_count
         self.scan_charge = scanned
 
     def flip(self, entry: _Entry, bit: int) -> None:
         """XOR ``bit`` into the bucket masks of the live ``entry``: one
         subscriber joining or leaving it (``entry.mask`` is the caller's).
 
-        A hash entry flips each value it is registered under — one dict
-        XOR for an ``Equals`` — and a range entry every slab of its span.
-        A residual entry has no bucket mask: the probe reads its mask live.
+        A hash entry flips each value it is registered under and a range
+        entry every slab of its span.  A residual entry has no bucket mask:
+        the probe reads its mask live.
         """
         kind = entry.kind
         if kind == _HASH:
-            masks = self.hash_bucket.masks
-            predicate = entry.predicate
-            if isinstance(predicate, Equals):
-                masks[predicate.value] ^= bit
-            else:
-                for value in predicate.values:
-                    masks[value] ^= bit
+            self.hash_bucket.flip(_hash_values(entry.predicate), bit)
         elif kind == _RANGE:
             self.interval_bucket.flip(entry.predicate.interval, bit)
 
@@ -281,11 +270,11 @@ class _AttributeState:
         slab = -1
         hash_bucket = self.hash_bucket
         if hash_bucket is not None:
-            entry_ids = hash_bucket.table.get(value)
-            if entry_ids:
+            count = hash_bucket.counts.get(value)
+            if count:
                 mask = hash_bucket.masks[value]
                 if self.use_hash:
-                    operations += 1 + len(entry_ids)
+                    operations += 1 + count
             elif self.use_hash:
                 operations += 1
         interval_bucket = self.interval_bucket
@@ -442,17 +431,15 @@ class PredicateIndexMatcher:
             state.free = self._live ^ _mask_of(ids, width)
 
         for state in self._states.values():
-            hash_items: dict[object, list[tuple[int, int]]] = {}
+            hash_items = []
             interval_items = []
             for predicate, entry in state.entries.items():
                 if entry.kind == _HASH:
-                    for value in _hash_values(predicate):
-                        hash_items.setdefault(value, []).append((entry.entry_id, entry.mask))
+                    hash_items.append((_hash_values(predicate), entry.mask))
                 elif entry.kind == _RANGE:
                     interval_items.append((predicate.interval, entry.mask))
             state.hash_bucket = HashBucket(hash_items) if hash_items else None
             state.interval_bucket = IntervalBucket(interval_items) if interval_items else None
-            state.range_entry_count = len(interval_items)
         self._recompute_plan()
 
     def _create_entry(self, state: _AttributeState, predicate: Predicate, bit: int) -> None:
@@ -462,15 +449,13 @@ class PredicateIndexMatcher:
         if entry.kind == _HASH:
             bucket = state.hash_bucket
             if bucket is None:
-                bucket = state.hash_bucket = HashBucket({})
-            for value in _hash_values(predicate):
-                bucket.add_entry(value, entry.entry_id, bit)
+                bucket = state.hash_bucket = HashBucket([])
+            bucket.add(_hash_values(predicate), bit)
         elif entry.kind == _RANGE:
             bucket = state.interval_bucket
             if bucket is None:
                 bucket = state.interval_bucket = IntervalBucket([])
             bucket.add(predicate.interval, bit)
-            state.range_entry_count += 1
         state.recharge()
 
     def _drop_entry(
@@ -479,16 +464,12 @@ class PredicateIndexMatcher:
         """Unregister ``entry`` after its last subscriber ``bit`` left."""
         del state.entries[predicate]
         if entry.kind == _HASH:
-            bucket = state.hash_bucket
-            for value in _hash_values(predicate):
-                bucket.discard_entry(value, entry.entry_id, bit)
-            if len(bucket) == 0:
+            state.hash_bucket.remove(_hash_values(predicate), bit)
+            if not state.hash_bucket.entry_count:
                 state.hash_bucket = None
         elif entry.kind == _RANGE:
             state.interval_bucket.remove(predicate.interval, bit)
-            state.range_entry_count -= 1
-            if state.range_entry_count == 0:
-                # Dropping the empty bucket sheds its stale boundaries.
+            if not state.interval_bucket.entry_count:
                 state.interval_bucket = None
         else:
             state.residual = tuple(other for other in state.residual if other is not entry)

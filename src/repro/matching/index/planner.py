@@ -181,8 +181,8 @@ class IndexPlanner:
     def expected_hash_hits(self, attribute: str, domain: Domain, bucket: "HashBucket") -> float:
         """Return ``E[hits]`` of a hash bucket under ``P_e``."""
         return sum(
-            self._value_probability(attribute, domain, value) * len(entry_ids)
-            for value, entry_ids in bucket.items()
+            self._value_probability(attribute, domain, value) * count
+            for value, count in bucket.counts.items()
         )
 
     def expected_interval_hits(
@@ -242,10 +242,10 @@ class IndexPlanner:
         hash_entries = 0
         hash_index_cost = 0.0
         if hash_bucket is not None and len(hash_bucket) > 0:
-            # Distinct entries, not per-value registrations: a OneOf entry
-            # appears under every accepted value but a scan evaluates the
-            # predicate once, so scan_cost must count it once.
-            hash_entries = len({i for _, ids in hash_bucket.items() for i in ids})
+            # Entries, not per-value registrations: a OneOf entry appears
+            # under every accepted value but a scan evaluates the predicate
+            # once, so scan_cost counts it once.
+            hash_entries = hash_bucket.entry_count
             hash_index_cost = hash_bucket.probe_cost + self.expected_hash_hits(
                 attribute, domain, hash_bucket
             )
@@ -432,7 +432,7 @@ def _zero_subdomain(
     is a maximal run of slabs with one mask, cut at hash keys and residual
     bounds: entry masks are disjoint, so it is one region of the sweep.
     """
-    keys = hash_bucket.table if hash_bucket is not None else ()
+    keys = hash_bucket.counts if hash_bucket is not None else ()
     if isinstance(domain, DiscreteDomain) or (
         isinstance(domain, IntegerDomain) and interval_bucket is None
     ):

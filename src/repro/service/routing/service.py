@@ -291,8 +291,12 @@ class NetworkService:
         return SubscriptionHandle(self, home, subscription_id)
 
     # Handle hooks: each broker call is followed by the routing delta.
-    # Profile-id uniqueness is network-wide: ``_homes`` holds every
-    # registered id, paused ones included.
+    # Whether a profile is routed is read off its home broker's first-hop
+    # link tables, never off the registry: a pause or resume made on the
+    # home broker directly moves no routing state, and ``_propagate_add``
+    # / ``_propagate_remove`` skip a first hop that already holds / lacks
+    # the profile.  Profile-id uniqueness is network-wide: ``_homes``
+    # holds every registered id, paused ones included.
     def _require_free(self, pid: str) -> None:
         if pid in self._homes:
             raise SubscriptionError(
@@ -319,12 +323,11 @@ class NetworkService:
         old_pid = broker.subscriptions.get(subscription_id).profile.profile_id
         if profile.profile_id != old_pid:
             self._require_free(profile.profile_id)
-        was_paused = broker.is_paused(subscription_id)
         broker.modify_subscription(subscription_id, profile)
         del self._homes[old_pid]
         self._homes[profile.profile_id] = broker.broker_id
-        if not was_paused:
-            self._propagate_remove(broker.broker_id, old_pid)
+        self._propagate_remove(broker.broker_id, old_pid)
+        if not broker.is_paused(subscription_id):
             self._propagate_add(broker.broker_id, profile)
 
     def _cancel(self, broker: Broker, subscription_id: str) -> Subscription:
@@ -342,14 +345,18 @@ class NetworkService:
 
         Iterative BFS: each visited broker inserts the profile into the
         covering table of the link it arrived on; a covered insert stores
-        the entry inactive and stops the flood on that branch.
+        the entry inactive and stops the flood on that branch.  A first
+        hop whose table already holds the profile is routed already and is
+        skipped.
         """
+        pid = profile.profile_id
         self._flood_add(
             profile,
             deque(
                 (neighbour, start_id)
                 for neighbour in sorted(self._adjacency[start_id])
                 if neighbour != exclude
+                and pid not in self._brokers[neighbour].link(start_id).table
             ),
         )
 

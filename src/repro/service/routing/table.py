@@ -29,7 +29,7 @@ and the routing benchmark gate on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.errors import RoutingError
 from repro.core.profiles import Profile

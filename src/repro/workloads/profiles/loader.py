@@ -76,12 +76,7 @@ from repro.core.errors import (
 from repro.core.schema import Attribute, Schema
 from repro.distributions.library import make_distribution
 from repro.matching.registry import engine_family
-from repro.workloads.profiles.model import (
-    DEFAULT_FAMILIES,
-    EngineHints,
-    RunShape,
-    ScenarioProfile,
-)
+from repro.workloads.profiles.model import EngineHints, RunShape, ScenarioProfile
 from repro.workloads.spec import AttributeSpec, MixGroup, WorkloadSpec
 
 __all__ = [

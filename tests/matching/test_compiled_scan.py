@@ -283,8 +283,8 @@ def reference_operations(matcher: PredicateIndexMatcher, event: Event) -> int:
             if entry.predicate.matches(value):
                 satisfied |= entry.mask
         if state.use_hash and state.hash_bucket is not None:
-            entry_ids, _ = state.hash_bucket.lookup(value)
-            operations += 1 + len(entry_ids)
+            count, _ = state.hash_bucket.lookup(value)
+            operations += 1 + count
         if state.use_interval and state.interval_bucket is not None:
             bucket = state.interval_bucket
             _, count, _ = bucket.lookup(value)

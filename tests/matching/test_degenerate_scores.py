@@ -8,10 +8,15 @@ of the partition reference (:func:`scan_reference.partition_rejection_scores`)
 continuous one, where the uncovered measure and the domain size less the
 covered measure may round apart — the probe order must be the
 reference's, and the matches must be the oracle's.
+
+The profile tree takes the same cases: the tree it builds must equal the
+unfolded reference's (:func:`tree_reference.reference_build_tree`) and
+its matches the oracle's.
 """
 
 import pytest
 from scan_reference import attribute_indexes, partition_probe_order, partition_rejection_scores
+from tree_reference import reference_build_tree
 
 from repro.core.domains import ContinuousDomain, DiscreteDomain, IntegerDomain
 from repro.core.events import Event
@@ -22,6 +27,7 @@ from repro.distributions.continuous import PiecewiseConstantDistribution
 from repro.distributions.discrete import DiscreteDistribution
 from repro.matching.index import IndexPlanner, PredicateIndexMatcher
 from repro.matching.naive import NaiveMatcher
+from repro.matching.tree.matcher import TreeMatcher
 
 #: The companion attribute every profile also constrains, so the probe
 #: order has two scores to rank.
@@ -89,17 +95,26 @@ def distribution_over(domain):
     return DiscreteDistribution(domain, {v: 1 + i % 7 for i, v in enumerate(values) if i % 3 != 1})
 
 
-def build(domain, predicates, measured):
+def profile_set(domain, predicates):
+    """One profile per predicate on ``v``, each also constraining ``w``."""
     schema = Schema([Attribute("v", domain), COMPANION])
-    profiles = [
-        Profile(f"P{index}", {"v": predicate, "w": Equals(index % 10)})
-        for index, predicate in enumerate(predicates)
-    ]
+    return ProfileSet(
+        schema,
+        [
+            Profile(f"P{index}", {"v": predicate, "w": Equals(index % 10)})
+            for index, predicate in enumerate(predicates)
+        ],
+    )
+
+
+def build(domain, predicates, measured):
+    profiles = profile_set(domain, predicates)
+    schema = profiles.schema
     distributions = None
     if measured:
         distributions = {"v": distribution_over(domain), "w": distribution_over(COMPANION.domain)}
     planner = IndexPlanner(distributions)
-    matcher = PredicateIndexMatcher(ProfileSet(schema, profiles), planner=planner)
+    matcher = PredicateIndexMatcher(profiles, planner=planner)
     return schema, planner, matcher
 
 
@@ -122,6 +137,16 @@ def test_degenerate_scores_equal_the_partition_scores(case, measured):
     assert scores == partition_rejection_scores(planner, matcher.profiles)
     assert matcher.plan.probe_order == partition_probe_order(planner, matcher.profiles)
     assert_oracle_matches(schema, matcher, values)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_the_tree_builds_the_reference_tree_and_matches_the_oracle(case):
+    domain, predicates, values = CASES[case]
+    profiles = profile_set(domain, predicates)
+    matcher = TreeMatcher(profiles)
+
+    assert matcher.tree == reference_build_tree(profiles)
+    assert_oracle_matches(profiles.schema, matcher, values)
 
 
 @pytest.mark.parametrize("measured", [False, True], ids=["A1", "A2"])

@@ -4,9 +4,9 @@ The interval-bucket cases nail down the slab decomposition's edge
 behaviour: open vs closed bounds, duplicate boundaries shared by several
 ranges, degenerate point intervals and unbounded (``>=`` / ``<=``) ranges.
 
-Buckets store masks, not entry ids per slab, so every bucket here is
-built with entry ``i`` carrying mask ``1 << i`` and a lookup's entries
-are read back from its mask by :func:`hits`.
+Buckets store a count and a mask per key, not entry ids, so every
+bucket here is built with entry ``i`` carrying mask ``1 << i`` and a
+lookup's entries are read back from its mask by :func:`hits`.
 """
 
 import math
@@ -33,7 +33,11 @@ def decode(mask: int) -> tuple[int, ...]:
 
 def hash_bucket(table) -> HashBucket:
     """A hash bucket over ``{value: [entry ids]}``, entry ``i`` with mask ``1 << i``."""
-    return HashBucket({value: [(i, 1 << i) for i in ids] for value, ids in table.items()})
+    values: dict[int, list] = {}
+    for value, ids in table.items():
+        for i in ids:
+            values.setdefault(i, []).append(value)
+    return HashBucket([(entry_values, 1 << i) for i, entry_values in values.items()])
 
 
 def slab_bucket(items) -> IntervalBucket:
@@ -44,13 +48,12 @@ def slab_bucket(items) -> IntervalBucket:
 
 def hits(bucket, value) -> tuple[int, ...]:
     """The entry ids ``bucket`` resolves for ``value``, read from the mask;
-    the lookup's id tuple (hash) or count (slab) must agree with it."""
+    the lookup's count must agree with it."""
     if isinstance(bucket, HashBucket):
-        entry_ids, mask = bucket.lookup(value)
-        assert tuple(sorted(entry_ids)) == decode(mask)
+        count, mask = bucket.lookup(value)
     else:
         _, count, mask = bucket.lookup(value)
-        assert count == mask.bit_count()
+    assert count == mask.bit_count()
     return decode(mask)
 
 
@@ -61,9 +64,21 @@ class TestHashBucket:
         assert hits(bucket, "MSFT") == (1,)
         assert hits(bucket, "GOOG") == ()
         assert len(bucket) == 2
+        assert bucket.entry_count == 3
 
     def test_probe_cost_is_one_comparison(self):
-        assert HashBucket({}).probe_cost == 1
+        assert HashBucket([]).probe_cost == 1
+
+    def test_a_value_leaves_with_its_last_entry(self):
+        bucket = HashBucket([(("AAPL", "MSFT"), 0b01), (("AAPL",), 0b10)])
+        assert bucket.counts == {"AAPL": 2, "MSFT": 1}
+        assert bucket.masks == {"AAPL": 0b11, "MSFT": 0b01}
+        bucket.flip(("AAPL", "MSFT"), 0b100)
+        assert bucket.masks == {"AAPL": 0b111, "MSFT": 0b101}
+        bucket.remove(("AAPL", "MSFT"), 0b101)
+        assert (bucket.counts, bucket.masks, bucket.entry_count) == ({"AAPL": 1}, {"AAPL": 0b10}, 1)
+        bucket.remove(("AAPL",), 0b10)
+        assert (bucket.counts, bucket.masks, bucket.entry_count, len(bucket)) == ({}, {}, 0, 0)
 
 
 class TestIntervalBucket:
@@ -163,19 +178,19 @@ class TestIntervalBucket:
 
 
 class TestIntervalBucketCompaction:
-    """Removal-driven in-place compaction of stale slab boundaries."""
+    """A boundary leaves with its last endpoint, so the slabs follow the
+    live entries alone."""
 
     def test_heavy_churn_pins_slab_length(self):
-        """The satellite claim: after add/remove churn the boundary list
-        stays proportional to the *live* entries, not the churn history."""
+        """After add/remove churn the boundary list holds exactly the
+        *live* entries' endpoints, whatever the churn history."""
         bucket = slab_bucket([(Interval.closed(0, 1), 0)])
         for entry_id in range(1, 500):
             interval = Interval.closed(entry_id * 10, entry_id * 10 + 5)
             bucket.add(interval, 1 << entry_id)
             bucket.remove(interval, 1 << entry_id)
-            # One live interval keeps 2 boundaries; churned endpoints must
-            # never accumulate past the stale-fraction threshold.
-            assert len(bucket) <= 5, f"slab grew to {len(bucket)} boundaries"
+            # One live interval keeps its 2 boundaries and no churned one.
+            assert len(bucket) == 2, f"slab grew to {len(bucket)} boundaries"
         assert hits(bucket, 0.5) == (0,)
         assert hits(bucket, 15) == ()
         assert bucket.probe_cost <= 3
@@ -183,8 +198,8 @@ class TestIntervalBucketCompaction:
     def test_compaction_preserves_lookup_semantics(self):
         live = [(Interval.closed(0, 10), 0), (Interval.open(5, 15), 1)]
         bucket = slab_bucket(live)
-        # Churn enough overlapping entries through the bucket to trigger
-        # several compactions.
+        # Churn overlapping entries through the bucket, some sharing the
+        # live entries' endpoints.
         for entry_id in range(2, 40):
             interval = Interval.closed_open(entry_id * 0.25, entry_id * 0.25 + 3)
             bucket.add(interval, 1 << entry_id)
@@ -194,7 +209,11 @@ class TestIntervalBucketCompaction:
         fresh = slab_bucket(live)
         for value in [x * 0.5 for x in range(-2, 35)]:
             assert hits(bucket, value) == hits(fresh, value), value
-        assert len(bucket) == len(fresh)
+        assert (list(bucket.boundaries), list(bucket.counts), list(bucket.masks)) == (
+            list(fresh.boundaries),
+            list(fresh.counts),
+            list(fresh.masks),
+        )
 
     def test_entry_count_tracks_the_live_entries_through_churn(self):
         """The planner's scan cost reads this count instead of walking
@@ -207,7 +226,7 @@ class TestIntervalBucketCompaction:
             [(Interval.closed(0, 10), 0), (Interval.point(5), 1), (Interval.open(5, 15), 2)]
         )
         assert bucket.entry_count == distinct_in_covers(bucket) == 3
-        for entry_id in range(3, 40):  # enough churn to compact repeatedly
+        for entry_id in range(3, 40):
             interval = Interval.closed_open(entry_id * 0.25, entry_id * 0.25 + 3)
             bucket.add(interval, 1 << entry_id)
             assert bucket.entry_count == distinct_in_covers(bucket) == 4
@@ -226,7 +245,7 @@ class TestIntervalBucketCompaction:
         assert hits(bucket, 5) == ()
         assert hits(bucket, 15) == (1,)
 
-    def test_readding_a_stale_endpoint_revives_it(self):
+    def test_readding_a_removed_endpoint_splices_it_back(self):
         bucket = slab_bucket([(Interval.closed(0, 10), 0), (Interval.closed(2, 3), 1)])
         bucket.remove(Interval.closed(2, 3), 1 << 1)
         bucket.add(Interval.closed(2, 3), 1 << 2)
@@ -331,7 +350,7 @@ def test_counts_and_masks_equal_the_tuple_reference_after_every_edit(initial, ed
             reference.remove(intervals.pop(entry), entry)
             del subscribers[entry]
             if len(bucket) < before:
-                event("compacted")
+                event("boundary deleted")
         assert_slabs_equal_the_reference(bucket, reference, masks)
         for value in probes:
             slab, count, mask = bucket.lookup(value)

@@ -21,7 +21,8 @@ from repro.core.predicates import Equals, NotEquals, OneOf, RangePredicate
 from repro.core.profiles import Profile, ProfileSet
 from repro.core.schema import Attribute, Schema
 from repro.matching.index import PredicateIndexMatcher, kernel
-from repro.matching.index.matcher import _dense_ids
+from repro.matching.index.buckets import HashBucket, IntervalBucket
+from repro.matching.index.matcher import _dense_ids, _hash_values
 from repro.matching.naive import NaiveMatcher
 from repro.workloads import build_workload, get_profile
 
@@ -286,6 +287,80 @@ def test_churned_plan_recost_stays_consistent(data):
             matcher.match(event).matched_profile_ids
             == oracle.match(event).matched_profile_ids
         )
+
+
+def assert_buckets_hold_only_live_entries(matcher):
+    """Each bucket equals one built afresh from its live entries' keys and
+    masks: the same counts and masks per key, entry count and (for slabs)
+    boundaries and probe cost."""
+    for state in matcher._states.values():
+        hashed = [
+            (_hash_values(predicate), entry.mask)
+            for predicate, entry in state.entries.items()
+            if isinstance(predicate, (Equals, OneOf))
+        ]
+        ranges = [
+            (predicate.interval, entry.mask)
+            for predicate, entry in state.entries.items()
+            if isinstance(predicate, RangePredicate)
+        ]
+        if hashed:
+            bucket, fresh = state.hash_bucket, HashBucket(hashed)
+            assert (bucket.counts, bucket.masks, bucket.entry_count) == (
+                fresh.counts,
+                fresh.masks,
+                fresh.entry_count,
+            )
+        else:
+            assert state.hash_bucket is None
+        if ranges:
+            bucket, fresh = state.interval_bucket, IntervalBucket(ranges)
+            assert list(bucket.boundaries) == list(fresh.boundaries)
+            assert list(bucket.counts) == list(fresh.counts)
+            assert list(bucket.masks) == list(fresh.masks)
+            assert (bucket.entry_count, bucket.probe_cost) == (fresh.entry_count, fresh.probe_cost)
+        else:
+            assert state.interval_bucket is None
+
+
+@given(churn_runs())
+@settings(max_examples=120, deadline=None)
+def test_every_bucket_equals_a_fresh_build_of_its_live_entries(data):
+    """Random subscribe / cancel scripts over ``Equals``, ``OneOf``, range
+    and ``NotEquals`` profiles add, remove and flip bucket entries (pool
+    profiles share predicates, so a toggle may only move a subscriber bit);
+    after every step no bucket keeps anything of a removed entry."""
+    pool, script, _ = data
+    matcher = PredicateIndexMatcher(ProfileSet(make_schema()))
+    for index in script:
+        profile = pool[index]
+        if profile.profile_id in matcher.profiles:
+            matcher.remove_profile(profile.profile_id)
+        else:
+            matcher.add_profile(profile)
+        assert_buckets_hold_only_live_entries(matcher)
+
+
+def test_a_churned_matcher_plans_and_charges_as_a_fresh_build():
+    """Cancelling every other of 20 disjoint ranges leaves the index a
+    fresh build over the 10 live profiles would make: 20 boundaries, the
+    same plan and the same 723 operations over 143 events.  A bucket that
+    kept the cancelled endpoints held 40 boundaries, probed one level
+    deeper and charged 866."""
+    schema = Schema([Attribute("x", IntegerDomain(0, 1000))])
+    profiles = [
+        Profile(f"p{i}", {"x": RangePredicate.between(10 * i, 10 * i + 5)}) for i in range(20)
+    ]
+    churned = PredicateIndexMatcher(ProfileSet(schema, profiles))
+    for profile in profiles[::2]:
+        churned.remove_profile(profile.profile_id)
+    fresh = PredicateIndexMatcher(ProfileSet(schema, profiles[1::2]))
+    assert churned.plan.attributes == fresh.plan.attributes
+    boundaries = [len(m._states["x"].interval_bucket) for m in (churned, fresh)]
+    assert boundaries == [20, 20]
+    events = [Event({"x": x}) for x in range(0, 1000, 7)]
+    charges = [sum(m.match(event).operations for event in events) for m in (churned, fresh)]
+    assert charges == [723, 723]
 
 
 def test_generator_workload_churn_equivalence():

@@ -31,7 +31,6 @@ from repro.core.schema import Attribute
 from repro.core.subranges import AttributePartition, Subrange, build_partitions
 from repro.distributions.base import project_onto_partition
 from repro.distributions.discrete import DiscreteDistribution
-from repro.matching.index.buckets import STALE_COMPACTION_FRACTION
 from repro.selectivity.attribute_measures import AttributeMeasure, attribute_selectivities
 
 __all__ = [
@@ -224,9 +223,10 @@ class TupleIntervalBucket:
     """The slab bucket as it was when each slab held the sorted tuple of
     its covering entry ids, rebuilt on every edit.
 
-    Same boundaries, stale-boundary bookkeeping and compaction rule as
-    :class:`~repro.matching.index.buckets.IntervalBucket`, so the two have
-    the same slabs after any edit sequence.
+    Same boundaries as
+    :class:`~repro.matching.index.buckets.IntervalBucket` — a boundary
+    leaves with its last endpoint — so the two have the same slabs after
+    any edit sequence.
 
     The constructor decomposes the input intervals into point slabs (one per
     distinct endpoint) and gap slabs (the open interval between consecutive
@@ -235,26 +235,17 @@ class TupleIntervalBucket:
     its endpoint's point slab only when that side is closed.
     """
 
-    __slots__ = (
-        "_boundaries",
-        "_point_cover",
-        "_gap_cover",
-        "_endpoint_refs",
-        "_stale_boundaries",
-        "probe_cost",
-    )
+    __slots__ = ("_boundaries", "_point_cover", "_gap_cover", "_endpoint_refs", "probe_cost")
 
     def __init__(self, items: Sequence[tuple[Interval, int]]) -> None:
         boundaries = sorted({b for interval, _ in items for b in (interval.low, interval.high)})
         self._boundaries = boundaries
-        #: Live endpoint reference counts per boundary value; a boundary
-        #: whose count drops to zero is *stale* (see ``remove``).
+        #: Live endpoints per boundary value; its keys are the boundaries.
         refs: dict[float, int] = {}
         for interval, _ in items:
             refs[interval.low] = refs.get(interval.low, 0) + 1
             refs[interval.high] = refs.get(interval.high, 0) + 1
         self._endpoint_refs = refs
-        self._stale_boundaries = 0
         # One sweep over the slab sequence gap_0, point_0, gap_1, ...,
         # point_{n-1}, gap_n (slab position 2j for gap j, 2i+1 for point i)
         # builds every cover in O(k log k): each interval covers a single
@@ -297,38 +288,43 @@ class TupleIntervalBucket:
         return self._gap_cover[position]
 
     # -- incremental maintenance ----------------------------------------------
-    def _ensure_boundary(self, value: float) -> bool:
-        """Splice ``value`` into the boundary list if it is not one yet.
+    def _register_endpoint(self, value: float) -> None:
+        """Count one live endpoint on ``value``, splicing it into the
+        boundary list if it is not one yet.
 
         Inserting a boundary splits its enclosing gap slab into
         gap/point/gap.  The new point slab and both gap halves inherit the
         old gap's cover: the value was strictly inside the open gap, so
-        exactly the intervals covering the gap cover it.  Returns whether
-        the boundary was freshly inserted.
+        exactly the intervals covering the gap cover it.
         """
+        refs = self._endpoint_refs
+        refs[value] = refs.get(value, 0) + 1
+        if refs[value] > 1:
+            return
         boundaries = self._boundaries
         position = bisect_left(boundaries, value)
-        if position < len(boundaries) and boundaries[position] == value:
-            return False
         boundaries.insert(position, value)
         split_cover = self._gap_cover[position]
         self._point_cover.insert(position, split_cover)
         self._gap_cover.insert(position + 1, split_cover)
         self.probe_cost = max(1, len(boundaries).bit_length())
-        return True
 
-    def _register_endpoint(self, value: float) -> None:
-        """Ensure ``value`` is a boundary and count one live endpoint on it.
-
-        Bumping a pre-existing boundary whose reference count had dropped
-        to zero revives a stale boundary.
-        """
-        inserted = self._ensure_boundary(value)
+    def _release_endpoint(self, value: float) -> None:
+        """Drop one live endpoint from ``value``; with the last one the
+        boundary, its point cover and the gap cover above it go (both equal
+        the gap cover below)."""
         refs = self._endpoint_refs
-        count = refs.get(value, 0)
-        refs[value] = count + 1
-        if not inserted and count == 0:
-            self._stale_boundaries -= 1
+        refs[value] -= 1
+        if refs[value]:
+            return
+        del refs[value]
+        position = bisect_left(self._boundaries, value)
+        assert self._point_cover[position] == self._gap_cover[position]
+        assert self._gap_cover[position + 1] == self._gap_cover[position]
+        del self._boundaries[position]
+        del self._point_cover[position]
+        del self._gap_cover[position + 1]
+        self.probe_cost = max(1, len(self._boundaries).bit_length())
 
     def _slab_span(self, interval: Interval) -> tuple[int, int]:
         """Return the first/last covered slab positions of ``interval``.
@@ -360,14 +356,8 @@ class TupleIntervalBucket:
                 gap_cover[index] = updated
 
     def remove(self, interval: Interval, entry_id: int) -> None:
-        """Remove one range entry from its covered slabs.
-
-        The entry's endpoints usually stay in the boundary list (a stale
-        boundary is semantically invisible); once more than
-        :data:`STALE_COMPACTION_FRACTION` of the boundaries are stale the
-        slab structure is compacted in place, so heavy churn keeps the
-        probe depth and slab count proportional to the *live* entries.
-        """
+        """Remove one range entry from its covered slabs, and every
+        boundary that held only its endpoints."""
         first, last = self._slab_span(interval)
         point_cover, gap_cover = self._point_cover, self._gap_cover
         for position in range(first, last + 1):
@@ -378,46 +368,8 @@ class TupleIntervalBucket:
                 point_cover[index] = updated
             else:
                 gap_cover[index] = updated
-        refs = self._endpoint_refs
-        for value in (interval.low, interval.high):
-            count = refs.get(value, 0) - 1
-            if count > 0:
-                refs[value] = count
-            elif count == 0:
-                refs[value] = 0
-                self._stale_boundaries += 1
-        if self._stale_boundaries > STALE_COMPACTION_FRACTION * len(self._boundaries):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every stale boundary and merge its slabs in place.
-
-        A stale boundary carries no live endpoint, so every live interval
-        covering any of its three adjacent slabs (gap, point, gap) covers
-        all of them — the covers are equal and collapse into one gap slab
-        without changing any lookup result.
-        """
-        refs = self._endpoint_refs
-        boundaries = self._boundaries
-        point_cover, gap_cover = self._point_cover, self._gap_cover
-        kept_boundaries: list[float] = []
-        kept_points: list[tuple[int, ...]] = []
-        kept_gaps: list[tuple[int, ...]] = [gap_cover[0]]
-        for index, value in enumerate(boundaries):
-            if refs.get(value, 0) > 0:
-                kept_boundaries.append(value)
-                kept_points.append(point_cover[index])
-                kept_gaps.append(gap_cover[index + 1])
-            else:
-                # Stale: its point cover equals both neighbouring gap
-                # covers, so skipping the boundary keeps the (identical)
-                # gap already recorded.
-                refs.pop(value, None)
-        self._boundaries = kept_boundaries
-        self._point_cover = kept_points
-        self._gap_cover = kept_gaps
-        self._stale_boundaries = 0
-        self.probe_cost = max(1, len(kept_boundaries).bit_length())
+        self._release_endpoint(interval.low)
+        self._release_endpoint(interval.high)
 
     def covers(self) -> list[tuple[int, ...]]:
         """Every slab's cover, in the order ``IntervalBucket.slabs()`` walks:

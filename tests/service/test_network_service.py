@@ -695,6 +695,55 @@ class TestOverlayProtocol:
         held.resume()
         assert service.publish(Event({"price": 50}), at="b").total_notifications == 1
 
+    def test_a_pause_made_on_the_home_broker_leaves_the_handle_working(self):
+        """A pause made on the home broker's own engine withdraws nothing
+        from routing.  The handle's resume and modify read the routing off
+        the first-hop tables, so resume routes the profile once and modify
+        retracts the old one, as in a network paused through the handle."""
+        events = [Event({"price": price, "volume": 1}) for price in (5, 50, 120, 170)]
+
+        def run(detour):
+            network = chain_service("a", "b", "c")
+            central = FilterService(price_schema(), engine="index")
+            handles = []
+            for service, at in ((network, {"at": "b"}), (central, {})):
+                handle = service.subscribe(profile("p", price=RangePredicate.at_least(100)), **at)
+                service.subscribe(profile("q", price=RangePredicate.at_least(150)), **at)
+                handles.append(handle)
+            states = []
+
+            def step(verb, *args):
+                for handle in handles:
+                    if verb == "pause" and detour and handle.home_broker == "b":
+                        network.broker("b").local.pause_subscription(handle.subscription_id)
+                    else:
+                        getattr(handle, verb)(*args)
+                if verb != "pause":  # a direct pause leaves the routing as it was
+                    stats = network.stats().brokers
+                    states.append(
+                        {name: (s.routing_table, s.active_interest) for name, s in stats.items()}
+                    )
+                for at in ("a", "b", "c"):
+                    report = network.publish_batch(events, at=at)
+                    delivered = sorted(
+                        n.profile_id for batch in report.notifications.values() for n in batch
+                    )
+                    assert delivered == sorted(
+                        n.profile_id
+                        for outcome in central.publish_batch(events)
+                        for n in outcome.notifications
+                    )
+
+            step("pause")
+            step("resume")
+            step("pause")
+            step("modify", profile("p", price=RangePredicate.at_most(10)))
+            step("resume")
+            assert [h.state for h in handles] == ["active", "active"]
+            return states
+
+        assert run(detour=True) == run(detour=False)
+
 
 class TestHandlesAcrossBrokers:
     """Every broker numbers its own subscriptions, so two brokers both
